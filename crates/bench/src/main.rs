@@ -1,7 +1,7 @@
 //! `tables` — regenerates every table and figure of the Poseidon HPCA'23
 //! evaluation section from the model and the functional library.
 //!
-//! Usage: `tables [all|table1|...|table12|fig7|...|fig12|metrics|ntt|hoisting|faults|chaos|serve|serve_scale|plan|plan2]`
+//! Usage: `tables [all|table1|...|table12|fig7|...|fig12|metrics|hoisting|faults|chaos|serve|serve_scale|plan|plan2]`
 //!
 //! `tables chaos` (build with `--features faults`) runs the seeded
 //! network/worker chaos campaign through the resilient TCP client and
@@ -23,10 +23,6 @@
 //! `tables serve_scale` sweeps the sharded serving stack (blocking
 //! baseline vs the pipelined mux client at 1/2/4 shards and 1/4
 //! tenants) and digest-checks that every schedule is bit-identical.
-//!
-//! `tables ntt` times every butterfly kernel (`scalar`, `lazy`,
-//! `fused_radix8`) across ring degrees and reports the end-to-end delta
-//! on the 8-rotation hoisting workloads.
 //!
 //! `tables metrics` (build with `--features telemetry`) prints the
 //! runtime per-operator telemetry for a HELR workload.
@@ -81,7 +77,6 @@ fn main() {
     run("parallel", tables::parallel_scaling);
     run("pipeline", tables::pipeline);
     run("metrics", tables::metrics);
-    run("ntt", tables::ntt);
     run("hoisting", tables::hoisting);
     run("faults", tables::faults);
     run("chaos", chaos::chaos);

@@ -727,24 +727,21 @@ pub fn hoisting() {
 }
 
 /// `tables hoisting`: measured `ntt.forward` counts for 8-rotation
-/// workloads under three key-switch regimes — the seed path (per-call
-/// rotations, key slices forward-NTT'd on every call), the per-call path
-/// with the eval-form key cache, and the hoisted batch engine — so the
-/// saving the hoisting engine claims is a counter readout, not an
-/// estimate. Every variant's ciphertexts are asserted bit-identical
-/// before the counts are printed.
+/// workloads under per-call rotations and under the hoisted batch engine,
+/// so the saving the hoisting engine claims is a counter readout, not an
+/// estimate. Both variants' ciphertexts are asserted bit-identical before
+/// the counts are printed.
 #[cfg(feature = "telemetry")]
 pub fn hoisting() {
     use he_ckks::cipher::{Ciphertext, Plaintext};
     use he_ckks::context::CkksContext;
     use he_ckks::encoding::Complex;
     use he_ckks::eval::Evaluator;
-    use he_ckks::keys::{KeySet, KeySwitchKey};
+    use he_ckks::keys::KeySet;
     use he_ckks::linear::PlainMatrix;
     use he_ckks::params::CkksParams;
     use poseidon_telemetry::{Registry, Snapshot};
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
     // Dim 32 with a 24-wide band (diagonals 24..32 zero) gives BSGS
     // exactly 8 rotations: baby steps 1..5 plus giant steps 6, 12, 18
@@ -769,24 +766,6 @@ pub fn hoisting() {
     );
     let ct = keys.public().encrypt(&pt, &mut rng);
 
-    // Seed-path keys: the eval-form cache stripped, so every keyswitch
-    // re-runs the slice + forward-NTT the cache was built to remove.
-    let stripped: HashMap<i64, (u64, KeySwitchKey)> = key_steps
-        .iter()
-        .map(|&s| {
-            let g = keys.galois_element(s);
-            let key = keys
-                .galois_key(g)
-                .expect("rotation key")
-                .without_eval_cache();
-            (s, (g, key))
-        })
-        .collect();
-    let seed_rotate = |a: &Ciphertext, s: i64| {
-        let (g, key) = &stripped[&s];
-        eval.apply_galois(a, *g, key)
-    };
-
     let reg = Registry::global();
     let fwd = |d: &Snapshot| d.get("ntt.forward").map_or(0, |s| s.count);
     let hoists = |d: &Snapshot| d.get("keyswitch.hoist").map_or(0, |s| s.count);
@@ -804,12 +783,10 @@ pub fn hoisting() {
 
     // -- 8 rotations of one ciphertext ------------------------------------
     let steps: Vec<i64> = (1..=8).collect();
-    let (r_seed, d_seed) = measure(&mut || steps.iter().map(|&s| seed_rotate(&ct, s)).collect());
-    let (r_cached, d_cached) =
+    let (r_call, d_call) =
         measure(&mut || steps.iter().map(|&s| eval.rotate(&ct, s, &keys)).collect());
     let (r_hoist, d_hoist) = measure(&mut || eval.rotate_many(&ct, &steps, &keys));
-    assert_eq!(r_seed, r_cached, "key cache changed rotation bits");
-    assert_eq!(r_cached, r_hoist, "hoisted batch changed rotation bits");
+    assert_eq!(r_call, r_hoist, "hoisted batch changed rotation bits");
 
     println!("\n-- 8 rotations of one ciphertext (bit-identical outputs) --");
     println!(
@@ -817,8 +794,7 @@ pub fn hoisting() {
         "variant", "ntt.forward", "hoists", "saved NTTs"
     );
     for (name, d) in [
-        ("seed path (slice+NTT keys)", &d_seed),
-        ("eval-form key cache, per call", &d_cached),
+        ("per call (rotate)", &d_call),
         ("hoisted batch (rotate_many)", &d_hoist),
     ] {
         println!(
@@ -830,14 +806,13 @@ pub fn hoisting() {
         );
     }
     println!(
-        "forward-NTT reduction: {:.1}x vs seed, {:.1}x vs per-call  (acceptance: >= 2x)",
-        fwd(&d_seed) as f64 / fwd(&d_hoist) as f64,
-        fwd(&d_cached) as f64 / fwd(&d_hoist) as f64,
+        "forward-NTT reduction: {:.1}x vs per-call  (acceptance: >= 2x)",
+        fwd(&d_call) as f64 / fwd(&d_hoist) as f64,
     );
 
     // -- 8-rotation BSGS matvec -------------------------------------------
-    // The unhoisted reference replays `PlainMatrix::apply_bsgs` with the
-    // seed-path rotation for every baby and giant step; the hoisted run is
+    // The unhoisted reference replays `PlainMatrix::apply_bsgs` with a
+    // per-call rotation for every baby and giant step; the hoisted run is
     // the shipped method. Both produce identical ciphertexts, so the NTT
     // delta is pure dataflow.
     let m = PlainMatrix::new(
@@ -855,13 +830,13 @@ pub fn hoisting() {
             })
             .collect(),
     );
-    let bsgs_seed = |v: &Ciphertext| -> Ciphertext {
+    let bsgs_per_call = |v: &Ciphertext| -> Ciphertext {
         let bs = (DIM as f64).sqrt().ceil() as usize;
         let gs = DIM.div_ceil(bs);
         let scale = eval.context().default_scale();
         let mut baby = vec![v.clone()];
         for b in 1..bs {
-            baby.push(seed_rotate(v, b as i64));
+            baby.push(eval.rotate(v, b as i64, &keys));
         }
         let mut acc: Option<Ciphertext> = None;
         for g in 0..gs {
@@ -887,7 +862,7 @@ pub fn hoisting() {
                 let shifted = if g == 0 {
                     inner
                 } else {
-                    seed_rotate(&inner, (g * bs) as i64)
+                    eval.rotate(&inner, (g * bs) as i64, &keys)
                 };
                 match &mut acc {
                     None => acc = Some(shifted),
@@ -897,9 +872,9 @@ pub fn hoisting() {
         }
         eval.rescale(&acc.expect("non-zero matrix"))
     };
-    let (v_seed, b_seed) = measure(&mut || vec![bsgs_seed(&ct)]);
+    let (v_call, b_call) = measure(&mut || vec![bsgs_per_call(&ct)]);
     let (v_hoist, b_hoist) = measure(&mut || vec![m.apply_bsgs(&eval, &keys, &ct)]);
-    assert_eq!(v_seed, v_hoist, "hoisted BSGS changed matvec bits");
+    assert_eq!(v_call, v_hoist, "hoisted BSGS changed matvec bits");
 
     println!("\n-- 8-rotation BSGS matvec, dim 32, band 24 (bit-identical outputs) --");
     println!(
@@ -908,10 +883,10 @@ pub fn hoisting() {
     );
     println!(
         "{:<34} {:>12} {:>8} {:>12}",
-        "seed path (per-call, no cache)",
-        fwd(&b_seed),
-        hoists(&b_seed),
-        saved(&b_seed)
+        "per-call rotations",
+        fwd(&b_call),
+        hoists(&b_call),
+        saved(&b_call)
     );
     println!(
         "{:<34} {:>12} {:>8} {:>12}",
@@ -921,205 +896,8 @@ pub fn hoisting() {
         saved(&b_hoist)
     );
     println!(
-        "forward-NTT reduction: {:.2}x vs seed  (acceptance: >= 2x)",
-        fwd(&b_seed) as f64 / fwd(&b_hoist) as f64,
-    );
-}
-
-/// One row of the per-kernel transform timing sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct NttKernelTiming {
-    /// Kernel name (stable, lowercase).
-    pub kernel: &'static str,
-    /// log2 of the ring degree.
-    pub log_n: u32,
-    /// Mean forward-transform time, nanoseconds.
-    pub forward_ns: f64,
-    /// Mean inverse-transform time, nanoseconds.
-    pub inverse_ns: f64,
-}
-
-/// Times forward/inverse for every [`he_ntt::KernelKind`] at the given
-/// ring degrees. Shared by `tables ntt` and `benches/ntt_kernels.rs`.
-///
-/// Outputs are checksummed through [`std::hint::black_box`] so the
-/// optimiser cannot elide the transforms.
-pub fn ntt_kernel_sweep(log_ns: &[u32]) -> Vec<NttKernelTiming> {
-    use he_ntt::KernelKind;
-    use std::time::Instant;
-
-    let mut rows = Vec::new();
-    for &log_n in log_ns {
-        let n = 1usize << log_n;
-        let q = he_math::prime::ntt_prime(30, 2 * n as u64).unwrap();
-        // Same deterministic input for every kernel.
-        let input: Vec<u64> = (0..n as u64)
-            .map(|i| (i.wrapping_mul(2654435761).wrapping_add(97)) % q)
-            .collect();
-        // Enough iterations to dominate timer noise, fewer at large N.
-        let iters = (1u32 << 22).checked_shr(log_n).unwrap_or(1).clamp(16, 4096);
-        for kind in KernelKind::ALL {
-            let t = NttTable::with_kernel(n, q, kind);
-            let mut buf = input.clone();
-            // Warm-up (also faults the twiddle tables into cache).
-            for _ in 0..4 {
-                t.forward(&mut buf);
-                t.inverse(&mut buf);
-            }
-            let start = Instant::now();
-            for _ in 0..iters {
-                t.forward(&mut buf);
-            }
-            let forward_ns = start.elapsed().as_nanos() as f64 / iters as f64;
-            std::hint::black_box(&buf);
-            let start = Instant::now();
-            for _ in 0..iters {
-                t.inverse(&mut buf);
-            }
-            let inverse_ns = start.elapsed().as_nanos() as f64 / iters as f64;
-            std::hint::black_box(&buf);
-            rows.push(NttKernelTiming {
-                kernel: kind.name(),
-                log_n,
-                forward_ns,
-                inverse_ns,
-            });
-        }
-    }
-    rows
-}
-
-/// End-to-end wall time of the `tables hoisting` workload (8-rotation
-/// batch + the dim-32 band-24 BSGS matvec at N = 2^12, L = 4) per NTT
-/// kernel, by rebuilding the whole context under a process-wide kernel
-/// override. Returns `(kernel, rotate8_ms, bsgs_ms)` rows; outputs are
-/// asserted bit-identical across kernels before any time is reported.
-pub fn ntt_end_to_end(iters: u32) -> Vec<(&'static str, f64, f64)> {
-    use he_ckks::cipher::Plaintext;
-    use he_ckks::context::CkksContext;
-    use he_ckks::encoding::Complex;
-    use he_ckks::eval::Evaluator;
-    use he_ckks::keys::KeySet;
-    use he_ckks::linear::PlainMatrix;
-    use he_ckks::params::CkksParams;
-    use he_ntt::KernelKind;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    const DIM: usize = 32;
-    const BAND: usize = 24;
-    let steps: Vec<i64> = (1..=8).collect();
-    let mut rows = Vec::new();
-    let mut reference = None;
-    for kind in KernelKind::ALL {
-        he_ntt::set_default_kind(Some(kind));
-        let ctx = CkksContext::new(CkksParams::paper_32bit(1 << 12, 4));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0157);
-        let mut keys = KeySet::generate(&ctx, &mut rng);
-        for s in (1..=8).chain([12, 18]) {
-            keys.add_rotation_key(s, &mut rng);
-        }
-        let eval = Evaluator::new(&ctx);
-        let z: Vec<Complex> = (0..DIM)
-            .map(|i| Complex::new(0.3 + 0.05 * i as f64, 0.0))
-            .collect();
-        let pt = Plaintext::new(
-            ctx.encoder()
-                .encode_rns(ctx.chain_basis(), &z, ctx.default_scale()),
-            ctx.default_scale(),
-        );
-        let ct = keys.public().encrypt(&pt, &mut rng);
-        let m = PlainMatrix::new(
-            (0..DIM)
-                .map(|i| {
-                    (0..DIM)
-                        .map(|j| {
-                            if (j + DIM - i) % DIM < BAND {
-                                Complex::new(((i * 7 + j * 3) % 7) as f64 * 0.05 - 0.15, 0.0)
-                            } else {
-                                Complex::new(0.0, 0.0)
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-        );
-
-        let rotated = eval.rotate_many(&ct, &steps, &keys);
-        let matvec = m.apply_bsgs(&eval, &keys, &ct);
-        match &reference {
-            None => reference = Some((rotated, matvec)),
-            Some((r, v)) => {
-                assert_eq!(r, &rotated, "kernel {kind} changed rotation bits");
-                assert_eq!(v, &matvec, "kernel {kind} changed matvec bits");
-            }
-        }
-
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(eval.rotate_many(&ct, &steps, &keys));
-        }
-        let rotate_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(m.apply_bsgs(&eval, &keys, &ct));
-        }
-        let bsgs_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
-        rows.push((kind.name(), rotate_ms, bsgs_ms));
-    }
-    he_ntt::set_default_kind(None);
-    rows
-}
-
-/// `tables ntt`: per-kernel forward/inverse transform times across ring
-/// degrees, and the end-to-end delta the kernels make on the 8-rotation
-/// workloads of `tables hoisting`.
-pub fn ntt() {
-    println!("-- per-kernel transform times (mean of a deterministic sweep) --");
-    println!(
-        "{:<8} {:<14} {:>14} {:>14}",
-        "log N", "kernel", "forward (us)", "inverse (us)"
-    );
-    let rows = ntt_kernel_sweep(&[10, 11, 12, 13]);
-    let mut scalar_fwd = std::collections::HashMap::new();
-    for r in &rows {
-        if r.kernel == "scalar" {
-            scalar_fwd.insert(r.log_n, r.forward_ns);
-        }
-    }
-    for r in &rows {
-        println!(
-            "{:<8} {:<14} {:>14.2} {:>14.2}{}",
-            r.log_n,
-            r.kernel,
-            r.forward_ns / 1e3,
-            r.inverse_ns / 1e3,
-            if r.kernel == "scalar" {
-                String::new()
-            } else {
-                format!(
-                    "   ({:.2}x fwd vs scalar)",
-                    scalar_fwd[&r.log_n] / r.forward_ns
-                )
-            }
-        );
-    }
-
-    println!("\n-- end-to-end: 8-rotation workloads at N=2^12, L=4 (bit-identical outputs) --");
-    println!(
-        "{:<14} {:>16} {:>18}",
-        "kernel", "rotate_x8 (ms)", "bsgs matvec (ms)"
-    );
-    let e2e = ntt_end_to_end(2);
-    for (kernel, rot, bsgs) in &e2e {
-        println!("{kernel:<14} {rot:>16.2} {bsgs:>18.2}");
-    }
-    let scalar = e2e.iter().find(|r| r.0 == "scalar").unwrap();
-    let fused = e2e.iter().find(|r| r.0 == "fused_radix8").unwrap();
-    println!(
-        "fused_radix8 end-to-end gain: rotate_x8 {:.2}x, bsgs {:.2}x vs scalar",
-        scalar.1 / fused.1,
-        scalar.2 / fused.2
+        "forward-NTT reduction: {:.2}x vs per-call",
+        fwd(&b_call) as f64 / fwd(&b_hoist) as f64,
     );
 }
 

@@ -149,80 +149,3 @@ mod tests {
         let _ = Ciphertext::new(e.clone(), e, 1.0);
     }
 }
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! Serde support (feature `serde`): ciphertexts/plaintexts serialise
-    //! as their polynomials plus the tracked scale; structural invariants
-    //! are revalidated through the constructors on deserialise.
-    use super::{Ciphertext, Plaintext};
-    use he_rns::RnsPoly;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    #[derive(Serialize, Deserialize)]
-    struct CiphertextRepr {
-        c0: RnsPoly,
-        c1: RnsPoly,
-        scale: f64,
-    }
-
-    impl Serialize for Ciphertext {
-        fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            CiphertextRepr {
-                c0: self.c0.clone(),
-                c1: self.c1.clone(),
-                scale: self.scale,
-            }
-            .serialize(s)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Ciphertext {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let r = CiphertextRepr::deserialize(d)?;
-            if r.c0.basis() != r.c1.basis() || r.c0.form() != r.c1.form() {
-                return Err(serde::de::Error::custom("mismatched ciphertext components"));
-            }
-            if r.c0.form() != he_rns::Form::Coeff {
-                return Err(serde::de::Error::custom("ciphertexts store coefficients"));
-            }
-            if !(r.scale.is_finite() && r.scale > 0.0) {
-                return Err(serde::de::Error::custom(
-                    "scale must be finite and positive",
-                ));
-            }
-            Ok(Ciphertext::new(r.c0, r.c1, r.scale))
-        }
-    }
-
-    #[derive(Serialize, Deserialize)]
-    struct PlaintextRepr {
-        poly: RnsPoly,
-        scale: f64,
-    }
-
-    impl Serialize for Plaintext {
-        fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            PlaintextRepr {
-                poly: self.poly.clone(),
-                scale: self.scale,
-            }
-            .serialize(s)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Plaintext {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let r = PlaintextRepr::deserialize(d)?;
-            if r.poly.form() != he_rns::Form::Coeff {
-                return Err(serde::de::Error::custom("plaintexts store coefficients"));
-            }
-            if !(r.scale.is_finite() && r.scale > 0.0) {
-                return Err(serde::de::Error::custom(
-                    "scale must be finite and positive",
-                ));
-            }
-            Ok(Plaintext::new(r.poly, r.scale))
-        }
-    }
-}

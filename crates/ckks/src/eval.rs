@@ -290,10 +290,11 @@ impl Evaluator {
     /// # Errors
     ///
     /// [`EvalError::ScaleMismatch`] if ciphertext and plaintext scales
-    /// disagree.
+    /// disagree; [`EvalError::LevelMismatch`] if the plaintext sits below
+    /// the ciphertext's level.
     pub fn try_add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         check_scales_match(a.scale(), pt.scale())?;
-        let m = pt.poly().truncate_basis(a.level() + 1);
+        let m = plain_at_level_of(a, pt)?;
         Ok(Ciphertext::new(a.c0().add(&m), a.c1().clone(), a.scale()))
     }
 
@@ -311,11 +312,10 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// [`EvalError::ScaleMismatch`] if ciphertext and plaintext scales
-    /// disagree.
+    /// As [`try_add_plain`](Self::try_add_plain).
     pub fn try_sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         check_scales_match(a.scale(), pt.scale())?;
-        let m = pt.poly().truncate_basis(a.level() + 1);
+        let m = plain_at_level_of(a, pt)?;
         Ok(Ciphertext::new(a.c0().sub(&m), a.c1().clone(), a.scale()))
     }
 
@@ -328,20 +328,38 @@ impl Evaluator {
         self.try_sub_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Plaintext multiplication (paper PMult): `(c_0·m, c_1·m)` with scale
-    /// Δ_ct · Δ_pt. Rescale afterwards to restore the working scale.
+    /// Fallible [`mul_plain`](Self::mul_plain).
     ///
     /// The plaintext is a fixed multiplicand known ahead of the
     /// ciphertext, so its residues are lifted to Shoup lanes once
     /// ([`he_rns::ShoupOperand`]) and reused for both components — no
     /// Barrett reduction on the pointwise path.
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let m = ShoupOperand::new(&pt.poly().truncate_basis(a.level() + 1).into_eval());
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::LevelMismatch`] if the plaintext sits below the
+    /// ciphertext's level.
+    pub fn try_mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+        let m = ShoupOperand::new(&plain_at_level_of(a, pt)?.into_eval());
         let mut c0 = a.c0().clone().into_eval();
         c0.mul_assign_shoup(&m);
         let mut c1 = a.c1().clone().into_eval();
         c1.mul_assign_shoup(&m);
-        Ciphertext::new(c0.into_coeff(), c1.into_coeff(), a.scale() * pt.scale())
+        Ok(Ciphertext::new(
+            c0.into_coeff(),
+            c1.into_coeff(),
+            a.scale() * pt.scale(),
+        ))
+    }
+
+    /// Plaintext multiplication (paper PMult): `(c_0·m, c_1·m)` with scale
+    /// Δ_ct · Δ_pt. Rescale afterwards to restore the working scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plaintext sits below the ciphertext's level.
+    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
+        self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Multiplies by a complex constant, encoding it at the context scale.
@@ -447,7 +465,7 @@ impl Evaluator {
             #[cfg(feature = "telemetry")]
             let _digit = self.tel.digit.span(digit_weight as u64);
             let lifted = lift_digit(d.residues(j), &ext_basis);
-            let (mut p0, mut p1) = self.eval_key_slice(key, j, level);
+            let (mut p0, mut p1) = key.eval_sliced(&self.ctx, j, level);
             p0.mul_assign(&lifted);
             p1.mul_assign(&lifted);
             for buf in lifted.into_residues() {
@@ -474,18 +492,6 @@ impl Evaluator {
             moddown(&acc0.into_coeff(), q_len),
             moddown(&acc1.into_coeff(), q_len),
         )
-    }
-
-    /// Key digit slice in evaluation form: the precomputed cache when the
-    /// key carries one, else the seed path (`sliced` + two forward NTTs).
-    fn eval_key_slice(&self, key: &KeySwitchKey, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
-        match key.eval_sliced(&self.ctx, j, level) {
-            Some(pair) => pair,
-            None => {
-                let (kb, ka) = key.sliced(&self.ctx, j, level);
-                (kb.into_eval(), ka.into_eval())
-            }
-        }
     }
 
     /// Precomputes the rotation-independent half of a keyswitch: digit
@@ -554,7 +560,7 @@ impl Evaluator {
             #[cfg(feature = "telemetry")]
             let _digit = self.tel.digit.span(digit_weight as u64);
             let rotated = h.digits[j].automorphism_eval(g);
-            let (mut p0, mut p1) = self.eval_key_slice(key, j, level);
+            let (mut p0, mut p1) = key.eval_sliced(&self.ctx, j, level);
             p0.mul_assign(&rotated);
             p1.mul_assign(&rotated);
             (p0, p1)
@@ -982,6 +988,19 @@ fn lift_digit(t: &[u64], ext_basis: &RnsBasis) -> RnsPoly {
         })
         .collect();
     RnsPoly::from_residues(ext_basis, residues, he_rns::Form::Coeff).into_eval()
+}
+
+/// The plaintext's residues on the ciphertext's level basis. Plaintexts
+/// arrive with a level of their own (wire frames carry it), so one below
+/// the ciphertext's is an operand error, not an internal bug.
+fn plain_at_level_of(a: &Ciphertext, pt: &Plaintext) -> Result<RnsPoly, EvalError> {
+    if pt.level() < a.level() {
+        return Err(EvalError::LevelMismatch {
+            a: a.level(),
+            b: pt.level(),
+        });
+    }
+    Ok(pt.poly().truncate_basis(a.level() + 1))
 }
 
 fn check_scales_match(a: f64, b: f64) -> Result<(), EvalError> {

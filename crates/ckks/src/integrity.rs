@@ -271,9 +271,11 @@ impl CheckedEvaluator {
     ///
     /// # Errors
     ///
-    /// [`EvalError::IntegrityFault`] on persistent corruption.
+    /// [`EvalError::LevelMismatch`] if the plaintext sits below the
+    /// ciphertext's level; [`EvalError::IntegrityFault`] on persistent
+    /// corruption.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        self.checked("mul_plain", || Ok(self.inner.mul_plain(a, pt)))
+        self.checked("mul_plain", || self.inner.try_mul_plain(a, pt))
     }
 
     /// Checked CMult with relinearisation (covers the keyswitch datapath:

@@ -158,9 +158,7 @@ pub struct KeySwitchKey {
     /// level-`l` keyswitch slices these residue vectors directly — the hot
     /// loop never runs `into_eval()` on key material (the software
     /// analogue of Poseidon keeping keyswitch keys resident in HBM in
-    /// evaluation representation). Empty when the cache was stripped
-    /// ([`without_eval_cache`](Self::without_eval_cache)); apply paths
-    /// then fall back to slicing + NTT, bit-identically.
+    /// evaluation representation).
     pub(crate) eval_pairs: Vec<(RnsPoly, RnsPoly)>,
 }
 
@@ -203,45 +201,18 @@ impl KeySwitchKey {
                 (b, a)
             })
             .collect();
-        let mut key = Self {
-            pairs,
-            eval_pairs: Vec::new(),
-        };
-        key.precompute_eval_pairs();
-        key
+        Self::from_pairs(pairs)
     }
 
-    /// Rebuilds a key from its raw digit pairs (over `Q ∪ P`, coefficient
-    /// form), restoring the evaluation-form cache — the deserialization
-    /// entry point for the wire format.
+    /// Builds a key from its raw digit pairs (over `Q ∪ P`, coefficient
+    /// form) together with the evaluation-form cache — also the
+    /// deserialization entry point for the wire format.
     pub fn from_pairs(pairs: Vec<(RnsPoly, RnsPoly)>) -> Self {
-        let mut key = Self {
-            pairs,
-            eval_pairs: Vec::new(),
-        };
-        key.precompute_eval_pairs();
-        key
-    }
-
-    /// (Re)builds the evaluation-form key cache from the coefficient
-    /// pairs. Called by [`generate`](Self::generate); exposed so keys
-    /// deserialised or stripped for testing can restore the fast path.
-    pub fn precompute_eval_pairs(&mut self) {
-        self.eval_pairs = self
-            .pairs
+        let eval_pairs = pairs
             .iter()
             .map(|(b, a)| (b.clone().into_eval(), a.clone().into_eval()))
             .collect();
-    }
-
-    /// A copy of this key with the evaluation-form cache stripped, forcing
-    /// apply paths onto the slice + NTT fallback — for bit-exactness tests
-    /// and memory-constrained callers.
-    pub fn without_eval_cache(&self) -> Self {
-        Self {
-            pairs: self.pairs.clone(),
-            eval_pairs: Vec::new(),
-        }
+        Self { pairs, eval_pairs }
     }
 
     /// The raw per-digit key pairs `(b_j, a_j)` over `Q ∪ P` in coefficient
@@ -269,18 +240,9 @@ impl KeySwitchKey {
 
     /// Pair `j` restricted to level `l` plus the special primes, already
     /// in evaluation form — served from the precomputed cache, so this is
-    /// a residue copy with **zero** NTT work. Returns `None` when the
-    /// cache is absent (stripped or hand-built key); callers fall back to
-    /// [`sliced`](Self::sliced)` + into_eval()`, which is bit-identical.
-    pub fn eval_sliced(
-        &self,
-        ctx: &CkksContext,
-        j: usize,
-        level: usize,
-    ) -> Option<(RnsPoly, RnsPoly)> {
-        if self.eval_pairs.is_empty() {
-            return None;
-        }
+    /// a residue copy with **zero** NTT work, bit-identical to
+    /// [`sliced`](Self::sliced)` + into_eval()`.
+    pub fn eval_sliced(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
         let chain_len = ctx.chain_basis().len();
         let keep = level + 1;
         let basis = ctx.level_basis(level).concat(ctx.special_basis());
@@ -301,7 +263,7 @@ impl KeySwitchKey {
             out
         };
         let (b, a) = &self.eval_pairs[j];
-        Some((slice(b), slice(a)))
+        (slice(b), slice(a))
     }
 }
 
@@ -617,13 +579,11 @@ mod tests {
         for level in 0..ctx.chain_basis().len() {
             for j in 0..=level {
                 let (b, a) = key.sliced(&ctx, j, level);
-                let (be, ae) = key.eval_sliced(&ctx, j, level).expect("cache present");
+                let (be, ae) = key.eval_sliced(&ctx, j, level);
                 assert_eq!(b.into_eval(), be, "b digit {j} level {level}");
                 assert_eq!(a.into_eval(), ae, "a digit {j} level {level}");
             }
         }
-        let stripped = key.without_eval_cache();
-        assert!(stripped.eval_sliced(&ctx, 0, 0).is_none());
     }
 
     #[test]

@@ -100,21 +100,4 @@ proptest! {
         prop_assert_eq!(hoisted.c1(), plain.c1());
         prop_assert_eq!(h.uses(), 1);
     }
-
-    /// The eval-form key cache is an encoding of the same key material:
-    /// stripping it and forcing the slice + forward-NTT fallback must
-    /// yield the identical keyswitch output.
-    #[test]
-    fn eval_key_cache_matches_seed_keyswitch_path(
-        a in arb_vals(),
-        seed in 1u64..1000,
-        level in 0usize..3,
-    ) {
-        let (_, keys, eval) = fixture();
-        let ct = eval.drop_to_level(&encrypt(&a, seed), level);
-        let cached = eval.keyswitch(ct.c1(), keys.relin());
-        let stripped = keys.relin().without_eval_cache();
-        let fallback = eval.keyswitch(ct.c1(), &stripped);
-        prop_assert_eq!(cached, fallback);
-    }
 }

@@ -598,14 +598,7 @@ impl PoseidonMachine {
             let mut acc1: Option<RnsPoly> = None;
             for (j, digit) in digits.iter().enumerate() {
                 let rotated = self.auto_eval_poly(digit, &perm);
-                let cached = key.eval_sliced(&self.ctx, j, level);
-                let (kb, ka) = match cached {
-                    Some(pair) => pair,
-                    None => {
-                        let (kb, ka) = key.sliced(&self.ctx, j, level);
-                        (self.ntt_poly(&kb), self.ntt_poly(&ka))
-                    }
-                };
+                let (kb, ka) = key.eval_sliced(&self.ctx, j, level);
                 let p0 = self.mul_poly(&rotated, &kb);
                 let p1 = self.mul_poly(&rotated, &ka);
                 acc0 = Some(match acc0 {

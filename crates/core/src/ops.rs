@@ -290,7 +290,7 @@ impl HomomorphicOps for Evaluator {
     }
 
     fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        Ok(Evaluator::mul_plain(self, a, pt))
+        Evaluator::try_mul_plain(self, a, pt)
     }
 
     fn try_mul(

@@ -169,14 +169,13 @@ impl RecordingEvaluator {
         self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Recorded fallible PMult (the evaluator's `mul_plain` itself cannot
-    /// fail, so this only exists for surface symmetry and graph capture).
+    /// Recorded fallible PMult.
     ///
     /// # Errors
     ///
-    /// Currently infallible.
+    /// Propagates the evaluator's [`EvalError`].
     pub fn try_mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        let out = self.inner.mul_plain(a, pt);
+        let out = self.inner.try_mul_plain(a, pt)?;
         self.record(BasicOp::PMult, a);
         let idx = self.graph.borrow_mut().intern_plaintext(pt.clone());
         self.record_graph1(GraphOp::MulPlain { pt: idx }, a, &out);

@@ -5,7 +5,7 @@
 //!
 //! With `POSEIDON_PLAN_DIGEST_FILE=<path>` the value-preserving digests
 //! are appended to `<path>` (`<name> <digest>` per line) so CI can diff
-//! planned execution across `POSEIDON_NTT_KERNEL` values.
+//! planned execution across feature builds.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
@@ -280,8 +280,8 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
 }
 
 /// Always-on digest pinning; additionally appends to
-/// `POSEIDON_PLAN_DIGEST_FILE` when set so CI can diff across NTT
-/// kernels.
+/// `POSEIDON_PLAN_DIGEST_FILE` when set so CI can diff across feature
+/// builds.
 #[test]
 fn value_preserving_digests_are_deterministic() {
     let (ctx, keys, mut rng) = setup();

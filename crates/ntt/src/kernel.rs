@@ -1,4 +1,4 @@
-//! Production lazy-reduction NTT kernels and the per-table dispatch layer.
+//! The production lazy-reduction NTT kernel.
 //!
 //! The paper's §III-A NTT-fusion collapses k butterfly stages into one
 //! fused TAM so each 2^k block pays 2^k modular reductions instead of
@@ -9,116 +9,21 @@
 //! boundaries — k = 3 stages at a time, mirroring the paper's radix-8
 //! fused TAM (Table II's sweet spot).
 //!
-//! Three kernels sit behind [`crate::NttTable::forward`] / `inverse`:
+//! [`forward_fused`] / [`inverse_fused`] are the only transforms behind
+//! [`crate::NttTable::forward`] / `inverse`: stage groups of k = 3
+//! (remainders at radix 4/2), where each 8-element block is gathered once,
+//! runs 12 lazy butterflies in registers, and is reduced exactly once per
+//! output at the group boundary. Inner loops are explicit 4- and 8-lane
+//! chunked passes over the contiguous sub-transform columns — the software
+//! stand-in for the paper's 512 vector lanes.
 //!
-//! * [`KernelKind::Scalar`] — the seed radix-2 kernels of
-//!   [`crate::negacyclic`], one full reduction per stage. Retained
-//!   verbatim as the oracle every other kernel is digest-checked against.
-//! * [`KernelKind::Lazy`] — the same stage structure with Harvey lazy
-//!   butterflies throughout and a single reduction pass at the end.
-//! * [`KernelKind::FusedRadix8`] — stage groups of k = 3 (remainders at
-//!   radix 4/2): each 8-element block is gathered once, runs 12 lazy
-//!   butterflies in registers, and is reduced exactly once per output at
-//!   the group boundary. Inner loops are explicit 4- and 8-lane chunked
-//!   passes over the contiguous sub-transform columns — the software
-//!   stand-in for the paper's 512 vector lanes.
-//!
-//! All kernels are bit-identical: outputs are fully reduced and modular
-//! arithmetic is exact, so the transform value — not just its residue
-//! class — matches the scalar oracle at every length.
-//!
-//! Selection: explicit per-table ([`crate::NttTable::with_kernel`] /
-//! `set_kernel`) → process-wide override ([`set_default_kind`]) →
-//! `POSEIDON_NTT_KERNEL` environment variable → [`KernelKind::FusedRadix8`].
+//! Outputs are fully reduced and modular arithmetic is exact, so the
+//! transform value — not just its residue class — is bit-identical to the
+//! seed radix-2 oracle in [`crate::negacyclic`] at every length
+//! (`tests/kernel_equivalence.rs`).
 
 use he_math::modops::csub;
 use he_math::ShoupMul;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which butterfly kernel a table runs its transforms through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// Seed radix-2 kernels with a full reduction per stage (the oracle).
-    Scalar,
-    /// Radix-2 stage structure, Harvey lazy butterflies, one final
-    /// reduction pass.
-    Lazy,
-    /// k = 3 fused stage groups with per-group-boundary reductions — the
-    /// paper's radix-8 fused TAM, and the default.
-    FusedRadix8,
-}
-
-impl KernelKind {
-    /// Every kernel, scalar oracle first (sweep order for tests/benches).
-    pub const ALL: [KernelKind; 3] = [
-        KernelKind::Scalar,
-        KernelKind::Lazy,
-        KernelKind::FusedRadix8,
-    ];
-
-    /// Stable lowercase name (accepted back by [`parse`](Self::parse)).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Lazy => "lazy",
-            KernelKind::FusedRadix8 => "fused_radix8",
-        }
-    }
-
-    /// Parses a kernel name as used by `POSEIDON_NTT_KERNEL`.
-    /// Accepts `scalar`, `lazy`, and `fused_radix8`/`fused`/`radix8`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelKind::Scalar),
-            "lazy" => Some(KernelKind::Lazy),
-            "fused_radix8" | "fused-radix8" | "fused" | "radix8" => Some(KernelKind::FusedRadix8),
-            _ => None,
-        }
-    }
-
-    /// The kernel named by the `POSEIDON_NTT_KERNEL` environment variable,
-    /// if set and recognised.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("POSEIDON_NTT_KERNEL")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-    }
-
-    /// The kind newly built tables default to: the process-wide override
-    /// when installed, else `POSEIDON_NTT_KERNEL`, else
-    /// [`KernelKind::FusedRadix8`].
-    pub fn default_kind() -> Self {
-        match DEFAULT_OVERRIDE.load(Ordering::Relaxed) {
-            1 => KernelKind::Scalar,
-            2 => KernelKind::Lazy,
-            3 => KernelKind::FusedRadix8,
-            _ => Self::from_env().unwrap_or(KernelKind::FusedRadix8),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// `0` = not set; else `KernelKind` discriminant + 1.
-static DEFAULT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None`, clears) a process-wide default kernel for
-/// tables built afterwards. Takes precedence over `POSEIDON_NTT_KERNEL`;
-/// existing tables are unaffected. Intended for benches and sweeps that
-/// rebuild whole contexts per kernel.
-pub fn set_default_kind(kind: Option<KernelKind>) {
-    let v = match kind {
-        None => 0,
-        Some(KernelKind::Scalar) => 1,
-        Some(KernelKind::Lazy) => 2,
-        Some(KernelKind::FusedRadix8) => 3,
-    };
-    DEFAULT_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Debug-build operation counters for reconciling the fused kernel against
 /// the analytic [`crate::FusionAnalysis`] model (paper Table II).
@@ -204,65 +109,6 @@ fn inv_bf(x: u64, y: u64, w: &ShoupMul, two_q: u64) -> (u64, u64) {
 #[inline(always)]
 fn reduce_4q(v: u64, q: u64, two_q: u64) -> u64 {
     csub(csub(v, two_q), q)
-}
-
-/// Forward negacyclic NTT with lazy butterflies: the scalar stage
-/// structure of [`crate::negacyclic::forward_in_place`], values carried in
-/// `[0, 4q)`, one reduction pass at the end. Bit-identical to the scalar
-/// kernel.
-pub(crate) fn forward_lazy(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
-    let n = a.len();
-    debug_assert!(n.is_power_of_two() && psi_rev.len() == n);
-    let two_q = 2 * q;
-    let mut t = n;
-    let mut m = 1;
-    while m < n {
-        t /= 2;
-        for i in 0..m {
-            let j1 = 2 * i * t;
-            let w = &psi_rev[m + i];
-            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (u, v) = fwd_bf(*x, *y, w, two_q);
-                *x = u;
-                *y = v;
-            }
-        }
-        m *= 2;
-    }
-    for v in a.iter_mut() {
-        *v = reduce_4q(*v, q, two_q);
-    }
-}
-
-/// Inverse negacyclic NTT with lazy butterflies, including the `N⁻¹`
-/// scaling folded into the final reduction pass. Values carried in
-/// `[0, 2q)`. Bit-identical to the scalar kernel.
-pub(crate) fn inverse_lazy(a: &mut [u64], inv_psi_rev: &[ShoupMul], n_inv: &ShoupMul, q: u64) {
-    let n = a.len();
-    debug_assert!(n.is_power_of_two() && inv_psi_rev.len() == n);
-    let two_q = 2 * q;
-    let mut t = 1;
-    let mut m = n;
-    while m > 1 {
-        let h = m / 2;
-        let mut j1 = 0;
-        for i in 0..h {
-            let w = &inv_psi_rev[h + i];
-            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (u, v) = inv_bf(*x, *y, w, two_q);
-                *x = u;
-                *y = v;
-            }
-            j1 += 2 * t;
-        }
-        t *= 2;
-        m = h;
-    }
-    for x in a.iter_mut() {
-        *x = csub(n_inv.mul_lazy_unreduced(*x), q);
-    }
 }
 
 /// Borrows two distinct lanes of a block mutably (`i < j`).
@@ -639,82 +485,4 @@ pub(crate) fn inverse_fused(a: &mut [u64], inv_psi_rev: &[ShoupMul], n_inv: &Sho
         *x = csub(n_inv.mul_lazy_unreduced(*x), q);
     }
     op_counters::count(n as u64, 2 * n as u64);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::NttTable;
-
-    #[test]
-    fn kind_parsing_round_trips() {
-        for k in KernelKind::ALL {
-            assert_eq!(KernelKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(KernelKind::parse("fused"), Some(KernelKind::FusedRadix8));
-        assert_eq!(KernelKind::parse("radix8"), Some(KernelKind::FusedRadix8));
-        assert_eq!(KernelKind::parse("RADIX8"), Some(KernelKind::FusedRadix8));
-        assert_eq!(KernelKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn default_override_wins_and_clears() {
-        set_default_kind(Some(KernelKind::Scalar));
-        assert_eq!(KernelKind::default_kind(), KernelKind::Scalar);
-        set_default_kind(None);
-        // Without the override the result depends on the environment, but
-        // it must be a valid kind.
-        let _ = KernelKind::default_kind();
-    }
-
-    fn sweep(kind: KernelKind) {
-        for log_n in 1..=10u32 {
-            let n = 1usize << log_n;
-            let q = he_math::prime::ntt_prime(30, 2 * n as u64).unwrap();
-            let scalar = NttTable::with_kernel(n, q, KernelKind::Scalar);
-            let lazy = NttTable::with_kernel(n, q, kind);
-            let input: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761 + 97) % q).collect();
-
-            let mut want = input.clone();
-            scalar.forward(&mut want);
-            let mut got = input.clone();
-            lazy.forward(&mut got);
-            assert_eq!(want, got, "forward {kind} n={n}");
-
-            scalar.inverse(&mut want);
-            lazy.inverse(&mut got);
-            assert_eq!(want, got, "inverse {kind} n={n}");
-            assert_eq!(got, input, "round trip {kind} n={n}");
-        }
-    }
-
-    #[test]
-    fn lazy_matches_scalar_all_lengths() {
-        sweep(KernelKind::Lazy);
-    }
-
-    #[test]
-    fn fused_matches_scalar_all_lengths() {
-        sweep(KernelKind::FusedRadix8);
-    }
-
-    #[test]
-    fn lazy_kernels_survive_extreme_residues() {
-        // All-(q-1) inputs maximise every intermediate in the redundant
-        // ranges; the invariants must hold without overflow.
-        let n = 64usize;
-        let q = he_math::prime::ntt_prime(61, 2 * n as u64).unwrap();
-        let scalar = NttTable::with_kernel(n, q, KernelKind::Scalar);
-        let input = vec![q - 1; n];
-        for kind in [KernelKind::Lazy, KernelKind::FusedRadix8] {
-            let t = NttTable::with_kernel(n, q, kind);
-            let mut want = input.clone();
-            scalar.forward(&mut want);
-            let mut got = input.clone();
-            t.forward(&mut got);
-            assert_eq!(want, got, "{kind}");
-            t.inverse(&mut got);
-            assert_eq!(got, input, "{kind} round trip");
-        }
-    }
 }

@@ -8,19 +8,21 @@
 //!
 //! * [`table::NttTable`] — per-(N, q) precomputed twiddle tables (ψ powers in
 //!   bit-reversed order, Shoup constants, N⁻¹).
-//! * [`negacyclic`] — the classic iterative radix-2 forward (Cooley–Tukey,
-//!   decimation-in-time) and inverse (Gentleman–Sande) transforms, retained
-//!   as the bit-exact oracle for the production kernels.
-//! * [`kernel`] — the production lazy-reduction kernels behind
+//! * [`kernel`] — the one production transform behind
 //!   [`NttTable::forward`]/[`NttTable::inverse`]: Harvey butterflies in
-//!   redundant representation with fused radix-8 stage groups
-//!   ([`KernelKind::FusedRadix8`], the default), selectable per table or
-//!   via `POSEIDON_NTT_KERNEL`.
+//!   redundant `[0, 4q)` representation, fused into radix-8 stage groups
+//!   with a single reduction per output at each group boundary (the
+//!   software form of the paper's k = 3 fused TAM).
+//! * [`negacyclic`] — the classic iterative radix-2 forward (Cooley–Tukey,
+//!   decimation-in-time) and inverse (Gentleman–Sande) transforms, kept
+//!   only as the bit-exact oracle tests reach through
+//!   [`NttTable::forward_oracle`]/[`NttTable::inverse_oracle`].
 //! * [`fusion`] — the radix-2^k *fused* NTT of the paper's §III-A: k
 //!   butterfly stages are collapsed into one "fused TAM" kernel that applies
 //!   a precomputed 2^k × 2^k coefficient matrix with a **single** modular
 //!   reduction per output, trading extra multiplies for fewer reductions
-//!   (paper Table II). The fused transform is bit-exact with the radix-2 one.
+//!   (paper Table II). [`FusedNtt`] and [`FusionAnalysis`] are the Table II
+//!   *model* — bit-exact with the radix-2 transform, never on the hot path.
 //! * [`access`] — the BRAM data-access-pattern model of §IV-B (paper Table
 //!   III and Fig. 5): per-iteration index offsets for conventional vs fused
 //!   NTT, and the diagonal BRAM-bank assignment that avoids port conflicts.
@@ -55,5 +57,4 @@ pub mod negacyclic;
 pub mod table;
 
 pub use fusion::{FusedNtt, FusionAnalysis};
-pub use kernel::{set_default_kind, KernelKind};
 pub use table::{galois_permutation, NttTable};

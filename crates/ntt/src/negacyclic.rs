@@ -1,9 +1,10 @@
-//! Iterative radix-2 negacyclic NTT kernels (Longa–Naehrig formulation).
+//! Iterative radix-2 negacyclic NTT (Longa–Naehrig formulation) — the seed
+//! transform, kept as the bit-exact oracle for [`crate::kernel`].
 //!
 //! The forward transform is decimation-in-time Cooley–Tukey with ψ powers in
-//! bit-reversed order; the inverse is Gentleman–Sande. Both are in place and
-//! avoid the separate pre/post-twisting passes by folding ψ into the twiddle
-//! tables.
+//! bit-reversed order; the inverse is Gentleman–Sande. Both are in place,
+//! fully reduce after every stage, and avoid the separate pre/post-twisting
+//! passes by folding ψ into the twiddle tables.
 
 use he_math::modops::{add_mod, sub_mod};
 use he_math::ShoupMul;
@@ -11,8 +12,8 @@ use he_math::ShoupMul;
 /// Forward negacyclic NTT over `a`, in place.
 ///
 /// `psi_rev[i]` must hold ψ^brv(i) as a Shoup multiplier; `a.len()` must be
-/// a power of two matching the table. Prefer [`crate::NttTable::forward`],
-/// which enforces both.
+/// a power of two matching the table. Tests reach this through
+/// [`crate::NttTable::forward_oracle`], which enforces both.
 pub fn forward_in_place(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
     let n = a.len();
     debug_assert!(n.is_power_of_two() && psi_rev.len() == n);
@@ -37,8 +38,8 @@ pub fn forward_in_place(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
 /// Inverse negacyclic NTT over `a`, in place, including the final `N⁻¹`
 /// scaling.
 ///
-/// `inv_psi_rev[i]` must hold ψ^{-brv(i)} as a Shoup multiplier. Prefer
-/// [`crate::NttTable::inverse`].
+/// `inv_psi_rev[i]` must hold ψ^{-brv(i)} as a Shoup multiplier. Tests
+/// reach this through [`crate::NttTable::inverse_oracle`].
 pub fn inverse_in_place(a: &mut [u64], inv_psi_rev: &[ShoupMul], n_inv: &ShoupMul, q: u64) {
     let n = a.len();
     debug_assert!(n.is_power_of_two() && inv_psi_rev.len() == n);

@@ -1,6 +1,5 @@
 //! Precomputed twiddle tables for the negacyclic NTT.
 
-use crate::kernel::KernelKind;
 use he_math::modops::{inv_mod_prime, pow_mod};
 use he_math::prime::root_of_unity;
 use he_math::{BarrettReducer, ShoupMul};
@@ -55,9 +54,6 @@ pub struct NttTable {
     n_inv: ShoupMul,
     /// Shared Barrett reducer (the crate-level stand-in for the SBT core).
     reducer: BarrettReducer,
-    /// Which butterfly kernel [`forward`](Self::forward) and
-    /// [`inverse`](Self::inverse) dispatch to.
-    kernel: KernelKind,
 }
 
 impl NttTable {
@@ -69,12 +65,6 @@ impl NttTable {
     /// Panics if `n` is not a power of two or `q` is not an NTT prime for
     /// this degree.
     pub fn new(n: usize, q: u64) -> Self {
-        Self::with_kernel(n, q, KernelKind::default_kind())
-    }
-
-    /// Builds tables like [`new`](Self::new) with an explicit butterfly
-    /// kernel instead of the process default.
-    pub fn with_kernel(n: usize, q: u64, kernel: KernelKind) -> Self {
         assert!(
             n.is_power_of_two() && n >= 2,
             "n must be a power of two ≥ 2"
@@ -102,21 +92,7 @@ impl NttTable {
             inv_psi_rev,
             n_inv,
             reducer: BarrettReducer::new(q),
-            kernel,
         }
-    }
-
-    /// The butterfly kernel this table dispatches to.
-    #[inline]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Switches the butterfly kernel. All kernels are bit-identical, so
-    /// this never changes transform outputs — only how they are computed.
-    #[inline]
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
     }
 
     /// Ring degree `N`.
@@ -167,11 +143,7 @@ impl NttTable {
         // entering the butterfly network.
         #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::NttTwiddle, a);
-        match self.kernel {
-            KernelKind::Scalar => crate::negacyclic::forward_in_place(a, &self.psi_rev, self.q),
-            KernelKind::Lazy => crate::kernel::forward_lazy(a, &self.psi_rev, self.q),
-            KernelKind::FusedRadix8 => crate::kernel::forward_fused(a, &self.psi_rev, self.q),
-        }
+        crate::kernel::forward_fused(a, &self.psi_rev, self.q);
     }
 
     /// Inverse negacyclic NTT, in place (evaluation → coefficient order).
@@ -185,17 +157,30 @@ impl NttTable {
         let _span = tel::inverse().span(self.n as u64);
         #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::NttTwiddle, a);
-        match self.kernel {
-            KernelKind::Scalar => {
-                crate::negacyclic::inverse_in_place(a, &self.inv_psi_rev, &self.n_inv, self.q)
-            }
-            KernelKind::Lazy => {
-                crate::kernel::inverse_lazy(a, &self.inv_psi_rev, &self.n_inv, self.q)
-            }
-            KernelKind::FusedRadix8 => {
-                crate::kernel::inverse_fused(a, &self.inv_psi_rev, &self.n_inv, self.q)
-            }
-        }
+        crate::kernel::inverse_fused(a, &self.inv_psi_rev, &self.n_inv, self.q);
+    }
+
+    /// [`forward`](Self::forward) through the seed radix-2 transform of
+    /// [`crate::negacyclic`] (a full reduction per stage, no telemetry or
+    /// fault hooks) — the oracle the production kernel is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != N`.
+    pub fn forward_oracle(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal N");
+        crate::negacyclic::forward_in_place(a, &self.psi_rev, self.q);
+    }
+
+    /// [`inverse`](Self::inverse) through the seed radix-2 transform — see
+    /// [`forward_oracle`](Self::forward_oracle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != N`.
+    pub fn inverse_oracle(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal N");
+        crate::negacyclic::inverse_in_place(a, &self.inv_psi_rev, &self.n_inv, self.q);
     }
 
     /// Negacyclic polynomial product `a · b mod (X^N + 1, q)` via three

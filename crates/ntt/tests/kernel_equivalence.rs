@@ -1,24 +1,26 @@
-//! Cross-kernel equivalence for the production NTT kernels.
+//! Production-vs-oracle equivalence for the NTT kernel.
 //!
-//! Every [`KernelKind`] must be *bit-identical* — not merely congruent —
-//! to the scalar oracle at every transform length: lazy reduction changes
-//! how values are carried between stages, never what leaves the kernel.
-//! The suite sweeps log N ∈ {2..13} over random residue vectors
-//! (round-trips, cross-kernel agreement, pointwise products through the
-//! scratch-pool `multiply`) and writes a deterministic digest to
-//! `$POSEIDON_DIGEST_FILE` so CI can diff builds running under different
-//! `POSEIDON_NTT_KERNEL` settings.
+//! [`NttTable::forward`]/`inverse` (the fused radix-8 lazy kernel) must be
+//! *bit-identical* — not merely congruent — to the seed radix-2 oracle
+//! ([`NttTable::forward_oracle`]/`inverse_oracle`) at every transform
+//! length: lazy reduction changes how values are carried between stages,
+//! never what leaves the kernel. The suite sweeps every log N in 1..=13
+//! plus 2^16 (the paper's N) over 30- and 61-bit primes, random and
+//! all-`(q−1)` inputs, checks `multiply` against the schoolbook product,
+//! and writes a deterministic transform digest to `$POSEIDON_DIGEST_FILE`.
 //!
-//! The debug-build counter tests reconcile the fused kernel with the
-//! analytic [`FusionAnalysis`] model of paper Table II: per 2^k block a
-//! fused stage group performs exactly 2^k modular reductions (not k·2^k),
-//! while the twiddle multiply count stays at the unfused k·2^k tally.
+//! The debug-build counter tests reconcile the kernel with the analytic
+//! [`FusionAnalysis`] model of paper Table II: per 2^k block a fused stage
+//! group performs exactly 2^k modular reductions (not k·2^k), while the
+//! twiddle multiply count stays at the unfused k·2^k tally.
 
 use he_ntt::kernel::op_counters;
-use he_ntt::{FusionAnalysis, KernelKind, NttTable};
+use he_ntt::{naive, FusionAnalysis, NttTable};
 use proptest::prelude::*;
 
-const LOG_N_RANGE: std::ops::RangeInclusive<u32> = 2..=13;
+/// Every stage-group shape (radix-8 groups with radix-4/2 remainders) up
+/// to 2^13, plus the paper's ring degree.
+const LOG_NS: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16];
 
 fn prime_for(n: usize, bits: u32) -> u64 {
     he_math::prime::ntt_prime(bits, 2 * n as u64).unwrap()
@@ -37,89 +39,64 @@ fn random_vector(n: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Forward, inverse and round trip of `input` through the production
+/// kernel, each compared bit-for-bit with the oracle.
+fn assert_matches_oracle(t: &NttTable, input: &[u64], what: &str) {
+    let n = t.n();
+    let mut want = input.to_vec();
+    t.forward_oracle(&mut want);
+    let mut got = input.to_vec();
+    t.forward(&mut got);
+    assert_eq!(got, want, "forward diverged: {what}, n={n}");
+    t.inverse(&mut got);
+    assert_eq!(got, input, "round trip failed: {what}, n={n}");
+
+    // The inverse on its own, fed the same (non-spectrum) vector.
+    let mut want = input.to_vec();
+    t.inverse_oracle(&mut want);
+    let mut got = input.to_vec();
+    t.inverse(&mut got);
+    assert_eq!(got, want, "inverse diverged: {what}, n={n}");
+}
+
+#[test]
+fn production_kernel_is_bit_identical_to_the_oracle() {
+    for log_n in LOG_NS {
+        let n = 1usize << log_n;
+        // 61-bit primes push the [0, 4q) redundant range right up against
+        // u64, and all-(q−1) inputs maximise every intermediate in it.
+        for bits in [30u32, 61] {
+            let q = prime_for(n, bits);
+            let t = NttTable::new(n, q);
+            let random = random_vector(n, q, 0x5eed ^ ((log_n as u64) << 8) ^ bits as u64);
+            assert_matches_oracle(&t, &random, &format!("random, {bits}-bit q"));
+            assert_matches_oracle(&t, &vec![q - 1; n], &format!("all q-1, {bits}-bit q"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn every_kernel_round_trips(log_n in LOG_N_RANGE, seed in any::<u64>()) {
+    fn random_inputs_match_the_oracle(log_n in 1u32..=13, big in any::<bool>(), seed in any::<u64>()) {
         let n = 1usize << log_n;
-        let q = prime_for(n, 30);
-        let input = random_vector(n, q, seed);
-        for kind in KernelKind::ALL {
-            let t = NttTable::with_kernel(n, q, kind);
-            prop_assert_eq!(t.kernel(), kind);
-            let mut a = input.clone();
-            t.forward(&mut a);
-            t.inverse(&mut a);
-            prop_assert_eq!(&a, &input, "round trip failed for {} at n={}", kind, n);
-        }
+        let q = prime_for(n, if big { 61 } else { 30 });
+        assert_matches_oracle(&NttTable::new(n, q), &random_vector(n, q, seed), "proptest");
     }
 
     #[test]
-    fn forward_outputs_are_bit_identical(log_n in LOG_N_RANGE, seed in any::<u64>()) {
-        let n = 1usize << log_n;
-        let q = prime_for(n, 30);
-        let input = random_vector(n, q, seed);
-        let scalar = NttTable::with_kernel(n, q, KernelKind::Scalar);
-        let mut want = input.clone();
-        scalar.forward(&mut want);
-        for kind in [KernelKind::Lazy, KernelKind::FusedRadix8] {
-            let t = NttTable::with_kernel(n, q, kind);
-            let mut got = input.clone();
-            t.forward(&mut got);
-            prop_assert_eq!(&got, &want, "forward diverged for {} at n={}", kind, n);
-        }
-    }
-
-    #[test]
-    fn inverse_outputs_are_bit_identical(log_n in LOG_N_RANGE, seed in any::<u64>()) {
-        let n = 1usize << log_n;
-        let q = prime_for(n, 30);
-        let input = random_vector(n, q, seed);
-        let scalar = NttTable::with_kernel(n, q, KernelKind::Scalar);
-        let mut want = input.clone();
-        scalar.inverse(&mut want);
-        for kind in [KernelKind::Lazy, KernelKind::FusedRadix8] {
-            let t = NttTable::with_kernel(n, q, kind);
-            let mut got = input.clone();
-            t.inverse(&mut got);
-            prop_assert_eq!(&got, &want, "inverse diverged for {} at n={}", kind, n);
-        }
-    }
-
-    #[test]
-    fn multiply_is_kernel_independent(log_n in 2u32..=9, s1 in any::<u64>(), s2 in any::<u64>()) {
+    fn multiply_matches_schoolbook(log_n in 1u32..=8, s1 in any::<u64>(), s2 in any::<u64>()) {
         // `multiply` routes through the scratch pool and three transforms;
-        // the product must not depend on the kernel either.
+        // the O(N²) product shares no code with any of them.
         let n = 1usize << log_n;
         let q = prime_for(n, 30);
         let a = random_vector(n, q, s1);
         let b = random_vector(n, q, s2);
-        let want = NttTable::with_kernel(n, q, KernelKind::Scalar).multiply(&a, &b);
-        for kind in [KernelKind::Lazy, KernelKind::FusedRadix8] {
-            let got = NttTable::with_kernel(n, q, kind).multiply(&a, &b);
-            prop_assert_eq!(&got, &want, "multiply diverged for {} at n={}", kind, n);
-        }
-    }
-
-    #[test]
-    fn large_moduli_do_not_overflow(log_n in 2u32..=10, seed in any::<u64>()) {
-        // 61-bit primes push the [0, 4q) redundant range right up against
-        // u64; the lazy kernels must stay exact there too.
-        let n = 1usize << log_n;
-        let q = prime_for(n, 61);
-        let input = random_vector(n, q, seed);
-        let scalar = NttTable::with_kernel(n, q, KernelKind::Scalar);
-        let mut want = input.clone();
-        scalar.forward(&mut want);
-        for kind in [KernelKind::Lazy, KernelKind::FusedRadix8] {
-            let t = NttTable::with_kernel(n, q, kind);
-            let mut got = input.clone();
-            t.forward(&mut got);
-            prop_assert_eq!(&got, &want, "forward diverged for {} at n={}", kind, n);
-            t.inverse(&mut got);
-            prop_assert_eq!(&got, &input, "round trip failed for {} at n={}", kind, n);
-        }
+        prop_assert_eq!(
+            NttTable::new(n, q).multiply(&a, &b),
+            naive::negacyclic_mul_schoolbook(&a, &b, q)
+        );
     }
 }
 
@@ -131,46 +108,32 @@ fn fnv1a(h: &mut u64, v: u64) {
     }
 }
 
-/// Digests a fixed transform sweep with tables built through
-/// [`NttTable::new`] — i.e. under whatever kernel `POSEIDON_NTT_KERNEL`
-/// (or the process default) selects. Because kernels are bit-identical,
-/// the digest must be the same for every setting; CI runs this test once
-/// per kernel and diffs the files.
-#[test]
-fn kernel_digest_is_kernel_independent() {
+/// Digests a fixed transform sweep through `forward`/`inverse` closures.
+fn sweep_digest(
+    forward: impl Fn(&NttTable, &mut [u64]),
+    inverse: impl Fn(&NttTable, &mut [u64]),
+) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for log_n in LOG_N_RANGE {
+    for log_n in 2..=13u32 {
         let n = 1usize << log_n;
         let q = prime_for(n, 30);
         let t = NttTable::new(n, q);
         let mut a = random_vector(n, q, 0x9e3779b97f4a7c15 ^ log_n as u64);
-        t.forward(&mut a);
-        for &v in &a {
-            fnv1a(&mut h, v);
-        }
-        t.inverse(&mut a);
-        for &v in &a {
-            fnv1a(&mut h, v);
-        }
+        forward(&t, &mut a);
+        a.iter().for_each(|&v| fnv1a(&mut h, v));
+        inverse(&t, &mut a);
+        a.iter().for_each(|&v| fnv1a(&mut h, v));
     }
-    // In-process cross-check: the digest of the default-kernel sweep must
-    // equal the scalar oracle's digest.
-    let mut h_scalar: u64 = 0xcbf2_9ce4_8422_2325;
-    for log_n in LOG_N_RANGE {
-        let n = 1usize << log_n;
-        let q = prime_for(n, 30);
-        let t = NttTable::with_kernel(n, q, KernelKind::Scalar);
-        let mut a = random_vector(n, q, 0x9e3779b97f4a7c15 ^ log_n as u64);
-        t.forward(&mut a);
-        for &v in &a {
-            fnv1a(&mut h_scalar, v);
-        }
-        t.inverse(&mut a);
-        for &v in &a {
-            fnv1a(&mut h_scalar, v);
-        }
-    }
-    assert_eq!(h, h_scalar, "default kernel digest diverged from scalar");
+    h
+}
+
+/// The pinned transform digest, also written to `$POSEIDON_DIGEST_FILE`.
+#[test]
+fn kernel_digest() {
+    let h = sweep_digest(NttTable::forward, NttTable::inverse);
+    let h_oracle = sweep_digest(NttTable::forward_oracle, NttTable::inverse_oracle);
+    assert_eq!(h, h_oracle, "production digest diverged from the oracle");
+    assert_eq!(h, 0x034f_a40a_7b63_09d1, "pinned transform digest moved");
     if let Ok(path) = std::env::var("POSEIDON_DIGEST_FILE") {
         std::fs::write(&path, format!("{h:016x}\n")).expect("write digest file");
     }
@@ -189,7 +152,7 @@ fn fused_reduction_count_matches_table2_model() {
     for log_n in [3u32, 5, 6, 9, 12] {
         let n = 1usize << log_n;
         let q = prime_for(n, 30);
-        let t = NttTable::with_kernel(n, q, KernelKind::FusedRadix8);
+        let t = NttTable::new(n, q);
         let mut a = random_vector(n, q, 7 + log_n as u64);
         op_counters::reset();
         t.forward(&mut a);
@@ -217,7 +180,7 @@ fn single_block_counts_match_table2_row() {
     let a3 = FusionAnalysis::for_radix(3);
     let n = 8usize;
     let q = prime_for(n, 30);
-    let t = NttTable::with_kernel(n, q, KernelKind::FusedRadix8);
+    let t = NttTable::new(n, q);
     let mut a = random_vector(n, q, 42);
     op_counters::reset();
     t.forward(&mut a);

@@ -104,25 +104,6 @@ impl RnsBasis {
         &self.tables
     }
 
-    /// The butterfly kernel the per-prime tables dispatch to.
-    #[inline]
-    pub fn kernel(&self) -> he_ntt::KernelKind {
-        self.tables[0].kernel()
-    }
-
-    /// Switches the butterfly kernel on every table of this basis. All
-    /// kernels are bit-identical, so transform outputs never change — used
-    /// by equivalence tests and per-kernel bench sweeps.
-    ///
-    /// Tables shared with other bases (via `clone`/[`prefix`](Self::prefix)/
-    /// [`concat`](Self::concat)) are copied on write, so only this basis is
-    /// affected.
-    pub fn set_kernel(&mut self, kernel: he_ntt::KernelKind) {
-        for t in &mut self.tables {
-            Arc::make_mut(t).set_kernel(kernel);
-        }
-    }
-
     /// Per-prime Barrett reducers (the software SBT).
     #[inline]
     pub fn reducers(&self) -> &[BarrettReducer] {
@@ -322,46 +303,6 @@ mod tests {
         let inv = q_basis.product_inv_mod_other(&p_basis);
         for i in 0..p_basis.len() {
             assert_eq!(p_basis.reducers()[i].mul(prod[i], inv[i]), 1);
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! Serde support: a basis serialises as `(n, primes)`; the transform
-    //! tables are deterministic precomputations rebuilt on deserialise.
-    use super::RnsBasis;
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    #[derive(Serialize, Deserialize)]
-    struct BasisRepr {
-        n: usize,
-        primes: Vec<u64>,
-    }
-
-    impl Serialize for RnsBasis {
-        fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            BasisRepr {
-                n: self.n,
-                primes: self.primes.clone(),
-            }
-            .serialize(s)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for RnsBasis {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let repr = BasisRepr::deserialize(d)?;
-            if !repr.n.is_power_of_two() || repr.n < 2 {
-                return Err(D::Error::custom("ring degree must be a power of two"));
-            }
-            for &q in &repr.primes {
-                if !he_math::prime::is_prime(q) || (q - 1) % (2 * repr.n as u64) != 0 {
-                    return Err(D::Error::custom(format!("{q} is not an NTT prime")));
-                }
-            }
-            Ok(RnsBasis::new(repr.n, repr.primes))
         }
     }
 }

@@ -733,72 +733,3 @@ mod tests {
         let _ = x.mul(&x);
     }
 }
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! Serde support: residues plus basis plus form, with residue-range
-    //! validation on deserialise.
-    use super::{Form, RnsPoly};
-    use crate::basis::RnsBasis;
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    impl Serialize for Form {
-        fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            match self {
-                Form::Coeff => "coeff".serialize(s),
-                Form::Eval => "eval".serialize(s),
-            }
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Form {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            match String::deserialize(d)?.as_str() {
-                "coeff" => Ok(Form::Coeff),
-                "eval" => Ok(Form::Eval),
-                other => Err(D::Error::custom(format!("unknown form `{other}`"))),
-            }
-        }
-    }
-
-    #[derive(Serialize, Deserialize)]
-    struct PolyRepr {
-        basis: RnsBasis,
-        residues: Vec<Vec<u64>>,
-        form: Form,
-    }
-
-    impl Serialize for RnsPoly {
-        fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            PolyRepr {
-                basis: self.basis.clone(),
-                residues: self.residues.clone(),
-                form: self.form,
-            }
-            .serialize(s)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for RnsPoly {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let repr = PolyRepr::deserialize(d)?;
-            if repr.residues.len() != repr.basis.len() {
-                return Err(D::Error::custom("residue vector count mismatch"));
-            }
-            for (r, &q) in repr.residues.iter().zip(repr.basis.primes()) {
-                if r.len() != repr.basis.n() {
-                    return Err(D::Error::custom("residue length mismatch"));
-                }
-                if r.iter().any(|&v| v >= q) {
-                    return Err(D::Error::custom("unreduced residue"));
-                }
-            }
-            Ok(RnsPoly::from_residues(
-                &repr.basis,
-                repr.residues,
-                repr.form,
-            ))
-        }
-    }
-}

@@ -7,7 +7,6 @@
 //! `with_threads` is thread-local, so pinning counts here cannot race the
 //! parallel test harness.
 
-use he_ntt::KernelKind;
 use he_rns::conv::{moddown, modup, rescale, rns_convert};
 use he_rns::{RnsBasis, RnsPoly, ShoupOperand};
 use poseidon_par::with_threads;
@@ -104,32 +103,23 @@ proptest! {
     }
 
     #[test]
-    fn ntt_kernels_are_thread_count_invariant(coeffs in arb_coeffs()) {
-        // The full (kernel × thread count) matrix on the limb-parallel
-        // transform path: every combination must produce the bit-exact
-        // residues of the serial scalar oracle.
+    fn limb_parallel_ntt_matches_the_oracle(coeffs in arb_coeffs()) {
+        // The limb-parallel transform path at every thread count must
+        // produce the bit-exact residues of the serial radix-2 oracle.
         let (q, _) = bases();
-        let mut oracle_basis = q.clone();
-        oracle_basis.set_kernel(KernelKind::Scalar);
-        let oracle = RnsPoly::from_i64_coeffs(&oracle_basis, &coeffs);
-        let want = with_threads(1, || oracle.clone().into_eval());
-        for kind in KernelKind::ALL {
-            let mut b = q.clone();
-            b.set_kernel(kind);
-            prop_assert_eq!(b.kernel(), kind);
-            let p = RnsPoly::from_i64_coeffs(&b, &coeffs);
-            for threads in [1usize, 8] {
-                let got = with_threads(threads, || p.clone().into_eval());
-                prop_assert_eq!(
-                    got.all_residues(), want.all_residues(),
-                    "kernel {} at {} threads diverged", kind.name(), threads
-                );
-                let back = with_threads(threads, || got.into_coeff());
-                prop_assert_eq!(
-                    back.all_residues(), p.all_residues(),
-                    "kernel {} at {} threads failed round trip", kind.name(), threads
-                );
-            }
+        let p = RnsPoly::from_i64_coeffs(&q, &coeffs);
+        let mut want = p.all_residues().to_vec();
+        for (limb, table) in want.iter_mut().zip(q.tables()) {
+            table.forward_oracle(limb);
+        }
+        for threads in [1usize, 8] {
+            let got = with_threads(threads, || p.clone().into_eval());
+            prop_assert_eq!(
+                got.all_residues(), &want[..],
+                "{} threads diverged from the oracle", threads
+            );
+            let back = with_threads(threads, || got.into_coeff());
+            prop_assert_eq!(&back, &p, "{} threads failed round trip", threads);
         }
     }
 

@@ -135,6 +135,30 @@ fn server_reports_typed_errors_over_the_wire() {
         other => panic!("expected eval error, got {other:?}"),
     }
 
+    // A plaintext below the ciphertext's level (plaintext frames carry
+    // their own level) → eval error (code 3), not the contained panic of
+    // a basis-prefix assertion (code 6).
+    let low = he_ckks::eval::Evaluator::new(&ctx).encode_at_level(
+        &[Complex::new(0.25, 0.0)],
+        ctx.default_scale(),
+        0,
+    );
+    let low_frame = poseidon_wire::encode_plaintext(&ctx, &low);
+    for (op, result) in [
+        ("add_plain", client.add_plain("acme", &frame, &low_frame)),
+        ("mul_plain", client.mul_plain("acme", &frame, &low_frame)),
+    ] {
+        match result {
+            Err(ServeError::Remote { code: 3, message }) => {
+                assert!(
+                    message.contains("level mismatch"),
+                    "{op}: unexpected message: {message}"
+                );
+            }
+            other => panic!("{op}: expected eval error, got {other:?}"),
+        }
+    }
+
     // And the connection still works for a valid request afterwards.
     client.square("acme", &frame).expect("square after errors");
 }

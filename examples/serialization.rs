@@ -1,14 +1,14 @@
-//! Ciphertext serialization: encrypt, ship as JSON (e.g. client → cloud,
-//! the Fig. 1 deployment scenario), compute on the deserialised ciphertext
-//! server-side, ship the result back, decrypt.
+//! Ciphertext serialization: encrypt, ship as a checksummed wire frame
+//! (e.g. client → cloud, the Fig. 1 deployment scenario), compute on the
+//! decoded ciphertext server-side, ship the result back, decrypt.
 //!
-//! Run with: `cargo run --release --features serde --example serialization`
+//! Run with: `cargo run --release --example serialization`
 
-#[cfg(feature = "serde")]
+use poseidon::ckks::encoding::Complex;
+use poseidon::ckks::prelude::*;
+use poseidon::wire::{decode_ciphertext, encode_ciphertext};
+
 fn main() {
-    use poseidon::ckks::encoding::Complex;
-    use poseidon::ckks::prelude::*;
-
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::thread_rng();
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -22,18 +22,18 @@ fn main() {
         ctx.default_scale(),
     );
     let ct = keys.public().encrypt(&pt, &mut rng);
-    let wire = serde_json::to_vec(&ct).expect("serialise");
-    println!("ciphertext on the wire: {} bytes of JSON", wire.len());
+    let wire = encode_ciphertext(&ctx, &ct);
+    println!("ciphertext on the wire: {} bytes", wire.len());
 
-    // Server side: deserialise (no secret key!), compute x² + x.
-    let received: Ciphertext = serde_json::from_slice(&wire).expect("deserialise");
+    // Server side: decode (no secret key!), compute x² + x.
+    let received = decode_ciphertext(&ctx, &wire).expect("decode");
     let sq = eval.rescale(&eval.square(&received, &keys));
     let result = eval.add(&sq, &eval.adjust(&received, sq.level(), sq.scale()));
-    let reply = serde_json::to_vec(&result).expect("serialise result");
-    println!("result on the wire    : {} bytes of JSON", reply.len());
+    let reply = encode_ciphertext(&ctx, &result);
+    println!("result on the wire    : {} bytes", reply.len());
 
     // Client side: decrypt.
-    let back: Ciphertext = serde_json::from_slice(&reply).expect("deserialise result");
+    let back = decode_ciphertext(&ctx, &reply).expect("decode result");
     let dec = keys.secret().decrypt(&back);
     let out = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 2);
     for (i, (v, zi)) in out.iter().zip(&z).enumerate() {
@@ -42,9 +42,4 @@ fn main() {
         assert!((v.re - want).abs() < 0.02);
     }
     println!("ok: computed on serialised ciphertexts without the secret key");
-}
-
-#[cfg(not(feature = "serde"))]
-fn main() {
-    eprintln!("rebuild with --features he-ckks/serde to run this example");
 }

@@ -66,6 +66,49 @@ fn zero_matrix_apply_is_empty_operands_not_a_panic() {
     );
 }
 
+/// A plaintext encoded below the ciphertext's level (plaintext frames
+/// carry their own level, so a client can send one) is a typed
+/// `LevelMismatch` from every fallible ct·pt / ct±pt entry point — the
+/// evaluator, its `HomomorphicOps` face, and the checked evaluator the
+/// service runs requests under — not a basis-prefix assertion.
+#[test]
+fn lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
+    use poseidon::ckks::integrity::CheckedEvaluator;
+    use poseidon::core::HomomorphicOps;
+
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rng();
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let mut eval = Evaluator::new(&ctx);
+    let checked = CheckedEvaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    assert!(ct.level() > 0);
+    let low = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), 0);
+    let want = EvalError::LevelMismatch {
+        a: ct.level(),
+        b: 0,
+    };
+
+    assert_eq!(eval.try_add_plain(&ct, &low).unwrap_err(), want);
+    assert_eq!(eval.try_sub_plain(&ct, &low).unwrap_err(), want);
+    assert_eq!(eval.try_mul_plain(&ct, &low).unwrap_err(), want);
+    assert_eq!(checked.add_plain(&ct, &low).unwrap_err(), want);
+    assert_eq!(checked.mul_plain(&ct, &low).unwrap_err(), want);
+    assert_eq!(
+        HomomorphicOps::try_mul_plain(&mut eval, &ct, &low).unwrap_err(),
+        want
+    );
+
+    // A plaintext at or above the ciphertext's level is still truncated
+    // down to it, and the checked form agrees with the panicking one.
+    let dropped = eval.drop_to_level(&ct, 0);
+    let full = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), ct.level());
+    assert_eq!(
+        eval.try_mul_plain(&dropped, &full).unwrap(),
+        eval.mul_plain(&dropped, &low)
+    );
+}
+
 /// The panicking wrappers still panic — with the same message text they
 /// always had, routed through the `try_*` path underneath.
 #[test]
