@@ -13,8 +13,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use he_math::BarrettReducer;
 use he_rns::conv::{moddown, rescale as rns_rescale};
-use he_rns::{RnsBasis, RnsPoly, ShoupOperand};
+use he_rns::{Form, LazyDot, RnsBasis, RnsPoly, ShoupOperand};
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
@@ -30,6 +31,8 @@ use crate::keys::{KeySet, KeySwitchKey};
 struct EvalMetrics {
     mul: std::sync::Arc<poseidon_telemetry::Metric>,
     keyswitch: std::sync::Arc<poseidon_telemetry::Metric>,
+    /// `keyswitch.digit`: the inner-product stage, one span per extended
+    /// limb (items = digits·N).
     digit: std::sync::Arc<poseidon_telemetry::Metric>,
     rotate: std::sync::Arc<poseidon_telemetry::Metric>,
     conjugate: std::sync::Arc<poseidon_telemetry::Metric>,
@@ -447,50 +450,106 @@ impl Evaluator {
     /// Per RNS digit (α = 1, one digit per chain prime): lift `[d]_{q_j}`
     /// exactly to the extended basis `Q_l ∪ P` (a degenerate Modup, Eq. 3),
     /// multiply by key pair `j`, accumulate, then Moddown (Eq. 2) divides
-    /// the `P` factor away.
+    /// the `P` factor away. Three stages, one dispatch each per output
+    /// polynomial: the limb-major inner product, the inverse NTT, Moddown.
     pub fn keyswitch(&self, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let level = d.level_count() - 1;
-        let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
-        let n = d.basis().n();
         #[cfg(feature = "telemetry")]
-        let _span = self.tel.keyswitch.span(((level + 1) * n) as u64);
-
-        // Digits are independent until the final accumulation, so the digit
-        // loop dispatches across the limb-parallel engine (each worker runs
-        // its lifts/NTTs serially — the parallelism axis is the digit).
-        // Lift temporaries come from the scratch pool; the key products
-        // reuse the key-slice allocations via `mul_assign`.
-        let digit_weight = ext_basis.len() * n;
-        let (p0s, p1s) = poseidon_par::par_map_unzip(level + 1, digit_weight, |j| {
-            #[cfg(feature = "telemetry")]
-            let _digit = self.tel.digit.span(digit_weight as u64);
-            let lifted = lift_digit(d.residues(j), &ext_basis);
-            let (mut p0, mut p1) = key.eval_sliced(&self.ctx, j, level);
-            p0.mul_assign(&lifted);
-            p1.mul_assign(&lifted);
-            for buf in lifted.into_residues() {
-                poseidon_par::scratch::recycle(buf);
-            }
-            (p0, p1)
-        });
-        // Modular addition is exact and associative, so in-order in-place
-        // accumulation is bit-identical to the old pairwise `add` chain.
-        let fold = |polys: Vec<RnsPoly>| {
-            let mut acc: Option<RnsPoly> = None;
-            for p in polys {
-                match &mut acc {
-                    None => acc = Some(p),
-                    Some(a) => a.add_assign(&p),
-                }
-            }
-            acc.expect("level ≥ 0")
-        };
-        let acc0 = fold(p0s);
-        let acc1 = fold(p1s);
+        let _span = self
+            .tel
+            .keyswitch
+            .span(((level + 1) * d.basis().n()) as u64);
+        let (acc0, acc1) = self.key_inner_product(level, Digits::Lift(d), key);
         let q_len = level + 1;
         (
             moddown(&acc0.into_coeff(), q_len),
             moddown(&acc1.into_coeff(), q_len),
+        )
+    }
+
+    /// The inner product `Σ_j digit_j ⊙ (b_j, a_j)` of a keyswitch over
+    /// `Q_level ∪ P`, in evaluation form — the paper's MM → MA → shared SBT.
+    ///
+    /// Limb-major: one dispatch over the extended limbs; each worker walks
+    /// the digits of its limb, brings digit `j`'s row into one scratch row
+    /// (see [`Digits`]), reads key pair `j`'s rows by reference from the
+    /// evaluation-form cache, and sums both products in 128 bits with one
+    /// reduction per coefficient ([`LazyDot`]). Nothing is copied, reduced
+    /// or dispatched per digit.
+    fn key_inner_product(
+        &self,
+        level: usize,
+        digits: Digits<'_>,
+        key: &KeySwitchKey,
+    ) -> (RnsPoly, RnsPoly) {
+        let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
+        let n = self.ctx.n();
+        let digit_count = level + 1;
+        let key_rows = key.eval_rows(&self.ctx, level);
+        // Injection point for the `RnsResidue` fault site on the lifted
+        // digits (the rows `lift_digit` hands to `into_eval` on the hoisted
+        // path): under an armed plan they are lifted and tampered here,
+        // serially and in digit order, so the firing sequence does not
+        // depend on the thread count; the kernel then reads these rows.
+        #[cfg(feature = "faults")]
+        let upset_lifts: Option<Vec<Vec<Vec<u64>>>> = match digits {
+            Digits::Lift(d) if poseidon_faults::armed() => Some(
+                (0..digit_count)
+                    .map(|j| {
+                        let mut rows: Vec<Vec<u64>> = ext_basis
+                            .reducers()
+                            .iter()
+                            .map(|red| {
+                                let mut lifted = vec![0; n];
+                                lift_row(d.residues(j), red, &mut lifted);
+                                lifted
+                            })
+                            .collect();
+                        poseidon_faults::tamper_rows(
+                            poseidon_faults::FaultSite::RnsResidue,
+                            &mut rows,
+                        );
+                        rows
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        };
+        let limb_weight = digit_count * n;
+        let (r0, r1) = poseidon_par::par_map_unzip(ext_basis.len(), limb_weight, |i| {
+            #[cfg(feature = "telemetry")]
+            let _limb = self.tel.digit.span(limb_weight as u64);
+            let red = ext_basis.reducers()[i];
+            let mut acc0 = LazyDot::new(red, n);
+            let mut acc1 = LazyDot::new(red, n);
+            let mut row = poseidon_par::scratch::take(n);
+            for j in 0..digit_count {
+                match digits {
+                    Digits::Lift(d) => {
+                        lift_row(d.residues(j), &red, &mut row);
+                        #[cfg(feature = "faults")]
+                        if let Some(lifted) = &upset_lifts {
+                            row.copy_from_slice(&lifted[j][i]);
+                        }
+                        ext_basis.tables()[i].forward(&mut row);
+                    }
+                    Digits::Hoisted(hoisted, perm) => {
+                        let src = hoisted[j].residues(i);
+                        for (o, &k) in row.iter_mut().zip(perm) {
+                            *o = src[k];
+                        }
+                    }
+                }
+                let (b, a) = key_rows.pair(j, i);
+                acc0.mul_add(&row, b);
+                acc1.mul_add(&row, a);
+            }
+            poseidon_par::scratch::recycle(row);
+            (acc0.finish(), acc1.finish())
+        });
+        (
+            RnsPoly::from_residues(&ext_basis, r0, Form::Eval),
+            RnsPoly::from_residues(&ext_basis, r1, Form::Eval),
         )
     }
 
@@ -547,37 +606,21 @@ impl Evaluator {
         // Reuse accounting: every application after the first rides on the
         // hoisted digits and skips (level+1) lifts of ext_len forward NTTs.
         let prior = h.uses.fetch_add(1, Ordering::Relaxed);
-        let ext_len = self.ctx.special_basis().len() + level + 1;
         #[cfg(feature = "telemetry")]
         if prior > 0 {
+            let ext_len = self.ctx.special_basis().len() + level + 1;
             self.tel.reuse.add(((level + 1) * ext_len) as u64);
             self.tel.saved_ntt.add(((level + 1) * ext_len) as u64);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = prior;
-        let digit_weight = ext_len * n;
-        let (p0s, p1s) = poseidon_par::par_map_unzip(level + 1, digit_weight, |j| {
-            #[cfg(feature = "telemetry")]
-            let _digit = self.tel.digit.span(digit_weight as u64);
-            let rotated = h.digits[j].automorphism_eval(g);
-            let (mut p0, mut p1) = key.eval_sliced(&self.ctx, j, level);
-            p0.mul_assign(&rotated);
-            p1.mul_assign(&rotated);
-            (p0, p1)
-        });
-        let fold = |polys: Vec<RnsPoly>| {
-            let mut acc: Option<RnsPoly> = None;
-            for p in polys {
-                match &mut acc {
-                    None => acc = Some(p),
-                    Some(a) => a.add_assign(&p),
-                }
-            }
-            acc.expect("level ≥ 0")
-        };
+        // The slot permutation depends only on (N, g): one table serves
+        // every digit and every limb of this rotation.
+        let perm = he_ntt::galois_permutation(n, g);
+        let (acc0, acc1) = self.key_inner_product(level, Digits::Hoisted(&h.digits, &perm), key);
         let q_len = level + 1;
-        let k0 = moddown(&fold(p0s).into_coeff(), q_len);
-        let k1 = moddown(&fold(p1s).into_coeff(), q_len);
+        let k0 = moddown(&acc0.into_coeff(), q_len);
+        let k1 = moddown(&acc1.into_coeff(), q_len);
         let t0 = a.c0().automorphism(g);
         Ciphertext::new(t0.add(&k0), k1, a.scale())
     }
@@ -970,24 +1013,41 @@ impl Evaluator {
     }
 }
 
+/// Where the keyswitch inner product takes digit `j`'s evaluation-form row
+/// on an extended limb from.
+#[derive(Clone, Copy)]
+enum Digits<'a> {
+    /// `[d]_{q_j}` of this coefficient-form polynomial, lifted to the
+    /// limb's prime and forward-NTT'd on the spot.
+    Lift(&'a RnsPoly),
+    /// Hoisted evaluation-form digits, gathered through a Galois slot
+    /// permutation.
+    Hoisted(&'a [RnsPoly], &'a [usize]),
+}
+
 /// Exact lift of a single-prime residue vector `t` (values in `[0, q_j)`)
-/// to every prime of `ext_basis` — a degenerate Modup (Eq. 3) — followed by
-/// the forward NTT. One Barrett reducer per target prime replaces the
-/// per-element `%`; Barrett reduction is exact, so the lifted residues are
-/// bit-identical to the division path.
+/// to the prime of `red` — one row of a degenerate Modup (Eq. 3). The
+/// Barrett reducer replaces the per-element `%`; Barrett reduction is exact,
+/// so the lifted residues are bit-identical to the division path.
+fn lift_row(t: &[u64], red: &BarrettReducer, out: &mut [u64]) {
+    for (o, &v) in out.iter_mut().zip(t) {
+        *o = red.reduce(u128::from(v));
+    }
+}
+
+/// [`lift_row`] to every prime of `ext_basis`, followed by the forward NTT:
+/// one hoisted digit.
 fn lift_digit(t: &[u64], ext_basis: &RnsBasis) -> RnsPoly {
     let residues: Vec<Vec<u64>> = ext_basis
         .reducers()
         .iter()
         .map(|red| {
             let mut buf = poseidon_par::scratch::take(t.len());
-            for (o, &v) in buf.iter_mut().zip(t) {
-                *o = red.reduce(u128::from(v));
-            }
+            lift_row(t, red, &mut buf);
             buf
         })
         .collect();
-    RnsPoly::from_residues(ext_basis, residues, he_rns::Form::Coeff).into_eval()
+    RnsPoly::from_residues(ext_basis, residues, Form::Coeff).into_eval()
 }
 
 /// The plaintext's residues on the ciphertext's level basis. Plaintexts

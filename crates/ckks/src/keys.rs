@@ -265,6 +265,79 @@ impl KeySwitchKey {
         let (b, a) = &self.eval_pairs[j];
         (slice(b), slice(a))
     }
+
+    /// The evaluation-form rows a level-`level` keyswitch reads, by
+    /// reference into the cache: nothing is copied and key memory does not
+    /// grow. Digits `0..=level`, extended limbs `Q_level ∪ P`.
+    pub(crate) fn eval_rows(&self, ctx: &CkksContext, level: usize) -> EvalKeyRows<'_> {
+        let keep = level + 1;
+        let chain_len = ctx.chain_basis().len();
+        // Injection point for the `KeyCache` fault site: a corrupted
+        // HBM-resident key digit read from the eval-form cache. The tamper
+        // lands on a private copy made serially before the kernel fans
+        // out — never on the cache, so a retry re-reads clean key material,
+        // and in digit order, so the firing sequence does not depend on the
+        // thread count.
+        #[cfg(feature = "faults")]
+        let tampered = poseidon_faults::armed().then(|| {
+            let ext_len = keep + ctx.special_basis().len();
+            let copy = |p: &RnsPoly| {
+                let mut rows: Vec<Vec<u64>> = (0..ext_len)
+                    .map(|i| p.residues(ext_row(i, keep, chain_len)).to_vec())
+                    .collect();
+                poseidon_faults::tamper_rows(poseidon_faults::FaultSite::KeyCache, &mut rows);
+                rows
+            };
+            self.eval_pairs[..keep]
+                .iter()
+                .map(|(b, a)| (copy(b), copy(a)))
+                .collect()
+        });
+        EvalKeyRows {
+            eval_pairs: &self.eval_pairs,
+            keep,
+            chain_len,
+            #[cfg(feature = "faults")]
+            tampered,
+        }
+    }
+}
+
+/// Row of a full-basis (`Q ∪ P`) key polynomial that holds extended limb
+/// `i` of `Q_level ∪ P`, where `keep = level + 1`.
+#[inline]
+fn ext_row(i: usize, keep: usize, chain_len: usize) -> usize {
+    if i < keep {
+        i
+    } else {
+        chain_len + (i - keep)
+    }
+}
+
+/// A by-reference view of a key's evaluation-form rows at one level (see
+/// [`KeySwitchKey::eval_rows`]).
+pub(crate) struct EvalKeyRows<'k> {
+    eval_pairs: &'k [(RnsPoly, RnsPoly)],
+    keep: usize,
+    chain_len: usize,
+    #[cfg(feature = "faults")]
+    #[allow(clippy::type_complexity)]
+    tampered: Option<Vec<(Vec<Vec<u64>>, Vec<Vec<u64>>)>>,
+}
+
+impl EvalKeyRows<'_> {
+    /// Rows `(b_j, a_j)` of digit `j` on extended limb `i`.
+    #[inline]
+    pub(crate) fn pair(&self, j: usize, i: usize) -> (&[u64], &[u64]) {
+        #[cfg(feature = "faults")]
+        if let Some(copies) = &self.tampered {
+            let (b, a) = &copies[j];
+            return (&b[i], &a[i]);
+        }
+        let row = ext_row(i, self.keep, self.chain_len);
+        let (b, a) = &self.eval_pairs[j];
+        (b.residues(row), a.residues(row))
+    }
 }
 
 /// The full key material: secret, public, relinearisation, and Galois keys.

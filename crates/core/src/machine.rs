@@ -14,7 +14,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::{KeySet, KeySwitchKey};
-use he_rns::{Form, RnsBasis, RnsPoly};
+use he_rns::{Form, RnsPoly};
 
 use crate::operator::OperatorCounts;
 use crate::pool::OperatorPool;
@@ -400,8 +400,8 @@ impl PoseidonMachine {
         let total = a.level_count();
         assert!(q_len >= 1 && q_len < total);
         let q_basis = a.basis().prefix(q_len);
-        let p_primes = a.basis().primes()[q_len..].to_vec();
-        let p_basis = RnsBasis::new(a.basis().n(), p_primes);
+        // `P` is a sub-range of the input's own basis: no table is built.
+        let p_basis = a.basis().range(q_len..total);
 
         // RNSconv (Eq. 1) on the cascade: t_j = [a_j · q̂_j⁻¹] via the MM
         // core, then per target prime an MM·(q̂_j mod p) + MA accumulate.

@@ -107,8 +107,9 @@ fn rotation_usage_pattern_matches_table1_row() {
 }
 
 /// The evaluator's per-instance metrics and the global scopes observe the
-/// same keyswitch digits: `keyswitch.digit` spans count one event per
-/// (digit, operation) with nonzero time.
+/// same keyswitch: `keyswitch.digit` is the inner-product stage, one span
+/// per extended limb of `Q_l ∪ P`, each covering every digit of that limb
+/// (items = digits × N).
 #[test]
 fn evaluator_scopes_observe_keyswitch_digits() {
     let (ctx, keys, mut rng) = setup();
@@ -118,9 +119,12 @@ fn evaluator_scopes_observe_keyswitch_digits() {
     let _ = eval.rotate(&a, 1, &keys);
     let after = poseidon_telemetry::Registry::global().snapshot();
     let delta = after.since(&before);
-    let digits = delta.get("keyswitch.digit").expect("scope registered");
-    // One digit per live chain prime (α = 1 digit decomposition).
-    assert_eq!(digits.count, (a.level() + 1) as u64);
+    let limbs = delta.get("keyswitch.digit").expect("scope registered");
+    let digits = (a.level() + 1) as u64;
+    let ext_limbs = digits + ctx.special_basis().len() as u64;
+    assert_eq!(limbs.count, ext_limbs);
+    assert_eq!(limbs.items, ext_limbs * digits * ctx.n() as u64);
+    assert!(limbs.nanos > 0, "inner-product spans recorded no time");
     let rot = delta.get("eval.rotate").expect("scope registered");
     assert_eq!(rot.count, 1);
     assert!(rot.nanos > 0, "rotation span recorded no time");

@@ -7,10 +7,14 @@
 //! precomputed constant, so the functional semantics of "sharing" the SBT
 //! core is a shared `BarrettReducer` value.
 //!
-//! The classic Barrett scheme precomputes `u = floor(2^(2k) / q)` for a
-//! modulus of bit width `k`; the quotient estimate `p = (x * u) >> 2k` is off
-//! by at most 2, so at most two correction subtractions complete the
-//! reduction (paper Fig. 3 uses the same split into an upper/lower half).
+//! Barrett's scheme precomputes a fixed-point reciprocal of the modulus and
+//! turns the division into a multiply and a shift. The reciprocal here is
+//! `M = floor((2^128 − 1) / q)` — 128 fractional bits whatever the width of
+//! `q` — so the quotient estimate `floor(x·M / 2^128)` is short of the true
+//! quotient by at most 2 for **every** `u128` input, not only for `x < q²`.
+//! That matters for the SBT *sharing*: a sum of many products reduced once
+//! (Moddown's conversion, the key-switch inner product) costs the same two
+//! conditional subtractions as a single product.
 
 use crate::modops;
 
@@ -26,27 +30,33 @@ use crate::modops;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrettReducer {
     q: u64,
-    /// `floor(2^(2·shift) / q)` where `shift = bitlen(q)`.
-    factor: u128,
-    /// `2 · bitlen(q)`.
-    shift2: u32,
+    /// High and low words of `M = floor((2^128 − 1) / q)`.
+    m_hi: u64,
+    m_lo: u64,
 }
 
 impl BarrettReducer {
+    /// The bound lazy accumulations budget to: callers that sum products
+    /// before one shared reduction (the SBT reuse of Moddown and the
+    /// key-switch inner product) keep the sum below it, which leaves two
+    /// bits of headroom so adding one more product cannot wrap `u128`.
+    pub const REDUCE_LIMIT: u128 = 1 << 126;
+
     /// Creates a reducer for modulus `q`.
     ///
     /// # Panics
     ///
-    /// Panics if `q < 2` or `q >= 2^62` (products must fit `u128` with the
-    /// quotient-estimate slack).
+    /// Panics if `q < 2` or `q >= 2^62` (three times the modulus must fit a
+    /// word for the correction step).
     pub fn new(q: u64) -> Self {
         assert!(q >= 2, "modulus must be at least 2");
         assert!(q < (1u64 << 62), "modulus must be below 2^62");
-        let shift = 64 - q.leading_zeros(); // bitlen(q)
-        let shift2 = 2 * shift;
-        // factor = floor(2^shift2 / q). shift2 <= 124 so this fits u128.
-        let factor = (1u128 << shift2) / q as u128;
-        Self { q, factor, shift2 }
+        let m = u128::MAX / u128::from(q);
+        Self {
+            q,
+            m_hi: (m >> 64) as u64,
+            m_lo: m as u64,
+        }
     }
 
     /// The modulus this reducer was built for.
@@ -55,25 +65,39 @@ impl BarrettReducer {
         self.q
     }
 
-    /// Reduces `x` to `x mod q`.
+    /// Reduces `x` to `x mod q`, for any `x`.
     ///
-    /// The quotient estimate never overshoots, so the result is correct for
-    /// any `x`; it is *fast* (≤ 2 corrections) when `x < q²`, and the fused
-    /// NTT kernels exploit the graceful degradation by accumulating up to
-    /// `2^k` products before a single reduction (≤ `2^k + 1` corrections).
+    /// With `E = floor(x·M / 2^128)`: `M·q > 2^128 − 1 − q` gives
+    /// `x/q − x·M/2^128 < 1.5`, so `E` is the true quotient or up to 2 below
+    /// it and `x − E·q < 3q < 2^64`. Only the low word of `E` and of `E·q`
+    /// is therefore needed, and two conditional subtractions finish.
     ///
     /// # Examples
     ///
     /// ```
     /// let r = he_math::BarrettReducer::new(97);
     /// assert_eq!(r.reduce(96 * 96), 1);
+    /// assert_eq!(r.reduce(u128::MAX), (u128::MAX % 97) as u64);
     /// ```
     #[inline]
     pub fn reduce(&self, x: u128) -> u64 {
-        // Quotient estimate: p = floor(x · factor / 2^shift2) <= floor(x/q).
-        let p = mul_shift(x, self.factor, self.shift2);
-        let mut r = (x - p * self.q as u128) as u64;
-        while r >= self.q {
+        let (x_hi, x_lo) = ((x >> 64) as u64, x as u64);
+        // x·M = x_hi·m_hi·2^128 + (x_hi·m_lo + x_lo·m_hi)·2^64 + x_lo·m_lo;
+        // the low word of its top half, carries included.
+        let a = u128::from(x_hi) * u128::from(self.m_lo);
+        let b = u128::from(x_lo) * u128::from(self.m_hi);
+        let c = (u128::from(x_lo) * u128::from(self.m_lo)) >> 64;
+        let carry = (u128::from(a as u64) + u128::from(b as u64) + c) >> 64;
+        let e = x_hi
+            .wrapping_mul(self.m_hi)
+            .wrapping_add((a >> 64) as u64)
+            .wrapping_add((b >> 64) as u64)
+            .wrapping_add(carry as u64);
+        let mut r = x_lo.wrapping_sub(e.wrapping_mul(self.q));
+        if r >= 2 * self.q {
+            r -= 2 * self.q;
+        }
+        if r >= self.q {
             r -= self.q;
         }
         r
@@ -121,31 +145,6 @@ impl BarrettReducer {
     }
 }
 
-/// Computes `floor(a · b / 2^shift)` for `a < 2^126`, `b < 2^63`, splitting
-/// `a` into 64-bit halves so the partial products fit `u128`.
-///
-/// The floor of the sum of shifted halves may undercount by the carry lost
-/// between halves; to stay exact we recombine through the identity
-/// `floor(x / 2^s) = floor((hi·2^64 + lo) / 2^s)` computed with explicit
-/// carry propagation.
-#[inline]
-fn mul_shift(a: u128, b: u128, shift: u32) -> u128 {
-    let a_lo = a as u64 as u128;
-    let a_hi = a >> 64;
-    let lo = a_lo * b; // < 2^127
-    let hi = a_hi * b; // < 2^125
-    if shift >= 64 {
-        // a·b = (hi + (lo >> 64))·2^64 + (lo mod 2^64); dividing by
-        // 2^(64+s) is exactly (hi + (lo >> 64)) >> s because the remaining
-        // low part is strictly below 2^(64+s).
-        (hi + (lo >> 64)) >> (shift - 64)
-    } else {
-        // shift < 64 implies the modulus is below 2^32, hence a < 2^66 and
-        // hi < 2^2·b, so the shifted hi contribution still fits u128.
-        (lo >> shift) + (hi << (64 - shift))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +180,48 @@ mod tests {
         assert_eq!(r.reduce(0), 0);
         assert_eq!(r.reduce(q as u128), 0);
         assert_eq!(r.reduce(q as u128 + 1), 1);
+    }
+
+    #[test]
+    fn reduce_is_exact_far_beyond_the_square() {
+        // Sums of many products against a small modulus: the regime where a
+        // reciprocal with only 2·bitlen(q) fractional bits needs thousands
+        // of corrections.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        for q in [
+            2u64,
+            3,
+            4,
+            97,
+            (1 << 31) - 1,
+            1_099_511_480_321, // 40 bits
+            (1u64 << 61) - 1,
+            (1u64 << 62) - 57,
+            (1u64 << 62) - 1,
+        ] {
+            let r = BarrettReducer::new(q);
+            for x in [
+                0u128,
+                1,
+                u128::MAX,
+                u128::MAX - 1,
+                1 << 126,
+                (1 << 127) + 12345,
+            ] {
+                assert_eq!(u128::from(r.reduce(x)), x % u128::from(q), "q={q} x={x}");
+            }
+            for _ in 0..2000 {
+                let x = (u128::from(next()) << 64) | u128::from(next());
+                let x = x >> (next() % 128);
+                assert_eq!(u128::from(r.reduce(x)), x % u128::from(q), "q={q} x={x}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! RNS bases: ordered prime sets with transform tables and conversion
 //! constants.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use he_math::modops::inv_mod_prime;
@@ -12,11 +13,12 @@ use he_ntt::NttTable;
 ///
 /// Bases are cheap to clone (`Arc` shared tables) and sliceable: a basis
 /// holding the full modulus chain yields level-truncated sub-bases via
-/// [`prefix`], and keyswitching builds the extended basis `Q ∪ P` via
-/// [`concat`].
+/// [`prefix`], keyswitching builds the extended basis `Q ∪ P` via
+/// [`concat`], and Moddown takes `P` back out of it via [`range`].
 ///
 /// [`prefix`]: Self::prefix
 /// [`concat`]: Self::concat
+/// [`range`]: Self::range
 ///
 /// # Examples
 ///
@@ -126,11 +128,26 @@ impl RnsBasis {
     /// Panics if `count` is zero or exceeds the basis length.
     pub fn prefix(&self, count: usize) -> RnsBasis {
         assert!(count >= 1 && count <= self.len(), "invalid prefix length");
+        self.range(0..count)
+    }
+
+    /// The sub-basis of the primes at `range` (sharing tables) — what
+    /// Moddown uses to address the `P` half of an extended basis `Q ∪ P`
+    /// without building a table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is empty or reaches past the basis length.
+    pub fn range(&self, range: Range<usize>) -> RnsBasis {
+        assert!(
+            range.start < range.end && range.end <= self.len(),
+            "invalid sub-basis range"
+        );
         Self {
             n: self.n,
-            primes: self.primes[..count].to_vec(),
-            tables: self.tables[..count].to_vec(),
-            reducers: self.reducers[..count].to_vec(),
+            primes: self.primes[range.clone()].to_vec(),
+            tables: self.tables[range.clone()].to_vec(),
+            reducers: self.reducers[range].to_vec(),
         }
     }
 
@@ -286,6 +303,31 @@ mod tests {
         let full = q_basis.concat(&p_basis);
         assert_eq!(full.len(), 4);
         assert_eq!(full.prefix(3), q_basis);
+    }
+
+    #[test]
+    fn range_shares_tables_with_its_parent() {
+        let q_basis = RnsBasis::generate(32, 28, 3);
+        let p_basis = RnsBasis::new(32, he_math::prime::ntt_prime_chain(30, 64, 2));
+        let full = q_basis.concat(&p_basis);
+        let p_again = full.range(3..5);
+        assert_eq!(p_again, p_basis);
+        assert_eq!(p_again.reducers(), p_basis.reducers());
+        for (mine, theirs) in p_again.tables().iter().zip(p_basis.tables()) {
+            assert!(
+                Arc::ptr_eq(mine, theirs),
+                "sub-range must not rebuild tables"
+            );
+        }
+        assert_eq!(full.range(0..3), full.prefix(3));
+        assert_eq!(full.range(1..2).primes(), &q_basis.primes()[1..2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid sub-basis range")]
+    fn range_rejects_empty_and_overlong() {
+        let b = RnsBasis::generate(32, 28, 2);
+        let _ = b.range(1..3);
     }
 
     #[test]

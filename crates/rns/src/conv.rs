@@ -17,8 +17,10 @@
 //! they assert this precondition.
 
 use crate::basis::RnsBasis;
+use crate::lazy::LazyDot;
 use crate::poly::{Form, RnsPoly};
 use he_math::modops::{inv_mod_prime, sub_mod};
+use he_math::{BarrettReducer, ShoupMul};
 
 /// Converts `a` from its basis `B` into basis `target` (paper Eq. 1).
 ///
@@ -59,12 +61,7 @@ pub fn rns_convert(a: &RnsPoly, target: &RnsBasis) -> RnsPoly {
     // primes are independent, so the scaling dispatches limb-parallel; the
     // scratch pool recycles the temporaries across calls.
     let t: Vec<Vec<u64>> = poseidon_par::par_map(src.len(), n, |j| {
-        let red = &src.reducers()[j];
-        let mut tj = poseidon_par::scratch::take(n);
-        for (o, &x) in tj.iter_mut().zip(a.residues(j)) {
-            *o = red.mul(x, hat_inv[j]);
-        }
-        tj
+        scale_row(a.residues(j), &src.reducers()[j], hat_inv[j])
     });
 
     // Target primes are likewise independent (each reads all of t).
@@ -89,6 +86,16 @@ pub fn rns_convert(a: &RnsPoly, target: &RnsBasis) -> RnsPoly {
     RnsPoly::from_residues(target, residues, Form::Coeff)
 }
 
+/// The first multiplier of RNSconv on one source limb,
+/// `t_j = [a_j · q̂_j⁻¹]_{q_j}`, into a scratch-pool row.
+fn scale_row(src: &[u64], red: &BarrettReducer, hat_inv: u64) -> Vec<u64> {
+    let mut t = poseidon_par::scratch::take(src.len());
+    for (o, &x) in t.iter_mut().zip(src) {
+        *o = red.mul(x, hat_inv);
+    }
+    t
+}
+
 /// `Modup` (paper Eq. 3): extends `a` from basis `Q` to `Q ∪ P`.
 ///
 /// Returns the polynomial in the concatenated basis with the original
@@ -109,7 +116,14 @@ pub fn modup(a: &RnsPoly, special: &RnsBasis) -> RnsPoly {
 /// `Moddown` (paper Eq. 2): reduces `a` from basis `Q ∪ P` back to `Q`,
 /// dividing by `P` — `((a_Q − conv(a_P → Q)) · P⁻¹) mod Q`.
 ///
-/// `q_len` is the number of leading primes that form `Q`.
+/// `q_len` is the number of leading primes that form `Q`. `P` is the
+/// sub-range of the input's own basis, so no table is built here. After the
+/// source-limb scaling `t_j = [a_{p_j} · p̂_j⁻¹]_{p_j}` the whole of Eq. 2 is
+/// one pass per `Q` limb: `(a_i − Σ_j t_j·(p̂_j mod q_i)) · P⁻¹`, the sum
+/// held in 128 bits and reduced once, the final product on the Shoup
+/// fixed-operand path. Exact modular arithmetic throughout, so the output is
+/// bit-identical to composing [`rns_convert`], `sub` and
+/// `mul_scalar_per_prime`.
 ///
 /// # Panics
 ///
@@ -118,19 +132,47 @@ pub fn moddown(a: &RnsPoly, q_len: usize) -> RnsPoly {
     assert_eq!(a.form(), Form::Coeff, "Moddown operates on coefficients");
     let total = a.level_count();
     assert!(q_len >= 1 && q_len < total, "q_len must split the basis");
+    let n = a.n();
     #[cfg(feature = "telemetry")]
-    let _span = crate::tel::moddown().span((total * a.n()) as u64);
+    let _span = crate::tel::moddown().span((total * n) as u64);
     let q_basis = a.basis().prefix(q_len);
-    let p_primes = a.basis().primes()[q_len..].to_vec();
-    let p_basis = RnsBasis::new(a.basis().n(), p_primes);
-
-    // Split a into its Q part and P part.
-    let a_q = RnsPoly::from_residues(&q_basis, a.all_residues()[..q_len].to_vec(), Form::Coeff);
-    let a_p = RnsPoly::from_residues(&p_basis, a.all_residues()[q_len..].to_vec(), Form::Coeff);
-
-    let conv = rns_convert(&a_p, &q_basis);
+    let p_basis = a.basis().range(q_len..total);
+    let hat_inv = p_basis.qhat_inv_mod_self();
+    let hat_in_q = p_basis.qhat_mod_other(&q_basis);
     let p_inv = p_basis.product_inv_mod_other(&q_basis);
-    a_q.sub(&conv).mul_scalar_per_prime(&p_inv)
+    let p_max = *p_basis.primes().iter().max().expect("non-empty");
+
+    // The `P` limbs are few (the special primes), so their scaling runs on
+    // the calling thread: a fan-out would cost more than the work.
+    let t: Vec<Vec<u64>> = {
+        #[cfg(feature = "telemetry")]
+        let _convert = crate::tel::convert().span((p_basis.len() * n) as u64);
+        (0..p_basis.len())
+            .map(|j| scale_row(a.residues(q_len + j), &p_basis.reducers()[j], hat_inv[j]))
+            .collect()
+    };
+
+    let residues: Vec<Vec<u64>> = poseidon_par::par_map(q_len, n, |i| {
+        let q = q_basis.primes()[i];
+        let scale = ShoupMul::new(p_inv[i], q);
+        // Each term `t_j·(p̂_j mod q_i)` is below `p_j·q_i`, which sizes the
+        // lazy sum's block: at least 64 terms at 60 bits, so one block
+        // covers any realistic special basis.
+        let term_bound = u128::from(p_max) * u128::from(q);
+        let mut conv = LazyDot::with_term_bound(q_basis.reducers()[i], n, term_bound);
+        for (tj, &hat) in t.iter().zip(&hat_in_q[i]) {
+            conv.scale_add(tj, hat);
+        }
+        a.residues(i)
+            .iter()
+            .zip(conv.finish())
+            .map(|(&ai, ci)| scale.mul(sub_mod(ai, ci, q)))
+            .collect()
+    });
+    for tj in t {
+        poseidon_par::scratch::recycle(tj);
+    }
+    RnsPoly::from_residues(&q_basis, residues, Form::Coeff)
 }
 
 /// RNS `Rescale`: drops the last chain prime `q_l` and scales by `q_l⁻¹` —
@@ -149,15 +191,18 @@ pub fn rescale(a: &RnsPoly) -> RnsPoly {
     let lower = a.basis().prefix(l - 1);
     let last = a.residues(l - 1);
 
-    // Each surviving prime rescales independently — limb-parallel.
+    // Each surviving prime rescales independently — limb-parallel. `c_l` is
+    // brought into the limb's range by its Barrett reducer and the product
+    // with the fixed `q_l⁻¹` runs on the Shoup path: no division per element.
     let residues: Vec<Vec<u64>> = poseidon_par::par_map(l - 1, a.basis().n(), |j| {
         let qj = lower.primes()[j];
         let red = &lower.reducers()[j];
         let ql_inv = inv_mod_prime(last_prime % qj, qj).expect("distinct primes");
+        let ql_inv = ShoupMul::new(ql_inv, qj);
         a.residues(j)
             .iter()
             .zip(last)
-            .map(|(&cj, &cl)| red.mul(sub_mod(cj, cl % qj, qj), ql_inv))
+            .map(|(&cj, &cl)| ql_inv.mul(sub_mod(cj, red.reduce(u128::from(cl)), qj)))
             .collect()
     });
     RnsPoly::from_residues(&lower, residues, Form::Coeff)

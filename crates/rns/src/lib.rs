@@ -12,6 +12,9 @@
 //! * [`conv`] — `RNSconv` (paper Eq. 1, the HPS fast basis conversion),
 //!   `Modup` (Eq. 3), `Moddown` (Eq. 2), and the RNS `Rescale` step — the
 //!   arithmetic backbone of Keyswitch and Rescale.
+//! * [`lazy::LazyDot`] — a residue-row inner product with one shared
+//!   reduction per coefficient, the accumulate stage of Keyswitch and of
+//!   Moddown's conversion.
 //!
 //! # Examples
 //!
@@ -30,6 +33,7 @@
 pub mod basis;
 pub mod conv;
 pub mod integrity;
+pub mod lazy;
 pub mod poly;
 
 /// Telemetry scopes for the RNS kernels. With the `telemetry` feature off,
@@ -45,7 +49,9 @@ pub(crate) mod tel {
         M.get_or_init(|| Registry::global().scope("rns.pointwise"))
     }
 
-    /// Fast basis conversion, paper Eq. 1 (items = source limbs·N).
+    /// Fast basis conversion, paper Eq. 1 (items = source limbs·N). Inside
+    /// Moddown the span covers the source-limb scaling; the accumulation is
+    /// fused into the `rns.moddown` pass.
     pub fn convert() -> &'static Arc<Metric> {
         static M: OnceLock<Arc<Metric>> = OnceLock::new();
         M.get_or_init(|| Registry::global().scope("rns.convert"))
@@ -66,4 +72,5 @@ pub(crate) mod tel {
 
 pub use basis::RnsBasis;
 pub use integrity::{GuardedPoly, IntegrityError};
+pub use lazy::LazyDot;
 pub use poly::{Form, RnsPoly, ShoupOperand};

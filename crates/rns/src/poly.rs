@@ -213,7 +213,7 @@ impl RnsPoly {
     /// In-place element-wise modular addition: `self += other`.
     ///
     /// The allocation-free sibling of [`add`](Self::add), used by
-    /// accumulation loops (keyswitch digit sums).
+    /// accumulation loops (ciphertext sums).
     pub fn add_assign(&mut self, other: &Self) {
         self.assert_compatible(other);
         let n = self.basis.n();

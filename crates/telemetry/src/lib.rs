@@ -28,6 +28,16 @@
 //! `ntt.forward`, `rns.convert`, `rescale`, `keyswitch.digit`, `eval.mul`,
 //! `auto.hfauto`, `pool.mm`, `par.dispatch`, `boot.evalmod`.
 //!
+//! The key-switch scopes, stage by stage: `eval.keyswitch` spans one whole
+//! key-switch (items = digits·N); `keyswitch.digit` is its inner-product
+//! stage, one span per extended limb of `Q_l ∪ P` covering every digit of
+//! that limb (items = digits·N); `rns.moddown` spans one Moddown (items =
+//! extended limbs·N) and the `rns.convert` span inside it covers the
+//! source-limb scaling of the basis conversion (items = `P` limbs·N) — the
+//! accumulate half is fused into the Moddown pass; `rns.pointwise` counts
+//! whole-polynomial element-wise passes, of which a key-switch now runs
+//! none.
+//!
 //! Instrumented crates gate every call site behind their own `telemetry`
 //! cargo feature; with the feature off the sites compile away entirely, so
 //! this crate is only ever linked when observability was asked for.
