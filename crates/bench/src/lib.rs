@@ -1,6 +1,8 @@
 //! Benchmark-harness library: table/figure regenerators and timing helpers
 //! shared by the `tables` binary and the Criterion benches.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod cpu_baseline;
 pub mod planner;

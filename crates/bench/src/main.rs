@@ -35,6 +35,8 @@
 //! columns come from this reproduction. EXPERIMENTS.md records the
 //! comparison.
 
+#![forbid(unsafe_code)]
+
 use poseidon_bench::{chaos, planner, planner2, tables};
 
 fn main() {

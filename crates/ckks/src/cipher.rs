@@ -2,6 +2,8 @@
 
 use he_rns::{Form, RnsPoly};
 
+use crate::error::EvalError;
+
 /// An encoded message: a ring polynomial together with its scale Δ.
 ///
 /// Stored in coefficient form; the evaluator converts on demand.
@@ -44,6 +46,24 @@ impl Plaintext {
     #[inline]
     pub fn level(&self) -> usize {
         self.poly.level_count() - 1
+    }
+
+    /// The plaintext's residues on the basis of `level`: what a ct·pt or
+    /// ct±pt at that level consumes. Plaintexts arrive with a level of
+    /// their own (wire frames carry it), so one below the ciphertext's is an
+    /// operand error, not an internal bug.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::LevelMismatch`] if the plaintext sits below `level`.
+    pub fn poly_at_level(&self, level: usize) -> Result<RnsPoly, EvalError> {
+        if self.level() < level {
+            return Err(EvalError::LevelMismatch {
+                a: level,
+                b: self.level(),
+            });
+        }
+        Ok(self.poly.truncate_basis(level + 1))
     }
 }
 

@@ -297,7 +297,7 @@ impl Evaluator {
     /// the ciphertext's level.
     pub fn try_add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         check_scales_match(a.scale(), pt.scale())?;
-        let m = plain_at_level_of(a, pt)?;
+        let m = pt.poly_at_level(a.level())?;
         Ok(Ciphertext::new(a.c0().add(&m), a.c1().clone(), a.scale()))
     }
 
@@ -318,7 +318,7 @@ impl Evaluator {
     /// As [`try_add_plain`](Self::try_add_plain).
     pub fn try_sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         check_scales_match(a.scale(), pt.scale())?;
-        let m = plain_at_level_of(a, pt)?;
+        let m = pt.poly_at_level(a.level())?;
         Ok(Ciphertext::new(a.c0().sub(&m), a.c1().clone(), a.scale()))
     }
 
@@ -343,7 +343,7 @@ impl Evaluator {
     /// [`EvalError::LevelMismatch`] if the plaintext sits below the
     /// ciphertext's level.
     pub fn try_mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        let m = ShoupOperand::new(&plain_at_level_of(a, pt)?.into_eval());
+        let m = ShoupOperand::new(&pt.poly_at_level(a.level())?.into_eval());
         let mut c0 = a.c0().clone().into_eval();
         c0.mul_assign_shoup(&m);
         let mut c1 = a.c1().clone().into_eval();
@@ -515,10 +515,15 @@ impl Evaluator {
             ),
             _ => None,
         };
-        let limb_weight = digit_count * n;
-        let (r0, r1) = poseidon_par::par_map_unzip(ext_basis.len(), limb_weight, |i| {
+        // Per digit and coefficient a limb gathers or lifts the digit and
+        // makes two multiply–adds; a lifted digit also costs its forward NTT.
+        let per_digit = match digits {
+            Digits::Lift(_) => 3 * n + ext_basis.tables()[0].weight(),
+            Digits::Hoisted(..) => 3 * n,
+        };
+        let (r0, r1) = poseidon_par::par_map_unzip(ext_basis.len(), digit_count * per_digit, |i| {
             #[cfg(feature = "telemetry")]
-            let _limb = self.tel.digit.span(limb_weight as u64);
+            let _limb = self.tel.digit.span((digit_count * n) as u64);
             let red = ext_basis.reducers()[i];
             let mut acc0 = LazyDot::new(red, n);
             let mut acc1 = LazyDot::new(red, n);
@@ -563,9 +568,13 @@ impl Evaluator {
         let level = a.level();
         let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
         let n = a.n();
-        let digit_weight = ext_basis.len() * n;
         #[cfg(feature = "telemetry")]
-        let _span = self.tel.hoist.span(((level + 1) * digit_weight) as u64);
+        let _span = self
+            .tel
+            .hoist
+            .span(((level + 1) * ext_basis.len() * n) as u64);
+        // One digit is a lift and a forward NTT on every extended limb.
+        let digit_weight = ext_basis.len() * (n + ext_basis.tables()[0].weight());
         let digits = poseidon_par::par_map(level + 1, digit_weight, |j| {
             lift_digit(a.c1().residues(j), &ext_basis)
         });
@@ -1048,19 +1057,6 @@ fn lift_digit(t: &[u64], ext_basis: &RnsBasis) -> RnsPoly {
         })
         .collect();
     RnsPoly::from_residues(ext_basis, residues, Form::Coeff).into_eval()
-}
-
-/// The plaintext's residues on the ciphertext's level basis. Plaintexts
-/// arrive with a level of their own (wire frames carry it), so one below
-/// the ciphertext's is an operand error, not an internal bug.
-fn plain_at_level_of(a: &Ciphertext, pt: &Plaintext) -> Result<RnsPoly, EvalError> {
-    if pt.level() < a.level() {
-        return Err(EvalError::LevelMismatch {
-            a: a.level(),
-            b: pt.level(),
-        });
-    }
-    Ok(pt.poly().truncate_basis(a.level() + 1))
 }
 
 fn check_scales_match(a: f64, b: f64) -> Result<(), EvalError> {

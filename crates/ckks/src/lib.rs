@@ -42,6 +42,8 @@
 //! assert!((out[0].re - 3.0).abs() < 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod bootstrap;
 pub mod cipher;

@@ -5,8 +5,9 @@
 //! cache must keyswitch to the identical result through the fallback
 //! (slice + NTT) path.
 //!
-//! Ring degree 2048 puts every operand over `poseidon_par::PAR_THRESHOLD`,
-//! so the limb-parallel dispatch genuinely runs under the hoisted engine.
+//! Ring degree 2048 puts the hoist and the key-switch inner product over
+//! `poseidon_par::PAR_THRESHOLD`, so the limb-parallel dispatch genuinely
+//! runs under the hoisted engine.
 
 use std::sync::OnceLock;
 

@@ -2,8 +2,10 @@
 //! keyswitch, and rescale must produce identical ciphertexts at one
 //! thread (the pre-engine serial path) and at many threads.
 //!
-//! Ring degree 2048 puts every operand over `poseidon_par::PAR_THRESHOLD`,
-//! so the parallel dispatch genuinely runs. Key material is generated once
+//! Ring degree 2048 puts the NTTs and the key-switch inner product over
+//! `poseidon_par::PAR_THRESHOLD`, so the parallel dispatch genuinely runs
+//! (the pointwise passes between them are cheap enough to stay on the
+//! caller). Key material is generated once
 //! (keygen draws from a shared rng and is deliberately serial) and shared
 //! across cases.
 

@@ -29,6 +29,8 @@
 //!   chains, cost-model-aware live-range scheduling, and a
 //!   backend-generic plan executor, plus the `.pos` compile pipeline.
 
+#![forbid(unsafe_code)]
+
 pub mod auto;
 pub mod decompose;
 pub mod machine;

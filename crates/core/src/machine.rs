@@ -324,14 +324,16 @@ impl PoseidonMachine {
     ///
     /// # Errors
     ///
-    /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
+    /// [`EvalError::LevelMismatch`] for a plaintext below the ciphertext's
+    /// level, [`EvalError::IntegrityFault`] on persistent retire-check
+    /// failure.
     pub fn try_add_plain(
         &mut self,
         a: &Ciphertext,
         pt: &Plaintext,
     ) -> Result<Ciphertext, EvalError> {
+        let m = pt.poly_at_level(a.level())?;
         he_ckks::integrity::note_checked();
-        let m = pt.poly().truncate_basis(a.level() + 1);
         Ok(Ciphertext::new(
             self.add_poly_checked(a.c0(), &m)?,
             a.c1().clone(),
@@ -340,8 +342,22 @@ impl PoseidonMachine {
     }
 
     /// PMult: NTT the operands, MM, INTT back (scale multiplies).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_pmult`](Self::try_pmult) returns an error.
     pub fn pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let m = self.ntt_poly(&pt.poly().truncate_basis(a.level() + 1));
+        self.try_pmult(a, pt).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`pmult`](Self::pmult).
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::LevelMismatch`] for a plaintext below the ciphertext's
+    /// level.
+    pub fn try_pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+        let m = self.ntt_poly(&pt.poly_at_level(a.level())?);
         let c0 = {
             let e = self.ntt_poly(a.c0());
             let p = self.mul_poly(&e, &m);
@@ -352,7 +368,7 @@ impl PoseidonMachine {
             let p = self.mul_poly(&e, &m);
             self.intt_poly(&p)
         };
-        Ciphertext::new(c0, c1, a.scale() * pt.scale())
+        Ok(Ciphertext::new(c0, c1, a.scale() * pt.scale()))
     }
 
     /// The keyswitch dataflow on machine cores: per digit, exact lift of
@@ -719,16 +735,5 @@ impl PoseidonMachine {
         let c0 = rescale_poly(self, a.c0());
         let c1 = rescale_poly(self, a.c1());
         Ok(Ciphertext::new(c0, c1, a.scale() / dropped))
-    }
-
-    /// Fallible [`pmult`](Self::pmult). The plain path always succeeds;
-    /// the signature is shared with the other backends so checked
-    /// execution can slot in.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for [`EvalError::IntegrityFault`] under checked execution.
-    pub fn try_pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        Ok(self.pmult(a, pt))
     }
 }

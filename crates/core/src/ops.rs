@@ -603,6 +603,33 @@ mod tests {
     }
 
     #[test]
+    fn trait_plain_ops_report_a_low_plaintext_on_every_backend() {
+        let (ctx, keys, mut rng) = setup();
+        let a = encrypt(&ctx, &keys, &mut rng, 1.0);
+        let mut eval = Evaluator::new(&ctx);
+        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut machine = PoseidonMachine::new(&ctx, 8, 1);
+        let low = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), 0);
+
+        fn probe<B: HomomorphicOps>(b: &mut B, a: &Ciphertext, low: &Plaintext) {
+            let want = EvalError::LevelMismatch {
+                a: a.level(),
+                b: low.level(),
+            };
+            assert_eq!(b.try_add_plain(a, low), Err(want.clone()));
+            assert_eq!(b.try_mul_plain(a, low), Err(want));
+        }
+        probe(&mut eval, &a, &low);
+        probe(&mut rec, &a, &low);
+        probe(&mut machine, &a, &low);
+        assert_eq!(
+            rec.trace().entries().len(),
+            0,
+            "a refused operand must not be recorded"
+        );
+    }
+
+    #[test]
     fn trait_try_rotate_reports_missing_key_on_every_backend() {
         let (ctx, keys, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);

@@ -252,33 +252,6 @@ fn executor_surfaces_missing_rotation_keys() {
     }
 }
 
-#[cfg(feature = "telemetry")]
-#[test]
-fn planner_halves_forward_ntt_on_rotation_fan() {
-    use poseidon_telemetry::{Registry, Snapshot};
-    let fwd = |d: &Snapshot| d.get("ntt.forward").map_or(0, |s| s.count);
-
-    let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
-    let unplanned = Plan::passthrough(graph.clone());
-    let planned = plan(graph, &PlanOptions::default());
-    let mut eval = Evaluator::new(&ctx);
-    let reg = Registry::global();
-
-    let before = reg.snapshot();
-    let _ = execute(&unplanned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
-    let mid = reg.snapshot();
-    let _ = execute(&planned, &mut eval, &[a], &keys).unwrap();
-    let after = reg.snapshot();
-
-    let base = fwd(&mid.since(&before));
-    let opt = fwd(&after.since(&mid));
-    assert!(
-        opt * 2 <= base,
-        "planned ntt.forward {opt} not ≥2× below unplanned {base}"
-    );
-}
-
 /// Always-on digest pinning; additionally appends to
 /// `POSEIDON_PLAN_DIGEST_FILE` when set so CI can diff across feature
 /// builds.

@@ -42,6 +42,8 @@
 //! disarm();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 

@@ -26,6 +26,8 @@
 //! assert_eq!(r.mul(q - 1, q - 1), 1); // (-1)·(-1) = 1 (mod q)
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod barrett;
 pub mod bigint;
 pub mod modops;

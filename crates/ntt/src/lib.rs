@@ -49,6 +49,8 @@
 //! assert!(c.iter().enumerate().all(|(i, &v)| v == 0 || i == 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod fusion;
 pub mod kernel;

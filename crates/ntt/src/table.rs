@@ -113,6 +113,14 @@ impl NttTable {
         self.log_n
     }
 
+    /// Estimated element operations of one transform, `N·log₂N` (each of
+    /// its `N/2·log₂N` butterflies is a multiply and an add/sub pair): the
+    /// per-limb weight NTT call sites hand to `poseidon_par`.
+    #[inline]
+    pub fn weight(&self) -> usize {
+        self.n * self.log_n as usize
+    }
+
     /// The shared Barrett reducer for this modulus.
     #[inline]
     pub fn reducer(&self) -> &BarrettReducer {

@@ -2,31 +2,53 @@
 //!
 //! The paper's accelerator gets its throughput from hardware parallelism
 //! over *independent RNS limbs*: 512 vector lanes chew on butterflies while
-//! 32 HBM channels stream one limb each (paper §IV). The software library
-//! mirrors that axis here: every per-prime loop in `he-rns`/`he-ckks`
-//! dispatches its limbs across a scoped thread team instead of a serial
-//! `for`.
+//! 32 HBM channels stream one limb each (paper §IV), and those lanes are
+//! instantiated once and time-multiplexed over every basic operation. The
+//! software library mirrors both halves here: every per-prime loop in
+//! `he-rns`/`he-ckks` hands its limbs to one process-wide team of
+//! persistent helper threads instead of a serial `for`.
 //!
 //! Design constraints (and how they're met):
 //!
-//! * **No external dependencies.** The engine is `std`-only, built on
-//!   [`std::thread::scope`]; no rayon. Workers are spawned per dispatch —
-//!   acceptable because the parallel threshold (see below) keeps dispatch
-//!   to payloads that dwarf thread-spawn cost.
-//! * **Bit-exact at any thread count.** Work is split into contiguous
-//!   chunks of the limb index space and results land at their original
-//!   indices, so outputs are identical regardless of `threads()`; `1`
-//!   degrades to the plain serial loop.
-//! * **Configurable process-wide.** Thread count resolves, in order: the
+//! * **No external dependencies.** The engine is `std`-only; no rayon.
+//! * **A dispatch costs a wake-up, not a thread.** Helpers are spawned
+//!   lazily, up to the largest `team − 1` any dispatch has asked for, and
+//!   then park between jobs (private module `pool`). A dispatch posts a job,
+//!   wakes helpers and starts claiming items *itself*; it never waits for a
+//!   helper that has not started, and a helper that wakes too late finds
+//!   nothing to do. Measured on the 2-core reference host an empty fan-out
+//!   costs about 25 µs (it was 72–91 µs when threads were spawned per
+//!   dispatch).
+//! * **Bit-exact at any thread count.** Participants claim items one index
+//!   at a time and every result lands at its own index, so outputs are
+//!   identical regardless of [`threads()`] and of who ran what; `1` degrades
+//!   to the plain serial loop.
+//! * **Cut-offs priced in work.** The `weight` a call site passes is its
+//!   estimated element *operations* per item (see [`PAR_THRESHOLD`] for the
+//!   convention), and a team is only as large as the work can feed: every
+//!   participant gets at least [`PAR_THRESHOLD`] operations, or the dispatch
+//!   stays on the caller.
+//! * **Configurable process-wide.** Team size resolves, in order: the
 //!   scoped override ([`with_threads`]), the process-wide setting
 //!   ([`set_threads`] / [`Builder`]), the `POSEIDON_THREADS` environment
 //!   variable, and finally [`std::thread::available_parallelism`].
-//! * **No nested spawning.** Code running inside a worker executes nested
-//!   dispatches serially (the limbs are already spread across the team;
-//!   splitting further only adds overhead).
+//! * **No nested fan-out.** Code running inside a dispatch — on a helper or
+//!   on the caller — executes nested dispatches serially (the limbs are
+//!   already spread across the team; splitting further only adds overhead).
 //! * **Allocation hygiene.** [`scratch`] keeps a small per-thread pool of
 //!   `Vec<u64>` buffers so hot paths (keyswitch lifts, basis conversion)
-//!   don't churn the allocator once warm.
+//!   don't churn the allocator once warm. Helpers outlive dispatches, so
+//!   their pools stay warm too.
+//! * **One `unsafe`.** Handing a stack-borrowed closure to long-lived
+//!   threads needs a lifetime erasure; it is confined to `pool`, next to the
+//!   invariant that makes it sound. The rest of the workspace forbids
+//!   `unsafe_code`.
+//!
+//! With the `telemetry` feature, `par.serial` counts dispatches that stayed
+//! on the caller and `par.dispatch` those that fanned out. Cheap operations
+//! (an 8-limb add at `N = 2^12`) stay on the caller *by design*, so a high
+//! `par.serial.count` or a low parallel share is a diagnostic of the
+//! workload's mix, not a defect.
 //!
 //! # Examples
 //!
@@ -38,16 +60,22 @@
 //! assert_eq!(data[5], 6);
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+#[allow(unsafe_code)]
+mod pool;
 pub mod scratch;
 
 /// Telemetry scopes for the dispatch layer. `par.dispatch` spans each
 /// parallel fan-out (items = team size), `par.serial` counts dispatches
-/// that fell below the cutoff (items = item count), and `par.worker`
-/// accumulates per-worker busy time (items = chunk length). With the
-/// `telemetry` feature off, the module and every call site compile away.
+/// that fell below the cutoff (items = item count), and `par.worker` is one
+/// span per participant — caller or helper — that claimed at least one item
+/// of a fan-out (items = items it claimed). With the `telemetry` feature
+/// off, the module and every call site compile away.
 #[cfg(feature = "telemetry")]
 mod tel {
     use poseidon_telemetry::{Metric, Registry};
@@ -74,12 +102,30 @@ mod tel {
     }
 }
 
-/// Dispatches whose total work (items × per-item weight) falls below this
-/// many "element operations" run serially: thread spawn costs tens of
-/// microseconds, so a parallel dispatch must bring at least that much work
-/// per worker. The weight callers pass is the per-item element count (for
-/// limb loops: the ring degree `N`), so the unit is u64-ish element ops.
-pub const PAR_THRESHOLD: usize = 1 << 13;
+/// Element operations each participant of a fan-out must be fed: a team is
+/// `min(threads(), items, items × weight / PAR_THRESHOLD)`, and a dispatch
+/// whose team would be one runs on the caller.
+///
+/// Derived once from the measured cost of a dispatch. On the 2-core
+/// reference host an empty fan-out — post, wake one parked helper, withdraw —
+/// costs 24.5 µs (`par.par_map.overhead_ns`; 72–91 µs when threads were
+/// spawned per dispatch), and a pointwise element operation 2–3 ns
+/// (`rns.mul_assign` 43.8 µs and `rns.automorphism_eval` 34.6 µs over
+/// 8 × 2^11 elements on the caller), so one wake-up buys about 10^4
+/// operations. A participant should bring several wake-ups' worth: 2^15,
+/// about 80 µs. An 8-limb add at `N = 2^12` (2^15 operations in all) stays
+/// on the caller; a 10-limb key-switch inner product does not. (2^16
+/// measured the same on all six benchmark workloads.)
+///
+/// `weight` is the estimated element operations per item. By call-site
+/// family: pointwise `add`/`sub`/`neg`/`mul`/automorphism pass `N`; forward
+/// and inverse NTTs pass `N·log₂N` (`he_ntt::NttTable::weight`); basis
+/// conversion, Moddown and rescale pass `N ×` the operations per
+/// coefficient (the terms summed, plus the subtract and the scaling
+/// product); the key-switch inner product passes its digit count `×` the
+/// per-digit cost (`3N`: gather or lift, two multiply–adds; plus an NTT
+/// when digits are lifted in place).
+pub const PAR_THRESHOLD: usize = 1 << 15;
 
 /// `0` means "not set": fall back to `POSEIDON_THREADS` or the host.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -99,8 +145,9 @@ pub fn contained_panics() -> u64 {
 thread_local! {
     /// Scoped override installed by [`with_threads`].
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
-    /// Set while executing inside an engine worker (or the caller's own
-    /// chunk of a dispatch) to suppress nested spawning.
+    /// Set while executing inside a dispatch — always on a helper, and on
+    /// the caller while it claims items or runs a serial dispatch — so that
+    /// nested dispatches stay serial.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -205,50 +252,47 @@ pub fn in_worker() -> bool {
 }
 
 /// The team size a dispatch of `items` items × `weight` weight would use
-/// right now (1 = it would run serially).
+/// right now (1 = it would run serially): as many participants as there are
+/// threads, items, and [`PAR_THRESHOLD`]-sized shares of the work.
 fn team_size(items: usize, weight: usize) -> usize {
-    if items <= 1 || in_worker() || items.saturating_mul(weight.max(1)) < PAR_THRESHOLD {
+    if items <= 1 || in_worker() {
         return 1;
     }
-    threads().min(items)
+    let shares = items.saturating_mul(weight.max(1)) / PAR_THRESHOLD;
+    threads().min(items).min(shares).max(1)
 }
 
-/// Contiguous chunk bounds splitting `n` items into `t` near-equal parts.
-fn chunk_bounds(n: usize, t: usize) -> Vec<(usize, usize)> {
-    let base = n / t;
-    let extra = n % t;
-    let mut bounds = Vec::with_capacity(t);
-    let mut start = 0;
-    for k in 0..t {
-        let len = base + usize::from(k < extra);
-        bounds.push((start, start + len));
-        start += len;
-    }
-    bounds
-}
+/// Why a result slot's mutex cannot be poisoned or contended.
+const ONE_CLAIM: &str = "each index is claimed exactly once, so its slot is locked exactly once";
 
-struct WorkerGuard;
+/// Marks the current thread as inside a dispatch for as long as it lives,
+/// then restores what it found: a nested (serial) dispatch that ends must
+/// not make the rest of the enclosing item look like top-level code.
+struct WorkerGuard {
+    was_in_worker: bool,
+}
 
 impl WorkerGuard {
     fn enter() -> Self {
-        IN_WORKER.with(|c| c.set(true));
-        WorkerGuard
+        WorkerGuard {
+            was_in_worker: IN_WORKER.with(|c| c.replace(true)),
+        }
     }
 }
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        IN_WORKER.with(|c| c.set(false));
+        IN_WORKER.with(|c| c.set(self.was_in_worker));
     }
 }
 
-/// Applies `f(index, &mut item)` to every slice element, splitting the
-/// index space across the thread team. `weight` is the approximate element
-/// count each item touches (for limb vectors: the ring degree `N`); small
-/// payloads run serially.
+/// Applies `f(index, &mut item)` to every slice element, the team claiming
+/// one index at a time. `weight` is the estimated element operations per
+/// item (see [`PAR_THRESHOLD`]); small payloads run serially.
 ///
 /// Deterministic: items keep their positions, so the result is identical
-/// at every thread count.
+/// at every thread count. A panic in `f` reaches the caller with its
+/// original payload once every participant has stopped.
 pub fn par_for_each_mut<T, F>(items: &mut [T], weight: usize, f: F)
 where
     T: Send,
@@ -267,37 +311,12 @@ where
     }
     #[cfg(feature = "telemetry")]
     let _dispatch = tel::dispatch().span(t as u64);
-    let bounds = chunk_bounds(n, t);
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut tail = items;
-        let mut consumed = 0;
-        // Spawn chunks 1..t; run chunk 0 on the calling thread.
-        let (first, rest) = tail.split_at_mut(bounds[0].1);
-        tail = rest;
-        consumed += first.len();
-        for &(start, end) in &bounds[1..] {
-            let (chunk, rest) = tail.split_at_mut(end - start);
-            tail = rest;
-            debug_assert_eq!(start, consumed);
-            let base = consumed;
-            consumed += chunk.len();
-            s.spawn(move || {
-                let _guard = WorkerGuard::enter();
-                #[cfg(feature = "telemetry")]
-                let _busy = tel::worker().span(chunk.len() as u64);
-                for (off, item) in chunk.iter_mut().enumerate() {
-                    f(base + off, item);
-                }
-            });
-        }
-        let _guard = WorkerGuard::enter();
-        #[cfg(feature = "telemetry")]
-        let _busy = tel::worker().span(first.len() as u64);
-        for (i, item) in first.iter_mut().enumerate() {
-            f(i, item);
-        }
-        // scope joins all workers; a worker panic propagates here.
+    // An index is claimed by exactly one participant; the uncontended mutex
+    // is how safe code hands that participant the `&mut`.
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    pool::run(t, n, &|i| {
+        let mut item = slots[i].lock().expect(ONE_CLAIM);
+        f(i, &mut **item);
     });
 }
 
@@ -329,47 +348,19 @@ where
     }
     #[cfg(feature = "telemetry")]
     let _dispatch = tel::dispatch().span(t as u64);
-    let bounds = chunk_bounds(n, t);
-    // Items evaluate to Ok(value) or Err(index) when the item panicked;
-    // the unwind payload is dropped in the worker and regenerated (or not)
-    // by the serial retry below.
-    let run_contained = |i: usize| -> Result<U, usize> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).map_err(|_| i)
-    };
-    let mut attempts: Vec<Result<U, usize>> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let run = &run_contained;
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|&(start, end)| {
-                s.spawn(move || {
-                    let _guard = WorkerGuard::enter();
-                    #[cfg(feature = "telemetry")]
-                    let _busy = tel::worker().span((end - start) as u64);
-                    (start..end).map(run).collect::<Vec<Result<U, usize>>>()
-                })
-            })
-            .collect();
-        {
-            let _guard = WorkerGuard::enter();
-            #[cfg(feature = "telemetry")]
-            let _busy = tel::worker().span((bounds[0].1 - bounds[0].0) as u64);
-            attempts.extend((bounds[0].0..bounds[0].1).map(run));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(part) => attempts.extend(part),
-                // Unreachable in practice (items are contained), but a
-                // panic outside the contained region must still surface.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    pool::run(t, n, &|i| {
+        // A panicking item leaves its slot empty; the unwind payload is
+        // dropped here and regenerated (or not) by the serial retry below.
+        if let Ok(v) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
+            *slots[i].lock().expect(ONE_CLAIM) = Some(v);
         }
     });
-    attempts
+    slots
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(i) => {
+        .enumerate()
+        .map(|(i, slot)| {
+            slot.into_inner().expect(ONE_CLAIM).unwrap_or_else(|| {
                 // Serial re-dispatch of the poisoned item on the calling
                 // thread; a second failure propagates unchanged.
                 let _guard = WorkerGuard::enter();
@@ -378,7 +369,7 @@ where
                 #[cfg(feature = "telemetry")]
                 tel::contained().add(1);
                 v
-            }
+            })
         })
         .collect()
 }
@@ -425,21 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_bounds_partition_exactly() {
-        for n in [1usize, 2, 5, 16, 17, 100] {
-            for t in 1..=8.min(n) {
-                let b = chunk_bounds(n, t);
-                assert_eq!(b.len(), t);
-                assert_eq!(b[0].0, 0);
-                assert_eq!(b[t - 1].1, n);
-                for w in b.windows(2) {
-                    assert_eq!(w[0].1, w[1].0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn par_for_each_mut_matches_serial() {
         let weight = PAR_THRESHOLD; // force the parallel path
         let mut serial: Vec<u64> = (0..64).collect();
@@ -470,27 +446,53 @@ mod tests {
 
     #[test]
     fn small_payloads_stay_serial() {
-        // weight 1, 4 items: far below PAR_THRESHOLD — must not spawn.
+        // weight 1, 4 items: far below PAR_THRESHOLD — must not leave the
+        // calling thread.
+        use std::sync::atomic::AtomicBool;
         let main_id = std::thread::current().id();
-        let mut hit_other_thread = false;
+        let hit_other_thread = AtomicBool::new(false);
         let mut items = [0u8; 4];
-        par_for_each_mut(&mut items, 1, |_, _| {
-            if std::thread::current().id() != main_id {
-                // Can't assert from worker; record via side effect below.
-            }
+        with_threads(4, || {
+            par_for_each_mut(&mut items, 1, |_, v| {
+                *v = 1;
+                if std::thread::current().id() != main_id {
+                    hit_other_thread.store(true, Ordering::SeqCst);
+                }
+            })
         });
+        assert_eq!(items, [1; 4]);
+        assert!(!hit_other_thread.load(Ordering::SeqCst));
         // Serial path leaves IN_WORKER false afterwards.
         assert!(!in_worker());
-        let _ = &mut hit_other_thread;
+    }
+
+    #[test]
+    fn cut_off_is_priced_in_work_not_elements() {
+        // Eight limbs at N = 2^12: a pointwise op (weight N) is 2^15
+        // operations in all and stays on the caller; the same limbs under an
+        // NTT (weight N·log₂N) feed a team.
+        let n = 1usize << 12;
+        with_threads(8, || {
+            assert_eq!(team_size(8, n), 1);
+            assert_eq!(team_size(8, n * 12), 8);
+            // A team is only as large as the work can feed.
+            assert_eq!(team_size(8, 3 * PAR_THRESHOLD / 8), 3);
+            // Never more participants than threads or items.
+            assert_eq!(team_size(3, 1 << 30), 3);
+        });
+        with_threads(2, || assert_eq!(team_size(8, n * 12), 2));
+        with_threads(1, || assert_eq!(team_size(8, n * 12), 1));
     }
 
     #[test]
     fn nested_dispatch_runs_serially() {
         let out = with_threads(4, || {
             par_map(4, PAR_THRESHOLD, |i| {
-                // Inside a worker: nested dispatch must not spawn (and must
-                // still be correct).
+                // Inside a dispatch: a nested one must stay on this thread
+                // (and must still be correct) ...
                 let inner = par_map(4, PAR_THRESHOLD, move |j| i * 10 + j);
+                // ... and its end leaves the rest of this item nested.
+                assert!(in_worker());
                 inner.into_iter().sum::<usize>()
             })
         });
@@ -515,9 +517,14 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
+    /// Held by the tests that bump the process-wide [`contained_panics`]
+    /// counter, so that an exact `before + 1` can be asserted.
+    static CONTAINS_A_PANIC: Mutex<()> = Mutex::new(());
+
     #[test]
     fn transient_worker_panic_is_contained() {
         use std::sync::atomic::AtomicBool;
+        let _counter = CONTAINS_A_PANIC.lock().unwrap_or_else(|e| e.into_inner());
         static TRIPPED: AtomicBool = AtomicBool::new(false);
         TRIPPED.store(false, Ordering::SeqCst);
         let before = contained_panics();
@@ -536,6 +543,7 @@ mod tests {
     #[test]
     fn unzip_recovers_transient_panics_too() {
         use std::sync::atomic::AtomicBool;
+        let _counter = CONTAINS_A_PANIC.lock().unwrap_or_else(|e| e.into_inner());
         static TRIPPED: AtomicBool = AtomicBool::new(false);
         TRIPPED.store(false, Ordering::SeqCst);
         let (a, b) = with_threads(4, || {

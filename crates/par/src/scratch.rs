@@ -6,8 +6,11 @@
 //! buffer and [`recycle`] it when done; each thread keeps a small stack of
 //! retired buffers, so once warm the hot paths allocate nothing.
 //!
-//! The pool is thread-local on purpose: the engine's workers each build
-//! their own pool, so there is no locking and no cross-thread traffic.
+//! The pool is thread-local on purpose: every thread that runs limb work —
+//! a dispatching thread or one of the engine's persistent helpers — builds
+//! its own, so there is no locking and no cross-thread traffic, and because
+//! helpers outlive dispatches theirs stay warm (at most `POOL_CAP`
+//! buffers each).
 //!
 //! # Examples
 //!

@@ -64,8 +64,9 @@ pub fn rns_convert(a: &RnsPoly, target: &RnsBasis) -> RnsPoly {
         scale_row(a.residues(j), &src.reducers()[j], hat_inv[j])
     });
 
-    // Target primes are likewise independent (each reads all of t).
-    let residues: Vec<Vec<u64>> = poseidon_par::par_map(target.len(), n, |i| {
+    // Target primes are likewise independent (each reads all of t, one
+    // multiply–add per source prime and coefficient).
+    let residues: Vec<Vec<u64>> = poseidon_par::par_map(target.len(), src.len() * n, |i| {
         let red = &target.reducers()[i];
         let hats = &hat_in_target[i];
         (0..n)
@@ -152,7 +153,9 @@ pub fn moddown(a: &RnsPoly, q_len: usize) -> RnsPoly {
             .collect()
     };
 
-    let residues: Vec<Vec<u64>> = poseidon_par::par_map(q_len, n, |i| {
+    // Per coefficient: one multiply–add per `P` limb, the subtraction and
+    // the `P⁻¹` product.
+    let residues: Vec<Vec<u64>> = poseidon_par::par_map(q_len, (p_basis.len() + 2) * n, |i| {
         let q = q_basis.primes()[i];
         let scale = ShoupMul::new(p_inv[i], q);
         // Each term `t_j·(p̂_j mod q_i)` is below `p_j·q_i`, which sizes the
@@ -194,7 +197,8 @@ pub fn rescale(a: &RnsPoly) -> RnsPoly {
     // Each surviving prime rescales independently — limb-parallel. `c_l` is
     // brought into the limb's range by its Barrett reducer and the product
     // with the fixed `q_l⁻¹` runs on the Shoup path: no division per element.
-    let residues: Vec<Vec<u64>> = poseidon_par::par_map(l - 1, a.basis().n(), |j| {
+    // (Three operations per coefficient: reduce, subtract, multiply.)
+    let residues: Vec<Vec<u64>> = poseidon_par::par_map(l - 1, 3 * a.basis().n(), |j| {
         let qj = lower.primes()[j];
         let red = &lower.reducers()[j];
         let ql_inv = inv_mod_prime(last_prime % qj, qj).expect("distinct primes");

@@ -30,6 +30,8 @@
 //! assert_eq!(sq.basis().len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod basis;
 pub mod conv;
 pub mod integrity;

@@ -151,9 +151,8 @@ impl RnsPoly {
                 poseidon_faults::FaultSite::RnsResidue,
                 &mut self.residues,
             );
-            let n = self.basis.n();
             let tables = self.basis.tables();
-            poseidon_par::par_for_each_mut(&mut self.residues, n, |j, r| {
+            poseidon_par::par_for_each_mut(&mut self.residues, tables[0].weight(), |j, r| {
                 tables[j].forward(r);
             });
             self.form = Form::Eval;
@@ -170,9 +169,8 @@ impl RnsPoly {
                 poseidon_faults::FaultSite::RnsResidue,
                 &mut self.residues,
             );
-            let n = self.basis.n();
             let tables = self.basis.tables();
-            poseidon_par::par_for_each_mut(&mut self.residues, n, |j, r| {
+            poseidon_par::par_for_each_mut(&mut self.residues, tables[0].weight(), |j, r| {
                 tables[j].inverse(r);
             });
             self.form = Form::Coeff;

@@ -2,10 +2,13 @@
 //! produce identical outputs at one thread (the pre-engine serial path)
 //! and at many threads.
 //!
-//! The ring degree is 2048 with five primes so the payloads cross
-//! `poseidon_par::PAR_THRESHOLD` and the parallel dispatch actually runs;
-//! `with_threads` is thread-local, so pinning counts here cannot race the
-//! parallel test harness.
+//! The ring degree is 2048 with five primes, where the NTTs cross
+//! `poseidon_par::PAR_THRESHOLD` and fan out; the cut-off is priced in
+//! element operations, so the pointwise and conversion kernels stay on the
+//! caller at that size and `large_polynomials_fan_out_every_kernel` repeats
+//! them at `N = 2^13`, eight primes, where they do not. `with_threads` is
+//! thread-local, so pinning counts here cannot race the parallel test
+//! harness.
 
 use he_rns::conv::{moddown, modup, rescale, rns_convert};
 use he_rns::{RnsBasis, RnsPoly, ShoupOperand};
@@ -147,4 +150,52 @@ proptest! {
         let p = with_threads(8, || a.automorphism(g));
         prop_assert_eq!(s, p);
     }
+}
+
+/// The pointwise and conversion kernels at a size whose cheapest member (a
+/// limb-wise add) still feeds two participants, so the fan-out really runs.
+#[test]
+fn large_polynomials_fan_out_every_kernel() {
+    const BIG: usize = 1 << 13;
+    const LIMBS: usize = 8;
+    const { assert!(LIMBS * BIG >= 2 * poseidon_par::PAR_THRESHOLD) };
+    let q = RnsBasis::generate(BIG, 28, LIMBS);
+    let p = RnsBasis::new(BIG, he_math::prime::ntt_prime_chain(30, 2 * BIG as u64, 2));
+    let coeffs = |salt: i64| -> Vec<i64> {
+        (0..BIG as i64)
+            .map(|i| (i * 7919 + salt).wrapping_mul(i % 31 + 1) % (1 << 20))
+            .collect()
+    };
+    let a = RnsPoly::from_i64_coeffs(&q, &coeffs(3));
+    let b = RnsPoly::from_i64_coeffs(&q, &coeffs(11));
+    let (ea, eb) = (a.clone().into_eval(), b.clone().into_eval());
+    let op = ShoupOperand::new(&eb);
+    let scalars: Vec<u64> = (0..LIMBS as u64).map(|j| 12345 + j).collect();
+    let g = 5u64;
+
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let mut mul_acc = ea.clone();
+            mul_acc.mul_assign(&eb);
+            let mut add_acc = ea.clone();
+            add_acc.add_assign(&eb);
+            let mut shoup_acc = ea.clone();
+            shoup_acc.mul_assign_shoup(&op);
+            let up = modup(&a, &p);
+            let down = moddown(&up, q.len());
+            (
+                vec![ea.add(&eb), ea.sub(&eb), ea.neg(), ea.mul(&eb)],
+                vec![mul_acc, add_acc, shoup_acc],
+                vec![
+                    ea.mul_scalar_per_prime(&scalars),
+                    a.automorphism(g),
+                    ea.automorphism_eval(g),
+                ],
+                vec![rns_convert(&a, &p), up, down, rescale(&a)],
+            )
+        })
+    };
+    let serial = run(1);
+    assert_eq!(serial, run(2));
+    assert_eq!(serial, run(4));
 }

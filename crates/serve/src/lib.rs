@@ -57,6 +57,8 @@
 //! [`CheckedEvaluator`]: he_ckks::integrity::CheckedEvaluator
 //! [`EvalError::IntegrityFault`]: he_ckks::error::EvalError::IntegrityFault
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use he_ckks::cipher::{Ciphertext, Plaintext};

@@ -25,6 +25,8 @@
 //! * [`report`] — executes a trace against the model and produces the
 //!   tables/figures quantities (time, breakdowns, utilisation, energy).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod energy;
 pub mod hbm;

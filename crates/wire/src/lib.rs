@@ -53,6 +53,8 @@
 //! assert_eq!(back.c0(), ct.c0());
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use he_ckks::cipher::{Ciphertext, Plaintext};

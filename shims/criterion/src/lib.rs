@@ -10,6 +10,8 @@
 //! No statistical outlier analysis, plots, or result persistence — numbers
 //! print once and the caller records them (EXPERIMENTS.md does).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

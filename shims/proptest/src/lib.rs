@@ -11,6 +11,8 @@
 //! shrinking. Each test's stream is seeded from the hash of its name, so
 //! failures reproduce exactly on re-run.
 
+#![forbid(unsafe_code)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;

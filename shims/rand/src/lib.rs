@@ -15,6 +15,8 @@
 //! `StdRng`), so seeded outputs are reproducible within this workspace but
 //! not bit-compatible with the real crate.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level generator interface: a source of uniform 64-bit words.

@@ -1,4 +1,7 @@
 //! Facade crate re-exporting the Poseidon reproduction stack.
+
+#![forbid(unsafe_code)]
+
 pub use he_ckks as ckks;
 pub use he_math as math;
 pub use he_ntt as ntt;

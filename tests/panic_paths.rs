@@ -109,6 +109,51 @@ fn lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
     );
 }
 
+/// The functional machine checks the same operand: its `try_add_plain` and
+/// `try_pmult` (and their `HomomorphicOps` faces) return the evaluator's
+/// `LevelMismatch` where they used to hit `truncate_basis`'s prefix
+/// assertion, and `pmult` stays the panicking wrapper.
+#[test]
+fn machine_lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
+    use poseidon::core::{HomomorphicOps, PoseidonMachine};
+
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rng();
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let mut machine = PoseidonMachine::new(&ctx, 8, 1);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let low = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), 0);
+    let want = EvalError::LevelMismatch {
+        a: ct.level(),
+        b: 0,
+    };
+
+    assert_eq!(machine.try_add_plain(&ct, &low).unwrap_err(), want);
+    assert_eq!(machine.try_pmult(&ct, &low).unwrap_err(), want);
+    assert_eq!(
+        HomomorphicOps::try_mul_plain(&mut machine, &ct, &low).unwrap_err(),
+        want
+    );
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.pmult(&ct, &low)))
+            .expect_err("pmult is the panicking wrapper");
+    assert_eq!(
+        panicked.downcast_ref::<String>(),
+        Some(&want.to_string()),
+        "the wrapper panics with the typed error's message"
+    );
+
+    // A plaintext above the ciphertext's level is truncated down to it,
+    // exactly as the evaluator does.
+    let dropped = eval.drop_to_level(&ct, 0);
+    let full = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), ct.level());
+    assert_eq!(
+        machine.try_pmult(&dropped, &full).unwrap(),
+        machine.pmult(&dropped, &low)
+    );
+}
+
 /// The panicking wrappers still panic — with the same message text they
 /// always had, routed through the `try_*` path underneath.
 #[test]
