@@ -8,17 +8,23 @@ use poseidon_bench::cpu_baseline::CpuHarness;
 fn bench_basic_ops(c: &mut Criterion) {
     let h = CpuHarness::new(1 << 12, 4);
     let mut group = c.benchmark_group("basic_ops_n4096_l4");
-    group.bench_function("hadd", |b| b.iter(|| h.eval.add(&h.ct_a, &h.ct_b)));
-    group.bench_function("pmult", |b| b.iter(|| h.eval.mul_plain(&h.ct_a, &h.pt)));
-    group.bench_function("cmult_relin", |b| {
-        b.iter(|| h.eval.mul(&h.ct_a, &h.ct_b, &h.keys))
+    group.bench_function("hadd", |b| {
+        b.iter(|| h.eval.try_add(&h.ct_a, &h.ct_b).unwrap())
     });
-    group.bench_function("rescale", |b| b.iter(|| h.eval.rescale(&h.ct_a)));
+    group.bench_function("pmult", |b| {
+        b.iter(|| h.eval.try_mul_plain(&h.ct_a, &h.pt).unwrap())
+    });
+    group.bench_function("cmult_relin", |b| {
+        b.iter(|| h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap())
+    });
+    group.bench_function("rescale", |b| {
+        b.iter(|| h.eval.try_rescale(&h.ct_a).unwrap())
+    });
     group.bench_function("keyswitch", |b| {
         b.iter(|| h.eval.keyswitch(h.ct_a.c1(), h.keys.relin()))
     });
     group.bench_function("rotation", |b| {
-        b.iter(|| h.eval.rotate(&h.ct_a, 1, &h.keys))
+        b.iter(|| h.eval.try_rotate(&h.ct_a, 1, &h.keys).unwrap())
     });
     group.finish();
 }

@@ -16,19 +16,19 @@ fn bench_faults(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("integrity_n4096_l4");
     group.bench_function("cmult_plain", |b| {
-        b.iter(|| h.eval.mul(&h.ct_a, &h.ct_b, &h.keys))
+        b.iter(|| h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap())
     });
     group.bench_function("cmult_checked_dmr", |b| {
         b.iter(|| checked.mul(&h.ct_a, &h.ct_b, &h.keys).expect("clean"))
     });
     group.bench_function("rotate_plain", |b| {
-        b.iter(|| h.eval.rotate(&h.ct_a, 1, &h.keys))
+        b.iter(|| h.eval.try_rotate(&h.ct_a, 1, &h.keys).unwrap())
     });
     group.bench_function("rotate_checked_dmr", |b| {
         b.iter(|| checked.rotate(&h.ct_a, 1, &h.keys).expect("clean"))
     });
     group.bench_function("rescale_checked_dmr", |b| {
-        let prod = h.eval.mul(&h.ct_a, &h.ct_b, &h.keys);
+        let prod = h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap();
         b.iter(|| checked.rescale(&prod).expect("clean"))
     });
     group.bench_function("digest_ciphertext", |b| {

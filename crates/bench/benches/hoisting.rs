@@ -40,16 +40,16 @@ fn bench_hoisting(c: &mut Criterion) {
         b.iter(|| {
             STEPS
                 .iter()
-                .map(|&s| h.eval.rotate(&h.ct_a, s, &h.keys))
+                .map(|&s| h.eval.try_rotate(&h.ct_a, s, &h.keys).unwrap())
                 .collect::<Vec<_>>()
         })
     });
     group.bench_function("rotate_x8_hoisted", |b| {
-        b.iter(|| h.eval.rotate_many(&h.ct_a, &STEPS, &h.keys))
+        b.iter(|| h.eval.try_rotate_many(&h.ct_a, &STEPS, &h.keys).unwrap())
     });
     group.bench_function("hoist_only", |b| b.iter(|| h.eval.hoist(&h.ct_a)));
     group.bench_function("bsgs_matvec_dim32", |b| {
-        b.iter(|| m.apply_bsgs(&h.eval, &h.keys, &h.ct_a))
+        b.iter(|| m.try_apply_bsgs(&h.eval, &h.keys, &h.ct_a).unwrap())
     });
     group.finish();
 }

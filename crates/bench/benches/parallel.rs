@@ -22,7 +22,9 @@ fn bench_parallel_sweep(c: &mut Criterion) {
             b.iter(|| poseidon_par::with_threads(t, || eval_form.clone().into_coeff()))
         });
         group.bench_with_input(BenchmarkId::new("cmult_relin", t), &t, |b, &t| {
-            b.iter(|| poseidon_par::with_threads(t, || h.eval.mul(&h.ct_a, &h.ct_b, &h.keys)))
+            b.iter(|| {
+                poseidon_par::with_threads(t, || h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap())
+            })
         });
         group.bench_with_input(BenchmarkId::new("keyswitch", t), &t, |b, &t| {
             b.iter(|| {

@@ -36,7 +36,7 @@ fn bench_serve(c: &mut Criterion) {
         b.iter(|| poseidon_wire::decode_ciphertext(&h.ctx, &frame).expect("decode"))
     });
     group.bench_function("mul_direct", |b| {
-        b.iter(|| h.eval.mul(&h.ct_a, &h.ct_b, &h.keys))
+        b.iter(|| h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap())
     });
     group.bench_function("mul_served", |b| {
         b.iter(|| {

@@ -72,19 +72,19 @@ pub fn measure_basic_ops(n: usize, chain_len: usize, iters: u32) -> Vec<(&'stati
     out.push((
         "HAdd",
         h.ops_per_second(iters * 4, || {
-            let _ = h.eval.add(&h.ct_a, &h.ct_b);
+            let _ = h.eval.try_add(&h.ct_a, &h.ct_b).unwrap();
         }),
     ));
     out.push((
         "PMult",
         h.ops_per_second(iters, || {
-            let _ = h.eval.mul_plain(&h.ct_a, &h.pt);
+            let _ = h.eval.try_mul_plain(&h.ct_a, &h.pt).unwrap();
         }),
     ));
     out.push((
         "CMult",
         h.ops_per_second(iters, || {
-            let _ = h.eval.mul(&h.ct_a, &h.ct_b, &h.keys);
+            let _ = h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap();
         }),
     ));
     // NTT: one forward transform per chain prime on a ring element.
@@ -104,13 +104,13 @@ pub fn measure_basic_ops(n: usize, chain_len: usize, iters: u32) -> Vec<(&'stati
     out.push((
         "Rotation",
         h.ops_per_second(iters, || {
-            let _ = h.eval.rotate(&h.ct_a, 1, &h.keys);
+            let _ = h.eval.try_rotate(&h.ct_a, 1, &h.keys).unwrap();
         }),
     ));
     out.push((
         "Rescale",
         h.ops_per_second(iters, || {
-            let _ = h.eval.rescale(&h.ct_a);
+            let _ = h.eval.try_rescale(&h.ct_a).unwrap();
         }),
     ));
     out
@@ -123,10 +123,10 @@ mod tests {
     #[test]
     fn harness_operations_run() {
         let h = CpuHarness::new(1 << 10, 3);
-        let sum = h.eval.add(&h.ct_a, &h.ct_b);
+        let sum = h.eval.try_add(&h.ct_a, &h.ct_b).unwrap();
         assert_eq!(sum.level(), h.ct_a.level());
         let rate = h.ops_per_second(2, || {
-            let _ = h.eval.add(&h.ct_a, &h.ct_b);
+            let _ = h.eval.try_add(&h.ct_a, &h.ct_b).unwrap();
         });
         assert!(rate > 0.0);
     }

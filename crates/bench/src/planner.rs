@@ -102,7 +102,7 @@ pub fn plan() {
             .map(|i| encrypt(&mut rng, 0.4 + 0.05 * i as f64))
             .collect();
         let unplanned = Plan::passthrough(graph.clone());
-        let planned = plan_graph(graph, &PlanOptions::default());
+        let planned = plan_graph(graph, &PlanOptions::default()).expect("no bootstrap options set");
         let mut eval = Evaluator::new(&ctx);
         // Warm the rotation-key eval caches so neither timed run pays
         // one-time key transforms.

@@ -112,9 +112,9 @@ pub fn plan2() {
             };
             let out = match &node.op {
                 GraphOp::Input { slot: _ } => seed.clone(),
-                GraphOp::DropToLevel { level } => {
-                    local.drop_to_level(&arg(&slots, node.inputs[0]), *level)
-                }
+                GraphOp::DropToLevel { level } => local
+                    .try_drop_to_level(&arg(&slots, node.inputs[0]), *level)
+                    .unwrap(),
                 GraphOp::Add => served(Request::Add {
                     a: arg(&slots, node.inputs[0]),
                     b: arg(&slots, node.inputs[1]),

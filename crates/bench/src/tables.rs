@@ -609,7 +609,7 @@ pub fn parallel_scaling() {
         (
             "CMult",
             Box::new(|| {
-                let _ = h.eval.mul(&h.ct_a, &h.ct_b, &h.keys);
+                let _ = h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).unwrap();
             }),
         ),
         (
@@ -621,7 +621,7 @@ pub fn parallel_scaling() {
         (
             "Rescale",
             Box::new(|| {
-                let _ = h.eval.rescale(&h.ct_a);
+                let _ = h.eval.try_rescale(&h.ct_a).unwrap();
             }),
         ),
     ];
@@ -786,9 +786,13 @@ pub fn hoisting() {
 
     // -- 8 rotations of one ciphertext ------------------------------------
     let steps: Vec<i64> = (1..=8).collect();
-    let (r_call, d_call) =
-        measure(&mut || steps.iter().map(|&s| eval.rotate(&ct, s, &keys)).collect());
-    let (r_hoist, d_hoist) = measure(&mut || eval.rotate_many(&ct, &steps, &keys));
+    let (r_call, d_call) = measure(&mut || {
+        steps
+            .iter()
+            .map(|&s| eval.try_rotate(&ct, s, &keys).unwrap())
+            .collect()
+    });
+    let (r_hoist, d_hoist) = measure(&mut || eval.try_rotate_many(&ct, &steps, &keys).unwrap());
     assert_eq!(r_call, r_hoist, "hoisted batch changed rotation bits");
 
     println!("\n-- 8 rotations of one ciphertext (bit-identical outputs) --");
@@ -839,7 +843,7 @@ pub fn hoisting() {
         let scale = eval.context().default_scale();
         let mut baby = vec![v.clone()];
         for b in 1..bs {
-            baby.push(eval.rotate(v, b as i64, &keys));
+            baby.push(eval.try_rotate(v, b as i64, &keys).unwrap());
         }
         let mut acc: Option<Ciphertext> = None;
         for g in 0..gs {
@@ -855,28 +859,28 @@ pub fn hoisting() {
                     .map(|i| m.diagonal(d)[(i + DIM - shift) % DIM])
                     .collect();
                 let pt = eval.encode_at_level(&diag, scale, ct_b.level());
-                let term = eval.mul_plain(ct_b, &pt);
+                let term = eval.try_mul_plain(ct_b, &pt).unwrap();
                 match &mut inner {
                     None => inner = Some(term),
-                    Some(a) => eval.add_assign(a, &term),
+                    Some(a) => eval.try_add_assign(a, &term).unwrap(),
                 }
             }
             if let Some(inner) = inner {
                 let shifted = if g == 0 {
                     inner
                 } else {
-                    eval.rotate(&inner, (g * bs) as i64, &keys)
+                    eval.try_rotate(&inner, (g * bs) as i64, &keys).unwrap()
                 };
                 match &mut acc {
                     None => acc = Some(shifted),
-                    Some(a) => eval.add_assign(a, &shifted),
+                    Some(a) => eval.try_add_assign(a, &shifted).unwrap(),
                 }
             }
         }
-        eval.rescale(&acc.expect("non-zero matrix"))
+        eval.try_rescale(&acc.expect("non-zero matrix")).unwrap()
     };
     let (v_call, b_call) = measure(&mut || vec![bsgs_per_call(&ct)]);
-    let (v_hoist, b_hoist) = measure(&mut || vec![m.apply_bsgs(&eval, &keys, &ct)]);
+    let (v_hoist, b_hoist) = measure(&mut || vec![m.try_apply_bsgs(&eval, &keys, &ct).unwrap()]);
     assert_eq!(v_call, v_hoist, "hoisted BSGS changed matvec bits");
 
     println!("\n-- 8-rotation BSGS matvec, dim 32, band 24 (bit-identical outputs) --");
@@ -916,7 +920,7 @@ fn helr_kernel<B: poseidon_core::HomomorphicOps>(
     x: &he_ckks::cipher::Ciphertext,
     weights: &[f64],
     bias: f64,
-) -> he_ckks::cipher::Ciphertext {
+) -> Result<he_ckks::cipher::Ciphertext, he_ckks::error::EvalError> {
     use he_ckks::cipher::Plaintext;
     use he_ckks::encoding::Complex;
     let enc = |z: &[Complex], scale: f64, level: usize| {
@@ -927,21 +931,21 @@ fn helr_kernel<B: poseidon_core::HomomorphicOps>(
     };
     let w: Vec<Complex> = weights.iter().map(|&w| Complex::new(w, 0.0)).collect();
     let w_pt = enc(&w, ctx.default_scale(), x.level());
-    let wx = backend.mul_plain(x, &w_pt);
-    let mut acc = backend.rescale(&wx);
+    let wx = backend.try_mul_plain(x, &w_pt)?;
+    let mut acc = backend.try_rescale(&wx)?;
     let mut step = 1;
     while step < weights.len() {
-        let r = backend.rotate(&acc, step as i64, keys);
-        acc = backend.add(&acc, &r);
+        let r = backend.try_rotate(&acc, step as i64, keys)?;
+        acc = backend.try_add(&acc, &r)?;
         step *= 2;
     }
     let bias_pt = enc(&[Complex::new(bias, 0.0)], acc.scale(), acc.level());
-    let logit = backend.add_plain(&acc, &bias_pt);
-    let sq = backend.square(&logit, keys);
-    let z2 = backend.rescale(&sq);
-    let z_low = backend.drop_to_level(&logit, z2.level());
-    let prod = backend.mul(&z2, &z_low, keys);
-    backend.rescale(&prod)
+    let logit = backend.try_add_plain(&acc, &bias_pt)?;
+    let sq = backend.try_square(&logit, keys)?;
+    let z2 = backend.try_rescale(&sq)?;
+    let z_low = backend.try_drop_to_level(&logit, z2.level())?;
+    let prod = backend.try_mul(&z2, &z_low, keys)?;
+    backend.try_rescale(&prod)
 }
 
 /// `tables metrics`: runtime per-operator telemetry for a HELR scoring
@@ -987,12 +991,12 @@ pub fn metrics() {
     // populating the eval.* / keyswitch.* / rns.* / ntt.* scopes.
     let eval = Evaluator::new(&ctx);
     let model = LogisticModel::new(&weights, bias);
-    let _score = model.score(&eval, &keys, &ct);
+    let _score = model.score(&eval, &keys, &ct).unwrap();
 
     // Machine run of the kernel through the shared trait: every element
     // retired by an operator core is counted AND timed.
     let mut machine = PoseidonMachine::new(&ctx, 256, 2);
-    let out = helr_kernel(&mut machine, &ctx, &keys, &ct, &weights, bias);
+    let out = helr_kernel(&mut machine, &ctx, &keys, &ct, &weights, bias).unwrap();
     let got = {
         let pt = keys.secret().decrypt(&out);
         ctx.encoder()
@@ -1123,8 +1127,8 @@ pub fn faults() {
     };
     let a = encrypt(1.25, &mut rng);
     let b = encrypt(-0.5, &mut rng);
-    let clean_mul = eval.mul(&a, &b, &keys);
-    let clean_rot = eval.rotate(&a, 1, &keys);
+    let clean_mul = eval.try_mul(&a, &b, &keys).unwrap();
+    let clean_rot = eval.try_rotate(&a, 1, &keys).unwrap();
 
     // The checked workload a campaign attacks: one relinearising CMult and
     // one rotation — together they traverse every evaluator-side site
@@ -1238,7 +1242,7 @@ pub fn faults() {
     const REPS: u32 = 10;
     let t0 = Instant::now();
     for _ in 0..REPS {
-        std::hint::black_box(eval.mul(&a, &b, &keys));
+        std::hint::black_box(eval.try_mul(&a, &b, &keys).unwrap());
     }
     let plain = t0.elapsed().as_secs_f64() / f64::from(REPS);
     let t1 = Instant::now();
@@ -1321,7 +1325,7 @@ pub fn serve() {
             },
         )
         .expect("served mul");
-    let local = eval.mul(&a, &b, &keys);
+    let local = eval.try_mul(&a, &b, &keys).unwrap();
     assert_eq!(served.c0(), local.c0(), "served mul diverged from local");
     println!("\nserved CMult is bit-identical to the local evaluator");
 

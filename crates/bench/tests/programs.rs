@@ -112,7 +112,7 @@ fn all_shipped_programs_compile_plan_and_execute() {
             .map(|i| encrypt(&ctx, &keys, &mut rng, 0.4 + 0.05 * i as f64))
             .collect();
         let unplanned = Plan::passthrough(graph.clone());
-        let planned = poseidon_core::plan::plan(graph, &PlanOptions::default());
+        let planned = poseidon_core::plan::plan(graph, &PlanOptions::default()).unwrap();
 
         let mut eval = Evaluator::new(&ctx);
         let base = execute(&unplanned, &mut eval, &inputs, &keys)
@@ -150,7 +150,7 @@ fn planned_programs_agree_between_evaluator_and_machine() {
         let trace = poseidon_sim::program::parse(&text).unwrap();
         let compiled = compile_trace(&trace, &ctx, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let planned = poseidon_core::plan::plan(compiled.graph, &PlanOptions::default());
+        let planned = poseidon_core::plan::plan(compiled.graph, &PlanOptions::default()).unwrap();
 
         let inputs: Vec<Ciphertext> = (0..planned.graph.inputs().len())
             .map(|i| encrypt(&ctx, &keys, &mut rng, 0.4 + 0.05 * i as f64))

@@ -7,10 +7,11 @@
 
 use crate::cipher::Ciphertext;
 use crate::encoding::Complex;
+use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
-use crate::linear::{fold_sum, inner_product_plain};
-use crate::polyeval::evaluate_monomial;
+use crate::linear::{try_fold_sum, try_inner_product_plain};
+use crate::polyeval::try_evaluate_monomial;
 
 /// The HELR degree-3 sigmoid approximation on [−4, 4]:
 /// σ(x) ≈ 0.5 + 0.197·x − 0.004·x³.
@@ -51,12 +52,18 @@ impl LogisticModel {
     /// Scores an encrypted feature vector: `σ(⟨w, x⟩ + b)` via the HELR
     /// polynomial. Consumes 3–4 levels.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if rotation keys for the fold are missing or the chain runs
-    /// out of levels.
-    pub fn score(&self, eval: &Evaluator, keys: &KeySet, x: &Ciphertext) -> Ciphertext {
-        let logit = inner_product_plain(eval, keys, x, &self.weights);
+    /// [`EvalError::MissingRotationKey`] if a rotation key for the fold is
+    /// missing; [`EvalError::RescaleAtLevelZero`] if the chain runs out of
+    /// levels.
+    pub fn score(
+        &self,
+        eval: &Evaluator,
+        keys: &KeySet,
+        x: &Ciphertext,
+    ) -> Result<Ciphertext, EvalError> {
+        let logit = try_inner_product_plain(eval, keys, x, &self.weights)?;
         // Add the bias before the sigmoid.
         let with_bias = {
             let pt = eval.encode_at_level(
@@ -64,9 +71,9 @@ impl LogisticModel {
                 logit.scale(),
                 logit.level(),
             );
-            eval.add_plain(&logit, &pt)
+            eval.try_add_plain(&logit, &pt)?
         };
-        evaluate_monomial(eval, keys, &with_bias, &HELR_SIGMOID)
+        try_evaluate_monomial(eval, keys, &with_bias, &HELR_SIGMOID)
     }
 
     /// Plaintext reference of [`score`] for validation.
@@ -87,30 +94,40 @@ impl LogisticModel {
 /// — the per-cell computation of the paper's LSTM benchmark
 /// (`y ← σ(W0·y + W1·x)` with a cubic σ).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if rotation keys for the fold are missing.
+/// As [`try_inner_product_plain`] and [`try_evaluate_monomial`].
 pub fn polynomial_neuron(
     eval: &Evaluator,
     keys: &KeySet,
     x: &Ciphertext,
     weights: &[Complex],
     activation: &[f64],
-) -> Ciphertext {
-    let s = inner_product_plain(eval, keys, x, weights);
-    evaluate_monomial(eval, keys, &s, activation)
+) -> Result<Ciphertext, EvalError> {
+    let s = try_inner_product_plain(eval, keys, x, weights)?;
+    try_evaluate_monomial(eval, keys, &s, activation)
 }
 
 /// Mean of the first `width` slots, landing in every slot (a building
 /// block of encrypted statistics; one level).
-pub fn slot_mean(eval: &Evaluator, keys: &KeySet, x: &Ciphertext, width: usize) -> Ciphertext {
-    let total = fold_sum(eval, keys, x, width);
+///
+/// # Errors
+///
+/// As [`try_fold_sum`]; [`EvalError::RescaleAtLevelZero`] on an exhausted
+/// ciphertext.
+pub fn slot_mean(
+    eval: &Evaluator,
+    keys: &KeySet,
+    x: &Ciphertext,
+    width: usize,
+) -> Result<Ciphertext, EvalError> {
+    let total = try_fold_sum(eval, keys, x, width)?;
     let pt = eval.encode_at_level(
         &[Complex::new(1.0 / width as f64, 0.0)],
         eval.context().default_scale(),
         total.level(),
     );
-    eval.rescale(&eval.mul_plain(&total, &pt))
+    eval.try_rescale(&eval.try_mul_plain(&total, &pt)?)
 }
 
 #[cfg(test)]
@@ -159,7 +176,7 @@ mod tests {
         let model = LogisticModel::new(&[0.2, -0.4, 0.1, 0.3, -0.2, 0.05, 0.15, -0.1], 0.25);
         let x = [1.0, 0.5, -1.0, 2.0, 0.0, -0.5, 1.5, 0.75];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &model.score(&eval, &keys, &ct));
+        let got = decrypt0(&ctx, &keys, &model.score(&eval, &keys, &ct).unwrap());
         let want = model.score_plain(&x);
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
         // Probabilities stay in a sane range for bounded logits.
@@ -176,7 +193,11 @@ mod tests {
         let act = [0.0, 1.0, 0.0, -0.15]; // x − 0.15x³
         let x = [2.0, -1.0, 0.5, 1.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &polynomial_neuron(&eval, &keys, &ct, &w, &act));
+        let got = decrypt0(
+            &ctx,
+            &keys,
+            &polynomial_neuron(&eval, &keys, &ct, &w, &act).unwrap(),
+        );
         let s: f64 = x.iter().zip(&w).map(|(a, b)| a * b.re).sum();
         let want = s - 0.15 * s * s * s;
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
@@ -187,8 +208,12 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup(8);
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &slot_mean(&eval, &keys, &ct, 8));
+        let got = decrypt0(&ctx, &keys, &slot_mean(&eval, &keys, &ct, 8).unwrap());
         assert!((got - 4.5).abs() < 0.02, "{got}");
+        assert!(matches!(
+            slot_mean(&eval, &keys, &ct, 6),
+            Err(EvalError::InvalidParams(_))
+        ));
     }
 
     #[test]

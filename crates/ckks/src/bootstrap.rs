@@ -188,9 +188,9 @@ impl Bootstrapper {
     }
 
     /// The rotation steps whose Galois keys must be generated before
-    /// calling [`bootstrap`] (conjugation key needed as well).
+    /// calling [`try_bootstrap`] (conjugation key needed as well).
     ///
-    /// [`bootstrap`]: Self::bootstrap
+    /// [`try_bootstrap`]: Self::try_bootstrap
     pub fn required_rotations(&self) -> Vec<i64> {
         let mut steps: Vec<i64> = (1..self.slots as i64).collect();
         // SubSum trace rotations.
@@ -205,22 +205,8 @@ impl Bootstrapper {
         steps
     }
 
-    /// ModRaise: reinterpret a level-0 ciphertext modulo the full chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the ciphertext is at level 0.
-    pub fn mod_raise(&self, ct: &Ciphertext) -> Ciphertext {
-        match self.try_mod_raise(ct) {
-            Ok(ct) => ct,
-            Err(EvalError::LevelMismatch { .. }) => {
-                panic!("ModRaise expects an exhausted ciphertext")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`mod_raise`](Self::mod_raise).
+    /// ModRaise (step 1): reinterpret a level-0 ciphertext modulo the full
+    /// chain.
     ///
     /// # Errors
     ///
@@ -264,7 +250,7 @@ impl Bootstrapper {
                 continue;
             }
             let pt = eval.encode_at_level(&diag, scale, ct_d.level());
-            let term = eval.mul_plain(ct_d, &pt);
+            let term = eval.try_mul_plain(ct_d, &pt)?;
             match &mut acc {
                 None => acc = Some(term),
                 Some(a) => eval.try_add_assign(a, &term)?,
@@ -293,12 +279,6 @@ impl Bootstrapper {
     }
 
     /// SubSum: trace onto the sparse subring (step 2).
-    pub fn subsum(&self, eval: &Evaluator, keys: &KeySet, ct: &Ciphertext) -> Ciphertext {
-        self.try_subsum(eval, keys, ct)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`subsum`](Self::subsum).
     ///
     /// # Errors
     ///
@@ -327,20 +307,6 @@ impl Bootstrapper {
 
     /// CoeffToSlot (step 3): returns `(ct_low, ct_high)` whose slots hold
     /// the low/high halves of the sparse coefficient vector.
-    pub fn coeff_to_slot(
-        &self,
-        eval: &Evaluator,
-        keys: &KeySet,
-        ct: &Ciphertext,
-    ) -> (Ciphertext, Ciphertext) {
-        match self.try_coeff_to_slot(eval, keys, ct) {
-            Ok(pair) => pair,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`coeff_to_slot`](Self::coeff_to_slot).
     ///
     /// # Errors
     ///
@@ -370,22 +336,8 @@ impl Bootstrapper {
         Ok((low, high))
     }
 
-    /// SlotToCoeff (step 5).
-    pub fn slot_to_coeff(
-        &self,
-        eval: &Evaluator,
-        keys: &KeySet,
-        low: &Ciphertext,
-        high: &Ciphertext,
-    ) -> Ciphertext {
-        match self.try_slot_to_coeff(eval, keys, low, high) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`slot_to_coeff`](Self::slot_to_coeff).
+    /// SlotToCoeff (step 5): the inverse linear transform, recombining both
+    /// halves into one ciphertext.
     ///
     /// # Errors
     ///
@@ -413,12 +365,6 @@ impl Bootstrapper {
 
     /// EvalMod (step 4): approximates `x mod q_0` on the slot values of
     /// `ct`, accounting for the trace factor `D = N/(2n')`.
-    pub fn eval_mod(&self, eval: &Evaluator, keys: &KeySet, ct: &Ciphertext) -> Ciphertext {
-        self.try_eval_mod(eval, keys, ct)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`eval_mod`](Self::eval_mod).
     ///
     /// # Errors
     ///
@@ -449,7 +395,7 @@ impl Bootstrapper {
                 self.ctx.default_scale(),
                 y.level(),
             );
-            y = eval.try_rescale(&eval.mul_plain(&y, &pt))?;
+            y = eval.try_rescale(&eval.try_mul_plain(&y, &pt)?)?;
         }
 
         // Taylor sine and cosine of the divided angle.
@@ -489,32 +435,14 @@ impl Bootstrapper {
             self.ctx.default_scale(),
             s.level(),
         );
-        eval.try_rescale(&eval.mul_plain(&s, &pt))
+        eval.try_rescale(&eval.try_mul_plain(&s, &pt)?)
     }
 
     /// Runs the full bootstrapping pipeline on an exhausted (level 0)
     /// ciphertext, returning a refreshed ciphertext at a high level whose
-    /// slots approximate the original message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if required rotation/conjugation keys are missing or the
-    /// input is not at level 0.
-    pub fn bootstrap(&self, eval: &Evaluator, keys: &KeySet, ct: &Ciphertext) -> Ciphertext {
-        match self.try_bootstrap(eval, keys, ct) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(EvalError::LevelMismatch { .. }) => {
-                panic!("ModRaise expects an exhausted ciphertext")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`bootstrap`](Self::bootstrap): every degenerate input —
+    /// slots approximate the original message. Every degenerate input —
     /// missing keys, a chain too short for EvalMod, a non-exhausted input,
-    /// an all-zero transform matrix — comes back as a typed
-    /// [`EvalError`] instead of aborting the process.
+    /// an all-zero transform matrix — comes back as a typed [`EvalError`].
     ///
     /// # Errors
     ///
@@ -583,8 +511,12 @@ fn invert_real(m: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// Truncates a ciphertext to level 0 — test/demo utility producing the
 /// "exhausted" input bootstrapping expects.
-pub fn exhaust_to_level0(eval: &Evaluator, ct: &Ciphertext) -> Ciphertext {
-    eval.drop_to_level(ct, 0)
+///
+/// # Errors
+///
+/// As [`Evaluator::try_drop_to_level`].
+pub fn exhaust_to_level0(eval: &Evaluator, ct: &Ciphertext) -> Result<Ciphertext, EvalError> {
+    eval.try_drop_to_level(ct, 0)
 }
 
 /// Encrypt-ready plaintext helper used by the bootstrapping demo binaries.
@@ -681,8 +613,8 @@ mod tests {
         let z = vec![Complex::new(0.5, 0.0); 4];
         let pt = encode_for_bootstrap(&ctx, &z);
         let ct = keys.public().encrypt(&pt, &mut rng);
-        let exhausted = exhaust_to_level0(&eval, &ct);
-        let raised = bs.mod_raise(&exhausted);
+        let exhausted = exhaust_to_level0(&eval, &ct).unwrap();
+        let raised = bs.try_mod_raise(&exhausted).unwrap();
         assert_eq!(raised.level(), ctx.max_level());
         // Decrypting the raised ciphertext yields m + q0·I; check mod q0.
         let dec = keys.secret().decrypt(&raised);
@@ -712,7 +644,7 @@ mod tests {
         let z = vec![Complex::new(0.25, 0.0); 4];
         let pt = encode_for_bootstrap(&ctx, &z);
         let ct = keys.public().encrypt(&pt, &mut rng);
-        let exhausted = exhaust_to_level0(&eval, &ct);
+        let exhausted = exhaust_to_level0(&eval, &ct).unwrap();
         let err = bs
             .try_bootstrap(&eval, &keys, &exhausted)
             .expect_err("toy chain is too short to bootstrap");

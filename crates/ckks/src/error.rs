@@ -1,14 +1,8 @@
 //! Typed errors for the fallible evaluation and construction paths.
 //!
-//! The panicking convenience methods ([`Evaluator::rotate`],
-//! [`Evaluator::conjugate`], [`CkksContext::new`]) are thin wrappers over
-//! `try_` counterparts returning these errors, so library users embedding
-//! the scheme in a service can handle missing keys or bad parameters
-//! without unwinding.
-//!
-//! [`Evaluator::rotate`]: crate::eval::Evaluator::rotate
-//! [`Evaluator::conjugate`]: crate::eval::Evaluator::conjugate
-//! [`CkksContext::new`]: crate::context::CkksContext::new
+//! Every homomorphic operation and pipeline returns these errors, so
+//! library users embedding the scheme in a service can handle missing keys,
+//! mismatched operands or bad parameters without unwinding.
 
 use std::fmt;
 
@@ -37,13 +31,15 @@ pub enum EvalError {
         /// The Galois element `X ↦ X^g` that has no key.
         g: u64,
     },
-    /// Parameter validation failed ([`CkksParams::validate`]).
+    /// Parameter validation failed ([`CkksParams::validate`]), or an
+    /// argument lies outside what the operation accepts (a fold width that
+    /// is not a power of two, a reference longer than the slot count).
     ///
     /// [`CkksParams::validate`]: crate::params::CkksParams::validate
     InvalidParams(String),
     /// Operand levels disagree where the operation needs them pre-aligned
-    /// (e.g. `add_assign`), or a level would have to be *raised* by
-    /// truncation (`drop_to_level`).
+    /// (e.g. `try_add_assign`), or a level would have to be *raised* by
+    /// truncation (`try_drop_to_level`).
     LevelMismatch {
         /// Level of the first operand (or the current level).
         a: usize,
@@ -57,8 +53,9 @@ pub enum EvalError {
         /// Scale of the second operand.
         b: f64,
     },
-    /// An operand list was empty (`add_many`, `linear_combination`), or a
-    /// paired list (weights) had mismatched length.
+    /// An operand list was empty (`try_add_many`,
+    /// `try_linear_combination`), or a paired list (weights) had mismatched
+    /// length.
     EmptyOperands,
     /// Rescale requested at level 0 — no chain prime left to drop.
     RescaleAtLevelZero,
@@ -77,6 +74,22 @@ pub enum EvalError {
     BootstrapUnavailable,
 }
 
+impl EvalError {
+    /// The operand-scale check every backend's additions share: `Ok` when
+    /// the scales agree to within the floating slack (0.01 %).
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::ScaleMismatch`] carrying both scales otherwise.
+    pub fn check_scales(a: f64, b: f64) -> Result<(), EvalError> {
+        if (a - b).abs() <= 1e-4 * a.abs().max(b.abs()) {
+            Ok(())
+        } else {
+            Err(EvalError::ScaleMismatch { a, b })
+        }
+    }
+}
+
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -91,8 +104,6 @@ impl fmt::Display for EvalError {
             EvalError::LevelMismatch { a, b } => {
                 write!(f, "level mismatch: {a} vs {b}")
             }
-            // Exact legacy `assert_scales_match` panic text: downstream
-            // should_panic tests match the "scale mismatch" prefix.
             EvalError::ScaleMismatch { a, b } => write!(f, "scale mismatch: {a} vs {b}"),
             EvalError::EmptyOperands => write!(f, "need at least one ciphertext"),
             EvalError::RescaleAtLevelZero => write!(f, "cannot rescale at level 0"),
@@ -116,10 +127,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_matches_legacy_panic_messages() {
-        // The panicking wrappers format these errors, so the historical
-        // panic substrings (asserted by downstream should_panic tests)
-        // must survive verbatim.
+    fn display_texts_are_pinned() {
         assert_eq!(
             EvalError::MissingRotationKey { steps: -3 }.to_string(),
             "missing rotation key for -3 steps"
@@ -131,8 +139,6 @@ mod tests {
         assert!(EvalError::InvalidParams("n must be a power of two".into())
             .to_string()
             .starts_with("invalid CKKS parameters"));
-        // "scale mismatch: {a} vs {b}" is the exact assert_scales_match
-        // text the should_panic tests match on.
         assert_eq!(
             EvalError::ScaleMismatch { a: 2.0, b: 6.0 }.to_string(),
             "scale mismatch: 2 vs 6"

@@ -3,13 +3,16 @@
 //!
 //! | paper operation | method |
 //! |---|---|
-//! | HAdd (ct+ct, ct+pt)   | [`Evaluator::add`], [`Evaluator::add_plain`] |
-//! | PMult                 | [`Evaluator::mul_plain`], [`Evaluator::mul_const`] |
-//! | CMult + relinearise   | [`Evaluator::mul`] |
-//! | Rescale               | [`Evaluator::rescale`] |
+//! | HAdd (ct+ct, ct+pt)   | [`Evaluator::try_add`], [`Evaluator::try_add_plain`] |
+//! | PMult                 | [`Evaluator::try_mul_plain`], [`Evaluator::mul_const`] |
+//! | CMult + relinearise   | [`Evaluator::try_mul`] |
+//! | Rescale               | [`Evaluator::try_rescale`] |
 //! | Keyswitch (Modup/RNSconv/Moddown) | [`Evaluator::keyswitch`] |
-//! | Rotation (automorphism + keyswitch) | [`Evaluator::rotate`] |
-//! | Conjugation           | [`Evaluator::conjugate`] |
+//! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`] |
+//! | Conjugation           | [`Evaluator::try_conjugate`] |
+//!
+//! Every operation that can fail on caller input has one form, which
+//! returns [`EvalError`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,10 +156,11 @@ impl Evaluator {
 
     fn align(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
         let level = a.level().min(b.level());
-        (self.drop_to_level(a, level), self.drop_to_level(b, level))
+        (truncated(a, level), truncated(b, level))
     }
 
-    /// Fallible [`drop_to_level`](Self::drop_to_level).
+    /// Drops a ciphertext to a lower level without rescaling (modulus
+    /// truncation).
     ///
     /// # Errors
     ///
@@ -173,28 +177,11 @@ impl Evaluator {
                 b: level,
             });
         }
-        if level == ct.level() {
-            return Ok(ct.clone());
-        }
-        Ok(Ciphertext::new(
-            ct.c0().truncate_basis(level + 1),
-            ct.c1().truncate_basis(level + 1),
-            ct.scale(),
-        ))
+        Ok(truncated(ct, level))
     }
 
-    /// Drops a ciphertext to a lower level without rescaling (modulus
-    /// truncation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds the current level.
-    pub fn drop_to_level(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_drop_to_level(ct, level)
-            .unwrap_or_else(|_| panic!("cannot raise level by truncation"))
-    }
-
-    /// Fallible [`add`](Self::add).
+    /// Homomorphic addition (paper HAdd, ct+ct). Operands are aligned to
+    /// the lower level; scales must match to within floating slack.
     ///
     /// # Errors
     ///
@@ -202,7 +189,7 @@ impl Evaluator {
     /// 0.01 %.
     pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let (a, b) = self.align(a, b);
-        check_scales_match(a.scale(), b.scale())?;
+        EvalError::check_scales(a.scale(), b.scale())?;
         Ok(Ciphertext::new(
             a.c0().add(b.c0()),
             a.c1().add(b.c1()),
@@ -210,17 +197,14 @@ impl Evaluator {
         ))
     }
 
-    /// Homomorphic addition (paper HAdd, ct+ct). Operands are aligned to
-    /// the lower level; scales must match to within floating slack.
+    /// In-place homomorphic addition `acc += term` — the accumulation form
+    /// used by [`try_add_many`]/[`try_linear_combination`] so summing `k`
+    /// terms reuses one allocation instead of cloning per term. Unlike
+    /// [`try_add`], operands must already sit at the same level.
     ///
-    /// # Panics
-    ///
-    /// Panics if the scales differ by more than 0.01 %.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`add_assign`](Self::add_assign).
+    /// [`try_add`]: Self::try_add
+    /// [`try_add_many`]: Self::try_add_many
+    /// [`try_linear_combination`]: Self::try_linear_combination
     ///
     /// # Errors
     ///
@@ -234,31 +218,13 @@ impl Evaluator {
                 b: term.level(),
             });
         }
-        check_scales_match(acc.scale(), term.scale())?;
+        EvalError::check_scales(acc.scale(), term.scale())?;
         acc.add_assign_raw(term);
         Ok(())
     }
 
-    /// In-place homomorphic addition `acc += term` — the accumulation form
-    /// used by [`add_many`]/[`linear_combination`] so summing `k` terms
-    /// reuses one allocation instead of cloning per term. Unlike [`add`],
-    /// operands must already sit at the same level.
-    ///
-    /// [`add`]: Self::add
-    /// [`add_many`]: Self::add_many
-    /// [`linear_combination`]: Self::linear_combination
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ or scales disagree by more than 0.01 %.
-    pub fn add_assign(&self, acc: &mut Ciphertext, term: &Ciphertext) {
-        self.try_add_assign(acc, term).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("add_assign needs pre-aligned levels"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`sub`](Self::sub).
+    /// Homomorphic subtraction; operands are aligned as in
+    /// [`try_add`](Self::try_add).
     ///
     /// # Errors
     ///
@@ -266,7 +232,7 @@ impl Evaluator {
     /// 0.01 %.
     pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let (a, b) = self.align(a, b);
-        check_scales_match(a.scale(), b.scale())?;
+        EvalError::check_scales(a.scale(), b.scale())?;
         Ok(Ciphertext::new(
             a.c0().sub(b.c0()),
             a.c1().sub(b.c1()),
@@ -274,21 +240,13 @@ impl Evaluator {
         ))
     }
 
-    /// Homomorphic subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales differ by more than 0.01 %.
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Negation.
     pub fn neg(&self, a: &Ciphertext) -> Ciphertext {
         Ciphertext::new(a.c0().neg(), a.c1().neg(), a.scale())
     }
 
-    /// Fallible [`add_plain`](Self::add_plain).
+    /// Ciphertext + plaintext addition (paper HAdd, ct+pt): adds `m` to
+    /// `c_0` only.
     ///
     /// # Errors
     ///
@@ -296,42 +254,24 @@ impl Evaluator {
     /// disagree; [`EvalError::LevelMismatch`] if the plaintext sits below
     /// the ciphertext's level.
     pub fn try_add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        check_scales_match(a.scale(), pt.scale())?;
+        EvalError::check_scales(a.scale(), pt.scale())?;
         let m = pt.poly_at_level(a.level())?;
         Ok(Ciphertext::new(a.c0().add(&m), a.c1().clone(), a.scale()))
     }
 
-    /// Ciphertext + plaintext addition (paper HAdd, ct+pt): adds `m` to
-    /// `c_0` only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales disagree by more than 0.01 %.
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`sub_plain`](Self::sub_plain).
+    /// Ciphertext − plaintext.
     ///
     /// # Errors
     ///
     /// As [`try_add_plain`](Self::try_add_plain).
     pub fn try_sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        check_scales_match(a.scale(), pt.scale())?;
+        EvalError::check_scales(a.scale(), pt.scale())?;
         let m = pt.poly_at_level(a.level())?;
         Ok(Ciphertext::new(a.c0().sub(&m), a.c1().clone(), a.scale()))
     }
 
-    /// Ciphertext − plaintext.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales disagree by more than 0.01 %.
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_sub_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`mul_plain`](Self::mul_plain).
+    /// Plaintext multiplication (paper PMult): `(c_0·m, c_1·m)` with scale
+    /// Δ_ct · Δ_pt. Rescale afterwards to restore the working scale.
     ///
     /// The plaintext is a fixed multiplicand known ahead of the
     /// ciphertext, so its residues are lifted to Shoup lanes once
@@ -355,8 +295,10 @@ impl Evaluator {
         ))
     }
 
-    /// Plaintext multiplication (paper PMult): `(c_0·m, c_1·m)` with scale
-    /// Δ_ct · Δ_pt. Rescale afterwards to restore the working scale.
+    /// [`try_mul_plain`](Self::try_mul_plain), unwrapped. The one panicking
+    /// twin left: the benchmark's adapter (`perf/src/adapter.rs`, which a
+    /// library change may not edit) calls `mul_plain` as `-> Ciphertext`.
+    /// Library code calls the fallible form.
     ///
     /// # Panics
     ///
@@ -370,7 +312,8 @@ impl Evaluator {
     pub fn mul_const(&self, a: &Ciphertext, c: Complex) -> Ciphertext {
         let scale = self.ctx.default_scale();
         let pt = self.encode_at_level(&[c], scale, a.level());
-        self.mul_plain(a, &pt)
+        self.try_mul_plain(a, &pt)
+            .expect("constant encoded at the ciphertext's level")
     }
 
     /// Encodes a (replicated) slot vector at a specific level.
@@ -382,14 +325,10 @@ impl Evaluator {
     /// Ciphertext multiplication with relinearisation (paper CMult):
     /// computes `(d_0, d_1, d_2)` and folds `d_2` back with the relin key.
     /// Result scale is Δ_a · Δ_b; rescale afterwards.
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_mul(a, b, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`mul`](Self::mul). Today the only failure mode is an
-    /// integrity escalation reported by the checked evaluation layer; the
-    /// plain path always succeeds but shares this signature so callers can
-    /// swap in checked execution without changing control flow.
+    ///
+    /// The plain path always succeeds; it shares the signature of the
+    /// checked evaluation layer so callers can swap in checked execution
+    /// without changing control flow.
     ///
     /// # Errors
     ///
@@ -418,15 +357,8 @@ impl Evaluator {
         ))
     }
 
-    /// Squares a ciphertext (saves one eval-form product vs [`mul`]).
-    ///
-    /// [`mul`]: Self::mul
-    pub fn square(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_square(a, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`square`](Self::square); see [`try_mul`](Self::try_mul)
-    /// for the error contract.
+    /// Squares a ciphertext (saves one eval-form product vs
+    /// [`try_mul`](Self::try_mul), whose error contract it shares).
     pub fn try_square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         #[cfg(feature = "telemetry")]
         let _span = self.tel.mul.span(((a.level() + 1) * self.ctx.n()) as u64);
@@ -589,9 +521,9 @@ impl Evaluator {
     /// `h`: the automorphism acts on the pre-NTT'd digits as a pure index
     /// permutation (see [`he_ntt::galois_permutation`]), so no lift and no
     /// forward NTT of ciphertext data happens here. Bit-identical to
-    /// [`apply_galois`], which is itself routed through this path.
+    /// [`try_apply_galois`], which is itself routed through this path.
     ///
-    /// [`apply_galois`]: Self::apply_galois
+    /// [`try_apply_galois`]: Self::try_apply_galois
     ///
     /// # Panics
     ///
@@ -634,7 +566,8 @@ impl Evaluator {
         Ciphertext::new(t0.add(&k0), k1, a.scale())
     }
 
-    /// Fallible [`rescale`](Self::rescale).
+    /// Rescale (paper Rescale): divides by the last chain prime and drops a
+    /// level; the tracked scale shrinks by exactly that prime.
     ///
     /// # Errors
     ///
@@ -657,43 +590,23 @@ impl Evaluator {
         ))
     }
 
-    /// Rescale (paper Rescale): divides by the last chain prime and drops a
-    /// level; the tracked scale shrinks by exactly that prime.
-    ///
-    /// # Panics
-    ///
-    /// Panics at level 0 (no prime left to drop).
-    pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Rescales until the scale is within a factor of 2 of the default
     /// working scale (utility for deep circuits).
     pub fn rescale_to_default(&self, a: &Ciphertext) -> Ciphertext {
         let mut ct = a.clone();
         while ct.level() >= 1 && ct.scale() > 2.0 * self.ctx.default_scale() {
-            ct = self.rescale(&ct);
+            ct = self.try_rescale(&ct).expect("level ≥ 1 in the loop");
         }
         ct
     }
 
     /// Sums many ciphertexts (aligning levels/scales to the weakest
-    /// operand via [`adjust`]).
-    ///
-    /// [`adjust`]: Self::adjust
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cts` is empty.
-    pub fn add_many(&self, cts: &[Ciphertext]) -> Ciphertext {
-        self.try_add_many(cts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`add_many`](Self::add_many).
+    /// operand via [`try_adjust`](Self::try_adjust)).
     ///
     /// # Errors
     ///
-    /// [`EvalError::EmptyOperands`] if `cts` is empty.
+    /// [`EvalError::EmptyOperands`] if `cts` is empty; otherwise as
+    /// [`try_adjust`](Self::try_adjust).
     pub fn try_add_many(&self, cts: &[Ciphertext]) -> Result<Ciphertext, EvalError> {
         if cts.is_empty() {
             return Err(EvalError::EmptyOperands);
@@ -704,9 +617,9 @@ impl Evaluator {
             .find(|c| c.level() == level)
             .expect("non-empty")
             .scale();
-        let mut acc = self.adjust(&cts[0], level, scale);
+        let mut acc = self.try_adjust(&cts[0], level, scale)?;
         for ct in &cts[1..] {
-            let term = self.adjust(ct, level, scale);
+            let term = self.try_adjust(ct, level, scale)?;
             self.try_add_assign(&mut acc, &term)?;
         }
         Ok(acc)
@@ -715,22 +628,11 @@ impl Evaluator {
     /// Slot-wise linear combination `Σ w_i · ct_i` with plaintext scalar
     /// weights — one PMult per operand, one rescale total.
     ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or are zero.
-    pub fn linear_combination(&self, cts: &[Ciphertext], weights: &[f64]) -> Ciphertext {
-        assert_eq!(cts.len(), weights.len(), "one weight per ciphertext");
-        assert!(!cts.is_empty(), "need at least one term");
-        self.try_linear_combination(cts, weights)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`linear_combination`](Self::linear_combination).
-    ///
     /// # Errors
     ///
     /// [`EvalError::EmptyOperands`] if the lists are empty or their
-    /// lengths differ.
+    /// lengths differ; [`EvalError::RescaleAtLevelZero`] if an operand is
+    /// exhausted; otherwise as [`try_adjust`](Self::try_adjust).
     pub fn try_linear_combination(
         &self,
         cts: &[Ciphertext],
@@ -748,9 +650,9 @@ impl Evaluator {
             .scale();
         let mut acc: Option<Ciphertext> = None;
         for (ct, &w) in cts.iter().zip(weights) {
-            let aligned = self.adjust(ct, level, ct_scale);
+            let aligned = self.try_adjust(ct, level, ct_scale)?;
             let pt = self.encode_at_level(&[Complex::new(w, 0.0)], scale, level);
-            let term = self.mul_plain(&aligned, &pt);
+            let term = self.try_mul_plain(&aligned, &pt)?;
             match &mut acc {
                 None => acc = Some(term),
                 Some(a) => self.try_add_assign(a, &term)?,
@@ -763,41 +665,6 @@ impl Evaluator {
     /// modulus truncation plus, when the scales disagree, one multiplication
     /// by the constant 1 encoded at the correcting scale followed by a
     /// rescale. Used to align circuit branches of different depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_level` exceeds the current level, or if a scale
-    /// correction is needed at level 0.
-    pub fn adjust(&self, ct: &Ciphertext, target_level: usize, target_scale: f64) -> Ciphertext {
-        assert!(target_level <= ct.level(), "cannot raise level");
-        let rel = (ct.scale() - target_scale).abs() / target_scale;
-        if rel <= 1e-9 || ct.level() == target_level {
-            // Either already matched, or no spare level to correct with:
-            // accept the (small, by construction) approximate-rescaling
-            // drift. Tolerating large drift here would silently corrupt
-            // values, so it stays asserted.
-            assert!(
-                rel <= 1e-4,
-                "scale drift {rel} too large to absorb without a spare level"
-            );
-            let mut out = self.drop_to_level(ct, target_level);
-            out.set_scale(target_scale);
-            return out;
-        }
-        // Drop to one level above the target, multiply by 1 at the
-        // correcting scale, rescale down onto the target level.
-        let staged = self.drop_to_level(ct, target_level + 1);
-        let dropped = *staged.c0().basis().primes().last().expect("non-empty") as f64;
-        let correction = target_scale * dropped / staged.scale();
-        assert!(correction > 1.0, "scale correction must be an up-scaling");
-        let one = self.encode_at_level(&[Complex::new(1.0, 0.0)], correction, staged.level());
-        let mut out = self.rescale(&self.mul_plain(&staged, &one));
-        out.set_scale(target_scale);
-        out
-    }
-
-    /// Fallible [`adjust`](Self::adjust) — the same level/scale alignment,
-    /// but degenerate inputs surface as typed errors instead of aborting.
     ///
     /// # Errors
     ///
@@ -822,17 +689,20 @@ impl Evaluator {
         if rel <= 1e-9 || ct.level() == target_level {
             if rel > 1e-4 {
                 // No spare level to correct with and the drift is beyond
-                // the tolerated approximate-rescaling slack.
+                // the tolerated approximate-rescaling slack; absorbing it
+                // would silently corrupt values.
                 return Err(EvalError::ScaleMismatch {
                     a: ct.scale(),
                     b: target_scale,
                 });
             }
-            let mut out = self.try_drop_to_level(ct, target_level)?;
+            let mut out = truncated(ct, target_level);
             out.set_scale(target_scale);
             return Ok(out);
         }
-        let staged = self.try_drop_to_level(ct, target_level + 1)?;
+        // Drop to one level above the target, multiply by 1 at the
+        // correcting scale, rescale down onto the target level.
+        let staged = truncated(ct, target_level + 1);
         let dropped = *staged.c0().basis().primes().last().expect("non-empty") as f64;
         let correction = target_scale * dropped / staged.scale();
         if correction <= 1.0 {
@@ -842,35 +712,31 @@ impl Evaluator {
             });
         }
         let one = self.encode_at_level(&[Complex::new(1.0, 0.0)], correction, staged.level());
-        let mut out = self.try_rescale(&self.mul_plain(&staged, &one))?;
+        let mut out = self.try_rescale(&self.try_mul_plain(&staged, &one)?)?;
         out.set_scale(target_scale);
         Ok(out)
     }
 
-    /// Applies Galois element `g` to both components and keyswitches back
-    /// to `s` using `key` (which must match `g`).
-    ///
-    /// Internally routed through [`hoist`] + [`apply_galois_hoisted`] so
-    /// single and batched rotations share one code path (and are therefore
-    /// bit-identical): the digit lift happens on `c_1` *before* the
-    /// automorphism, which then acts on the evaluation-form digits as an
-    /// index permutation.
+    /// One Galois element applied with its key, routed through [`hoist`] +
+    /// [`apply_galois_hoisted`] so single and batched rotations share one
+    /// code path (and are therefore bit-identical): the digit lift happens
+    /// on `c_1` *before* the automorphism, which then acts on the
+    /// evaluation-form digits as an index permutation.
     ///
     /// [`hoist`]: Self::hoist
     /// [`apply_galois_hoisted`]: Self::apply_galois_hoisted
-    pub fn apply_galois(&self, a: &Ciphertext, g: u64, key: &KeySwitchKey) -> Ciphertext {
+    fn galois_unhoisted(&self, a: &Ciphertext, g: u64, key: &KeySwitchKey) -> Ciphertext {
         let h = self.hoist(a);
         self.apply_galois_hoisted(a, &h, g, key)
     }
 
-    /// Fallible [`apply_galois`] that looks the keyswitching key up in
-    /// `keys` by its raw Galois element.
+    /// Applies Galois element `g` to both components and keyswitches back
+    /// to `s`, looking the keyswitching key up in `keys` by the raw
+    /// element.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::MissingGaloisKey`] if no key for `g` exists.
-    ///
-    /// [`apply_galois`]: Self::apply_galois
     pub fn try_apply_galois(
         &self,
         a: &Ciphertext,
@@ -880,7 +746,7 @@ impl Evaluator {
         let key = keys
             .galois_key(g)
             .ok_or(EvalError::MissingGaloisKey { g })?;
-        Ok(self.apply_galois(a, g, key))
+        Ok(self.galois_unhoisted(a, g, key))
     }
 
     /// Rotation (paper Rotation): left-rotates the slot vector by `steps`
@@ -925,17 +791,7 @@ impl Evaluator {
             .tel
             .rotate
             .span(((a.level() + 1) * self.ctx.n()) as u64);
-        Ok(self.apply_galois(a, g, key))
-    }
-
-    /// Panicking wrapper over [`try_rotate`](Self::try_rotate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rotation key for `steps` is missing.
-    pub fn rotate(&self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Ok(self.galois_unhoisted(a, g, key))
     }
 
     /// Rotates one ciphertext by every step in `steps`, hoisting the digit
@@ -984,16 +840,6 @@ impl Evaluator {
             .collect())
     }
 
-    /// Panicking wrapper over [`try_rotate_many`](Self::try_rotate_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rotation key is missing.
-    pub fn rotate_many(&self, a: &Ciphertext, steps: &[i64], keys: &KeySet) -> Vec<Ciphertext> {
-        self.try_rotate_many(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Complex conjugation of every slot (`g = 2N − 1`).
     ///
     /// # Errors
@@ -1008,17 +854,7 @@ impl Evaluator {
             .tel
             .conjugate
             .span(((a.level() + 1) * self.ctx.n()) as u64);
-        Ok(self.apply_galois(a, g, key))
-    }
-
-    /// Panicking wrapper over [`try_conjugate`](Self::try_conjugate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the conjugation key is missing.
-    pub fn conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Ok(self.galois_unhoisted(a, g, key))
     }
 }
 
@@ -1059,12 +895,16 @@ fn lift_digit(t: &[u64], ext_basis: &RnsBasis) -> RnsPoly {
     RnsPoly::from_residues(ext_basis, residues, Form::Coeff).into_eval()
 }
 
-fn check_scales_match(a: f64, b: f64) -> Result<(), EvalError> {
-    if (a - b).abs() <= 1e-4 * a.abs().max(b.abs()) {
-        Ok(())
-    } else {
-        Err(EvalError::ScaleMismatch { a, b })
+/// `ct` truncated to `level`, which must not exceed its own.
+fn truncated(ct: &Ciphertext, level: usize) -> Ciphertext {
+    if level == ct.level() {
+        return ct.clone();
     }
+    Ciphertext::new(
+        ct.c0().truncate_basis(level + 1),
+        ct.c1().truncate_basis(level + 1),
+        ct.scale(),
+    )
 }
 
 #[cfg(test)]
@@ -1110,8 +950,8 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0, 2.0, -3.0, 0.5]);
         let b = encrypt(&ctx, &keys, &mut rng, &[0.25, -1.0, 7.0, 2.0]);
-        let sum = decrypt(&ctx, &keys, &eval.add(&a, &b), 4);
-        let diff = decrypt(&ctx, &keys, &eval.sub(&a, &b), 4);
+        let sum = decrypt(&ctx, &keys, &eval.try_add(&a, &b).unwrap(), 4);
+        let diff = decrypt(&ctx, &keys, &eval.try_sub(&a, &b).unwrap(), 4);
         let neg = decrypt(&ctx, &keys, &eval.neg(&a), 4);
         for (g, w) in sum.iter().zip([1.25, 1.0, 4.0, 2.5]) {
             assert!((g - w).abs() < 1e-4, "{g} vs {w}");
@@ -1133,9 +973,11 @@ mod tests {
             ctx.default_scale(),
             a.level(),
         );
-        let got = decrypt(&ctx, &keys, &eval.add_plain(&a, &pt), 2);
+        let got = decrypt(&ctx, &keys, &eval.try_add_plain(&a, &pt).unwrap(), 2);
         assert!((got[0] - 1.5).abs() < 1e-4 && (got[1] - 2.0).abs() < 1e-4);
-        let prod = eval.rescale(&eval.mul_plain(&a, &pt));
+        let prod = eval
+            .try_rescale(&eval.try_mul_plain(&a, &pt).unwrap())
+            .unwrap();
         let got = decrypt(&ctx, &keys, &prod, 2);
         assert!(
             (got[0] - 0.5).abs() < 1e-3 && (got[1] + 8.0).abs() < 1e-3,
@@ -1148,7 +990,9 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.5, -2.0, 0.0, 3.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[2.0, 2.5, 5.0, -1.0]);
-        let prod = eval.rescale(&eval.mul(&a, &b, &keys));
+        let prod = eval
+            .try_rescale(&eval.try_mul(&a, &b, &keys).unwrap())
+            .unwrap();
         let got = decrypt(&ctx, &keys, &prod, 4);
         for (g, w) in got.iter().zip([3.0, -5.0, 0.0, -3.0]) {
             assert!((g - w).abs() < 1e-2, "{g} vs {w}");
@@ -1159,8 +1003,22 @@ mod tests {
     fn square_matches_mul_self() {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.25, -0.5]);
-        let s1 = decrypt(&ctx, &keys, &eval.rescale(&eval.square(&a, &keys)), 2);
-        let s2 = decrypt(&ctx, &keys, &eval.rescale(&eval.mul(&a, &a, &keys)), 2);
+        let s1 = decrypt(
+            &ctx,
+            &keys,
+            &eval
+                .try_rescale(&eval.try_square(&a, &keys).unwrap())
+                .unwrap(),
+            2,
+        );
+        let s2 = decrypt(
+            &ctx,
+            &keys,
+            &eval
+                .try_rescale(&eval.try_mul(&a, &a, &keys).unwrap())
+                .unwrap(),
+            2,
+        );
         for (x, y) in s1.iter().zip(&s2) {
             assert!((x - y).abs() < 1e-2);
         }
@@ -1176,7 +1034,7 @@ mod tests {
         let slots = ctx.params().slots();
         let vals: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 4.0).collect();
         let a = encrypt(&ctx, &keys, &mut rng, &vals);
-        let rot = eval.rotate(&a, 1, &keys);
+        let rot = eval.try_rotate(&a, 1, &keys).unwrap();
         let got = decrypt(&ctx, &keys, &rot, slots);
         for i in 0..8 {
             let want = vals[(i + 1) % slots];
@@ -1200,7 +1058,7 @@ mod tests {
             ctx.default_scale(),
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
-        let conj = eval.conjugate(&ct, &keys);
+        let conj = eval.try_conjugate(&ct, &keys).unwrap();
         let dec = keys.secret().decrypt(&conj);
         let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 2);
         assert!((got[0].im + 2.0).abs() < 1e-3);
@@ -1213,9 +1071,9 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[4.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[0.25]);
-        let prod = eval.mul(&a, &b, &keys);
+        let prod = eval.try_mul(&a, &b, &keys).unwrap();
         let level_before = prod.level();
-        let rs = eval.rescale(&prod);
+        let rs = eval.try_rescale(&prod).unwrap();
         assert_eq!(rs.level(), level_before - 1);
         let got = decrypt(&ctx, &keys, &rs, 1);
         assert!((got[0] - 1.0).abs() < 1e-2, "{}", got[0]);
@@ -1228,8 +1086,12 @@ mod tests {
         let a = encrypt(&ctx, &keys, &mut rng, &[2.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[1.5]);
         let c = encrypt(&ctx, &keys, &mut rng, &[0.5]);
-        let ab = eval.rescale(&eval.mul(&a, &b, &keys));
-        let abc = eval.rescale(&eval.mul(&ab, &c, &keys));
+        let ab = eval
+            .try_rescale(&eval.try_mul(&a, &b, &keys).unwrap())
+            .unwrap();
+        let abc = eval
+            .try_rescale(&eval.try_mul(&ab, &c, &keys).unwrap())
+            .unwrap();
         let got = decrypt(&ctx, &keys, &abc, 1);
         assert!((got[0] - 1.5).abs() < 0.05, "{}", got[0]);
     }
@@ -1241,8 +1103,14 @@ mod tests {
         let b = encrypt(&ctx, &keys, &mut rng, &[2.0]);
         // Put c at a lower level via a rescaled multiplication by 1.
         let one = eval.encode_at_level(&[Complex::new(1.0, 0.0)], ctx.default_scale(), a.level());
-        let c = eval.rescale(&eval.mul_plain(&encrypt(&ctx, &keys, &mut rng, &[3.0]), &one));
-        let sum = eval.add_many(&[a, b, c]);
+        let c = eval
+            .try_rescale(
+                &eval
+                    .try_mul_plain(&encrypt(&ctx, &keys, &mut rng, &[3.0]), &one)
+                    .unwrap(),
+            )
+            .unwrap();
+        let sum = eval.try_add_many(&[a, b, c]).unwrap();
         let got = decrypt(&ctx, &keys, &sum, 1);
         assert!((got[0] - 6.0).abs() < 0.02, "{}", got[0]);
     }
@@ -1252,7 +1120,7 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[2.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[-1.0]);
-        let lc = eval.linear_combination(&[a, b], &[0.5, 3.0]);
+        let lc = eval.try_linear_combination(&[a, b], &[0.5, 3.0]).unwrap();
         let got = decrypt(&ctx, &keys, &lc, 1);
         assert!((got[0] - (-2.0)).abs() < 0.02, "{}", got[0]);
     }
@@ -1303,13 +1171,13 @@ mod tests {
             let g = keys.galois_element(steps);
             let key = keys.galois_key(g).expect("key present");
             let hoisted = eval.apply_galois_hoisted(&a, &h, g, key);
-            let plain = eval.rotate(&a, steps, &keys);
+            let plain = eval.try_rotate(&a, steps, &keys).unwrap();
             assert_eq!(hoisted, plain, "steps {steps}");
         }
         assert_eq!(h.uses(), 2);
-        let batch = eval.rotate_many(&a, &[1, 2], &keys);
-        assert_eq!(batch[0], eval.rotate(&a, 1, &keys));
-        assert_eq!(batch[1], eval.rotate(&a, 2, &keys));
+        let batch = eval.try_rotate_many(&a, &[1, 2], &keys).unwrap();
+        assert_eq!(batch[0], eval.try_rotate(&a, 1, &keys).unwrap());
+        assert_eq!(batch[1], eval.try_rotate(&a, 2, &keys).unwrap());
     }
 
     #[test]
@@ -1333,25 +1201,21 @@ mod tests {
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0, -2.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 4.0]);
         let mut acc = a.clone();
-        eval.add_assign(&mut acc, &b);
-        assert_eq!(acc, eval.add(&a, &b));
+        eval.try_add_assign(&mut acc, &b).unwrap();
+        assert_eq!(acc, eval.try_add(&a, &b).unwrap());
     }
 
     #[test]
-    #[should_panic(expected = "missing rotation key for 3 steps")]
-    fn rotate_wrapper_keeps_legacy_panic_message() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
-        let _ = eval.rotate(&a, 3, &keys);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale mismatch")]
     fn add_rejects_scale_mismatch() {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
         let mut b = encrypt(&ctx, &keys, &mut rng, &[1.0]);
         b.set_scale(b.scale() * 3.0);
-        let _ = eval.add(&a, &b);
+        let want = EvalError::ScaleMismatch {
+            a: a.scale(),
+            b: b.scale(),
+        };
+        assert_eq!(eval.try_add(&a, &b), Err(want.clone()));
+        assert_eq!(eval.try_sub(&a, &b), Err(want));
     }
 }

@@ -373,12 +373,17 @@ mod tests {
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
         let plain = Evaluator::new(&ctx);
-        assert_eq!(eval.add(&a, &b).unwrap(), plain.add(&a, &b));
-        assert_eq!(eval.sub(&a, &b).unwrap(), plain.sub(&a, &b));
-        assert_eq!(eval.mul(&a, &b, &keys).unwrap(), plain.mul(&a, &b, &keys));
+        assert_eq!(eval.add(&a, &b).unwrap(), plain.try_add(&a, &b).unwrap());
+        assert_eq!(eval.sub(&a, &b).unwrap(), plain.try_sub(&a, &b).unwrap());
+        assert_eq!(
+            eval.mul(&a, &b, &keys).unwrap(),
+            plain.try_mul(&a, &b, &keys).unwrap()
+        );
         assert_eq!(
             eval.rescale(&eval.mul(&a, &b, &keys).unwrap()).unwrap(),
-            plain.rescale(&plain.mul(&a, &b, &keys))
+            plain
+                .try_rescale(&plain.try_mul(&a, &b, &keys).unwrap())
+                .unwrap()
         );
     }
 
@@ -393,7 +398,7 @@ mod tests {
             eval.rotate(&a, 7, &keys),
             Err(EvalError::MissingRotationKey { steps: 7 })
         ));
-        let low = eval.inner().drop_to_level(&a, 0);
+        let low = eval.inner().try_drop_to_level(&a, 0).unwrap();
         assert!(matches!(
             eval.rescale(&low),
             Err(EvalError::RescaleAtLevelZero)

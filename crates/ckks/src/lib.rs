@@ -14,6 +14,8 @@
 //!   slot vectors to ring plaintexts and back.
 //! * [`keys`] — secret/public/relinearisation/Galois key generation.
 //! * [`cipher::Ciphertext`] and [`eval::Evaluator`] — the homomorphic ops.
+//!   Every operation and pipeline that can fail on caller input has one
+//!   form, `try_*`, returning [`error::EvalError`].
 //! * [`polyeval`] — polynomial evaluation on ciphertexts (the EvalMod
 //!   engine of bootstrapping).
 //! * [`bootstrap`] — packed bootstrapping: ModRaise → CoeffToSlot → EvalMod
@@ -36,10 +38,11 @@
 //!     ctx.default_scale(),
 //! );
 //! let ct = keys.public().encrypt(&pt, &mut rng);
-//! let ct2 = eval.add(&ct, &ct);
+//! let ct2 = eval.try_add(&ct, &ct)?;
 //! let dec = keys.secret().decrypt(&ct2);
 //! let out = ctx.encoder().decode_rns(dec.poly(), dec.scale(), z.len());
 //! assert!((out[0].re - 3.0).abs() < 1e-3);
+//! # Ok::<(), EvalError>(())
 //! ```
 
 #![forbid(unsafe_code)]

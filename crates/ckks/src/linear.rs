@@ -18,19 +18,9 @@ use crate::keys::KeySet;
 /// `width` must be a power of two; the rotation keys for 1, 2, …, width/2
 /// must exist. Consumes no levels (additions only).
 ///
-/// # Panics
-///
-/// Panics if `width` is not a power of two or a rotation key is missing.
-pub fn fold_sum(eval: &Evaluator, keys: &KeySet, ct: &Ciphertext, width: usize) -> Ciphertext {
-    assert!(width.is_power_of_two(), "fold width must be a power of two");
-    try_fold_sum(eval, keys, ct, width).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`fold_sum`].
-///
 /// # Errors
 ///
-/// [`EvalError::EmptyOperands`] if `width` is not a power of two;
+/// [`EvalError::InvalidParams`] if `width` is not a power of two;
 /// [`EvalError::MissingRotationKey`] for an absent fold key.
 pub fn try_fold_sum(
     eval: &Evaluator,
@@ -38,12 +28,10 @@ pub fn try_fold_sum(
     ct: &Ciphertext,
     width: usize,
 ) -> Result<Ciphertext, EvalError> {
-    if !width.is_power_of_two() {
-        return Err(EvalError::EmptyOperands);
-    }
+    check_fold_width(width)?;
     // Each iteration rotates the freshly updated accumulator, so there is
-    // no shared ciphertext to hoist across — `rotate` (internally hoisted
-    // for its single application) is already optimal here.
+    // no shared ciphertext to hoist across — `try_rotate` (internally
+    // hoisted for its single application) is already optimal here.
     let mut acc = ct.clone();
     let mut step = width / 2;
     while step >= 1 {
@@ -54,27 +42,23 @@ pub fn try_fold_sum(
     Ok(acc)
 }
 
-/// Homomorphic inner product `⟨x, w⟩` with a plaintext weight vector of
-/// power-of-two length: elementwise PMult, rescale, then [`fold_sum`].
-/// Every slot of the result holds the inner product. Consumes one level.
-///
-/// # Panics
-///
-/// Panics if `weights` length is not a power of two or keys are missing.
-pub fn inner_product_plain(
-    eval: &Evaluator,
-    keys: &KeySet,
-    ct: &Ciphertext,
-    weights: &[Complex],
-) -> Ciphertext {
-    try_inner_product_plain(eval, keys, ct, weights).unwrap_or_else(|e| panic!("{e}"))
+fn check_fold_width(width: usize) -> Result<(), EvalError> {
+    if width.is_power_of_two() {
+        Ok(())
+    } else {
+        Err(EvalError::InvalidParams(format!(
+            "fold width must be a power of two: {width}"
+        )))
+    }
 }
 
-/// Fallible [`inner_product_plain`].
+/// Homomorphic inner product `⟨x, w⟩` with a plaintext weight vector of
+/// power-of-two length: elementwise PMult, rescale, then [`try_fold_sum`].
+/// Every slot of the result holds the inner product. Consumes one level.
 ///
 /// # Errors
 ///
-/// [`EvalError::EmptyOperands`] for a non-power-of-two weight vector;
+/// [`EvalError::InvalidParams`] for a non-power-of-two weight vector;
 /// [`EvalError::RescaleAtLevelZero`] on an exhausted ciphertext;
 /// [`EvalError::MissingRotationKey`] for an absent fold key.
 pub fn try_inner_product_plain(
@@ -83,8 +67,10 @@ pub fn try_inner_product_plain(
     ct: &Ciphertext,
     weights: &[Complex],
 ) -> Result<Ciphertext, EvalError> {
+    // Checked before encoding: the encoder asserts its own (weaker) bound.
+    check_fold_width(weights.len())?;
     let pt = eval.encode_at_level(weights, eval.context().default_scale(), ct.level());
-    let prod = eval.try_rescale(&eval.mul_plain(ct, &pt))?;
+    let prod = eval.try_rescale(&eval.try_mul_plain(ct, &pt)?)?;
     try_fold_sum(eval, keys, &prod, weights.len())
 }
 
@@ -142,10 +128,10 @@ impl PlainMatrix {
         self.diagonals[d].iter().all(|c| c.abs() < 1e-300)
     }
 
-    /// The rotation steps [`apply`]/[`apply_bsgs`] need keys for.
+    /// The rotation steps [`try_apply`]/[`try_apply_bsgs`] need keys for.
     ///
-    /// [`apply`]: Self::apply
-    /// [`apply_bsgs`]: Self::apply_bsgs
+    /// [`try_apply`]: Self::try_apply
+    /// [`try_apply_bsgs`]: Self::try_apply_bsgs
     pub fn required_rotations(&self) -> Vec<i64> {
         let mut steps: Vec<i64> = (1..self.dim as i64).collect();
         // BSGS also uses the giant steps; they are multiples of the baby
@@ -156,20 +142,6 @@ impl PlainMatrix {
 
     /// Applies `M·v` with the plain diagonal method: one rotation + PMult
     /// per non-zero diagonal, one rescale at the end. Consumes one level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rotation keys are missing or every diagonal is zero.
-    pub fn apply(&self, eval: &Evaluator, keys: &KeySet, v: &Ciphertext) -> Ciphertext {
-        match self.try_apply(eval, keys, v) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`apply`](Self::apply) — an all-(near-)zero matrix or a
-    /// missing rotation key is reported instead of aborting.
     ///
     /// # Errors
     ///
@@ -202,7 +174,7 @@ impl PlainMatrix {
                 rotations.next().expect("one rotation per live diagonal")
             };
             let pt = eval.encode_at_level(&self.diagonals[d], scale, rot.level());
-            let term = eval.mul_plain(&rot, &pt);
+            let term = eval.try_mul_plain(&rot, &pt)?;
             match &mut acc {
                 None => acc = Some(term),
                 Some(a) => eval.try_add_assign(a, &term)?,
@@ -216,19 +188,6 @@ impl PlainMatrix {
     /// rotation count drops from `dim − 1` to `≈ 2√dim`. Consumes one
     /// level. Requires rotation keys for the baby steps `1..bs` and the
     /// giant steps `bs, 2bs, …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rotation keys are missing.
-    pub fn apply_bsgs(&self, eval: &Evaluator, keys: &KeySet, v: &Ciphertext) -> Ciphertext {
-        match self.try_apply_bsgs(eval, keys, v) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`apply_bsgs`](Self::apply_bsgs).
     ///
     /// # Errors
     ///
@@ -273,7 +232,7 @@ impl PlainMatrix {
                     .map(|i| self.diagonals[d][(i + dim - shift) % dim])
                     .collect();
                 let pt = eval.encode_at_level(&rotated_diag, scale, ct_b.level());
-                let term = eval.mul_plain(ct_b, &pt);
+                let term = eval.try_mul_plain(ct_b, &pt)?;
                 match &mut inner {
                     None => inner = Some(term),
                     Some(a) => eval.try_add_assign(a, &term)?,
@@ -362,7 +321,7 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup();
         let vals = [1.0, 2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 0.25];
         let ct = encrypt(&ctx, &keys, &mut rng, &vals);
-        let folded = fold_sum(&eval, &keys, &ct, DIM);
+        let folded = try_fold_sum(&eval, &keys, &ct, DIM).unwrap();
         let got = decrypt(&ctx, &keys, &folded);
         let want: f64 = vals.iter().sum();
         for (i, g) in got.iter().enumerate() {
@@ -377,7 +336,7 @@ mod tests {
         let w: Vec<f64> = vec![0.1, 0.2, -0.3, 0.4, -0.5, 0.6, 0.7, -0.8];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
         let wz: Vec<Complex> = w.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        let ip = inner_product_plain(&eval, &keys, &ct, &wz);
+        let ip = try_inner_product_plain(&eval, &keys, &ct, &wz).unwrap();
         let got = decrypt(&ctx, &keys, &ip)[0];
         let want: f64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
         assert!((got - want).abs() < 1e-2, "{got} vs {want}");
@@ -389,7 +348,7 @@ mod tests {
         let (m, raw) = test_matrix();
         let x = [1.0, -0.5, 0.25, 2.0, 0.0, 1.5, -1.0, 0.75];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt(&ctx, &keys, &m.apply(&eval, &keys, &ct));
+        let got = decrypt(&ctx, &keys, &m.try_apply(&eval, &keys, &ct).unwrap());
         for i in 0..DIM {
             let want: f64 = (0..DIM).map(|j| raw[i][j] * x[j]).sum();
             assert!(
@@ -406,8 +365,8 @@ mod tests {
         let (m, _) = test_matrix();
         let x = [0.3, 0.6, -0.9, 1.2, -1.5, 0.1, 0.4, -0.2];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let plain = decrypt(&ctx, &keys, &m.apply(&eval, &keys, &ct));
-        let bsgs = decrypt(&ctx, &keys, &m.apply_bsgs(&eval, &keys, &ct));
+        let plain = decrypt(&ctx, &keys, &m.try_apply(&eval, &keys, &ct).unwrap());
+        let bsgs = decrypt(&ctx, &keys, &m.try_apply_bsgs(&eval, &keys, &ct).unwrap());
         for i in 0..DIM {
             assert!((plain[i] - bsgs[i]).abs() < 2e-2, "row {i}");
         }
@@ -429,7 +388,7 @@ mod tests {
         assert!(ident.diagonal_is_zero(1));
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt(&ctx, &keys, &ident.apply(&eval, &keys, &ct));
+        let got = decrypt(&ctx, &keys, &ident.try_apply(&eval, &keys, &ct).unwrap());
         for i in 0..DIM {
             assert!((got[i] - x[i]).abs() < 1e-2);
         }
@@ -458,12 +417,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matrix must have a non-zero diagonal")]
-    fn zero_matrix_panicking_wrapper_keeps_legacy_message() {
+    fn odd_fold_width_is_invalid_params() {
         let (ctx, keys, eval, mut rng) = setup();
-        let zero = PlainMatrix::new(vec![vec![Complex::default(); DIM]; DIM]);
-        let x = [1.0; DIM];
-        let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let _ = zero.apply(&eval, &keys, &ct);
+        let ct = encrypt(&ctx, &keys, &mut rng, &[1.0; DIM]);
+        assert!(matches!(
+            try_fold_sum(&eval, &keys, &ct, 6),
+            Err(EvalError::InvalidParams(msg)) if msg.contains("power of two: 6")
+        ));
+        let three = vec![Complex::new(1.0, 0.0); 3];
+        assert!(matches!(
+            try_inner_product_plain(&eval, &keys, &ct, &three),
+            Err(EvalError::InvalidParams(_))
+        ));
     }
 }

@@ -32,21 +32,6 @@ pub struct NoiseReport {
 /// Measures the slot-wise error of `ct` against the expected `reference`
 /// values (first `reference.len()` slots).
 ///
-/// # Panics
-///
-/// Panics if `reference` is empty or exceeds the slot count.
-pub fn measure(
-    ctx: &CkksContext,
-    sk: &SecretKey,
-    ct: &Ciphertext,
-    reference: &[Complex],
-) -> NoiseReport {
-    try_measure(ctx, sk, ct, reference)
-        .unwrap_or_else(|_| panic!("reference must fit in the slots"))
-}
-
-/// Fallible [`measure`].
-///
 /// # Errors
 ///
 /// [`EvalError::EmptyOperands`] if `reference` is empty,
@@ -133,7 +118,7 @@ mod tests {
             ctx.default_scale(),
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
-        let r = measure(&ctx, keys.secret(), &ct, &z);
+        let r = try_measure(&ctx, keys.secret(), &ct, &z).unwrap();
         assert!(r.precision_bits > 15.0, "precision {:.1}", r.precision_bits);
         assert_eq!(r.level, ctx.max_level());
         assert!(r.budget_bits > 0.0);
@@ -149,10 +134,12 @@ mod tests {
             ctx.default_scale(),
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
-        let fresh = measure(&ctx, keys.secret(), &ct, &z);
-        let sq = eval.rescale(&eval.square(&ct, &keys));
+        let fresh = try_measure(&ctx, keys.secret(), &ct, &z).unwrap();
+        let sq = eval
+            .try_rescale(&eval.try_square(&ct, &keys).unwrap())
+            .unwrap();
         let z_sq = vec![Complex::new(4.0, 0.0); 4];
-        let after = measure(&ctx, keys.secret(), &sq, &z_sq);
+        let after = try_measure(&ctx, keys.secret(), &sq, &z_sq).unwrap();
         assert!(after.budget_bits < fresh.budget_bits);
         assert!(after.precision_bits <= fresh.precision_bits + 1.0);
         assert_eq!(remaining_depth(&sq), remaining_depth(&ct) - 1);
@@ -169,7 +156,7 @@ mod tests {
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
         let wrong = vec![Complex::new(5.0, 0.0); 4];
-        let r = measure(&ctx, keys.secret(), &ct, &wrong);
+        let r = try_measure(&ctx, keys.secret(), &ct, &wrong).unwrap();
         assert!(r.max_error > 3.9);
         assert!(r.precision_bits < 0.0 + 1.0);
     }
@@ -209,7 +196,7 @@ mod tests {
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
         let other = KeySet::generate(&ctx, &mut rng);
-        let r = measure(&ctx, other.secret(), &ct, &z);
+        let r = try_measure(&ctx, other.secret(), &ct, &z).unwrap();
         assert!(
             r.max_error > 1e3,
             "wrong key should yield garbage, got error {}",

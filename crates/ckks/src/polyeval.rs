@@ -3,7 +3,7 @@
 //! Powers are built with a balanced product tree (`x^j = x^⌈j/2⌉ ·
 //! x^⌊j/2⌋`), so a degree-d polynomial consumes ⌈log2 d⌉ + 1 levels instead
 //! of Horner's d. Branches of different depth are re-aligned with
-//! [`Evaluator::adjust`].
+//! [`Evaluator::try_adjust`].
 
 use std::collections::HashMap;
 
@@ -26,7 +26,8 @@ use crate::keys::KeySet;
 /// # let eval = Evaluator::new(&ctx);
 /// # let ct: Ciphertext = unimplemented!();
 /// let mut powers = PowerBasis::new(ct);
-/// let x3 = powers.power(&eval, &keys, 3); // x·x² with one relinearisation
+/// let x3 = powers.try_power(&eval, &keys, 3)?; // x·x² with one relinearisation
+/// # Ok::<(), EvalError>(())
 /// ```
 #[derive(Debug)]
 pub struct PowerBasis {
@@ -43,21 +44,10 @@ impl PowerBasis {
 
     /// Returns `x^j`, computing and caching intermediate powers.
     ///
-    /// # Panics
-    ///
-    /// Panics if `j == 0` (constants are not ciphertext powers) or if the
-    /// modulus chain runs out of levels.
-    pub fn power(&mut self, eval: &Evaluator, keys: &KeySet, j: u32) -> Ciphertext {
-        assert!(j >= 1, "power must be at least 1");
-        self.try_power(eval, keys, j)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`power`](Self::power).
-    ///
     /// # Errors
     ///
-    /// [`EvalError::EmptyOperands`] if `j == 0`;
+    /// [`EvalError::EmptyOperands`] if `j == 0` (constants are not
+    /// ciphertext powers);
     /// [`EvalError::RescaleAtLevelZero`] when the modulus chain runs out
     /// of levels mid-tree.
     pub fn try_power(
@@ -89,21 +79,6 @@ impl PowerBasis {
 /// Evaluates `Σ_j coeffs[j] · x^j` (monomial basis, real coefficients) on a
 /// ciphertext. Zero coefficients cost nothing; the result sits at the level
 /// of the deepest power used, one more for the coefficient products.
-///
-/// # Panics
-///
-/// Panics if `coeffs` is empty or the chain runs out of levels.
-pub fn evaluate_monomial(
-    eval: &Evaluator,
-    keys: &KeySet,
-    x: &Ciphertext,
-    coeffs: &[f64],
-) -> Ciphertext {
-    assert!(!coeffs.is_empty(), "need at least one coefficient");
-    try_evaluate_monomial(eval, keys, x, coeffs).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`evaluate_monomial`].
 ///
 /// # Errors
 ///
@@ -141,7 +116,7 @@ pub fn try_evaluate_monomial(
     let mut scaled = Vec::with_capacity(terms.len());
     for (c, ct) in &terms {
         let pt = eval.encode_at_level(&[Complex::new(*c, 0.0)], scale, ct.level());
-        scaled.push(eval.try_rescale(&eval.mul_plain(ct, &pt))?);
+        scaled.push(eval.try_rescale(&eval.try_mul_plain(ct, &pt)?)?);
     }
     let target_level = scaled.iter().map(|c| c.level()).min().expect("non-empty");
     let target_scale = scaled
@@ -202,7 +177,7 @@ mod tests {
         let ct = encrypt(&ctx, &keys, &mut rng, &[x]);
         let mut powers = PowerBasis::new(ct);
         for j in [2u32, 3, 4, 5] {
-            let got = decrypt(&ctx, &keys, &powers.power(&eval, &keys, j));
+            let got = decrypt(&ctx, &keys, &powers.try_power(&eval, &keys, j).unwrap());
             let want = x.powi(j as i32);
             assert!((got - want).abs() < 0.02, "x^{j}: {got} vs {want}");
         }
@@ -214,7 +189,7 @@ mod tests {
         let ct = encrypt(&ctx, &keys, &mut rng, &[0.9]);
         let top = ct.level();
         let mut powers = PowerBasis::new(ct);
-        let x7 = powers.power(&eval, &keys, 7);
+        let x7 = powers.try_power(&eval, &keys, 7).unwrap();
         // Depth 3 (x², x³=x·x², x⁷=x³·x⁴) not 6.
         assert!(top - x7.level() <= 3, "depth {} too deep", top - x7.level());
     }
@@ -228,7 +203,7 @@ mod tests {
         let got = decrypt(
             &ctx,
             &keys,
-            &evaluate_monomial(&eval, &keys, &ct, &[2.0, -1.0, 0.0, 0.5]),
+            &try_evaluate_monomial(&eval, &keys, &ct, &[2.0, -1.0, 0.0, 0.5]).unwrap(),
         );
         let want = 2.0 - x + 0.5 * x * x * x;
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
@@ -249,7 +224,11 @@ mod tests {
             0.0,
             -1.0 / 5040.0,
         ];
-        let got = decrypt(&ctx, &keys, &evaluate_monomial(&eval, &keys, &ct, &coeffs));
+        let got = decrypt(
+            &ctx,
+            &keys,
+            &try_evaluate_monomial(&eval, &keys, &ct, &coeffs).unwrap(),
+        );
         assert!((got - x.sin()).abs() < 0.01, "{got} vs {}", x.sin());
     }
 }
@@ -262,16 +241,19 @@ mod tests {
 /// caching, costing one level per recurrence step beyond `T_1` plus one
 /// for the coefficient products.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `coeffs` is empty or the chain runs out of levels.
+/// [`EvalError::EmptyOperands`] if `coeffs` is empty;
+/// [`EvalError::RescaleAtLevelZero`] when the chain runs out of levels.
 pub fn evaluate_chebyshev(
     eval: &Evaluator,
     keys: &KeySet,
     x: &Ciphertext,
     coeffs: &[f64],
-) -> Ciphertext {
-    assert!(!coeffs.is_empty(), "need at least one coefficient");
+) -> Result<Ciphertext, EvalError> {
+    if coeffs.is_empty() {
+        return Err(EvalError::EmptyOperands);
+    }
     let scale = eval.context().default_scale();
     // Materialise T_1..T_d with the recurrence.
     let mut t_polys: Vec<Ciphertext> = Vec::with_capacity(coeffs.len());
@@ -280,25 +262,22 @@ pub fn evaluate_chebyshev(
     }
     for j in 2..coeffs.len() {
         let prev = &t_polys[j - 2]; // T_{j-1}
-                                    // 2x·T_{j−1}
         let level = prev.level().min(x.level());
-        let x_al = eval.adjust(x, level, prev.scale().max(x.scale()).min(prev.scale()));
-        let x_al = eval.adjust(&x_al, level, prev.scale());
-        let two_x_t = {
-            let prod =
-                eval.rescale(&eval.mul(&x_al, &eval.adjust(prev, level, prev.scale()), keys));
-            eval.add(&prod, &prod)
-        };
+        // 2x·T_{j−1}
+        let x_al = eval.try_adjust(x, level, prev.scale())?;
+        let prev_al = eval.try_adjust(prev, level, prev.scale())?;
+        let prod = eval.try_rescale(&eval.try_mul(&x_al, &prev_al, keys)?)?;
+        let two_x_t = eval.try_add(&prod, &prod)?;
         let t_next = if j == 2 {
             // T_2 = 2x² − 1
             let one =
                 eval.encode_at_level(&[Complex::new(1.0, 0.0)], two_x_t.scale(), two_x_t.level());
-            eval.sub_plain(&two_x_t, &one)
+            eval.try_sub_plain(&two_x_t, &one)?
         } else {
             // T_j = 2x·T_{j−1} − T_{j−2}
             let t_m2 = &t_polys[j - 3];
-            let aligned = eval.adjust(t_m2, two_x_t.level(), two_x_t.scale());
-            eval.sub(&two_x_t, &aligned)
+            let aligned = eval.try_adjust(t_m2, two_x_t.level(), two_x_t.scale())?;
+            eval.try_sub(&two_x_t, &aligned)?
         };
         t_polys.push(t_next);
     }
@@ -311,12 +290,12 @@ pub fn evaluate_chebyshev(
         }
         let t_j = &t_polys[j - 1];
         let pt = eval.encode_at_level(&[Complex::new(c, 0.0)], scale, t_j.level());
-        scaled.push(eval.rescale(&eval.mul_plain(t_j, &pt)));
+        scaled.push(eval.try_rescale(&eval.try_mul_plain(t_j, &pt)?)?);
     }
     if scaled.is_empty() {
-        let zero = eval.sub(x, x);
+        let zero = eval.try_sub(x, x)?;
         let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], zero.scale(), zero.level());
-        return eval.add_plain(&zero, &pt);
+        return eval.try_add_plain(&zero, &pt);
     }
     let target_level = scaled.iter().map(|c| c.level()).min().expect("non-empty");
     let target_scale = scaled
@@ -324,15 +303,15 @@ pub fn evaluate_chebyshev(
         .find(|c| c.level() == target_level)
         .expect("non-empty")
         .scale();
-    let mut acc = eval.adjust(&scaled.remove(0), target_level, target_scale);
+    let mut acc = eval.try_adjust(&scaled.remove(0), target_level, target_scale)?;
     for t in &scaled {
-        acc = eval.add(&acc, &eval.adjust(t, target_level, target_scale));
+        acc = eval.try_add(&acc, &eval.try_adjust(t, target_level, target_scale)?)?;
     }
     if coeffs[0] != 0.0 {
         let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], acc.scale(), acc.level());
-        acc = eval.add_plain(&acc, &pt);
+        acc = eval.try_add_plain(&acc, &pt)?;
     }
-    acc
+    Ok(acc)
 }
 
 /// Computes the Chebyshev interpolation coefficients of `f` on `[-1, 1]`
@@ -405,7 +384,7 @@ mod chebyshev_tests {
         let ct = keys.public().encrypt(&pt, &mut rng);
         // p(x) = 0.5·T_0 + 0.25·T_1 − 0.125·T_2 + 0.0625·T_3
         let coeffs = [0.5, 0.25, -0.125, 0.0625];
-        let got_ct = evaluate_chebyshev(&eval, &keys, &ct, &coeffs);
+        let got_ct = evaluate_chebyshev(&eval, &keys, &ct, &coeffs).unwrap();
         let dec = keys.secret().decrypt(&got_ct);
         let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 1)[0].re;
         let t = [1.0, x, 2.0 * x * x - 1.0, 4.0 * x * x * x - 3.0 * x];

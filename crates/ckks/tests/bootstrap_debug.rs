@@ -24,7 +24,7 @@ fn stage_by_stage() {
     let z: Vec<Complex> = message.iter().map(|&v| Complex::new(v, 0.0)).collect();
     let pt = encode_for_bootstrap(&ctx, &z);
     let ct = keys.public().encrypt(&pt, &mut rng);
-    let exhausted = exhaust_to_level0(&eval, &ct);
+    let exhausted = exhaust_to_level0(&eval, &ct).unwrap();
 
     let stride = ctx.n() / (2 * slots);
     let q0 = ctx.chain_basis().primes()[0];
@@ -49,7 +49,7 @@ fn stage_by_stage() {
     );
 
     // Stage 1: ModRaise.
-    let raised = bs.mod_raise(&exhausted);
+    let raised = bs.try_mod_raise(&exhausted).unwrap();
     let dec = keys.secret().decrypt(&raised);
     let raw = dec.poly().to_centered_coeffs();
     println!("\nafter ModRaise (level {}):", raised.level());
@@ -70,7 +70,7 @@ fn stage_by_stage() {
     }
 
     // Stage 2: SubSum.
-    let traced = bs.subsum(&eval, &keys, &raised);
+    let traced = bs.try_subsum(&eval, &keys, &raised).unwrap();
     let dec = keys.secret().decrypt(&traced);
     let raw = dec.poly().to_centered_f64();
     println!(
@@ -96,7 +96,7 @@ fn stage_by_stage() {
     }
 
     // Stage 3: CoeffToSlot.
-    let (low, high) = bs.coeff_to_slot(&eval, &keys, &traced);
+    let (low, high) = bs.try_coeff_to_slot(&eval, &keys, &traced).unwrap();
     let dl = keys.secret().decrypt(&low);
     let gl = ctx.encoder().decode_rns(dl.poly(), dl.scale(), slots);
     let dh = keys.secret().decrypt(&high);
@@ -127,7 +127,7 @@ fn stage_by_stage() {
     }
 
     // Stage 4: EvalMod on the low half.
-    let low_mod = bs.eval_mod(&eval, &keys, &low);
+    let low_mod = bs.try_eval_mod(&eval, &keys, &low).unwrap();
     let dm = keys.secret().decrypt(&low_mod);
     let gm = ctx.encoder().decode_rns(dm.poly(), dm.scale(), slots);
     println!("\nafter EvalMod(low) (level {}):", low_mod.level());
@@ -149,8 +149,10 @@ fn stage_by_stage() {
     }
 
     // Stage 5: SlotToCoeff.
-    let high_mod = bs.eval_mod(&eval, &keys, &high);
-    let out = bs.slot_to_coeff(&eval, &keys, &low_mod, &high_mod);
+    let high_mod = bs.try_eval_mod(&eval, &keys, &high).unwrap();
+    let out = bs
+        .try_slot_to_coeff(&eval, &keys, &low_mod, &high_mod)
+        .unwrap();
     let d = keys.secret().decrypt(&out);
     let g = ctx.encoder().decode_rns(d.poly(), d.scale(), slots);
     println!("\nafter SlotToCoeff (level {}):", out.level());
@@ -166,7 +168,7 @@ fn stage_by_stage() {
 #[test]
 #[ignore = "diagnostic: run manually with --nocapture"]
 fn evalmod_stages() {
-    use he_ckks::polyeval::evaluate_monomial;
+    use he_ckks::polyeval::try_evaluate_monomial;
     let ctx = CkksContext::new(CkksParams::bootstrap_demo());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
     let keys = KeySet::generate_sparse(&ctx, 8, &mut rng);
@@ -206,7 +208,9 @@ fn evalmod_stages() {
     let mut y = ct.clone();
     for _ in 0..2 {
         let p = eval.encode_at_level(&[Complex::new(half, 0.0)], ctx.default_scale(), y.level());
-        y = eval.rescale(&eval.mul_plain(&y, &p));
+        y = eval
+            .try_rescale(&eval.try_mul_plain(&y, &p).unwrap())
+            .unwrap();
     }
     println!("after const muls (level {}):", y.level());
     probe("y", &y, &|x| c * x, &inputs);
@@ -222,8 +226,8 @@ fn evalmod_stages() {
         -1.0 / 5040.0,
     ];
     let cos_c = [1.0, 0.0, -0.5, 0.0, 1.0 / 24.0, 0.0, -1.0 / 720.0];
-    let mut s = evaluate_monomial(&eval, &keys, &y, &sin_c);
-    let mut co = evaluate_monomial(&eval, &keys, &y, &cos_c);
+    let mut s = try_evaluate_monomial(&eval, &keys, &y, &sin_c).unwrap();
+    let mut co = try_evaluate_monomial(&eval, &keys, &y, &cos_c).unwrap();
     println!("after Taylor (levels {} / {}):", s.level(), co.level());
     probe("sin", &s, &|x| (c * x).sin(), &inputs);
     probe("cos", &co, &|x| (c * x).cos(), &inputs);
@@ -231,17 +235,21 @@ fn evalmod_stages() {
     for it in 0..doublings {
         let level = s.level().min(co.level());
         let scale = s.scale();
-        let s_al = eval.adjust(&s, level, scale);
-        let c_al = eval.adjust(&co, level, scale);
-        let sc = eval.rescale(&eval.mul(&s_al, &c_al, &keys));
-        let s2 = eval.rescale(&eval.square(&s_al, &keys));
-        let mut s_next = eval.add(&sc, &sc);
-        let s2d = eval.add(&s2, &s2);
+        let s_al = eval.try_adjust(&s, level, scale).unwrap();
+        let c_al = eval.try_adjust(&co, level, scale).unwrap();
+        let sc = eval
+            .try_rescale(&eval.try_mul(&s_al, &c_al, &keys).unwrap())
+            .unwrap();
+        let s2 = eval
+            .try_rescale(&eval.try_square(&s_al, &keys).unwrap())
+            .unwrap();
+        let mut s_next = eval.try_add(&sc, &sc).unwrap();
+        let s2d = eval.try_add(&s2, &s2).unwrap();
         let one = eval.encode_at_level(&[Complex::new(1.0, 0.0)], s2d.scale(), s2d.level());
-        let mut c_next = eval.neg(&eval.sub_plain(&s2d, &one));
+        let mut c_next = eval.neg(&eval.try_sub_plain(&s2d, &one).unwrap());
         let level = s_next.level().min(c_next.level());
-        s_next = eval.adjust(&s_next, level, s_next.scale());
-        c_next = eval.adjust(&c_next, level, c_next.scale());
+        s_next = eval.try_adjust(&s_next, level, s_next.scale()).unwrap();
+        c_next = eval.try_adjust(&c_next, level, c_next.scale()).unwrap();
         s = s_next;
         co = c_next;
         let mult = 2f64.powi(it as i32 + 1);

@@ -24,10 +24,10 @@ fn run_bootstrap(slots: usize, doublings: u32, message: &[f64]) -> (Vec<f64>, Ve
     let z: Vec<Complex> = message.iter().map(|&v| Complex::new(v, 0.0)).collect();
     let pt = encode_for_bootstrap(&ctx, &z);
     let ct = keys.public().encrypt(&pt, &mut rng);
-    let exhausted = exhaust_to_level0(&eval, &ct);
+    let exhausted = exhaust_to_level0(&eval, &ct).unwrap();
     assert_eq!(exhausted.level(), 0);
 
-    let refreshed = bs.bootstrap(&eval, &keys, &exhausted);
+    let refreshed = bs.try_bootstrap(&eval, &keys, &exhausted).unwrap();
     let dec = keys.secret().decrypt(&refreshed);
     let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), slots);
     (message.to_vec(), got, refreshed.level())

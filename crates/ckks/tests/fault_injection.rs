@@ -42,7 +42,7 @@ fn transient_residue_fault_is_retried_and_recovers() {
     let a = encrypt(&ctx, &keys, &mut rng, 1.25);
     let b = encrypt(&ctx, &keys, &mut rng, -0.5);
     let checked = CheckedEvaluator::new(&ctx);
-    let clean = checked.inner().mul(&a, &b, &keys);
+    let clean = checked.inner().try_mul(&a, &b, &keys).unwrap();
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::transient(
@@ -96,7 +96,7 @@ fn transient_key_cache_fault_on_rotation_recovers() {
     let checked = CheckedEvaluator::new(&ctx);
     // Warm the eval-form key cache with a clean pass first so the armed
     // plan targets the cached rows the duplicated runs actually read.
-    let clean = checked.inner().rotate(&a, 1, &keys);
+    let clean = checked.inner().try_rotate(&a, 1, &keys).unwrap();
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::transient(
@@ -164,10 +164,13 @@ fn checked_ops_are_clean_passthrough_when_disarmed() {
     let eval = Evaluator::new(&ctx);
 
     let before = integrity_stats();
-    assert_eq!(checked.add(&a, &b).unwrap(), eval.add(&a, &b));
+    assert_eq!(checked.add(&a, &b).unwrap(), eval.try_add(&a, &b).unwrap());
     let prod = checked.mul(&a, &b, &keys).unwrap();
-    assert_eq!(prod, eval.mul(&a, &b, &keys));
-    assert_eq!(checked.rescale(&prod).unwrap(), eval.rescale(&prod));
+    assert_eq!(prod, eval.try_mul(&a, &b, &keys).unwrap());
+    assert_eq!(
+        checked.rescale(&prod).unwrap(),
+        eval.try_rescale(&prod).unwrap()
+    );
     let after = integrity_stats();
     assert!(after.checked >= before.checked + 3, "checks not counted");
     assert_eq!(after.detected, before.detected, "false positive detection");

@@ -52,9 +52,9 @@ fn run_pipeline() -> Ciphertext {
     let a = encrypt(1.25, &mut rng);
     let b = encrypt(-0.5, &mut rng);
     // Keyswitch-bearing mul, rescale, then a keyswitch-bearing rotation.
-    let prod = eval.mul(&a, &b, &keys);
-    let scaled = eval.rescale(&prod);
-    eval.rotate(&scaled, 1, &keys)
+    let prod = eval.try_mul(&a, &b, &keys).unwrap();
+    let scaled = eval.try_rescale(&prod).unwrap();
+    eval.try_rotate(&scaled, 1, &keys).unwrap()
 }
 
 #[test]
@@ -89,12 +89,12 @@ fn hoisted_rotation_digest_matches_unhoisted() {
     let ct = keys.public().encrypt(&pt, &mut rng);
 
     let steps = [1i64, 2, 3];
-    let batch = eval.rotate_many(&ct, &steps, &keys);
+    let batch = eval.try_rotate_many(&ct, &steps, &keys).unwrap();
     let mut hoisted = 0u64;
     let mut unhoisted = 0u64;
     for (&s, out) in steps.iter().zip(&batch) {
         hoisted ^= digest(out).rotate_left(s as u32);
-        unhoisted ^= digest(&eval.rotate(&ct, s, &keys)).rotate_left(s as u32);
+        unhoisted ^= digest(&eval.try_rotate(&ct, s, &keys).unwrap()).rotate_left(s as u32);
     }
     assert_eq!(
         hoisted, unhoisted,

@@ -63,11 +63,11 @@ proptest! {
         level in 0usize..3,
     ) {
         let (_, keys, eval) = fixture();
-        let ct = eval.drop_to_level(&encrypt(&a, seed), level);
-        let batch = eval.rotate_many(&ct, &STEPS, keys);
+        let ct = eval.try_drop_to_level(&encrypt(&a, seed), level).unwrap();
+        let batch = eval.try_rotate_many(&ct, &STEPS, keys).unwrap();
         prop_assert_eq!(batch.len(), STEPS.len());
         for (&s, hoisted) in STEPS.iter().zip(&batch) {
-            let single = eval.rotate(&ct, s, keys);
+            let single = eval.try_rotate(&ct, s, keys).unwrap();
             prop_assert_eq!(hoisted.c0(), single.c0(), "c0 diverged at step {}", s);
             prop_assert_eq!(hoisted.c1(), single.c1(), "c1 diverged at step {}", s);
         }
@@ -78,8 +78,8 @@ proptest! {
     fn rotate_many_is_thread_count_invariant(a in arb_vals(), seed in 1u64..1000) {
         let (_, keys, eval) = fixture();
         let ct = encrypt(&a, seed);
-        let serial = with_threads(1, || eval.rotate_many(&ct, &STEPS, keys));
-        let parallel = with_threads(8, || eval.rotate_many(&ct, &STEPS, keys));
+        let serial = with_threads(1, || eval.try_rotate_many(&ct, &STEPS, keys).unwrap());
+        let parallel = with_threads(8, || eval.try_rotate_many(&ct, &STEPS, keys).unwrap());
         for (s, p) in serial.iter().zip(&parallel) {
             prop_assert_eq!(s.c0(), p.c0());
             prop_assert_eq!(s.c1(), p.c1());
@@ -96,7 +96,7 @@ proptest! {
         let key = keys.galois_key(g).expect("conjugation key generated");
         let h = eval.hoist(&ct);
         let hoisted = eval.apply_galois_hoisted(&ct, &h, g, key);
-        let plain = eval.conjugate(&ct, keys);
+        let plain = eval.try_conjugate(&ct, keys).unwrap();
         prop_assert_eq!(hoisted.c0(), plain.c0());
         prop_assert_eq!(hoisted.c1(), plain.c1());
         prop_assert_eq!(h.uses(), 1);

@@ -164,7 +164,7 @@ fn fused_datapath_matches_the_digit_major_reference_at_every_level() {
         let top = encrypt(&ctx, &keys, &mut rng);
 
         for level in 0..=ctx.max_level() {
-            let ct = eval.drop_to_level(&top, level);
+            let ct = eval.try_drop_to_level(&top, level).unwrap();
             let want_ks = reference_keyswitch(&ctx, ct.c1(), keys.relin());
             let want_rot = reference_apply_galois(&ctx, &ct, g, rot_key);
             // Any element of the extended ring exercises Moddown.
@@ -328,13 +328,13 @@ fn key_cache_upsets_are_thread_count_independent_and_spare_the_cache() {
     keys.add_rotation_key(1, &mut rng);
     let eval = Evaluator::new(&ctx);
     let ct = encrypt(&ctx, &keys, &mut rng);
-    let clean = eval.rotate(&ct, 1, &keys);
+    let clean = eval.try_rotate(&ct, 1, &keys).unwrap();
 
     let upset = |threads: usize| {
         poseidon_faults::arm(
             FaultPlan::transient(FaultSite::KeyCache, FaultKind::BitFlip, 0xC0FFEE).after(5),
         );
-        let out = with_threads(threads, || eval.rotate(&ct, 1, &keys));
+        let out = with_threads(threads, || eval.try_rotate(&ct, 1, &keys).unwrap());
         let fired = poseidon_faults::fired();
         poseidon_faults::disarm();
         assert_eq!(fired, 1, "the upset never fired");
@@ -344,7 +344,11 @@ fn key_cache_upsets_are_thread_count_independent_and_spare_the_cache() {
     let parallel = upset(4);
     assert_ne!(serial, clean, "a flipped key bit must reach the output");
     assert_eq!(serial, parallel, "firing order depends on the thread count");
-    assert_eq!(eval.rotate(&ct, 1, &keys), clean, "the cache was tampered");
+    assert_eq!(
+        eval.try_rotate(&ct, 1, &keys).unwrap(),
+        clean,
+        "the cache was tampered"
+    );
 }
 
 /// The `RnsResidue` site still covers the lifted digits of an unhoisted

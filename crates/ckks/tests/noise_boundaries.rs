@@ -84,7 +84,7 @@ fn try_measure_reports_negative_budget_when_scale_exceeds_modulus() {
             .encode_rns(&ctx.level_basis(0), &z, ctx.default_scale()),
         ctx.default_scale(),
     );
-    let squeezed = eval.mul_plain(&floor, &pt);
+    let squeezed = eval.try_mul_plain(&floor, &pt).unwrap();
     // toy(): first prime 50 bits, scale now ~80 bits → budget < 0.
     let report = try_measure(&ctx, keys.secret(), &squeezed, &[Complex::new(0.25, 0.0)]).unwrap();
     assert_eq!(report.level, 0);

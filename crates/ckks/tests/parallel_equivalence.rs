@@ -53,8 +53,8 @@ proptest! {
         let (_, keys, eval) = fixture();
         let ct_a = encrypt(&a, seed);
         let ct_b = encrypt(&b, seed + 1);
-        let serial = with_threads(1, || eval.mul(&ct_a, &ct_b, keys));
-        let parallel = with_threads(8, || eval.mul(&ct_a, &ct_b, keys));
+        let serial = with_threads(1, || eval.try_mul(&ct_a, &ct_b, keys).unwrap());
+        let parallel = with_threads(8, || eval.try_mul(&ct_a, &ct_b, keys).unwrap());
         prop_assert_eq!(serial.c0(), parallel.c0());
         prop_assert_eq!(serial.c1(), parallel.c1());
     }
@@ -73,8 +73,8 @@ proptest! {
     fn rescale_is_thread_count_invariant(a in arb_vals(), seed in 1u64..1000) {
         let (_, _, eval) = fixture();
         let ct = encrypt(&a, seed);
-        let serial = with_threads(1, || eval.rescale(&ct));
-        let parallel = with_threads(8, || eval.rescale(&ct));
+        let serial = with_threads(1, || eval.try_rescale(&ct).unwrap());
+        let parallel = with_threads(8, || eval.try_rescale(&ct).unwrap());
         prop_assert_eq!(serial.c0(), parallel.c0());
         prop_assert_eq!(serial.c1(), parallel.c1());
     }
@@ -91,8 +91,8 @@ proptest! {
         });
         let (_, _, eval) = fixture();
         let ct = encrypt(&a, seed);
-        let serial = with_threads(1, || eval.rotate(&ct, 1, keys));
-        let parallel = with_threads(8, || eval.rotate(&ct, 1, keys));
+        let serial = with_threads(1, || eval.try_rotate(&ct, 1, keys).unwrap());
+        let parallel = with_threads(8, || eval.try_rotate(&ct, 1, keys).unwrap());
         prop_assert_eq!(serial.c0(), parallel.c0());
         prop_assert_eq!(serial.c1(), parallel.c1());
     }

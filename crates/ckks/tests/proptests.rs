@@ -65,7 +65,7 @@ proptest! {
     #[test]
     fn addition_is_slotwise(a in arb_vals(), b in arb_vals()) {
         let (_, _, eval) = setup();
-        let got = decrypt(&eval.add(&encrypt(&a), &encrypt(&b)));
+        let got = decrypt(&eval.try_add(&encrypt(&a), &encrypt(&b)).unwrap());
         for i in 0..SLOTS {
             prop_assert!((got[i] - (a[i] + b[i])).abs() < 1e-3);
         }
@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn multiplication_is_slotwise(a in arb_vals(), b in arb_vals()) {
         let (_, keys, eval) = setup();
-        let prod = eval.rescale(&eval.mul(&encrypt(&a), &encrypt(&b), keys));
+        let prod = eval.try_rescale(&eval.try_mul(&encrypt(&a), &encrypt(&b), keys).unwrap()).unwrap();
         let got = decrypt(&prod);
         for i in 0..SLOTS {
             prop_assert!((got[i] - a[i] * b[i]).abs() < 0.05, "{} vs {}", got[i], a[i] * b[i]);
@@ -85,7 +85,7 @@ proptest! {
     fn homomorphic_ops_commute_with_plaintext_ops(a in arb_vals(), b in arb_vals()) {
         // dec(enc(a) − enc(b)) + dec(enc(b)) ≈ a
         let (_, _, eval) = setup();
-        let diff = decrypt(&eval.sub(&encrypt(&a), &encrypt(&b)));
+        let diff = decrypt(&eval.try_sub(&encrypt(&a), &encrypt(&b)).unwrap());
         for i in 0..SLOTS {
             prop_assert!((diff[i] + b[i] - a[i]).abs() < 2e-3);
         }
@@ -96,7 +96,7 @@ proptest! {
         let (ctx, keys, eval) = setup();
         // Fill all slots by replication (SLOTS divides N/2), then rotating
         // by 1 shifts the replicated pattern by 1.
-        let rot = eval.rotate(&encrypt(&a), 1, keys);
+        let rot = eval.try_rotate(&encrypt(&a), 1, keys).unwrap();
         let got = decrypt(&rot);
         let _ = ctx;
         for i in 0..SLOTS {
@@ -109,7 +109,7 @@ proptest! {
     fn conjugation_is_involutive(a in arb_vals()) {
         let (_, keys, eval) = setup();
         let ct = encrypt(&a);
-        let twice = eval.conjugate(&eval.conjugate(&ct, keys), keys);
+        let twice = eval.try_conjugate(&eval.try_conjugate(&ct, keys).unwrap(), keys).unwrap();
         let got = decrypt(&twice);
         for i in 0..SLOTS {
             prop_assert!((got[i] - a[i]).abs() < 1e-2);
@@ -119,7 +119,7 @@ proptest! {
     #[test]
     fn scalar_multiplication_matches(a in arb_vals(), c in -4.0f64..4.0) {
         let (_, _, eval) = setup();
-        let prod = eval.rescale(&eval.mul_const(&encrypt(&a), Complex::new(c, 0.0)));
+        let prod = eval.try_rescale(&eval.mul_const(&encrypt(&a), Complex::new(c, 0.0))).unwrap();
         let got = decrypt(&prod);
         for i in 0..SLOTS {
             prop_assert!((got[i] - c * a[i]).abs() < 0.02);
@@ -130,8 +130,8 @@ proptest! {
     fn rescale_preserves_semantics_at_any_level(a in arb_vals(), b in arb_vals()) {
         let (_, keys, eval) = setup();
         // Two chained multiplications with rescales at different levels.
-        let p1 = eval.rescale(&eval.mul(&encrypt(&a), &encrypt(&b), keys));
-        let p2 = eval.rescale(&eval.mul(&p1, &eval.adjust(&encrypt(&a), p1.level(), p1.scale()), keys));
+        let p1 = eval.try_rescale(&eval.try_mul(&encrypt(&a), &encrypt(&b), keys).unwrap()).unwrap();
+        let p2 = eval.try_rescale(&eval.try_mul(&p1, &eval.try_adjust(&encrypt(&a), p1.level(), p1.scale()).unwrap(), keys).unwrap()).unwrap();
         let got = decrypt(&p2);
         for i in 0..SLOTS {
             let want = a[i] * b[i] * a[i];

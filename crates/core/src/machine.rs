@@ -24,7 +24,7 @@ use crate::pool::OperatorPool;
 /// # Examples
 ///
 /// See `tests/machine.rs` and the `operator_reuse` example — typical use
-/// is `machine.cmult(&a, &b, &keys)` followed by normal decryption.
+/// is `machine.try_cmult(&a, &b, &keys)?` followed by normal decryption.
 #[derive(Debug)]
 pub struct PoseidonMachine {
     ctx: CkksContext,
@@ -208,25 +208,15 @@ impl PoseidonMachine {
 
     // ---- basic operations ------------------------------------------------
 
-    /// HAdd: pure MA traffic on both components.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels or scales are incompatible.
-    pub fn hadd(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_hadd(a, b).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("align levels before the machine"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`hadd`](Self::hadd): the MA cores run with the
+    /// HAdd: pure MA traffic on both components. The MA cores run with the
     /// retire-boundary sum check; a detection is recomputed once and a
-    /// persistent fault escalates instead of panicking.
+    /// persistent fault escalates. Operands must be level-aligned before
+    /// they reach the machine.
     ///
     /// # Errors
     ///
     /// [`EvalError::LevelMismatch`] on unaligned operands,
+    /// [`EvalError::ScaleMismatch`] on scales that disagree,
     /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
     pub fn try_hadd(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         if a.level() != b.level() {
@@ -235,6 +225,7 @@ impl PoseidonMachine {
                 b: b.level(),
             });
         }
+        EvalError::check_scales(a.scale(), b.scale())?;
         he_ckks::integrity::note_checked();
         Ok(Ciphertext::new(
             self.add_poly_checked(a.c0(), b.c0())?,
@@ -245,16 +236,6 @@ impl PoseidonMachine {
 
     /// Drops a ciphertext to a lower level by modulus truncation — a pure
     /// data movement, no operator-core traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds the current level.
-    pub fn drop_to_level(&mut self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_drop_to_level(ct, level)
-            .unwrap_or_else(|_| panic!("cannot raise level by truncation"))
-    }
-
-    /// Fallible [`drop_to_level`](Self::drop_to_level).
     ///
     /// # Errors
     ///
@@ -282,23 +263,9 @@ impl PoseidonMachine {
 
     /// HSub: subtraction on both components (HAdd operator cost class).
     ///
-    /// # Panics
-    ///
-    /// Panics if levels differ.
-    pub fn hsub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_hsub(a, b).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("align levels before the machine"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`hsub`](Self::hsub); see [`try_hadd`](Self::try_hadd)
-    /// for the error contract.
-    ///
     /// # Errors
     ///
-    /// [`EvalError::LevelMismatch`] on unaligned operands,
-    /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
+    /// As [`try_hadd`](Self::try_hadd).
     pub fn try_hsub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         if a.level() != b.level() {
             return Err(EvalError::LevelMismatch {
@@ -306,6 +273,7 @@ impl PoseidonMachine {
                 b: b.level(),
             });
         }
+        EvalError::check_scales(a.scale(), b.scale())?;
         he_ckks::integrity::note_checked();
         Ok(Ciphertext::new(
             self.sub_poly_checked(a.c0(), b.c0())?,
@@ -314,24 +282,20 @@ impl PoseidonMachine {
         ))
     }
 
-    /// HAdd ct+pt: adds `m` to `c_0` only, through the MA core.
-    pub fn add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`add_plain`](Self::add_plain) through the checked MA
-    /// core.
+    /// HAdd ct+pt: adds `m` to `c_0` only, through the checked MA core.
     ///
     /// # Errors
     ///
-    /// [`EvalError::LevelMismatch`] for a plaintext below the ciphertext's
-    /// level, [`EvalError::IntegrityFault`] on persistent retire-check
-    /// failure.
+    /// [`EvalError::ScaleMismatch`] if ciphertext and plaintext scales
+    /// disagree, [`EvalError::LevelMismatch`] for a plaintext below the
+    /// ciphertext's level, [`EvalError::IntegrityFault`] on persistent
+    /// retire-check failure.
     pub fn try_add_plain(
         &mut self,
         a: &Ciphertext,
         pt: &Plaintext,
     ) -> Result<Ciphertext, EvalError> {
+        EvalError::check_scales(a.scale(), pt.scale())?;
         let m = pt.poly_at_level(a.level())?;
         he_ckks::integrity::note_checked();
         Ok(Ciphertext::new(
@@ -342,15 +306,6 @@ impl PoseidonMachine {
     }
 
     /// PMult: NTT the operands, MM, INTT back (scale multiplies).
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`try_pmult`](Self::try_pmult) returns an error.
-    pub fn pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_pmult(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`pmult`](Self::pmult).
     ///
     /// # Errors
     ///
@@ -459,14 +414,6 @@ impl PoseidonMachine {
     }
 
     /// CMult with relinearisation, entirely on machine cores.
-    pub fn cmult(&mut self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_cmult(a, b, keys).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("align levels before the machine"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`cmult`](Self::cmult).
     ///
     /// # Errors
     ///
@@ -510,12 +457,8 @@ impl PoseidonMachine {
         ))
     }
 
-    /// Squaring, executed as [`cmult`](Self::cmult) of `a` with itself.
-    pub fn square(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.cmult(a, a, keys)
-    }
-
-    /// Fallible [`square`](Self::square).
+    /// Squaring, executed as [`try_cmult`](Self::try_cmult) of `a` with
+    /// itself.
     ///
     /// # Errors
     ///
@@ -525,17 +468,6 @@ impl PoseidonMachine {
     }
 
     /// Rotation: HFAuto on both components, then keyswitch back to `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rotation key is missing.
-    pub fn rotate(&mut self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`rotate`](Self::rotate): returns
-    /// [`EvalError::MissingRotationKey`] instead of panicking.
     ///
     /// # Errors
     ///
@@ -566,7 +498,7 @@ impl PoseidonMachine {
     /// The key slices come from the eval-form cache when present — the
     /// paper keeps keyswitch keys HBM-resident in evaluation
     /// representation (§IV-C), so no NTT-core traffic is charged for key
-    /// material. [`rotate`](Self::rotate) keeps the unhoisted per-call
+    /// material. [`try_rotate`](Self::try_rotate) keeps the unhoisted per-call
     /// dataflow whose operator mix matches Table I exactly.
     ///
     /// # Errors
@@ -635,28 +567,8 @@ impl PoseidonMachine {
         Ok(out)
     }
 
-    /// Panicking wrapper over [`try_rotate_many`](Self::try_rotate_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rotation key is missing.
-    pub fn rotate_many(&mut self, a: &Ciphertext, steps: &[i64], keys: &KeySet) -> Vec<Ciphertext> {
-        self.try_rotate_many(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Conjugation (rotation cost class): the conjugation automorphism on
     /// both components, then keyswitch back to `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the conjugation key is missing.
-    pub fn conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`conjugate`](Self::conjugate).
     ///
     /// # Errors
     ///
@@ -701,11 +613,6 @@ impl PoseidonMachine {
 
     /// Rescale through the MA/MM cascade: subtract the last component's
     /// lifted residues and scale by `q_l⁻¹` per remaining prime.
-    pub fn rescale(&mut self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`rescale`](Self::rescale).
     ///
     /// # Errors
     ///

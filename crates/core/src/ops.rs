@@ -2,11 +2,11 @@
 //!
 //! Three executors expose the same CKKS basic operations with different
 //! backends: the software [`Evaluator`], the trace-capturing
-//! [`RecordingEvaluator`], and the operator-pool [`PoseidonMachine`].
-//! Before this trait each duplicated its own ad-hoc method list; now a
+//! [`RecordingEvaluator`], and the operator-pool [`PoseidonMachine`]. A
 //! workload written against `HomomorphicOps` runs unchanged on any of
 //! them — the pattern the `tables metrics` report uses to drive one HELR
-//! pipeline through both the evaluator and the machine.
+//! pipeline through both the evaluator and the machine, and the interface
+//! `plan::execute` replays a plan through.
 //!
 //! Methods take `&mut self` for the machine's sake (its pool mutates
 //! per-call state); the evaluator backends simply ignore the mutability.
@@ -20,13 +20,19 @@ use crate::machine::PoseidonMachine;
 use crate::recorder::RecordingEvaluator;
 
 /// The basic-operation surface shared by every executor (paper Table I's
-/// operation vocabulary, minus bootstrapping).
+/// operation vocabulary, plus the bootstrapping refresh).
 ///
-/// Every operation is specified by its fallible `try_` form — backends
-/// implement only those — and the familiar panicking methods are provided
-/// wrappers that format the [`EvalError`] (preserving the legacy panic
-/// messages). Checked backends surface persistent datapath corruption as
-/// [`EvalError::IntegrityFault`] through the same `try_` surface.
+/// Twelve methods, every one returning `Result<_, EvalError>`: ten a
+/// backend must implement, and two with defaults ([`try_rotate_many`] as a
+/// loop of [`try_rotate`], [`try_bootstrap`] as "unavailable") that a
+/// backend with a hoisted rotation engine or a bootstrap path overrides.
+/// The backends agree on which [`EvalError`] a rejected operand yields;
+/// checked backends surface persistent datapath corruption as
+/// [`EvalError::IntegrityFault`] through the same methods.
+///
+/// [`try_rotate`]: Self::try_rotate
+/// [`try_rotate_many`]: Self::try_rotate_many
+/// [`try_bootstrap`]: Self::try_bootstrap
 ///
 /// # Examples
 ///
@@ -38,13 +44,13 @@ use crate::recorder::RecordingEvaluator;
 ///     b: &mut B,
 ///     ct: &Ciphertext,
 ///     keys: &KeySet,
-/// ) -> Ciphertext {
-///     let s = b.add(ct, ct);
-///     b.rotate(&s, 1, keys)
+/// ) -> Result<Ciphertext, EvalError> {
+///     let s = b.try_add(ct, ct)?;
+///     b.try_rotate(&s, 1, keys)
 /// }
 /// ```
 pub trait HomomorphicOps {
-    /// Fallible HAdd, ct+ct.
+    /// HAdd, ct+ct.
     ///
     /// # Errors
     ///
@@ -53,28 +59,30 @@ pub trait HomomorphicOps {
     /// backends.
     fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible subtraction (HAdd cost class).
+    /// Subtraction (HAdd cost class).
     ///
     /// # Errors
     ///
     /// As [`try_add`](Self::try_add).
     fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible HAdd, ct+pt.
+    /// HAdd, ct+pt.
     ///
     /// # Errors
     ///
-    /// As [`try_add`](Self::try_add).
+    /// As [`try_add`](Self::try_add); a plaintext below the ciphertext's
+    /// level is a [`EvalError::LevelMismatch`].
     fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible PMult, ct·pt (scale multiplies; rescale afterwards).
+    /// PMult, ct·pt (scale multiplies; rescale afterwards).
     ///
     /// # Errors
     ///
-    /// Reserved for [`EvalError::IntegrityFault`] from checked backends.
+    /// [`EvalError::LevelMismatch`] for a plaintext below the ciphertext's
+    /// level; [`EvalError::IntegrityFault`] from checked backends.
     fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible CMult with relinearisation.
+    /// CMult with relinearisation.
     ///
     /// # Errors
     ///
@@ -87,21 +95,21 @@ pub trait HomomorphicOps {
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible squaring (CMult cost class).
+    /// Squaring (CMult cost class).
     ///
     /// # Errors
     ///
     /// As [`try_mul`](Self::try_mul).
     fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible rescale.
+    /// Rescale: drops the chain's last prime and divides the scale.
     ///
     /// # Errors
     ///
     /// [`EvalError::RescaleAtLevelZero`] at level 0.
     fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible level drop by modulus truncation (no scale change).
+    /// Level drop by modulus truncation (no scale change).
     ///
     /// # Errors
     ///
@@ -109,80 +117,7 @@ pub trait HomomorphicOps {
     /// level.
     fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError>;
 
-    /// HAdd, ct+ct.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand mismatch or escalated integrity fault.
-    fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// HAdd cost class, subtraction.
-    ///
-    /// # Panics
-    ///
-    /// As [`add`](Self::add).
-    fn sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// HAdd, ct+pt.
-    ///
-    /// # Panics
-    ///
-    /// As [`add`](Self::add).
-    fn add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// PMult, ct·pt (scale multiplies; rescale afterwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics on escalated integrity fault.
-    fn mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// CMult with relinearisation.
-    ///
-    /// # Panics
-    ///
-    /// As [`add`](Self::add).
-    fn mul(&mut self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_mul(a, b, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Squaring (CMult cost class).
-    ///
-    /// # Panics
-    ///
-    /// As [`mul`](Self::mul).
-    fn square(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_square(a, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Rescale: drops the chain's last prime and divides the scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics at level 0.
-    fn rescale(&mut self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Level drop by modulus truncation (no scale change).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `level` exceeds the current level.
-    fn drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_drop_to_level(a, level)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible slot rotation.
+    /// Slot rotation.
     ///
     /// # Errors
     ///
@@ -194,14 +129,14 @@ pub trait HomomorphicOps {
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible slot conjugation.
+    /// Slot conjugation.
     ///
     /// # Errors
     ///
     /// [`EvalError::MissingConjugationKey`] when the key is absent.
     fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible batch rotation of one ciphertext by every step in `steps`.
+    /// Batch rotation of one ciphertext by every step in `steps`.
     ///
     /// The default implementation is a plain loop of [`try_rotate`];
     /// backends with a hoisted rotation engine (the evaluator, the
@@ -222,41 +157,11 @@ pub trait HomomorphicOps {
         steps.iter().map(|&s| self.try_rotate(a, s, keys)).collect()
     }
 
-    /// Slot rotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the rotation key is missing.
-    fn rotate(&mut self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Batch slot rotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any rotation key is missing.
-    fn rotate_many(&mut self, a: &Ciphertext, steps: &[i64], keys: &KeySet) -> Vec<Ciphertext> {
-        self.try_rotate_many(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Slot conjugation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the conjugation key is missing.
-    fn conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible ciphertext refresh through the full bootstrapping
-    /// pipeline (`a` must be at level 0 — see
-    /// [`Bootstrapper::try_bootstrap`]). The default implementation
-    /// reports [`EvalError::BootstrapUnavailable`]; backends with a
-    /// bootstrap path (the evaluator, the machine) override it.
+    /// Ciphertext refresh through the full bootstrapping pipeline (`a`
+    /// must be at level 0 — see [`Bootstrapper::try_bootstrap`]). The
+    /// default implementation reports [`EvalError::BootstrapUnavailable`];
+    /// backends with a bootstrap path (the evaluator, the machine)
+    /// override it.
     ///
     /// [`Bootstrapper::try_bootstrap`]: he_ckks::bootstrap::Bootstrapper::try_bootstrap
     ///
@@ -511,11 +416,11 @@ mod tests {
         a: &Ciphertext,
         b: &Ciphertext,
         keys: &KeySet,
-    ) -> Ciphertext {
-        let s = backend.add(a, b);
-        let p = backend.mul(&s, a, keys);
-        let r = backend.rescale(&p);
-        backend.rotate(&r, 1, keys)
+    ) -> Result<Ciphertext, EvalError> {
+        let s = backend.try_add(a, b)?;
+        let p = backend.try_mul(&s, a, keys)?;
+        let r = backend.try_rescale(&p)?;
+        backend.try_rotate(&r, 1, keys)
     }
 
     #[test]
@@ -538,7 +443,7 @@ mod tests {
             pipeline(&mut rec, &a, &b, &keys),
             pipeline(&mut machine, &a, &b, &keys),
         ] {
-            let got = decrypt_slot0(&ctx, &keys, &out);
+            let got = decrypt_slot0(&ctx, &keys, &out.unwrap());
             assert!(
                 (got - expected).abs() < 0.05,
                 "backend disagreed: got {got}, expected {expected}"
@@ -561,18 +466,19 @@ mod tests {
         // Evaluator and recorder share the hoisted engine, whose outputs
         // are bit-identical to the per-call path.
         let mut eval = Evaluator::new(&ctx);
-        let batch = HomomorphicOps::rotate_many(&mut eval, &a, &steps, &keys);
+        let batch = HomomorphicOps::try_rotate_many(&mut eval, &a, &steps, &keys).unwrap();
         for (&s, out) in steps.iter().zip(&batch) {
-            assert_eq!(out, &HomomorphicOps::rotate(&mut eval, &a, s, &keys));
+            let single = HomomorphicOps::try_rotate(&mut eval, &a, s, &keys).unwrap();
+            assert_eq!(out, &single);
         }
 
         // The machine's hoisted dataflow uses a different (still
         // CRT-consistent) digit representative than its per-call rotate,
         // so agreement is at the decrypted-value level.
         let mut machine = PoseidonMachine::new(&ctx, 8, 1);
-        let batch = machine.rotate_many(&a, &steps, &keys);
+        let batch = machine.try_rotate_many(&a, &steps, &keys).unwrap();
         for (&s, out) in steps.iter().zip(&batch) {
-            let single = machine.rotate(&a, s, &keys);
+            let single = machine.try_rotate(&a, s, &keys).unwrap();
             let got = decrypt_slot0(&ctx, &keys, out);
             let want = decrypt_slot0(&ctx, &keys, &single);
             assert!((got - want).abs() < 1e-3, "step {s}: {got} vs {want}");
@@ -590,10 +496,10 @@ mod tests {
 
         let mut unhoisted = PoseidonMachine::new(&ctx, 8, 1);
         for &s in &steps {
-            let _ = unhoisted.rotate(&a, s, &keys);
+            let _ = unhoisted.try_rotate(&a, s, &keys).unwrap();
         }
         let mut hoisted = PoseidonMachine::new(&ctx, 8, 1);
-        let _ = hoisted.rotate_many(&a, &steps, &keys);
+        let _ = hoisted.try_rotate_many(&a, &steps, &keys).unwrap();
 
         let (nh, nu) = (hoisted.usage().ntt, unhoisted.usage().ntt);
         assert!(
@@ -602,54 +508,69 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trait_plain_ops_report_a_low_plaintext_on_every_backend() {
-        let (ctx, keys, mut rng) = setup();
-        let a = encrypt(&ctx, &keys, &mut rng, 1.0);
-        let mut eval = Evaluator::new(&ctx);
-        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
-        let mut machine = PoseidonMachine::new(&ctx, 8, 1);
-        let low = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), 0);
+    /// Every operand a backend must refuse, and the error it must refuse it
+    /// with — the same on every backend.
+    fn rejects<B: HomomorphicOps>(b: &mut B, ctx: &CkksContext, a: &Ciphertext, keys: &KeySet) {
+        let mut scaled = a.clone();
+        scaled.set_scale(a.scale() * 3.0);
+        let mismatch = EvalError::ScaleMismatch {
+            a: a.scale(),
+            b: scaled.scale(),
+        };
+        assert_eq!(b.try_add(a, &scaled), Err(mismatch.clone()));
+        assert_eq!(b.try_sub(a, &scaled), Err(mismatch.clone()));
+        let encode = |scale: f64, level: usize| {
+            let basis = ctx.level_basis(level);
+            let z = [Complex::new(0.5, 0.0)];
+            Plaintext::new(ctx.encoder().encode_rns(&basis, &z, scale), scale)
+        };
+        let scaled_pt = encode(scaled.scale(), a.level());
+        assert_eq!(b.try_add_plain(a, &scaled_pt), Err(mismatch));
 
-        fn probe<B: HomomorphicOps>(b: &mut B, a: &Ciphertext, low: &Plaintext) {
-            let want = EvalError::LevelMismatch {
-                a: a.level(),
-                b: low.level(),
-            };
-            assert_eq!(b.try_add_plain(a, low), Err(want.clone()));
-            assert_eq!(b.try_mul_plain(a, low), Err(want));
-        }
-        probe(&mut eval, &a, &low);
-        probe(&mut rec, &a, &low);
-        probe(&mut machine, &a, &low);
+        let low_pt = encode(a.scale(), 0);
+        let low = EvalError::LevelMismatch { a: a.level(), b: 0 };
+        assert_eq!(b.try_add_plain(a, &low_pt), Err(low.clone()));
+        assert_eq!(b.try_mul_plain(a, &low_pt), Err(low));
+
+        let bottom = b
+            .try_drop_to_level(a, 0)
+            .expect("level 0 is below every level");
+        assert_eq!(b.try_rescale(&bottom), Err(EvalError::RescaleAtLevelZero));
         assert_eq!(
-            rec.trace().entries().len(),
-            0,
-            "a refused operand must not be recorded"
+            b.try_drop_to_level(&bottom, 1),
+            Err(EvalError::LevelMismatch { a: 0, b: 1 })
+        );
+
+        assert_eq!(
+            b.try_rotate(a, 5, keys),
+            Err(EvalError::MissingRotationKey { steps: 5 })
+        );
+        assert_eq!(
+            b.try_rotate_many(a, &[5, 1], keys),
+            Err(EvalError::MissingRotationKey { steps: 5 })
+        );
+        assert_eq!(
+            b.try_conjugate(a, keys),
+            Err(EvalError::MissingConjugationKey)
         );
     }
 
     #[test]
-    fn trait_try_rotate_reports_missing_key_on_every_backend() {
+    fn every_backend_rejects_the_same_operands_with_the_same_error() {
         let (ctx, keys, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);
         let mut eval = Evaluator::new(&ctx);
         let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
         let mut machine = PoseidonMachine::new(&ctx, 8, 1);
-
-        fn probe<B: HomomorphicOps>(b: &mut B, a: &Ciphertext, keys: &KeySet) {
-            assert_eq!(
-                b.try_rotate(a, 5, keys),
-                Err(EvalError::MissingRotationKey { steps: 5 })
-            );
-        }
-        probe(&mut eval, &a, &keys);
-        probe(&mut rec, &a, &keys);
-        probe(&mut machine, &a, &keys);
+        rejects(&mut eval, &ctx, &a, &keys);
+        rejects(&mut rec, &ctx, &a, &keys);
+        rejects(&mut machine, &ctx, &a, &keys);
+        // The one accepted call is the free level drop `rejects` sets up
+        // with; the flat trace does not list it.
         assert_eq!(
             rec.trace().entries().len(),
             0,
-            "failed rotation must not be recorded"
+            "a refused operation must not be recorded"
         );
     }
 }

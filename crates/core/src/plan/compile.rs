@@ -37,7 +37,7 @@ use he_ckks::encoding::Complex;
 
 use crate::decompose::{BasicOp, OpTrace};
 use crate::plan::graph::{EvalGraph, ValueId};
-use crate::plan::passes::{try_plan, Plan, PlanOptions};
+use crate::plan::passes::{plan, Plan, PlanOptions};
 use crate::plan::PlanError;
 
 #[cfg(feature = "telemetry")]
@@ -480,9 +480,9 @@ pub fn plan_trace(
         #[cfg(feature = "telemetry")]
         tel::truncated().add(prog.truncated);
     }
-    let mut plan = try_plan(prog.graph, opts)?;
-    plan.stats.truncated = prog.truncated;
-    Ok(plan)
+    let mut planned = plan(prog.graph, opts)?;
+    planned.stats.truncated = prog.truncated;
+    Ok(planned)
 }
 
 #[cfg(test)]

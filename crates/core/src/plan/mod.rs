@@ -10,11 +10,12 @@
 //!    `.pos` op trace into one.
 //! 2. **Optimize** — [`plan`] runs rescale sinking/fusion, cross-graph
 //!    rotation hoisting into `rotate_many`, dead-value elimination, and
-//!    live-range-aware scheduling ([`passes`]); [`try_plan`] additionally
-//!    runs the bootstrap-insertion pass (chains that exhaust the modulus
-//!    get a [`GraphOp::Bootstrap`] refresh, or a typed [`PlanError`])
-//!    and can consult a hardware [`CostModel`](cost::CostModel) as a
-//!    scheduling tie-breaker.
+//!    live-range-aware scheduling ([`passes`]); with
+//!    [`PlanOptions::bootstrap`] set it also runs the bootstrap-insertion
+//!    pass (chains that exhaust the modulus get a [`GraphOp::Bootstrap`]
+//!    refresh, or a typed [`PlanError`]), and [`plan_with`] takes the
+//!    hardware [`CostModel`](cost::CostModel) that decides between a
+//!    refresh and client re-encryption.
 //! 3. **Execute** — [`execute`] replays the optimized schedule on any
 //!    [`HomomorphicOps`] backend: the software evaluator, the
 //!    accelerator-shaped [`PoseidonMachine`], or the recorder itself.
@@ -43,9 +44,7 @@ pub use compile::{
 pub use cost::{CostModel, TableCostModel};
 pub use exec::{execute, execute_with, ExecOutcome};
 pub use graph::{EvalGraph, GraphOp, GraphRecorder, Node, NodeId, ValueId, ValueInfo};
-pub use passes::{
-    plan, try_plan, try_plan_with, BootstrapOptions, NoiseBudget, Plan, PlanOptions, PlanStats,
-};
+pub use passes::{plan, plan_with, BootstrapOptions, NoiseBudget, Plan, PlanOptions, PlanStats};
 
 /// Why a program could not be planned. Unlike runtime
 /// [`EvalError`](he_ckks::error::EvalError)s these are *static* verdicts:

@@ -36,8 +36,7 @@ use crate::plan::graph::{EvalGraph, GraphOp, NodeId, ValueId};
 use crate::plan::PlanError;
 
 /// Which passes run. Default: everything on, hoist batches of ≥ 2, no
-/// cost tie-breaking, no bootstrap insertion — so [`PlanOptions::default`]
-/// reproduces PR 8 schedules bit-identically.
+/// bootstrap insertion.
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
     /// Cross-graph rotation hoisting into `RotateMany` (bit-preserving on
@@ -56,12 +55,8 @@ pub struct PlanOptions {
     /// [`CompileOptions::count_cap`](crate::plan::compile::CompileOptions)
     /// by [`plan_trace`](crate::plan::compile::plan_trace).
     pub count_cap: u64,
-    /// Break affinity-score ties with the cost model (cheaper op first)
-    /// instead of creation order. Off by default: cost-reordered schedules
-    /// are validated by output agreement, not digest identity.
-    pub cost_tiebreak: bool,
-    /// Enable the bootstrap-insertion pass ([`try_plan`] only; [`plan`]
-    /// ignores this field and stays infallible).
+    /// Enable the bootstrap-insertion pass: a chain that exhausts the
+    /// modulus gets a refresh, or [`plan`] reports why it cannot.
     pub bootstrap: Option<BootstrapOptions>,
 }
 
@@ -74,7 +69,6 @@ impl Default for PlanOptions {
             reorder: true,
             min_hoist: 2,
             count_cap: 8,
-            cost_tiebreak: false,
             bootstrap: None,
         }
     }
@@ -91,7 +85,6 @@ impl PlanOptions {
             reorder: false,
             min_hoist: 2,
             count_cap: 8,
-            cost_tiebreak: false,
             bootstrap: None,
         }
     }
@@ -246,45 +239,28 @@ impl Plan {
     }
 }
 
-/// Runs the pass pipeline and schedules the result. Infallible: ignores
-/// [`PlanOptions::bootstrap`] (use [`try_plan`] for insertion).
-pub fn plan(graph: EvalGraph, opts: &PlanOptions) -> Plan {
-    let mut opts = opts.clone();
-    opts.bootstrap = None;
-    let model = TableCostModel::default();
-    run_pipeline(graph, &opts, &model).expect("planning without bootstrap insertion is infallible")
-}
-
-/// [`plan`] plus the bootstrap-insertion pass (when
-/// [`PlanOptions::bootstrap`] is set) under the default table cost model.
+/// Runs the pass pipeline — including the bootstrap-insertion pass when
+/// [`PlanOptions::bootstrap`] is set, under the default table cost model —
+/// and schedules the result.
 ///
 /// # Errors
 ///
+/// Only with [`PlanOptions::bootstrap`] set:
 /// [`PlanError::BudgetExhausted`] when a chain exhausts the modulus and no
 /// bootstrap key is available (or the refresh costs more than client
 /// re-encryption); [`PlanError::ScaleOverflow`] when even a refreshed
 /// operand cannot fund the exhausted operation.
-pub fn try_plan(graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError> {
-    let model = TableCostModel::default();
-    try_plan_with(graph, opts, &model)
+pub fn plan(graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError> {
+    plan_with(graph, opts, &TableCostModel::default())
 }
 
-/// [`try_plan`] with an explicit [`CostModel`] (e.g. `poseidon-sim`'s
-/// analytical model) driving the bootstrap-vs-re-encrypt decision and,
-/// with [`PlanOptions::cost_tiebreak`], scheduler tie-breaks.
+/// [`plan`] with an explicit [`CostModel`] (e.g. `poseidon-sim`'s
+/// analytical model) driving the bootstrap-vs-re-encrypt decision.
 ///
 /// # Errors
 ///
-/// As [`try_plan`].
-pub fn try_plan_with(
-    graph: EvalGraph,
-    opts: &PlanOptions,
-    cost: &dyn CostModel,
-) -> Result<Plan, PlanError> {
-    run_pipeline(graph, opts, cost)
-}
-
-fn run_pipeline(
+/// As [`plan`].
+pub fn plan_with(
     mut graph: EvalGraph,
     opts: &PlanOptions,
     cost: &dyn CostModel,
@@ -335,7 +311,7 @@ fn run_pipeline(
     // earlier consumers, so creation order is no longer topological —
     // force the Kahn scheduler whenever insertion fired.
     let schedule = if opts.reorder || stats.bootstraps_inserted > 0 {
-        schedule_affinity(&graph, if opts.cost_tiebreak { Some(cost) } else { None })
+        schedule_affinity(&graph)
     } else {
         graph.live_nodes().collect()
     };
@@ -810,11 +786,8 @@ fn eliminate_dead(g: &mut EvalGraph) -> usize {
 /// `+2` per operand whose last remaining use is this node (freeing its
 /// scratch slot), `+3` when the node shares an operand with the node just
 /// scheduled (keyswitch digit / key-cache affinity). Ties break to the
-/// cheaper op under `cost` (when supplied — retiring cheap ready work
-/// first keeps the live set small while expensive keyswitches pipeline),
-/// then to the lowest node index (stable, creation-order-biased). With
-/// `cost: None` this is exactly the PR 8 scheduler.
-fn schedule_affinity(g: &EvalGraph, cost: Option<&dyn CostModel>) -> Vec<NodeId> {
+/// lowest node index (stable, creation-order-biased).
+fn schedule_affinity(g: &EvalGraph) -> Vec<NodeId> {
     let mut indeg: HashMap<NodeId, usize> = HashMap::new();
     for nid in g.live_nodes() {
         indeg.insert(nid, g.node(nid).inputs.len());
@@ -837,7 +810,6 @@ fn schedule_affinity(g: &EvalGraph, cost: Option<&dyn CostModel>) -> Vec<NodeId>
     while !ready.is_empty() {
         let mut best = 0usize;
         let mut best_score = i64::MIN;
-        let mut best_cost = u64::MAX;
         for (i, &cand) in ready.iter().enumerate() {
             let node = g.node(cand);
             let mut score = 0i64;
@@ -849,22 +821,11 @@ fn schedule_affinity(g: &EvalGraph, cost: Option<&dyn CostModel>) -> Vec<NodeId>
                     score += 3;
                 }
             }
-            let cand_cost = match cost {
-                Some(c) => {
-                    let level = node.outputs.first().map(|&o| g.value(o).level).unwrap_or(0);
-                    c.op_cost(&node.op, level)
-                }
-                None => 0,
-            };
-            // Deterministic tie-break: strictly better score wins; equal
-            // scores prefer the cheaper op (cost model supplied), then the
-            // earliest (lowest-index) candidate.
-            let better = score > best_score
-                || (score == best_score
-                    && (cand_cost < best_cost || (cand_cost == best_cost && ready[best] > cand)));
-            if better {
+            // Deterministic tie-break: only a strictly better score wins,
+            // and `ready` is sorted, so equal scores keep the earliest
+            // (lowest-index) candidate.
+            if score > best_score {
                 best_score = score;
-                best_cost = cand_cost;
                 best = i;
             }
         }
@@ -943,7 +904,7 @@ mod tests {
 
     #[test]
     fn hoisting_groups_all_rotations_of_one_source() {
-        let p = plan(rotation_fan(), &PlanOptions::default());
+        let p = plan(rotation_fan(), &PlanOptions::default()).unwrap();
         assert_eq!(p.stats.hoist_batches, vec![8]);
         assert_eq!(
             p.graph.count_ops(|op| matches!(op, GraphOp::Rotate { .. })),
@@ -974,7 +935,7 @@ mod tests {
         let s = g.add(s, r3);
         let s = g.add(s, y3);
         g.mark_output(s);
-        let p = plan(g, &PlanOptions::default());
+        let p = plan(g, &PlanOptions::default()).unwrap();
         assert_eq!(p.stats.hoist_batches, vec![3]);
     }
 
@@ -998,7 +959,7 @@ mod tests {
         g.mark_output(acc);
         let before = g.count_ops(|op| matches!(op, GraphOp::Rescale));
         assert_eq!(before, 4);
-        let p = plan(g, &PlanOptions::default());
+        let p = plan(g, &PlanOptions::default()).unwrap();
         // The chain collapses to a single rescale at the root.
         assert_eq!(p.stats.rescales_after, 1);
         assert!(p.stats.rescales_fused >= 3);
@@ -1027,7 +988,7 @@ mod tests {
             });
         }
         g.mark_output(acc.unwrap());
-        let p = plan(g, &PlanOptions::default());
+        let p = plan(g, &PlanOptions::default()).unwrap();
         assert_eq!(p.stats.rescales_sunk, 4);
         assert_eq!(p.stats.rescales_after, 1);
         // The four rotations now share one source → hoisted as a batch.
@@ -1044,7 +1005,7 @@ mod tests {
         let dead1 = g.rotate(x, 5);
         let _dead2 = g.add(dead1, dead1);
         g.mark_output(used);
-        let p = plan(g, &PlanOptions::default());
+        let p = plan(g, &PlanOptions::default()).unwrap();
         assert_eq!(p.stats.dead_removed, 2);
         assert_eq!(p.stats.nodes_after, 2); // input + square
     }
@@ -1053,7 +1014,7 @@ mod tests {
     fn passthrough_matches_disabled_passes() {
         let g = rotation_fan();
         let p0 = Plan::passthrough(g.clone());
-        let p1 = plan(g, &PlanOptions::none());
+        let p1 = plan(g, &PlanOptions::none()).unwrap();
         assert_eq!(p0.schedule, p1.schedule);
         assert!(p1.value_preserving);
         assert_eq!(p0.stats.rescales_before, p1.stats.rescales_before);
@@ -1061,7 +1022,7 @@ mod tests {
 
     #[test]
     fn schedule_is_topological_and_complete() {
-        let p = plan(rotation_fan(), &PlanOptions::default());
+        let p = plan(rotation_fan(), &PlanOptions::default()).unwrap();
         let mut seen = std::collections::HashSet::new();
         for &nid in &p.schedule {
             for &v in &p.graph.node(nid).inputs {
@@ -1074,7 +1035,7 @@ mod tests {
 
     #[test]
     fn release_frees_everything_but_outputs() {
-        let p = plan(rotation_fan(), &PlanOptions::default());
+        let p = plan(rotation_fan(), &PlanOptions::default()).unwrap();
         let released: usize = p.release.iter().map(|r| r.len()).sum();
         // Every consumed value except the final output dies somewhere.
         assert!(released > 0);
@@ -1118,7 +1079,7 @@ mod tests {
 
     #[test]
     fn exhausted_chain_gets_a_bootstrap_inserted() {
-        let p = try_plan(exhausted_graph(), &bootstrap_opts(true)).expect("repairable");
+        let p = plan(exhausted_graph(), &bootstrap_opts(true)).expect("repairable");
         assert_eq!(p.stats.bootstraps_inserted, 1);
         assert_eq!(
             p.graph
@@ -1146,8 +1107,7 @@ mod tests {
 
     #[test]
     fn missing_bootstrap_key_is_a_typed_error() {
-        let err =
-            try_plan(exhausted_graph(), &bootstrap_opts(false)).expect_err("no key → no repair");
+        let err = plan(exhausted_graph(), &bootstrap_opts(false)).expect_err("no key → no repair");
         assert!(
             matches!(err, PlanError::BudgetExhausted { .. }),
             "expected BudgetExhausted, got {err:?}"
@@ -1168,7 +1128,7 @@ mod tests {
                 5
             }
         }
-        let err = try_plan_with(
+        let err = plan_with(
             exhausted_graph(),
             &bootstrap_opts(true),
             &ReencryptIsCheaper,
@@ -1195,14 +1155,14 @@ mod tests {
             }),
             ..PlanOptions::default()
         };
-        let err = try_plan(exhausted_graph(), &opts).expect_err("refresh cannot help at level 0");
+        let err = plan(exhausted_graph(), &opts).expect_err("refresh cannot help at level 0");
         assert!(matches!(err, PlanError::ScaleOverflow { .. }));
     }
 
     #[test]
     fn non_exhausted_graph_plans_identically_with_insertion_enabled() {
-        let base = plan(rotation_fan(), &PlanOptions::default());
-        let p = try_plan(rotation_fan(), &bootstrap_opts(true)).expect("nothing to repair");
+        let base = plan(rotation_fan(), &PlanOptions::default()).unwrap();
+        let p = plan(rotation_fan(), &bootstrap_opts(true)).expect("nothing to repair");
         assert_eq!(p.stats.bootstraps_inserted, 0);
         assert_eq!(
             p.graph
@@ -1211,22 +1171,5 @@ mod tests {
         );
         assert_eq!(p.schedule, base.schedule);
         assert_eq!(p.value_preserving, base.value_preserving);
-    }
-
-    #[test]
-    fn cost_tiebreak_schedule_is_topological_and_covers_all_nodes() {
-        let opts = PlanOptions {
-            cost_tiebreak: true,
-            ..PlanOptions::default()
-        };
-        let p = try_plan(rotation_fan(), &opts).expect("infallible without bootstrap");
-        let mut seen = std::collections::HashSet::new();
-        for &nid in &p.schedule {
-            for &v in &p.graph.node(nid).inputs {
-                assert!(seen.contains(&p.graph.value(v).producer));
-            }
-            seen.insert(nid);
-        }
-        assert_eq!(p.schedule.len(), p.graph.live_node_count());
     }
 }

@@ -28,9 +28,10 @@ use crate::plan::graph::{EvalGraph, GraphOp, GraphRecorder};
 /// # let keys = KeySet::generate(&ctx, &mut rng);
 /// # let ct: Ciphertext = unimplemented!();
 /// let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
-/// let sum = rec.add(&ct, &ct);
-/// let prod = rec.mul(&ct, &ct, &keys);
+/// let sum = rec.try_add(&ct, &ct)?;
+/// let prod = rec.try_mul(&ct, &ct, &keys)?;
 /// let trace = rec.into_trace(); // feed to poseidon_sim::Simulator::run
+/// # Ok::<(), EvalError>(())
 /// ```
 #[derive(Debug)]
 pub struct RecordingEvaluator {
@@ -111,12 +112,7 @@ impl RecordingEvaluator {
         self.graph.borrow_mut().record_unary(op, a, out);
     }
 
-    /// Recorded HAdd.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible HAdd: nothing is recorded when the operands are
+    /// Recorded HAdd: nothing is recorded when the operands are
     /// rejected (the operation never executed).
     ///
     /// # Errors
@@ -130,11 +126,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded HAdd (subtraction variant — same operator cost).
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible subtraction.
     ///
     /// # Errors
     ///
@@ -147,11 +138,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded ciphertext-plaintext addition.
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible ciphertext-plaintext addition.
     ///
     /// # Errors
     ///
@@ -165,11 +151,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded PMult.
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible PMult.
     ///
     /// # Errors
     ///
@@ -183,11 +164,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded CMult (with relinearisation).
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_mul(a, b, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible CMult.
     ///
     /// # Errors
     ///
@@ -205,11 +181,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded squaring (CMult cost class).
-    pub fn square(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_square(a, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible squaring.
     ///
     /// # Errors
     ///
@@ -222,11 +193,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded Rescale.
-    pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible Rescale.
     ///
     /// # Errors
     ///
@@ -238,7 +204,7 @@ impl RecordingEvaluator {
         Ok(out)
     }
 
-    /// Recorded fallible level drop. The flat trace skips it (free data
+    /// Recorded level drop. The flat trace skips it (free data
     /// movement, no hardware op), but the dataflow graph needs the node
     /// so a planned replay reproduces the level descent.
     ///
@@ -251,13 +217,7 @@ impl RecordingEvaluator {
         Ok(out)
     }
 
-    /// Recorded Rotation.
-    pub fn rotate(&self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible rotation: nothing is recorded when the key is
+    /// Recorded Rotation: nothing is recorded when the key is
     /// missing (the operation never executed).
     ///
     /// # Errors
@@ -276,12 +236,6 @@ impl RecordingEvaluator {
     }
 
     /// Recorded conjugation (Rotation cost class).
-    pub fn conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible conjugation.
     ///
     /// # Errors
     ///
@@ -330,10 +284,10 @@ mod tests {
         let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
-        let s = rec.add(&a, &b);
-        let p = rec.mul(&s, &a, &keys);
-        let r = rec.rescale(&p);
-        let _ = rec.rotate(&r, 1, &keys);
+        let s = rec.try_add(&a, &b).unwrap();
+        let p = rec.try_mul(&s, &a, &keys).unwrap();
+        let r = rec.try_rescale(&p).unwrap();
+        let _ = rec.try_rotate(&r, 1, &keys).unwrap();
         let trace = rec.into_trace();
         let ops: Vec<BasicOp> = trace.entries().iter().map(|(op, _, _)| *op).collect();
         assert_eq!(
@@ -357,8 +311,11 @@ mod tests {
         let rec = RecordingEvaluator::new(eval.clone(), 1);
         let a = encrypt(&ctx, &keys, &mut rng, 1.5);
         let b = encrypt(&ctx, &keys, &mut rng, -0.5);
-        assert_eq!(rec.add(&a, &b), eval.add(&a, &b));
-        assert_eq!(rec.mul(&a, &b, &keys), eval.mul(&a, &b, &keys));
+        assert_eq!(rec.try_add(&a, &b).unwrap(), eval.try_add(&a, &b).unwrap());
+        assert_eq!(
+            rec.try_mul(&a, &b, &keys).unwrap(),
+            eval.try_mul(&a, &b, &keys).unwrap()
+        );
     }
 
     #[test]
@@ -366,7 +323,7 @@ mod tests {
         let (ctx, keys, mut rng) = setup();
         let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 99);
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);
-        let _ = rec.mul(&a, &a, &keys);
+        let _ = rec.try_mul(&a, &a, &keys).unwrap();
         let trace = rec.into_trace();
         assert!(trace.entries()[0].1.dnum <= trace.entries()[0].1.components);
     }

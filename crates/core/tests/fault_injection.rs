@@ -39,7 +39,7 @@ fn retire_check_recovers_from_transient_residue_fault() {
     let a = encrypt(&ctx, &keys, &mut rng, 1.5);
     let b = encrypt(&ctx, &keys, &mut rng, -0.25);
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
-    let clean = m.hadd(&a, &b);
+    let clean = m.try_hadd(&a, &b).unwrap();
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::transient(
@@ -105,7 +105,7 @@ fn every_sum_check_passes_on_a_clean_machine() {
 
     assert!(after.checked >= before.checked + 2, "checks not counted");
     assert_eq!(after.detected, before.detected, "false positive");
-    let pt = keys.secret().decrypt(&m.hadd(&sum, &diff));
+    let pt = keys.secret().decrypt(&m.try_hadd(&sum, &diff).unwrap());
     let got = ctx.encoder().decode_rns(pt.poly(), pt.scale(), 1)[0].re;
     // (a + b) + (a - b) = 2a
     assert!((got - 1.0).abs() < 1e-3, "clean arithmetic drifted: {got}");

@@ -46,7 +46,7 @@ fn machine_hadd_decrypts_correctly() {
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0, -2.5]);
     let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 4.0]);
-    let sum = m.hadd(&a, &b);
+    let sum = m.try_hadd(&a, &b).unwrap();
     let got = decrypt(&ctx, &keys, &sum, 2);
     assert!((got[0] - 1.5).abs() < 1e-3 && (got[1] - 1.5).abs() < 1e-3);
     // HAdd is MA-only on the machine (Table I / Fig. 7).
@@ -67,11 +67,11 @@ fn machine_pmult_matches_evaluator() {
         ctx.default_scale(),
         a.level(),
     );
-    let machine_out = m.pmult(&a, &pt);
-    let eval_out = eval.mul_plain(&a, &pt);
+    let machine_out = m.try_pmult(&a, &pt).unwrap();
+    let eval_out = eval.try_mul_plain(&a, &pt).unwrap();
     // Identical ciphertexts (both paths do exact arithmetic).
     assert_eq!(machine_out, eval_out);
-    let got = decrypt(&ctx, &keys, &m.rescale(&machine_out), 2);
+    let got = decrypt(&ctx, &keys, &m.try_rescale(&machine_out).unwrap(), 2);
     assert!((got[0] - 3.0).abs() < 1e-2 && (got[1] + 0.5).abs() < 1e-2);
 }
 
@@ -81,8 +81,8 @@ fn machine_cmult_decrypts_to_product() {
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
     let a = encrypt(&ctx, &keys, &mut rng, &[1.5, -2.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[2.0, 0.5]);
-    let raw = m.cmult(&a, &b, &keys);
-    let prod = m.rescale(&raw);
+    let raw = m.try_cmult(&a, &b, &keys).unwrap();
+    let prod = m.try_rescale(&raw).unwrap();
     let got = decrypt(&ctx, &keys, &prod, 2);
     assert!((got[0] - 3.0).abs() < 0.02, "{}", got[0]);
     assert!((got[1] + 1.0).abs() < 0.02, "{}", got[1]);
@@ -101,8 +101,8 @@ fn machine_rotation_matches_evaluator_semantics() {
     let slots = ctx.params().slots();
     let vals: Vec<f64> = (0..slots).map(|i| ((i % 7) as f64) / 2.0 - 1.0).collect();
     let ct = encrypt(&ctx, &keys, &mut rng, &vals);
-    let machine_rot = m.rotate(&ct, 1, &keys);
-    let eval_rot = eval.rotate(&ct, 1, &keys);
+    let machine_rot = m.try_rotate(&ct, 1, &keys).unwrap();
+    let eval_rot = eval.try_rotate(&ct, 1, &keys).unwrap();
     // Both decrypt to the same rotated vector. The ciphertext bits differ:
     // the machine lifts the automorphed c1 (representative q_j − v at
     // wrapped positions), while the hoisted evaluator automorphs the
@@ -130,14 +130,14 @@ fn machine_usage_scales_with_level() {
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[1.0]);
     let mut m_full = PoseidonMachine::new(&ctx, 256, 3);
-    let _ = m_full.cmult(&a, &b, &keys);
+    let _ = m_full.try_cmult(&a, &b, &keys).unwrap();
     let full = m_full.usage();
 
     let eval = Evaluator::new(&ctx);
-    let a_low = eval.drop_to_level(&a, 1);
-    let b_low = eval.drop_to_level(&b, 1);
+    let a_low = eval.try_drop_to_level(&a, 1).unwrap();
+    let b_low = eval.try_drop_to_level(&b, 1).unwrap();
     let mut m_low = PoseidonMachine::new(&ctx, 256, 3);
-    let _ = m_low.cmult(&a_low, &b_low, &keys);
+    let _ = m_low.try_cmult(&a_low, &b_low, &keys).unwrap();
     let low = m_low.usage();
     assert!(full.ntt > low.ntt, "NTT work must grow with level");
     assert!(full.mm > low.mm);

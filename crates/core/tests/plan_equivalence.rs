@@ -75,10 +75,12 @@ fn record_rotation_fan(
 ) -> (poseidon_core::EvalGraph, Ciphertext) {
     let rec = RecordingEvaluator::new(Evaluator::new(ctx), 1);
     let a = encrypt(ctx, keys, rng, 0.5);
-    let rots: Vec<Ciphertext> = (1..=8).map(|s| rec.rotate(&a, s, keys)).collect();
+    let rots: Vec<Ciphertext> = (1..=8)
+        .map(|s| rec.try_rotate(&a, s, keys).unwrap())
+        .collect();
     let mut acc = rots[0].clone();
     for r in &rots[1..] {
-        acc = rec.add(&acc, r);
+        acc = rec.try_add(&acc, r).unwrap();
     }
     rec.mark_output(&acc);
     (rec.eval_graph(), a)
@@ -90,7 +92,7 @@ fn planned_rotation_fan_is_digest_identical_to_unplanned() {
     let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
 
     let unplanned = Plan::passthrough(graph.clone());
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     assert!(planned.value_preserving);
     assert_eq!(planned.stats.hoist_batches, vec![8]);
 
@@ -114,10 +116,10 @@ fn replay_reproduces_the_recorded_run_itself() {
     let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     let b = encrypt(&ctx, &keys, &mut rng, -0.25);
-    let s = rec.add(&a, &b);
-    let p = rec.mul(&s, &a, &keys);
-    let r = rec.rescale(&p);
-    let rot = rec.rotate(&r, 2, &keys);
+    let s = rec.try_add(&a, &b).unwrap();
+    let p = rec.try_mul(&s, &a, &keys).unwrap();
+    let r = rec.try_rescale(&p).unwrap();
+    let rot = rec.try_rotate(&r, 2, &keys).unwrap();
     rec.mark_output(&rot);
     let (_, graph) = rec.into_recordings();
 
@@ -138,14 +140,14 @@ fn rescale_placement_preserves_decrypted_values() {
     // square → 4 rotations each followed by a caller-placed rescale → sum:
     // the sink pass shares one rescale, the hoist pass batches the
     // rotations.
-    let x = rec.square(&a, &keys);
+    let x = rec.try_square(&a, &keys).unwrap();
     let mut acc: Option<Ciphertext> = None;
     for s in 1..=4 {
-        let r = rec.rotate(&x, s, &keys);
-        let rr = rec.rescale(&r);
+        let r = rec.try_rotate(&x, s, &keys).unwrap();
+        let rr = rec.try_rescale(&r).unwrap();
         acc = Some(match acc {
             None => rr,
-            Some(prev) => rec.add(&prev, &rr),
+            Some(prev) => rec.try_add(&prev, &rr).unwrap(),
         });
     }
     let out_ct = acc.unwrap();
@@ -153,7 +155,7 @@ fn rescale_placement_preserves_decrypted_values() {
     let (_, graph) = rec.into_recordings();
 
     let unplanned = Plan::passthrough(graph.clone());
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     assert!(!planned.value_preserving);
     assert_eq!(planned.stats.rescales_sunk, 4);
     assert_eq!(planned.stats.rescales_after, 1);
@@ -177,14 +179,14 @@ fn dead_values_are_not_executed() {
     let (ctx, keys, mut rng) = setup();
     let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
-    let used = rec.square(&a, &keys);
-    let dead = rec.rotate(&a, 1, &keys);
-    let _dead2 = rec.add(&dead, &dead);
+    let used = rec.try_square(&a, &keys).unwrap();
+    let dead = rec.try_rotate(&a, 1, &keys).unwrap();
+    let _dead2 = rec.try_add(&dead, &dead).unwrap();
     assert!(rec.mark_output(&used));
     let (_, graph) = rec.into_recordings();
 
     let unplanned = Plan::passthrough(graph.clone());
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     assert_eq!(planned.stats.dead_removed, 2);
     assert!(planned.schedule.len() < unplanned.schedule.len());
 
@@ -201,7 +203,7 @@ fn dead_values_are_not_executed() {
 fn planned_execution_agrees_across_all_backends() {
     let (ctx, keys, mut rng) = setup();
     let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
 
     let mut eval = Evaluator::new(&ctx);
     let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
@@ -229,7 +231,7 @@ fn planned_execution_agrees_across_all_backends() {
 fn executor_rejects_wrong_input_count() {
     let (ctx, keys, mut rng) = setup();
     let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     let mut eval = Evaluator::new(&ctx);
     match execute(&planned, &mut eval, &[a.clone(), a], &keys) {
         Err(EvalError::InvalidParams(msg)) => assert!(msg.contains("input ciphertexts")),
@@ -241,7 +243,7 @@ fn executor_rejects_wrong_input_count() {
 fn executor_surfaces_missing_rotation_keys() {
     let (ctx, full_keys, mut rng) = setup();
     let (graph, a) = record_rotation_fan(&ctx, &full_keys, &mut rng);
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     // Fresh keyset without rotation keys: the hoisted batch must fail
     // with the missing key, not panic.
     let keyless = KeySet::generate(&ctx, &mut rng);
@@ -259,7 +261,7 @@ fn executor_surfaces_missing_rotation_keys() {
 fn value_preserving_digests_are_deterministic() {
     let (ctx, keys, mut rng) = setup();
     let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     let mut eval = Evaluator::new(&ctx);
     let once = execute(&planned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
     let twice = execute(&planned, &mut eval, &[a], &keys).unwrap();

@@ -39,16 +39,18 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
 
     // An 8-rotation same-source fan, summed.
     let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
-    let rots: Vec<Ciphertext> = (1..=8).map(|s| rec.rotate(&a, s, &keys)).collect();
+    let rots: Vec<Ciphertext> = (1..=8)
+        .map(|s| rec.try_rotate(&a, s, &keys).unwrap())
+        .collect();
     let mut acc = rots[0].clone();
     for r in &rots[1..] {
-        acc = rec.add(&acc, r);
+        acc = rec.try_add(&acc, r).unwrap();
     }
     rec.mark_output(&acc);
     let graph = rec.eval_graph();
 
     let unplanned = Plan::passthrough(graph.clone());
-    let planned = plan(graph, &PlanOptions::default());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
     let mut eval = Evaluator::new(&ctx);
     let reg = Registry::global();
 

@@ -41,10 +41,10 @@ fn snapshot_items_equal_usage_exactly() {
     let a = encrypt(&ctx, &keys, &mut rng, 1.5);
     let b = encrypt(&ctx, &keys, &mut rng, -2.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let s = m.hadd(&a, &b);
-    let p = m.cmult(&s, &a, &keys);
-    let r = m.rescale(&p);
-    let _ = m.rotate(&r, 1, &keys);
+    let s = m.try_hadd(&a, &b).unwrap();
+    let p = m.try_cmult(&s, &a, &keys).unwrap();
+    let r = m.try_rescale(&p).unwrap();
+    let _ = m.try_rotate(&r, 1, &keys).unwrap();
 
     let usage = m.usage();
     assert!(usage.total() > 0, "workload produced no operator traffic");
@@ -71,7 +71,7 @@ fn hadd_counters_match_table1_decomposition_exactly() {
     let a = encrypt(&ctx, &keys, &mut rng, 0.25);
     let b = encrypt(&ctx, &keys, &mut rng, 0.75);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.hadd(&a, &b);
+    let _ = m.try_hadd(&a, &b).unwrap();
 
     let p = OpParams::new(ctx.n(), a.level() + 1, ctx.special_basis().len());
     let model = BasicOp::HAdd.operator_counts(&p);
@@ -91,7 +91,7 @@ fn rotation_usage_pattern_matches_table1_row() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.rotate(&a, 1, &keys);
+    let _ = m.try_rotate(&a, 1, &keys).unwrap();
 
     let p = OpParams::new(ctx.n(), a.level() + 1, ctx.special_basis().len());
     let usage = m.usage();
@@ -116,7 +116,7 @@ fn evaluator_scopes_observe_keyswitch_digits() {
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let eval = Evaluator::new(&ctx);
     let before = poseidon_telemetry::Registry::global().snapshot();
-    let _ = eval.rotate(&a, 1, &keys);
+    let _ = eval.try_rotate(&a, 1, &keys).unwrap();
     let after = poseidon_telemetry::Registry::global().snapshot();
     let delta = after.since(&before);
     let limbs = delta.get("keyswitch.digit").expect("scope registered");
@@ -136,10 +136,10 @@ fn reset_usage_clears_all_metrics() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.rotate(&a, 1, &keys);
+    let _ = m.try_rotate(&a, 1, &keys).unwrap();
     assert!(m.usage().total() > 0);
     m.reset_usage();
     assert_eq!(m.usage().total(), 0);
-    let _ = m.hadd(&a, &a);
+    let _ = m.try_hadd(&a, &a).unwrap();
     assert!(m.usage().uses(Operator::Ma));
 }

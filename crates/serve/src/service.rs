@@ -983,7 +983,7 @@ fn run_one(tenant: &Tenant, request: &Request) -> Result<Ciphertext, he_ckks::er
 }
 
 /// Compiles and executes one `.pos` program as a unit: parse → lower
-/// (`compile_trace`) → pass pipeline (`try_plan`) → plan executor, on a
+/// (`compile_trace`) → pass pipeline (`plan`) → plan executor, on a
 /// fresh evaluator over the tenant's context. Every graph input is
 /// seeded with `a`; the reply is the program's final output.
 ///

@@ -54,8 +54,8 @@ fn eviction_bounds_residents_and_reload_is_bit_identical() {
     // "t0" and "t1" were evicted; serving them re-decodes their frames
     // and the rebuilt evaluation state answers bit-identically.
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.25)]);
-    let want_sq = eval.square(&ct, &keys);
-    let want_rot = eval.rotate(&ct, 1, &keys);
+    let want_sq = eval.try_square(&ct, &keys).unwrap();
+    let want_rot = eval.try_rotate(&ct, 1, &keys).unwrap();
     for tenant in ["t0", "t1", "t2", "t3"] {
         let got = service
             .call(tenant, Request::Square { a: ct.clone() })

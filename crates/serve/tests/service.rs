@@ -59,29 +59,32 @@ fn served_ops_match_the_local_evaluator_bit_for_bit() {
                 a: a.clone(),
                 b: b.clone(),
             },
-            eval.add(&a, &b),
+            eval.try_add(&a, &b).unwrap(),
         ),
         (
             Request::Sub {
                 a: a.clone(),
                 b: b.clone(),
             },
-            eval.sub(&a, &b),
+            eval.try_sub(&a, &b).unwrap(),
         ),
         (
             Request::Mul {
                 a: a.clone(),
                 b: b.clone(),
             },
-            eval.mul(&a, &b, &keys),
+            eval.try_mul(&a, &b, &keys).unwrap(),
         ),
-        (Request::Square { a: a.clone() }, eval.square(&a, &keys)),
+        (
+            Request::Square { a: a.clone() },
+            eval.try_square(&a, &keys).unwrap(),
+        ),
         (
             Request::Rotate {
                 a: a.clone(),
                 steps: 2,
             },
-            eval.rotate(&a, 2, &keys),
+            eval.try_rotate(&a, 2, &keys).unwrap(),
         ),
     ];
     for (request, expected) in cases {
@@ -209,7 +212,7 @@ fn level_exhaustion_is_a_per_request_error_not_a_crash() {
     let (ctx, keys, mut rng) = setup();
     let eval = Evaluator::new(&ctx);
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
-    let exhausted = eval.drop_to_level(&ct, 0);
+    let exhausted = eval.try_drop_to_level(&ct, 0).unwrap();
 
     let service = EvalService::start(ServiceConfig::default());
     service.register_tenant("acme", ctx, keys);

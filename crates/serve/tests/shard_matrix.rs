@@ -71,28 +71,28 @@ fn sharded_matches_single_dispatcher_across_the_matrix() {
                     a: a.clone(),
                     b: b.clone(),
                 },
-                eval.add(&a, &b),
+                eval.try_add(&a, &b).unwrap(),
             ),
             (
                 Request::Mul {
                     a: a.clone(),
                     b: b.clone(),
                 },
-                eval.mul(&a, &b, &keys),
+                eval.try_mul(&a, &b, &keys).unwrap(),
             ),
             (
                 Request::Rotate {
                     a: a.clone(),
                     steps: 1,
                 },
-                eval.rotate(&a, 1, &keys),
+                eval.try_rotate(&a, 1, &keys).unwrap(),
             ),
             (
                 Request::Rotate {
                     a: a.clone(),
                     steps: 2,
                 },
-                eval.rotate(&a, 2, &keys),
+                eval.try_rotate(&a, 2, &keys).unwrap(),
             ),
         ];
         work.push((tenant, cases));
@@ -216,7 +216,7 @@ fn work_stealing_drains_a_hot_shard_without_corrupting_results() {
                 &mut rng,
                 &[Complex::new(0.1 * f64::from(i), -0.05)],
             );
-            let want = eval.square(&ct, &keys);
+            let want = eval.try_square(&ct, &keys).unwrap();
             (ct, want)
         })
         .collect();

@@ -65,7 +65,9 @@ fn loopback_round_trip_decrypts_to_the_reference() {
     // rotate(1): bit-identical to the local hoisted rotation.
     let rot_frame = client.rotate("acme", &a_frame, 1).expect("rotate");
     let rot = poseidon_wire::decode_ciphertext(&ctx, &rot_frame).expect("decode rot");
-    let expected = he_ckks::eval::Evaluator::new(&ctx).rotate(&a, 1, &keys);
+    let expected = he_ckks::eval::Evaluator::new(&ctx)
+        .try_rotate(&a, 1, &keys)
+        .unwrap();
     assert_eq!(rot.c0(), expected.c0());
     assert_eq!(rot.c1(), expected.c1());
 

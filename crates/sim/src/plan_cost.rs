@@ -9,9 +9,8 @@
 //! uses. Streaming ops therefore price in their HBM traffic (a plain `HAdd`
 //! is bandwidth-bound), which a compute-only table cannot express.
 //!
-//! The model plugs into [`plan::try_plan_with`](poseidon_core::plan) as the
-//! scheduler's tie-breaker and into the bootstrap-insertion pass's
-//! refresh-vs-reencrypt comparison.
+//! The model plugs into [`plan::plan_with`](poseidon_core::plan) for the
+//! bootstrap-insertion pass's refresh-vs-reencrypt comparison.
 
 use poseidon_core::decompose::{BasicOp, OpParams};
 use poseidon_core::plan::{CostModel, GraphOp};

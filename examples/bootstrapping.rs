@@ -10,7 +10,7 @@ use poseidon::ckks::encoding::Complex;
 use poseidon::ckks::prelude::*;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = CkksContext::new(CkksParams::bootstrap_demo());
     let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
     // Sparse secret: bounds the ModRaise overflow so the sine approximation
@@ -31,20 +31,20 @@ fn main() {
         .encrypt(&encode_for_bootstrap(&ctx, &z), &mut rng);
     println!("fresh level      : {}", ct.level());
 
-    let exhausted = exhaust_to_level0(&eval, &ct);
+    let exhausted = exhaust_to_level0(&eval, &ct)?;
     println!(
         "exhausted level  : {} (no multiplications left)",
         exhausted.level()
     );
 
-    let refreshed = bs.bootstrap(&eval, &keys, &exhausted);
+    let refreshed = bs.try_bootstrap(&eval, &keys, &exhausted)?;
     println!(
         "refreshed level  : {} (multiplications available again)",
         refreshed.level()
     );
 
     // Prove it: square the refreshed ciphertext.
-    let squared = eval.rescale(&eval.square(&refreshed, &keys));
+    let squared = eval.try_rescale(&eval.try_square(&refreshed, &keys)?)?;
     let dec = keys.secret().decrypt(&squared);
     let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 4);
     println!("squared slots    :");
@@ -54,4 +54,5 @@ fn main() {
         assert!((v.re - want).abs() < 0.08, "slot {i} drifted");
     }
     println!("ok: bootstrapping refreshed an exhausted ciphertext");
+    Ok(())
 }

@@ -11,7 +11,7 @@ use poseidon::ckks::prelude::*;
 /// σ(x) ≈ 0.5 + 0.197·x − 0.004·x³ (the classic HELR polynomial).
 const SIG: [f64; 4] = [0.5, 0.197, 0.0, -0.004];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rand::thread_rng();
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -37,11 +37,11 @@ fn main() {
     // w ⊙ x (plaintext multiply), then log-fold rotations to sum 8 slots.
     let w: Vec<Complex> = weights.iter().map(|&v| Complex::new(v, 0.0)).collect();
     let pt_w = eval.encode_at_level(&w, ctx.default_scale(), ct_x.level());
-    let mut acc = eval.rescale(&eval.mul_plain(&ct_x, &pt_w));
+    let mut acc = eval.try_rescale(&eval.try_mul_plain(&ct_x, &pt_w)?)?;
     let mut width = features.len() / 2;
     while width >= 1 {
-        let rot = eval.rotate(&acc, width as i64, &keys);
-        acc = eval.add(&acc, &rot);
+        let rot = eval.try_rotate(&acc, width as i64, &keys)?;
+        acc = eval.try_add(&acc, &rot)?;
         width /= 2;
     }
     // Slot 0 now holds ⟨w, x⟩ (every slot holds the full sum actually,
@@ -49,7 +49,7 @@ fn main() {
     let logit: f64 = features.iter().zip(&weights).map(|(x, w)| x * w).sum();
 
     // Sigmoid polynomial on the ciphertext.
-    let prob_ct = poseidon::ckks::polyeval::evaluate_monomial(&eval, &keys, &acc, &SIG);
+    let prob_ct = poseidon::ckks::polyeval::try_evaluate_monomial(&eval, &keys, &acc, &SIG)?;
     let dec = keys.secret().decrypt(&prob_ct);
     let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 8)[0].re;
 
@@ -61,4 +61,5 @@ fn main() {
     println!("exact sigmoid  = {exact:+.4}");
     assert!((got - want).abs() < 1e-2, "homomorphic result drifted");
     println!("ok: encrypted inference matches the plaintext polynomial");
+    Ok(())
 }

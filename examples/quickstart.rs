@@ -6,7 +6,7 @@
 use poseidon::ckks::encoding::Complex;
 use poseidon::ckks::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Small parameters: N = 2^11, 8-prime chain (≈ 7 multiplicative levels).
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rand::thread_rng();
@@ -31,11 +31,11 @@ fn main() {
     let ct_b = keys.public().encrypt(&encode(&b_vals), &mut rng);
 
     // a·b (ciphertext × ciphertext with relinearisation), rescaled.
-    let prod = eval.rescale(&eval.mul(&ct_a, &ct_b, &keys));
+    let prod = eval.try_rescale(&eval.try_mul(&ct_a, &ct_b, &keys)?)?;
     // a·b + a — levels/scales aligned automatically by the evaluator.
-    let sum = eval.add(&prod, &eval.adjust(&ct_a, prod.level(), prod.scale()));
+    let sum = eval.try_add(&prod, &eval.try_adjust(&ct_a, prod.level(), prod.scale())?)?;
     // Rotate left by one slot.
-    let rotated = eval.rotate(&sum, 1, &keys);
+    let rotated = eval.try_rotate(&sum, 1, &keys)?;
 
     let dec = keys.secret().decrypt(&rotated);
     let out = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 4);
@@ -48,4 +48,5 @@ fn main() {
         assert!((v.re - want).abs() < 1e-2, "slot {i} drifted");
     }
     println!("ok: homomorphic pipeline matches plaintext semantics");
+    Ok(())
 }

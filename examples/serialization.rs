@@ -8,7 +8,7 @@ use poseidon::ckks::encoding::Complex;
 use poseidon::ckks::prelude::*;
 use poseidon::wire::{decode_ciphertext, encode_ciphertext};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::thread_rng();
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -27,8 +27,8 @@ fn main() {
 
     // Server side: decode (no secret key!), compute x² + x.
     let received = decode_ciphertext(&ctx, &wire).expect("decode");
-    let sq = eval.rescale(&eval.square(&received, &keys));
-    let result = eval.add(&sq, &eval.adjust(&received, sq.level(), sq.scale()));
+    let sq = eval.try_rescale(&eval.try_square(&received, &keys)?)?;
+    let result = eval.try_add(&sq, &eval.try_adjust(&received, sq.level(), sq.scale())?)?;
     let reply = encode_ciphertext(&ctx, &result);
     println!("result on the wire    : {} bytes", reply.len());
 
@@ -42,4 +42,5 @@ fn main() {
         assert!((v.re - want).abs() < 0.02);
     }
     println!("ok: computed on serialised ciphertexts without the secret key");
+    Ok(())
 }

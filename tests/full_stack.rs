@@ -48,15 +48,30 @@ fn polynomial_pipeline_matches_plaintext_math() {
     let ct_x = encrypt(&ctx, &keys, &mut rng, &xs);
     let ct_y = encrypt(&ctx, &keys, &mut rng, &ys);
 
-    let xy = eval.rescale(&eval.mul(&ct_x, &ct_y, &keys));
-    let xy_minus_x = eval.sub(&xy, &eval.adjust(&ct_x, xy.level(), xy.scale()));
-    let t = eval.rescale(&eval.mul(
-        &xy_minus_x,
-        &eval.adjust(&ct_y, xy_minus_x.level(), xy_minus_x.scale()),
-        &keys,
-    ));
+    let xy = eval
+        .try_rescale(&eval.try_mul(&ct_x, &ct_y, &keys).unwrap())
+        .unwrap();
+    let xy_minus_x = eval
+        .try_sub(
+            &xy,
+            &eval.try_adjust(&ct_x, xy.level(), xy.scale()).unwrap(),
+        )
+        .unwrap();
+    let t = eval
+        .try_rescale(
+            &eval
+                .try_mul(
+                    &xy_minus_x,
+                    &eval
+                        .try_adjust(&ct_y, xy_minus_x.level(), xy_minus_x.scale())
+                        .unwrap(),
+                    &keys,
+                )
+                .unwrap(),
+        )
+        .unwrap();
     let two = eval.encode_at_level(&[Complex::new(2.0, 0.0)], t.scale(), t.level());
-    let out = eval.add_plain(&t, &two);
+    let out = eval.try_add_plain(&t, &two).unwrap();
 
     let got = decrypt(&ctx, &keys, &out, 4);
     for i in 0..4 {
@@ -146,8 +161,10 @@ fn rotation_composes_with_cmult_across_levels() {
     let ct = encrypt(&ctx, &keys, &mut rng, &vals);
 
     // rot(ct, 2) ⊙ ct then check slot semantics.
-    let rot = eval.rotate(&ct, 2, &keys);
-    let prod = eval.rescale(&eval.mul(&rot, &ct, &keys));
+    let rot = eval.try_rotate(&ct, 2, &keys).unwrap();
+    let prod = eval
+        .try_rescale(&eval.try_mul(&rot, &ct, &keys).unwrap())
+        .unwrap();
     let got = decrypt(&ctx, &keys, &prod, slots);
     for i in 0..8 {
         let want = vals[(i + 2) % slots] * vals[i];
@@ -167,9 +184,11 @@ fn recorded_session_simulates_on_the_accelerator_model() {
 
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0, 2.0, 3.0, 4.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 0.5, 0.5, 0.5]);
-    let s = rec.add(&a, &b);
-    let p = rec.rescale(&rec.mul(&s, &b, &keys));
-    let out = rec.rotate(&p, 1, &keys);
+    let s = rec.try_add(&a, &b).unwrap();
+    let p = rec
+        .try_rescale(&rec.try_mul(&s, &b, &keys).unwrap())
+        .unwrap();
+    let out = rec.try_rotate(&p, 1, &keys).unwrap();
 
     // Functional result is correct...
     let got = decrypt(&ctx, &keys, &out, 4);

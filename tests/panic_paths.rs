@@ -1,8 +1,6 @@
-//! Regression tests for the panic-free evaluation surface: the degenerate
-//! inputs that used to abort the process mid-pipeline now come back as
-//! typed [`EvalError`]s through the `try_*` API, while the legacy
-//! panicking wrappers keep their historical messages for callers that
-//! still match on them.
+//! Regression tests for the panic-free evaluation surface: degenerate
+//! inputs come back as typed [`EvalError`]s through the `try_*` API, the
+//! only form the operations have.
 
 use poseidon::ckks::bootstrap::Bootstrapper;
 use poseidon::ckks::encoding::Complex;
@@ -100,19 +98,19 @@ fn lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
     );
 
     // A plaintext at or above the ciphertext's level is still truncated
-    // down to it, and the checked form agrees with the panicking one.
-    let dropped = eval.drop_to_level(&ct, 0);
+    // down to it.
+    let dropped = eval.try_drop_to_level(&ct, 0).unwrap();
     let full = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), ct.level());
     assert_eq!(
         eval.try_mul_plain(&dropped, &full).unwrap(),
-        eval.mul_plain(&dropped, &low)
+        eval.try_mul_plain(&dropped, &low).unwrap()
     );
 }
 
 /// The functional machine checks the same operand: its `try_add_plain` and
 /// `try_pmult` (and their `HomomorphicOps` faces) return the evaluator's
 /// `LevelMismatch` where they used to hit `truncate_basis`'s prefix
-/// assertion, and `pmult` stays the panicking wrapper.
+/// assertion.
 #[test]
 fn machine_lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
     use poseidon::core::{HomomorphicOps, PoseidonMachine};
@@ -135,46 +133,15 @@ fn machine_lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
         HomomorphicOps::try_mul_plain(&mut machine, &ct, &low).unwrap_err(),
         want
     );
-    let panicked =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.pmult(&ct, &low)))
-            .expect_err("pmult is the panicking wrapper");
-    assert_eq!(
-        panicked.downcast_ref::<String>(),
-        Some(&want.to_string()),
-        "the wrapper panics with the typed error's message"
-    );
 
     // A plaintext above the ciphertext's level is truncated down to it,
     // exactly as the evaluator does.
-    let dropped = eval.drop_to_level(&ct, 0);
+    let dropped = eval.try_drop_to_level(&ct, 0).unwrap();
     let full = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), ct.level());
     assert_eq!(
         machine.try_pmult(&dropped, &full).unwrap(),
-        machine.pmult(&dropped, &low)
+        machine.try_pmult(&dropped, &low).unwrap()
     );
-}
-
-/// The panicking wrappers still panic — with the same message text they
-/// always had, routed through the `try_*` path underneath.
-#[test]
-fn legacy_wrappers_keep_their_panic_messages() {
-    let ctx = CkksContext::new(CkksParams::toy());
-    let mut rng = rng();
-    let keys = KeySet::generate(&ctx, &mut rng);
-    let eval = Evaluator::new(&ctx);
-    let ct = encrypt(&ctx, &keys, &mut rng);
-    let zero = PlainMatrix::new(vec![vec![Complex::new(0.0, 0.0); 4]; 4]);
-
-    let panic_message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        zero.apply(&eval, &keys, &ct)
-    }))
-    .expect_err("zero matrix must still panic through the legacy wrapper");
-    let text = panic_message
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| panic_message.downcast_ref::<String>().cloned())
-        .expect("panic payload should be a string");
-    assert_eq!(text, "matrix must have a non-zero diagonal");
 }
 
 /// Wire + serve smoke from the facade crate: a ciphertext survives the
@@ -208,7 +175,7 @@ fn facade_wire_and_serve_round_trip() {
             },
         )
         .expect("served add");
-    let local = Evaluator::new(&ctx).add(&ct, &ct);
+    let local = Evaluator::new(&ctx).try_add(&ct, &ct).unwrap();
     assert_eq!(served.c0(), local.c0());
     assert_eq!(served.c1(), local.c1());
 }
