@@ -8,8 +8,11 @@
 //! | CMult + relinearise   | [`Evaluator::try_mul`] |
 //! | Rescale               | [`Evaluator::try_rescale`] |
 //! | Keyswitch (Modup/RNSconv/Moddown) | [`Evaluator::keyswitch`] |
-//! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`] |
+//! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`], [`Evaluator::try_rotate_many`] |
 //! | Conjugation           | [`Evaluator::try_conjugate`] |
+//!
+//! The last three rows are one private engine (`switch_fan`): a fan of one
+//! over lifted digits, a fan of one over hoisted digits, a fan of `R`.
 //!
 //! Every operation that can fail on caller input has one form, which
 //! returns [`EvalError`].
@@ -17,14 +20,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use he_math::BarrettReducer;
-use he_rns::conv::{moddown, rescale as rns_rescale};
+use he_rns::conv::{rescale as rns_rescale, ModdownSplit};
+use he_rns::poly::automorphism_add_row;
 use he_rns::{Form, LazyDot, RnsBasis, RnsPoly, ShoupOperand};
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::Complex;
 use crate::error::EvalError;
-use crate::keys::{KeySet, KeySwitchKey};
+use crate::keys::{EvalKeyRows, KeySet, KeySwitchKey};
 
 /// Per-`Evaluator` telemetry handles, resolved from the global registry
 /// once at construction so the hot paths never touch the registry lock.
@@ -34,8 +38,8 @@ use crate::keys::{KeySet, KeySwitchKey};
 struct EvalMetrics {
     mul: std::sync::Arc<poseidon_telemetry::Metric>,
     keyswitch: std::sync::Arc<poseidon_telemetry::Metric>,
-    /// `keyswitch.digit`: the inner-product stage, one span per extended
-    /// limb (items = digits·N).
+    /// `keyswitch.digit`: the inner-product kernel, one span per extended
+    /// limb and output (items = digits·N).
     digit: std::sync::Arc<poseidon_telemetry::Metric>,
     rotate: std::sync::Arc<poseidon_telemetry::Metric>,
     conjugate: std::sync::Arc<poseidon_telemetry::Metric>,
@@ -67,21 +71,18 @@ impl EvalMetrics {
 /// lifted to the extended basis `Q_l ∪ P` and forward-NTT'd **once**
 /// (Halevi–Shoup hoisting).
 ///
-/// Rotating a ciphertext splits into (1) the digit lift + forward NTTs of
-/// `c_1` — identical for every rotation amount — and (2) the per-rotation
-/// automorphism + key products. [`Evaluator::hoist`] pays (1) once;
-/// [`Evaluator::apply_galois_hoisted`] then applies the automorphism
-/// directly to the pre-decomposed evaluation-form digits (a pure index
-/// permutation), so `N` rotations of one ciphertext cost one lift instead
-/// of `N`. This is exactly the redundant-NTT traffic Poseidon's operator
-/// reuse analysis (§III) targets on the rotation hot path.
-///
-/// The decomposition is tied to the ciphertext it was hoisted from: using
-/// it with any other ciphertext yields garbage (but is not checked beyond
-/// the level assertion — the digits carry no back-pointer).
+/// The lift + forward NTTs of `c_1` are identical for every rotation amount;
+/// [`Evaluator::hoist`] pays them once, and the automorphism then acts on the
+/// evaluation-form digits as a pure index permutation — the redundant-NTT
+/// traffic Poseidon's operator-reuse analysis (§III) targets on the rotation
+/// hot path. It records the level of the ciphertext it was hoisted from and
+/// an `O(limbs)` fingerprint of its `c_1`;
+/// [`Evaluator::apply_galois_hoisted`] refuses any other ciphertext.
 #[derive(Debug)]
 pub struct HoistedDecomposition {
     level: usize,
+    /// Fingerprint of the `c_1` the digits were lifted from.
+    source: u64,
     /// Eval-form digit lifts of `c_1` over `Q_l ∪ P`, one per chain prime.
     digits: Vec<RnsPoly>,
     /// Number of rotations served, for reuse/saved-NTT accounting.
@@ -382,112 +383,121 @@ impl Evaluator {
     /// Per RNS digit (α = 1, one digit per chain prime): lift `[d]_{q_j}`
     /// exactly to the extended basis `Q_l ∪ P` (a degenerate Modup, Eq. 3),
     /// multiply by key pair `j`, accumulate, then Moddown (Eq. 2) divides
-    /// the `P` factor away. Three stages, one dispatch each per output
-    /// polynomial: the limb-major inner product, the inverse NTT, Moddown.
+    /// the `P` factor away: a fan of one through the key-switch engine.
     pub fn keyswitch(&self, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        let level = d.level_count() - 1;
-        #[cfg(feature = "telemetry")]
-        let _span = self
-            .tel
-            .keyswitch
-            .span(((level + 1) * d.basis().n()) as u64);
-        let (acc0, acc1) = self.key_inner_product(level, Digits::Lift(d), key);
-        let q_len = level + 1;
-        (
-            moddown(&acc0.into_coeff(), q_len),
-            moddown(&acc1.into_coeff(), q_len),
-        )
+        let mut fan = self.switch_fan(d.level_count() - 1, Source::Lift(d), &[(1, key)]);
+        fan.pop().expect("a fan of one")
     }
 
-    /// The inner product `Σ_j digit_j ⊙ (b_j, a_j)` of a keyswitch over
-    /// `Q_level ∪ P`, in evaluation form — the paper's MM → MA → shared SBT.
+    /// The key-switch engine: one digit decomposition switched under every
+    /// key of `fan`, in two dispatches whatever the fan's size — the paper's
+    /// MM → MA → shared SBT → NTT core → Moddown chain walked limb-major, so
+    /// that a row serves every consumer while it is in cache.
     ///
-    /// Limb-major: one dispatch over the extended limbs; each worker walks
-    /// the digits of its limb, brings digit `j`'s row into one scratch row
-    /// (see [`Digits`]), reads key pair `j`'s rows by reference from the
-    /// evaluation-form cache, and sums both products in 128 bits with one
-    /// reduction per coefficient ([`LazyDot`]). Nothing is copied, reduced
-    /// or dispatched per digit.
-    fn key_inner_product(
+    /// *Stage A* (items: output × special limb): the limb's inner product,
+    /// its inverse NTT in place, Moddown's `[·p̂_j⁻¹]_{p_j}` scaling; these two
+    /// rows per item are all that lives between the stages. *Stage B* (items:
+    /// chain limbs) loads a limb's digit rows once and walks every output
+    /// past them: inner product, inverse NTT, the limb's Moddown, on the
+    /// hoisted path (the only one to read `fan`'s Galois elements) `σ_g(c_0)`
+    /// added in the coefficient domain; each final row is written once.
+    fn switch_fan(
         &self,
         level: usize,
-        digits: Digits<'_>,
-        key: &KeySwitchKey,
-    ) -> (RnsPoly, RnsPoly) {
-        let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
-        let n = self.ctx.n();
-        let digit_count = level + 1;
-        let key_rows = key.eval_rows(&self.ctx, level);
-        // Injection point for the `RnsResidue` fault site on the lifted
-        // digits (the rows `lift_digit` hands to `into_eval` on the hoisted
-        // path): under an armed plan they are lifted and tampered here,
-        // serially and in digit order, so the firing sequence does not
-        // depend on the thread count; the kernel then reads these rows.
+        source: Source<'_>,
+        fan: &[(u64, &KeySwitchKey)],
+    ) -> Vec<(RnsPoly, RnsPoly)> {
+        // An armed plan fires `RnsResidue` inside the items: run them here,
+        // in item order, so the firing sequence ignores the thread count.
         #[cfg(feature = "faults")]
-        let upset_lifts: Option<Vec<Vec<Vec<u64>>>> = match digits {
-            Digits::Lift(d) if poseidon_faults::armed() => Some(
-                (0..digit_count)
-                    .map(|j| {
-                        let mut rows: Vec<Vec<u64>> = ext_basis
-                            .reducers()
-                            .iter()
-                            .map(|red| {
-                                let mut lifted = vec![0; n];
-                                lift_row(d.residues(j), red, &mut lifted);
-                                lifted
-                            })
-                            .collect();
-                        poseidon_faults::tamper_rows(
-                            poseidon_faults::FaultSite::RnsResidue,
-                            &mut rows,
-                        );
-                        rows
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        };
-        // Per digit and coefficient a limb gathers or lifts the digit and
-        // makes two multiply–adds; a lifted digit also costs its forward NTT.
-        let per_digit = match digits {
-            Digits::Lift(_) => 3 * n + ext_basis.tables()[0].weight(),
-            Digits::Hoisted(..) => 3 * n,
-        };
-        let (r0, r1) = poseidon_par::par_map_unzip(ext_basis.len(), digit_count * per_digit, |i| {
+        if poseidon_faults::armed() && poseidon_par::threads() > 1 {
+            return poseidon_par::with_threads(1, || self.switch_fan(level, source, fan));
+        }
+        #[cfg(feature = "telemetry")]
+        let started = std::time::Instant::now();
+        let n = self.ctx.n();
+        let (q_len, outputs) = (level + 1, fan.len());
+        let q_basis = self.ctx.level_basis(level);
+        let ext_basis = q_basis.concat(self.ctx.special_basis());
+        let p_len = ext_basis.len() - q_len;
+        let split = ModdownSplit::new(&ext_basis, q_len);
+        // Per output: its key rows, by reference into the evaluation-form
+        // cache, and on the hoisted path its slot permutation (one table of
+        // (N, g) serves every digit and limb).
+        let hoisted = matches!(source, Source::Hoisted(..));
+        let switches: Vec<(EvalKeyRows<'_>, Option<Vec<usize>>)> = fan
+            .iter()
+            .map(|&(g, key)| {
+                let perm = hoisted.then(|| he_ntt::galois_permutation(n, g));
+                (key.eval_rows(&self.ctx, level), perm)
+            })
+            .collect();
+        // Output `r` on extended limb `i`, from the limb's digit rows: both
+        // key products summed by the blocked kernel, each sum inverse-NTT'd.
+        let limb_sums = |i: usize, digits: &[&[u64]], r: usize| {
+            let (rows, perm) = &switches[r];
+            let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
+            let (mut sum_b, mut sum_a) = (vec![0; n], vec![0; n]);
+            let dot = LazyDot::new(ext_basis.reducers()[i]);
             #[cfg(feature = "telemetry")]
-            let _limb = self.tel.digit.span((digit_count * n) as u64);
-            let red = ext_basis.reducers()[i];
-            let mut acc0 = LazyDot::new(red, n);
-            let mut acc1 = LazyDot::new(red, n);
-            let mut row = poseidon_par::scratch::take(n);
-            for j in 0..digit_count {
-                match digits {
-                    Digits::Lift(d) => {
-                        lift_row(d.residues(j), &red, &mut row);
-                        #[cfg(feature = "faults")]
-                        if let Some(lifted) = &upset_lifts {
-                            row.copy_from_slice(&lifted[j][i]);
-                        }
-                        ext_basis.tables()[i].forward(&mut row);
-                    }
-                    Digits::Hoisted(hoisted, perm) => {
-                        let src = hoisted[j].residues(i);
-                        for (o, &k) in row.iter_mut().zip(perm) {
-                            *o = src[k];
-                        }
-                    }
-                }
-                let (b, a) = key_rows.pair(j, i);
-                acc0.mul_add(&row, b);
-                acc1.mul_add(&row, a);
+            let span = self.tel.digit.span((q_len * n) as u64);
+            dot.dot_pair(digits, perm.as_deref(), &keys, &mut sum_b, &mut sum_a);
+            #[cfg(feature = "telemetry")]
+            drop(span);
+            for sum in [&mut sum_b, &mut sum_a] {
+                // The `RnsResidue` fault site, where `into_coeff` has it.
+                #[cfg(feature = "faults")]
+                poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, sum);
+                ext_basis.tables()[i].inverse(sum);
             }
-            poseidon_par::scratch::recycle(row);
-            (acc0.finish(), acc1.finish())
+            (sum_b, sum_a)
+        };
+        // Weights, in element operations: a digit lifted here is a lift and a
+        // forward NTT; an output is a read and two multiply–adds per digit,
+        // two inverse NTTs and two Moddown passes.
+        let ntt = ext_basis.tables()[0].weight();
+        let lifts = if hoisted { 0 } else { q_len * (n + ntt) };
+        let output = q_len * 3 * n + 2 * ntt + 2 * (p_len + 2) * n;
+
+        let (t_b, t_a) = poseidon_par::par_map_unzip(outputs * p_len, lifts + output, |item| {
+            let (r, j) = (item / p_len, item % p_len);
+            source.with_digit_rows(&ext_basis, q_len + j, |digits| {
+                let (mut t_b, mut t_a) = limb_sums(q_len + j, digits, r);
+                split.scale_p_limb(j, &mut t_b);
+                split.scale_p_limb(j, &mut t_a);
+                (t_b, t_a)
+            })
         });
-        (
-            RnsPoly::from_residues(&ext_basis, r0, Form::Eval),
-            RnsPoly::from_residues(&ext_basis, r1, Form::Eval),
-        )
+        let limbs = poseidon_par::par_map(q_len, lifts + outputs * output, |i| {
+            source.with_digit_rows(&ext_basis, i, |digits| {
+                let finished = |r: usize| {
+                    let (mut k_b, mut k_a) = limb_sums(i, digits, r);
+                    let scaled = r * p_len..(r + 1) * p_len;
+                    split.finish_q_limb(i, &t_b[scaled.clone()], &mut k_b);
+                    split.finish_q_limb(i, &t_a[scaled], &mut k_a);
+                    if let Source::Hoisted(_, c0) = source {
+                        let q = q_basis.primes()[i];
+                        automorphism_add_row(&mut k_b, c0.residues(i), fan[r].0, q);
+                    }
+                    (k_b, k_a)
+                };
+                (0..outputs).map(finished).collect::<Vec<_>>()
+            })
+        });
+        #[cfg(feature = "telemetry")]
+        self.tel
+            .keyswitch
+            .record_shared(outputs, (q_len * n) as u64, started.elapsed());
+        // Limb-major rows back into one polynomial pair per output.
+        let mut rows = vec![(Vec::new(), Vec::new()); outputs];
+        for limb in limbs {
+            for ((rows_b, rows_a), (k_b, k_a)) in rows.iter_mut().zip(limb) {
+                rows_b.push(k_b);
+                rows_a.push(k_a);
+            }
+        }
+        let poly = |rows| RnsPoly::from_residues(&q_basis, rows, Form::Coeff);
+        rows.into_iter().map(|(b, a)| (poly(b), poly(a))).collect()
     }
 
     /// Precomputes the rotation-independent half of a keyswitch: digit
@@ -512,6 +522,7 @@ impl Evaluator {
         });
         HoistedDecomposition {
             level,
+            source: fingerprint(a.c1()),
             digits,
             uses: AtomicU64::new(0),
         }
@@ -520,14 +531,13 @@ impl Evaluator {
     /// Applies Galois element `g` to `a` using its hoisted decomposition
     /// `h`: the automorphism acts on the pre-NTT'd digits as a pure index
     /// permutation (see [`he_ntt::galois_permutation`]), so no lift and no
-    /// forward NTT of ciphertext data happens here. Bit-identical to
-    /// [`try_apply_galois`], which is itself routed through this path.
-    ///
-    /// [`try_apply_galois`]: Self::try_apply_galois
+    /// forward NTT of ciphertext data happens here — a fan of one through
+    /// the key-switch engine, as is [`try_apply_galois`](Self::try_apply_galois).
     ///
     /// # Panics
     ///
-    /// Panics if `h` was hoisted at a different level than `a`.
+    /// Panics if `h` was hoisted at a different level than `a`, or from
+    /// another ciphertext (see [`HoistedDecomposition`]).
     pub fn apply_galois_hoisted(
         &self,
         a: &Ciphertext,
@@ -535,35 +545,41 @@ impl Evaluator {
         g: u64,
         key: &KeySwitchKey,
     ) -> Ciphertext {
+        let mut fan = self.galois_fan(a, h, &[(g, key)]);
+        fan.pop().expect("a fan of one")
+    }
+
+    /// Every Galois element of `fan` applied to `a` through its hoisted
+    /// decomposition `h`, as one fan of the key-switch engine.
+    fn galois_fan(
+        &self,
+        a: &Ciphertext,
+        h: &HoistedDecomposition,
+        fan: &[(u64, &KeySwitchKey)],
+    ) -> Vec<Ciphertext> {
+        let (level, source) = (a.level(), fingerprint(a.c1()));
         assert_eq!(
-            a.level(),
-            h.level,
+            level, h.level,
             "hoisted decomposition level must match the ciphertext"
         );
-        let level = h.level;
-        let n = a.n();
-        #[cfg(feature = "telemetry")]
-        let _span = self.tel.keyswitch.span(((level + 1) * n) as u64);
+        assert_eq!(
+            source, h.source,
+            "hoisted decomposition was lifted from another ciphertext"
+        );
         // Reuse accounting: every application after the first rides on the
         // hoisted digits and skips (level+1) lifts of ext_len forward NTTs.
-        let prior = h.uses.fetch_add(1, Ordering::Relaxed);
+        let prior = h.uses.fetch_add(fan.len() as u64, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
-        if prior > 0 {
-            let ext_len = self.ctx.special_basis().len() + level + 1;
-            self.tel.reuse.add(((level + 1) * ext_len) as u64);
-            self.tel.saved_ntt.add(((level + 1) * ext_len) as u64);
+        for _ in usize::from(prior == 0)..fan.len() {
+            let saved = (level + 1) * (self.ctx.special_basis().len() + level + 1);
+            self.tel.reuse.add(saved as u64);
+            self.tel.saved_ntt.add(saved as u64);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = prior;
-        // The slot permutation depends only on (N, g): one table serves
-        // every digit and every limb of this rotation.
-        let perm = he_ntt::galois_permutation(n, g);
-        let (acc0, acc1) = self.key_inner_product(level, Digits::Hoisted(&h.digits, &perm), key);
-        let q_len = level + 1;
-        let k0 = moddown(&acc0.into_coeff(), q_len);
-        let k1 = moddown(&acc1.into_coeff(), q_len);
-        let t0 = a.c0().automorphism(g);
-        Ciphertext::new(t0.add(&k0), k1, a.scale())
+        let switched = self.switch_fan(level, Source::Hoisted(&h.digits, a.c0()), fan);
+        let cipher = |(c0, c1)| Ciphertext::new(c0, c1, a.scale());
+        switched.into_iter().map(cipher).collect()
     }
 
     /// Rescale (paper Rescale): divides by the last chain prime and drops a
@@ -717,22 +733,12 @@ impl Evaluator {
         Ok(out)
     }
 
-    /// One Galois element applied with its key, routed through [`hoist`] +
-    /// [`apply_galois_hoisted`] so single and batched rotations share one
-    /// code path (and are therefore bit-identical): the digit lift happens
-    /// on `c_1` *before* the automorphism, which then acts on the
-    /// evaluation-form digits as an index permutation.
-    ///
-    /// [`hoist`]: Self::hoist
-    /// [`apply_galois_hoisted`]: Self::apply_galois_hoisted
-    fn galois_unhoisted(&self, a: &Ciphertext, g: u64, key: &KeySwitchKey) -> Ciphertext {
-        let h = self.hoist(a);
-        self.apply_galois_hoisted(a, &h, g, key)
-    }
-
     /// Applies Galois element `g` to both components and keyswitches back
     /// to `s`, looking the keyswitching key up in `keys` by the raw
-    /// element.
+    /// element. Like every single rotation it is [`hoist`](Self::hoist) +
+    /// [`apply_galois_hoisted`](Self::apply_galois_hoisted) — the lift
+    /// happens on `c_1` *before* the automorphism — so single and batched
+    /// rotations share one code path and are bit-identical.
     ///
     /// # Errors
     ///
@@ -746,7 +752,7 @@ impl Evaluator {
         let key = keys
             .galois_key(g)
             .ok_or(EvalError::MissingGaloisKey { g })?;
-        Ok(self.galois_unhoisted(a, g, key))
+        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 
     /// Rotation (paper Rotation): left-rotates the slot vector by `steps`
@@ -791,16 +797,15 @@ impl Evaluator {
             .tel
             .rotate
             .span(((a.level() + 1) * self.ctx.n()) as u64);
-        Ok(self.galois_unhoisted(a, g, key))
+        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 
-    /// Rotates one ciphertext by every step in `steps`, hoisting the digit
-    /// decomposition once (Halevi–Shoup): the lift + forward NTTs of `c_1`
-    /// are paid once instead of `steps.len()` times. Each output is
-    /// bit-identical to the corresponding [`try_rotate`] call.
-    ///
-    /// All keys are resolved before any work starts, so a missing key
-    /// fails fast without a wasted hoist.
+    /// Rotates one ciphertext by every step in `steps` as one fan of the
+    /// key-switch engine: the digit decomposition is hoisted once
+    /// (Halevi–Shoup) and each of its rows is loaded once for all the
+    /// rotations, in two dispatches. Each output is bit-identical to the
+    /// corresponding [`try_rotate`] call. All keys are resolved before any
+    /// work starts, so a missing key fails fast without a wasted hoist.
     ///
     /// # Errors
     ///
@@ -827,17 +832,16 @@ impl Evaluator {
             return Ok(Vec::new());
         }
         let h = self.hoist(a);
-        Ok(resolved
-            .into_iter()
-            .map(|(g, key)| {
-                #[cfg(feature = "telemetry")]
-                let _span = self
-                    .tel
-                    .rotate
-                    .span(((a.level() + 1) * self.ctx.n()) as u64);
-                self.apply_galois_hoisted(a, &h, g, key)
-            })
-            .collect())
+        #[cfg(feature = "telemetry")]
+        let started = std::time::Instant::now();
+        let rotated = self.galois_fan(a, &h, &resolved);
+        #[cfg(feature = "telemetry")]
+        let items = ((a.level() + 1) * self.ctx.n()) as u64;
+        #[cfg(feature = "telemetry")]
+        self.tel
+            .rotate
+            .record_shared(steps.len(), items, started.elapsed());
+        Ok(rotated)
     }
 
     /// Complex conjugation of every slot (`g = 2N − 1`).
@@ -854,20 +858,58 @@ impl Evaluator {
             .tel
             .conjugate
             .span(((a.level() + 1) * self.ctx.n()) as u64);
-        Ok(self.galois_unhoisted(a, g, key))
+        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 }
 
-/// Where the keyswitch inner product takes digit `j`'s evaluation-form row
-/// on an extended limb from.
+/// Where a key-switch fan takes its evaluation-form digit rows from.
 #[derive(Clone, Copy)]
-enum Digits<'a> {
-    /// `[d]_{q_j}` of this coefficient-form polynomial, lifted to the
-    /// limb's prime and forward-NTT'd on the spot.
+enum Source<'a> {
+    /// `[d]_{q_j}` of this coefficient-form polynomial, lifted to a limb's
+    /// prime and forward-NTT'd inside the limb's task.
     Lift(&'a RnsPoly),
-    /// Hoisted evaluation-form digits, gathered through a Galois slot
-    /// permutation.
-    Hoisted(&'a [RnsPoly], &'a [usize]),
+    /// Hoisted evaluation-form digits, read in place through each output's
+    /// slot permutation, and the `c_0` whose automorphism joins its `e_0`.
+    Hoisted(&'a [RnsPoly], &'a RnsPoly),
+}
+
+impl Source<'_> {
+    /// Runs `f` on every digit's evaluation-form row on extended limb `i`.
+    fn with_digit_rows<R>(
+        self,
+        ext_basis: &RnsBasis,
+        i: usize,
+        f: impl FnOnce(&[&[u64]]) -> R,
+    ) -> R {
+        match self {
+            Source::Hoisted(digits, _) => {
+                f(&digits.iter().map(|d| d.residues(i)).collect::<Vec<_>>())
+            }
+            Source::Lift(d) => {
+                let n = d.n();
+                let mut lifted = poseidon_par::scratch::take(d.level_count() * n);
+                for (j, row) in lifted.chunks_exact_mut(n).enumerate() {
+                    lift_row(d.residues(j), &ext_basis.reducers()[i], row);
+                    // `RnsResidue`, as `into_eval` fires it on a hoisted digit.
+                    #[cfg(feature = "faults")]
+                    poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, row);
+                    ext_basis.tables()[i].forward(row);
+                }
+                let out = f(&lifted.chunks_exact(n).collect::<Vec<_>>());
+                poseidon_par::scratch::recycle(lifted);
+                out
+            }
+        }
+    }
+}
+
+/// An `O(limbs)` fingerprint of a polynomial: the first, middle and last
+/// residue of every limb folded (FNV-1a) into one word.
+fn fingerprint(p: &RnsPoly) -> u64 {
+    let taps = |row: &Vec<u64>| [row[0], row[row.len() / 2], row[row.len() - 1]];
+    let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0100_0000_01b3);
+    let limbs = p.all_residues().iter();
+    limbs.flat_map(taps).fold(0xcbf2_9ce4_8422_2325, fnv)
 }
 
 /// Exact lift of a single-prime residue vector `t` (values in `[0, q_j)`)

@@ -1,14 +1,15 @@
 //! The fused key-switch datapath against a digit-major reference.
 //!
-//! `Evaluator::keyswitch` and `Evaluator::apply_galois_hoisted` share one
-//! limb-major inner product (both products summed in 128 bits, one
-//! reduction per coefficient, key rows read by reference) and `moddown` is
-//! one pass per `Q` limb. The reference here is the loop they replaced,
+//! `Evaluator::keyswitch`, `apply_galois_hoisted` and `try_rotate_many` are
+//! one limb-major engine (both key products summed by one blocked kernel,
+//! one reduction per coefficient, key rows read by reference, the inverse
+//! NTT and Moddown finished inside the limb task) and `moddown` is the same
+//! two per-limb halves. The reference here is the loop they replaced,
 //! written from public `RnsPoly` operations only — per digit
 //! `lift → mul`, an `add` fold, `into_coeff`, then Moddown as
 //! split / `rns_convert` / `sub` / `mul_scalar_per_prime`. Modular
-//! arithmetic is exact, so the two must agree bit for bit, at every level
-//! and every thread count.
+//! arithmetic is exact, so the two must agree bit for bit, at every level,
+//! every fan size and every thread count.
 
 use std::sync::Arc;
 
@@ -18,12 +19,12 @@ use he_ckks::keys::KeySwitchKey;
 use he_ckks::prelude::*;
 use he_math::modops::add_mod;
 use he_math::BarrettReducer;
-use he_rns::conv::{moddown, modup, rns_convert};
+use he_rns::conv::{moddown, modup, rns_convert, ModdownSplit};
 use he_rns::{Form, LazyDot, RnsBasis, RnsPoly};
 use poseidon_par::with_threads;
 use rand::{Rng, SeedableRng};
 
-const THREADS: [usize; 2] = [1, 4];
+const THREADS: [usize; 3] = [1, 2, 4];
 
 // ---------------------------------------------------------------------------
 // The digit-major reference
@@ -199,6 +200,87 @@ fn fused_datapath_matches_the_digit_major_reference_at_every_level() {
     }
 }
 
+/// A fan of R through `try_rotate_many` equals R single `try_rotate`s equals
+/// the reference, and a conjugation (a Galois element that is no rotation)
+/// equals the reference too — at every level, R ∈ {1, 2, 8}, every thread
+/// count.
+#[test]
+fn a_fan_equals_its_single_rotations_and_the_reference_at_every_level() {
+    #[cfg(feature = "faults")]
+    let _guard = poseidon_faults::test_lock();
+    let steps: Vec<i64> = (1..=8).collect();
+    for (name, params) in parameter_sets().into_iter().take(2) {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x16_FA17);
+        let mut keys = KeySet::generate(&ctx, &mut rng);
+        keys.add_rotation_keys(steps.iter().copied(), &mut rng);
+        keys.add_conjugation_key(&mut rng);
+        let eval = Evaluator::new(&ctx);
+        let top = encrypt(&ctx, &keys, &mut rng);
+
+        for level in 0..=ctx.max_level() {
+            let ct = eval.try_drop_to_level(&top, level).unwrap();
+            let reference = |g: u64| {
+                reference_apply_galois(&ctx, &ct, g, keys.galois_key(g).expect("generated"))
+            };
+            let want: Vec<Ciphertext> = steps
+                .iter()
+                .map(|&s| reference(keys.galois_element(s)))
+                .collect();
+            let want_conj = reference(keys.conjugation_element());
+            for threads in THREADS {
+                let at = format!("{name}, level {level}, {threads} thread(s)");
+                with_threads(threads, || {
+                    for fan in [1, 2, 8] {
+                        let got = eval.try_rotate_many(&ct, &steps[..fan], &keys).unwrap();
+                        assert_eq!(got, want[..fan], "fan of {fan} diverged ({at})");
+                    }
+                    for (&s, want) in steps.iter().zip(&want) {
+                        let got = eval.try_rotate(&ct, s, &keys).unwrap();
+                        assert_eq!(&got, want, "rotation by {s} diverged ({at})");
+                    }
+                    let got = eval.try_conjugate(&ct, &keys).unwrap();
+                    assert_eq!(got, want_conj, "conjugation diverged ({at})");
+                });
+            }
+        }
+    }
+}
+
+/// `moddown`, and its two halves called the way the engine calls them (on
+/// loose rows, one limb at a time), equal `rns_convert` + `sub` +
+/// `mul_scalar_per_prime` for one, two and three special primes.
+#[test]
+fn moddown_through_its_two_halves_equals_the_composition() {
+    let n = 32;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0D0);
+    let q = RnsBasis::generate(n, 28, 3);
+    for p_len in 1..=3 {
+        let p = RnsBasis::new(n, he_math::prime::ntt_prime_chain(30, 2 * n as u64, p_len));
+        let full = q.concat(&p);
+        let rows: Vec<Vec<u64>> = full
+            .primes()
+            .iter()
+            .map(|&m| (0..n).map(|_| rng.gen_range(0..m)).collect())
+            .collect();
+        let a = RnsPoly::from_residues(&full, rows.clone(), Form::Coeff);
+        let want = reference_moddown(&a, q.len());
+        assert_eq!(moddown(&a, q.len()), want, "|P| = {p_len}");
+
+        let split = ModdownSplit::new(&full, q.len());
+        let (mut q_rows, mut t) = (rows, Vec::new());
+        t.extend(q_rows.drain(q.len()..));
+        for (j, row) in t.iter_mut().enumerate() {
+            split.scale_p_limb(j, row);
+        }
+        for (i, row) in q_rows.iter_mut().enumerate() {
+            split.finish_q_limb(i, &t, row);
+        }
+        let got = RnsPoly::from_residues(&q, q_rows, Form::Coeff);
+        assert_eq!(got, want, "halves, |P| = {p_len}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // (b) the overflow edge
 // ---------------------------------------------------------------------------
@@ -212,15 +294,20 @@ fn lazy_accumulation_survives_the_largest_residues_past_one_block() {
     let red = BarrettReducer::new(q);
     let n = 16;
     let row = vec![q - 1; n];
-    let mut dot = LazyDot::new(red, n);
+    let dot = LazyDot::new(red);
     let terms = 200;
     assert!(terms > 3 * dot.block_len(), "must cross several blocks");
-    let mut want = 0u64;
-    for _ in 0..terms {
-        dot.mul_add(&row, &row);
-        want = add_mod(want, red.mul(q - 1, q - 1), q);
-    }
-    assert_eq!(dot.finish(), vec![want; n]);
+    let want = (0..terms).fold(0, |sum, _| add_mod(sum, red.mul(q - 1, q - 1), q));
+    let (mut got_b, mut got_a) = (vec![0; n], vec![0; n]);
+    dot.dot_pair(
+        &vec![&row[..]; terms],
+        None,
+        &vec![(&row[..], &row[..]); terms],
+        &mut got_b,
+        &mut got_a,
+    );
+    assert_eq!(got_b, vec![want; n]);
+    assert_eq!(got_a, vec![want; n]);
 }
 
 /// The same edge through the evaluator: a 70-prime chain of 60-bit primes
@@ -245,7 +332,7 @@ fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
     let ctx = CkksContext::new(params);
     let full = ctx.full_basis();
     let n = ctx.n();
-    let block = LazyDot::new(full.reducers()[0], n).block_len();
+    let block = LazyDot::new(full.reducers()[0]).block_len();
     assert!(ctx.chain_basis().len() > block, "need more than one block");
 
     // The constant polynomial −1 is `q − 1` at every evaluation point.
@@ -300,11 +387,42 @@ fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
         (&random_d, &random_key),
     ] {
         let want = reference_keyswitch(&ctx, d, key);
+        // The same digits hoisted: the kernel reads them through a slot
+        // permutation — a rotation and the conjugation element — and the
+        // ring (N = 16) is shorter than one coefficient block.
+        let ct = Ciphertext::new(random_d.clone(), d.clone(), 1.0);
+        let elements = [5, 2 * n as u64 - 1];
+        let want_galois = elements.map(|g| reference_apply_galois(&ctx, &ct, g, key));
         for threads in THREADS {
-            let got = with_threads(threads, || eval.keyswitch(d, key));
+            let (got, got_galois) = with_threads(threads, || {
+                let h = eval.hoist(&ct);
+                let galois = elements.map(|g| eval.apply_galois_hoisted(&ct, &h, g, key));
+                (eval.keyswitch(d, key), galois)
+            });
             assert_eq!(got, want, "{threads} thread(s)");
+            assert_eq!(got_galois, want_galois, "hoisted, {threads} thread(s)");
         }
     }
+}
+
+/// A hoisted decomposition serves the ciphertext it was lifted from and no
+/// other: rotating B with A's digits is refused, not computed.
+#[test]
+#[should_panic(expected = "lifted from another ciphertext")]
+fn a_hoisted_decomposition_refuses_another_ciphertext() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0B);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_key(1, &mut rng);
+    let g = keys.galois_element(1);
+    let eval = Evaluator::new(&ctx);
+    let (a, b) = (
+        encrypt(&ctx, &keys, &mut rng),
+        encrypt(&ctx, &keys, &mut rng),
+    );
+    let h = eval.hoist(&a);
+    assert_eq!(h.level(), b.level(), "the level check alone would pass");
+    let _ = eval.apply_galois_hoisted(&b, &h, g, keys.galois_key(g).expect("generated"));
 }
 
 // ---------------------------------------------------------------------------
@@ -351,14 +469,16 @@ fn key_cache_upsets_are_thread_count_independent_and_spare_the_cache() {
     );
 }
 
-/// The `RnsResidue` site still covers the lifted digits of an unhoisted
-/// keyswitch: they are lifted and tampered serially, in digit order, before
-/// the limb-major fan-out, so an upset on one reaches the output identically
-/// at every thread count. Hits: one per lifted row, plus the two accumulators
-/// going through `into_coeff`.
+/// The `RnsResidue` site covers the lifted digits of an unhoisted keyswitch
+/// and — where `into_coeff` used to fire it — both sums of every extended
+/// limb on their way into the inverse NTT. Under an armed plan the engine
+/// runs its limb tasks on the calling thread, in item order (stage A's
+/// special limbs, then the chain limbs; within a limb its lifts, then its
+/// sums), so an upset on either kind of row reaches the output identically
+/// at every thread count. Hits: one per lifted row, plus the two sums.
 #[cfg(feature = "faults")]
 #[test]
-fn residue_upsets_on_lifted_digits_are_thread_count_independent() {
+fn residue_upsets_on_lifted_digits_and_sums_are_thread_count_independent() {
     use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
 
     let _guard = poseidon_faults::test_lock();
@@ -372,12 +492,10 @@ fn residue_upsets_on_lifted_digits_are_thread_count_independent() {
 
     let digit_count = d.level_count();
     let ext_len = digit_count + ctx.special_basis().len();
-    let upset = |threads: usize| {
-        // Skip the whole first digit: the upset lands on a lifted row of
-        // the second.
+    let upset = |threads: usize, skip: usize| {
         poseidon_faults::arm(
             FaultPlan::transient(FaultSite::RnsResidue, FaultKind::BitFlip, 0xBEEF)
-                .after(ext_len as u64 + 1),
+                .after(skip as u64),
         );
         let out = with_threads(threads, || eval.keyswitch(&d, keys.relin()));
         let fired = poseidon_faults::fired();
@@ -387,9 +505,67 @@ fn residue_upsets_on_lifted_digits_are_thread_count_independent() {
         assert_eq!(hits as usize, (digit_count + 2) * ext_len);
         out
     };
-    let serial = upset(1);
-    let parallel = upset(4);
-    assert_ne!(serial, clean, "a flipped digit bit must reach the output");
-    assert_eq!(serial, parallel, "firing order depends on the thread count");
+    // Past the first limb's lifts and sums and one more row: a lifted digit
+    // of the second limb. Past the first limb's lifts only: its first sum.
+    for (what, skip) in [("lifted digit", ext_len + 1), ("sum", digit_count)] {
+        let serial = upset(1, skip);
+        assert_ne!(serial, clean, "a flipped {what} bit must reach the output");
+        for threads in [2, 4] {
+            let parallel = upset(threads, skip);
+            assert_eq!(
+                serial, parallel,
+                "{what}: firing order depends on the thread count"
+            );
+        }
+    }
     assert_eq!(eval.keyswitch(&d, keys.relin()), clean);
+}
+
+/// The same for a hoisted fan: past the hoist's own hits (its `into_eval`s)
+/// the site fires on the engine's sums only, two per extended limb and
+/// output, in item order whatever the team.
+#[cfg(feature = "faults")]
+#[test]
+fn residue_upsets_on_a_fans_sums_are_thread_count_independent() {
+    use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
+
+    let _guard = poseidon_faults::test_lock();
+    poseidon_faults::disarm();
+    let ctx = CkksContext::new(CkksParams::small());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA19);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    let steps = [1i64, 2, 3];
+    keys.add_rotation_keys(steps, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let clean = eval.try_rotate_many(&ct, &steps, &keys).unwrap();
+
+    let ext_len = ct.level() + 1 + ctx.special_basis().len();
+    let hoist_hits = (ct.level() + 1) * ext_len;
+    let upset = |threads: usize| {
+        // The upset lands on the sixth sum of stage A.
+        poseidon_faults::arm(
+            FaultPlan::transient(FaultSite::RnsResidue, FaultKind::BitFlip, 0xFEED)
+                .after(hoist_hits as u64 + 5),
+        );
+        let out = with_threads(threads, || {
+            eval.try_rotate_many(&ct, &steps, &keys).unwrap()
+        });
+        let fired = poseidon_faults::fired();
+        let hits = poseidon_faults::site_hits(FaultSite::RnsResidue);
+        poseidon_faults::disarm();
+        assert_eq!(fired, 1, "the upset never fired");
+        assert_eq!(hits as usize, hoist_hits + steps.len() * 2 * ext_len);
+        out
+    };
+    let serial = upset(1);
+    assert_ne!(serial, clean, "a flipped sum bit must reach the output");
+    for threads in [2, 4] {
+        assert_eq!(
+            serial,
+            upset(threads),
+            "firing order depends on the thread count"
+        );
+    }
+    assert_eq!(eval.try_rotate_many(&ct, &steps, &keys).unwrap(), clean);
 }

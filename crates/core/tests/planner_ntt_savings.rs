@@ -1,11 +1,12 @@
-//! The planner's forward-NTT saving on a rotation fan, counted in the
-//! process-wide telemetry registry.
+//! The planner's forward-NTT saving on a rotation fan, and the transform
+//! and dispatch counts of one planned `bsgs_matvec` execution, counted in
+//! the process-wide telemetry registry.
 //!
-//! A binary of its own, with this one test, on purpose: the assertion diffs
-//! the global `ntt.forward` counter around two executions, so any sibling
-//! test transforming polynomials in the same process lands in one of the
-//! two windows (as a case of `plan_equivalence` it failed about half the
-//! time). Do not add tests here.
+//! A binary of its own, with this one test, on purpose: the assertions diff
+//! global counters around executions, so any sibling test transforming
+//! polynomials in the same process lands in one of the windows (as a case
+//! of `plan_equivalence` it failed about half the time). Do not add tests
+//! here; a further count goes into the one below, after the others.
 #![cfg(feature = "telemetry")]
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
@@ -14,7 +15,9 @@ use he_ckks::encoding::Complex;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
-use poseidon_core::plan::{execute, plan, Plan, PlanOptions};
+use poseidon_core::decompose::{BasicOp, OpParams, OpTrace};
+use poseidon_core::plan::{compile_trace, execute, plan, plan_trace, CompileOptions};
+use poseidon_core::plan::{Plan, PlanOptions};
 use poseidon_core::recorder::RecordingEvaluator;
 use poseidon_telemetry::{Registry, Snapshot};
 use rand::SeedableRng;
@@ -66,4 +69,72 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
         opt * 2 <= base,
         "planned ntt.forward {opt} not ≥2× below unplanned {base}"
     );
+
+    bsgs_matvec_counts();
+}
+
+/// One planned execution of `programs/bsgs_matvec.pos` at `small()` — a
+/// `serve_program` request's evaluation — as counts, so that the next NTT
+/// step starts from a counted baseline: 335 forward transforms (80 + 63 to
+/// hoist the two fans, 8·24 in the PMults), 324 inverse (8·20 + 2·18 in the
+/// rotations, 8·16 in the PMults), and a rotation fan in two dispatches
+/// whatever its size (88 dispatches before the fan engine, 46 with it on the
+/// two-thread team pinned here).
+fn bsgs_matvec_counts() {
+    let ctx = CkksContext::new(CkksParams::small());
+    let mut trace = OpTrace::new();
+    for (op, components, count) in [
+        (BasicOp::Rotation, 20, 8),
+        (BasicOp::PMult, 20, 8),
+        (BasicOp::Rescale, 20, 8),
+        (BasicOp::HAdd, 20, 8),
+        (BasicOp::Rotation, 19, 2),
+        (BasicOp::HAdd, 19, 2),
+    ] {
+        trace.push(op, OpParams::with_dnum(1 << 16, components, 2, 1), count);
+    }
+    let opts = PlanOptions::default();
+    let planned = plan_trace(&trace, &ctx, &opts).unwrap();
+    let copts = CompileOptions {
+        count_cap: opts.count_cap,
+        ..CompileOptions::default()
+    };
+    let steps = compile_trace(&trace, &ctx, &copts).unwrap().rotation_steps;
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB5_65);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_keys(steps, &mut rng);
+    let scale = ctx.default_scale();
+    let inputs: Vec<Ciphertext> = (0..planned.graph.inputs().len())
+        .map(|i| {
+            let z = vec![Complex::new(0.25 + 0.125 * i as f64, 0.0); 8];
+            let pt = Plaintext::new(
+                ctx.encoder().encode_rns(ctx.chain_basis(), &z, scale),
+                scale,
+            );
+            keys.public().encrypt(&pt, &mut rng)
+        })
+        .collect();
+    let mut eval = Evaluator::new(&ctx);
+    let reg = Registry::global();
+    poseidon_par::with_threads(2, || {
+        // The first execution fills lazily built caches; the second counts.
+        let _ = execute(&planned, &mut eval, &inputs, &keys).unwrap();
+        let before = reg.snapshot();
+        let _ = execute(&planned, &mut eval, &inputs, &keys).unwrap();
+        let delta = reg.snapshot().since(&before);
+        let count = |scope: &str| delta.get(scope).map_or(0, |s| s.count);
+        assert_eq!(
+            count("ntt.forward"),
+            335,
+            "forward transforms per execution"
+        );
+        assert_eq!(
+            count("ntt.inverse"),
+            324,
+            "inverse transforms per execution"
+        );
+        let dispatches = count("par.dispatch");
+        assert!(dispatches <= 60, "{dispatches} dispatches per execution");
+    });
 }

@@ -57,28 +57,25 @@ pub fn rns_convert(a: &RnsPoly, target: &RnsBasis) -> RnsPoly {
     let hat_inv = src.qhat_inv_mod_self();
     let hat_in_target = src.qhat_mod_other(target);
 
-    // t_j = [a_j · q̂_j⁻¹]_{q_j}, computed once per source prime. Source
-    // primes are independent, so the scaling dispatches limb-parallel; the
+    // t_j = [a_j · q̂_j⁻¹]_{q_j}, once per source prime, limb-parallel; the
     // scratch pool recycles the temporaries across calls.
     let t: Vec<Vec<u64>> = poseidon_par::par_map(src.len(), n, |j| {
-        scale_row(a.residues(j), &src.reducers()[j], hat_inv[j])
+        let mut row = poseidon_par::scratch::take(n);
+        row.copy_from_slice(a.residues(j));
+        scale_row(&mut row, &src.reducers()[j], hat_inv[j]);
+        row
     });
 
-    // Target primes are likewise independent (each reads all of t, one
-    // multiply–add per source prime and coefficient).
+    // Target primes are likewise independent: each reads all of t, one
+    // multiply–add per source prime and coefficient, summed in 128 bits
+    // with one shared Barrett reduction (SBT reuse).
+    let src_max = *src.primes().iter().max().expect("non-empty");
     let residues: Vec<Vec<u64>> = poseidon_par::par_map(target.len(), src.len() * n, |i| {
-        let red = &target.reducers()[i];
+        let red = target.reducers()[i];
+        let sum = LazyDot::with_term_bound(red, u128::from(src_max) * u128::from(red.modulus()));
         let hats = &hat_in_target[i];
         (0..n)
-            .map(|c| {
-                // Accumulate Σ_j t_j[c]·(q̂_j mod p_i) in 128 bits, one
-                // shared Barrett reduction at the end (SBT reuse).
-                let mut acc: u128 = 0;
-                for (tj, &hat) in t.iter().zip(hats) {
-                    acc += tj[c] as u128 * hat as u128;
-                }
-                red.reduce(acc)
-            })
+            .map(|c| sum.scaled_sum(t.iter().zip(hats).map(|(tj, &hat)| (tj[c], hat))))
             .collect()
     });
     for tj in t {
@@ -87,14 +84,12 @@ pub fn rns_convert(a: &RnsPoly, target: &RnsBasis) -> RnsPoly {
     RnsPoly::from_residues(target, residues, Form::Coeff)
 }
 
-/// The first multiplier of RNSconv on one source limb,
-/// `t_j = [a_j · q̂_j⁻¹]_{q_j}`, into a scratch-pool row.
-fn scale_row(src: &[u64], red: &BarrettReducer, hat_inv: u64) -> Vec<u64> {
-    let mut t = poseidon_par::scratch::take(src.len());
-    for (o, &x) in t.iter_mut().zip(src) {
-        *o = red.mul(x, hat_inv);
+/// The first multiplier of RNSconv on one source limb, in place:
+/// `t_j = [a_j · q̂_j⁻¹]_{q_j}`.
+fn scale_row(row: &mut [u64], red: &BarrettReducer, hat_inv: u64) {
+    for x in row {
+        *x = red.mul(*x, hat_inv);
     }
-    t
 }
 
 /// `Modup` (paper Eq. 3): extends `a` from basis `Q` to `Q ∪ P`.
@@ -114,68 +109,112 @@ pub fn modup(a: &RnsPoly, special: &RnsBasis) -> RnsPoly {
     RnsPoly::from_residues(&full, residues, Form::Coeff)
 }
 
+/// One `(Q, P)` split of an extended basis: the constants of Moddown (paper
+/// Eq. 2), built once, and its two per-limb halves. [`moddown`] runs them
+/// over one polynomial; the key-switch engine calls them inside its limb
+/// tasks, once per fan, on rows that never become a polynomial.
+#[derive(Debug, Clone)]
+pub struct ModdownSplit {
+    /// Per `P` limb `j`: its reducer and `p̂_j⁻¹ mod p_j`.
+    p_limbs: Vec<(BarrettReducer, u64)>,
+    /// Per `Q` limb `i`: `q_i`, the weights `p̂_j mod q_i`, the lazy-sum rule
+    /// of their products with the `t_j`, and `P⁻¹ mod q_i` on the Shoup path.
+    q_limbs: Vec<(u64, Vec<u64>, LazyDot, ShoupMul)>,
+}
+
+impl ModdownSplit {
+    /// Splits `basis` into its `q_len` leading primes `Q` and the rest, `P`
+    /// — sub-ranges of `basis` itself, so no table is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ q_len < basis.len()`.
+    pub fn new(basis: &RnsBasis, q_len: usize) -> Self {
+        let splits = q_len >= 1 && q_len < basis.len();
+        assert!(splits, "q_len must split the basis");
+        let q_basis = basis.prefix(q_len);
+        let p_basis = basis.range(q_len..basis.len());
+        let p_max = *p_basis.primes().iter().max().expect("non-empty");
+        let hats = p_basis.qhat_mod_other(&q_basis).into_iter();
+        let p_invs = p_basis.product_inv_mod_other(&q_basis);
+        let q_limbs = hats.zip(p_invs).zip(q_basis.reducers());
+        let hat_invs = p_basis.qhat_inv_mod_self();
+        Self {
+            p_limbs: p_basis.reducers().iter().copied().zip(hat_invs).collect(),
+            q_limbs: q_limbs
+                .map(|((hats, p_inv), &red)| {
+                    // Each term `t_j·(p̂_j mod q_i)` is below `p_j·q_i`, which
+                    // sizes the lazy sum's block: at least 64 terms at 60
+                    // bits, so one block covers any realistic special basis.
+                    let q = red.modulus();
+                    let sum = LazyDot::with_term_bound(red, u128::from(p_max) * u128::from(q));
+                    (q, hats, sum, ShoupMul::new(p_inv, q))
+                })
+                .collect(),
+        }
+    }
+
+    /// First half, on the coefficient-form row of `P` limb `j`, in place:
+    /// `t_j = [a_{p_j} · p̂_j⁻¹]_{p_j}`.
+    pub fn scale_p_limb(&self, j: usize, row: &mut [u64]) {
+        #[cfg(feature = "telemetry")]
+        let _share =
+            crate::tel::LimbShare::new(crate::tel::convert(), j, self.p_limbs.len() * row.len());
+        let (red, hat_inv) = &self.p_limbs[j];
+        scale_row(row, red, *hat_inv);
+    }
+
+    /// Second half, on the coefficient-form row of `Q` limb `i`, in place:
+    /// `(a_i − Σ_j t_j·(p̂_j mod q_i)) · P⁻¹` given every scaled `P` row
+    /// `t` — the sum held in 128 bits and reduced once per coefficient, the
+    /// final product on the Shoup fixed-operand path.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `t` holds one row per `P` limb.
+    pub fn finish_q_limb(&self, i: usize, t: &[Vec<u64>], row: &mut [u64]) {
+        assert_eq!(t.len(), self.p_limbs.len(), "one scaled row per P limb");
+        #[cfg(feature = "telemetry")]
+        let items = (self.q_limbs.len() + t.len()) * row.len();
+        #[cfg(feature = "telemetry")]
+        let _share = crate::tel::LimbShare::new(crate::tel::moddown(), i, items);
+        // By value: through the reference these are reloaded per coefficient.
+        let (q, ref hats, sum, p_inv) = self.q_limbs[i];
+        for (c, a) in row.iter_mut().enumerate() {
+            let conv = sum.scaled_sum(t.iter().zip(hats).map(|(tj, &hat)| (tj[c], hat)));
+            *a = p_inv.mul(sub_mod(*a, conv, q));
+        }
+    }
+}
+
 /// `Moddown` (paper Eq. 2): reduces `a` from basis `Q ∪ P` back to `Q`,
 /// dividing by `P` — `((a_Q − conv(a_P → Q)) · P⁻¹) mod Q`.
 ///
-/// `q_len` is the number of leading primes that form `Q`. `P` is the
-/// sub-range of the input's own basis, so no table is built here. After the
-/// source-limb scaling `t_j = [a_{p_j} · p̂_j⁻¹]_{p_j}` the whole of Eq. 2 is
-/// one pass per `Q` limb: `(a_i − Σ_j t_j·(p̂_j mod q_i)) · P⁻¹`, the sum
-/// held in 128 bits and reduced once, the final product on the Shoup
-/// fixed-operand path. Exact modular arithmetic throughout, so the output is
-/// bit-identical to composing [`rns_convert`], `sub` and
-/// `mul_scalar_per_prime`.
+/// `q_len` is the number of leading primes that form `Q`. The two halves of
+/// a [`ModdownSplit`]: the few `P` limbs are scaled on the calling thread (a
+/// fan-out would cost more than the work), then every `Q` limb is one pass.
+/// Exact modular arithmetic throughout, so the output is bit-identical to
+/// composing [`rns_convert`], `sub` and `mul_scalar_per_prime`.
 ///
 /// # Panics
 ///
 /// Panics if `a` is not in coefficient form or `q_len` is out of range.
 pub fn moddown(a: &RnsPoly, q_len: usize) -> RnsPoly {
     assert_eq!(a.form(), Form::Coeff, "Moddown operates on coefficients");
-    let total = a.level_count();
-    assert!(q_len >= 1 && q_len < total, "q_len must split the basis");
-    let n = a.n();
-    #[cfg(feature = "telemetry")]
-    let _span = crate::tel::moddown().span((total * n) as u64);
-    let q_basis = a.basis().prefix(q_len);
-    let p_basis = a.basis().range(q_len..total);
-    let hat_inv = p_basis.qhat_inv_mod_self();
-    let hat_in_q = p_basis.qhat_mod_other(&q_basis);
-    let p_inv = p_basis.product_inv_mod_other(&q_basis);
-    let p_max = *p_basis.primes().iter().max().expect("non-empty");
-
-    // The `P` limbs are few (the special primes), so their scaling runs on
-    // the calling thread: a fan-out would cost more than the work.
-    let t: Vec<Vec<u64>> = {
-        #[cfg(feature = "telemetry")]
-        let _convert = crate::tel::convert().span((p_basis.len() * n) as u64);
-        (0..p_basis.len())
-            .map(|j| scale_row(a.residues(q_len + j), &p_basis.reducers()[j], hat_inv[j]))
-            .collect()
-    };
-
+    let split = ModdownSplit::new(a.basis(), q_len);
+    let (n, p_len) = (a.n(), a.level_count() - q_len);
+    let mut t = a.all_residues()[q_len..].to_vec();
+    for (j, row) in t.iter_mut().enumerate() {
+        split.scale_p_limb(j, row);
+    }
     // Per coefficient: one multiply–add per `P` limb, the subtraction and
     // the `P⁻¹` product.
-    let residues: Vec<Vec<u64>> = poseidon_par::par_map(q_len, (p_basis.len() + 2) * n, |i| {
-        let q = q_basis.primes()[i];
-        let scale = ShoupMul::new(p_inv[i], q);
-        // Each term `t_j·(p̂_j mod q_i)` is below `p_j·q_i`, which sizes the
-        // lazy sum's block: at least 64 terms at 60 bits, so one block
-        // covers any realistic special basis.
-        let term_bound = u128::from(p_max) * u128::from(q);
-        let mut conv = LazyDot::with_term_bound(q_basis.reducers()[i], n, term_bound);
-        for (tj, &hat) in t.iter().zip(&hat_in_q[i]) {
-            conv.scale_add(tj, hat);
-        }
-        a.residues(i)
-            .iter()
-            .zip(conv.finish())
-            .map(|(&ai, ci)| scale.mul(sub_mod(ai, ci, q)))
-            .collect()
+    let residues: Vec<Vec<u64>> = poseidon_par::par_map(q_len, (p_len + 2) * n, |i| {
+        let mut row = a.residues(i).to_vec();
+        split.finish_q_limb(i, &t, &mut row);
+        row
     });
-    for tj in t {
-        poseidon_par::scratch::recycle(tj);
-    }
-    RnsPoly::from_residues(&q_basis, residues, Form::Coeff)
+    RnsPoly::from_residues(&a.basis().prefix(q_len), residues, Form::Coeff)
 }
 
 /// RNS `Rescale`: drops the last chain prime `q_l` and scales by `q_l⁻¹` —

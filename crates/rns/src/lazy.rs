@@ -2,9 +2,19 @@
 
 use he_math::BarrettReducer;
 
-/// `Σ_j x_j ⊙ y_j mod q` over one residue row, with the products summed in
-/// 128 bits and **one** Barrett reduction per coefficient — the paper's
-/// MM → MA → shared-SBT chain, as opposed to a reduction per product.
+/// Coefficients per pass of [`LazyDot::dot_pair`] and digits summed in
+/// registers within one. A pass walks a digit group's three row streams
+/// (digit, `b`, `a`) side by side in 2 KB runs — 24 streams are what the L1
+/// ways and the L2 streamer of the reference host follow — and a longer
+/// chain carries its sums between passes in two stack blocks (8 KB, resident
+/// in L1). Fixed from a three-shape sweep (EXPERIMENTS.md "Rotation fan");
+/// not knobs.
+const COEFF_BLOCK: usize = 256;
+const DIGIT_GROUP: usize = 8;
+
+/// The fold rule of a sum of products modulo `q` that is reduced **once** per
+/// coefficient — the paper's MM → MA → shared-SBT chain, as opposed to a
+/// reduction per product — and the two kernels that sum under it.
 ///
 /// Every product of reduced residues is below `q²`, so
 /// `⌊2^126 / q²⌋` of them ([`block_len`](Self::block_len)) fit under
@@ -26,50 +36,43 @@ use he_math::BarrettReducer;
 /// ```
 /// use he_math::BarrettReducer;
 /// use he_rns::LazyDot;
-/// let red = BarrettReducer::new(97);
-/// let mut dot = LazyDot::new(red, 2);
-/// dot.mul_add(&[96, 2], &[96, 3]);
-/// dot.mul_add(&[5, 50], &[7, 2]);
-/// assert_eq!(dot.finish(), vec![(96 * 96 + 35) % 97, (6 + 100) % 97]);
+/// let dot = LazyDot::new(BarrettReducer::new(97));
+/// let keys: [(&[u64], &[u64]); 2] = [(&[96, 3], &[1, 0]), (&[7, 2], &[0, 1])];
+/// let (mut out_b, mut out_a) = ([0; 2], [0; 2]);
+/// dot.dot_pair(&[&[96, 2], &[5, 50]], None, &keys, &mut out_b, &mut out_a);
+/// assert_eq!(out_b, [(96 * 96 + 35) % 97, (6 + 100) % 97]);
+/// assert_eq!(out_a, [96, 50]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct LazyDot {
     red: BarrettReducer,
-    acc: Vec<u128>,
-    /// No single product added exceeds this.
-    term_bound: u128,
     block: usize,
-    /// Terms currently summed in every slot of `acc`.
-    terms: usize,
 }
 
 impl LazyDot {
-    /// An empty sum over rows of length `n` modulo `red`'s prime `q`, for
-    /// products of operands that are both reduced modulo `q`.
-    pub fn new(red: BarrettReducer, n: usize) -> Self {
+    /// The rule modulo `red`'s prime `q` for products of operands that are
+    /// both reduced modulo `q`.
+    pub fn new(red: BarrettReducer) -> Self {
         let q = u128::from(red.modulus());
-        Self::with_term_bound(red, n, q * q)
+        Self::with_term_bound(red, q * q)
     }
 
-    /// An empty sum whose every product is at most `term_bound` — for
-    /// operands reduced modulo another prime than `q`.
+    /// The rule for products of at most `term_bound` — for operands reduced
+    /// modulo another prime than `q`.
     ///
     /// # Panics
     ///
     /// Panics if `term_bound` is below `q` (a folded total must count as one
     /// term) or above half of [`BarrettReducer::REDUCE_LIMIT`] (a block must
     /// hold the folded total and one more term).
-    pub fn with_term_bound(red: BarrettReducer, n: usize, term_bound: u128) -> Self {
+    pub fn with_term_bound(red: BarrettReducer, term_bound: u128) -> Self {
         assert!(
             (u128::from(red.modulus())..=BarrettReducer::REDUCE_LIMIT / 2).contains(&term_bound),
             "term bound out of range"
         );
         Self {
             red,
-            acc: vec![0; n],
-            term_bound,
             block: (BarrettReducer::REDUCE_LIMIT / term_bound) as usize,
-            terms: 0,
         }
     }
 
@@ -79,51 +82,86 @@ impl LazyDot {
         self.block
     }
 
-    /// Makes room for one more term per slot, folding a full block first.
-    fn next_term(&mut self) {
-        if self.terms == self.block {
-            for a in &mut self.acc {
-                *a = u128::from(self.red.reduce(*a));
+    /// The key-switch kernel: `out_b[c] = Σ_j x_j[π(c)]·b_j[c] mod q` and
+    /// `out_a` likewise over `a_j`, for digit rows `xs`, key rows
+    /// `keys[j] = (b_j, a_j)` and the slot permutation `perm` (`None` reads
+    /// the digits in place). One loop over coefficient blocks; within a block
+    /// the digits go by in groups, a group's products summed per coefficient
+    /// in registers, so a digit residue is loaded once for its two uses and
+    /// nothing of size `N` is written but the outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts or any row length disagree.
+    pub fn dot_pair(
+        &self,
+        xs: &[&[u64]],
+        perm: Option<&[usize]>,
+        keys: &[(&[u64], &[u64])],
+        out_b: &mut [u64],
+        out_a: &mut [u64],
+    ) {
+        let n = out_b.len();
+        assert_eq!(xs.len(), keys.len(), "one key pair per digit");
+        let rows = xs.iter().zip(keys);
+        let rows_match = rows.fold(true, |ok, (x, (b, a))| {
+            ok && [x.len(), b.len(), a.len()] == [n; 3]
+        });
+        let ends_match = out_a.len() == n && perm.is_none_or(|p| p.len() == n);
+        assert!(rows_match && ends_match, "row length must match");
+        // A folded total is one term of the next block, so a group is at
+        // most `block − 1` digits (`block ≥ 2` by construction).
+        let (red, block) = (self.red, self.block);
+        let group = DIGIT_GROUP.min(block - 1);
+        let (mut sum_b, mut sum_a) = ([0u128; COEFF_BLOCK], [0u128; COEFF_BLOCK]);
+        for start in (0..n).step_by(COEFF_BLOCK) {
+            let at = start..(start + COEFF_BLOCK).min(n);
+            let (sum_b, sum_a) = (&mut sum_b[..at.len()], &mut sum_a[..at.len()]);
+            sum_b.fill(0);
+            sum_a.fill(0);
+            let mut terms = 0;
+            for (x_group, key_group) in xs.chunks(group).zip(keys.chunks(group)) {
+                if terms + x_group.len() > block {
+                    for s in sum_b.iter_mut().chain(sum_a.iter_mut()) {
+                        *s = u128::from(red.reduce(*s));
+                    }
+                    terms = 1;
+                }
+                terms += x_group.len();
+                for ((sb, sa), c) in sum_b.iter_mut().zip(sum_a.iter_mut()).zip(at.clone()) {
+                    let src = perm.map_or(c, |p| p[c]);
+                    let (mut b_sum, mut a_sum) = (*sb, *sa);
+                    for (x, (b, a)) in x_group.iter().zip(key_group) {
+                        let x = u128::from(x[src]);
+                        b_sum += x * u128::from(b[c]);
+                        a_sum += x * u128::from(a[c]);
+                    }
+                    (*sb, *sa) = (b_sum, a_sum);
+                }
             }
-            self.terms = 1;
-        }
-        self.terms += 1;
-    }
-
-    /// Adds the element-wise product `x ⊙ y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row's length differs from the accumulator's.
-    pub fn mul_add(&mut self, x: &[u64], y: &[u64]) {
-        assert_eq!(x.len(), self.acc.len(), "row length must match");
-        assert_eq!(y.len(), self.acc.len(), "row length must match");
-        self.next_term();
-        for ((a, &xc), &yc) in self.acc.iter_mut().zip(x).zip(y) {
-            let term = u128::from(xc) * u128::from(yc);
-            debug_assert!(term <= self.term_bound);
-            *a += term;
+            for (o, &s) in out_b[at.clone()].iter_mut().zip(sum_b.iter()) {
+                *o = red.reduce(s);
+            }
+            for (o, &s) in out_a[at].iter_mut().zip(sum_a.iter()) {
+                *o = red.reduce(s);
+            }
         }
     }
 
-    /// Adds the row `x` scaled by `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row's length differs from the accumulator's.
-    pub fn scale_add(&mut self, x: &[u64], w: u64) {
-        assert_eq!(x.len(), self.acc.len(), "row length must match");
-        self.next_term();
-        for (a, &xc) in self.acc.iter_mut().zip(x) {
-            let term = u128::from(xc) * u128::from(w);
-            debug_assert!(term <= self.term_bound);
-            *a += term;
+    /// `Σ x·w mod q` over `(x, w)` terms — one coefficient of a basis
+    /// conversion, whose weights are per-limb scalars.
+    #[inline(always)]
+    pub fn scaled_sum(&self, terms: impl Iterator<Item = (u64, u64)>) -> u64 {
+        let (mut sum, mut count) = (0u128, 0);
+        for (x, w) in terms {
+            if count == self.block {
+                sum = u128::from(self.red.reduce(sum));
+                count = 1;
+            }
+            count += 1;
+            sum += u128::from(x) * u128::from(w);
         }
-    }
-
-    /// Reduces the sum: one residue in `[0, q)` per coefficient.
-    pub fn finish(self) -> Vec<u64> {
-        self.acc.iter().map(|&a| self.red.reduce(a)).collect()
+        self.red.reduce(sum)
     }
 }
 
@@ -133,27 +171,23 @@ mod tests {
 
     #[test]
     fn empty_sum_is_zero() {
-        let dot = LazyDot::new(BarrettReducer::new(97), 3);
-        assert_eq!(dot.finish(), vec![0; 3]);
+        let dot = LazyDot::new(BarrettReducer::new(97));
+        let (mut b, mut a) = ([5; 3], [5; 3]);
+        dot.dot_pair(&[], None, &[], &mut b, &mut a);
+        assert_eq!((b, a), ([0; 3], [0; 3]));
+        assert_eq!(dot.scaled_sum(std::iter::empty()), 0);
     }
 
     #[test]
-    fn scaled_rows_fold_across_blocks() {
-        // Rows reduced modulo a larger prime than `q`, a bound that admits
-        // two terms per block: seven terms fold three times.
+    fn scaled_terms_fold_across_blocks() {
+        // Residues reduced modulo a larger prime than `q`, a bound that
+        // admits two terms per block: seven terms fold three times.
         let (q, p) = (97u64, 1009u64);
         let bound = BarrettReducer::REDUCE_LIMIT / 2;
-        let mut dot = LazyDot::with_term_bound(BarrettReducer::new(q), 2, bound);
+        let dot = LazyDot::with_term_bound(BarrettReducer::new(q), bound);
         assert_eq!(dot.block_len(), 2);
-        let mut want = [0u64; 2];
-        for j in 0..7u64 {
-            let row = [p - 1 - j, 3 * j];
-            let w = q - 1 - j;
-            dot.scale_add(&row, w);
-            for (s, x) in want.iter_mut().zip(row) {
-                *s = (*s + x * w) % q;
-            }
-        }
-        assert_eq!(dot.finish(), want);
+        let terms: Vec<(u64, u64)> = (0..7).map(|j| (p - 1 - j, q - 1 - j)).collect();
+        let want = terms.iter().fold(0, |s, &(x, w)| (s + x * w) % q);
+        assert_eq!(dot.scaled_sum(terms.into_iter()), want);
     }
 }

@@ -12,9 +12,9 @@
 //! * [`conv`] — `RNSconv` (paper Eq. 1, the HPS fast basis conversion),
 //!   `Modup` (Eq. 3), `Moddown` (Eq. 2), and the RNS `Rescale` step — the
 //!   arithmetic backbone of Keyswitch and Rescale.
-//! * [`lazy::LazyDot`] — a residue-row inner product with one shared
-//!   reduction per coefficient, the accumulate stage of Keyswitch and of
-//!   Moddown's conversion.
+//! * [`lazy::LazyDot`] — sums of residue products with one shared reduction
+//!   per coefficient: the key-switch inner-product kernel and the
+//!   accumulate stage of Moddown's conversion.
 //!
 //! # Examples
 //!
@@ -52,17 +52,48 @@ pub(crate) mod tel {
     }
 
     /// Fast basis conversion, paper Eq. 1 (items = source limbs·N). Inside
-    /// Moddown the span covers the source-limb scaling; the accumulation is
-    /// fused into the `rns.moddown` pass.
+    /// Moddown it covers the source-limb scaling; the accumulation is fused
+    /// into the `rns.moddown` pass.
     pub fn convert() -> &'static Arc<Metric> {
         static M: OnceLock<Arc<Metric>> = OnceLock::new();
         M.get_or_init(|| Registry::global().scope("rns.convert"))
     }
 
-    /// Moddown, paper Eq. 2 (items = full-basis limbs·N).
+    /// Moddown, paper Eq. 2 (items = full-basis limbs·N): the `Q`-limb
+    /// passes, one event per polynomial (see [`LimbShare`]).
     pub fn moddown() -> &'static Arc<Metric> {
         static M: OnceLock<Arc<Metric>> = OnceLock::new();
         M.get_or_init(|| Registry::global().scope("rns.moddown"))
+    }
+
+    /// One limb's share of an operation that runs as per-limb calls, possibly
+    /// on different workers: limb 0 records the event and its `items`, every
+    /// limb adds its own busy time — so `count` stays one per polynomial and
+    /// `nanos` is the work summed over limbs.
+    pub struct LimbShare {
+        metric: &'static Metric,
+        items: Option<u64>,
+        start: std::time::Instant,
+    }
+
+    impl LimbShare {
+        pub fn new(metric: &'static Arc<Metric>, limb: usize, items: usize) -> Self {
+            Self {
+                metric,
+                items: (limb == 0).then_some(items as u64),
+                start: std::time::Instant::now(),
+            }
+        }
+    }
+
+    impl Drop for LimbShare {
+        fn drop(&mut self) {
+            let nanos = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            match self.items {
+                Some(items) => self.metric.record_nanos(items, nanos),
+                None => self.metric.add_busy(nanos),
+            }
+        }
     }
 
     /// RNS rescale kernel (items = limbs·N).

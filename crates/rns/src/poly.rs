@@ -407,21 +407,10 @@ impl RnsPoly {
             Form::Coeff,
             "automorphism operates on coefficients"
         );
-        assert_eq!(g % 2, 1, "Galois element must be odd");
-        let n = self.n() as u64;
-        let two_n = 2 * n;
         let primes = self.basis.primes();
         let residues = poseidon_par::par_map(self.residues.len(), self.n(), |j| {
-            let q = primes[j];
-            let mut out = vec![0u64; n as usize];
-            for (i, &v) in self.residues[j].iter().enumerate() {
-                let e = (i as u64 * g) % two_n;
-                if e < n {
-                    out[e as usize] = v;
-                } else {
-                    out[(e - n) as usize] = neg_mod(v, q);
-                }
-            }
+            let mut out = vec![0u64; self.n()];
+            automorphism_add_row(&mut out, &self.residues[j], g, primes[j]);
             out
         });
         Self {
@@ -549,6 +538,32 @@ impl RnsPoly {
                 }
             })
             .collect()
+    }
+}
+
+/// Adds the Galois automorphism `X ↦ X^g` of the coefficient-form residue
+/// row `src` into `acc`, modulo `q`: `acc[i·g mod N] ± src[i]`, the sign
+/// negative whenever `i·g mod 2N ≥ N` (the negacyclic wraparound). The row
+/// form of [`RnsPoly::automorphism`], for callers that fold the permuted row
+/// into one they already hold.
+///
+/// # Panics
+///
+/// Panics if `g` is even, the rows differ in length, or the length is not a
+/// power of two.
+pub fn automorphism_add_row(acc: &mut [u64], src: &[u64], g: u64, q: u64) {
+    assert_eq!(g % 2, 1, "Galois element must be odd");
+    assert_eq!(acc.len(), src.len(), "row length must match");
+    assert!(src.len().is_power_of_two(), "ring degree is a power of two");
+    let n = src.len() as u64;
+    for (i, &v) in src.iter().enumerate() {
+        let e = (i as u64).wrapping_mul(g) & (2 * n - 1);
+        let (at, term) = if e < n {
+            (e, v)
+        } else {
+            (e - n, neg_mod(v, q))
+        };
+        acc[at as usize] = add_mod(acc[at as usize], term, q);
     }
 }
 

@@ -1,9 +1,12 @@
 //! Property-based tests for the RNS layer: CRT reconstruction, ring
 //! semantics, automorphism group laws, and conversion error bounds.
 
+use he_math::modops::{add_mod, mul_mod};
+use he_math::BarrettReducer;
 use he_rns::conv::{moddown, modup, rescale, rns_convert};
-use he_rns::{RnsBasis, RnsPoly};
+use he_rns::{LazyDot, RnsBasis, RnsPoly};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 const N: usize = 16;
 
@@ -139,6 +142,55 @@ proptest! {
         for (i, &g) in got.iter().enumerate() {
             let want = scale_mult * (i as i64 - 8);
             prop_assert!((g - want).abs() <= 1, "coeff {i}: {g} vs {want}");
+        }
+    }
+
+    /// The key-switch kernel against a reduction per product: random rows,
+    /// random slot permutations (or none), 1..=70 digits, row lengths that
+    /// end inside a coefficient block, and every fold regime — a 60-bit
+    /// prime (64 products a block, so 70 digits fold), a 31-bit one (never),
+    /// and bounds that fold every 2 and every 9 terms (digit groups of 1
+    /// and 8).
+    #[test]
+    fn pair_kernel_matches_a_reduction_per_product(
+        seed in any::<u64>(),
+        digits in 1usize..71,
+        rule in 0usize..4,
+        permuted in 0u8..2,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..700usize);
+        let q = he_math::prime::ntt_prime_chain(if rule == 0 { 60 } else { 31 }, 32, 1)[0];
+        let red = BarrettReducer::new(q);
+        let dot = match rule {
+            0 | 1 => LazyDot::new(red),
+            2 => LazyDot::with_term_bound(red, BarrettReducer::REDUCE_LIMIT / 2),
+            _ => LazyDot::with_term_bound(red, BarrettReducer::REDUCE_LIMIT / 9),
+        };
+        let mut rows = |count: usize| -> Vec<Vec<u64>> {
+            (0..count).map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect()).collect()
+        };
+        let (xs, bs, az) = (rows(digits), rows(digits), rows(digits));
+        let perm = (permuted == 1).then(|| {
+            // Fisher–Yates.
+            let mut p: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                p.swap(i, rng.gen_range(0..=i));
+            }
+            p
+        });
+        let x_refs: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
+        let keys: Vec<(&[u64], &[u64])> =
+            bs.iter().zip(&az).map(|(b, a)| (b.as_slice(), a.as_slice())).collect();
+        let (mut got_b, mut got_a) = (vec![0; n], vec![0; n]);
+        dot.dot_pair(&x_refs, perm.as_deref(), &keys, &mut got_b, &mut got_a);
+        for c in 0..n {
+            let src = perm.as_ref().map_or(c, |p| p[c]);
+            let sum = |ys: &[Vec<u64>]| {
+                xs.iter().zip(ys).fold(0, |s, (x, y)| add_mod(s, mul_mod(x[src], y[c], q), q))
+            };
+            prop_assert_eq!(got_b[c], sum(&bs), "b, coefficient {}", c);
+            prop_assert_eq!(got_a[c], sum(&az), "a, coefficient {}", c);
         }
     }
 

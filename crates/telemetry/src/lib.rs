@@ -28,15 +28,17 @@
 //! `ntt.forward`, `rns.convert`, `rescale`, `keyswitch.digit`, `eval.mul`,
 //! `auto.hfauto`, `pool.mm`, `par.dispatch`, `boot.evalmod`.
 //!
-//! The key-switch scopes, stage by stage: `eval.keyswitch` spans one whole
-//! key-switch (items = digits·N); `keyswitch.digit` is its inner-product
-//! stage, one span per extended limb of `Q_l ∪ P` covering every digit of
-//! that limb (items = digits·N); `rns.moddown` spans one Moddown (items =
-//! extended limbs·N) and the `rns.convert` span inside it covers the
-//! source-limb scaling of the basis conversion (items = `P` limbs·N) — the
-//! accumulate half is fused into the Moddown pass; `rns.pointwise` counts
-//! whole-polynomial element-wise passes, of which a key-switch now runs
-//! none.
+//! The key-switch scopes, stage by stage: `eval.keyswitch` is one event per
+//! key-switched output (items = digits·N; a rotation fan runs its outputs
+//! together and shares its elapsed time among them, [`Metric::record_shared`]);
+//! `keyswitch.digit` is the inner-product kernel, one span per extended limb
+//! of `Q_l ∪ P` and output covering every digit of that limb (items =
+//! digits·N); `rns.moddown` is one event per Moddown'd polynomial (items =
+//! extended limbs·N) and `rns.convert` the source-limb scaling of its basis
+//! conversion (items = `P` limbs·N) — both recorded by per-limb halves that
+//! may run on different workers: limb 0 records the event, every limb adds
+//! its busy time ([`Metric::add_busy`]); `rns.pointwise` counts
+//! whole-polynomial element-wise passes, of which a key-switch runs none.
 //!
 //! Instrumented crates gate every call site behind their own `telemetry`
 //! cargo feature; with the feature off the sites compile away entirely, so
@@ -154,6 +156,23 @@ impl Metric {
         self.items.fetch_add(items, Ordering::Relaxed);
         self.nanos.fetch_add(nanos, Ordering::Relaxed);
         self.hist.record(nanos);
+    }
+
+    /// Records `count` events that ran together in one region of `elapsed`
+    /// time, `items` elements each — a batch whose members stay one event
+    /// apiece, the region's time shared equally among them.
+    pub fn record_shared(&self, count: usize, items: u64, elapsed: std::time::Duration) {
+        let nanos = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+        for _ in 0..count {
+            self.record_nanos(items, nanos / count as u64);
+        }
+    }
+
+    /// Adds busy time to an event counted elsewhere — one worker's share
+    /// of a region that is split across limb tasks and recorded once.
+    #[inline]
+    pub fn add_busy(&self, nanos: u64) {
+        self.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Times `f` as one span.
