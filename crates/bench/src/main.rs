@@ -1,43 +1,18 @@
 //! `tables` — regenerates every table and figure of the Poseidon HPCA'23
 //! evaluation section from the model and the functional library.
 //!
-//! Usage: `tables [all|table1|...|table12|fig7|...|fig12|metrics|hoisting|faults|chaos|serve|serve_scale|plan|plan2]`
-//!
-//! `tables chaos` (build with `--features faults`) runs the seeded
-//! network/worker chaos campaign through the resilient TCP client and
-//! proves every injected failure resolves bit-identically or as a typed
-//! error; without the feature it prints the unfaulted serve digest CI
-//! diffs against the instrumented build.
-//!
-//! `tables plan` (build with `--features telemetry`) compiles every
-//! shipped `.pos` program through the graph-level evaluation planner and
-//! prints unplanned-vs-planned forward-NTT counts, hoist batch sizes,
-//! rescale placement and wall time, exporting `BENCH_planner.json`.
-//!
-//! `tables plan2` (build with `--features telemetry`) submits every
-//! shipped `.pos` program to the serving stack twice — once as a whole
-//! planned program (`Request::Program`, opcode 12) and once as the
-//! naive op-by-op dispatch a planless client would issue — and compares
-//! forward-NTT counts and wall time, exporting `BENCH_planner2.json`.
-//!
-//! `tables serve_scale` sweeps the sharded serving stack (blocking
-//! baseline vs the pipelined mux client at 1/2/4 shards and 1/4
-//! tenants) and digest-checks that every schedule is bit-identical.
-//!
-//! `tables metrics` (build with `--features telemetry`) prints the
-//! runtime per-operator telemetry for a HELR workload.
-//!
-//! `tables faults` (build with `--features faults`) sweeps seeded fault
-//! campaigns over every injection site and reports detection/recovery.
+//! Usage: `tables [all|table1..table12|fig7..fig12|ablations|pipeline]`
+//! or `tables run <program-file>`.
 //!
 //! Each regenerator prints the same rows/series the paper reports;
 //! `published` columns are the paper's own numbers, `model`/`measured`
 //! columns come from this reproduction. EXPERIMENTS.md records the
-//! comparison.
+//! comparison. Measured performance of the software stack itself is
+//! `perf/`'s job, not this binary's.
 
 #![forbid(unsafe_code)]
 
-use poseidon_bench::{chaos, planner, planner2, tables};
+use poseidon_bench::tables;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -76,16 +51,7 @@ fn main() {
     run("table11", tables::table11_core_resources);
     run("table12", tables::table12_fpga_comparison);
     run("ablations", tables::ablations);
-    run("parallel", tables::parallel_scaling);
     run("pipeline", tables::pipeline);
-    run("metrics", tables::metrics);
-    run("hoisting", tables::hoisting);
-    run("faults", tables::faults);
-    run("chaos", chaos::chaos);
-    run("serve", tables::serve);
-    run("serve_scale", tables::serve_scale);
-    run("plan", planner::plan);
-    run("plan2", planner2::plan2);
     if !ran {
         eprintln!("unknown selector `{which}`");
         std::process::exit(2);

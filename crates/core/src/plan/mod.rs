@@ -13,9 +13,7 @@
 //!    live-range-aware scheduling ([`passes`]); with
 //!    [`PlanOptions::bootstrap`] set it also runs the bootstrap-insertion
 //!    pass (chains that exhaust the modulus get a [`GraphOp::Bootstrap`]
-//!    refresh, or a typed [`PlanError`]), and [`plan_with`] takes the
-//!    hardware [`CostModel`](cost::CostModel) that decides between a
-//!    refresh and client re-encryption.
+//!    refresh, or a typed [`PlanError`]).
 //! 3. **Execute** — [`execute`] replays the optimized schedule on any
 //!    [`HomomorphicOps`] backend: the software evaluator, the
 //!    accelerator-shaped [`PoseidonMachine`], or the recorder itself.
@@ -33,7 +31,6 @@
 use std::fmt;
 
 pub mod compile;
-pub mod cost;
 pub mod exec;
 pub mod graph;
 pub mod passes;
@@ -41,10 +38,9 @@ pub mod passes;
 pub use compile::{
     compile_trace, plan_trace, CompileOptions, CompiledProgram, Exhaustion, SCALE_MARGIN_BITS,
 };
-pub use cost::{CostModel, TableCostModel};
 pub use exec::{execute, execute_with, ExecOutcome};
 pub use graph::{EvalGraph, GraphOp, GraphRecorder, Node, NodeId, ValueId, ValueInfo};
-pub use passes::{plan, plan_with, BootstrapOptions, NoiseBudget, Plan, PlanOptions, PlanStats};
+pub use passes::{plan, BootstrapOptions, NoiseBudget, Plan, PlanOptions, PlanStats};
 
 /// Why a program could not be planned. Unlike runtime
 /// [`EvalError`](he_ckks::error::EvalError)s these are *static* verdicts:
@@ -68,9 +64,8 @@ pub enum PlanError {
         total_bits: f64,
     },
     /// A chain exhausted the modulus and bootstrap insertion was not
-    /// possible — no bootstrap key is registered, or the cost model
-    /// priced the refresh above shipping the ciphertext back for
-    /// re-encryption.
+    /// possible: no bootstrap key is registered, or the exhausted value
+    /// has no ciphertext operand to refresh.
     BudgetExhausted {
         /// Index of the first exhausted SSA value.
         value: usize,

@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use he_ckks::params::CkksParams;
 
 use crate::plan::compile::SCALE_MARGIN_BITS;
-use crate::plan::cost::{CostModel, TableCostModel};
 use crate::plan::graph::{EvalGraph, GraphOp, NodeId, ValueId};
 use crate::plan::PlanError;
 
@@ -240,31 +239,15 @@ impl Plan {
 }
 
 /// Runs the pass pipeline — including the bootstrap-insertion pass when
-/// [`PlanOptions::bootstrap`] is set, under the default table cost model —
-/// and schedules the result.
+/// [`PlanOptions::bootstrap`] is set — and schedules the result.
 ///
 /// # Errors
 ///
 /// Only with [`PlanOptions::bootstrap`] set:
 /// [`PlanError::BudgetExhausted`] when a chain exhausts the modulus and no
-/// bootstrap key is available (or the refresh costs more than client
-/// re-encryption); [`PlanError::ScaleOverflow`] when even a refreshed
-/// operand cannot fund the exhausted operation.
-pub fn plan(graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError> {
-    plan_with(graph, opts, &TableCostModel::default())
-}
-
-/// [`plan`] with an explicit [`CostModel`] (e.g. `poseidon-sim`'s
-/// analytical model) driving the bootstrap-vs-re-encrypt decision.
-///
-/// # Errors
-///
-/// As [`plan`].
-pub fn plan_with(
-    mut graph: EvalGraph,
-    opts: &PlanOptions,
-    cost: &dyn CostModel,
-) -> Result<Plan, PlanError> {
+/// bootstrap key is available; [`PlanError::ScaleOverflow`] when even a
+/// refreshed operand cannot fund the exhausted operation.
+pub fn plan(mut graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError> {
     let mut stats = PlanStats {
         nodes_before: graph.live_node_count(),
         rescales_before: graph.count_ops(|op| matches!(op, GraphOp::Rescale)),
@@ -278,7 +261,7 @@ pub fn plan_with(
 
     let mut value_preserving = true;
     if let Some(bs) = &opts.bootstrap {
-        stats.bootstraps_inserted = insert_bootstraps(&mut graph, bs, cost)?;
+        stats.bootstraps_inserted = insert_bootstraps(&mut graph, bs)?;
         if stats.bootstraps_inserted > 0 {
             // A refresh re-encrypts the value through the bootstrapping
             // pipeline: decrypted values agree (within bootstrap
@@ -459,15 +442,9 @@ fn first_violation(g: &EvalGraph, budget: &NoiseBudget) -> Option<(NodeId, Value
 /// modulus budget, splice a `Bootstrap` refresh onto that node's
 /// ciphertext operand (the exact condition the `.pos` lowering's
 /// `make_room` used to paper over). Insertion is rejected — with a typed
-/// error — when no bootstrap key is registered, when the cost model
-/// prices the refresh above shipping the ciphertext back for
-/// re-encryption, or when even a refreshed operand cannot fund the
-/// operation (parameters too small).
-fn insert_bootstraps(
-    g: &mut EvalGraph,
-    opts: &BootstrapOptions,
-    cost: &dyn CostModel,
-) -> Result<usize, PlanError> {
+/// error — when no bootstrap key is registered, or when even a refreshed
+/// operand cannot fund the operation (parameters too small).
+fn insert_bootstraps(g: &mut EvalGraph, opts: &BootstrapOptions) -> Result<usize, PlanError> {
     let mut inserted = 0usize;
     loop {
         let Some((nid, violating)) = first_violation(g, &opts.budget) else {
@@ -483,14 +460,6 @@ fn insert_bootstraps(
                 level,
                 scale_bits,
                 reason: "no bootstrap key registered for this tenant",
-            });
-        }
-        if cost.bootstrap_cost(opts.refresh_level) > cost.reencrypt_cost() {
-            return Err(PlanError::BudgetExhausted {
-                value: violating.index(),
-                level,
-                scale_bits,
-                reason: "bootstrap costed above client re-encryption",
             });
         }
         let node = g.node(nid);
@@ -1112,35 +1081,6 @@ mod tests {
             matches!(err, PlanError::BudgetExhausted { .. }),
             "expected BudgetExhausted, got {err:?}"
         );
-    }
-
-    #[test]
-    fn refresh_costed_above_reencryption_is_rejected() {
-        struct ReencryptIsCheaper;
-        impl CostModel for ReencryptIsCheaper {
-            fn op_cost(&self, _op: &GraphOp, _level: usize) -> u64 {
-                1
-            }
-            fn bootstrap_cost(&self, _target_level: usize) -> u64 {
-                10
-            }
-            fn reencrypt_cost(&self) -> u64 {
-                5
-            }
-        }
-        let err = plan_with(
-            exhausted_graph(),
-            &bootstrap_opts(true),
-            &ReencryptIsCheaper,
-        )
-        .expect_err("cost model rejects the refresh");
-        assert!(matches!(
-            err,
-            PlanError::BudgetExhausted {
-                reason: "bootstrap costed above client re-encryption",
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -2,10 +2,6 @@
 //! computation — digest-identically when every rewrite is bit-preserving
 //! (hoisting, DVE, reordering), value-identically when rescale placement
 //! moved scale management around.
-//!
-//! With `POSEIDON_PLAN_DIGEST_FILE=<path>` the value-preserving digests
-//! are appended to `<path>` (`<name> <digest>` per line) so CI can diff
-//! planned execution across feature builds.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
@@ -254,9 +250,8 @@ fn executor_surfaces_missing_rotation_keys() {
     }
 }
 
-/// Always-on digest pinning; additionally appends to
-/// `POSEIDON_PLAN_DIGEST_FILE` when set so CI can diff across feature
-/// builds.
+/// The planned rotation fan's digest, pinned: the same constant holding in
+/// every feature build is the on/off parity proof.
 #[test]
 fn value_preserving_digests_are_deterministic() {
     let (ctx, keys, mut rng) = setup();
@@ -268,13 +263,10 @@ fn value_preserving_digests_are_deterministic() {
     let d1 = digest_ciphertext(&once.outputs[0]);
     assert_eq!(d1, digest_ciphertext(&twice.outputs[0]));
 
-    if let Ok(path) = std::env::var("POSEIDON_PLAN_DIGEST_FILE") {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open digest file");
-        writeln!(f, "rotation_fan_planned {d1:016x}").expect("write digest");
-    }
+    const PINNED: u64 = 0x1ce6_5aec_d5ea_ced9;
+    assert_eq!(
+        d1, PINNED,
+        "rotation_fan_planned digest moved: got {d1:#018x}, pinned {PINNED:#018x}. A \
+         legitimate change updates this constant and the same value in EXPERIMENTS.md."
+    );
 }

@@ -302,6 +302,79 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
     }
 }
 
+/// The seeded campaign: every (site, kind) scenario, four seeded transient
+/// plans each, one request through the resilient client against a fresh
+/// loopback service. Every run must fire its plan, finish inside the retry
+/// budget, and land in the bucket recorded for its scenario — the
+/// unfaulted bytes (after retry, replay or failover) or a typed
+/// [`ServeError`]. Wrong bytes, a plan that never fires, a scenario that
+/// changes bucket and a run that outlasts the budget all fail.
+#[test]
+fn seeded_campaign_resolves_every_scenario_in_its_recorded_bucket() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Bucket {
+        BitIdentical,
+        TypedError,
+    }
+    use Bucket::{BitIdentical, TypedError};
+    let scenarios = [
+        (FaultSite::ShardWorker, FaultKind::Panic, BitIdentical),
+        (FaultSite::ShardWorker, FaultKind::Stall(400), BitIdentical),
+        (FaultSite::SocketRead, FaultKind::BitFlip, TypedError),
+        (FaultSite::SocketRead, FaultKind::Truncate, TypedError),
+        (FaultSite::SocketRead, FaultKind::Disconnect, BitIdentical),
+        (FaultSite::SocketRead, FaultKind::Stall(50), BitIdentical),
+        (FaultSite::SocketWrite, FaultKind::BitFlip, TypedError),
+        (FaultSite::SocketWrite, FaultKind::Truncate, BitIdentical),
+        (FaultSite::SocketWrite, FaultKind::Disconnect, BitIdentical),
+        (FaultSite::SocketWrite, FaultKind::Stall(50), BitIdentical),
+        (FaultSite::SocketStall, FaultKind::Stall(300), BitIdentical),
+    ];
+    let _guard = poseidon_faults::test_lock();
+    for (site, kind, bucket) in scenarios {
+        for seed in 0..4 {
+            let run = format!("{site:?}/{kind:?} seed {seed}");
+            let (service, addr, _ctx, frame, expected) = loopback_fixture();
+            let policy = RetryPolicy {
+                max_attempts: 5,
+                request_timeout_ms: 1_500,
+                ..chaos_policy(0xC0FFEE ^ seed)
+            };
+            let budget =
+                Duration::from_millis(u64::from(policy.max_attempts) * policy.request_timeout_ms);
+            let client =
+                ResilientClient::connect(addr, SocketConfig::default(), policy).expect("connect");
+
+            poseidon_faults::arm(FaultPlan::transient(site, kind, seed));
+            let t0 = Instant::now();
+            let outcome = client.request("acme", Op::Rescale { a: &frame });
+            let elapsed = t0.elapsed();
+            let fired = poseidon_faults::fired();
+            poseidon_faults::disarm();
+            service.shutdown();
+
+            assert_eq!(fired, 1, "{run}: the armed plan must fire exactly once");
+            assert!(
+                elapsed < budget,
+                "{run}: took {elapsed:?}, budget {budget:?}"
+            );
+            let landed = match &outcome {
+                Ok(reply) => {
+                    assert!(reply.as_ref() == Some(&expected), "{run}: wrong bytes");
+                    BitIdentical
+                }
+                Err(_) => TypedError,
+            };
+            assert_eq!(
+                landed,
+                bucket,
+                "{run}: changed bucket ({:?})",
+                outcome.err()
+            );
+        }
+    }
+}
+
 /// A connection severed while the request is being written: the client
 /// sees a typed I/O failure, reconnects, resubmits, and the reply is
 /// bit-identical to the unfaulted run.

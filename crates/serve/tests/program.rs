@@ -50,9 +50,10 @@ fn encrypt(
     keys.public().encrypt(&pt, rng)
 }
 
-/// The served program reply is bit-identical to planning and executing
+/// A served program reply is bit-identical to planning and executing
 /// the same text locally with the same options — the server adds
-/// scheduling, not noise.
+/// scheduling, not noise. Holds for the inline program and for every
+/// `.pos` file shipped in `programs/`.
 #[test]
 fn served_program_matches_local_planned_execution() {
     let (ctx, keys, mut rng) = setup();
@@ -63,29 +64,45 @@ fn served_program_matches_local_planned_execution() {
         &[Complex::new(0.5, 0.0), Complex::new(-0.25, 0.125)],
     );
 
-    let trace = poseidon_sim::program::parse(PROGRAM).expect("parse");
-    let plan = plan_trace(&trace, &ctx, &PlanOptions::default()).expect("plan");
-    let inputs = vec![a.clone(); plan.graph.inputs().len()];
-    let mut eval = he_ckks::eval::Evaluator::new(&ctx);
-    let local = execute(&plan, &mut eval, &inputs, &keys)
-        .expect("local execution")
-        .outputs
-        .pop()
-        .expect("program output");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../programs");
+    let mut shipped: Vec<_> = std::fs::read_dir(&dir)
+        .expect("programs dir exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("pos"))
+        .collect();
+    shipped.sort();
+    assert!(
+        shipped.len() >= 7,
+        "expected the seven shipped programs, found {}",
+        shipped.len()
+    );
+    let mut programs = vec![("inline".to_string(), PROGRAM.to_string())];
+    for path in shipped {
+        let text = std::fs::read_to_string(&path).expect("readable program");
+        programs.push((path.display().to_string(), text));
+    }
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
-    let served = service
-        .call(
-            "acme",
-            Request::Program {
-                text: PROGRAM.into(),
-                a,
-            },
-        )
-        .expect("served program");
-
-    assert_eq!(digest_ciphertext(&served), digest_ciphertext(&local));
+    service.register_tenant("acme", ctx.clone(), keys.clone());
+    let mut eval = he_ckks::eval::Evaluator::new(&ctx);
+    for (name, text) in programs {
+        let trace = poseidon_sim::program::parse(&text).expect("parse");
+        let plan = plan_trace(&trace, &ctx, &PlanOptions::default()).expect("plan");
+        let inputs = vec![a.clone(); plan.graph.inputs().len()];
+        let local = execute(&plan, &mut eval, &inputs, &keys)
+            .unwrap_or_else(|e| panic!("{name}: local execution: {e}"))
+            .outputs
+            .pop()
+            .expect("program output");
+        let served = service
+            .call("acme", Request::Program { text, a: a.clone() })
+            .unwrap_or_else(|e| panic!("{name}: served program: {e}"));
+        assert_eq!(
+            digest_ciphertext(&served),
+            digest_ciphertext(&local),
+            "{name}: served reply diverged from local planned execution"
+        );
+    }
     service.shutdown();
 }
 

@@ -9,7 +9,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
-use poseidon_serve::tcp;
+use poseidon_serve::tcp::{self, Op};
 use poseidon_serve::{EvalService, ServeError, ServiceConfig};
 use rand::SeedableRng;
 
@@ -87,6 +87,56 @@ fn loopback_round_trip_decrypts_to_the_reference() {
             "product drifted: {g:?} vs {want:?}"
         );
     }
+}
+
+/// The serve digest every perf PR quotes: an FNV-1a fold, XORed across
+/// the five replies, of a fixed-seed rotate / add / mul / rescale / square
+/// workload over loopback TCP. The same constant holding in default,
+/// `telemetry` and `faults` builds proves probes and disarmed hooks leave
+/// the served bytes alone.
+#[test]
+fn five_op_workload_serve_digest_is_pinned() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC405);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_key(1, &mut rng);
+    let z: Vec<Complex> = (0..4).map(|i| Complex::new(0.25 * i as f64, 0.1)).collect();
+    let a = poseidon_wire::encode_ciphertext(&ctx, &encrypt(&ctx, &keys, &mut rng, &z));
+    let b = poseidon_wire::encode_ciphertext(&ctx, &encrypt(&ctx, &keys, &mut rng, &z));
+
+    let service = EvalService::start(ServiceConfig::default());
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+    client
+        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .expect("register");
+
+    let ops = [
+        Op::Rotate { a: &a, steps: 1 },
+        Op::Add { a: &a, b: &b },
+        Op::Mul { a: &a, b: &b },
+        Op::Rescale { a: &a },
+        Op::Square { a: &a },
+    ];
+    let mut digest = 0u64;
+    for (i, op) in ops.iter().enumerate() {
+        let reply = client
+            .request("acme", *op)
+            .expect("unfaulted request")
+            .expect("ciphertext reply");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &byte in (i as u64).to_le_bytes().iter().chain(&reply) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        digest ^= h;
+    }
+    const PINNED: u64 = 0x8311_1ece_317d_f71e;
+    assert_eq!(
+        digest, PINNED,
+        "serve digest moved: got {digest:#018x}, pinned {PINNED:#018x}. A legitimate \
+         change updates this constant and the same value in EXPERIMENTS.md."
+    );
 }
 
 #[test]

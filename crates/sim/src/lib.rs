@@ -11,9 +11,6 @@
 //!   operation's wall time is `max(compute, traffic/bandwidth)`, which is
 //!   what makes simple streaming ops bandwidth-bound and NTT-heavy ops
 //!   compute-bound (paper Table VII's observation).
-//! * [`plan_cost`] — [`SimCostModel`], the timing model exposed through the
-//!   planner's `CostModel` trait so schedules and bootstrap-vs-reencrypt
-//!   decisions price ops by accelerator occupancy instead of table weights.
 //! * [`energy`] — per-element operator energies plus per-byte HBM energy;
 //!   EDP for Table X / Fig. 11/12.
 //! * [`resources`] — FPGA resource cost model (FF/LUT/DSP/BRAM) per core,
@@ -30,7 +27,6 @@
 pub mod config;
 pub mod energy;
 pub mod hbm;
-pub mod plan_cost;
 pub mod program;
 pub mod published;
 pub mod report;
@@ -41,6 +37,5 @@ pub mod timing;
 pub mod workloads;
 
 pub use config::{AcceleratorConfig, AutoMode};
-pub use plan_cost::SimCostModel;
 pub use report::{Report, Simulator};
 pub use workloads::Benchmark;
