@@ -10,19 +10,24 @@
 //! | Keyswitch (Modup/RNSconv/Moddown) | [`Evaluator::keyswitch`] |
 //! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`], [`Evaluator::try_rotate_many`] |
 //! | Conjugation           | [`Evaluator::try_conjugate`] |
+//! | Σ pt_r ⊙ Rotation_r (a BSGS layer) | [`Evaluator::try_rotate_sum`] |
 //!
-//! The last three rows are one private engine (`switch_fan`): a fan of one
-//! over lifted digits, a fan of one over hoisted digits, a fan of `R`.
+//! Keyswitch, Rotation and Conjugation are one private engine
+//! (`switch_fan`): a fan of one over lifted digits, a fan of one over hoisted
+//! digits, a fan of `R`. The weighted sum is the same two-stage limb-major
+//! pass with the outputs summed over `Q ∪ P` before the one inverse NTT and
+//! Moddown (`sum_fan`).
 //!
 //! Every operation that can fail on caller input has one form, which
 //! returns [`EvalError`].
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use he_math::BarrettReducer;
-use he_rns::conv::{rescale as rns_rescale, ModdownSplit};
+use he_math::{BarrettReducer, ShoupMul};
+use he_rns::conv::{lift_exact, rescale as rns_rescale, ModdownSplit};
 use he_rns::poly::automorphism_add_row;
-use he_rns::{Form, LazyDot, RnsBasis, RnsPoly, ShoupOperand};
+use he_rns::{Form, LazyDot, LazyRow, RnsBasis, RnsPoly, ShoupOperand};
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
@@ -42,6 +47,8 @@ struct EvalMetrics {
     /// limb and output (items = digits·N).
     digit: std::sync::Arc<poseidon_telemetry::Metric>,
     rotate: std::sync::Arc<poseidon_telemetry::Metric>,
+    /// `eval.rotate_sum`: one span per call (items = terms·limbs·N).
+    rotate_sum: std::sync::Arc<poseidon_telemetry::Metric>,
     conjugate: std::sync::Arc<poseidon_telemetry::Metric>,
     rescale: std::sync::Arc<poseidon_telemetry::Metric>,
     hoist: std::sync::Arc<poseidon_telemetry::Metric>,
@@ -58,6 +65,7 @@ impl EvalMetrics {
             keyswitch: r.scope("eval.keyswitch"),
             digit: r.scope("keyswitch.digit"),
             rotate: r.scope("eval.rotate"),
+            rotate_sum: r.scope("eval.rotate_sum"),
             conjugate: r.scope("eval.conjugate"),
             rescale: r.scope("eval.rescale"),
             hoist: r.scope("keyswitch.hoist"),
@@ -109,6 +117,45 @@ impl HoistedDecomposition {
     }
 }
 
+/// A plaintext prepared as a weight of [`Evaluator::try_rotate_sum`]: its
+/// evaluation-form residues over `Q_level ∪ P`, and its scale.
+///
+/// A rotation's key-switch output lives over `Q ∪ P` until Moddown divides
+/// `P` away; a plaintext that is to multiply it *there* needs its residues on
+/// the special primes too, and exactly — [`Evaluator::prepare_plain`] lifts
+/// them with [`he_rns::conv::lift_exact`]. The rows do not depend on the
+/// ciphertext, so an operand is built once and serves every sum at its level
+/// or below.
+#[derive(Debug, Clone)]
+pub struct PlainOperand {
+    level: usize,
+    /// `level + 1` chain limbs, then the special limbs.
+    rows: Vec<Vec<u64>>,
+    scale: f64,
+}
+
+impl PlainOperand {
+    /// The level it was prepared at: the highest it can weigh a sum at.
+    #[inline]
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// The encoding scale Δ of the plaintext.
+    #[inline]
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// The row on extended limb `i` of `Q_l ∪ P`, where `q_len = l + 1` does
+    /// not exceed the operand's own chain limbs.
+    #[inline]
+    fn row(&self, i: usize, q_len: usize) -> &[u64] {
+        let own = self.level + 1;
+        &self.rows[if i < q_len { i } else { own + (i - q_len) }]
+    }
+}
+
 /// Stateless evaluator bound to a context.
 ///
 /// # Examples
@@ -155,7 +202,13 @@ impl Evaluator {
         &self.ctx
     }
 
-    fn align(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
+    /// Both operands at the lower of their levels: borrowed where the level
+    /// already matches, so aligned operands cost no copy.
+    fn align<'a>(
+        &self,
+        a: &'a Ciphertext,
+        b: &'a Ciphertext,
+    ) -> (Cow<'a, Ciphertext>, Cow<'a, Ciphertext>) {
         let level = a.level().min(b.level());
         (truncated(a, level), truncated(b, level))
     }
@@ -178,7 +231,7 @@ impl Evaluator {
                 b: level,
             });
         }
-        Ok(truncated(ct, level))
+        Ok(truncated(ct, level).into_owned())
     }
 
     /// Homomorphic addition (paper HAdd, ct+ct). Operands are aligned to
@@ -500,6 +553,151 @@ impl Evaluator {
         rows.into_iter().map(|(b, a)| (poly(b), poly(a))).collect()
     }
 
+    /// The key-switch engine with its outputs summed before they leave
+    /// `Q ∪ P`: `Σ_r w_r ⊙ (Σ_j σ_r(d_j)·key_{r,j} + P·σ_r(c_0))` per
+    /// extended limb, accumulated unreduced ([`he_rns::LazyRow`]), and only
+    /// the two sum rows inverse-NTT'd and Moddown'd — the same two dispatches
+    /// as [`switch_fan`](Self::switch_fan), one output instead of `R`.
+    ///
+    /// *Stage A* (items: special limbs) walks the rotations past the limb's
+    /// digit rows and leaves two scaled rows per limb: `2·k` rows between the
+    /// stages, not `R·2·k`. *Stage B* (items: chain limbs) forward-NTTs the
+    /// limb of `c_0` once, scaled by `[P]_{q_i}` so that Moddown's division
+    /// returns it, and reads it through each rotation's permutation into that
+    /// rotation's `b` sum; an identity term is the operand itself, scaled the
+    /// same way, and joins both sums directly (on a special limb `P·c ≡ 0`).
+    /// Modular sums do not depend on their order, so the identity terms go
+    /// last.
+    fn sum_fan(
+        &self,
+        a: &Ciphertext,
+        digits: &[RnsPoly],
+        fan: &[SumTerm<'_>],
+    ) -> (RnsPoly, RnsPoly) {
+        // As in `switch_fan`: an armed plan fires inside the items.
+        #[cfg(feature = "faults")]
+        if poseidon_faults::armed() && poseidon_par::threads() > 1 {
+            return poseidon_par::with_threads(1, || self.sum_fan(a, digits, fan));
+        }
+        #[cfg(feature = "telemetry")]
+        let started = std::time::Instant::now();
+        let (n, level) = (self.ctx.n(), a.level());
+        let q_len = level + 1;
+        let q_basis = self.ctx.level_basis(level);
+        let ext_basis = q_basis.concat(self.ctx.special_basis());
+        let p_len = ext_basis.len() - q_len;
+        let split = ModdownSplit::new(&ext_basis, q_len);
+        let p_mod_q = self.ctx.special_basis().product_mod_other(&q_basis);
+        let switches: Vec<Option<(EvalKeyRows<'_>, Vec<usize>)>> = fan
+            .iter()
+            .map(|term| {
+                let (g, key) = term.switch?;
+                Some((
+                    key.eval_rows(&self.ctx, level),
+                    he_ntt::galois_permutation(n, g),
+                ))
+            })
+            .collect();
+        let rotations = switches.iter().flatten().count();
+
+        // A sum row holds terms `(s + P·c_0)·w` with all three reduced.
+        let sum_rows = |i: usize| {
+            let red = ext_basis.reducers()[i];
+            let q = u128::from(red.modulus());
+            let rule = LazyDot::with_term_bound(red, 2 * q * q);
+            (rule.row(n), rule.row(n))
+        };
+        // Every rotation's weighted inner products on extended limb `i`,
+        // onto the limb's sums; on a chain limb `pc0` joins each `b` sum.
+        let add_rotations =
+            |i: usize, pc0: Option<&[u64]>, row_b: &mut LazyRow, row_a: &mut LazyRow| {
+                let digit_rows: Vec<&[u64]> = digits.iter().map(|d| d.residues(i)).collect();
+                let dot = LazyDot::new(ext_basis.reducers()[i]);
+                let mut sum_b = poseidon_par::scratch::take(n);
+                let mut sum_a = poseidon_par::scratch::take(n);
+                for (term, switch) in fan.iter().zip(&switches) {
+                    let Some((rows, perm)) = switch else { continue };
+                    let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
+                    #[cfg(feature = "telemetry")]
+                    let span = self.tel.digit.span((q_len * n) as u64);
+                    dot.dot_pair(&digit_rows, Some(perm), &keys, &mut sum_b, &mut sum_a);
+                    #[cfg(feature = "telemetry")]
+                    drop(span);
+                    if let Some(pc0) = pc0 {
+                        for (s, &src) in sum_b.iter_mut().zip(perm) {
+                            *s += pc0[src];
+                        }
+                    }
+                    let w = term.weight.map(|w| w.row(i, q_len));
+                    row_b.add_weighted(&sum_b, w);
+                    row_a.add_weighted(&sum_a, w);
+                }
+                poseidon_par::scratch::recycle(sum_b);
+                poseidon_par::scratch::recycle(sum_a);
+            };
+        // A sum row reduced and inverse-NTT'd: the one transform it costs.
+        let into_coeff = |i: usize, row: &LazyRow| {
+            let mut out = vec![0; n];
+            row.reduce_into(&mut out);
+            // The `RnsResidue` fault site, where `into_coeff` has it.
+            #[cfg(feature = "faults")]
+            poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut out);
+            ext_basis.tables()[i].inverse(&mut out);
+            out
+        };
+        // Weights, in element operations: a rotation is a read and two
+        // multiply–adds per digit, the join and two weighted adds; a limb adds
+        // the transform of `c_0`, two inverse NTTs and two Moddown passes.
+        let ntt = ext_basis.tables()[0].weight();
+        let limb = rotations * (q_len * 3 + 4) * n + 3 * ntt + 2 * (p_len + 2) * n;
+
+        let (t_b, t_a) = poseidon_par::par_map_unzip(p_len, limb, |j| {
+            let i = q_len + j;
+            let (mut row_b, mut row_a) = sum_rows(i);
+            add_rotations(i, None, &mut row_b, &mut row_a);
+            let (mut t_b, mut t_a) = (into_coeff(i, &row_b), into_coeff(i, &row_a));
+            split.scale_p_limb(j, &mut t_b);
+            split.scale_p_limb(j, &mut t_a);
+            (t_b, t_a)
+        });
+        let (rows_b, rows_a) = poseidon_par::par_map_unzip(q_len, limb, |i| {
+            let p_mod = ShoupMul::new(p_mod_q[i], q_basis.primes()[i]);
+            // `[P]_{q_i}·ĉ` for a component `c`.
+            let scaled_eval = |c: &RnsPoly| {
+                let mut row = c.residues(i).to_vec();
+                // `RnsResidue`, as `into_eval` fires it.
+                #[cfg(feature = "faults")]
+                poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
+                ext_basis.tables()[i].forward(&mut row);
+                for x in &mut row {
+                    *x = p_mod.mul(*x);
+                }
+                row
+            };
+            let pc0 = scaled_eval(a.c0());
+            let (mut row_b, mut row_a) = sum_rows(i);
+            add_rotations(i, Some(&pc0), &mut row_b, &mut row_a);
+            if rotations < fan.len() {
+                let pc1 = scaled_eval(a.c1());
+                for term in fan.iter().filter(|term| term.switch.is_none()) {
+                    let w = term.weight.map(|w| w.row(i, q_len));
+                    row_b.add_weighted(&pc0, w);
+                    row_a.add_weighted(&pc1, w);
+                }
+            }
+            let (mut k_b, mut k_a) = (into_coeff(i, &row_b), into_coeff(i, &row_a));
+            split.finish_q_limb(i, &t_b, &mut k_b);
+            split.finish_q_limb(i, &t_a, &mut k_a);
+            (k_b, k_a)
+        });
+        #[cfg(feature = "telemetry")]
+        self.tel
+            .keyswitch
+            .record_shared(rotations, (q_len * n) as u64, started.elapsed());
+        let poly = |rows| RnsPoly::from_residues(&q_basis, rows, Form::Coeff);
+        (poly(rows_b), poly(rows_a))
+    }
+
     /// Precomputes the rotation-independent half of a keyswitch: digit
     /// lift of `c_1` to `Q_l ∪ P`, forward-NTT'd once (Halevi–Shoup
     /// hoisting). Feed the result to [`apply_galois_hoisted`] to rotate
@@ -566,20 +764,25 @@ impl Evaluator {
             source, h.source,
             "hoisted decomposition was lifted from another ciphertext"
         );
-        // Reuse accounting: every application after the first rides on the
-        // hoisted digits and skips (level+1) lifts of ext_len forward NTTs.
-        let prior = h.uses.fetch_add(fan.len() as u64, Ordering::Relaxed);
+        self.note_uses(h, fan.len());
+        let switched = self.switch_fan(level, Source::Hoisted(&h.digits, a.c0()), fan);
+        let cipher = |(c0, c1)| Ciphertext::new(c0, c1, a.scale());
+        switched.into_iter().map(cipher).collect()
+    }
+
+    /// Reuse accounting for `count` more rotations served by `h`: every
+    /// application after the first rides on the hoisted digits and skips
+    /// (level+1) lifts of ext_len forward NTTs.
+    fn note_uses(&self, h: &HoistedDecomposition, count: usize) {
+        let prior = h.uses.fetch_add(count as u64, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
-        for _ in usize::from(prior == 0)..fan.len() {
-            let saved = (level + 1) * (self.ctx.special_basis().len() + level + 1);
+        for _ in usize::from(prior == 0)..count {
+            let saved = (h.level + 1) * (self.ctx.special_basis().len() + h.level + 1);
             self.tel.reuse.add(saved as u64);
             self.tel.saved_ntt.add(saved as u64);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = prior;
-        let switched = self.switch_fan(level, Source::Hoisted(&h.digits, a.c0()), fan);
-        let cipher = |(c0, c1)| Ciphertext::new(c0, c1, a.scale());
-        switched.into_iter().map(cipher).collect()
     }
 
     /// Rescale (paper Rescale): divides by the last chain prime and drops a
@@ -712,7 +915,7 @@ impl Evaluator {
                     b: target_scale,
                 });
             }
-            let mut out = truncated(ct, target_level);
+            let mut out = truncated(ct, target_level).into_owned();
             out.set_scale(target_scale);
             return Ok(out);
         }
@@ -758,6 +961,9 @@ impl Evaluator {
     /// Rotation (paper Rotation): left-rotates the slot vector by `steps`
     /// (automorphism with `g = 5^steps` + keyswitch).
     ///
+    /// A rotation by a multiple of the slot count `N/2` is the identity: it
+    /// returns the operand and needs no key.
+    ///
     /// # Errors
     ///
     /// Returns [`EvalError::MissingRotationKey`] if no rotation key for
@@ -788,10 +994,9 @@ impl Evaluator {
         steps: i64,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        let g = keys.galois_element(steps);
-        let key = keys
-            .galois_key(g)
-            .ok_or(EvalError::MissingRotationKey { steps })?;
+        let Some((g, key)) = keys.rotation_switch(steps)? else {
+            return Ok(a.clone());
+        };
         #[cfg(feature = "telemetry")]
         let _span = self
             .tel
@@ -804,8 +1009,9 @@ impl Evaluator {
     /// key-switch engine: the digit decomposition is hoisted once
     /// (Halevi–Shoup) and each of its rows is loaded once for all the
     /// rotations, in two dispatches. Each output is bit-identical to the
-    /// corresponding [`try_rotate`] call. All keys are resolved before any
-    /// work starts, so a missing key fails fast without a wasted hoist.
+    /// corresponding [`try_rotate`] call — for an identity step, the operand
+    /// at its position. All keys are resolved before any work starts, so a
+    /// missing key fails fast without a wasted hoist.
     ///
     /// # Errors
     ///
@@ -819,29 +1025,157 @@ impl Evaluator {
         steps: &[i64],
         keys: &KeySet,
     ) -> Result<Vec<Ciphertext>, EvalError> {
-        let resolved: Vec<(u64, &KeySwitchKey)> = steps
+        let resolved: Vec<Option<(u64, &KeySwitchKey)>> = steps
             .iter()
-            .map(|&s| {
-                let g = keys.galois_element(s);
-                keys.galois_key(g)
-                    .map(|k| (g, k))
-                    .ok_or(EvalError::MissingRotationKey { steps: s })
-            })
+            .map(|&s| keys.rotation_switch(s))
             .collect::<Result<_, _>>()?;
-        if resolved.is_empty() {
-            return Ok(Vec::new());
+        let fan: Vec<(u64, &KeySwitchKey)> = resolved.iter().flatten().copied().collect();
+        if fan.is_empty() {
+            return Ok(vec![a.clone(); steps.len()]);
         }
         let h = self.hoist(a);
         #[cfg(feature = "telemetry")]
         let started = std::time::Instant::now();
-        let rotated = self.galois_fan(a, &h, &resolved);
+        let mut rotated = self.galois_fan(a, &h, &fan).into_iter();
         #[cfg(feature = "telemetry")]
         let items = ((a.level() + 1) * self.ctx.n()) as u64;
         #[cfg(feature = "telemetry")]
         self.tel
             .rotate
-            .record_shared(steps.len(), items, started.elapsed());
-        Ok(rotated)
+            .record_shared(fan.len(), items, started.elapsed());
+        let rotation = |r: &Option<_>| match r {
+            Some(_) => rotated.next().expect("one output per key"),
+            None => a.clone(),
+        };
+        Ok(resolved.iter().map(rotation).collect())
+    }
+
+    /// Prepares `pt` as a weight of [`try_rotate_sum`](Self::try_rotate_sum)
+    /// for ciphertexts at `level` or below: its residues on `Q_level`, an
+    /// exact lift of them to the special primes, and one forward NTT per
+    /// extended limb. The operand does not depend on any ciphertext; build it
+    /// once and keep it.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::LevelMismatch`] if the plaintext sits below `level`;
+    /// [`EvalError::InvalidParams`] if a coefficient lies within `Q_level/4`
+    /// of the wrap, where the lift is no longer exact (an encoding never
+    /// does: its coefficients are near the scale).
+    pub fn prepare_plain(&self, pt: &Plaintext, level: usize) -> Result<PlainOperand, EvalError> {
+        let m = pt.poly_at_level(level)?;
+        let special = self.ctx.special_basis();
+        let lifted = lift_exact(&m, special)
+            .map_err(|e| EvalError::InvalidParams(format!("plaintext is no weight: {e}")))?;
+        let ext_basis = m.basis().concat(special);
+        let mut rows = m.into_residues();
+        rows.extend(lifted.into_residues());
+        // Not `into_eval`: the rows are kept, and an upset that entered them
+        // at a fault site would outlive the retry that is meant to clear it.
+        let tables = ext_basis.tables();
+        poseidon_par::par_for_each_mut(&mut rows, tables[0].weight(), |i, row| {
+            tables[i].forward(row);
+        });
+        Ok(PlainOperand {
+            level,
+            rows,
+            scale: pt.scale(),
+        })
+    }
+
+    /// A weighted sum of rotations of one ciphertext, `Σ_r pt_r ⊙ rot_r(a)`
+    /// — a diagonal matrix–vector layer — as **one** key-switch pass: the
+    /// digit decomposition is hoisted once, every rotation's key-switch
+    /// output stays over `Q ∪ P` in evaluation form and meets its plaintext
+    /// there, and only the sum is inverse-NTT'd and Moddown'd (double
+    /// hoisting, Bossuat et al., Eurocrypt 2021). `q(q+k) + q + 2(q+k)`
+    /// transforms at `q = level + 1` limbs and `k` special primes, whatever
+    /// the number of terms; the composition [`try_rotate_many`] →
+    /// [`try_mul_plain`] → [`try_add`] costs `5q + 2(q+k)` more per term.
+    ///
+    /// A term without a weight is the bare rotation; a term whose step is a
+    /// multiple of the slot count is the operand itself and needs no key. The
+    /// result's scale is the operand's times the weights' (rescale
+    /// afterwards); it decrypts to the composition's value but rounds once
+    /// where that rounds per term, so its bits differ.
+    ///
+    /// [`try_rotate_many`]: Self::try_rotate_many
+    /// [`try_mul_plain`]: Self::try_mul_plain
+    /// [`try_add`]: Self::try_add
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::EmptyOperands`] for no terms;
+    /// [`EvalError::LevelMismatch`] for a weight prepared below the
+    /// ciphertext's level; [`EvalError::ScaleMismatch`] for weights of
+    /// different scales, or weighted terms beside bare ones;
+    /// [`EvalError::MissingRotationKey`] for the first step without a key —
+    /// all before any work.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use he_ckks::prelude::*;
+    /// use he_ckks::encoding::Complex;
+    /// let ctx = CkksContext::new(CkksParams::toy());
+    /// let mut rng = rand::thread_rng();
+    /// let mut keys = KeySet::generate(&ctx, &mut rng);
+    /// keys.add_rotation_key(1, &mut rng);
+    /// let eval = Evaluator::new(&ctx);
+    /// let encode = |v: f64| eval.encode_at_level(&[Complex::new(v, 0.0)], ctx.default_scale(), ctx.max_level());
+    /// let ct = keys.public().encrypt(&encode(2.0), &mut rng);
+    /// // 0.5·ct + 0.25·rot_1(ct), every slot holding 2.
+    /// let half = eval.prepare_plain(&encode(0.5), ct.level())?;
+    /// let quarter = eval.prepare_plain(&encode(0.25), ct.level())?;
+    /// let sum = eval.try_rotate_sum(&ct, &[(0, Some(&half)), (1, Some(&quarter))], &keys)?;
+    /// let dec = keys.secret().decrypt(&eval.try_rescale(&sum)?);
+    /// let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 1)[0].re;
+    /// assert!((got - 1.5).abs() < 1e-2);
+    /// # Ok::<(), EvalError>(())
+    /// ```
+    pub fn try_rotate_sum(
+        &self,
+        a: &Ciphertext,
+        terms: &[(i64, Option<&PlainOperand>)],
+        keys: &KeySet,
+    ) -> Result<Ciphertext, EvalError> {
+        let Some(&(_, first)) = terms.first() else {
+            return Err(EvalError::EmptyOperands);
+        };
+        let level = a.level();
+        let term_scale = |w: Option<&PlainOperand>| a.scale() * w.map_or(1.0, PlainOperand::scale);
+        let fan: Vec<SumTerm<'_>> = terms
+            .iter()
+            .map(|&(steps, weight)| {
+                if let Some(w) = weight.filter(|w| w.level() < level) {
+                    return Err(EvalError::LevelMismatch {
+                        a: level,
+                        b: w.level(),
+                    });
+                }
+                EvalError::check_scales(term_scale(first), term_scale(weight))?;
+                let switch = keys.rotation_switch(steps)?;
+                Ok(SumTerm { switch, weight })
+            })
+            .collect::<Result<_, _>>()?;
+        let rotations = fan.iter().filter(|term| term.switch.is_some()).count();
+        #[cfg(feature = "telemetry")]
+        let items = ((level + 1) * self.ctx.n()) as u64;
+        #[cfg(feature = "telemetry")]
+        let _span = self.tel.rotate_sum.span(terms.len() as u64 * items);
+        let hoisted = (rotations > 0).then(|| self.hoist(a));
+        if let Some(h) = &hoisted {
+            self.note_uses(h, rotations);
+        }
+        #[cfg(feature = "telemetry")]
+        let started = std::time::Instant::now();
+        let digits = hoisted.as_ref().map_or(&[][..], |h| &h.digits);
+        let (c0, c1) = self.sum_fan(a, digits, &fan);
+        #[cfg(feature = "telemetry")]
+        self.tel
+            .rotate
+            .record_shared(rotations, items, started.elapsed());
+        Ok(Ciphertext::new(c0, c1, term_scale(first)))
     }
 
     /// Complex conjugation of every slot (`g = 2N − 1`).
@@ -860,6 +1194,13 @@ impl Evaluator {
             .span(((a.level() + 1) * self.ctx.n()) as u64);
         Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
+}
+
+/// One resolved term of a rotation sum: the rotation's Galois element and
+/// key (`None` for the identity), and its weight.
+struct SumTerm<'a> {
+    switch: Option<(u64, &'a KeySwitchKey)>,
+    weight: Option<&'a PlainOperand>,
 }
 
 /// Where a key-switch fan takes its evaluation-form digit rows from.
@@ -937,16 +1278,17 @@ fn lift_digit(t: &[u64], ext_basis: &RnsBasis) -> RnsPoly {
     RnsPoly::from_residues(ext_basis, residues, Form::Coeff).into_eval()
 }
 
-/// `ct` truncated to `level`, which must not exceed its own.
-fn truncated(ct: &Ciphertext, level: usize) -> Ciphertext {
+/// `ct` truncated to `level`, which must not exceed its own: itself when it
+/// already sits there.
+fn truncated(ct: &Ciphertext, level: usize) -> Cow<'_, Ciphertext> {
     if level == ct.level() {
-        return ct.clone();
+        return Cow::Borrowed(ct);
     }
-    Ciphertext::new(
+    Cow::Owned(Ciphertext::new(
         ct.c0().truncate_basis(level + 1),
         ct.c1().truncate_basis(level + 1),
         ct.scale(),
-    )
+    ))
 }
 
 #[cfg(test)]

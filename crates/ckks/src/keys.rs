@@ -13,6 +13,7 @@ use rand::Rng;
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
+use crate::error::EvalError;
 use crate::sampling;
 
 /// The secret key: a ternary polynomial `s`.
@@ -508,6 +509,24 @@ impl KeySet {
     /// Adds a conjugation key.
     pub fn add_conjugation_key<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.add_galois_key(self.conjugation_element(), rng);
+    }
+
+    /// What a left rotation by `steps` switches with: its Galois element and
+    /// key, or `None` for a multiple of the slot count — the identity, whose
+    /// element is 1 and for which no key is ever generated.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::MissingRotationKey`] if a key is needed and absent.
+    pub fn rotation_switch(&self, steps: i64) -> Result<Option<(u64, &KeySwitchKey)>, EvalError> {
+        let g = self.galois_element(steps);
+        if g == 1 {
+            return Ok(None);
+        }
+        let key = self
+            .galois_key(g)
+            .ok_or(EvalError::MissingRotationKey { steps })?;
+        Ok(Some((g, key)))
     }
 
     /// Looks up the Galois key for rotation by `steps`.

@@ -140,8 +140,11 @@ impl PlainMatrix {
         steps
     }
 
-    /// Applies `M·v` with the plain diagonal method: one rotation + PMult
-    /// per non-zero diagonal, one rescale at the end. Consumes one level.
+    /// Applies `M·v` with the plain diagonal method — one rotation and one
+    /// PMult per non-zero diagonal, summed — as a single
+    /// [`try_rotate_sum`](Evaluator::try_rotate_sum) pass (the diagonals
+    /// prepared once per call), and one rescale at the end. Consumes one
+    /// level.
     ///
     /// # Errors
     ///
@@ -154,33 +157,17 @@ impl PlainMatrix {
         keys: &KeySet,
         v: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
-        let scale = eval.context().default_scale();
-        let live: Vec<usize> = (0..self.dim)
+        let (scale, level) = (eval.context().default_scale(), v.level());
+        // Diagonal `d` weighs the rotation by `d`; diagonal 0, the input.
+        let weights = (0..self.dim)
             .filter(|&d| !self.diagonal_is_zero(d))
-            .collect();
-        // All rotations act on the same input `v`, so one hoisted batch
-        // pays the digit lift + forward NTTs once for every diagonal.
-        let steps: Vec<i64> = live
-            .iter()
-            .filter(|&&d| d != 0)
-            .map(|&d| d as i64)
-            .collect();
-        let mut rotations = eval.try_rotate_many(v, &steps, keys)?.into_iter();
-        let mut acc: Option<Ciphertext> = None;
-        for &d in &live {
-            let rot = if d == 0 {
-                v.clone()
-            } else {
-                rotations.next().expect("one rotation per live diagonal")
-            };
-            let pt = eval.encode_at_level(&self.diagonals[d], scale, rot.level());
-            let term = eval.try_mul_plain(&rot, &pt)?;
-            match &mut acc {
-                None => acc = Some(term),
-                Some(a) => eval.try_add_assign(a, &term)?,
-            }
-        }
-        eval.try_rescale(&acc.ok_or(EvalError::EmptyOperands)?)
+            .map(|d| {
+                let pt = eval.encode_at_level(&self.diagonals[d], scale, level);
+                Ok((d as i64, eval.prepare_plain(&pt, level)?))
+            })
+            .collect::<Result<Vec<_>, EvalError>>()?;
+        let terms: Vec<_> = weights.iter().map(|(d, w)| (*d, Some(w))).collect();
+        eval.try_rescale(&eval.try_rotate_sum(v, &terms, keys)?)
     }
 
     /// Applies `M·v` with baby-step/giant-step: `√dim` baby rotations of

@@ -10,11 +10,19 @@
 //! split / `rns_convert` / `sub` / `mul_scalar_per_prime`. Modular
 //! arithmetic is exact, so the two must agree bit for bit, at every level,
 //! every fan size and every thread count.
+//!
+//! `try_rotate_sum` is the same pass with the outputs weighted and summed
+//! before they leave `Q ∪ P`. Its reference is its own dataflow, digit-major:
+//! `Σ_r w_r ⊙ (Σ_j σ_r(d_j) ⊙ key_{r,j} + P·σ_r(c_0))` over the extended
+//! basis, then one Moddown — bit for bit again; against the composition it
+//! replaces (`try_rotate_many` → `try_mul_plain` → `try_add`), which rounds
+//! once per term, it is held to the decrypted values.
 
 use std::sync::Arc;
 
 use he_ckks::cipher::Plaintext;
 use he_ckks::encoding::Complex;
+use he_ckks::eval::PlainOperand;
 use he_ckks::keys::KeySwitchKey;
 use he_ckks::prelude::*;
 use he_math::modops::add_mod;
@@ -101,6 +109,84 @@ fn reference_apply_galois(
     let k0 = reference_moddown(&acc0.into_coeff(), level + 1);
     let k1 = reference_moddown(&acc1.into_coeff(), level + 1);
     Ciphertext::new(ct.c0().automorphism(g).add(&k0), k1, ct.scale())
+}
+
+/// A coefficient-form polynomial of `Q_l` over `Q_l ∪ P`, times `P`, in
+/// evaluation form: what Moddown's division returns unchanged.
+fn times_p(ctx: &CkksContext, c: &RnsPoly, ext: &RnsBasis) -> RnsPoly {
+    let zero = vec![vec![0; c.n()]; ctx.special_basis().len()];
+    let rows = c.all_residues().iter().cloned().chain(zero).collect();
+    let p_mod = ctx.special_basis().product_mod_other(ext);
+    RnsPoly::from_residues(ext, rows, Form::Coeff)
+        .into_eval()
+        .mul_scalar_per_prime(&p_mod)
+}
+
+/// `try_rotate_sum`'s dataflow from public polynomial operations, one term
+/// and one digit at a time.
+fn reference_rotate_sum(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    terms: &[(i64, Option<&Plaintext>)],
+    keys: &KeySet,
+) -> Ciphertext {
+    let level = ct.level();
+    let ext = ext_basis(ctx, level);
+    let mut scale = ct.scale();
+    let mut acc: Option<(RnsPoly, RnsPoly)> = None;
+    for &(steps, weight) in terms {
+        let g = keys.galois_element(steps);
+        let (mut t0, mut t1) = if g == 1 {
+            (times_p(ctx, ct.c0(), &ext), times_p(ctx, ct.c1(), &ext))
+        } else {
+            let digits: Vec<RnsPoly> = (0..=level)
+                .map(|j| lift(ct.c1().residues(j), &ext).automorphism_eval(g))
+                .collect();
+            let key = keys.galois_key(g).expect("generated");
+            let (s0, s1) = reference_inner_product(ctx, level, &digits, key);
+            (
+                s0.add(&times_p(ctx, ct.c0(), &ext).automorphism_eval(g)),
+                s1,
+            )
+        };
+        if let Some(pt) = weight {
+            // The plaintext's integer coefficients, on every extended prime.
+            let w = RnsPoly::from_i64_coeffs(&ext, &pt.poly().to_centered_coeffs()).into_eval();
+            (t0, t1) = (t0.mul(&w), t1.mul(&w));
+            scale = ct.scale() * pt.scale();
+        }
+        acc = Some(match acc {
+            None => (t0, t1),
+            Some((s0, s1)) => (s0.add(&t0), s1.add(&t1)),
+        });
+    }
+    let (s0, s1) = acc.expect("at least one term");
+    Ciphertext::new(
+        reference_moddown(&s0.into_coeff(), level + 1),
+        reference_moddown(&s1.into_coeff(), level + 1),
+        scale,
+    )
+}
+
+/// The composition a rotation sum replaces: one Moddown rounding per term.
+fn unfused_rotate_sum(
+    eval: &Evaluator,
+    ct: &Ciphertext,
+    terms: &[(i64, Option<&Plaintext>)],
+    keys: &KeySet,
+) -> Ciphertext {
+    let steps: Vec<i64> = terms.iter().map(|&(s, _)| s).collect();
+    let rotated = eval.try_rotate_many(ct, &steps, keys).unwrap();
+    let weighted = rotated
+        .into_iter()
+        .zip(terms)
+        .map(|(rot, &(_, w))| match w {
+            Some(pt) => eval.try_mul_plain(&rot, pt).unwrap(),
+            None => rot,
+        });
+    weighted
+        .reduce(|sum, term| eval.try_add(&sum, &term).unwrap())
+        .expect("at least one term")
 }
 
 // ---------------------------------------------------------------------------
@@ -245,6 +331,160 @@ fn a_fan_equals_its_single_rotations_and_the_reference_at_every_level() {
             }
         }
     }
+}
+
+/// A rotation sum equals the digit-major reference of its own dataflow bit
+/// for bit — at every level, fans of 1, 2 and 8, weighted and bare, with and
+/// without an identity term, every thread count — and decrypts to what the
+/// composition it replaces decrypts to.
+#[test]
+fn a_rotation_sum_equals_its_reference_and_decrypts_like_the_composition() {
+    #[cfg(feature = "faults")]
+    let _guard = poseidon_faults::test_lock();
+    for (name, params) in parameter_sets().into_iter().take(2) {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x20_5A11);
+        let mut keys = KeySet::generate(&ctx, &mut rng);
+        keys.add_rotation_keys(1..=8, &mut rng);
+        let eval = Evaluator::new(&ctx);
+        let top = encrypt(&ctx, &keys, &mut rng);
+        let slots = ctx.params().slots() as i64;
+
+        for level in 0..=ctx.max_level() {
+            let ct = eval.try_drop_to_level(&top, level).unwrap();
+            let plains: Vec<Plaintext> = (0..9)
+                .map(|r| {
+                    let z: Vec<Complex> = (0..8)
+                        .map(|i| Complex::new(0.4 - 0.07 * ((r + i) % 9) as f64, 0.0))
+                        .collect();
+                    eval.encode_at_level(&z, ctx.default_scale(), level)
+                })
+                .collect();
+            let operands: Vec<PlainOperand> = plains
+                .iter()
+                .map(|pt| eval.prepare_plain(pt, level).unwrap())
+                .collect();
+            // Steps 1..=fan, and in the identity cases a multiple of the
+            // slot count in the middle of the fan.
+            for (fan, weighted, identity) in [
+                (1, true, false),
+                (2, false, true),
+                (8, true, true),
+                (8, false, false),
+            ] {
+                let mut steps: Vec<i64> = (1..=fan).collect();
+                if identity {
+                    steps.insert(fan as usize / 2, -slots);
+                }
+                let plain_terms: Vec<(i64, Option<&Plaintext>)> = steps
+                    .iter()
+                    .zip(&plains)
+                    .map(|(&s, pt)| (s, weighted.then_some(pt)))
+                    .collect();
+                let terms: Vec<(i64, Option<&PlainOperand>)> = steps
+                    .iter()
+                    .zip(&operands)
+                    .map(|(&s, w)| (s, weighted.then_some(w)))
+                    .collect();
+                let want = reference_rotate_sum(&ctx, &ct, &plain_terms, &keys);
+                let at = format!(
+                    "{name}, level {level}, fan {fan}, weighted {weighted}, identity {identity}"
+                );
+                for threads in THREADS {
+                    let got =
+                        with_threads(threads, || eval.try_rotate_sum(&ct, &terms, &keys).unwrap());
+                    assert_eq!(
+                        got, want,
+                        "rotation sum diverged ({at}, {threads} thread(s))"
+                    );
+                    assert_shares_tables(&at, got.c0().basis(), &ctx.level_basis(level));
+                }
+
+                // Decrypted values, wherever the product's scale still fits
+                // under the level's modulus.
+                let p = ctx.params();
+                let modulus_bits = p.first_prime_bits + level as u32 * p.scale_prime_bits;
+                if want.scale().log2() + 8.0 > f64::from(modulus_bits) {
+                    continue;
+                }
+                let composed = unfused_rotate_sum(&eval, &ct, &plain_terms, &keys);
+                assert_eq!(composed.scale(), want.scale(), "{at}");
+                let decode = |ct: &Ciphertext| {
+                    let pt = keys.secret().decrypt(ct);
+                    ctx.encoder().decode_rns(pt.poly(), pt.scale(), 8)
+                };
+                for (got, want) in decode(&want).iter().zip(decode(&composed)) {
+                    let err = (got.re - want.re).abs() / want.re.abs().max(1.0);
+                    assert!(err < 1e-5, "{at}: {} vs {}", got.re, want.re);
+                }
+            }
+        }
+    }
+}
+
+/// What a rotation sum refuses, before any work: no terms, a weight prepared
+/// below the ciphertext, weights of two scales (or a bare term beside a
+/// weighted one), a step without a key.
+#[test]
+fn a_rotation_sum_rejects_bad_terms_with_typed_errors() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x20_E220);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_key(1, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let level = ct.level();
+    let scale = ctx.default_scale();
+    let z = [Complex::new(0.5, 0.0)];
+    let w = eval
+        .prepare_plain(&eval.encode_at_level(&z, scale, level), level)
+        .unwrap();
+    let doubled = eval
+        .prepare_plain(&eval.encode_at_level(&z, 2.0 * scale, level), level)
+        .unwrap();
+    let low_plain = eval.encode_at_level(&z, scale, level - 1);
+    let low = eval.prepare_plain(&low_plain, level - 1).unwrap();
+
+    let sum = |terms: &[(i64, Option<&PlainOperand>)]| eval.try_rotate_sum(&ct, terms, &keys);
+    assert_eq!(sum(&[]), Err(EvalError::EmptyOperands));
+    assert_eq!(
+        sum(&[(1, Some(&w)), (0, Some(&low))]),
+        Err(EvalError::LevelMismatch {
+            a: level,
+            b: level - 1
+        })
+    );
+    assert_eq!(
+        eval.prepare_plain(&low_plain, level).map(|_| ()),
+        Err(EvalError::LevelMismatch {
+            a: level,
+            b: level - 1
+        })
+    );
+    let product = ct.scale() * scale;
+    assert_eq!(
+        sum(&[(1, Some(&w)), (0, Some(&doubled))]),
+        Err(EvalError::ScaleMismatch {
+            a: product,
+            b: 2.0 * product
+        })
+    );
+    assert_eq!(
+        sum(&[(1, Some(&w)), (0, None)]),
+        Err(EvalError::ScaleMismatch {
+            a: product,
+            b: ct.scale()
+        })
+    );
+    assert_eq!(
+        sum(&[(1, Some(&w)), (3, Some(&w))]),
+        Err(EvalError::MissingRotationKey { steps: 3 })
+    );
+    // A weight prepared above the ciphertext's level serves it.
+    let dropped = eval.try_drop_to_level(&ct, level - 1).unwrap();
+    let high = eval.try_rotate_sum(&dropped, &[(1, Some(&w))], &keys);
+    let exact = eval.try_rotate_sum(&dropped, &[(1, Some(&low))], &keys);
+    assert_eq!(high, exact);
 }
 
 /// `moddown`, and its two halves called the way the engine calls them (on
@@ -402,6 +642,70 @@ fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
             assert_eq!(got, want, "{threads} thread(s)");
             assert_eq!(got_galois, want_galois, "hoisted, {threads} thread(s)");
         }
+    }
+}
+
+/// The sum's own fold: 70 terms under 60-bit primes, where a row holds 32
+/// before it is reduced in place — random weights, and the constant −1,
+/// which is `q − 1` at every evaluation point of every limb.
+#[test]
+fn a_rotation_sum_longer_than_one_block_folds_its_accumulator() {
+    #[cfg(feature = "faults")]
+    let _guard = poseidon_faults::test_lock();
+    let ctx = CkksContext::new(CkksParams {
+        n: 16,
+        first_prime_bits: 60,
+        scale_prime_bits: 60,
+        chain_len: 3,
+        special_len: 1,
+        special_prime_bits: 60,
+        scale: (1u64 << 40) as f64,
+        error_std: 3.2,
+    });
+    let terms = 70;
+    let q = ctx.full_basis().primes()[0];
+    let rule = LazyDot::with_term_bound(BarrettReducer::new(q), 2 * u128::from(q) * u128::from(q));
+    assert!(terms > 2 * rule.block_len(), "must fold more than once");
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x20_F01D);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_keys(1..8, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let level = ct.level();
+    let minus_one = {
+        let mut c = vec![0i64; ctx.n()];
+        c[0] = -1;
+        Plaintext::new(
+            RnsPoly::from_i64_coeffs(ctx.chain_basis(), &c),
+            ctx.default_scale(),
+        )
+    };
+    let plains: Vec<Plaintext> = (0..terms)
+        .map(|r| {
+            if r % 3 == 0 {
+                return minus_one.clone();
+            }
+            let z: Vec<Complex> = (0..8)
+                .map(|_| Complex::new(rng.gen_range(-1.0..1.0), 0.0))
+                .collect();
+            eval.encode_at_level(&z, ctx.default_scale(), level)
+        })
+        .collect();
+    let operands: Vec<PlainOperand> = plains
+        .iter()
+        .map(|pt| eval.prepare_plain(pt, level).unwrap())
+        .collect();
+    // Steps cycle through the eight slots: every eighth term is the identity.
+    let step = |r: usize| (r % 8) as i64;
+    let plain_terms: Vec<_> = (0..terms).map(|r| (step(r), Some(&plains[r]))).collect();
+    let fused_terms: Vec<_> = (0..terms).map(|r| (step(r), Some(&operands[r]))).collect();
+    let want = reference_rotate_sum(&ctx, &ct, &plain_terms, &keys);
+    for threads in THREADS {
+        let got = with_threads(threads, || {
+            eval.try_rotate_sum(&ct, &fused_terms, &keys).unwrap()
+        });
+        assert_eq!(got, want, "{threads} thread(s)");
     }
 }
 
@@ -568,4 +872,63 @@ fn residue_upsets_on_a_fans_sums_are_thread_count_independent() {
         );
     }
     assert_eq!(eval.try_rotate_many(&ct, &steps, &keys).unwrap(), clean);
+}
+
+/// The same for a rotation sum: past the hoist the site fires on the forward
+/// transform of each chain limb of `c_0` and on the two sum rows of every
+/// extended limb — not per rotation — in item order whatever the team; and
+/// never while a weight is prepared, which is kept and must stay clean.
+#[cfg(feature = "faults")]
+#[test]
+fn residue_upsets_on_a_rotation_sums_rows_are_thread_count_independent() {
+    use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
+
+    let _guard = poseidon_faults::test_lock();
+    poseidon_faults::disarm();
+    let ctx = CkksContext::new(CkksParams::small());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA20);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    let steps = [1i64, 2, 3];
+    keys.add_rotation_keys(steps, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let level = ct.level();
+    let mask = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), level);
+    let sum = |w: &PlainOperand| {
+        let terms = steps.map(|s| (s, Some(w)));
+        eval.try_rotate_sum(&ct, &terms, &keys).unwrap()
+    };
+    let clean = sum(&eval.prepare_plain(&mask, level).unwrap());
+
+    let q_len = level + 1;
+    let ext_len = q_len + ctx.special_basis().len();
+    let hoist_hits = q_len * ext_len;
+    let upset = |threads: usize, skip: usize| {
+        poseidon_faults::arm(
+            FaultPlan::transient(FaultSite::RnsResidue, FaultKind::BitFlip, 0x5EED)
+                .after((hoist_hits + skip) as u64),
+        );
+        let out = with_threads(threads, || sum(&eval.prepare_plain(&mask, level).unwrap()));
+        let fired = poseidon_faults::fired();
+        let hits = poseidon_faults::site_hits(FaultSite::RnsResidue);
+        poseidon_faults::disarm();
+        assert_eq!(fired, 1, "the upset never fired");
+        assert_eq!(hits as usize, hoist_hits + 2 * ext_len + q_len);
+        out
+    };
+    // Stage A's second sum row; then, past stage A, the first chain limb's
+    // `c_0` on its way into the forward transform.
+    let special_rows = 2 * ctx.special_basis().len();
+    for (what, skip) in [("sum", 1), ("c_0 limb", special_rows)] {
+        let serial = upset(1, skip);
+        assert_ne!(serial, clean, "a flipped {what} bit must reach the output");
+        for threads in [2, 4] {
+            assert_eq!(
+                serial,
+                upset(threads, skip),
+                "{what}: firing order depends on the thread count"
+            );
+        }
+    }
+    assert_eq!(sum(&eval.prepare_plain(&mask, level).unwrap()), clean);
 }

@@ -25,8 +25,8 @@
 //!   definition drives any backend.
 //! * [`plan`] — the evaluation planner (software HFAuto): SSA dataflow
 //!   capture, cross-graph rotation hoisting, noise-aware rescale
-//!   placement, dead-value elimination, bootstrap insertion on exhausted
-//!   chains, cost-model-aware live-range scheduling, and a
+//!   placement, rotation-sum fusion, dead-value elimination, bootstrap
+//!   insertion on exhausted chains, live-range-aware scheduling, and a
 //!   backend-generic plan executor, plus the `.pos` compile pipeline.
 
 #![forbid(unsafe_code)]

@@ -467,7 +467,9 @@ impl PoseidonMachine {
         self.try_cmult(a, a, keys)
     }
 
-    /// Rotation: HFAuto on both components, then keyswitch back to `s`.
+    /// Rotation: HFAuto on both components, then keyswitch back to `s`. A
+    /// multiple of the slot count is the identity: the operand comes back,
+    /// no key is needed and no core sees traffic.
     ///
     /// # Errors
     ///
@@ -479,10 +481,9 @@ impl PoseidonMachine {
         steps: i64,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        let g = keys.galois_element(steps);
-        let key = keys
-            .galois_key(g)
-            .ok_or(EvalError::MissingRotationKey { steps })?;
+        let Some((g, key)) = keys.rotation_switch(steps)? else {
+            return Ok(a.clone());
+        };
         let t0 = self.auto_poly(a.c0(), g);
         let t1 = self.auto_poly(a.c1(), g);
         let (k0, k1) = self.keyswitch(&t1, key);
@@ -511,17 +512,13 @@ impl PoseidonMachine {
         steps: &[i64],
         keys: &KeySet,
     ) -> Result<Vec<Ciphertext>, EvalError> {
-        let resolved: Vec<(u64, &KeySwitchKey)> = steps
+        // `None`: an identity step, which is the operand at its position.
+        let resolved: Vec<Option<(u64, &KeySwitchKey)>> = steps
             .iter()
-            .map(|&s| {
-                let g = keys.galois_element(s);
-                keys.galois_key(g)
-                    .map(|k| (g, k))
-                    .ok_or(EvalError::MissingRotationKey { steps: s })
-            })
+            .map(|&s| keys.rotation_switch(s))
             .collect::<Result<_, _>>()?;
-        if resolved.is_empty() {
-            return Ok(Vec::new());
+        if resolved.iter().all(Option::is_none) {
+            return Ok(vec![a.clone(); steps.len()]);
         }
         let level = a.level();
         let ext = self.ctx.level_basis(level).concat(self.ctx.special_basis());
@@ -539,7 +536,11 @@ impl PoseidonMachine {
             })
             .collect();
         let mut out = Vec::with_capacity(resolved.len());
-        for (g, key) in resolved {
+        for switch in resolved {
+            let Some((g, key)) = switch else {
+                out.push(a.clone());
+                continue;
+            };
             let perm = he_ntt::galois_permutation(self.ctx.n(), g);
             let t0 = self.auto_poly(a.c0(), g);
             let mut acc0: Option<RnsPoly> = None;

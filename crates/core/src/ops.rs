@@ -4,34 +4,49 @@
 //! backends: the software [`Evaluator`], the trace-capturing
 //! [`RecordingEvaluator`], and the operator-pool [`PoseidonMachine`]. A
 //! workload written against `HomomorphicOps` runs unchanged on any of
-//! them — the pattern the `tables metrics` report uses to drive one HELR
-//! pipeline through both the evaluator and the machine, and the interface
-//! `plan::execute` replays a plan through.
+//! them — the pattern the conformance tests below use to drive one
+//! pipeline through all three, and the interface `plan::execute` replays a
+//! plan through.
 //!
 //! Methods take `&mut self` for the machine's sake (its pool mutates
 //! per-call state); the evaluator backends simply ignore the mutability.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::error::EvalError;
-use he_ckks::eval::Evaluator;
+use he_ckks::eval::{Evaluator, PlainOperand};
 use he_ckks::keys::KeySet;
 
 use crate::machine::PoseidonMachine;
 use crate::recorder::RecordingEvaluator;
 
+/// The weight of one term of a rotation sum, as `plan::execute` hands it to
+/// a backend: the plaintext as the program wrote it, for a backend that
+/// multiplies by it on its own cores, and the same plaintext prepared for
+/// the software key-switch engine.
+#[derive(Debug, Clone, Copy)]
+pub struct Weight<'a> {
+    /// The plaintext.
+    pub plain: &'a Plaintext,
+    /// [`Evaluator::prepare_plain`] of it, at or above the sum's level.
+    pub prepared: &'a PlainOperand,
+}
+
 /// The basic-operation surface shared by every executor (paper Table I's
 /// operation vocabulary, plus the bootstrapping refresh).
 ///
-/// Twelve methods, every one returning `Result<_, EvalError>`: ten a
-/// backend must implement, and two with defaults ([`try_rotate_many`] as a
-/// loop of [`try_rotate`], [`try_bootstrap`] as "unavailable") that a
-/// backend with a hoisted rotation engine or a bootstrap path overrides.
+/// Thirteen methods, every one returning `Result<_, EvalError>`: ten a
+/// backend must implement, and three with defaults — [`try_rotate_many`] as
+/// a loop of [`try_rotate`] and [`try_bootstrap`] as "unavailable", which a
+/// backend with a hoisted rotation engine or a bootstrap path overrides, and
+/// [`try_rotate_sum`] as the software engine itself, which a backend that
+/// counts or models its own operations overrides with their composition.
 /// The backends agree on which [`EvalError`] a rejected operand yields;
 /// checked backends surface persistent datapath corruption as
 /// [`EvalError::IntegrityFault`] through the same methods.
 ///
 /// [`try_rotate`]: Self::try_rotate
 /// [`try_rotate_many`]: Self::try_rotate_many
+/// [`try_rotate_sum`]: Self::try_rotate_sum
 /// [`try_bootstrap`]: Self::try_bootstrap
 ///
 /// # Examples
@@ -157,6 +172,35 @@ pub trait HomomorphicOps {
         steps.iter().map(|&s| self.try_rotate(a, s, keys)).collect()
     }
 
+    /// The weighted sum of rotations `Σ_r pt_r ⊙ rot_r(a)` a planned
+    /// `RotateSum` node stands for (a term without a weight is the bare
+    /// rotation).
+    ///
+    /// The default is the software engine, [`Evaluator::try_rotate_sum`], on
+    /// an evaluator over the keys' context — not the composition of this
+    /// backend's own rotations, products and additions. A backend that
+    /// forwards its operations to an [`Evaluator`] (to time them, say) and
+    /// knows nothing of this method then keeps agreeing with the evaluator
+    /// bit for bit on every plan, which the composition — one Moddown
+    /// rounding per term instead of one — would not. The machine and the
+    /// recorder, whose point is the operations they count, override it with
+    /// [`rotate_sum_composed`].
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::EmptyOperands`] for no terms;
+    /// [`EvalError::MissingRotationKey`] for the first step without a key;
+    /// [`EvalError::LevelMismatch`] / [`EvalError::ScaleMismatch`] for
+    /// weights below the ciphertext's level or of different scales.
+    fn try_rotate_sum(
+        &mut self,
+        a: &Ciphertext,
+        terms: &[(i64, Option<Weight<'_>>)],
+        keys: &KeySet,
+    ) -> Result<Ciphertext, EvalError> {
+        engine_rotate_sum(&Evaluator::new(keys.secret().context()), a, terms, keys)
+    }
+
     /// Ciphertext refresh through the full bootstrapping pipeline (`a`
     /// must be at level 0 — see [`Bootstrapper::try_bootstrap`]). The
     /// default implementation reports [`EvalError::BootstrapUnavailable`];
@@ -179,6 +223,50 @@ pub trait HomomorphicOps {
         let _ = (a, bs, keys);
         Err(EvalError::BootstrapUnavailable)
     }
+}
+
+fn engine_rotate_sum(
+    eval: &Evaluator,
+    a: &Ciphertext,
+    terms: &[(i64, Option<Weight<'_>>)],
+    keys: &KeySet,
+) -> Result<Ciphertext, EvalError> {
+    let terms: Vec<_> = terms
+        .iter()
+        .map(|&(steps, w)| (steps, w.map(|w| w.prepared)))
+        .collect();
+    eval.try_rotate_sum(a, &terms, keys)
+}
+
+/// A rotation sum as the backend's own operations: one `try_rotate_many`,
+/// a `try_mul_plain` per weighted term, a chain of `try_add`s — what the
+/// unfused graph ran, so a backend that counts operations counts what it
+/// always did.
+///
+/// # Errors
+///
+/// [`EvalError::EmptyOperands`] for no terms; otherwise whatever the
+/// backend's operations return.
+pub fn rotate_sum_composed<B: HomomorphicOps>(
+    backend: &mut B,
+    a: &Ciphertext,
+    terms: &[(i64, Option<Weight<'_>>)],
+    keys: &KeySet,
+) -> Result<Ciphertext, EvalError> {
+    let steps: Vec<i64> = terms.iter().map(|&(steps, _)| steps).collect();
+    let rotated = backend.try_rotate_many(a, &steps, keys)?;
+    let mut sum: Option<Ciphertext> = None;
+    for (rot, (_, weight)) in rotated.into_iter().zip(terms) {
+        let term = match weight {
+            Some(w) => backend.try_mul_plain(&rot, w.plain)?,
+            None => rot,
+        };
+        sum = Some(match sum {
+            None => term,
+            Some(sum) => backend.try_add(&sum, &term)?,
+        });
+    }
+    sum.ok_or(EvalError::EmptyOperands)
 }
 
 impl HomomorphicOps for Evaluator {
@@ -239,6 +327,15 @@ impl HomomorphicOps for Evaluator {
 
     fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         Evaluator::try_conjugate(self, a, keys)
+    }
+
+    fn try_rotate_sum(
+        &mut self,
+        a: &Ciphertext,
+        terms: &[(i64, Option<Weight<'_>>)],
+        keys: &KeySet,
+    ) -> Result<Ciphertext, EvalError> {
+        engine_rotate_sum(self, a, terms, keys)
     }
 
     fn try_bootstrap(
@@ -303,6 +400,15 @@ impl HomomorphicOps for RecordingEvaluator {
     fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         RecordingEvaluator::try_conjugate(self, a, keys)
     }
+
+    fn try_rotate_sum(
+        &mut self,
+        a: &Ciphertext,
+        terms: &[(i64, Option<Weight<'_>>)],
+        keys: &KeySet,
+    ) -> Result<Ciphertext, EvalError> {
+        rotate_sum_composed(self, a, terms, keys)
+    }
 }
 
 impl HomomorphicOps for PoseidonMachine {
@@ -363,6 +469,15 @@ impl HomomorphicOps for PoseidonMachine {
 
     fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         PoseidonMachine::try_conjugate(self, a, keys)
+    }
+
+    fn try_rotate_sum(
+        &mut self,
+        a: &Ciphertext,
+        terms: &[(i64, Option<Weight<'_>>)],
+        keys: &KeySet,
+    ) -> Result<Ciphertext, EvalError> {
+        rotate_sum_composed(self, a, terms, keys)
     }
 
     fn try_bootstrap(
@@ -555,6 +670,29 @@ mod tests {
         );
     }
 
+    /// A rotation by a multiple of the slot count is the operand, on every
+    /// backend, alone and at its position in a fan: `galois_element` is 1 and
+    /// no key is ever generated for it.
+    fn rotates_by_nothing<B: HomomorphicOps>(
+        b: &mut B,
+        ctx: &CkksContext,
+        a: &Ciphertext,
+        keys: &KeySet,
+    ) {
+        let slots = ctx.params().slots() as i64;
+        assert_eq!(b.try_rotate(a, 0, keys).as_ref(), Ok(a));
+        assert_eq!(b.try_rotate(a, -slots, keys).as_ref(), Ok(a));
+        let fan = b.try_rotate_many(a, &[0, 1, 2 * slots], keys).unwrap();
+        assert_eq!((&fan[0], &fan[2]), (a, a));
+        let got = decrypt_slot0(ctx, keys, &fan[1]);
+        let want = decrypt_slot0(ctx, keys, &b.try_rotate(a, 1, keys).unwrap());
+        assert!((got - want).abs() < 1e-3, "{got} vs {want}");
+        assert_eq!(
+            b.try_rotate_many(a, &[0, slots], keys).unwrap(),
+            [a.clone(), a.clone()]
+        );
+    }
+
     #[test]
     fn every_backend_rejects_the_same_operands_with_the_same_error() {
         let (ctx, keys, mut rng) = setup();
@@ -572,5 +710,11 @@ mod tests {
             0,
             "a refused operation must not be recorded"
         );
+
+        rotates_by_nothing(&mut eval, &ctx, &a, &keys);
+        rotates_by_nothing(&mut rec, &ctx, &a, &keys);
+        rotates_by_nothing(&mut machine, &ctx, &a, &keys);
+        // Two real rotations by one slot; the identities recorded nothing.
+        assert_eq!(rec.trace().entries().len(), 2);
     }
 }

@@ -7,6 +7,10 @@
 //! at its last use (the plan's `release` sets) — so peak ciphertext
 //! residency matches the scheduler's `max_live` accounting.
 //!
+//! A `RotateSum` node's plaintexts are prepared for the key-switch engine on
+//! the plan's first execution and kept in the [`Plan`]; later executions
+//! find them there.
+//!
 //! Plans containing `Bootstrap` nodes (from the bootstrap-insertion
 //! pass) need [`execute_with`] and a [`Bootstrapper`]: the executor
 //! drops the operand to level 0, runs the refresh through
@@ -18,7 +22,7 @@ use he_ckks::cipher::Ciphertext;
 use he_ckks::error::EvalError;
 use he_ckks::keys::KeySet;
 
-use crate::ops::HomomorphicOps;
+use crate::ops::{HomomorphicOps, Weight};
 use crate::plan::graph::{GraphOp, ValueId};
 use crate::plan::passes::Plan;
 
@@ -97,6 +101,22 @@ pub fn execute_with<B: HomomorphicOps>(
                     live += 1;
                 }
             }
+            GraphOp::RotateSum { steps, weights } => {
+                let mut terms = Vec::with_capacity(steps.len());
+                for (&s, weight) in steps.iter().zip(weights) {
+                    let weight = match *weight {
+                        Some(pt) => Some(Weight {
+                            plain: &g.plaintexts()[pt],
+                            prepared: plan.operand(pt, keys)?,
+                        }),
+                        None => None,
+                    };
+                    terms.push((s, weight));
+                }
+                let sum = backend.try_rotate_sum(slot(&slots, node.inputs[0])?, &terms, keys)?;
+                slots[node.outputs[0].index()] = Some(sum);
+                live += 1;
+            }
             op => {
                 let out = match op {
                     GraphOp::Input { slot } => inputs[*slot].clone(),
@@ -146,7 +166,7 @@ pub fn execute_with<B: HomomorphicOps>(
                             refreshed
                         }
                     }
-                    GraphOp::RotateMany { .. } => unreachable!(),
+                    GraphOp::RotateMany { .. } | GraphOp::RotateSum { .. } => unreachable!(),
                 };
                 slots[node.outputs[0].index()] = Some(out);
                 live += 1;

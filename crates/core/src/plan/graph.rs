@@ -93,6 +93,16 @@ pub enum GraphOp {
         /// Rotation amounts, one per output.
         steps: Vec<i64>,
     },
+    /// Planner-introduced weighted sum of one hoisted batch,
+    /// `Σ_r pt_r ⊙ rot_r(x)`: a `RotateMany` whose outputs only ever met in
+    /// one `Add` tree (through a `MulPlain` each, or bare), executed as one
+    /// key-switch pass (`try_rotate_sum`). One output, the tree's root.
+    RotateSum {
+        /// Rotation amounts, one per term.
+        steps: Vec<i64>,
+        /// Per term, its weight's index into the plaintext side table.
+        weights: Vec<Option<usize>>,
+    },
     /// Planner-introduced ciphertext refresh: drop the operand to level 0,
     /// run the full bootstrapping pipeline, and conform the refreshed
     /// ciphertext to `target_level`. Inserted by the bootstrap-insertion
@@ -121,6 +131,7 @@ impl GraphOp {
             GraphOp::Rotate { .. } => "rotate",
             GraphOp::Conjugate => "conjugate",
             GraphOp::RotateMany { .. } => "rotate_many",
+            GraphOp::RotateSum { .. } => "rotate_sum",
             GraphOp::Bootstrap { .. } => "bootstrap",
         }
     }
@@ -260,7 +271,9 @@ impl EvalGraph {
         for n in self.nodes.iter().filter(|n| !n.dead) {
             match &n.op {
                 GraphOp::Rotate { steps: s } => steps.push(*s),
-                GraphOp::RotateMany { steps: ss } => steps.extend(ss),
+                GraphOp::RotateMany { steps: ss } | GraphOp::RotateSum { steps: ss, .. } => {
+                    steps.extend(ss)
+                }
                 _ => {}
             }
         }

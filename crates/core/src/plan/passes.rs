@@ -13,21 +13,30 @@
 //! 3. **Rotation hoisting** — all rotations of the same source value
 //!    anywhere in the graph become one `RotateMany` node, paying the
 //!    keyswitch digit lift + forward NTTs once (Halevi-Shoup).
-//! 4. **Dead-value elimination** — reverse reachability from the graph
+//! 4. **Rotation-sum fusion** — the second hoist, under the same option: a
+//!    `RotateMany` whose outputs only meet again in one `Add` tree, each
+//!    bare or through one `MulPlain`, becomes one `RotateSum` node — the
+//!    whole layer `Σ_r pt_r ⊙ rot_r(x)` as one key-switch pass, one inverse
+//!    NTT and Moddown for the sum instead of one per rotation.
+//! 5. **Dead-value elimination** — reverse reachability from the graph
 //!    outputs; unreached compute nodes are tombstoned.
-//! 5. **Scheduling** — Kahn's algorithm with a deterministic score that
+//! 6. **Scheduling** — Kahn's algorithm with a deterministic score that
 //!    prefers (a) nodes that release their operands (shrinking the live
 //!    set → scratch-pool reuse) and (b) nodes sharing an operand with the
 //!    previously scheduled node (keyswitch-key/digit cache affinity).
 //!
-//! Passes 3–5 are bit-preserving; passes 1–2 change where rescales land,
-//! which changes ciphertext bits but preserves decrypted values (same
-//! primes dropped, same final level/scale) — the plan records this in
-//! [`Plan::value_preserving`] so callers know whether digest pinning
-//! applies.
+//! Passes 3, 5 and 6 are bit-preserving; passes 1–2 change where rescales
+//! land and pass 4 rounds a sum once instead of once per term, which change
+//! ciphertext bits but preserve decrypted values (same primes dropped, same
+//! final level/scale) — the plan records this in [`Plan::value_preserving`]
+//! so callers know whether digest pinning applies.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
+use he_ckks::error::EvalError;
+use he_ckks::eval::{Evaluator, PlainOperand};
+use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 
 use crate::plan::compile::SCALE_MARGIN_BITS;
@@ -39,7 +48,9 @@ use crate::plan::PlanError;
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
     /// Cross-graph rotation hoisting into `RotateMany` (bit-preserving on
-    /// backends whose `rotate_many` is hoist-equivalent, e.g. `Evaluator`).
+    /// backends whose `rotate_many` is hoist-equivalent, e.g. `Evaluator`),
+    /// and of a batch that is only ever summed into `RotateSum`
+    /// (value-preserving: the sum is rounded once, not once per term).
     pub hoist_rotations: bool,
     /// Rescale sinking + fusion (value-preserving, not bit-preserving).
     pub place_rescales: bool,
@@ -180,6 +191,9 @@ pub struct PlanStats {
     pub rescales_sunk: usize,
     /// Sizes of each hoisted rotation batch (≥ min_hoist each).
     pub hoist_batches: Vec<usize>,
+    /// Sizes of the hoisted batches that were fused, with their plaintext
+    /// products and `Add` tree, into one `RotateSum` node each.
+    pub rotation_sums: Vec<usize>,
     /// Nodes removed by dead-value elimination.
     pub dead_removed: usize,
     /// Peak live ciphertext count of the creation-order schedule.
@@ -206,11 +220,16 @@ pub struct Plan {
     pub release: Vec<Vec<ValueId>>,
     /// Whether every applied rewrite was bit-preserving. When true, a
     /// planned replay on `Evaluator` is digest-identical to the unplanned
-    /// one; when false (rescale placement fired) outputs agree only as
-    /// decrypted values.
+    /// one; when false (rescale placement or rotation-sum fusion fired)
+    /// outputs agree only as decrypted values.
     pub value_preserving: bool,
     /// Pass telemetry.
     pub stats: PlanStats,
+    /// Per side-table plaintext, its prepared form once a `RotateSum` has
+    /// asked for it: built by the plan's first execution, read by the rest.
+    /// Kept here and nowhere wider, so it is freed with the plan and can
+    /// never be served to another plan's plaintext.
+    operands: Vec<OnceLock<PlainOperand>>,
 }
 
 impl Plan {
@@ -221,6 +240,7 @@ impl Plan {
         let n = graph.live_node_count();
         let rescales = graph.count_ops(|op| matches!(op, GraphOp::Rescale));
         Plan {
+            operands: Vec::new(),
             graph,
             schedule,
             release,
@@ -235,6 +255,22 @@ impl Plan {
                 ..PlanStats::default()
             },
         }
+    }
+}
+
+impl Plan {
+    /// Side-table plaintext `pt` as a `RotateSum` weight: prepared at the
+    /// plaintext's own level — every level it could multiply at — on first
+    /// use, then kept.
+    pub(crate) fn operand(&self, pt: usize, keys: &KeySet) -> Result<&PlainOperand, EvalError> {
+        let cell = &self.operands[pt];
+        if let Some(prepared) = cell.get() {
+            return Ok(prepared);
+        }
+        let plain = &self.graph.plaintexts()[pt];
+        let eval = Evaluator::new(keys.secret().context());
+        let prepared = eval.prepare_plain(plain, plain.level())?;
+        Ok(cell.get_or_init(|| prepared))
     }
 }
 
@@ -284,6 +320,12 @@ pub fn plan(mut graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError>
     }
     if opts.hoist_rotations {
         stats.hoist_batches = hoist_rotations(&mut graph, opts.min_hoist.max(2));
+        stats.rotation_sums = fuse_rotation_sums(&mut graph);
+        if !stats.rotation_sums.is_empty() {
+            // One Moddown rounding for the sum instead of one per rotation:
+            // fewer roundings, different bits.
+            value_preserving = false;
+        }
     }
     if opts.eliminate_dead {
         stats.dead_removed = eliminate_dead(&mut graph);
@@ -305,6 +347,7 @@ pub fn plan(mut graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError>
     stats.max_live_after = max_live;
 
     Ok(Plan {
+        operands: vec![OnceLock::new(); graph.plaintexts().len()],
         graph,
         schedule,
         release,
@@ -406,6 +449,12 @@ fn recompute_metadata(g: &mut EvalGraph) {
                 for &o in &outputs {
                     g.set_value_meta(o, l, s);
                 }
+            }
+            GraphOp::RotateSum { weights, .. } => {
+                let weight = weights.iter().flatten().next();
+                let pt_bits = weight.map_or(0.0, |&pt| g.plaintexts()[pt].scale().log2());
+                let (l, s) = meta(g, inputs[0]);
+                g.set_value_meta(outputs[0], l, s + pt_bits);
             }
             GraphOp::Bootstrap { target_level } => {
                 let rb = g.rescale_bits();
@@ -703,6 +752,126 @@ fn hoist_rotations(g: &mut EvalGraph, min_hoist: usize) -> Vec<usize> {
     batches
 }
 
+/// The node that is all of `v`'s use: `v` is live, no graph output, and
+/// consumed exactly once.
+fn sole_consumer(g: &EvalGraph, v: ValueId) -> Option<NodeId> {
+    let info = g.value(v);
+    let consumed_once = !info.dead && !g.is_output(v) && info.consumers.len() == 1;
+    consumed_once.then(|| info.consumers[0])
+}
+
+/// [`sole_consumer`], if it is an `Add`.
+fn sole_add(g: &EvalGraph, v: ValueId) -> Option<NodeId> {
+    sole_consumer(g, v).filter(|&c| matches!(g.node(c).op, GraphOp::Add))
+}
+
+/// A `RotateMany` and everything between it and the one value its outputs
+/// sum to.
+struct RotationSum {
+    /// Per rotation, the plaintext its output is multiplied by first.
+    weights: Vec<Option<usize>>,
+    /// The `MulPlain`s and `Add`s the sum replaces.
+    nodes: Vec<NodeId>,
+    /// The values only they produced and consumed.
+    interior: Vec<ValueId>,
+    /// The last `Add`'s output, which the fused node now produces.
+    root: ValueId,
+}
+
+/// Matches the layer `Σ_r pt_r ⊙ rot_r(x)` below the `RotateMany` node
+/// `fan`: every rotation output consumed once, by an `Add`, or by a
+/// `MulPlain` whose product is consumed once, by an `Add`; the weights all
+/// of one scale (or all absent); and those leaves reduced, through `Add`s
+/// whose results are themselves consumed once and no graph outputs, to a
+/// single root. Balanced trees and linear chains both; anything else —
+/// a leaf that is a graph output, read twice, subtracted, summed with a
+/// value from outside the fan — leaves the fan as it is.
+fn match_rotation_sum(g: &EvalGraph, fan: NodeId) -> Option<RotationSum> {
+    let (mut weights, mut nodes, mut interior) = (Vec::new(), Vec::new(), Vec::new());
+    let mut pending = Vec::new();
+    for &rotated in &g.node(fan).outputs {
+        let consumer = sole_consumer(g, rotated)?;
+        match g.node(consumer).op {
+            GraphOp::Add => {
+                weights.push(None);
+                pending.push(rotated);
+            }
+            GraphOp::MulPlain { pt } => {
+                let product = g.node(consumer).outputs[0];
+                sole_add(g, product)?;
+                weights.push(Some(pt));
+                nodes.push(consumer);
+                interior.push(rotated);
+                pending.push(product);
+            }
+            _ => return None,
+        }
+    }
+    let scale = |w: &Option<usize>| w.map_or(1.0, |pt| g.plaintexts()[pt].scale());
+    let one_scale = |w| EvalError::check_scales(scale(&weights[0]), scale(w)).is_ok();
+    if !weights.iter().all(one_scale) {
+        return None;
+    }
+    while pending.len() > 1 {
+        // Some `Add` of two pending values, both of which it alone reads.
+        let (at, with, add) = pending.iter().enumerate().find_map(|(at, &v)| {
+            let add = sole_add(g, v)?;
+            let inputs = &g.node(add).inputs;
+            let other = inputs[usize::from(inputs[0] == v)];
+            let with = pending.iter().position(|&p| p == other && p != v)?;
+            sole_add(g, other).map(|_| (at, with, add))
+        })?;
+        interior.extend([pending[at], pending[with]]);
+        pending.swap_remove(at.max(with));
+        pending.swap_remove(at.min(with));
+        pending.push(g.node(add).outputs[0]);
+        nodes.push(add);
+    }
+    Some(RotationSum {
+        weights,
+        nodes,
+        interior,
+        root: pending[0],
+    })
+}
+
+/// The second hoist: every `RotateMany` whose outputs are only ever weighted
+/// and summed (see [`match_rotation_sum`]) becomes one `RotateSum` node
+/// producing the sum — all or nothing per fan. A `Rescale` of the sum stays
+/// where it is. Returns the sizes of the fused fans.
+fn fuse_rotation_sums(g: &mut EvalGraph) -> Vec<usize> {
+    let mut fused = Vec::new();
+    let fans: Vec<NodeId> = g
+        .live_nodes()
+        .filter(|&n| matches!(g.node(n).op, GraphOp::RotateMany { .. }))
+        .collect();
+    for fan in fans {
+        let Some(sum) = match_rotation_sum(g, fan) else {
+            continue;
+        };
+        let GraphOp::RotateMany { steps } = g.node(fan).op.clone() else {
+            unreachable!()
+        };
+        let x = g.node(fan).inputs[0];
+        g.unsubscribe(x, fan);
+        g.kill_node(fan);
+        for node in sum.nodes {
+            g.kill_node(node);
+        }
+        for value in sum.interior {
+            g.kill_value(value);
+        }
+        fused.push(steps.len());
+        let weights = sum.weights;
+        g.push_raw_node(
+            GraphOp::RotateSum { steps, weights },
+            vec![x],
+            vec![sum.root],
+        );
+    }
+    fused
+}
+
 /// Tombstones nodes whose outputs can't reach a graph output. `Input`
 /// nodes are kept (the executor binds them positionally). Returns the
 /// number of compute nodes removed.
@@ -871,10 +1040,22 @@ mod tests {
         g
     }
 
+    /// Eight rotations of one input, each a graph output of its own.
+    fn separate_rotations() -> EvalGraph {
+        let mut g = EvalGraph::new(40.0);
+        let x = g.input(3, 40.0);
+        for s in 1..=8i64 {
+            let r = g.rotate(x, s);
+            g.mark_output(r);
+        }
+        g
+    }
+
     #[test]
     fn hoisting_groups_all_rotations_of_one_source() {
-        let p = plan(rotation_fan(), &PlanOptions::default()).unwrap();
+        let p = plan(separate_rotations(), &PlanOptions::default()).unwrap();
         assert_eq!(p.stats.hoist_batches, vec![8]);
+        assert!(p.stats.rotation_sums.is_empty());
         assert_eq!(
             p.graph.count_ops(|op| matches!(op, GraphOp::Rotate { .. })),
             0
@@ -886,6 +1067,130 @@ mod tests {
         );
         assert!(p.value_preserving);
         assert!(p.graph.validate().is_ok());
+    }
+
+    fn mask(g: &mut EvalGraph, scale_bits: i32) -> usize {
+        let basis = he_rns::RnsBasis::generate(16, 28, 1);
+        let poly = he_rns::RnsPoly::from_i64_coeffs(&basis, &[1; 16]);
+        g.intern_plaintext(he_ckks::cipher::Plaintext::new(poly, 2f64.powi(scale_bits)))
+    }
+
+    /// `Σ_r pt_r ⊙ rot_r(x)` over four rotations, the products summed by
+    /// `reduce`; `scale_bits(r)` is term `r`'s plaintext scale.
+    fn weighted_fan(
+        scale_bits: impl Fn(usize) -> i32,
+        reduce: impl Fn(&mut EvalGraph, Vec<ValueId>) -> ValueId,
+    ) -> EvalGraph {
+        let mut g = EvalGraph::new(40.0);
+        let x = g.input(3, 40.0);
+        let products = (0..4)
+            .map(|r| {
+                let rot = g.rotate(x, r as i64 + 1);
+                let pt = mask(&mut g, scale_bits(r));
+                g.mul_plain(rot, pt)
+            })
+            .collect();
+        let sum = reduce(&mut g, products);
+        let out = g.rescale(sum);
+        g.mark_output(out);
+        g
+    }
+
+    fn chain(g: &mut EvalGraph, terms: Vec<ValueId>) -> ValueId {
+        let first = terms[0];
+        terms[1..].iter().fold(first, |acc, &t| g.add(acc, t))
+    }
+
+    fn tree(g: &mut EvalGraph, t: Vec<ValueId>) -> ValueId {
+        let (left, right) = (g.add(t[0], t[1]), g.add(t[2], t[3]));
+        g.add(left, right)
+    }
+
+    #[test]
+    fn a_summed_fan_fuses_into_one_node_tree_or_chain() {
+        for (shape, graph) in [
+            ("bare chain", rotation_fan()),
+            ("weighted chain", weighted_fan(|_| 40, chain)),
+            ("weighted tree", weighted_fan(|_| 40, tree)),
+        ] {
+            let before = graph.outputs()[0];
+            let (level, bits) = (graph.value(before).level, graph.value(before).scale_bits);
+            let p = plan(graph, &PlanOptions::default()).unwrap();
+            let terms = p.stats.hoist_batches[0];
+            assert_eq!(p.stats.rotation_sums, vec![terms], "{shape}");
+            assert!(!p.value_preserving, "{shape}: one rounding is not R");
+            assert_eq!(p.graph.validate(), Ok(()), "{shape}");
+            let count = |f: fn(&GraphOp) -> bool| p.graph.count_ops(f);
+            assert_eq!(count(|op| matches!(op, GraphOp::RotateSum { .. })), 1);
+            assert_eq!(count(|op| matches!(op, GraphOp::RotateMany { .. })), 0);
+            assert_eq!(count(|op| matches!(op, GraphOp::MulPlain { .. })), 0);
+            assert_eq!(count(|op| matches!(op, GraphOp::Add)), 0, "{shape}");
+            // The output is the value it was, and the keys are still asked for.
+            assert_eq!(p.graph.outputs(), [before]);
+            let out = p.graph.value(before);
+            assert_eq!((out.level, out.scale_bits), (level, bits), "{shape}");
+            let steps: Vec<i64> = (1..=terms as i64).collect();
+            assert_eq!(p.graph.required_rotation_steps(), steps, "{shape}");
+        }
+        // The weighted layers keep the rescale of the sum and nothing else.
+        let p = plan(weighted_fan(|_| 40, tree), &PlanOptions::default()).unwrap();
+        assert_eq!(p.stats.nodes_after, 3);
+    }
+
+    #[test]
+    fn a_fan_whose_outputs_are_used_apart_is_left_alone() {
+        let not_summed: [(&str, EvalGraph); 5] = [
+            ("a rotation is a graph output", {
+                let mut g = rotation_fan();
+                let rotated = g.node(NodeId(1)).outputs[0];
+                g.mark_output(rotated);
+                g
+            }),
+            ("a rotation is read twice", {
+                let mut g = rotation_fan();
+                let rotated = g.node(NodeId(1)).outputs[0];
+                let sq = g.square(rotated);
+                g.mark_output(sq);
+                g
+            }),
+            (
+                "a term is subtracted",
+                weighted_fan(
+                    |_| 40,
+                    |g, t| {
+                        let (left, right) = (g.add(t[0], t[1]), g.add(t[2], t[3]));
+                        g.sub(left, right)
+                    },
+                ),
+            ),
+            (
+                "a value from outside the fan sits inside the sum",
+                weighted_fan(
+                    |_| 40,
+                    |g, mut t| {
+                        t.insert(1, g.input(3, 80.0));
+                        chain(g, t)
+                    },
+                ),
+            ),
+            (
+                "the plaintext scales differ",
+                weighted_fan(|r| 40 + r as i32 % 2, tree),
+            ),
+        ];
+        for (why, graph) in not_summed {
+            let p = plan(graph, &PlanOptions::default()).unwrap();
+            assert_eq!(p.stats.hoist_batches.len(), 1, "{why}");
+            assert!(p.stats.rotation_sums.is_empty(), "{why}");
+            let fans = |op: &GraphOp| matches!(op, GraphOp::RotateMany { .. });
+            assert_eq!(p.graph.count_ops(fans), 1, "{why}");
+            assert_eq!(p.graph.validate(), Ok(()), "{why}");
+        }
+        assert!(plan(rotation_fan(), &PlanOptions::none())
+            .unwrap()
+            .stats
+            .rotation_sums
+            .is_empty());
     }
 
     #[test]

@@ -218,7 +218,8 @@ impl RecordingEvaluator {
     }
 
     /// Recorded Rotation: nothing is recorded when the key is
-    /// missing (the operation never executed).
+    /// missing (the operation never executed), nor for a multiple of the
+    /// slot count (the identity: no operation to execute).
     ///
     /// # Errors
     ///
@@ -229,6 +230,9 @@ impl RecordingEvaluator {
         steps: i64,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
+        if keys.rotation_switch(steps)?.is_none() {
+            return Ok(a.clone());
+        }
         let out = self.inner.try_rotate(a, steps, keys)?;
         self.record(BasicOp::Rotation, a);
         self.record_graph1(GraphOp::Rotate { steps }, a, &out);

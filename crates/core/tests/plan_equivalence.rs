@@ -1,7 +1,7 @@
 //! Plan equivalence: a planned replay must reproduce the unplanned
 //! computation — digest-identically when every rewrite is bit-preserving
 //! (hoisting, DVE, reordering), value-identically when rescale placement
-//! moved scale management around.
+//! moved scale management around or a summed fan became one key-switch pass.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
@@ -63,38 +63,51 @@ fn assert_values_close(a: &[f64], b: &[f64], tol: f64) {
 }
 
 /// Records an 8-rotation same-source fan (the acceptance-criteria graph)
-/// and returns (graph, input ciphertext).
+/// and returns (graph, input ciphertext): with the rotations `summed` into
+/// the one output, or each an output of its own.
 fn record_rotation_fan(
     ctx: &CkksContext,
     keys: &KeySet,
     rng: &mut rand::rngs::StdRng,
+    summed: bool,
 ) -> (poseidon_core::EvalGraph, Ciphertext) {
     let rec = RecordingEvaluator::new(Evaluator::new(ctx), 1);
     let a = encrypt(ctx, keys, rng, 0.5);
     let rots: Vec<Ciphertext> = (1..=8)
         .map(|s| rec.try_rotate(&a, s, keys).unwrap())
         .collect();
-    let mut acc = rots[0].clone();
-    for r in &rots[1..] {
-        acc = rec.try_add(&acc, r).unwrap();
+    if summed {
+        let mut acc = rots[0].clone();
+        for r in &rots[1..] {
+            acc = rec.try_add(&acc, r).unwrap();
+        }
+        rec.mark_output(&acc);
+    } else {
+        for r in &rots {
+            rec.mark_output(r);
+        }
     }
-    rec.mark_output(&acc);
     (rec.eval_graph(), a)
 }
 
+/// Hoisting alone is bit-preserving: a fan whose rotations are used apart
+/// replays digest-identically. A fan that is only summed becomes one
+/// key-switch pass — one Moddown rounding for the sum, not one per rotation —
+/// and replays value-identically.
 #[test]
 fn planned_rotation_fan_is_digest_identical_to_unplanned() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let mut eval = Evaluator::new(&ctx);
 
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng, false);
     let unplanned = Plan::passthrough(graph.clone());
     let planned = plan(graph, &PlanOptions::default()).unwrap();
     assert!(planned.value_preserving);
     assert_eq!(planned.stats.hoist_batches, vec![8]);
-
-    let mut eval = Evaluator::new(&ctx);
+    assert!(planned.stats.rotation_sums.is_empty());
     let base = execute(&unplanned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
     let opt = execute(&planned, &mut eval, &[a], &keys).unwrap();
+    assert_eq!(base.outputs.len(), 8);
     assert_eq!(base.outputs.len(), opt.outputs.len());
     for (u, p) in base.outputs.iter().zip(&opt.outputs) {
         assert_eq!(
@@ -103,6 +116,24 @@ fn planned_rotation_fan_is_digest_identical_to_unplanned() {
             "value-preserving plan changed ciphertext bits"
         );
     }
+    assert!(opt.max_live <= base.max_live);
+
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng, true);
+    let unplanned = Plan::passthrough(graph.clone());
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
+    assert!(!planned.value_preserving);
+    assert_eq!(planned.stats.hoist_batches, vec![8]);
+    assert_eq!(planned.stats.rotation_sums, vec![8]);
+    assert_eq!(planned.stats.nodes_after, 2, "the input and the sum");
+    let base = execute(&unplanned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
+    let opt = execute(&planned, &mut eval, &[a], &keys).unwrap();
+    assert_eq!(base.outputs[0].level(), opt.outputs[0].level());
+    assert_eq!(base.outputs[0].scale(), opt.outputs[0].scale());
+    assert_values_close(
+        &decrypt(&ctx, &keys, &base.outputs[0]),
+        &decrypt(&ctx, &keys, &opt.outputs[0]),
+        1e-5,
+    );
     assert!(opt.max_live <= base.max_live);
 }
 
@@ -198,35 +229,46 @@ fn dead_values_are_not_executed() {
 #[test]
 fn planned_execution_agrees_across_all_backends() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
-    let planned = plan(graph, &PlanOptions::default()).unwrap();
+    for summed in [false, true] {
+        let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng, summed);
+        let planned = plan(graph, &PlanOptions::default()).unwrap();
 
-    let mut eval = Evaluator::new(&ctx);
-    let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
-    let mut machine = PoseidonMachine::new(&ctx, 8, 1);
+        let mut eval = Evaluator::new(&ctx);
+        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut machine = PoseidonMachine::new(&ctx, 8, 1);
 
-    let e = execute(&planned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
-    let r = execute(&planned, &mut rec, std::slice::from_ref(&a), &keys).unwrap();
-    let m = execute(&planned, &mut machine, &[a], &keys).unwrap();
+        let e = execute(&planned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
+        let r = execute(&planned, &mut rec, std::slice::from_ref(&a), &keys).unwrap();
+        let m = execute(&planned, &mut machine, &[a], &keys).unwrap();
 
-    let ve = decrypt(&ctx, &keys, &e.outputs[0]);
-    let vr = decrypt(&ctx, &keys, &r.outputs[0]);
-    let vm = decrypt(&ctx, &keys, &m.outputs[0]);
-    // Evaluator and recorder share the hoisting engine → bit-identical;
-    // the machine's rotate_many uses a different digit representative, so
-    // agreement is at the decrypted-value level.
-    assert_eq!(
-        digest_ciphertext(&e.outputs[0]),
-        digest_ciphertext(&r.outputs[0])
-    );
-    assert_values_close(&ve, &vr, 1e-9);
-    assert_values_close(&ve, &vm, 1e-4);
+        let ve = decrypt(&ctx, &keys, &e.outputs[0]);
+        let vr = decrypt(&ctx, &keys, &r.outputs[0]);
+        let vm = decrypt(&ctx, &keys, &m.outputs[0]);
+        if summed {
+            // The evaluator runs the sum as one pass; the recorder and the
+            // machine as the rotations and additions they count, one
+            // rounding per rotation: 8 Rotations and 7 HAdds on the trace.
+            assert_eq!(rec.trace().entries().len(), 15);
+            assert_values_close(&ve, &vr, 1e-5);
+        } else {
+            // Evaluator and recorder share the hoisting engine →
+            // bit-identical.
+            assert_eq!(
+                digest_ciphertext(&e.outputs[0]),
+                digest_ciphertext(&r.outputs[0])
+            );
+            assert_values_close(&ve, &vr, 1e-9);
+        }
+        // The machine's rotate_many uses a different digit representative,
+        // so agreement is at the decrypted-value level.
+        assert_values_close(&ve, &vm, 1e-4);
+    }
 }
 
 #[test]
 fn executor_rejects_wrong_input_count() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng, true);
     let planned = plan(graph, &PlanOptions::default()).unwrap();
     let mut eval = Evaluator::new(&ctx);
     match execute(&planned, &mut eval, &[a.clone(), a], &keys) {
@@ -238,7 +280,7 @@ fn executor_rejects_wrong_input_count() {
 #[test]
 fn executor_surfaces_missing_rotation_keys() {
     let (ctx, full_keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &full_keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &full_keys, &mut rng, true);
     let planned = plan(graph, &PlanOptions::default()).unwrap();
     // Fresh keyset without rotation keys: the hoisted batch must fail
     // with the missing key, not panic.
@@ -250,12 +292,13 @@ fn executor_surfaces_missing_rotation_keys() {
     }
 }
 
-/// The planned rotation fan's digest, pinned: the same constant holding in
-/// every feature build is the on/off parity proof.
+/// The planned rotation fan's digest — the summed fan, one `RotateSum` node
+/// — pinned: the same constant holding in every feature build is the on/off
+/// parity proof.
 #[test]
 fn value_preserving_digests_are_deterministic() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng, true);
     let planned = plan(graph, &PlanOptions::default()).unwrap();
     let mut eval = Evaluator::new(&ctx);
     let once = execute(&planned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
@@ -263,7 +306,7 @@ fn value_preserving_digests_are_deterministic() {
     let d1 = digest_ciphertext(&once.outputs[0]);
     assert_eq!(d1, digest_ciphertext(&twice.outputs[0]));
 
-    const PINNED: u64 = 0x1ce6_5aec_d5ea_ced9;
+    const PINNED: u64 = 0xdb98_3aab_65c5_c268;
     assert_eq!(
         d1, PINNED,
         "rotation_fan_planned digest moved: got {d1:#018x}, pinned {PINNED:#018x}. A \

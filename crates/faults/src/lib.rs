@@ -102,7 +102,7 @@ impl FaultSite {
         FaultSite::ShardWorker,
     ];
 
-    /// Stable lower-case name (used by the `tables faults` report).
+    /// Stable lower-case name.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultSite::RnsResidue => "rns_residue",

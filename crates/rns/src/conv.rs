@@ -92,6 +92,111 @@ fn scale_row(row: &mut [u64], red: &BarrettReducer, hat_inv: u64) {
     }
 }
 
+/// [`lift_exact`] met a coefficient whose centred value lies within `Q/4` of
+/// the wrap at `±Q/2`, where the overflow count can no longer be told from
+/// its rounding error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiftOverflow {
+    /// Index of the first such coefficient.
+    pub coefficient: usize,
+}
+
+impl std::fmt::Display for LiftOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let at = self.coefficient;
+        write!(f, "coefficient {at} lies within Q/4 of the wrap at ±Q/2")
+    }
+}
+
+impl std::error::Error for LiftOverflow {}
+
+/// The *exact* counterpart of [`rns_convert`], for a polynomial known to be
+/// small: the residues modulo `target` of the **centred** integer value of
+/// every coefficient of `a`, with no `e·Q` term — what
+/// [`RnsPoly::from_i64_coeffs`] would have produced on `target` had the
+/// coefficients been at hand.
+///
+/// The HPS sum `Σ_j y_j·q̂_j` with `y_j = [a_j·q̂_j⁻¹]_{q_j}` exceeds the
+/// centred value by `υ·Q`, and `Σ_j y_j/q_j = x/Q + υ`: for `|x| < Q/4` the
+/// fraction is below a quarter and `υ` is that sum, rounded — a `f64` sum of
+/// `|B|` terms below one, whose error is some `|B|·2⁻⁵²`, nowhere near the
+/// quarter that would move the rounding. The correction `υ·(Q mod p_i)` is
+/// subtracted on every target limb.
+///
+/// Where a product with a uniform operand follows (a plaintext meeting a
+/// key-switch row over `Q ∪ P`), the approximate conversion is wrong: its
+/// `e·Q` is invisible on the `Q` limbs and multiplies the uniform row on the
+/// `P` limbs, an inconsistency the size of `Q` that Moddown cannot divide
+/// away.
+///
+/// # Errors
+///
+/// [`LiftOverflow`] if a coefficient's centred value is not below `Q/4` in
+/// magnitude: never a silently wrong multiple of `Q`.
+///
+/// # Panics
+///
+/// Panics if `a` is not in coefficient form or ring degrees differ.
+///
+/// # Examples
+///
+/// ```
+/// use he_rns::{RnsBasis, RnsPoly};
+/// use he_rns::conv::lift_exact;
+/// let b = RnsBasis::generate(16, 28, 2);
+/// let p = RnsBasis::new(16, he_math::prime::ntt_prime_chain(30, 32, 1));
+/// let coeffs = [-42i64; 16];
+/// let lifted = lift_exact(&RnsPoly::from_i64_coeffs(&b, &coeffs), &p).unwrap();
+/// assert_eq!(lifted, RnsPoly::from_i64_coeffs(&p, &coeffs));
+/// ```
+pub fn lift_exact(a: &RnsPoly, target: &RnsBasis) -> Result<RnsPoly, LiftOverflow> {
+    assert_eq!(a.form(), Form::Coeff, "a lift operates on coefficients");
+    assert_eq!(a.basis().n(), target.n(), "ring degrees must match");
+    let src = a.basis();
+    let n = src.n();
+    #[cfg(feature = "telemetry")]
+    let _span = crate::tel::convert().span((src.len() * n) as u64);
+    let hat_inv = src.qhat_inv_mod_self();
+    let y: Vec<Vec<u64>> = poseidon_par::par_map(src.len(), n, |j| {
+        let mut row = poseidon_par::scratch::take(n);
+        row.copy_from_slice(a.residues(j));
+        scale_row(&mut row, &src.reducers()[j], hat_inv[j]);
+        row
+    });
+
+    let inv: Vec<f64> = src.primes().iter().map(|&q| 1.0 / q as f64).collect();
+    let upsilon: Vec<u64> = (0..n)
+        .map(|c| {
+            let v: f64 = y.iter().zip(&inv).map(|(yj, inv)| yj[c] as f64 * inv).sum();
+            let rounded = v.round();
+            ((v - rounded).abs() < 0.25)
+                .then_some(rounded as u64)
+                .ok_or(LiftOverflow { coefficient: c })
+        })
+        .collect::<Result<_, _>>()?;
+
+    let hat_in_target = src.qhat_mod_other(target);
+    let q_in_target = src.product_mod_other(target);
+    let src_max = *src.primes().iter().max().expect("non-empty");
+    let residues = poseidon_par::par_map(target.len(), (src.len() + 1) * n, |i| {
+        let red = target.reducers()[i];
+        let p = red.modulus();
+        let sum = LazyDot::with_term_bound(red, u128::from(src_max) * u128::from(p));
+        let (hats, q_mod) = (&hat_in_target[i], q_in_target[i]);
+        (0..n)
+            .map(|c| {
+                let hps = sum.scaled_sum(y.iter().zip(hats).map(|(yj, &hat)| (yj[c], hat)));
+                // `υ ≤ |B|`, far below any prime.
+                sub_mod(hps, red.mul(upsilon[c], q_mod), p)
+            })
+            .collect()
+    });
+    for yj in y {
+        poseidon_par::scratch::recycle(yj);
+    }
+    Ok(RnsPoly::from_residues(target, residues, Form::Coeff))
+}
+
 /// `Modup` (paper Eq. 3): extends `a` from basis `Q` to `Q ∪ P`.
 ///
 /// Returns the polynomial in the concatenated basis with the original

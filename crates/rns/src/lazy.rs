@@ -14,7 +14,8 @@ const DIGIT_GROUP: usize = 8;
 
 /// The fold rule of a sum of products modulo `q` that is reduced **once** per
 /// coefficient — the paper's MM → MA → shared-SBT chain, as opposed to a
-/// reduction per product — and the two kernels that sum under it.
+/// reduction per product — and the kernels that sum under it: two that sum
+/// in one call, and [`LazyRow`], which holds a row of sums across calls.
 ///
 /// Every product of reduced residues is below `q²`, so
 /// `⌊2^126 / q²⌋` of them ([`block_len`](Self::block_len)) fit under
@@ -148,6 +149,16 @@ impl LazyDot {
         }
     }
 
+    /// A row of `n` running sums under this rule, all zero — for a sum whose
+    /// terms arrive a row at a time, from separate kernel calls.
+    pub fn row(&self, n: usize) -> LazyRow {
+        LazyRow {
+            dot: *self,
+            sums: vec![0; n],
+            terms: 0,
+        }
+    }
+
     /// `Σ x·w mod q` over `(x, w)` terms — one coefficient of a basis
     /// conversion, whose weights are per-limb scalars.
     #[inline(always)]
@@ -165,6 +176,78 @@ impl LazyDot {
     }
 }
 
+/// One row of sums under a [`LazyDot`] rule, held unreduced between the
+/// calls that add to it: the accumulator of a rotation sum, where each term
+/// is a key-switch output times a plaintext row and only the total is
+/// reduced, inverse-NTT'd and Moddown'd. Folds as [`LazyDot`] does.
+///
+/// # Examples
+///
+/// ```
+/// use he_math::BarrettReducer;
+/// use he_rns::LazyDot;
+/// let mut row = LazyDot::new(BarrettReducer::new(97)).row(2);
+/// row.add_weighted(&[96, 3], Some(&[96, 2]));
+/// row.add_weighted(&[5, 95], None);
+/// let mut out = [0; 2];
+/// row.reduce_into(&mut out);
+/// assert_eq!(out, [(96 * 96 + 5) % 97, (6 + 95) % 97]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct LazyRow {
+    dot: LazyDot,
+    sums: Vec<u128>,
+    terms: usize,
+}
+
+impl LazyRow {
+    /// Adds the term `x[c]·w[c]` to every sum, or `x[c]` itself without
+    /// weights. Every product must be within the rule's term bound (for
+    /// [`LazyDot::new`], both rows reduced modulo `q`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not the sums'.
+    pub fn add_weighted(&mut self, x: &[u64], w: Option<&[u64]>) {
+        let n = self.sums.len();
+        assert!(
+            x.len() == n && w.is_none_or(|w| w.len() == n),
+            "row length must match"
+        );
+        if self.terms == self.dot.block {
+            for s in &mut self.sums {
+                *s = u128::from(self.dot.red.reduce(*s));
+            }
+            self.terms = 1;
+        }
+        self.terms += 1;
+        match w {
+            Some(w) => {
+                for ((s, &x), &w) in self.sums.iter_mut().zip(x).zip(w) {
+                    *s += u128::from(x) * u128::from(w);
+                }
+            }
+            None => {
+                for (s, &x) in self.sums.iter_mut().zip(x) {
+                    *s += u128::from(x);
+                }
+            }
+        }
+    }
+
+    /// The sums modulo `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s length is not the sums'.
+    pub fn reduce_into(&self, out: &mut [u64]) {
+        assert_eq!(out.len(), self.sums.len(), "row length must match");
+        for (o, &s) in out.iter_mut().zip(&self.sums) {
+            *o = self.dot.red.reduce(s);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +259,26 @@ mod tests {
         dot.dot_pair(&[], None, &[], &mut b, &mut a);
         assert_eq!((b, a), ([0; 3], [0; 3]));
         assert_eq!(dot.scaled_sum(std::iter::empty()), 0);
+    }
+
+    #[test]
+    fn a_row_of_the_largest_terms_folds_past_one_block() {
+        // A rotation sum's terms under a 60-bit prime: `(s + P·c_0)·w` with
+        // `s + P·c_0 = 2q − 2` and `w = q − 1`, 32 to a block, 200 of them.
+        let q = he_math::prime::ntt_prime_chain(60, 32, 1)[0];
+        let red = BarrettReducer::new(q);
+        let dot = LazyDot::with_term_bound(red, 2 * u128::from(q) * u128::from(q));
+        let terms = 200;
+        assert!(terms > 6 * dot.block_len());
+        let mut row = dot.row(3);
+        for _ in 0..terms {
+            row.add_weighted(&[2 * q - 2; 3], Some(&[q - 1; 3]));
+        }
+        let term = red.mul(q - 2, q - 1);
+        let want = (0..terms).fold(0, |sum, _| red.add(sum, term));
+        let mut got = [0; 3];
+        row.reduce_into(&mut got);
+        assert_eq!(got, [want; 3]);
     }
 
     #[test]

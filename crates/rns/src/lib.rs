@@ -13,8 +13,8 @@
 //!   `Modup` (Eq. 3), `Moddown` (Eq. 2), and the RNS `Rescale` step — the
 //!   arithmetic backbone of Keyswitch and Rescale.
 //! * [`lazy::LazyDot`] — sums of residue products with one shared reduction
-//!   per coefficient: the key-switch inner-product kernel and the
-//!   accumulate stage of Moddown's conversion.
+//!   per coefficient: the key-switch inner-product kernel, the accumulate
+//!   stage of Moddown's conversion, and the weighted row of a rotation sum.
 //!
 //! # Examples
 //!
@@ -105,5 +105,5 @@ pub(crate) mod tel {
 
 pub use basis::RnsBasis;
 pub use integrity::{GuardedPoly, IntegrityError};
-pub use lazy::LazyDot;
+pub use lazy::{LazyDot, LazyRow};
 pub use poly::{Form, RnsPoly, ShoupOperand};

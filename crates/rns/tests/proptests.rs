@@ -3,8 +3,8 @@
 
 use he_math::modops::{add_mod, mul_mod};
 use he_math::BarrettReducer;
-use he_rns::conv::{moddown, modup, rescale, rns_convert};
-use he_rns::{LazyDot, RnsBasis, RnsPoly};
+use he_rns::conv::{lift_exact, moddown, modup, rescale, rns_convert, LiftOverflow};
+use he_rns::{Form, LazyDot, RnsBasis, RnsPoly};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -194,10 +194,95 @@ proptest! {
         }
     }
 
+    /// The rotation sum's row against a reduction per product, over the same
+    /// four fold regimes: 1..=70 terms added a row at a time, weighted or
+    /// bare, the row reduced once at the end.
+    #[test]
+    fn weighted_row_matches_a_reduction_per_product(
+        seed in any::<u64>(),
+        terms in 1usize..71,
+        rule in 0usize..4,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..700usize);
+        let q = he_math::prime::ntt_prime_chain(if rule == 0 { 60 } else { 31 }, 32, 1)[0];
+        let red = BarrettReducer::new(q);
+        let dot = match rule {
+            0 | 1 => LazyDot::new(red),
+            2 => LazyDot::with_term_bound(red, BarrettReducer::REDUCE_LIMIT / 2),
+            _ => LazyDot::with_term_bound(red, BarrettReducer::REDUCE_LIMIT / 9),
+        };
+        let mut row = dot.row(n);
+        let mut want = vec![0; n];
+        for _ in 0..terms {
+            let x: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+            let w: Option<Vec<u64>> =
+                rng.gen_bool(0.75).then(|| (0..n).map(|_| rng.gen_range(0..q)).collect());
+            row.add_weighted(&x, w.as_deref());
+            for c in 0..n {
+                let term = w.as_ref().map_or(x[c], |w| mul_mod(x[c], w[c], q));
+                want[c] = add_mod(want[c], term, q);
+            }
+        }
+        let mut got = vec![0; n];
+        row.reduce_into(&mut got);
+        prop_assert_eq!(got, want);
+    }
+
+    /// The exact lift is `from_i64_coeffs` on the target basis: random
+    /// centred polynomials with negative coefficients, up to 2^100 in
+    /// magnitude (built as `hi·2^50 + lo` on either basis), onto one, two
+    /// and three target primes.
+    #[test]
+    fn exact_lift_is_the_centred_value_on_the_target_basis(
+        hi in proptest::collection::vec(-(1i64 << 50)..(1i64 << 50), N),
+        lo in proptest::collection::vec(-(1i64 << 50)..(1i64 << 50), N),
+        p_len in 1usize..4,
+    ) {
+        // Q is 140 bits: a quarter of it is far above 2^100.
+        let q = RnsBasis::generate(N, 28, 5);
+        let p = RnsBasis::new(N, he_math::prime::ntt_prime_chain(30, 2 * N as u64, p_len));
+        let on = |basis: &RnsBasis| {
+            let shift: Vec<u64> = basis.primes().iter().map(|&m| (1u64 << 50) % m).collect();
+            RnsPoly::from_i64_coeffs(basis, &hi)
+                .mul_scalar_per_prime(&shift)
+                .add(&RnsPoly::from_i64_coeffs(basis, &lo))
+        };
+        prop_assert_eq!(lift_exact(&on(&q), &p), Ok(on(&p)));
+        // A single source prime, where the overflow count is the sign.
+        let q0 = q.prefix(1);
+        let small: Vec<i64> = lo.iter().map(|&v| v >> 26).collect();
+        prop_assert_eq!(
+            lift_exact(&RnsPoly::from_i64_coeffs(&q0, &small), &p),
+            Ok(RnsPoly::from_i64_coeffs(&p, &small))
+        );
+    }
+
     #[test]
     fn truncation_preserves_small_values(coeffs in arb_coeffs()) {
         let (q, _) = bases();
         let a = RnsPoly::from_i64_coeffs(&q, &coeffs);
         prop_assert_eq!(a.truncate_basis(2).to_centered_coeffs(), coeffs);
+    }
+}
+
+/// A coefficient near `±Q/2` has no unambiguous overflow count: the exact
+/// lift names it instead of returning a value off by `Q`.
+#[test]
+fn exact_lift_refuses_a_coefficient_near_the_wrap() {
+    let (q, p) = bases();
+    let half = q.modulus_product().half();
+    for (at, offset) in [(0, 0u64), (5, 12_345), (N - 1, 1 << 40)] {
+        let rows = q
+            .primes()
+            .iter()
+            .map(|&m| {
+                let mut row = vec![7; N];
+                row[at] = (half.rem_u64(m) + offset % m) % m;
+                row
+            })
+            .collect();
+        let a = RnsPoly::from_residues(&q, rows, Form::Coeff);
+        assert_eq!(lift_exact(&a, &p), Err(LiftOverflow { coefficient: at }));
     }
 }

@@ -1,7 +1,7 @@
 //! Chunked keyset streaming.
 //!
-//! A public keyset frame at paper-scale parameters is ~12 MB (see
-//! BENCH_serve.json) while ciphertext frames are ~256 KB; pushing the
+//! A public keyset frame at paper-scale parameters is ~12 MB while
+//! ciphertext frames are ~256 KB; pushing the
 //! whole keyset as one wire message forces every transport buffer on the
 //! path to that worst case. [`chunk_keyset`] slices an encoded
 //! [`Kind::KeySet`](crate::Kind::KeySet) frame into a stream of small
