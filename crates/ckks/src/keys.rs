@@ -1,10 +1,11 @@
 //! Key generation: secret, public, relinearisation, and Galois keys.
 //!
-//! Keyswitching keys use the classic single-digit (dnum = 1) RNS layout the
-//! paper describes around Eq. 1–3: a key for source secret `s'` under target
-//! secret `s` is `(b, a) ∈ R²_{PQ}` with `b = −a·s + e + P·s'`, where `P` is
-//! the product of the special primes. Using it is exactly Modup → pointwise
-//! multiply → Moddown.
+//! Keyswitching keys use the hybrid RNS layout of the paper's Eq. 1–3 with
+//! one digit per chain prime: α = 1, `dnum = level + 1` (in
+//! `poseidon_core::decompose`, `OpParams::with_dnum(.., components)`). Digit
+//! `j` of a key for source secret `s'` under target secret `s` is
+//! `(b_j, a_j) ∈ R²_{PQ}`, `b_j = −a_j·s + e_j + P·s'` on component `j` (`P`
+//! the special primes' product). Using it is Modup → multiply → Moddown.
 
 use std::collections::HashMap;
 
@@ -152,15 +153,10 @@ impl PublicKey {
 /// prefix of the chain.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
-    /// One `(b_j, a_j)` pair per chain prime, over `Q ∪ P`, coeff form.
+    /// One `(b_j, a_j)` pair per chain prime, over `Q ∪ P`, in evaluation
+    /// form only — as Poseidon keeps keys HBM-resident (§IV-C). The NTT is
+    /// per-prime, so a level-`l` keyswitch reads a subset of these rows.
     pub(crate) pairs: Vec<(RnsPoly, RnsPoly)>,
-    /// The same pairs forward-NTT'd over the full basis, precomputed at
-    /// generation time. The per-prime NTT is basis-independent, so a
-    /// level-`l` keyswitch slices these residue vectors directly — the hot
-    /// loop never runs `into_eval()` on key material (the software
-    /// analogue of Poseidon keeping keyswitch keys resident in HBM in
-    /// evaluation representation).
-    pub(crate) eval_pairs: Vec<(RnsPoly, RnsPoly)>,
 }
 
 impl KeySwitchKey {
@@ -180,13 +176,13 @@ impl KeySwitchKey {
         // limb-parallel, and stays thread-count-invariant.
         let pairs = (0..chain.len())
             .map(|j| {
-                let a = sampling::uniform_poly(full, Form::Coeff, rng);
-                let e = RnsPoly::from_i64_coeffs(
+                let a = sampling::uniform_poly(full, Form::Coeff, rng).into_eval();
+                let mut e = RnsPoly::from_i64_coeffs(
                     full,
                     &sampling::gaussian_coeffs(ctx.n(), ctx.params().error_std, rng),
                 );
-                let mut b = a.clone().into_eval().mul(&s).into_coeff().neg().add(&e);
-                // Add P·s' on component j only.
+                // Add P·s' on component j only, before the transform: the
+                // NTT is linear, so `NTT(e + P·s') − â·ŝ` is `b_j`.
                 let qj = chain.primes()[j];
                 let red = he_math::BarrettReducer::new(qj);
                 let p_mod_qj = ctx
@@ -194,108 +190,107 @@ impl KeySwitchKey {
                     .primes()
                     .iter()
                     .fold(1u64, |acc, &p| red.mul(acc, p % qj));
-                let comp = &mut b.all_residues_mut()[j];
+                let comp = &mut e.all_residues_mut()[j];
                 for (c, &sv) in comp.iter_mut().zip(source) {
                     let sv_mod = he_math::modops::reduce_i64(sv, qj);
                     *c = he_math::modops::add_mod(*c, red.mul(p_mod_qj, sv_mod), qj);
                 }
-                (b, a)
+                (e.into_eval().sub(&a.mul(&s)), a)
             })
             .collect();
         Self::from_pairs(pairs)
     }
 
-    /// Builds a key from its raw digit pairs (over `Q ∪ P`, coefficient
-    /// form) together with the evaluation-form cache — also the
+    /// Builds a key from its digit pairs over `Q ∪ P` — also the
     /// deserialization entry point for the wire format.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every row is in evaluation form.
     pub fn from_pairs(pairs: Vec<(RnsPoly, RnsPoly)>) -> Self {
-        let eval_pairs = pairs
-            .iter()
-            .map(|(b, a)| (b.clone().into_eval(), a.clone().into_eval()))
-            .collect();
-        Self { pairs, eval_pairs }
+        let eval = |p: &RnsPoly| p.form() == Form::Eval;
+        assert!(
+            pairs.iter().all(|(b, a)| eval(b) && eval(a)),
+            "key rows must be in eval form"
+        );
+        Self { pairs }
     }
 
-    /// The raw per-digit key pairs `(b_j, a_j)` over `Q ∪ P` in coefficient
-    /// form — exposed for external executors (the Poseidon functional
-    /// machine) that re-implement the keyswitch dataflow on their own
-    /// operator cores.
+    /// The per-digit key pairs `(b_j, a_j)` over `Q ∪ P`, in evaluation form.
     pub fn pairs(&self) -> &[(RnsPoly, RnsPoly)] {
         &self.pairs
     }
 
-    /// Pair `j` restricted to level `l` plus the special primes — the basis
-    /// a level-`l` keyswitch operates in.
+    /// Pair `j` restricted to level `l` plus the special primes, inverse-
+    /// transformed to coefficient form for an executor (the Poseidon
+    /// functional machine) that runs the keyswitch on its own NTT cores.
     pub fn sliced(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
-        let chain_len = ctx.chain_basis().len();
-        let keep = level + 1;
-        let basis = ctx.level_basis(level).concat(ctx.special_basis());
-        let slice = |p: &RnsPoly| {
-            let mut residues = p.all_residues()[..keep].to_vec();
-            residues.extend(p.all_residues()[chain_len..].iter().cloned());
-            RnsPoly::from_residues(&basis, residues, Form::Coeff)
-        };
-        let (b, a) = &self.pairs[j];
-        (slice(b), slice(a))
+        let (b, a) = self.slice(ctx, j, level);
+        (b.into_coeff(), a.into_coeff())
     }
 
-    /// Pair `j` restricted to level `l` plus the special primes, already
-    /// in evaluation form — served from the precomputed cache, so this is
-    /// a residue copy with **zero** NTT work, bit-identical to
-    /// [`sliced`](Self::sliced)` + into_eval()`.
+    /// Pair `j` restricted to level `l` plus the special primes, in
+    /// evaluation form: a residue copy with **zero** NTT work.
     pub fn eval_sliced(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
-        let chain_len = ctx.chain_basis().len();
-        let keep = level + 1;
-        let basis = ctx.level_basis(level).concat(ctx.special_basis());
-        let slice = |p: &RnsPoly| {
-            let mut residues = p.all_residues()[..keep].to_vec();
-            residues.extend(p.all_residues()[chain_len..].iter().cloned());
-            #[allow(unused_mut)]
-            let mut out = RnsPoly::from_residues(&basis, residues, Form::Eval);
-            // Injection point for the `KeyCache` fault site: a corrupted
-            // HBM-resident key digit read from the eval-form cache. The
-            // tamper lands on the sliced copy, never the cache itself, so
-            // a retry re-reads clean key material.
-            #[cfg(feature = "faults")]
+        #[allow(unused_mut)]
+        let (mut b, mut a) = self.slice(ctx, j, level);
+        // Injection point for the `KeyCache` fault site: a corrupted
+        // HBM-resident key digit read from the key store. The tamper lands
+        // on the sliced copy, never the store itself, so a retry re-reads
+        // clean key material.
+        #[cfg(feature = "faults")]
+        for p in [&mut b, &mut a] {
             poseidon_faults::tamper_rows(
                 poseidon_faults::FaultSite::KeyCache,
-                out.all_residues_mut(),
+                p.all_residues_mut(),
             );
-            out
+        }
+        (b, a)
+    }
+
+    /// A copy of pair `j`'s rows on `Q_level ∪ P`, in evaluation form.
+    fn slice(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
+        let keep = level + 1;
+        let chain_len = ctx.chain_basis().len();
+        let basis = ctx.level_basis(level).concat(ctx.special_basis());
+        let rows = |p: &RnsPoly| {
+            let residues = (0..basis.len())
+                .map(|i| p.residues(ext_row(i, keep, chain_len)).to_vec())
+                .collect();
+            RnsPoly::from_residues(&basis, residues, Form::Eval)
         };
-        let (b, a) = &self.eval_pairs[j];
-        (slice(b), slice(a))
+        let (b, a) = &self.pairs[j];
+        (rows(b), rows(a))
     }
 
     /// The evaluation-form rows a level-`level` keyswitch reads, by
-    /// reference into the cache: nothing is copied and key memory does not
+    /// reference into the store: nothing is copied and key memory does not
     /// grow. Digits `0..=level`, extended limbs `Q_level ∪ P`.
     pub(crate) fn eval_rows(&self, ctx: &CkksContext, level: usize) -> EvalKeyRows<'_> {
         let keep = level + 1;
         let chain_len = ctx.chain_basis().len();
         // Injection point for the `KeyCache` fault site: a corrupted
-        // HBM-resident key digit read from the eval-form cache. The tamper
-        // lands on a private copy made serially before the kernel fans
-        // out — never on the cache, so a retry re-reads clean key material,
-        // and in digit order, so the firing sequence does not depend on the
+        // HBM-resident key digit read from the key store. The tamper lands
+        // on a private copy made serially before the kernel fans out —
+        // never on the store, so a retry re-reads clean key material, and
+        // in digit order, so the firing sequence does not depend on the
         // thread count.
         #[cfg(feature = "faults")]
         let tampered = poseidon_faults::armed().then(|| {
-            let ext_len = keep + ctx.special_basis().len();
-            let copy = |p: &RnsPoly| {
-                let mut rows: Vec<Vec<u64>> = (0..ext_len)
-                    .map(|i| p.residues(ext_row(i, keep, chain_len)).to_vec())
-                    .collect();
+            let copy = |p: RnsPoly| {
+                let mut rows = p.into_residues();
                 poseidon_faults::tamper_rows(poseidon_faults::FaultSite::KeyCache, &mut rows);
                 rows
             };
-            self.eval_pairs[..keep]
-                .iter()
-                .map(|(b, a)| (copy(b), copy(a)))
+            (0..keep)
+                .map(|j| {
+                    let (b, a) = self.slice(ctx, j, level);
+                    (copy(b), copy(a))
+                })
                 .collect()
         });
         EvalKeyRows {
-            eval_pairs: &self.eval_pairs,
+            pairs: &self.pairs,
             keep,
             chain_len,
             #[cfg(feature = "faults")]
@@ -318,7 +313,7 @@ fn ext_row(i: usize, keep: usize, chain_len: usize) -> usize {
 /// A by-reference view of a key's evaluation-form rows at one level (see
 /// [`KeySwitchKey::eval_rows`]).
 pub(crate) struct EvalKeyRows<'k> {
-    eval_pairs: &'k [(RnsPoly, RnsPoly)],
+    pairs: &'k [(RnsPoly, RnsPoly)],
     keep: usize,
     chain_len: usize,
     #[cfg(feature = "faults")]
@@ -336,7 +331,7 @@ impl EvalKeyRows<'_> {
             return (&b[i], &a[i]);
         }
         let row = ext_row(i, self.keep, self.chain_len);
-        let (b, a) = &self.eval_pairs[j];
+        let (b, a) = &self.pairs[j];
         (b.residues(row), a.residues(row))
     }
 }
@@ -473,8 +468,6 @@ impl KeySet {
             return;
         }
         // Source secret: s(X^g).
-        let basis_probe = self.ctx.chain_basis().prefix(1);
-        let _ = basis_probe; // g validity is enforced by automorphism itself
         let s_g = automorphism_signed(&self.secret.coeffs, g);
         let key = KeySwitchKey::generate(&self.ctx, &self.secret, &s_g, rng);
         self.galois.insert(g, key);
@@ -663,30 +656,11 @@ mod tests {
     }
 
     #[test]
-    fn eval_sliced_matches_slice_then_ntt_bit_exactly() {
-        let (ctx, mut rng) = setup();
-        let keys = KeySet::generate(&ctx, &mut rng);
-        let key = keys.relin();
-        assert_eq!(key.eval_pairs.len(), key.pairs.len());
-        for level in 0..ctx.chain_basis().len() {
-            for j in 0..=level {
-                let (b, a) = key.sliced(&ctx, j, level);
-                let (be, ae) = key.eval_sliced(&ctx, j, level);
-                assert_eq!(b.into_eval(), be, "b digit {j} level {level}");
-                assert_eq!(a.into_eval(), ae, "a digit {j} level {level}");
-            }
-        }
-    }
-
-    #[test]
     fn galois_elements_compose_rotations() {
         let (ctx, _) = setup();
         let keys = KeySet {
             galois: HashMap::new(),
-            relin: KeySwitchKey {
-                pairs: Vec::new(),
-                eval_pairs: Vec::new(),
-            },
+            relin: KeySwitchKey { pairs: Vec::new() },
             secret: SecretKey {
                 ctx: ctx.clone(),
                 coeffs: vec![0; ctx.n()],

@@ -33,7 +33,7 @@ pub struct CkksParams {
     /// Number of chain primes (`L + 1` in paper notation; multiplicative
     /// depth is `chain_len − 1`).
     pub chain_len: usize,
-    /// Number of special primes `P` for keyswitching (dnum = 1 hybrid).
+    /// Number of special primes `P` for keyswitching (α = 1, dnum = level + 1).
     pub special_len: usize,
     /// Bit size of the special primes.
     pub special_prime_bits: u32,

@@ -94,8 +94,8 @@ fn transient_key_cache_fault_on_rotation_recovers() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 0.75);
     let checked = CheckedEvaluator::new(&ctx);
-    // Warm the eval-form key cache with a clean pass first so the armed
-    // plan targets the cached rows the duplicated runs actually read.
+    // A clean pass for comparison; the armed plan then targets the stored
+    // key rows the duplicated runs read.
     let clean = checked.inner().try_rotate(&a, 1, &keys).unwrap();
 
     let before = integrity_stats();

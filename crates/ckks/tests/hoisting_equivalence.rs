@@ -1,9 +1,7 @@
-//! Bit-exactness of the hoisted rotation engine and the eval-form key
-//! cache: `apply_galois_hoisted`/`rotate_many` must reproduce the
-//! per-call `rotate`/`apply_galois` outputs exactly, across levels, step
-//! sets, and thread counts, and a key stripped of its evaluation-form
-//! cache must keyswitch to the identical result through the fallback
-//! (slice + NTT) path.
+//! Bit-exactness of the hoisted rotation engine:
+//! `apply_galois_hoisted`/`rotate_many` must reproduce the per-call
+//! `rotate`/`apply_galois` outputs exactly, across levels, step sets, and
+//! thread counts.
 //!
 //! Ring degree 2048 puts the hoist and the key-switch inner product over
 //! `poseidon_par::PAR_THRESHOLD`, so the limb-parallel dispatch genuinely

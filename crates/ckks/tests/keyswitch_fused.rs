@@ -57,9 +57,9 @@ fn reference_inner_product(
 ) -> (RnsPoly, RnsPoly) {
     let mut acc: Option<(RnsPoly, RnsPoly)> = None;
     for (j, digit) in digits.iter().enumerate() {
-        let (b, a) = key.sliced(ctx, j, level);
-        let p0 = b.into_eval().mul(digit);
-        let p1 = a.into_eval().mul(digit);
+        let (b, a) = key.eval_sliced(ctx, j, level);
+        let p0 = b.mul(digit);
+        let p1 = a.mul(digit);
         acc = Some(match acc {
             None => (p0, p1),
             Some((s0, s1)) => (s0.add(&p0), s1.add(&p1)),
@@ -579,7 +579,7 @@ fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
     let minus_one = {
         let mut c = vec![0i64; n];
         c[0] = -1;
-        RnsPoly::from_i64_coeffs(full, &c)
+        RnsPoly::from_i64_coeffs(full, &c).into_eval()
     };
     let worst_key = KeySwitchKey::from_pairs(
         (0..ctx.chain_basis().len())
@@ -596,7 +596,7 @@ fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
                         .iter()
                         .map(|&p| (0..n).map(|_| rng.gen_range(0..p)).collect())
                         .collect();
-                    RnsPoly::from_residues(full, rows, Form::Coeff)
+                    RnsPoly::from_residues(full, rows, Form::Eval)
                 };
                 (poly(), poly())
             })

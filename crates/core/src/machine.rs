@@ -496,7 +496,7 @@ impl PoseidonMachine {
     /// `c_0`, an evaluation-domain index permutation of the hoisted digits
     /// through the Automorphism core, the key products, and a Moddown.
     ///
-    /// The key slices come from the eval-form cache when present — the
+    /// The key slices are the stored evaluation-form rows — the
     /// paper keeps keyswitch keys HBM-resident in evaluation
     /// representation (§IV-C), so no NTT-core traffic is charged for key
     /// material. [`try_rotate`](Self::try_rotate) keeps the unhoisted per-call

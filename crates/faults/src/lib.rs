@@ -24,7 +24,7 @@
 //!
 //! Hook sites (see [`FaultSite`]) map to the paper's hardware structures:
 //! RNS residue vectors (register files / scratchpad lines), NTT twiddle
-//! tables (BRAM), the eval-form key-switch key cache (HBM-resident keys),
+//! tables (BRAM), the eval-form key-switch key store (HBM-resident keys),
 //! `poseidon-par` scratch buffers (on-chip scratchpad), and the simulator's
 //! HBM channel model (memory-side corruption).
 //!
@@ -57,7 +57,7 @@ pub enum FaultSite {
     /// NTT working vectors at transform entry (`he-ntt`): models a
     /// corrupted twiddle BRAM word poisoning the butterfly network.
     NttTwiddle,
-    /// The eval-form key-switch key cache read path (`he-ckks`): models a
+    /// The eval-form key-switch key store read path (`he-ckks`): models a
     /// corrupted HBM-resident key digit.
     KeyCache,
     /// `poseidon-par` scratch-pool buffers at hand-out: models stale or

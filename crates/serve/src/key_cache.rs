@@ -1,7 +1,7 @@
 //! Bounded LRU cache of resident tenant evaluation state.
 //!
 //! A tenant's decoded key material is large (~12 MB of key-switch keys
-//! at paper-scale parameters, plus the eval-form caches built at
+//! at paper-scale parameters, forward-transformed into evaluation form at
 //! registration), so keeping every registered tenant resident makes
 //! server memory O(tenants). This cache keeps the *frames* for all
 //! tenants (compact, checksummed bytes) but bounds how many decoded

@@ -613,8 +613,8 @@ pub fn decode_ciphertext(ctx: &CkksContext, bytes: &[u8]) -> Result<Ciphertext, 
 pub(crate) fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
     put_u64(out, key.pairs().len() as u64);
     for (b, a) in key.pairs() {
-        put_poly(out, b);
-        put_poly(out, a);
+        put_poly(out, &b.clone().into_coeff());
+        put_poly(out, &a.clone().into_coeff());
     }
 }
 
@@ -629,15 +629,15 @@ pub(crate) fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitc
     let full = ctx.full_basis();
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
-        let b = take_poly(r, full)?;
-        let a = take_poly(r, full)?;
+        let b = take_poly(r, full)?.into_eval();
+        let a = take_poly(r, full)?.into_eval();
         pairs.push((b, a));
     }
     Ok(KeySwitchKey::from_pairs(pairs))
 }
 
-/// Encodes one keyswitching key (digit pairs over `Q ∪ P`, coeff form;
-/// the eval-form cache is rebuilt on decode, bit-identically).
+/// Encodes one keyswitching key (digit pairs over `Q ∪ P`; rows travel in
+/// coefficient form and are forward-transformed on decode, bit-identically).
 pub fn encode_keyswitch_key(ctx: &CkksContext, key: &KeySwitchKey) -> Vec<u8> {
     key.encode_frame(ctx)
 }

@@ -179,6 +179,41 @@ fn keyset_round_trip_with_secret_is_bit_exact_and_functional() {
     assert!((decoded[0].re - 0.5).abs() < 1e-3);
 }
 
+/// Key frame bytes are pinned across commits, not just re-encoded within
+/// one build: a change to how keys are generated, stored or encoded that
+/// moves a single wire byte fails here.
+#[test]
+fn key_frame_bytes_are_pinned() {
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4B45_5953);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_keys([1, -2, 5], &mut rng);
+    keys.add_conjugation_key(&mut rng);
+    for (what, got, pinned) in [
+        (
+            "keyset",
+            fnv(&poseidon_wire::encode_keyset(&ctx, &keys)),
+            0x1ed6_3a11_bae8_c161u64,
+        ),
+        (
+            "relin key",
+            fnv(&poseidon_wire::encode_keyswitch_key(&ctx, keys.relin())),
+            0xb9e8_1153_ef16_cbb9,
+        ),
+    ] {
+        assert_eq!(
+            got, pinned,
+            "{what} frame digest moved: got {got:#018x}, pinned {pinned:#018x}. A legitimate \
+             change updates this constant."
+        );
+    }
+}
+
 #[test]
 fn public_keyset_omits_the_secret() {
     let ctx = CkksContext::new(tiny_params());
