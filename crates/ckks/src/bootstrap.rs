@@ -32,27 +32,15 @@ use crate::polyeval::try_evaluate_monomial;
 use he_rns::RnsPoly;
 
 /// Telemetry scopes for the bootstrapping stages (items = slot count).
-/// With the `telemetry` feature off, this compiles away entirely.
-#[cfg(feature = "telemetry")]
 mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! scope_fn {
-        ($fn_name:ident, $scope:literal) => {
-            pub fn $fn_name() -> &'static Arc<Metric> {
-                static M: OnceLock<Arc<Metric>> = OnceLock::new();
-                M.get_or_init(|| Registry::global().scope($scope))
-            }
-        };
+    poseidon_telemetry::scope_fn! {
+        pub modraise = "boot.modraise";
+        pub subsum = "boot.subsum";
+        pub c2s = "boot.c2s";
+        pub evalmod = "boot.evalmod";
+        pub s2c = "boot.s2c";
+        pub total = "boot.total";
     }
-
-    scope_fn!(modraise, "boot.modraise");
-    scope_fn!(subsum, "boot.subsum");
-    scope_fn!(c2s, "boot.c2s");
-    scope_fn!(evalmod, "boot.evalmod");
-    scope_fn!(s2c, "boot.s2c");
-    scope_fn!(total, "boot.total");
 }
 
 /// Degree-7 Taylor coefficients of sin(x).
@@ -218,7 +206,6 @@ impl Bootstrapper {
                 b: 0,
             });
         }
-        #[cfg(feature = "telemetry")]
         let _span = tel::modraise().span(self.slots as u64);
         let full = self.ctx.chain_basis();
         let raise = |p: &RnsPoly| {
@@ -289,7 +276,6 @@ impl Bootstrapper {
         keys: &KeySet,
         ct: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
-        #[cfg(feature = "telemetry")]
         let _span = tel::subsum().span(self.slots as u64);
         let total = self.ctx.n() / 2;
         // The fold rotates the evolving accumulator, so consecutive
@@ -320,7 +306,6 @@ impl Bootstrapper {
         keys: &KeySet,
         ct: &Ciphertext,
     ) -> Result<(Ciphertext, Ciphertext), EvalError> {
-        #[cfg(feature = "telemetry")]
         let _span = tel::c2s().span(self.slots as u64);
         let conj = eval.try_conjugate(ct, keys)?;
         let rot_w = self.try_all_rotations(eval, keys, ct)?;
@@ -349,7 +334,6 @@ impl Bootstrapper {
         low: &Ciphertext,
         high: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
-        #[cfg(feature = "telemetry")]
         let _span = tel::s2c().span(self.slots as u64);
         let level = low.level().min(high.level());
         let scale = low.scale();
@@ -377,7 +361,6 @@ impl Bootstrapper {
         keys: &KeySet,
         ct: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
-        #[cfg(feature = "telemetry")]
         let _span = tel::evalmod().span(self.slots as u64);
         let r_pow = 2f64.powi(self.doublings as i32);
         // CoeffToSlot leaves slot *values* x = (m + q0·I)/Δ (the natural
@@ -457,7 +440,6 @@ impl Bootstrapper {
         keys: &KeySet,
         ct: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
-        #[cfg(feature = "telemetry")]
         let _span = tel::total().span(self.slots as u64);
         let raised = self.try_mod_raise(ct)?;
         let traced = self.try_subsum(eval, keys, &raised)?;

@@ -35,43 +35,24 @@ use crate::encoding::Complex;
 use crate::error::EvalError;
 use crate::keys::{EvalKeyRows, KeySet, KeySwitchKey};
 
-/// Per-`Evaluator` telemetry handles, resolved from the global registry
-/// once at construction so the hot paths never touch the registry lock.
-/// Cloning an evaluator shares the handles (and thus the counters).
-#[cfg(feature = "telemetry")]
-#[derive(Debug, Clone)]
-struct EvalMetrics {
-    mul: std::sync::Arc<poseidon_telemetry::Metric>,
-    keyswitch: std::sync::Arc<poseidon_telemetry::Metric>,
-    /// `keyswitch.digit`: the inner-product kernel, one span per extended
-    /// limb and output (items = digits·N).
-    digit: std::sync::Arc<poseidon_telemetry::Metric>,
-    rotate: std::sync::Arc<poseidon_telemetry::Metric>,
-    /// `eval.rotate_sum`: one span per call (items = terms·limbs·N).
-    rotate_sum: std::sync::Arc<poseidon_telemetry::Metric>,
-    conjugate: std::sync::Arc<poseidon_telemetry::Metric>,
-    rescale: std::sync::Arc<poseidon_telemetry::Metric>,
-    hoist: std::sync::Arc<poseidon_telemetry::Metric>,
-    reuse: std::sync::Arc<poseidon_telemetry::Metric>,
-    saved_ntt: std::sync::Arc<poseidon_telemetry::Metric>,
-}
-
-#[cfg(feature = "telemetry")]
-impl EvalMetrics {
-    fn resolve() -> Self {
-        let r = poseidon_telemetry::Registry::global();
-        Self {
-            mul: r.scope("eval.mul"),
-            keyswitch: r.scope("eval.keyswitch"),
-            digit: r.scope("keyswitch.digit"),
-            rotate: r.scope("eval.rotate"),
-            rotate_sum: r.scope("eval.rotate_sum"),
-            conjugate: r.scope("eval.conjugate"),
-            rescale: r.scope("eval.rescale"),
-            hoist: r.scope("keyswitch.hoist"),
-            reuse: r.scope("keyswitch.reuse"),
-            saved_ntt: r.scope("keyswitch.saved_ntt"),
-        }
+/// The evaluator's telemetry scopes: process-wide, shared by every
+/// `Evaluator`.
+mod tel {
+    poseidon_telemetry::scope_fn! {
+        pub mul = "eval.mul";
+        /// One event per key-switched output (items = digits·N).
+        pub keyswitch = "eval.keyswitch";
+        /// The inner-product kernel, one span per extended limb and output
+        /// (items = digits·N).
+        pub digit = "keyswitch.digit";
+        pub rotate = "eval.rotate";
+        /// One span per call (items = terms·limbs·N).
+        pub rotate_sum = "eval.rotate_sum";
+        pub conjugate = "eval.conjugate";
+        pub rescale = "eval.rescale";
+        pub hoist = "keyswitch.hoist";
+        pub reuse = "keyswitch.reuse";
+        pub saved_ntt = "keyswitch.saved_ntt";
     }
 }
 
@@ -174,8 +155,6 @@ impl PlainOperand {
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     ctx: CkksContext,
-    #[cfg(feature = "telemetry")]
-    tel: EvalMetrics,
 }
 
 impl From<he_rns::RnsPoly> for Plaintext {
@@ -189,11 +168,7 @@ impl From<he_rns::RnsPoly> for Plaintext {
 impl Evaluator {
     /// Creates an evaluator for `ctx`.
     pub fn new(ctx: &CkksContext) -> Self {
-        Self {
-            ctx: ctx.clone(),
-            #[cfg(feature = "telemetry")]
-            tel: EvalMetrics::resolve(),
-        }
+        Self { ctx: ctx.clone() }
     }
 
     /// The bound context.
@@ -394,8 +369,7 @@ impl Evaluator {
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
         let (a, b) = self.align(a, b);
-        #[cfg(feature = "telemetry")]
-        let _span = self.tel.mul.span(((a.level() + 1) * self.ctx.n()) as u64);
+        let _span = tel::mul().span(((a.level() + 1) * self.ctx.n()) as u64);
         let a0 = a.c0().clone().into_eval();
         let a1 = a.c1().clone().into_eval();
         let b0 = b.c0().clone().into_eval();
@@ -414,8 +388,7 @@ impl Evaluator {
     /// Squares a ciphertext (saves one eval-form product vs
     /// [`try_mul`](Self::try_mul), whose error contract it shares).
     pub fn try_square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        #[cfg(feature = "telemetry")]
-        let _span = self.tel.mul.span(((a.level() + 1) * self.ctx.n()) as u64);
+        let _span = tel::mul().span(((a.level() + 1) * self.ctx.n()) as u64);
         let a0 = a.c0().clone().into_eval();
         let a1 = a.c1().clone().into_eval();
         let d0 = a0.mul(&a0).into_coeff();
@@ -462,11 +435,9 @@ impl Evaluator {
     ) -> Vec<(RnsPoly, RnsPoly)> {
         // An armed plan fires `RnsResidue` inside the items: run them here,
         // in item order, so the firing sequence ignores the thread count.
-        #[cfg(feature = "faults")]
         if poseidon_faults::armed() && poseidon_par::threads() > 1 {
             return poseidon_par::with_threads(1, || self.switch_fan(level, source, fan));
         }
-        #[cfg(feature = "telemetry")]
         let started = std::time::Instant::now();
         let n = self.ctx.n();
         let (q_len, outputs) = (level + 1, fan.len());
@@ -492,14 +463,11 @@ impl Evaluator {
             let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
             let (mut sum_b, mut sum_a) = (vec![0; n], vec![0; n]);
             let dot = LazyDot::new(ext_basis.reducers()[i]);
-            #[cfg(feature = "telemetry")]
-            let span = self.tel.digit.span((q_len * n) as u64);
+            let span = tel::digit().span((q_len * n) as u64);
             dot.dot_pair(digits, perm.as_deref(), &keys, &mut sum_b, &mut sum_a);
-            #[cfg(feature = "telemetry")]
             drop(span);
             for sum in [&mut sum_b, &mut sum_a] {
                 // The `RnsResidue` fault site, where `into_coeff` has it.
-                #[cfg(feature = "faults")]
                 poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, sum);
                 ext_basis.tables()[i].inverse(sum);
             }
@@ -537,10 +505,7 @@ impl Evaluator {
                 (0..outputs).map(finished).collect::<Vec<_>>()
             })
         });
-        #[cfg(feature = "telemetry")]
-        self.tel
-            .keyswitch
-            .record_shared(outputs, (q_len * n) as u64, started.elapsed());
+        tel::keyswitch().record_shared(outputs, (q_len * n) as u64, started.elapsed());
         // Limb-major rows back into one polynomial pair per output.
         let mut rows = vec![(Vec::new(), Vec::new()); outputs];
         for limb in limbs {
@@ -575,11 +540,9 @@ impl Evaluator {
         fan: &[SumTerm<'_>],
     ) -> (RnsPoly, RnsPoly) {
         // As in `switch_fan`: an armed plan fires inside the items.
-        #[cfg(feature = "faults")]
         if poseidon_faults::armed() && poseidon_par::threads() > 1 {
             return poseidon_par::with_threads(1, || self.sum_fan(a, digits, fan));
         }
-        #[cfg(feature = "telemetry")]
         let started = std::time::Instant::now();
         let (n, level) = (self.ctx.n(), a.level());
         let q_len = level + 1;
@@ -618,10 +581,8 @@ impl Evaluator {
                 for (term, switch) in fan.iter().zip(&switches) {
                     let Some((rows, perm)) = switch else { continue };
                     let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
-                    #[cfg(feature = "telemetry")]
-                    let span = self.tel.digit.span((q_len * n) as u64);
+                    let span = tel::digit().span((q_len * n) as u64);
                     dot.dot_pair(&digit_rows, Some(perm), &keys, &mut sum_b, &mut sum_a);
-                    #[cfg(feature = "telemetry")]
                     drop(span);
                     if let Some(pc0) = pc0 {
                         for (s, &src) in sum_b.iter_mut().zip(perm) {
@@ -640,7 +601,6 @@ impl Evaluator {
             let mut out = vec![0; n];
             row.reduce_into(&mut out);
             // The `RnsResidue` fault site, where `into_coeff` has it.
-            #[cfg(feature = "faults")]
             poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut out);
             ext_basis.tables()[i].inverse(&mut out);
             out
@@ -666,7 +626,6 @@ impl Evaluator {
             let scaled_eval = |c: &RnsPoly| {
                 let mut row = c.residues(i).to_vec();
                 // `RnsResidue`, as `into_eval` fires it.
-                #[cfg(feature = "faults")]
                 poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
                 ext_basis.tables()[i].forward(&mut row);
                 for x in &mut row {
@@ -690,10 +649,7 @@ impl Evaluator {
             split.finish_q_limb(i, &t_a, &mut k_a);
             (k_b, k_a)
         });
-        #[cfg(feature = "telemetry")]
-        self.tel
-            .keyswitch
-            .record_shared(rotations, (q_len * n) as u64, started.elapsed());
+        tel::keyswitch().record_shared(rotations, (q_len * n) as u64, started.elapsed());
         let poly = |rows| RnsPoly::from_residues(&q_basis, rows, Form::Coeff);
         (poly(rows_b), poly(rows_a))
     }
@@ -708,11 +664,7 @@ impl Evaluator {
         let level = a.level();
         let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
         let n = a.n();
-        #[cfg(feature = "telemetry")]
-        let _span = self
-            .tel
-            .hoist
-            .span(((level + 1) * ext_basis.len() * n) as u64);
+        let _span = tel::hoist().span(((level + 1) * ext_basis.len() * n) as u64);
         // One digit is a lift and a forward NTT on every extended limb.
         let digit_weight = ext_basis.len() * (n + ext_basis.tables()[0].weight());
         let digits = poseidon_par::par_map(level + 1, digit_weight, |j| {
@@ -775,14 +727,11 @@ impl Evaluator {
     /// (level+1) lifts of ext_len forward NTTs.
     fn note_uses(&self, h: &HoistedDecomposition, count: usize) {
         let prior = h.uses.fetch_add(count as u64, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         for _ in usize::from(prior == 0)..count {
             let saved = (h.level + 1) * (self.ctx.special_basis().len() + h.level + 1);
-            self.tel.reuse.add(saved as u64);
-            self.tel.saved_ntt.add(saved as u64);
+            tel::reuse().add(saved as u64);
+            tel::saved_ntt().add(saved as u64);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = prior;
     }
 
     /// Rescale (paper Rescale): divides by the last chain prime and drops a
@@ -796,11 +745,7 @@ impl Evaluator {
         if a.level() == 0 {
             return Err(EvalError::RescaleAtLevelZero);
         }
-        #[cfg(feature = "telemetry")]
-        let _span = self
-            .tel
-            .rescale
-            .span(((a.level() + 1) * self.ctx.n()) as u64);
+        let _span = tel::rescale().span(((a.level() + 1) * self.ctx.n()) as u64);
         let dropped = *a.c0().basis().primes().last().expect("non-empty") as f64;
         Ok(Ciphertext::new(
             rns_rescale(a.c0()),
@@ -997,11 +942,7 @@ impl Evaluator {
         let Some((g, key)) = keys.rotation_switch(steps)? else {
             return Ok(a.clone());
         };
-        #[cfg(feature = "telemetry")]
-        let _span = self
-            .tel
-            .rotate
-            .span(((a.level() + 1) * self.ctx.n()) as u64);
+        let _span = tel::rotate().span(((a.level() + 1) * self.ctx.n()) as u64);
         Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 
@@ -1034,15 +975,10 @@ impl Evaluator {
             return Ok(vec![a.clone(); steps.len()]);
         }
         let h = self.hoist(a);
-        #[cfg(feature = "telemetry")]
         let started = std::time::Instant::now();
         let mut rotated = self.galois_fan(a, &h, &fan).into_iter();
-        #[cfg(feature = "telemetry")]
         let items = ((a.level() + 1) * self.ctx.n()) as u64;
-        #[cfg(feature = "telemetry")]
-        self.tel
-            .rotate
-            .record_shared(fan.len(), items, started.elapsed());
+        tel::rotate().record_shared(fan.len(), items, started.elapsed());
         let rotation = |r: &Option<_>| match r {
             Some(_) => rotated.next().expect("one output per key"),
             None => a.clone(),
@@ -1159,22 +1095,16 @@ impl Evaluator {
             })
             .collect::<Result<_, _>>()?;
         let rotations = fan.iter().filter(|term| term.switch.is_some()).count();
-        #[cfg(feature = "telemetry")]
         let items = ((level + 1) * self.ctx.n()) as u64;
-        #[cfg(feature = "telemetry")]
-        let _span = self.tel.rotate_sum.span(terms.len() as u64 * items);
+        let _span = tel::rotate_sum().span(terms.len() as u64 * items);
         let hoisted = (rotations > 0).then(|| self.hoist(a));
         if let Some(h) = &hoisted {
             self.note_uses(h, rotations);
         }
-        #[cfg(feature = "telemetry")]
         let started = std::time::Instant::now();
         let digits = hoisted.as_ref().map_or(&[][..], |h| &h.digits);
         let (c0, c1) = self.sum_fan(a, digits, &fan);
-        #[cfg(feature = "telemetry")]
-        self.tel
-            .rotate
-            .record_shared(rotations, items, started.elapsed());
+        tel::rotate().record_shared(rotations, items, started.elapsed());
         Ok(Ciphertext::new(c0, c1, term_scale(first)))
     }
 
@@ -1187,11 +1117,7 @@ impl Evaluator {
     pub fn try_conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let g = keys.conjugation_element();
         let key = keys.galois_key(g).ok_or(EvalError::MissingConjugationKey)?;
-        #[cfg(feature = "telemetry")]
-        let _span = self
-            .tel
-            .conjugate
-            .span(((a.level() + 1) * self.ctx.n()) as u64);
+        let _span = tel::conjugate().span(((a.level() + 1) * self.ctx.n()) as u64);
         Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 }
@@ -1232,7 +1158,6 @@ impl Source<'_> {
                 for (j, row) in lifted.chunks_exact_mut(n).enumerate() {
                     lift_row(d.residues(j), &ext_basis.reducers()[i], row);
                     // `RnsResidue`, as `into_eval` fires it on a hoisted digit.
-                    #[cfg(feature = "faults")]
                     poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, row);
                     ext_basis.tables()[i].forward(row);
                 }

@@ -34,11 +34,11 @@
 //! applies an exact sum-invariant at the MA core's retire boundary.
 //!
 //! Counters are process-global (mirroring `poseidon_par::contained_panics`)
-//! and exported as telemetry scopes `integrity.checked` / `.detected` /
-//! `.retried` / `.escalated` when the `telemetry` feature is on.
+//! and live only in the telemetry registry, as the scopes
+//! `integrity.checked` / `.detected` / `.retried` / `.escalated`;
+//! [`integrity_stats`] reads them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use he_rns::integrity::{digest_poly, fnv1a_words};
 
@@ -47,11 +47,6 @@ use crate::context::CkksContext;
 use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
-
-static CHECKED: AtomicU64 = AtomicU64::new(0);
-static DETECTED: AtomicU64 = AtomicU64::new(0);
-static RETRIED: AtomicU64 = AtomicU64::new(0);
-static ESCALATED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide integrity counters (see the module docs for the policy
 /// each one marks).
@@ -71,10 +66,10 @@ pub struct IntegrityStats {
 /// Snapshot of the global integrity counters.
 pub fn integrity_stats() -> IntegrityStats {
     IntegrityStats {
-        checked: CHECKED.load(Ordering::Relaxed),
-        detected: DETECTED.load(Ordering::Relaxed),
-        retried: RETRIED.load(Ordering::Relaxed),
-        escalated: ESCALATED.load(Ordering::Relaxed),
+        checked: tel::checked().count(),
+        detected: tel::detected().count(),
+        retried: tel::retried().count(),
+        escalated: tel::escalated().count(),
     }
 }
 
@@ -82,49 +77,31 @@ pub fn integrity_stats() -> IntegrityStats {
 /// operator pool's retire-boundary checks, the machine's retry wrapper)
 /// aggregate into the same process-wide counters this module exports.
 pub fn note_checked() {
-    CHECKED.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "telemetry")]
     tel::checked().add(1);
 }
 
 /// Records a detection (see [`note_checked`]).
 pub fn note_detected() {
-    DETECTED.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "telemetry")]
     tel::detected().add(1);
 }
 
 /// Records a successful retry after a detection (see [`note_checked`]).
 pub fn note_retried() {
-    RETRIED.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "telemetry")]
     tel::retried().add(1);
 }
 
 /// Records an escalation to [`EvalError::IntegrityFault`]
 /// (see [`note_checked`]).
 pub fn note_escalated() {
-    ESCALATED.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "telemetry")]
     tel::escalated().add(1);
 }
 
-#[cfg(feature = "telemetry")]
 mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::Arc;
-
-    pub fn checked() -> Arc<Metric> {
-        Registry::global().scope("integrity.checked")
-    }
-    pub fn detected() -> Arc<Metric> {
-        Registry::global().scope("integrity.detected")
-    }
-    pub fn retried() -> Arc<Metric> {
-        Registry::global().scope("integrity.retried")
-    }
-    pub fn escalated() -> Arc<Metric> {
-        Registry::global().scope("integrity.escalated")
+    poseidon_telemetry::scope_fn! {
+        pub checked = "integrity.checked";
+        pub detected = "integrity.detected";
+        pub retried = "integrity.retried";
+        pub escalated = "integrity.escalated";
     }
 }
 

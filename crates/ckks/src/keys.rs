@@ -238,7 +238,6 @@ impl KeySwitchKey {
         // HBM-resident key digit read from the key store. The tamper lands
         // on the sliced copy, never the store itself, so a retry re-reads
         // clean key material.
-        #[cfg(feature = "faults")]
         for p in [&mut b, &mut a] {
             poseidon_faults::tamper_rows(
                 poseidon_faults::FaultSite::KeyCache,
@@ -275,7 +274,6 @@ impl KeySwitchKey {
         // never on the store, so a retry re-reads clean key material, and
         // in digit order, so the firing sequence does not depend on the
         // thread count.
-        #[cfg(feature = "faults")]
         let tampered = poseidon_faults::armed().then(|| {
             let copy = |p: RnsPoly| {
                 let mut rows = p.into_residues();
@@ -293,7 +291,6 @@ impl KeySwitchKey {
             pairs: &self.pairs,
             keep,
             chain_len,
-            #[cfg(feature = "faults")]
             tampered,
         }
     }
@@ -316,7 +313,6 @@ pub(crate) struct EvalKeyRows<'k> {
     pairs: &'k [(RnsPoly, RnsPoly)],
     keep: usize,
     chain_len: usize,
-    #[cfg(feature = "faults")]
     #[allow(clippy::type_complexity)]
     tampered: Option<Vec<(Vec<Vec<u64>>, Vec<Vec<u64>>)>>,
 }
@@ -325,7 +321,6 @@ impl EvalKeyRows<'_> {
     /// Rows `(b_j, a_j)` of digit `j` on extended limb `i`.
     #[inline]
     pub(crate) fn pair(&self, j: usize, i: usize) -> (&[u64], &[u64]) {
-        #[cfg(feature = "faults")]
         if let Some(copies) = &self.tampered {
             let (b, a) = &copies[j];
             return (&b[i], &a[i]);

@@ -3,8 +3,6 @@
 //! persistent datapath faults must escalate to a typed error — never a
 //! panic, never a silently wrong ciphertext.
 
-#![cfg(feature = "faults")]
-
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;

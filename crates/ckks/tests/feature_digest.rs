@@ -1,11 +1,9 @@
-//! Bit-exactness digests for the `telemetry` and `faults` feature gates.
+//! Bit-exactness digests of seeded pipelines in the one build there is.
 //!
-//! Probes and disarmed fault hooks must never perturb the arithmetic: every
-//! feature build must produce bit-identical ciphertexts for the same seeded
-//! pipeline. A single test binary cannot hold two configurations, so each
-//! test pins its digest as a constant; CI runs this file in every feature
-//! set, and the same constant holding in all of them is the parity proof —
-//! and a digest that drifts from the parent commit fails too.
+//! Telemetry probes and disarmed fault hooks are compiled into every build
+//! and must never perturb the arithmetic. Each test pins its digest as a
+//! constant, so a probe or hook that moves a bit fails here, and so does a
+//! digest that drifts from the parent commit.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;

@@ -238,7 +238,6 @@ fn assert_shares_tables(what: &str, got: &RnsBasis, want: &RnsBasis) {
 fn fused_datapath_matches_the_digit_major_reference_at_every_level() {
     // The injector is process-wide: hold its lock so a plan armed by the
     // faults cases below never reaches this test's evaluator calls.
-    #[cfg(feature = "faults")]
     let _guard = poseidon_faults::test_lock();
     for (name, params) in parameter_sets() {
         let ctx = CkksContext::new(params);
@@ -292,7 +291,6 @@ fn fused_datapath_matches_the_digit_major_reference_at_every_level() {
 /// count.
 #[test]
 fn a_fan_equals_its_single_rotations_and_the_reference_at_every_level() {
-    #[cfg(feature = "faults")]
     let _guard = poseidon_faults::test_lock();
     let steps: Vec<i64> = (1..=8).collect();
     for (name, params) in parameter_sets().into_iter().take(2) {
@@ -339,7 +337,6 @@ fn a_fan_equals_its_single_rotations_and_the_reference_at_every_level() {
 /// composition it replaces decrypts to.
 #[test]
 fn a_rotation_sum_equals_its_reference_and_decrypts_like_the_composition() {
-    #[cfg(feature = "faults")]
     let _guard = poseidon_faults::test_lock();
     for (name, params) in parameter_sets().into_iter().take(2) {
         let ctx = CkksContext::new(params);
@@ -427,6 +424,7 @@ fn a_rotation_sum_equals_its_reference_and_decrypts_like_the_composition() {
 /// weighted one), a step without a key.
 #[test]
 fn a_rotation_sum_rejects_bad_terms_with_typed_errors() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x20_E220);
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -492,6 +490,7 @@ fn a_rotation_sum_rejects_bad_terms_with_typed_errors() {
 /// `mul_scalar_per_prime` for one, two and three special primes.
 #[test]
 fn moddown_through_its_two_halves_equals_the_composition() {
+    let _guard = poseidon_faults::test_lock();
     let n = 32;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0D0);
     let q = RnsBasis::generate(n, 28, 3);
@@ -557,7 +556,6 @@ fn lazy_accumulation_survives_the_largest_residues_past_one_block() {
 fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
     // The injector is process-wide: hold its lock so a plan armed by the
     // faults cases below never reaches this test's evaluator calls.
-    #[cfg(feature = "faults")]
     let _guard = poseidon_faults::test_lock();
     let params = CkksParams {
         n: 16,
@@ -650,7 +648,6 @@ fn keyswitch_over_a_chain_longer_than_one_block_matches_per_product_barrett() {
 /// which is `q − 1` at every evaluation point of every limb.
 #[test]
 fn a_rotation_sum_longer_than_one_block_folds_its_accumulator() {
-    #[cfg(feature = "faults")]
     let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams {
         n: 16,
@@ -714,6 +711,7 @@ fn a_rotation_sum_longer_than_one_block_folds_its_accumulator() {
 #[test]
 #[should_panic(expected = "lifted from another ciphertext")]
 fn a_hoisted_decomposition_refuses_another_ciphertext() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0B);
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -737,7 +735,6 @@ fn a_hoisted_decomposition_refuses_another_ciphertext() {
 /// about to read: it changes the output, identically at every thread count
 /// (the copy is tampered serially, in digit order, before the fan-out), and
 /// the cache itself stays clean for the retry.
-#[cfg(feature = "faults")]
 #[test]
 fn key_cache_upsets_are_thread_count_independent_and_spare_the_cache() {
     use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
@@ -780,7 +777,6 @@ fn key_cache_upsets_are_thread_count_independent_and_spare_the_cache() {
 /// special limbs, then the chain limbs; within a limb its lifts, then its
 /// sums), so an upset on either kind of row reaches the output identically
 /// at every thread count. Hits: one per lifted row, plus the two sums.
-#[cfg(feature = "faults")]
 #[test]
 fn residue_upsets_on_lifted_digits_and_sums_are_thread_count_independent() {
     use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
@@ -828,7 +824,6 @@ fn residue_upsets_on_lifted_digits_and_sums_are_thread_count_independent() {
 /// The same for a hoisted fan: past the hoist's own hits (its `into_eval`s)
 /// the site fires on the engine's sums only, two per extended limb and
 /// output, in item order whatever the team.
-#[cfg(feature = "faults")]
 #[test]
 fn residue_upsets_on_a_fans_sums_are_thread_count_independent() {
     use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
@@ -878,7 +873,6 @@ fn residue_upsets_on_a_fans_sums_are_thread_count_independent() {
 /// transform of each chain limb of `c_0` and on the two sum rows of every
 /// extended limb — not per rotation — in item order whatever the team; and
 /// never while a weight is prepared, which is kept and must stay clean.
-#[cfg(feature = "faults")]
 #[test]
 fn residue_upsets_on_a_rotation_sums_rows_are_thread_count_independent() {
     use poseidon_faults::{FaultKind, FaultPlan, FaultSite};

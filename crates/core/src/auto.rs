@@ -18,14 +18,9 @@
 //! Every stage moves `C` elements per step instead of 1 — the parallelism
 //! the paper trades a little extra logic for (Tables VIII/IX).
 
-#[cfg(feature = "telemetry")]
 mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    pub fn hfauto() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("auto.hfauto"))
+    poseidon_telemetry::scope_fn! {
+        pub hfauto = "auto.hfauto";
     }
 }
 
@@ -113,7 +108,6 @@ impl HfAuto {
         assert_eq!(data.len(), self.n, "input length must equal N");
         assert_eq!(g % 2, 1, "Galois element must be odd");
         debug_assert!(data.iter().all(|&v| v < q), "values must be reduced");
-        #[cfg(feature = "telemetry")]
         let _span = tel::hfauto().span(self.n as u64);
         let (n, c, r) = (self.n as u64, self.c as u64, self.r as u64);
         let mut stats = HfAutoStats::default();

@@ -40,15 +40,10 @@ use crate::plan::graph::{EvalGraph, ValueId};
 use crate::plan::passes::{plan, Plan, PlanOptions};
 use crate::plan::PlanError;
 
-#[cfg(feature = "telemetry")]
 mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    /// Fan repetitions dropped by `count_cap` (items = ops dropped).
-    pub fn truncated() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("plan.truncated"))
+    poseidon_telemetry::scope_fn! {
+        /// Fan repetitions dropped by `count_cap` (items = ops dropped).
+        pub truncated = "plan.truncated";
     }
 }
 
@@ -477,7 +472,6 @@ pub fn plan_trace(
     };
     let prog = compile_trace(trace, ctx, &copts)?;
     if prog.truncated > 0 {
-        #[cfg(feature = "telemetry")]
         tel::truncated().add(prog.truncated);
     }
     let mut planned = plan(prog.graph, opts)?;

@@ -9,41 +9,28 @@
 
 use he_math::BarrettReducer;
 use he_ntt::{FusedNtt, NttTable};
+use poseidon_telemetry::{Metric, Snapshot, Span};
 use std::cell::Cell;
 use std::collections::HashMap;
 
 use crate::auto::HfAuto;
 use crate::operator::{Operator, OperatorCounts};
 
-/// Instance-local metric bundle backing the usage counters when telemetry
-/// is on. The metrics are *unregistered* ([`poseidon_telemetry::Metric::new`])
-/// so concurrent pools (the default test harness runs pools in parallel)
-/// keep exact per-instance counts; [`OperatorPool::snapshot`] exports them
-/// under the `pool.*` scope names.
-#[cfg(feature = "telemetry")]
-#[derive(Debug)]
+/// Instance-local metric bundle backing the usage counters. The metrics
+/// are *unregistered* so concurrent pools (the default test harness runs
+/// pools in parallel) keep exact per-instance counts;
+/// [`OperatorPool::snapshot`] exports them under the `pool.*` scope names.
+#[derive(Debug, Default)]
 struct PoolMetrics {
-    ma: std::sync::Arc<poseidon_telemetry::Metric>,
-    mm: std::sync::Arc<poseidon_telemetry::Metric>,
-    ntt: std::sync::Arc<poseidon_telemetry::Metric>,
-    auto: std::sync::Arc<poseidon_telemetry::Metric>,
-    sbt: std::sync::Arc<poseidon_telemetry::Metric>,
+    ma: Metric,
+    mm: Metric,
+    ntt: Metric,
+    auto: Metric,
+    sbt: Metric,
 }
 
-#[cfg(feature = "telemetry")]
 impl PoolMetrics {
-    fn new() -> Self {
-        use poseidon_telemetry::Metric;
-        Self {
-            ma: Metric::new(),
-            mm: Metric::new(),
-            ntt: Metric::new(),
-            auto: Metric::new(),
-            sbt: Metric::new(),
-        }
-    }
-
-    fn metric(&self, op: Operator) -> &poseidon_telemetry::Metric {
+    fn metric(&self, op: Operator) -> &Metric {
         match op {
             Operator::Ma => &self.ma,
             Operator::Mm => &self.mm,
@@ -53,11 +40,6 @@ impl PoolMetrics {
         }
     }
 }
-
-/// Inert stand-in for [`poseidon_telemetry::Span`] when telemetry is
-/// compiled out, so `retire()` call sites bind a guard either way.
-#[cfg(not(feature = "telemetry"))]
-struct NoSpan;
 
 /// A pool of the five operator cores for one `(N, lanes, fusion-k)`
 /// configuration, serving any modulus (tables are cached per prime).
@@ -83,11 +65,8 @@ pub struct OperatorPool {
     tables: HashMap<u64, (NttTable, FusedNtt)>,
     reducers: HashMap<u64, BarrettReducer>,
     auto: HfAuto,
-    #[cfg(not(feature = "telemetry"))]
-    usage: Cell<OperatorCounts>,
-    #[cfg(feature = "telemetry")]
     metrics: PoolMetrics,
-    /// `Cell`: bumped while a telemetry retire-span still borrows `self`.
+    /// `Cell`: bumped while a retire span still borrows `self`.
     retire_checks: Cell<RetireCheckCounts>,
 }
 
@@ -111,10 +90,7 @@ impl OperatorPool {
             tables: HashMap::new(),
             reducers: HashMap::new(),
             auto: HfAuto::new(n, lanes.min(n)),
-            #[cfg(not(feature = "telemetry"))]
-            usage: Cell::new(OperatorCounts::ZERO),
-            #[cfg(feature = "telemetry")]
-            metrics: PoolMetrics::new(),
+            metrics: PoolMetrics::default(),
             retire_checks: Cell::new(RetireCheckCounts::default()),
         }
     }
@@ -131,35 +107,21 @@ impl OperatorPool {
         self.lanes
     }
 
-    /// Cumulative element operations retired per operator core.
-    ///
-    /// With the `telemetry` feature on this is a *view* over the pool's
-    /// instance-local metrics — the same counters [`snapshot`] exports —
-    /// so the two can never disagree.
-    ///
-    /// [`snapshot`]: Self::snapshot
+    /// Cumulative element operations retired per operator core: a view
+    /// over the pool's instance-local metrics — the same counters
+    /// [`snapshot`](Self::snapshot) exports — so the two can never disagree.
     pub fn usage(&self) -> OperatorCounts {
-        #[cfg(not(feature = "telemetry"))]
-        {
-            self.usage.get()
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            OperatorCounts {
-                ma: self.metrics.ma.items(),
-                mm: self.metrics.mm.items(),
-                ntt: self.metrics.ntt.items(),
-                auto: self.metrics.auto.items(),
-                sbt: self.metrics.sbt.items(),
-            }
+        OperatorCounts {
+            ma: self.metrics.ma.items(),
+            mm: self.metrics.mm.items(),
+            ntt: self.metrics.ntt.items(),
+            auto: self.metrics.auto.items(),
+            sbt: self.metrics.sbt.items(),
         }
     }
 
     /// Resets the usage counters.
     pub fn reset_usage(&mut self) {
-        #[cfg(not(feature = "telemetry"))]
-        self.usage.set(OperatorCounts::ZERO);
-        #[cfg(feature = "telemetry")]
         for op in Operator::ALL {
             self.metrics.metric(op).reset();
         }
@@ -168,46 +130,25 @@ impl OperatorPool {
     /// Exports this pool's counters as a snapshot under the `pool.*` scope
     /// names (`pool.ma`, `pool.mm`, `pool.ntt`, `pool.auto`, `pool.sbt`),
     /// with per-core busy time and latency histograms.
-    #[cfg(feature = "telemetry")]
-    pub fn snapshot(&self) -> poseidon_telemetry::Snapshot {
-        poseidon_telemetry::Snapshot::from_metrics([
-            ("pool.ma", &*self.metrics.ma),
-            ("pool.mm", &*self.metrics.mm),
-            ("pool.ntt", &*self.metrics.ntt),
-            ("pool.auto", &*self.metrics.auto),
-            ("pool.sbt", &*self.metrics.sbt),
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot::from_metrics([
+            ("pool.ma", &self.metrics.ma),
+            ("pool.mm", &self.metrics.mm),
+            ("pool.ntt", &self.metrics.ntt),
+            ("pool.auto", &self.metrics.auto),
+            ("pool.sbt", &self.metrics.sbt),
         ])
     }
 
+    /// Counts `elems` element ops on `op`'s core, untimed.
     fn bump(&self, op: Operator, elems: u64) {
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let mut u = self.usage.get();
-            match op {
-                Operator::Ma => u.ma += elems,
-                Operator::Mm => u.mm += elems,
-                Operator::Ntt => u.ntt += elems,
-                Operator::Automorphism => u.auto += elems,
-                Operator::Sbt => u.sbt += elems,
-            }
-            self.usage.set(u);
-        }
-        #[cfg(feature = "telemetry")]
         self.metrics.metric(op).add(elems);
     }
 
-    /// Counts `elems` element ops on `op`'s core; with telemetry on, the
-    /// returned guard also times the enclosing region into the core's
-    /// metric (the no-telemetry variant returns an inert guard).
-    #[cfg(feature = "telemetry")]
-    fn retire(&self, op: Operator, elems: u64) -> poseidon_telemetry::Span<'_> {
+    /// Counts `elems` element ops on `op`'s core; the returned guard times
+    /// the enclosing region into the core's metric.
+    fn retire(&self, op: Operator, elems: u64) -> Span<'_> {
         self.metrics.metric(op).span(elems)
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    fn retire(&self, op: Operator, elems: u64) -> NoSpan {
-        self.bump(op, elems);
-        NoSpan
     }
 
     fn reducer(&mut self, q: u64) -> BarrettReducer {
@@ -361,7 +302,7 @@ impl OperatorPool {
     /// this boundary are detected with certainty, at the cost of two
     /// u128 accumulations per element instead of a duplicate execution.
     ///
-    /// With the `faults` feature and an armed `RnsResidue` plan, the
+    /// With an armed `RnsResidue` plan, the
     /// output buffer is tampered between compute and retire — the model
     /// of a writeback-path upset.
     ///
@@ -393,7 +334,6 @@ impl OperatorPool {
                 out.push(s as u64);
             }
         }
-        #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut out);
         let sum_in: u128 = a.iter().zip(b).map(|(&x, &y)| x as u128 + y as u128).sum();
         let sum_out: u128 = out.iter().map(|&v| v as u128).sum();
@@ -435,7 +375,6 @@ impl OperatorPool {
                 out.push(x + q - y);
             }
         }
-        #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut out);
         let sum_a: i128 = a.iter().map(|&v| v as i128).sum();
         let sum_b: i128 = b.iter().map(|&v| v as i128).sum();

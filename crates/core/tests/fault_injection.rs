@@ -3,8 +3,6 @@
 //! retire boundary, recompute once, and escalate persistent faults as a
 //! typed error instead of panicking.
 
-#![cfg(feature = "faults")]
-
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::encoding::Complex;
 use he_ckks::error::EvalError;

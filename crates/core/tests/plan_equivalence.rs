@@ -293,8 +293,7 @@ fn executor_surfaces_missing_rotation_keys() {
 }
 
 /// The planned rotation fan's digest — the summed fan, one `RotateSum` node
-/// — pinned: the same constant holding in every feature build is the on/off
-/// parity proof.
+/// — pinned, so a planner change that moves its bits has to say so.
 #[test]
 fn value_preserving_digests_are_deterministic() {
     let (ctx, keys, mut rng) = setup();

@@ -7,7 +7,6 @@
 //! polynomials in the same process lands in one of the windows (as a case
 //! of `plan_equivalence` it failed about half the time). Do not add tests
 //! here; a further count goes into the one below, after the others.
-#![cfg(feature = "telemetry")]
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;

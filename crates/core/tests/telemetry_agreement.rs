@@ -1,9 +1,6 @@
-//! Telemetry agreement tests (compiled only with `--features telemetry`):
-//! the pool's metric items must be the *same numbers* as
+//! Telemetry agreement tests: the pool's metric items must be the *same numbers* as
 //! `OperatorPool::usage()` and, where the machine's dataflow matches the
 //! paper's decomposition model, the Table I element counts.
-
-#![cfg(feature = "telemetry")]
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;

@@ -15,11 +15,9 @@
 //!   index, bit position, and payload derive from `splitmix64(seed, hit)`.
 //!   Re-arming the same plan reproduces the same corruption sequence
 //!   exactly, so every detection test is replayable.
-//! * **No-op when disarmed.** The hot-path check is one relaxed atomic
-//!   load; consumer crates additionally gate every hook call site behind
-//!   their own `faults` cargo feature, so a build without the feature
-//!   compiles the hooks away entirely (mirroring the `telemetry` gate) and
-//!   stays bit-identical to `main`.
+//! * **No-op when disarmed.** Every consumer crate links the injector and
+//!   every hook is compiled in; a disarmed hook is one relaxed atomic load
+//!   and leaves its buffer untouched, so digests do not move.
 //! * **Dependency-free.** `std`-only, like the rest of the workspace.
 //!
 //! Hook sites (see [`FaultSite`]) map to the paper's hardware structures:
@@ -321,8 +319,7 @@ pub fn site_hits(site: FaultSite) -> u64 {
 /// be consumed; when the armed plan matches and its trigger conditions are
 /// met, the buffer is corrupted in place and `true` is returned.
 ///
-/// Disarmed cost is one relaxed atomic load; consumer crates additionally
-/// compile the call out entirely without their `faults` feature.
+/// Disarmed cost is one relaxed atomic load.
 pub fn tamper(site: FaultSite, buf: &mut [u64]) -> bool {
     if !ACTIVE.load(Ordering::Relaxed) || buf.is_empty() {
         return false;
@@ -459,8 +456,7 @@ pub enum Disruption {
 /// and report [`Disruption::Corrupted`]; an empty buffer cannot be
 /// corrupted (no fire), while control kinds fire regardless of `buf`.
 ///
-/// Disarmed cost is one relaxed atomic load, and consumer crates compile
-/// the call out entirely without their `faults` feature.
+/// Disarmed cost is one relaxed atomic load.
 pub fn disrupt(site: FaultSite, buf: &mut [u8]) -> Option<Disruption> {
     if !ACTIVE.load(Ordering::Relaxed) {
         return None;

@@ -4,22 +4,11 @@ use he_math::modops::{inv_mod_prime, pow_mod};
 use he_math::prime::root_of_unity;
 use he_math::{BarrettReducer, ShoupMul};
 
-/// Telemetry scopes for the transform hot paths. Resolved once into
-/// statics; with the `telemetry` feature off, the module and every call
-/// site compile away.
-#[cfg(feature = "telemetry")]
+/// Telemetry scopes for the transform hot paths (items = N).
 mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    pub fn forward() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("ntt.forward"))
-    }
-
-    pub fn inverse() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("ntt.inverse"))
+    poseidon_telemetry::scope_fn! {
+        pub forward = "ntt.forward";
+        pub inverse = "ntt.inverse";
     }
 }
 
@@ -144,12 +133,10 @@ impl NttTable {
     /// [`inverse`]: Self::inverse
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal N");
-        #[cfg(feature = "telemetry")]
         let _span = tel::forward().span(self.n as u64);
         // Injection point for the `NttTwiddle` fault site: a corrupted
         // twiddle BRAM word is modeled as corruption of the working vector
         // entering the butterfly network.
-        #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::NttTwiddle, a);
         crate::kernel::forward_fused(a, &self.psi_rev, self.q);
     }
@@ -161,9 +148,7 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal N");
-        #[cfg(feature = "telemetry")]
         let _span = tel::inverse().span(self.n as u64);
-        #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::NttTwiddle, a);
         crate::kernel::inverse_fused(a, &self.inv_psi_rev, &self.n_inv, self.q);
     }

@@ -44,7 +44,7 @@
 //!   invariant that makes it sound. The rest of the workspace forbids
 //!   `unsafe_code`.
 //!
-//! With the `telemetry` feature, `par.serial` counts dispatches that stayed
+//! In the telemetry registry, `par.serial` counts dispatches that stayed
 //! on the caller and `par.dispatch` those that fanned out. Cheap operations
 //! (an 8-limb add at `N = 2^12`) stay on the caller *by design*, so a high
 //! `par.serial.count` or a low parallel share is a diagnostic of the
@@ -74,31 +74,14 @@ pub mod scratch;
 /// parallel fan-out (items = team size), `par.serial` counts dispatches
 /// that fell below the cutoff (items = item count), and `par.worker` is one
 /// span per participant — caller or helper — that claimed at least one item
-/// of a fan-out (items = items it claimed). With the `telemetry` feature
-/// off, the module and every call site compile away.
-#[cfg(feature = "telemetry")]
+/// of a fan-out (items = items it claimed); `par.contained` counts items
+/// whose panic the serial retry contained.
 mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    pub fn dispatch() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("par.dispatch"))
-    }
-
-    pub fn serial() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("par.serial"))
-    }
-
-    pub fn worker() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("par.worker"))
-    }
-
-    pub fn contained() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("par.contained"))
+    poseidon_telemetry::scope_fn! {
+        pub dispatch = "par.dispatch";
+        pub serial = "par.serial";
+        pub worker = "par.worker";
+        pub contained = "par.contained";
     }
 }
 
@@ -130,16 +113,12 @@ pub const PAR_THRESHOLD: usize = 1 << 15;
 /// `0` means "not set": fall back to `POSEIDON_THREADS` or the host.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Worker panics contained — and recovered by a serial re-dispatch — since
-/// process start (see [`par_map`]).
-static CONTAINED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// Number of worker panics that [`par_map`]/[`par_map_unzip`] contained
-/// and recovered via serial re-dispatch since process start. A panic that
-/// reproduces on the retry is *not* counted — it propagates to the caller
-/// unchanged.
+/// and recovered via serial re-dispatch since process start (the
+/// `par.contained` scope's count). A panic that reproduces on the retry is
+/// *not* counted — it propagates to the caller unchanged.
 pub fn contained_panics() -> u64 {
-    CONTAINED.load(Ordering::Relaxed)
+    tel::contained().count()
 }
 
 thread_local! {
@@ -301,7 +280,6 @@ where
     let n = items.len();
     let t = team_size(n, weight);
     if t <= 1 {
-        #[cfg(feature = "telemetry")]
         tel::serial().add(n as u64);
         let _guard = WorkerGuard::enter();
         for (i, item) in items.iter_mut().enumerate() {
@@ -309,7 +287,6 @@ where
         }
         return;
     }
-    #[cfg(feature = "telemetry")]
     let _dispatch = tel::dispatch().span(t as u64);
     // An index is claimed by exactly one participant; the uncontended mutex
     // is how safe code hands that participant the `&mut`.
@@ -341,12 +318,10 @@ where
 {
     let t = team_size(n, weight);
     if t <= 1 {
-        #[cfg(feature = "telemetry")]
         tel::serial().add(n as u64);
         let _guard = WorkerGuard::enter();
         return (0..n).map(f).collect();
     }
-    #[cfg(feature = "telemetry")]
     let _dispatch = tel::dispatch().span(t as u64);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     pool::run(t, n, &|i| {
@@ -365,8 +340,6 @@ where
                 // thread; a second failure propagates unchanged.
                 let _guard = WorkerGuard::enter();
                 let v = f(i);
-                CONTAINED.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 tel::contained().add(1);
                 v
             })

@@ -59,7 +59,6 @@ impl Job {
     unsafe fn work(&self) {
         // SAFETY: alive by this function's contract.
         let body = unsafe { &*self.body };
-        #[cfg(feature = "telemetry")]
         let (start, mut claimed) = (std::time::Instant::now(), 0u64);
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -67,12 +66,8 @@ impl Job {
                 break;
             }
             body(i);
-            #[cfg(feature = "telemetry")]
-            {
-                claimed += 1;
-            }
+            claimed += 1;
         }
-        #[cfg(feature = "telemetry")]
         if claimed > 0 {
             super::tel::worker().record_nanos(claimed, start.elapsed().as_nanos() as u64);
         }

@@ -53,7 +53,6 @@ pub fn take(len: usize) -> Vec<u64> {
     // Injection point for the `ParScratch` fault site: stale or flipped
     // scratchpad contents handed to a kernel. Runs after the zero-fill so
     // the corruption is what the consumer actually reads.
-    #[cfg(feature = "faults")]
     poseidon_faults::tamper(poseidon_faults::FaultSite::ParScratch, &mut out);
     out
 }

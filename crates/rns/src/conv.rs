@@ -52,7 +52,6 @@ pub fn rns_convert(a: &RnsPoly, target: &RnsBasis) -> RnsPoly {
     assert_eq!(a.basis().n(), target.n(), "ring degrees must match");
     let src = a.basis();
     let n = src.n();
-    #[cfg(feature = "telemetry")]
     let _span = crate::tel::convert().span((src.len() * n) as u64);
     let hat_inv = src.qhat_inv_mod_self();
     let hat_in_target = src.qhat_mod_other(target);
@@ -154,7 +153,6 @@ pub fn lift_exact(a: &RnsPoly, target: &RnsBasis) -> Result<RnsPoly, LiftOverflo
     assert_eq!(a.basis().n(), target.n(), "ring degrees must match");
     let src = a.basis();
     let n = src.n();
-    #[cfg(feature = "telemetry")]
     let _span = crate::tel::convert().span((src.len() * n) as u64);
     let hat_inv = src.qhat_inv_mod_self();
     let y: Vec<Vec<u64>> = poseidon_par::par_map(src.len(), n, |j| {
@@ -262,7 +260,6 @@ impl ModdownSplit {
     /// First half, on the coefficient-form row of `P` limb `j`, in place:
     /// `t_j = [a_{p_j} · p̂_j⁻¹]_{p_j}`.
     pub fn scale_p_limb(&self, j: usize, row: &mut [u64]) {
-        #[cfg(feature = "telemetry")]
         let _share =
             crate::tel::LimbShare::new(crate::tel::convert(), j, self.p_limbs.len() * row.len());
         let (red, hat_inv) = &self.p_limbs[j];
@@ -279,9 +276,7 @@ impl ModdownSplit {
     /// Panics unless `t` holds one row per `P` limb.
     pub fn finish_q_limb(&self, i: usize, t: &[Vec<u64>], row: &mut [u64]) {
         assert_eq!(t.len(), self.p_limbs.len(), "one scaled row per P limb");
-        #[cfg(feature = "telemetry")]
         let items = (self.q_limbs.len() + t.len()) * row.len();
-        #[cfg(feature = "telemetry")]
         let _share = crate::tel::LimbShare::new(crate::tel::moddown(), i, items);
         // By value: through the reference these are reloaded per coefficient.
         let (q, ref hats, sum, p_inv) = self.q_limbs[i];
@@ -332,7 +327,6 @@ pub fn rescale(a: &RnsPoly) -> RnsPoly {
     assert_eq!(a.form(), Form::Coeff, "Rescale operates on coefficients");
     let l = a.level_count();
     assert!(l >= 2, "cannot rescale a single-prime polynomial");
-    #[cfg(feature = "telemetry")]
     let _span = crate::tel::rescale().span((l * a.basis().n()) as u64);
     let last_prime = a.basis().primes()[l - 1];
     let lower = a.basis().prefix(l - 1);

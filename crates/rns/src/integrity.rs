@@ -72,7 +72,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over the little-endian bytes of a word slice. The same digest
-/// the feature-parity harness uses, exposed here so checksum comparisons
+/// the pinned-digest tests use, exposed here so checksum comparisons
 /// across duplicate executions agree byte-for-byte.
 pub fn fnv1a_words(words: &[u64]) -> u64 {
     let mut h = FNV_OFFSET;

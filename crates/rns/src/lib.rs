@@ -38,32 +38,24 @@ pub mod integrity;
 pub mod lazy;
 pub mod poly;
 
-/// Telemetry scopes for the RNS kernels. With the `telemetry` feature off,
-/// the module and every call site compile away.
-#[cfg(feature = "telemetry")]
+/// Telemetry scopes for the RNS kernels.
 pub(crate) mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
+    use poseidon_telemetry::Metric;
+    use std::sync::Arc;
 
-    /// Element-wise limb loops: add/sub/neg/mul/scalar-mul (items = limbs·N).
-    pub fn pointwise() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("rns.pointwise"))
-    }
-
-    /// Fast basis conversion, paper Eq. 1 (items = source limbs·N). Inside
-    /// Moddown it covers the source-limb scaling; the accumulation is fused
-    /// into the `rns.moddown` pass.
-    pub fn convert() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("rns.convert"))
-    }
-
-    /// Moddown, paper Eq. 2 (items = full-basis limbs·N): the `Q`-limb
-    /// passes, one event per polynomial (see [`LimbShare`]).
-    pub fn moddown() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("rns.moddown"))
+    poseidon_telemetry::scope_fn! {
+        /// Element-wise limb loops: add/sub/neg/mul/scalar-mul (items =
+        /// limbs·N).
+        pub pointwise = "rns.pointwise";
+        /// Fast basis conversion, paper Eq. 1 (items = source limbs·N).
+        /// Inside Moddown it covers the source-limb scaling; the
+        /// accumulation is fused into the `rns.moddown` pass.
+        pub convert = "rns.convert";
+        /// Moddown, paper Eq. 2 (items = full-basis limbs·N): the `Q`-limb
+        /// passes, one event per polynomial (see [`LimbShare`]).
+        pub moddown = "rns.moddown";
+        /// RNS rescale kernel (items = limbs·N).
+        pub rescale = "rescale";
     }
 
     /// One limb's share of an operation that runs as per-limb calls, possibly
@@ -94,12 +86,6 @@ pub(crate) mod tel {
                 None => self.metric.add_busy(nanos),
             }
         }
-    }
-
-    /// RNS rescale kernel (items = limbs·N).
-    pub fn rescale() -> &'static Arc<Metric> {
-        static M: OnceLock<Arc<Metric>> = OnceLock::new();
-        M.get_or_init(|| Registry::global().scope("rescale"))
     }
 }
 

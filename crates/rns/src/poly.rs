@@ -146,7 +146,6 @@ impl RnsPoly {
             // Injection point for the `RnsResidue` fault site: corrupt the
             // limbs serially, before the parallel dispatch, so the firing
             // order is independent of thread count.
-            #[cfg(feature = "faults")]
             poseidon_faults::tamper_rows(
                 poseidon_faults::FaultSite::RnsResidue,
                 &mut self.residues,
@@ -164,7 +163,6 @@ impl RnsPoly {
     /// No-op if already in coefficient form.
     pub fn into_coeff(mut self) -> Self {
         if self.form == Form::Eval {
-            #[cfg(feature = "faults")]
             poseidon_faults::tamper_rows(
                 poseidon_faults::FaultSite::RnsResidue,
                 &mut self.residues,
@@ -190,7 +188,6 @@ impl RnsPoly {
     pub fn add(&self, other: &Self) -> Self {
         self.assert_compatible(other);
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let primes = self.basis.primes();
         let residues = poseidon_par::par_map(self.residues.len(), n, |j| {
@@ -215,7 +212,6 @@ impl RnsPoly {
     pub fn add_assign(&mut self, other: &Self) {
         self.assert_compatible(other);
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let primes = self.basis.primes();
         poseidon_par::par_for_each_mut(&mut self.residues, n, |j, r| {
@@ -230,7 +226,6 @@ impl RnsPoly {
     pub fn sub(&self, other: &Self) -> Self {
         self.assert_compatible(other);
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let primes = self.basis.primes();
         let residues = poseidon_par::par_map(self.residues.len(), n, |j| {
@@ -251,7 +246,6 @@ impl RnsPoly {
     /// Negation.
     pub fn neg(&self) -> Self {
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let primes = self.basis.primes();
         let residues = poseidon_par::par_map(self.residues.len(), n, |j| {
@@ -275,7 +269,6 @@ impl RnsPoly {
         self.assert_compatible(other);
         assert_eq!(self.form, Form::Eval, "ring product requires eval form");
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let reducers = self.basis.reducers();
         let residues = poseidon_par::par_map(self.residues.len(), n, |j| {
@@ -302,7 +295,6 @@ impl RnsPoly {
         self.assert_compatible(other);
         assert_eq!(self.form, Form::Eval, "ring product requires eval form");
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let reducers = self.basis.reducers();
         poseidon_par::par_for_each_mut(&mut self.residues, n, |j, r| {
@@ -324,7 +316,6 @@ impl RnsPoly {
         assert_eq!(self.basis, op.basis, "operands must share a basis");
         assert_eq!(self.form, Form::Eval, "ring product requires eval form");
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         let primes = self.basis.primes();
         poseidon_par::par_for_each_mut(&mut self.residues, n, |j, r| {
@@ -346,7 +337,6 @@ impl RnsPoly {
     pub fn mul_scalar_per_prime(&self, scalars: &[u64]) -> Self {
         assert_eq!(scalars.len(), self.basis.len(), "one scalar per prime");
         let n = self.basis.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         // One Shoup precompute per limb amortised over N residues: the
         // fixed-operand path (two multiplies + csub per element) replaces
@@ -440,7 +430,6 @@ impl RnsPoly {
             "eval-domain automorphism needs evaluation form"
         );
         let n = self.n();
-        #[cfg(feature = "telemetry")]
         let _span = crate::tel::pointwise().span((self.residues.len() * n) as u64);
         // One index table for all limbs: the slot exponent law depends
         // only on (j, N), never on the prime.

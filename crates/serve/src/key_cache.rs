@@ -107,7 +107,6 @@ impl KeyCache {
             };
             slot.last_use = clock;
             if let Some(tenant) = &slot.resident {
-                #[cfg(feature = "telemetry")]
                 crate::tel::keycache_hit().add(1);
                 return Ok(Some(Arc::clone(tenant)));
             }
@@ -118,7 +117,6 @@ impl KeyCache {
             )
         };
         // Miss: decode outside the lock.
-        #[cfg(feature = "telemetry")]
         crate::tel::keycache_miss().add(1);
         let (ctx, keys) = poseidon_wire::decode_keyset(&frame)?;
         let rebuilt = Arc::new(Tenant::build(ctx, keys));
@@ -173,7 +171,6 @@ impl KeyCache {
             if let Some(slot) = inner.slots.get_mut(&*victim) {
                 slot.resident = None;
             }
-            #[cfg(feature = "telemetry")]
             crate::tel::keycache_evict().add(1);
         }
     }

@@ -248,35 +248,24 @@ impl From<WireError> for ServeError {
     }
 }
 
-/// Queue/batch observability scopes (compiled away without `telemetry`).
-#[cfg(feature = "telemetry")]
+/// Queue/batch observability scopes.
 pub(crate) mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! scope_fn {
-        ($fn_name:ident, $scope:literal) => {
-            pub fn $fn_name() -> &'static Arc<Metric> {
-                static M: OnceLock<Arc<Metric>> = OnceLock::new();
-                M.get_or_init(|| Registry::global().scope($scope))
-            }
-        };
+    poseidon_telemetry::scope_fn! {
+        pub enqueue = "serve.enqueue";
+        pub dequeue = "serve.dequeue";
+        pub batch = "serve.batch.size";
+        pub reject = "serve.reject";
+        pub steal = "serve.steal";
+        pub keycache_hit = "serve.keycache.hit";
+        pub keycache_miss = "serve.keycache.miss";
+        pub keycache_evict = "serve.keycache.evict";
+        pub shed = "serve.shed";
+        pub deadline = "serve.deadline";
+        pub replay_hit = "serve.replay.hit";
+        pub watchdog_restart = "serve.watchdog.restart";
+        pub watchdog_requeued = "serve.watchdog.requeued";
+        pub watchdog_failed = "serve.watchdog.failed";
+        pub replay_coalesced = "serve.replay.coalesced";
+        pub program = "serve.program";
     }
-
-    scope_fn!(enqueue, "serve.enqueue");
-    scope_fn!(dequeue, "serve.dequeue");
-    scope_fn!(batch, "serve.batch.size");
-    scope_fn!(reject, "serve.reject");
-    scope_fn!(steal, "serve.steal");
-    scope_fn!(keycache_hit, "serve.keycache.hit");
-    scope_fn!(keycache_miss, "serve.keycache.miss");
-    scope_fn!(keycache_evict, "serve.keycache.evict");
-    scope_fn!(shed, "serve.shed");
-    scope_fn!(deadline, "serve.deadline");
-    scope_fn!(replay_hit, "serve.replay.hit");
-    scope_fn!(watchdog_restart, "serve.watchdog.restart");
-    scope_fn!(watchdog_requeued, "serve.watchdog.requeued");
-    scope_fn!(watchdog_failed, "serve.watchdog.failed");
-    scope_fn!(replay_coalesced, "serve.replay.coalesced");
-    scope_fn!(program, "serve.program");
 }

@@ -378,18 +378,13 @@ impl Supervisor {
                 // it exits without touching the queues if it recovers.
                 let _ = old.handle.join();
             }
-            #[cfg(feature = "telemetry")]
-            {
-                crate::tel::watchdog_restart().add(1);
-                if requeued > 0 {
-                    crate::tel::watchdog_requeued().add(requeued as u64);
-                }
-                if failed > 0 {
-                    crate::tel::watchdog_failed().add(failed as u64);
-                }
+            crate::tel::watchdog_restart().add(1);
+            if requeued > 0 {
+                crate::tel::watchdog_requeued().add(requeued as u64);
             }
-            #[cfg(not(feature = "telemetry"))]
-            let _ = (requeued, failed);
+            if failed > 0 {
+                crate::tel::watchdog_failed().add(failed as u64);
+            }
         }
     }
 
@@ -645,7 +640,6 @@ impl EvalService {
     ) -> Result<Ticket, ServeError> {
         let tenant = self.lookup(tenant_id)?;
         if Self::expired(deadline) {
-            #[cfg(feature = "telemetry")]
             crate::tel::deadline().add(1);
             return Err(ServeError::DeadlineExceeded);
         }
@@ -718,7 +712,6 @@ impl EvalService {
                     // executing: ride that execution instead of
                     // enqueueing a second one.
                     waiters.push(Box::new(sink));
-                    #[cfg(feature = "telemetry")]
                     crate::tel::replay_coalesced().add(1);
                     return Ok(());
                 }
@@ -727,14 +720,12 @@ impl EvalService {
                 // pending entry, so missing both maps means the id
                 // genuinely never executed.
                 if let Some(cached) = self.replay.get(&tid, id) {
-                    #[cfg(feature = "telemetry")]
                     crate::tel::replay_hit().add(1);
                     drop(pending);
                     sink(id, cached);
                     return Ok(());
                 }
                 if Self::expired(deadline) {
-                    #[cfg(feature = "telemetry")]
                     crate::tel::deadline().add(1);
                     return Err(ServeError::DeadlineExceeded);
                 }
@@ -767,7 +758,6 @@ impl EvalService {
             )
         } else {
             if Self::expired(deadline) {
-                #[cfg(feature = "telemetry")]
                 crate::tel::deadline().add(1);
                 return Err(ServeError::DeadlineExceeded);
             }
@@ -869,7 +859,6 @@ fn rotation_key(tenant_id: &Arc<str>, ct: &Ciphertext) -> (Arc<str>, u64, usize,
 fn reap_expired(job: Job) -> Option<Job> {
     match job.deadline {
         Some(d) if Instant::now() >= d => {
-            #[cfg(feature = "telemetry")]
             crate::tel::deadline().add(1);
             job.reply.send(Err(ServeError::DeadlineExceeded));
             None
@@ -1002,7 +991,6 @@ fn run_program(
         .map_err(|e| EvalError::InvalidParams(format!("program parse: {e}")))?;
     let plan = plan_trace(&trace, &tenant.ctx, &PlanOptions::default())
         .map_err(|e| EvalError::InvalidParams(format!("program planning: {e}")))?;
-    #[cfg(feature = "telemetry")]
     crate::tel::program().add(plan.schedule.len() as u64);
     let inputs = vec![a.clone(); plan.graph.inputs().len()];
     let mut eval = Evaluator::new(&tenant.ctx);

@@ -292,7 +292,6 @@ pub(crate) struct SharedQueues {
     /// Live queue-depth gauges, one per shard (`serve.queue.depth.N`):
     /// each enqueue/dequeue samples the shard's depth, so
     /// `items / count` reads as the mean observed depth.
-    #[cfg(feature = "telemetry")]
     depth_gauges: Vec<Arc<poseidon_telemetry::Metric>>,
 }
 
@@ -318,7 +317,6 @@ impl SharedQueues {
                     busy_since_ms: AtomicU64::new(0),
                 })
                 .collect(),
-            #[cfg(feature = "telemetry")]
             depth_gauges: (0..shards)
                 .map(|i| {
                     poseidon_telemetry::Registry::global().scope_indexed("serve.queue.depth.", i)
@@ -335,7 +333,6 @@ impl SharedQueues {
         (tenant_hash(tenant_id) % shard_count as u64) as usize
     }
 
-    #[cfg(feature = "telemetry")]
     fn sample_depth(&self, q: &QueueSet, shard: usize) {
         self.depth_gauges[shard].add(q.shards[shard].len() as u64);
     }
@@ -354,7 +351,6 @@ impl SharedQueues {
                 return Err(ServeError::ShuttingDown);
             }
             if q.total >= self.capacity {
-                #[cfg(feature = "telemetry")]
                 crate::tel::reject().add(1);
                 job.reply.defuse();
                 return Err(ServeError::QueueFull {
@@ -374,7 +370,6 @@ impl SharedQueues {
                 0
             };
             if job.priority < floor {
-                #[cfg(feature = "telemetry")]
                 crate::tel::shed().add(1);
                 let retry_after_ms = 10 + 4 * q.total as u64;
                 job.reply.defuse();
@@ -383,10 +378,8 @@ impl SharedQueues {
             let shard = self.shard_for(&job.tenant_id, q.shards.len());
             q.shards[shard].push_back(job);
             q.total += 1;
-            #[cfg(feature = "telemetry")]
             self.sample_depth(&q, shard);
         }
-        #[cfg(feature = "telemetry")]
         crate::tel::enqueue().add(1);
         self.cv.notify_all();
         Ok(())
@@ -485,11 +478,8 @@ impl SharedQueues {
         for job in moved {
             q.shards[target].push_back(job);
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.sample_depth(&q, victim);
-            self.sample_depth(&q, target);
-        }
+        self.sample_depth(&q, victim);
+        self.sample_depth(&q, target);
         drop(q);
         self.cv.notify_all();
         n
@@ -545,7 +535,6 @@ impl SharedQueues {
                     self.pulses[me]
                         .busy_since_ms
                         .store(now_ms().max(1), Ordering::Release);
-                    #[cfg(feature = "telemetry")]
                     self.sample_depth(&q, me);
                     return Some((batch, false));
                 }
@@ -569,7 +558,6 @@ impl SharedQueues {
                     self.pulses[me]
                         .busy_since_ms
                         .store(now_ms().max(1), Ordering::Release);
-                    #[cfg(feature = "telemetry")]
                     self.sample_depth(&q, victim);
                     return Some((batch, true));
                 }
@@ -582,29 +570,22 @@ impl SharedQueues {
 /// One dispatcher worker: drain own shard (or steal), execute, repeat —
 /// until shutdown or until the watchdog retires this worker's `epoch`.
 pub(crate) fn dispatch_loop(queues: Arc<SharedQueues>, me: usize, epoch: u64) {
-    #[cfg(feature = "telemetry")]
     let shard_scope = poseidon_telemetry::Registry::global().scope_indexed("serve.shard.", me);
     loop {
         let Some((batch, stolen)) = queues.next_batch(me, epoch) else {
             return;
         };
-        #[cfg(feature = "telemetry")]
-        {
-            crate::tel::dequeue().add(batch.len() as u64);
-            crate::tel::batch().add(batch.len() as u64);
-            shard_scope.add(batch.len() as u64);
-            if stolen {
-                crate::tel::steal().add(batch.len() as u64);
-            }
+        crate::tel::dequeue().add(batch.len() as u64);
+        crate::tel::batch().add(batch.len() as u64);
+        shard_scope.add(batch.len() as u64);
+        if stolen {
+            crate::tel::steal().add(batch.len() as u64);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = stolen;
         // Chaos hook: a seeded plan at `ShardWorker` can stall this
         // worker (tripping the stall watchdog) or kill it outright (the
         // escaped panic unwinds `batch`, whose Reply drop guards answer
         // every held job with a typed Internal error; the watchdog then
         // requeues the shard and respawns the worker).
-        #[cfg(feature = "faults")]
         match poseidon_faults::disrupt(poseidon_faults::FaultSite::ShardWorker, &mut []) {
             Some(poseidon_faults::Disruption::Stalled(ms)) => {
                 std::thread::sleep(std::time::Duration::from_millis(ms));

@@ -59,7 +59,7 @@
 //! exponential backoff with deterministic seeded jitter, automatic
 //! reconnection, and replay-flagged resubmission on top of [`Client`].
 //!
-//! With the `faults` feature, the seeded chaos sites
+//! The seeded chaos sites
 //! `SocketRead`/`SocketWrite`/`SocketStall` hook the framed read/write
 //! paths (truncate, corrupt, stall, disconnect) so the failure modes
 //! above are reproducible in tests and campaigns.
@@ -335,7 +335,6 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
     // Chaos hook: seeded plans at `SocketRead` corrupt, truncate, stall,
     // or sever the inbound frame; every shape must surface as a typed
     // error (wire checksum, protocol parse, or socket error) downstream.
-    #[cfg(feature = "faults")]
     match poseidon_faults::disrupt(poseidon_faults::FaultSite::SocketRead, &mut body) {
         Some(poseidon_faults::Disruption::Truncated(n)) => body.truncate(n),
         Some(poseidon_faults::Disruption::Stalled(ms)) => {
@@ -354,17 +353,8 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(body))
 }
 
-#[cfg(not(feature = "faults"))]
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
 /// Framed write with the `SocketWrite`/`SocketStall` chaos sites wired
-/// in. The disarmed fast path is byte-identical to the plain writer and
-/// copies nothing.
-#[cfg(feature = "faults")]
+/// in. The disarmed path writes the body as given and copies nothing.
 fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
     use poseidon_faults::{disrupt, Disruption, FaultSite};
     if !poseidon_faults::armed() {

@@ -1,10 +1,8 @@
-//! Faults-gated chaos scenarios: every injected failure — worker
+//! Chaos scenarios under the fault injector: every injected failure — worker
 //! panics and stalls, socket disconnects, corruption, and mid-frame
 //! stalls — must resolve as a bit-identical success (after retry or
 //! failover) or a typed [`ServeError`]. No hangs, no lost replies, no
 //! escaped panics.
-
-#![cfg(feature = "faults")]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

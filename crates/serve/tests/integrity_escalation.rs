@@ -1,8 +1,6 @@
-//! Faults-gated: a persistent datapath fault during a checked op comes
+//! A persistent datapath fault during a checked op comes
 //! back as a per-request `IntegrityFault` response — the dispatcher and
 //! the other tenants keep running.
-
-#![cfg(feature = "faults")]
 
 use he_ckks::cipher::Plaintext;
 use he_ckks::context::CkksContext;

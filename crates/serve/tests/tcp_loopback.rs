@@ -91,9 +91,8 @@ fn loopback_round_trip_decrypts_to_the_reference() {
 
 /// The serve digest every perf PR quotes: an FNV-1a fold, XORed across
 /// the five replies, of a fixed-seed rotate / add / mul / rescale / square
-/// workload over loopback TCP. The same constant holding in default,
-/// `telemetry` and `faults` builds proves probes and disarmed hooks leave
-/// the served bytes alone.
+/// workload over loopback TCP, with every telemetry probe and disarmed
+/// fault hook compiled in: a moved byte fails the pin.
 #[test]
 fn five_op_workload_serve_digest_is_pinned() {
     let ctx = CkksContext::new(CkksParams::toy());

@@ -1,11 +1,9 @@
-//! Telemetry-gated proof that the batching scheduler actually coalesces:
-//! k same-ciphertext rotations served in one batch cost one
+//! Proof from the telemetry registry that the batching scheduler actually
+//! coalesces: k same-ciphertext rotations served in one batch cost one
 //! `keyswitch.hoist` lift, versus k lifts when served one at a time.
 //!
 //! Kept to a single test function: the telemetry registry is
 //! process-global, and this binary must not race itself on the counters.
-
-#![cfg(feature = "telemetry")]
 
 use he_ckks::cipher::Plaintext;
 use he_ckks::context::CkksContext;

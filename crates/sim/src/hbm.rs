@@ -80,11 +80,9 @@ impl HbmLayout {
     /// Streams a residue vector through the striped channels and returns
     /// the per-channel byte loads of the transfer. The timing model alone
     /// never touches data; this is the data-bearing variant the integrity
-    /// layer exercises — with the `faults` feature and an armed
-    /// `HbmChannel` plan, the payload is corrupted in flight, the model's
+    /// layer exercises — with an armed `HbmChannel` plan, the payload is corrupted in flight, the model's
     /// stand-in for a bad beat on one channel of a striped read.
     pub fn stream_through(&self, words: &mut [u64]) -> Vec<u64> {
-        #[cfg(feature = "faults")]
         poseidon_faults::tamper(poseidon_faults::FaultSite::HbmChannel, words);
         self.channel_loads(words.len() as u64 * 8)
     }
@@ -135,15 +133,16 @@ mod tests {
 
     #[test]
     fn stream_through_reports_loads_and_passes_data() {
+        // The injector is linked in: hold its lock so no concurrently armed
+        // plan corrupts the words this test expects untouched.
+        let _lock = poseidon_faults::test_lock();
         let l = layout();
         let mut words = vec![0xAAu64; 1 << 12];
         let loads = l.stream_through(&mut words);
         assert_eq!(loads.iter().sum::<u64>(), (1u64 << 12) * 8);
-        #[cfg(not(feature = "faults"))]
         assert!(words.iter().all(|&w| w == 0xAA));
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn stream_through_corrupts_when_channel_fault_armed() {
         use poseidon_faults::{arm, disarm, FaultKind, FaultPlan, FaultSite};

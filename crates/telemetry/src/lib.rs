@@ -16,9 +16,9 @@
 //!   metric on drop. [`Metric::add`] is the timer-free variant for pure
 //!   counting (the operator-pool path).
 //! * [`Registry`] — a thread-safe name → `Arc<Metric>` map. The process
-//!   global ([`Registry::global`]) is what instrumented crates use; handles
-//!   (`Arc<Metric>`) are grabbed once (per `Evaluator`, per static) so the
-//!   hot path never touches the map lock.
+//!   global ([`Registry::global`]) is what instrumented crates use; each
+//!   scope is resolved once into a static handle ([`scope_fn!`]) so the hot
+//!   path never touches the map lock.
 //!
 //! [`Snapshot`] captures the registry (or any metric set) at an instant and
 //! renders to an aligned text table or JSON (hand-rolled — this crate has
@@ -40,9 +40,9 @@
 //! its busy time ([`Metric::add_busy`]); `rns.pointwise` counts
 //! whole-polynomial element-wise passes, of which a key-switch runs none.
 //!
-//! Instrumented crates gate every call site behind their own `telemetry`
-//! cargo feature; with the feature off the sites compile away entirely, so
-//! this crate is only ever linked when observability was asked for.
+//! Every instrumented crate depends on this one unconditionally: counters
+//! always count and spans always time, in every build, so a running
+//! service's registry is always there to read.
 //!
 //! # Examples
 //!
@@ -65,6 +65,31 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+/// Defines functions returning the global registry's metric for a scope,
+/// each resolved on its first call and lock-free after it — the one way an
+/// instrumented crate holds a process-wide scope handle.
+///
+/// ```
+/// poseidon_telemetry::scope_fn! {
+///     /// Doc comments and visibility pass through: this is `pub fn work()`.
+///     pub work = "example.scoped";
+/// }
+/// work().add(3);
+/// let snap = poseidon_telemetry::Registry::global().snapshot();
+/// assert_eq!(snap.get("example.scoped").unwrap().items, 3);
+/// ```
+#[macro_export]
+macro_rules! scope_fn {
+    ($($(#[$attr:meta])* $vis:vis $name:ident = $scope:literal;)+) => {$(
+        $(#[$attr])*
+        $vis fn $name() -> &'static ::std::sync::Arc<$crate::Metric> {
+            static M: ::std::sync::OnceLock<::std::sync::Arc<$crate::Metric>> =
+                ::std::sync::OnceLock::new();
+            M.get_or_init(|| $crate::Registry::global().scope($scope))
+        }
+    )+};
+}
 
 /// Number of latency buckets: bucket `i` holds durations `d` with
 /// `⌊log₂ d_ns⌋ = i`, saturating at the last bucket (≈ 2.1 s and above).
@@ -124,9 +149,8 @@ pub struct Metric {
 }
 
 impl Metric {
-    /// A fresh, unregistered metric (instance-local counters — the
-    /// operator pool uses these so each pool keeps exact per-instance
-    /// counts regardless of how many pools a process holds).
+    /// A fresh, unregistered metric: instance-local counters that no
+    /// registry snapshot sees unless [`Registry::register`]ed.
     pub fn new() -> Arc<Metric> {
         Arc::new(Metric::default())
     }
@@ -240,7 +264,7 @@ impl Drop for Span<'_> {
 /// Thread-safe name → metric map.
 ///
 /// Scope lookup takes a mutex, so instrumented code resolves its scopes
-/// once (into a static or a per-object handle) and then runs lock-free.
+/// once (into a static handle, [`scope_fn!`]) and then runs lock-free.
 #[derive(Debug, Default)]
 pub struct Registry {
     scopes: Mutex<BTreeMap<String, Arc<Metric>>>,

@@ -29,7 +29,7 @@
 //!
 //! **Every decode path returns a typed [`WireError`]** — malformed,
 //! truncated, checksum-mismatched, or version-skewed input must never
-//! panic. Under the `faults` feature an armed
+//! panic. An armed
 //! [`WireFrame`](poseidon_faults::FaultSite::WireFrame) plan corrupts a
 //! copy of the incoming bytes at decode entry, modelling link corruption
 //! the checksum has to catch.
@@ -65,22 +65,11 @@ use he_rns::integrity::fnv1a_words;
 use he_rns::{Form, RnsBasis, RnsPoly};
 
 /// Telemetry scopes for frame marshalling (items = frame bytes).
-#[cfg(feature = "telemetry")]
 pub(crate) mod tel {
-    use poseidon_telemetry::{Metric, Registry};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! scope_fn {
-        ($fn_name:ident, $scope:literal) => {
-            pub fn $fn_name() -> &'static Arc<Metric> {
-                static M: OnceLock<Arc<Metric>> = OnceLock::new();
-                M.get_or_init(|| Registry::global().scope($scope))
-            }
-        };
+    poseidon_telemetry::scope_fn! {
+        pub encode = "wire.encode";
+        pub decode = "wire.decode";
     }
-
-    scope_fn!(encode, "wire.encode");
-    scope_fn!(decode, "wire.decode");
 }
 
 mod chunk;
@@ -442,7 +431,6 @@ pub(crate) fn take_scale(r: &mut Reader<'_>) -> Result<f64, WireError> {
 // ---------------------------------------------------------------------------
 
 pub(crate) fn frame(kind: Kind, flags: u8, payload: Vec<u8>) -> Vec<u8> {
-    #[cfg(feature = "telemetry")]
     let _span = tel::encode().span((HEADER_LEN + payload.len() + TRAILER_LEN) as u64);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
@@ -519,9 +507,7 @@ pub(crate) fn decode_with<T>(
     want: Kind,
     f: impl FnOnce(u8, &[u8]) -> Result<T, WireError>,
 ) -> Result<T, WireError> {
-    #[cfg(feature = "telemetry")]
     let _span = tel::decode().span(bytes.len() as u64);
-    #[cfg(feature = "faults")]
     if poseidon_faults::armed() {
         let mut owned = bytes.to_vec();
         poseidon_faults::tamper_bytes(poseidon_faults::FaultSite::WireFrame, &mut owned);

@@ -14,9 +14,9 @@
 //! range-checked against its prime during `read_into`, exactly as
 //! [`crate::take_poly`] does, before any `RnsPoly` is constructed.
 //!
-//! Under the `faults` feature, an armed tamper plan needs a mutable copy
-//! of the bytes, so the pooled entry points fall back to the copying
-//! decoders — correctness instrumentation beats the fast path.
+//! An armed tamper plan needs a mutable copy of the bytes, so while one is
+//! armed the pooled entry points fall back to the copying decoders —
+//! correctness instrumentation beats the fast path.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
@@ -261,9 +261,9 @@ impl<'a> PlaintextView<'a> {
 /// One-shot pooled ciphertext decode: view parse + `read_into`.
 ///
 /// Equivalent to [`crate::decode_ciphertext`] in result and validation
-/// strength, but all residue rows come from `pool`. With the `faults`
-/// feature armed this falls back to the copying decoder so the tamper
-/// plan still fires.
+/// strength, but all residue rows come from `pool`. With a fault plan
+/// armed this falls back to the copying decoder so the tamper plan still
+/// fires.
 ///
 /// # Errors
 ///
@@ -273,11 +273,8 @@ pub fn decode_ciphertext_pooled(
     bytes: &[u8],
     pool: &BufferPool,
 ) -> Result<Ciphertext, WireError> {
-    #[cfg(feature = "telemetry")]
     let _span = crate::tel::decode().span(bytes.len() as u64);
-    #[cfg(feature = "faults")]
     if poseidon_faults::armed() {
-        let _ = pool;
         return crate::decode_ciphertext(ctx, bytes);
     }
     CiphertextView::parse(ctx, bytes)?.read_into(ctx, pool)
@@ -293,11 +290,8 @@ pub fn decode_plaintext_pooled(
     bytes: &[u8],
     pool: &BufferPool,
 ) -> Result<Plaintext, WireError> {
-    #[cfg(feature = "telemetry")]
     let _span = crate::tel::decode().span(bytes.len() as u64);
-    #[cfg(feature = "faults")]
     if poseidon_faults::armed() {
-        let _ = pool;
         return crate::decode_plaintext(ctx, bytes);
     }
     PlaintextView::parse(ctx, bytes)?.read_into(ctx, pool)

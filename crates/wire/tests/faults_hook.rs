@@ -3,8 +3,6 @@
 //! the checksum must turn the injected link corruption into a typed
 //! error, and the caller's buffer must stay pristine.
 
-#![cfg(feature = "faults")]
-
 use he_ckks::cipher::Ciphertext;
 use he_ckks::context::CkksContext;
 use he_ckks::params::CkksParams;

@@ -203,3 +203,32 @@ fn recorded_session_simulates_on_the_accelerator_model() {
     assert!(report.seconds > 0.0);
     assert!(report.time_share_percent(BasicOp::Rotation) > 10.0);
 }
+
+#[test]
+fn the_default_build_counts_into_the_registry_with_the_injector_disarmed() {
+    // No feature and no flag: the registry records and the injector is
+    // linked in, disarmed. Counters only grow, so the bounds below hold
+    // whatever the sibling tests run at the same time.
+    use poseidon::telemetry::Registry;
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rng();
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_key(1, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng, &[1.0, 2.0, 3.0, 4.0]);
+
+    let count =
+        |snap: &poseidon::telemetry::Snapshot, scope: &str| snap.get(scope).map_or(0, |s| s.count);
+    let before = Registry::global().snapshot();
+    eval.try_rotate(&ct, 1, &keys).unwrap();
+    let after = Registry::global().snapshot();
+
+    // The hoist lifts every digit onto every extended limb and transforms it.
+    let q_len = (ct.level() + 1) as u64;
+    let ext_len = q_len + ctx.special_basis().len() as u64;
+    let forward = count(&after, "ntt.forward") - count(&before, "ntt.forward");
+    assert!(forward >= q_len * ext_len, "ntt.forward moved by {forward}");
+    let switched = count(&after, "eval.keyswitch") - count(&before, "eval.keyswitch");
+    assert!(switched >= 1, "eval.keyswitch moved by {switched}");
+    assert!(!poseidon::faults::armed());
+}
