@@ -1,4 +1,4 @@
-//! Packed CKKS bootstrapping (the paper's most complex workload, [30]).
+//! Packed CKKS bootstrapping (the paper's most complex workload, \[30\]).
 //!
 //! Pipeline, for a ciphertext exhausted down to the single prime `q_0`:
 //!

@@ -215,7 +215,7 @@ impl Encoder {
             .collect()
     }
 
-    /// Encodes into a [`Plaintext`]-ready residue layout for `basis`.
+    /// Encodes into a [`Plaintext`](crate::cipher::Plaintext)-ready residue layout for `basis`.
     ///
     /// This is a convenience used by [`crate::context::CkksContext`]
     /// wrappers; see [`crate::encoding`] module docs for the math.

@@ -20,9 +20,10 @@
 //! * [`pool`] — the operator pool: one functional core per operator with
 //!   reuse counters, executing real arithmetic through the substrate crates
 //!   (the software analogue of Fig. 2's shared cores).
-//! * [`ops`] — [`HomomorphicOps`], the basic-operation surface shared by
-//!   the evaluator, the trace recorder, and the machine, so one workload
-//!   definition drives any backend.
+//! * [`ops`] — [`HomomorphicOps`], the basic-operation surface of the two
+//!   backends, the software evaluator and the [`machine`]; the
+//!   [`recorder`] decorates either one, so one workload definition drives
+//!   any of them.
 //! * [`plan`] — the evaluation planner (software HFAuto): SSA dataflow
 //!   capture, cross-graph rotation hoisting, noise-aware rescale
 //!   placement, rotation-sum fusion, dead-value elimination, bootstrap

@@ -14,17 +14,25 @@ use he_ckks::context::CkksContext;
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::{KeySet, KeySwitchKey};
-use he_rns::{Form, RnsPoly};
+use he_rns::{Form, RnsBasis, RnsPoly};
 
 use crate::operator::OperatorCounts;
+use crate::ops::{rotate_sum_composed, HomomorphicOps, Weight};
 use crate::pool::OperatorPool;
 
-/// A functional Poseidon executor bound to a CKKS context.
+/// One of the MA core's two checked modes, add or subtract.
+type CheckedMa =
+    fn(&mut OperatorPool, &[u64], &[u64], u64) -> Result<Vec<u64>, he_rns::IntegrityError>;
+
+/// A functional Poseidon executor bound to a CKKS context. Its operations
+/// are its [`HomomorphicOps`] impl; the key switch and Moddown they share
+/// are public for custom dataflows.
 ///
 /// # Examples
 ///
-/// See `tests/machine.rs` and the `operator_reuse` example — typical use
-/// is `machine.try_cmult(&a, &b, &keys)?` followed by normal decryption.
+/// See `tests/machine.rs`: typical use is `machine.try_mul(&a, &b, &keys)?`
+/// with [`HomomorphicOps`] in scope, followed by normal decryption, and
+/// `machine.usage()` for the operator mix it consumed.
 #[derive(Debug)]
 pub struct PoseidonMachine {
     ctx: CkksContext,
@@ -100,50 +108,25 @@ impl PoseidonMachine {
         RnsPoly::from_residues(a.basis(), residues, a.form())
     }
 
-    /// [`add_poly`](Self::add_poly) through the MA core's retire-boundary
-    /// sum check, with the detect → retry-once → escalate policy applied
-    /// per residue limb.
-    fn add_poly_checked(&mut self, a: &RnsPoly, b: &RnsPoly) -> Result<RnsPoly, EvalError> {
+    /// The MA core in mode `ma` (add or subtract) through its
+    /// retire-boundary sum check, with the detect → retry-once → escalate
+    /// policy applied per residue limb.
+    fn ma_poly_checked(
+        &mut self,
+        a: &RnsPoly,
+        b: &RnsPoly,
+        ma: CheckedMa,
+    ) -> Result<RnsPoly, EvalError> {
         assert_eq!(a.basis(), b.basis());
         assert_eq!(a.form(), b.form());
         let mut residues = Vec::with_capacity(a.level_count());
         for j in 0..a.level_count() {
             let q = a.basis().primes()[j];
-            let r = match self.pool.ma_checked(a.residues(j), b.residues(j), q) {
+            let r = match ma(&mut self.pool, a.residues(j), b.residues(j), q) {
                 Ok(r) => r,
                 Err(_) => {
                     he_ckks::integrity::note_detected();
-                    match self.pool.ma_checked(a.residues(j), b.residues(j), q) {
-                        Ok(r) => {
-                            he_ckks::integrity::note_retried();
-                            r
-                        }
-                        Err(_) => {
-                            he_ckks::integrity::note_escalated();
-                            return Err(EvalError::IntegrityFault {
-                                site: "pool.retire",
-                            });
-                        }
-                    }
-                }
-            };
-            residues.push(r);
-        }
-        Ok(RnsPoly::from_residues(a.basis(), residues, a.form()))
-    }
-
-    /// Subtraction counterpart of
-    /// [`add_poly_checked`](Self::add_poly_checked).
-    fn sub_poly_checked(&mut self, a: &RnsPoly, b: &RnsPoly) -> Result<RnsPoly, EvalError> {
-        assert_eq!(a.basis(), b.basis());
-        let mut residues = Vec::with_capacity(a.level_count());
-        for j in 0..a.level_count() {
-            let q = a.basis().primes()[j];
-            let r = match self.pool.sub_checked(a.residues(j), b.residues(j), q) {
-                Ok(r) => r,
-                Err(_) => {
-                    he_ckks::integrity::note_detected();
-                    match self.pool.sub_checked(a.residues(j), b.residues(j), q) {
+                    match ma(&mut self.pool, a.residues(j), b.residues(j), q) {
                         Ok(r) => {
                             he_ckks::integrity::note_retried();
                             r
@@ -206,124 +189,52 @@ impl PoseidonMachine {
         RnsPoly::from_residues(a.basis(), residues, Form::Eval)
     }
 
-    // ---- basic operations ------------------------------------------------
-
-    /// HAdd: pure MA traffic on both components. The MA cores run with the
-    /// retire-boundary sum check; a detection is recomputed once and a
-    /// persistent fault escalates. Operands must be level-aligned before
-    /// they reach the machine.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] on unaligned operands,
-    /// [`EvalError::ScaleMismatch`] on scales that disagree,
-    /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
-    pub fn try_hadd(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        if a.level() != b.level() {
-            return Err(EvalError::LevelMismatch {
-                a: a.level(),
-                b: b.level(),
-            });
-        }
-        EvalError::check_scales(a.scale(), b.scale())?;
-        he_ckks::integrity::note_checked();
-        Ok(Ciphertext::new(
-            self.add_poly_checked(a.c0(), b.c0())?,
-            self.add_poly_checked(a.c1(), b.c1())?,
-            a.scale(),
-        ))
+    /// Exact single-prime lift of the digit `t = [d]_{q_j}` into the
+    /// extended basis `ext`, forward-transformed (hardware: the Modup
+    /// unit's reduction path — one SBT per element per target prime).
+    fn lift_digit(&mut self, t: &[u64], ext: &RnsBasis) -> RnsPoly {
+        let residues: Vec<Vec<u64>> = ext
+            .primes()
+            .iter()
+            .map(|&f| t.iter().map(|&v| v % f).collect())
+            .collect();
+        self.ntt_poly(&RnsPoly::from_residues(ext, residues, Form::Coeff))
     }
 
-    /// Drops a ciphertext to a lower level by modulus truncation — a pure
-    /// data movement, no operator-core traffic.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] if `level` exceeds the current level.
-    pub fn try_drop_to_level(
-        &mut self,
-        ct: &Ciphertext,
-        level: usize,
-    ) -> Result<Ciphertext, EvalError> {
-        if level > ct.level() {
-            return Err(EvalError::LevelMismatch {
-                a: ct.level(),
-                b: level,
-            });
-        }
-        if level == ct.level() {
-            return Ok(ct.clone());
-        }
-        Ok(Ciphertext::new(
-            ct.c0().truncate_basis(level + 1),
-            ct.c1().truncate_basis(level + 1),
-            ct.scale(),
-        ))
-    }
+    // ---- shared datapaths ------------------------------------------------
 
-    /// HSub: subtraction on both components (HAdd operator cost class).
-    ///
-    /// # Errors
-    ///
-    /// As [`try_hadd`](Self::try_hadd).
-    pub fn try_hsub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        if a.level() != b.level() {
-            return Err(EvalError::LevelMismatch {
-                a: a.level(),
-                b: b.level(),
-            });
-        }
-        EvalError::check_scales(a.scale(), b.scale())?;
-        he_ckks::integrity::note_checked();
-        Ok(Ciphertext::new(
-            self.sub_poly_checked(a.c0(), b.c0())?,
-            self.sub_poly_checked(a.c1(), b.c1())?,
-            a.scale(),
-        ))
-    }
-
-    /// HAdd ct+pt: adds `m` to `c_0` only, through the checked MA core.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::ScaleMismatch`] if ciphertext and plaintext scales
-    /// disagree, [`EvalError::LevelMismatch`] for a plaintext below the
-    /// ciphertext's level, [`EvalError::IntegrityFault`] on persistent
-    /// retire-check failure.
-    pub fn try_add_plain(
+    /// HAdd in MA mode `ma` (add or subtract) on both components. The MA
+    /// cores run with the retire-boundary sum check; a detection is
+    /// recomputed once and a persistent fault escalates. Operands must be
+    /// level-aligned before they reach the machine.
+    fn hadd(
         &mut self,
         a: &Ciphertext,
-        pt: &Plaintext,
+        b: &Ciphertext,
+        ma: CheckedMa,
     ) -> Result<Ciphertext, EvalError> {
-        EvalError::check_scales(a.scale(), pt.scale())?;
-        let m = pt.poly_at_level(a.level())?;
+        if a.level() != b.level() {
+            return Err(EvalError::LevelMismatch {
+                a: a.level(),
+                b: b.level(),
+            });
+        }
+        EvalError::check_scales(a.scale(), b.scale())?;
         he_ckks::integrity::note_checked();
         Ok(Ciphertext::new(
-            self.add_poly_checked(a.c0(), &m)?,
-            a.c1().clone(),
+            self.ma_poly_checked(a.c0(), b.c0(), ma)?,
+            self.ma_poly_checked(a.c1(), b.c1(), ma)?,
             a.scale(),
         ))
     }
 
-    /// PMult: NTT the operands, MM, INTT back (scale multiplies).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] for a plaintext below the ciphertext's
-    /// level.
-    pub fn try_pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        let m = self.ntt_poly(&pt.poly_at_level(a.level())?);
-        let c0 = {
-            let e = self.ntt_poly(a.c0());
-            let p = self.mul_poly(&e, &m);
-            self.intt_poly(&p)
-        };
-        let c1 = {
-            let e = self.ntt_poly(a.c1());
-            let p = self.mul_poly(&e, &m);
-            self.intt_poly(&p)
-        };
-        Ok(Ciphertext::new(c0, c1, a.scale() * pt.scale()))
+    /// The automorphism `X → X^g` on both components, then the key switch
+    /// back to `s` (rotation and conjugation, unhoisted).
+    fn apply_galois(&mut self, a: &Ciphertext, g: u64, key: &KeySwitchKey) -> Ciphertext {
+        let t0 = self.auto_poly(a.c0(), g);
+        let t1 = self.auto_poly(a.c1(), g);
+        let (k0, k1) = self.keyswitch(&t1, key);
+        Ciphertext::new(self.add_poly(&t0, &k0), k1, a.scale())
     }
 
     /// The keyswitch dataflow on machine cores: per digit, exact lift of
@@ -335,16 +246,7 @@ impl PoseidonMachine {
         let mut acc0: Option<RnsPoly> = None;
         let mut acc1: Option<RnsPoly> = None;
         for j in 0..=level {
-            // Exact single-prime lift (hardware: the Modup unit's
-            // reduction path — one SBT per element per target prime).
-            let t = d.residues(j);
-            let residues: Vec<Vec<u64>> = ext
-                .primes()
-                .iter()
-                .map(|&f| t.iter().map(|&v| v % f).collect())
-                .collect();
-            let lifted = RnsPoly::from_residues(&ext, residues, Form::Coeff);
-            let lifted = self.ntt_poly(&lifted);
+            let lifted = self.lift_digit(d.residues(j), &ext);
             let (kb, ka) = key.sliced(&self.ctx, j, level);
             let kb = self.ntt_poly(&kb);
             let ka = self.ntt_poly(&ka);
@@ -412,14 +314,53 @@ impl PoseidonMachine {
             .collect();
         RnsPoly::from_residues(&q_basis, residues, Form::Coeff)
     }
+}
+
+/// The basic operations on the machine's cores. Every check the evaluator
+/// makes, the machine makes too, with the same [`EvalError`]; ct+ct
+/// operands must already be level-aligned (the machine does not drop
+/// levels on its own).
+impl HomomorphicOps for PoseidonMachine {
+    /// HAdd: pure MA traffic on both components, retire-checked.
+    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+        self.hadd(a, b, OperatorPool::ma_checked)
+    }
+
+    /// HSub: the MA core in subtract mode (HAdd operator cost class).
+    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+        self.hadd(a, b, OperatorPool::sub_checked)
+    }
+
+    /// HAdd ct+pt: adds `m` to `c_0` only, through the checked MA core.
+    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+        EvalError::check_scales(a.scale(), pt.scale())?;
+        let m = pt.poly_at_level(a.level())?;
+        he_ckks::integrity::note_checked();
+        Ok(Ciphertext::new(
+            self.ma_poly_checked(a.c0(), &m, OperatorPool::ma_checked)?,
+            a.c1().clone(),
+            a.scale(),
+        ))
+    }
+
+    /// PMult: NTT the operands, MM, INTT back (scale multiplies).
+    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+        let m = self.ntt_poly(&pt.poly_at_level(a.level())?);
+        let c0 = {
+            let e = self.ntt_poly(a.c0());
+            let p = self.mul_poly(&e, &m);
+            self.intt_poly(&p)
+        };
+        let c1 = {
+            let e = self.ntt_poly(a.c1());
+            let p = self.mul_poly(&e, &m);
+            self.intt_poly(&p)
+        };
+        Ok(Ciphertext::new(c0, c1, a.scale() * pt.scale()))
+    }
 
     /// CMult with relinearisation, entirely on machine cores.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] on unaligned operands; reserved for
-    /// [`EvalError::IntegrityFault`] under checked execution.
-    pub fn try_cmult(
+    fn try_mul(
         &mut self,
         a: &Ciphertext,
         b: &Ciphertext,
@@ -457,37 +398,80 @@ impl PoseidonMachine {
         ))
     }
 
-    /// Squaring, executed as [`try_cmult`](Self::try_cmult) of `a` with
-    /// itself.
-    ///
-    /// # Errors
-    ///
-    /// See [`try_cmult`](Self::try_cmult).
-    pub fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        self.try_cmult(a, a, keys)
+    /// Squaring, executed as [`try_mul`](Self::try_mul) of `a` with itself.
+    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+        self.try_mul(a, a, keys)
+    }
+
+    /// Rescale through the MA/MM cascade: subtract the last component's
+    /// lifted residues and scale by `q_l⁻¹` per remaining prime.
+    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
+        if a.level() == 0 {
+            return Err(EvalError::RescaleAtLevelZero);
+        }
+        let rescale_poly = |m: &mut Self, p: &RnsPoly| {
+            let l = p.level_count();
+            let last_prime = p.basis().primes()[l - 1];
+            let lower = p.basis().prefix(l - 1);
+            let last = p.residues(l - 1).to_vec();
+            let residues: Vec<Vec<u64>> = (0..l - 1)
+                .map(|j| {
+                    let qj = lower.primes()[j];
+                    let last_mod: Vec<u64> = last.iter().map(|&v| v % qj).collect();
+                    let diff = m.pool.sub(p.residues(j), &last_mod, qj);
+                    let inv = he_math::modops::inv_mod_prime(last_prime % qj, qj)
+                        .expect("distinct primes");
+                    m.pool.mm_scalar(&diff, inv, qj)
+                })
+                .collect();
+            RnsPoly::from_residues(&lower, residues, Form::Coeff)
+        };
+        let dropped = *a.c0().basis().primes().last().expect("non-empty") as f64;
+        let c0 = rescale_poly(self, a.c0());
+        let c1 = rescale_poly(self, a.c1());
+        Ok(Ciphertext::new(c0, c1, a.scale() / dropped))
+    }
+
+    /// Drops a ciphertext to a lower level by modulus truncation — a pure
+    /// data movement, no operator-core traffic.
+    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
+        if level > a.level() {
+            return Err(EvalError::LevelMismatch {
+                a: a.level(),
+                b: level,
+            });
+        }
+        if level == a.level() {
+            return Ok(a.clone());
+        }
+        Ok(Ciphertext::new(
+            a.c0().truncate_basis(level + 1),
+            a.c1().truncate_basis(level + 1),
+            a.scale(),
+        ))
     }
 
     /// Rotation: HFAuto on both components, then keyswitch back to `s`. A
     /// multiple of the slot count is the identity: the operand comes back,
     /// no key is needed and no core sees traffic.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingRotationKey`] when no Galois key for `steps`
-    /// has been generated.
-    pub fn try_rotate(
+    fn try_rotate(
         &mut self,
         a: &Ciphertext,
         steps: i64,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        let Some((g, key)) = keys.rotation_switch(steps)? else {
-            return Ok(a.clone());
-        };
-        let t0 = self.auto_poly(a.c0(), g);
-        let t1 = self.auto_poly(a.c1(), g);
-        let (k0, k1) = self.keyswitch(&t1, key);
-        Ok(Ciphertext::new(self.add_poly(&t0, &k0), k1, a.scale()))
+        match keys.rotation_switch(steps)? {
+            Some((g, key)) => Ok(self.apply_galois(a, g, key)),
+            None => Ok(a.clone()),
+        }
+    }
+
+    /// Conjugation (rotation cost class): the conjugation automorphism on
+    /// both components, then keyswitch back to `s`.
+    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+        let g = keys.conjugation_element();
+        let key = keys.galois_key(g).ok_or(EvalError::MissingConjugationKey)?;
+        Ok(self.apply_galois(a, g, key))
     }
 
     /// Hoisted batch rotation (Halevi–Shoup): the digit lift + forward
@@ -500,13 +484,9 @@ impl PoseidonMachine {
     /// paper keeps keyswitch keys HBM-resident in evaluation
     /// representation (§IV-C), so no NTT-core traffic is charged for key
     /// material. [`try_rotate`](Self::try_rotate) keeps the unhoisted per-call
-    /// dataflow whose operator mix matches Table I exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingRotationKey`] for the first step without a
-    /// Galois key; keys are resolved before any core traffic happens.
-    pub fn try_rotate_many(
+    /// dataflow whose operator mix matches Table I exactly. Keys are
+    /// resolved before any core traffic happens.
+    fn try_rotate_many(
         &mut self,
         a: &Ciphertext,
         steps: &[i64],
@@ -524,16 +504,7 @@ impl PoseidonMachine {
         let ext = self.ctx.level_basis(level).concat(self.ctx.special_basis());
         // Hoist: lift + forward-NTT each digit of c1 exactly once.
         let digits: Vec<RnsPoly> = (0..=level)
-            .map(|j| {
-                let t = a.c1().residues(j);
-                let residues: Vec<Vec<u64>> = ext
-                    .primes()
-                    .iter()
-                    .map(|&f| t.iter().map(|&v| v % f).collect())
-                    .collect();
-                let lifted = RnsPoly::from_residues(&ext, residues, Form::Coeff);
-                self.ntt_poly(&lifted)
-            })
+            .map(|j| self.lift_digit(a.c1().residues(j), &ext))
             .collect();
         let mut out = Vec::with_capacity(resolved.len());
         for switch in resolved {
@@ -568,24 +539,15 @@ impl PoseidonMachine {
         Ok(out)
     }
 
-    /// Conjugation (rotation cost class): the conjugation automorphism on
-    /// both components, then keyswitch back to `s`.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingConjugationKey`] when the conjugation key has
-    /// not been generated.
-    pub fn try_conjugate(
+    /// The rotations, products and additions the sum stands for, each on
+    /// the machine's cores ([`rotate_sum_composed`]).
+    fn try_rotate_sum(
         &mut self,
         a: &Ciphertext,
+        terms: &[(i64, Option<Weight<'_>>)],
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        let g = keys.conjugation_element();
-        let key = keys.galois_key(g).ok_or(EvalError::MissingConjugationKey)?;
-        let t0 = self.auto_poly(a.c0(), g);
-        let t1 = self.auto_poly(a.c1(), g);
-        let (k0, k1) = self.keyswitch(&t1, key);
-        Ok(Ciphertext::new(self.add_poly(&t0, &k0), k1, a.scale()))
+        rotate_sum_composed(self, a, terms, keys)
     }
 
     /// Fallible ciphertext refresh: runs the full bootstrapping pipeline
@@ -596,13 +558,7 @@ impl PoseidonMachine {
     /// basic-op datapath for bootstrapping rather than dedicating one.
     ///
     /// [`Bootstrapper`]: he_ckks::bootstrap::Bootstrapper
-    ///
-    /// # Errors
-    ///
-    /// Whatever the pipeline reports: missing rotation/conjugation keys
-    /// for the bootstrap schedule, or `RescaleAtLevelZero` when the
-    /// modulus chain is too short for the pipeline's depth.
-    pub fn try_bootstrap(
+    fn try_bootstrap(
         &mut self,
         a: &Ciphertext,
         bs: &he_ckks::bootstrap::Bootstrapper,
@@ -610,38 +566,5 @@ impl PoseidonMachine {
     ) -> Result<Ciphertext, EvalError> {
         let eval = Evaluator::new(&self.ctx);
         bs.try_bootstrap(&eval, keys, a)
-    }
-
-    /// Rescale through the MA/MM cascade: subtract the last component's
-    /// lifted residues and scale by `q_l⁻¹` per remaining prime.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::RescaleAtLevelZero`] at level 0.
-    pub fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        if a.level() == 0 {
-            return Err(EvalError::RescaleAtLevelZero);
-        }
-        let rescale_poly = |m: &mut Self, p: &RnsPoly| {
-            let l = p.level_count();
-            let last_prime = p.basis().primes()[l - 1];
-            let lower = p.basis().prefix(l - 1);
-            let last = p.residues(l - 1).to_vec();
-            let residues: Vec<Vec<u64>> = (0..l - 1)
-                .map(|j| {
-                    let qj = lower.primes()[j];
-                    let last_mod: Vec<u64> = last.iter().map(|&v| v % qj).collect();
-                    let diff = m.pool.sub(p.residues(j), &last_mod, qj);
-                    let inv = he_math::modops::inv_mod_prime(last_prime % qj, qj)
-                        .expect("distinct primes");
-                    m.pool.mm_scalar(&diff, inv, qj)
-                })
-                .collect();
-            RnsPoly::from_residues(&lower, residues, Form::Coeff)
-        };
-        let dropped = *a.c0().basis().primes().last().expect("non-empty") as f64;
-        let c0 = rescale_poly(self, a.c0());
-        let c1 = rescale_poly(self, a.c1());
-        Ok(Ciphertext::new(c0, c1, a.scale() / dropped))
     }
 }

@@ -1,23 +1,23 @@
 //! `HomomorphicOps` — the shared homomorphic-operation surface.
 //!
-//! Three executors expose the same CKKS basic operations with different
-//! backends: the software [`Evaluator`], the trace-capturing
-//! [`RecordingEvaluator`], and the operator-pool [`PoseidonMachine`]. A
-//! workload written against `HomomorphicOps` runs unchanged on any of
-//! them — the pattern the conformance tests below use to drive one
-//! pipeline through all three, and the interface `plan::execute` replays a
-//! plan through.
+//! Two backends implement the CKKS basic operations: the software
+//! [`Evaluator`] (the impl below forwards to its inherent methods) and the
+//! operator-pool [`PoseidonMachine`](crate::machine::PoseidonMachine), whose
+//! operations live only in its impl of this trait. The
+//! [`Recorder`](crate::recorder::Recorder) decorates either one, recording
+//! each operation it forwards. A workload written against `HomomorphicOps`
+//! runs unchanged on any of them — the pattern the conformance tests below
+//! use to drive one pipeline through all of them, and the interface
+//! `plan::execute` replays a plan through.
 //!
-//! Methods take `&mut self` for the machine's sake (its pool mutates
-//! per-call state); the evaluator backends simply ignore the mutability.
+//! Methods take `&mut self` for the machine's and the recorder's sake (the
+//! pool and the recordings mutate per call); the evaluator ignores the
+//! mutability.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::error::EvalError;
 use he_ckks::eval::{Evaluator, PlainOperand};
 use he_ckks::keys::KeySet;
-
-use crate::machine::PoseidonMachine;
-use crate::recorder::RecordingEvaluator;
 
 /// The weight of one term of a rotation sum, as `plan::execute` hands it to
 /// a backend: the plaintext as the program wrote it, for a backend that
@@ -348,151 +348,11 @@ impl HomomorphicOps for Evaluator {
     }
 }
 
-impl HomomorphicOps for RecordingEvaluator {
-    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_add(self, a, b)
-    }
-
-    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_sub(self, a, b)
-    }
-
-    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_add_plain(self, a, pt)
-    }
-
-    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_mul_plain(self, a, pt)
-    }
-
-    fn try_mul(
-        &mut self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_mul(self, a, b, keys)
-    }
-
-    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_square(self, a, keys)
-    }
-
-    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_rescale(self, a)
-    }
-
-    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
-        // Free data movement — no hardware-trace entry, but the dataflow
-        // graph records the descent.
-        RecordingEvaluator::try_drop_to_level(self, a, level)
-    }
-
-    fn try_rotate(
-        &mut self,
-        a: &Ciphertext,
-        steps: i64,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_rotate(self, a, steps, keys)
-    }
-
-    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_conjugate(self, a, keys)
-    }
-
-    fn try_rotate_sum(
-        &mut self,
-        a: &Ciphertext,
-        terms: &[(i64, Option<Weight<'_>>)],
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        rotate_sum_composed(self, a, terms, keys)
-    }
-}
-
-impl HomomorphicOps for PoseidonMachine {
-    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_hadd(self, a, b)
-    }
-
-    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_hsub(self, a, b)
-    }
-
-    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_add_plain(self, a, pt)
-    }
-
-    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_pmult(self, a, pt)
-    }
-
-    fn try_mul(
-        &mut self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_cmult(self, a, b, keys)
-    }
-
-    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_square(self, a, keys)
-    }
-
-    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_rescale(self, a)
-    }
-
-    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_drop_to_level(self, a, level)
-    }
-
-    fn try_rotate(
-        &mut self,
-        a: &Ciphertext,
-        steps: i64,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_rotate(self, a, steps, keys)
-    }
-
-    fn try_rotate_many(
-        &mut self,
-        a: &Ciphertext,
-        steps: &[i64],
-        keys: &KeySet,
-    ) -> Result<Vec<Ciphertext>, EvalError> {
-        PoseidonMachine::try_rotate_many(self, a, steps, keys)
-    }
-
-    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_conjugate(self, a, keys)
-    }
-
-    fn try_rotate_sum(
-        &mut self,
-        a: &Ciphertext,
-        terms: &[(i64, Option<Weight<'_>>)],
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        rotate_sum_composed(self, a, terms, keys)
-    }
-
-    fn try_bootstrap(
-        &mut self,
-        a: &Ciphertext,
-        bs: &he_ckks::bootstrap::Bootstrapper,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_bootstrap(self, a, bs, keys)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::PoseidonMachine;
+    use crate::recorder::Recorder;
     use he_ckks::encoding::Complex;
     use he_ckks::prelude::*;
     use rand::SeedableRng;
@@ -539,15 +399,16 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_agree_through_the_trait() {
+    fn both_backends_agree_through_the_trait_recorded_or_not() {
         let (ctx, keys, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
         let expected = (2.0 + 3.0) * 2.0;
 
         let mut eval = Evaluator::new(&ctx);
-        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
         let mut machine = PoseidonMachine::new(&ctx, 8, 1);
+        let mut recorded_machine = Recorder::new(&ctx, PoseidonMachine::new(&ctx, 8, 1));
 
         // slot 0 rotated away; with a single replicated slot in toy params
         // the rotated slot still carries the value in slot 0's image, so
@@ -557,6 +418,7 @@ mod tests {
             pipeline(&mut eval, &a, &b, &keys),
             pipeline(&mut rec, &a, &b, &keys),
             pipeline(&mut machine, &a, &b, &keys),
+            pipeline(&mut recorded_machine, &a, &b, &keys),
         ] {
             let got = decrypt_slot0(&ctx, &keys, &out.unwrap());
             assert!(
@@ -569,6 +431,7 @@ mod tests {
             "machine counted no operator work"
         );
         assert_eq!(rec.trace().entries().len(), 4, "recorder missed ops");
+        assert_eq!(recorded_machine.trace(), rec.trace());
     }
 
     #[test]
@@ -698,11 +561,13 @@ mod tests {
         let (ctx, keys, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);
         let mut eval = Evaluator::new(&ctx);
-        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
         let mut machine = PoseidonMachine::new(&ctx, 8, 1);
+        let mut recorded_machine = Recorder::new(&ctx, PoseidonMachine::new(&ctx, 8, 1));
         rejects(&mut eval, &ctx, &a, &keys);
         rejects(&mut rec, &ctx, &a, &keys);
         rejects(&mut machine, &ctx, &a, &keys);
+        rejects(&mut recorded_machine, &ctx, &a, &keys);
         // The one accepted call is the free level drop `rejects` sets up
         // with; the flat trace does not list it.
         assert_eq!(
@@ -714,7 +579,9 @@ mod tests {
         rotates_by_nothing(&mut eval, &ctx, &a, &keys);
         rotates_by_nothing(&mut rec, &ctx, &a, &keys);
         rotates_by_nothing(&mut machine, &ctx, &a, &keys);
+        rotates_by_nothing(&mut recorded_machine, &ctx, &a, &keys);
         // Two real rotations by one slot; the identities recorded nothing.
         assert_eq!(rec.trace().entries().len(), 2);
+        assert_eq!(recorded_machine.trace(), rec.trace());
     }
 }

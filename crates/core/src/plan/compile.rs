@@ -51,6 +51,9 @@ mod tel {
 /// the live modulus product.
 pub const SCALE_MARGIN_BITS: f64 = 10.0;
 
+/// Rotation steps cycle through `1..=MAX_ROTATION_STEP`.
+const MAX_ROTATION_STEP: i64 = 8;
+
 /// What the lowering does when the level/scale budget is exhausted and
 /// rescaling cannot make room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,8 +79,6 @@ pub struct CompileOptions {
     /// Per-entry repetition cap (`.pos` counts above this are truncated
     /// and reported).
     pub count_cap: u64,
-    /// Rotation steps cycle through `1..=max_rotation_step`.
-    pub max_rotation_step: i64,
     /// Budget-exhaustion policy (see [`Exhaustion`]).
     pub exhaustion: Exhaustion,
 }
@@ -86,7 +87,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         Self {
             count_cap: 8,
-            max_rotation_step: 8,
             exhaustion: Exhaustion::SegmentReset,
         }
     }
@@ -170,7 +170,7 @@ impl<'a> Lowering<'a> {
     }
 
     fn next_step(&mut self) -> i64 {
-        self.rot_cursor = self.rot_cursor % self.opts.max_rotation_step + 1;
+        self.rot_cursor = self.rot_cursor % MAX_ROTATION_STEP + 1;
         self.rot_cursor
     }
 
@@ -468,7 +468,6 @@ pub fn plan_trace(
         } else {
             Exhaustion::SegmentReset
         },
-        ..CompileOptions::default()
     };
     let prog = compile_trace(trace, ctx, &copts)?;
     if prog.truncated > 0 {

@@ -6,10 +6,14 @@
 //! reason about dataflow (who else rotates this value?) and noise (is a
 //! rescale legal and profitable here?) without touching ciphertext data.
 //!
+//! A value's metadata follows from its producing op and that op's operands
+//! by one rule, `EvalGraph::derive_meta`: the builder methods, the values
+//! the passes create, and the re-derivation after bootstrap insertion all
+//! read it.
+//!
 //! Graphs come from two front ends:
 //!
-//! * [`GraphRecorder`] — drives graph capture inside
-//!   [`RecordingEvaluator`](crate::recorder::RecordingEvaluator): each
+//! * [`Recorder`](crate::recorder::Recorder) — wraps either backend: each
 //!   executed operation resolves its operand ciphertexts to value ids by
 //!   digest and appends a node, so *running a program* records its true
 //!   dataflow, not just a flat operation count.
@@ -289,63 +293,106 @@ impl EvalGraph {
 
     // ---- construction -----------------------------------------------------
 
-    fn push_value(&mut self, producer: NodeId, level: usize, scale_bits: f64) -> ValueId {
-        let id = ValueId(self.values.len());
-        self.values.push(ValueInfo {
-            producer,
-            consumers: Vec::new(),
-            level,
-            scale_bits,
-            dead: false,
-        });
-        id
+    /// The `(level, scale_bits)` of the value `op` produces from `inputs`:
+    /// the one propagation rule. `None` for an `Input`, whose metadata is
+    /// bound, not derived. A rescale removes the nominal
+    /// [`rescale_bits`](Self::rescale_bits), and a refresh delivers that
+    /// scale; a `RotateSum`'s weights share one scale, so its first weight
+    /// stands for all.
+    pub(crate) fn derive_meta(&self, op: &GraphOp, inputs: &[ValueId]) -> Option<(usize, f64)> {
+        let meta = |i: usize| {
+            let v = &self.values[inputs[i].0];
+            (v.level, v.scale_bits)
+        };
+        let pt_bits = |pt: usize| self.plaintexts[pt].scale().log2();
+        Some(match op {
+            GraphOp::Input { .. } => return None,
+            GraphOp::Add | GraphOp::Sub => {
+                let ((la, sa), (lb, sb)) = (meta(0), meta(1));
+                (la.min(lb), sa.max(sb))
+            }
+            GraphOp::Mul => {
+                let ((la, sa), (lb, sb)) = (meta(0), meta(1));
+                (la.min(lb), sa + sb)
+            }
+            GraphOp::MulPlain { pt } => {
+                let (l, s) = meta(0);
+                (l, s + pt_bits(*pt))
+            }
+            GraphOp::RotateSum { weights, .. } => {
+                let (l, s) = meta(0);
+                let weight = weights.iter().flatten().next();
+                (l, s + weight.map_or(0.0, |&pt| pt_bits(pt)))
+            }
+            GraphOp::Square => {
+                let (l, s) = meta(0);
+                (l, 2.0 * s)
+            }
+            GraphOp::Rescale => {
+                let (l, s) = meta(0);
+                (l.saturating_sub(1), s - self.rescale_bits)
+            }
+            GraphOp::DropToLevel { level } => (*level, meta(0).1),
+            GraphOp::AddPlain { .. }
+            | GraphOp::Rotate { .. }
+            | GraphOp::Conjugate
+            | GraphOp::RotateMany { .. } => meta(0),
+            GraphOp::Bootstrap { target_level } => (*target_level, self.rescale_bits),
+        })
     }
 
-    fn push_node(
+    fn push_with_meta(
         &mut self,
         op: GraphOp,
         inputs: Vec<ValueId>,
-        level: usize,
-        scale_bits: f64,
+        (level, scale_bits): (usize, f64),
     ) -> ValueId {
         let nid = NodeId(self.nodes.len());
         for &v in &inputs {
             self.values[v.0].consumers.push(nid);
         }
+        let out = ValueId(self.values.len());
+        self.values.push(ValueInfo {
+            producer: nid,
+            consumers: Vec::new(),
+            level,
+            scale_bits,
+            dead: false,
+        });
         self.nodes.push(Node {
             op,
             inputs,
-            outputs: Vec::new(),
+            outputs: vec![out],
             dead: false,
         });
-        let out = self.push_value(nid, level, scale_bits);
-        self.nodes[nid.0].outputs.push(out);
         out
+    }
+
+    /// Appends `op` over `inputs` and the one value it produces, with the
+    /// metadata [`derive_meta`](Self::derive_meta) gives it.
+    pub(crate) fn push(&mut self, op: GraphOp, inputs: Vec<ValueId>) -> ValueId {
+        let meta = self
+            .derive_meta(&op, &inputs)
+            .expect("inputs are bound through `input`");
+        self.push_with_meta(op, inputs, meta)
     }
 
     /// Adds a graph input at the given level and scale (log2).
     pub fn input(&mut self, level: usize, scale_bits: f64) -> ValueId {
         let slot = self.inputs.len();
-        let out = self.push_node(GraphOp::Input { slot }, Vec::new(), level, scale_bits);
+        let out = self.push_with_meta(GraphOp::Input { slot }, Vec::new(), (level, scale_bits));
         self.inputs.push(out);
         out
     }
 
-    fn binary_meta(&self, a: ValueId, b: ValueId) -> (usize, f64) {
-        let (va, vb) = (&self.values[a.0], &self.values[b.0]);
-        (va.level.min(vb.level), va.scale_bits.max(vb.scale_bits))
-    }
-
     /// ct + ct.
     pub fn add(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        let (level, sb) = self.binary_meta(a, b);
-        self.push_node(GraphOp::Add, vec![a, b], level, sb)
+        self.push(GraphOp::Add, vec![a, b])
     }
 
     /// ct − ct.
     pub fn sub(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        let (level, sb) = self.binary_meta(a, b);
-        self.push_node(GraphOp::Sub, vec![a, b], level, sb)
+        self.push(GraphOp::Sub, vec![a, b])
     }
 
     /// Interns a plaintext in the side table.
@@ -356,28 +403,22 @@ impl EvalGraph {
 
     /// ct + pt.
     pub fn add_plain(&mut self, a: ValueId, pt: usize) -> ValueId {
-        let (level, sb) = (self.values[a.0].level, self.values[a.0].scale_bits);
-        self.push_node(GraphOp::AddPlain { pt }, vec![a], level, sb)
+        self.push(GraphOp::AddPlain { pt }, vec![a])
     }
 
     /// ct · pt (scale multiplies).
     pub fn mul_plain(&mut self, a: ValueId, pt: usize) -> ValueId {
-        let pt_bits = self.plaintexts[pt].scale().log2();
-        let (level, sb) = (self.values[a.0].level, self.values[a.0].scale_bits);
-        self.push_node(GraphOp::MulPlain { pt }, vec![a], level, sb + pt_bits)
+        self.push(GraphOp::MulPlain { pt }, vec![a])
     }
 
     /// ct · ct with relinearisation (scales multiply).
     pub fn mul(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        let (va, vb) = (&self.values[a.0], &self.values[b.0]);
-        let (level, sb) = (va.level.min(vb.level), va.scale_bits + vb.scale_bits);
-        self.push_node(GraphOp::Mul, vec![a, b], level, sb)
+        self.push(GraphOp::Mul, vec![a, b])
     }
 
     /// ct² (scale squares).
     pub fn square(&mut self, a: ValueId) -> ValueId {
-        let (level, sb) = (self.values[a.0].level, self.values[a.0].scale_bits);
-        self.push_node(GraphOp::Square, vec![a], level, 2.0 * sb)
+        self.push(GraphOp::Square, vec![a])
     }
 
     /// Rescale: drops a level, removes ≈[`rescale_bits`](Self::rescale_bits).
@@ -386,10 +427,8 @@ impl EvalGraph {
     ///
     /// Panics when the value is already at level 0.
     pub fn rescale(&mut self, a: ValueId) -> ValueId {
-        let v = &self.values[a.0];
-        assert!(v.level > 0, "cannot rescale at level 0");
-        let (level, sb) = (v.level - 1, v.scale_bits - self.rescale_bits);
-        self.push_node(GraphOp::Rescale, vec![a], level, sb)
+        assert!(self.values[a.0].level > 0, "cannot rescale at level 0");
+        self.push(GraphOp::Rescale, vec![a])
     }
 
     /// Level drop by truncation (no scale change).
@@ -398,35 +437,28 @@ impl EvalGraph {
     ///
     /// Panics when `level` exceeds the value's current level.
     pub fn drop_to_level(&mut self, a: ValueId, level: usize) -> ValueId {
-        let v = &self.values[a.0];
-        assert!(level <= v.level, "cannot raise a level by truncation");
-        let sb = v.scale_bits;
-        self.push_node(GraphOp::DropToLevel { level }, vec![a], level, sb)
+        assert!(
+            level <= self.values[a.0].level,
+            "cannot raise a level by truncation"
+        );
+        self.push(GraphOp::DropToLevel { level }, vec![a])
     }
 
     /// Slot rotation.
     pub fn rotate(&mut self, a: ValueId, steps: i64) -> ValueId {
-        let (level, sb) = (self.values[a.0].level, self.values[a.0].scale_bits);
-        self.push_node(GraphOp::Rotate { steps }, vec![a], level, sb)
+        self.push(GraphOp::Rotate { steps }, vec![a])
     }
 
     /// Slot conjugation.
     pub fn conjugate(&mut self, a: ValueId) -> ValueId {
-        let (level, sb) = (self.values[a.0].level, self.values[a.0].scale_bits);
-        self.push_node(GraphOp::Conjugate, vec![a], level, sb)
+        self.push(GraphOp::Conjugate, vec![a])
     }
 
     /// Ciphertext refresh to `target_level` at the nominal default scale
     /// (≈ [`rescale_bits`](Self::rescale_bits)). The executor drops the
     /// operand to level 0 and runs the bootstrapping pipeline.
     pub fn bootstrap(&mut self, a: ValueId, target_level: usize) -> ValueId {
-        let sb = self.rescale_bits;
-        self.push_node(
-            GraphOp::Bootstrap { target_level },
-            vec![a],
-            target_level,
-            sb,
-        )
+        self.push(GraphOp::Bootstrap { target_level }, vec![a])
     }
 
     /// Marks a value as a graph output (idempotent). Outputs survive
@@ -438,8 +470,9 @@ impl EvalGraph {
         }
     }
 
-    /// Overrides a value's tracked metadata (used by the recorder, which
-    /// knows the *actual* level and scale of the ciphertext it captured).
+    /// Overrides a value's tracked metadata: the recorder, which knows the
+    /// *actual* level and scale of the ciphertext it captured, and the
+    /// re-derivation after bootstrap insertion.
     pub(crate) fn set_value_meta(&mut self, v: ValueId, level: usize, scale_bits: f64) {
         self.values[v.0].level = level;
         self.values[v.0].scale_bits = scale_bits;
@@ -491,16 +524,6 @@ impl EvalGraph {
             dead: false,
         });
         nid
-    }
-
-    /// Creates a fresh value owned by `producer`.
-    pub(crate) fn fresh_value(
-        &mut self,
-        producer: NodeId,
-        level: usize,
-        scale_bits: f64,
-    ) -> ValueId {
-        self.push_value(producer, level, scale_bits)
     }
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -586,8 +609,8 @@ impl EvalGraph {
 /// over the full residue data ([`digest_ciphertext`]), so two bit-equal
 /// ciphertexts unify onto one value — re-recording a value refreshes the
 /// mapping to the newest id.
-#[derive(Debug, Default)]
-pub struct GraphRecorder {
+#[derive(Debug)]
+pub(crate) struct GraphRecorder {
     graph: EvalGraph,
     by_digest: HashMap<u64, ValueId>,
     explicit_outputs: bool,
@@ -595,7 +618,7 @@ pub struct GraphRecorder {
 
 impl GraphRecorder {
     /// An empty recorder; `rescale_bits` as in [`EvalGraph::new`].
-    pub fn new(rescale_bits: f64) -> Self {
+    pub(crate) fn new(rescale_bits: f64) -> Self {
         Self {
             graph: EvalGraph::new(rescale_bits),
             by_digest: HashMap::new(),
@@ -605,7 +628,7 @@ impl GraphRecorder {
 
     /// Resolves a ciphertext to its value id, registering it as a fresh
     /// graph input when unseen.
-    pub fn resolve(&mut self, ct: &Ciphertext) -> ValueId {
+    fn resolve(&mut self, ct: &Ciphertext) -> ValueId {
         let d = digest_ciphertext(ct);
         if let Some(&v) = self.by_digest.get(&d) {
             return v;
@@ -615,50 +638,27 @@ impl GraphRecorder {
         v
     }
 
-    fn register(&mut self, out_v: ValueId, out: &Ciphertext) {
+    /// Records `out`, which `op` produced from `operands` (in operand order;
+    /// a plaintext operand is interned first, through
+    /// [`intern_plaintext`](Self::intern_plaintext)). The value takes the
+    /// ciphertext's actual level and scale.
+    pub(crate) fn record(&mut self, op: GraphOp, operands: &[&Ciphertext], out: &Ciphertext) {
+        let inputs = operands.iter().map(|ct| self.resolve(ct)).collect();
+        let v = self.graph.push(op, inputs);
         self.graph
-            .set_value_meta(out_v, out.level(), out.scale().log2());
-        self.by_digest.insert(digest_ciphertext(out), out_v);
-    }
-
-    /// Records a two-ciphertext operation.
-    pub fn record_binary(&mut self, op: GraphOp, a: &Ciphertext, b: &Ciphertext, out: &Ciphertext) {
-        let (va, vb) = (self.resolve(a), self.resolve(b));
-        let out_v = match op {
-            GraphOp::Add => self.graph.add(va, vb),
-            GraphOp::Sub => self.graph.sub(va, vb),
-            GraphOp::Mul => self.graph.mul(va, vb),
-            other => panic!("not a binary ciphertext op: {}", other.name()),
-        };
-        self.register(out_v, out);
-    }
-
-    /// Records a one-ciphertext operation (plaintext operands are interned
-    /// by the caller via [`intern_plaintext`](Self::intern_plaintext)).
-    pub fn record_unary(&mut self, op: GraphOp, a: &Ciphertext, out: &Ciphertext) {
-        let va = self.resolve(a);
-        let out_v = match op {
-            GraphOp::AddPlain { pt } => self.graph.add_plain(va, pt),
-            GraphOp::MulPlain { pt } => self.graph.mul_plain(va, pt),
-            GraphOp::Square => self.graph.square(va),
-            GraphOp::Rescale => self.graph.rescale(va),
-            GraphOp::DropToLevel { level } => self.graph.drop_to_level(va, level),
-            GraphOp::Rotate { steps } => self.graph.rotate(va, steps),
-            GraphOp::Conjugate => self.graph.conjugate(va),
-            other => panic!("not a unary ciphertext op: {}", other.name()),
-        };
-        self.register(out_v, out);
+            .set_value_meta(v, out.level(), out.scale().log2());
+        self.by_digest.insert(digest_ciphertext(out), v);
     }
 
     /// Interns a plaintext operand.
-    pub fn intern_plaintext(&mut self, pt: Plaintext) -> usize {
+    pub(crate) fn intern_plaintext(&mut self, pt: Plaintext) -> usize {
         self.graph.intern_plaintext(pt)
     }
 
     /// Marks a previously recorded ciphertext as a graph output. Returns
     /// `false` (and does nothing) for a ciphertext the recorder has never
     /// seen.
-    pub fn mark_output(&mut self, ct: &Ciphertext) -> bool {
+    pub(crate) fn mark_output(&mut self, ct: &Ciphertext) -> bool {
         let d = digest_ciphertext(ct);
         match self.by_digest.get(&d) {
             Some(&v) => {
@@ -673,7 +673,7 @@ impl GraphRecorder {
     /// Finishes capture. Without explicit output marks, every leaf value
     /// (produced but never consumed) becomes an output, so a replay
     /// reproduces everything the recorded run kept.
-    pub fn finish(mut self) -> EvalGraph {
+    pub(crate) fn finish(mut self) -> EvalGraph {
         if !self.explicit_outputs {
             let leaves: Vec<ValueId> = self
                 .graph
@@ -694,17 +694,6 @@ impl GraphRecorder {
             }
         }
         self.graph
-    }
-
-    /// A snapshot of the graph captured so far (leaf-output completion as
-    /// in [`finish`](Self::finish), without consuming the recorder).
-    pub fn snapshot(&self) -> EvalGraph {
-        let clone = Self {
-            graph: self.graph.clone(),
-            by_digest: HashMap::new(),
-            explicit_outputs: self.explicit_outputs,
-        };
-        clone.finish()
     }
 }
 

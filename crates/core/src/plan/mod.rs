@@ -5,26 +5,28 @@
 //! maximise keyswitch-digit reuse and on-chip residency. This module does
 //! the same over recorded (or compiled) evaluation graphs:
 //!
-//! 1. **Capture** — [`RecordingEvaluator`] records the SSA dataflow of a
-//!    real run ([`graph::EvalGraph`]), or [`compile_trace`] lowers a
-//!    `.pos` op trace into one.
-//! 2. **Optimize** — [`plan`] runs rescale sinking/fusion, cross-graph
-//!    rotation hoisting into `rotate_many`, dead-value elimination, and
-//!    live-range-aware scheduling ([`passes`]); with
-//!    [`PlanOptions::bootstrap`] set it also runs the bootstrap-insertion
-//!    pass (chains that exhaust the modulus get a [`GraphOp::Bootstrap`]
-//!    refresh, or a typed [`PlanError`]).
+//! 1. **Capture** — a [`Recorder`] over either backend records the SSA
+//!    dataflow of a real run ([`graph::EvalGraph`]), or [`compile_trace`]
+//!    lowers a `.pos` op trace into one.
+//! 2. **Optimize** — [`plan`] runs every pass: rescale sinking/fusion,
+//!    cross-graph rotation hoisting into `rotate_many`, rotation-sum fusion,
+//!    dead-value elimination, and live-range-aware scheduling ([`passes`]);
+//!    with [`PlanOptions::bootstrap`] set it also runs the
+//!    bootstrap-insertion pass (chains that exhaust the modulus get a
+//!    [`GraphOp::Bootstrap`] refresh, or a typed [`PlanError`]).
+//!    [`Plan::passthrough`] is the unplanned baseline: creation order, no
+//!    rewrites.
 //! 3. **Execute** — [`execute`] replays the optimized schedule on any
-//!    [`HomomorphicOps`] backend: the software evaluator, the
-//!    accelerator-shaped [`PoseidonMachine`], or the recorder itself.
+//!    [`HomomorphicOps`] backend: the software evaluator or the
+//!    accelerator-shaped [`PoseidonMachine`], recorded or not.
 //!    [`execute_with`] supplies a `Bootstrapper` for plans that refresh.
 //!
-//! Bit-preserving schedules (hoist + DVE + reorder only) reproduce the
-//! unplanned outputs digest-identically on the evaluator; rescale
-//! placement and bootstrap insertion preserve decrypted values and are
-//! flagged via [`Plan::value_preserving`].
+//! Bit-preserving rewrites (hoist + DVE + reorder) reproduce the unplanned
+//! outputs digest-identically on the evaluator; rescale placement,
+//! rotation-sum fusion and bootstrap insertion preserve decrypted values
+//! and are flagged via [`Plan::value_preserving`].
 //!
-//! [`RecordingEvaluator`]: crate::recorder::RecordingEvaluator
+//! [`Recorder`]: crate::recorder::Recorder
 //! [`HomomorphicOps`]: crate::ops::HomomorphicOps
 //! [`PoseidonMachine`]: crate::machine::PoseidonMachine
 
@@ -39,7 +41,7 @@ pub use compile::{
     compile_trace, plan_trace, CompileOptions, CompiledProgram, Exhaustion, SCALE_MARGIN_BITS,
 };
 pub use exec::{execute, execute_with, ExecOutcome};
-pub use graph::{EvalGraph, GraphOp, GraphRecorder, Node, NodeId, ValueId, ValueInfo};
+pub use graph::{EvalGraph, GraphOp, Node, NodeId, ValueId, ValueInfo};
 pub use passes::{plan, BootstrapOptions, NoiseBudget, Plan, PlanOptions, PlanStats};
 
 /// Why a program could not be planned. Unlike runtime

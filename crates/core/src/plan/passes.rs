@@ -1,7 +1,8 @@
 //! Optimizer passes over [`EvalGraph`] and the live-range-aware
 //! scheduler that turns an optimized graph into a [`Plan`].
 //!
-//! Pass pipeline (in application order):
+//! Pass pipeline (in application order; every pass always runs, after
+//! bootstrap insertion when [`PlanOptions::bootstrap`] asks for it):
 //!
 //! 1. **Rescale sinking** — `rescale(rotate(x))` → `rotate(rescale(x))`,
 //!    CSE-ing the shared rescale across all rotations of `x`. Keyswitching
@@ -13,11 +14,11 @@
 //! 3. **Rotation hoisting** — all rotations of the same source value
 //!    anywhere in the graph become one `RotateMany` node, paying the
 //!    keyswitch digit lift + forward NTTs once (Halevi-Shoup).
-//! 4. **Rotation-sum fusion** — the second hoist, under the same option: a
-//!    `RotateMany` whose outputs only meet again in one `Add` tree, each
-//!    bare or through one `MulPlain`, becomes one `RotateSum` node — the
-//!    whole layer `Σ_r pt_r ⊙ rot_r(x)` as one key-switch pass, one inverse
-//!    NTT and Moddown for the sum instead of one per rotation.
+//! 4. **Rotation-sum fusion** — the second hoist: a `RotateMany` whose
+//!    outputs only meet again in one `Add` tree, each bare or through one
+//!    `MulPlain`, becomes one `RotateSum` node — the whole layer
+//!    `Σ_r pt_r ⊙ rot_r(x)` as one key-switch pass, one inverse NTT and
+//!    Moddown for the sum instead of one per rotation.
 //! 5. **Dead-value elimination** — reverse reachability from the graph
 //!    outputs; unreached compute nodes are tombstoned.
 //! 6. **Scheduling** — Kahn's algorithm with a deterministic score that
@@ -43,24 +44,15 @@ use crate::plan::compile::SCALE_MARGIN_BITS;
 use crate::plan::graph::{EvalGraph, GraphOp, NodeId, ValueId};
 use crate::plan::PlanError;
 
-/// Which passes run. Default: everything on, hoist batches of ≥ 2, no
-/// bootstrap insertion.
+/// Rotations of one source it takes before hoisting them into a
+/// `RotateMany` pays.
+const MIN_HOIST: usize = 2;
+
+/// What [`plan`] is given besides the graph. Every pass always runs;
+/// [`Plan::passthrough`] is the unplanned baseline. Default: a fan cap of 8,
+/// no bootstrap insertion.
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
-    /// Cross-graph rotation hoisting into `RotateMany` (bit-preserving on
-    /// backends whose `rotate_many` is hoist-equivalent, e.g. `Evaluator`),
-    /// and of a batch that is only ever summed into `RotateSum`
-    /// (value-preserving: the sum is rounded once, not once per term).
-    pub hoist_rotations: bool,
-    /// Rescale sinking + fusion (value-preserving, not bit-preserving).
-    pub place_rescales: bool,
-    /// Dead-value elimination (bit-preserving).
-    pub eliminate_dead: bool,
-    /// Live-range-aware reordering (bit-preserving). When off, the
-    /// schedule keeps graph creation order.
-    pub reorder: bool,
-    /// Minimum sibling rotations of one source before hoisting pays.
-    pub min_hoist: usize,
     /// `.pos` lowering fan cap, forwarded to
     /// [`CompileOptions::count_cap`](crate::plan::compile::CompileOptions)
     /// by [`plan_trace`](crate::plan::compile::plan_trace).
@@ -73,27 +65,6 @@ pub struct PlanOptions {
 impl Default for PlanOptions {
     fn default() -> Self {
         Self {
-            hoist_rotations: true,
-            place_rescales: true,
-            eliminate_dead: true,
-            reorder: true,
-            min_hoist: 2,
-            count_cap: 8,
-            bootstrap: None,
-        }
-    }
-}
-
-impl PlanOptions {
-    /// All passes disabled — [`plan`] with these options is the unplanned
-    /// baseline (identical to [`Plan::passthrough`]).
-    pub fn none() -> Self {
-        Self {
-            hoist_rotations: false,
-            place_rescales: false,
-            eliminate_dead: false,
-            reorder: false,
-            min_hoist: 2,
             count_cap: 8,
             bootstrap: None,
         }
@@ -189,7 +160,7 @@ pub struct PlanStats {
     pub rescales_fused: usize,
     /// Rotate-past-rescale sinks applied (rotations retargeted).
     pub rescales_sunk: usize,
-    /// Sizes of each hoisted rotation batch (≥ min_hoist each).
+    /// Sizes of each hoisted rotation batch (≥ 2 each).
     pub hoist_batches: Vec<usize>,
     /// Sizes of the hoisted batches that were fused, with their plaintext
     /// products and `Add` tree, into one `RotateSum` node each.
@@ -295,51 +266,30 @@ pub fn plan(mut graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError>
         stats.max_live_before = max_live;
     }
 
-    let mut value_preserving = true;
     if let Some(bs) = &opts.bootstrap {
         stats.bootstraps_inserted = insert_bootstraps(&mut graph, bs)?;
-        if stats.bootstraps_inserted > 0 {
-            // A refresh re-encrypts the value through the bootstrapping
-            // pipeline: decrypted values agree (within bootstrap
-            // precision), bits do not.
-            value_preserving = false;
-        }
     }
-    if opts.place_rescales {
-        stats.rescales_sunk = sink_rescales(&mut graph);
-        loop {
-            let fused = fuse_rescales(&mut graph);
-            if fused == 0 {
-                break;
-            }
-            stats.rescales_fused += fused;
+    stats.rescales_sunk = sink_rescales(&mut graph);
+    loop {
+        let fused = fuse_rescales(&mut graph);
+        if fused == 0 {
+            break;
         }
-        if stats.rescales_sunk > 0 || stats.rescales_fused > 0 {
-            value_preserving = false;
-        }
+        stats.rescales_fused += fused;
     }
-    if opts.hoist_rotations {
-        stats.hoist_batches = hoist_rotations(&mut graph, opts.min_hoist.max(2));
-        stats.rotation_sums = fuse_rotation_sums(&mut graph);
-        if !stats.rotation_sums.is_empty() {
-            // One Moddown rounding for the sum instead of one per rotation:
-            // fewer roundings, different bits.
-            value_preserving = false;
-        }
-    }
-    if opts.eliminate_dead {
-        stats.dead_removed = eliminate_dead(&mut graph);
-    }
+    stats.hoist_batches = hoist_rotations(&mut graph);
+    stats.rotation_sums = fuse_rotation_sums(&mut graph);
+    stats.dead_removed = eliminate_dead(&mut graph);
     debug_assert_eq!(graph.validate(), Ok(()));
+    // A refresh re-encrypts through the bootstrapping pipeline, a moved
+    // rescale drops its prime elsewhere, and a fused sum rounds once
+    // instead of once per rotation: decrypted values agree, bits do not.
+    let value_preserving = stats.bootstraps_inserted == 0
+        && stats.rescales_sunk == 0
+        && stats.rescales_fused == 0
+        && stats.rotation_sums.is_empty();
 
-    // Inserted bootstrap nodes live at the end of the node list but feed
-    // earlier consumers, so creation order is no longer topological —
-    // force the Kahn scheduler whenever insertion fired.
-    let schedule = if opts.reorder || stats.bootstraps_inserted > 0 {
-        schedule_affinity(&graph)
-    } else {
-        graph.live_nodes().collect()
-    };
+    let schedule = schedule_affinity(&graph);
     let (release, max_live) = compute_release(&graph, &schedule);
 
     stats.nodes_after = graph.live_node_count();
@@ -391,75 +341,18 @@ fn topo_order(g: &EvalGraph) -> Vec<NodeId> {
     order
 }
 
-/// Re-derives every value's level/scale metadata from its producer in
-/// topological order, mirroring the builder's propagation rules. Needed
-/// after bootstrap insertion: a refresh raises its operand's level, and
-/// everything downstream shifts with it.
+/// Re-derives every live value's level/scale metadata from its producer in
+/// topological order, by [`EvalGraph::derive_meta`]; inputs keep theirs.
+/// Needed after bootstrap insertion: a refresh raises its operand's level,
+/// and everything downstream shifts with it.
 fn recompute_metadata(g: &mut EvalGraph) {
-    let order = topo_order(g);
-    for nid in order {
+    for nid in topo_order(g) {
         let node = g.node(nid);
-        let op = node.op.clone();
-        let inputs = node.inputs.clone();
-        let outputs = node.outputs.clone();
-        let meta = |g: &EvalGraph, v: ValueId| {
-            let i = g.value(v);
-            (i.level, i.scale_bits)
+        let Some((level, scale_bits)) = g.derive_meta(&node.op, &node.inputs) else {
+            continue;
         };
-        match op {
-            GraphOp::Input { .. } => {} // recorded/bound metadata stands
-            GraphOp::Add | GraphOp::Sub => {
-                let (la, sa) = meta(g, inputs[0]);
-                let (lb, sb) = meta(g, inputs[1]);
-                g.set_value_meta(outputs[0], la.min(lb), sa.max(sb));
-            }
-            GraphOp::AddPlain { .. } => {
-                let (l, s) = meta(g, inputs[0]);
-                g.set_value_meta(outputs[0], l, s);
-            }
-            GraphOp::MulPlain { pt } => {
-                let pt_bits = g.plaintexts()[pt].scale().log2();
-                let (l, s) = meta(g, inputs[0]);
-                g.set_value_meta(outputs[0], l, s + pt_bits);
-            }
-            GraphOp::Mul => {
-                let (la, sa) = meta(g, inputs[0]);
-                let (lb, sb) = meta(g, inputs[1]);
-                g.set_value_meta(outputs[0], la.min(lb), sa + sb);
-            }
-            GraphOp::Square => {
-                let (l, s) = meta(g, inputs[0]);
-                g.set_value_meta(outputs[0], l, 2.0 * s);
-            }
-            GraphOp::Rescale => {
-                let (l, s) = meta(g, inputs[0]);
-                let rb = g.rescale_bits();
-                g.set_value_meta(outputs[0], l.saturating_sub(1), s - rb);
-            }
-            GraphOp::DropToLevel { level } => {
-                let (_, s) = meta(g, inputs[0]);
-                g.set_value_meta(outputs[0], level, s);
-            }
-            GraphOp::Rotate { .. } | GraphOp::Conjugate => {
-                let (l, s) = meta(g, inputs[0]);
-                g.set_value_meta(outputs[0], l, s);
-            }
-            GraphOp::RotateMany { .. } => {
-                let (l, s) = meta(g, inputs[0]);
-                for &o in &outputs {
-                    g.set_value_meta(o, l, s);
-                }
-            }
-            GraphOp::RotateSum { weights, .. } => {
-                let weight = weights.iter().flatten().next();
-                let pt_bits = weight.map_or(0.0, |&pt| g.plaintexts()[pt].scale().log2());
-                let (l, s) = meta(g, inputs[0]);
-                g.set_value_meta(outputs[0], l, s + pt_bits);
-            }
-            GraphOp::Bootstrap { target_level } => {
-                let rb = g.rescale_bits();
-                g.set_value_meta(outputs[0], target_level, rb);
-            }
+        for o in node.outputs.clone() {
+            g.set_value_meta(o, level, scale_bits);
         }
     }
 }
@@ -534,15 +427,10 @@ fn insert_bootstraps(g: &mut EvalGraph, opts: &BootstrapOptions) -> Result<usize
         }
         // Splice: bootstrap(x) → b, retarget every occurrence of x in
         // `nid` onto b (other consumers keep the unrefreshed x).
-        let bnid = g.push_raw_node(
-            GraphOp::Bootstrap {
-                target_level: opts.refresh_level,
-            },
-            vec![x],
-            Vec::new(),
-        );
-        let b = g.fresh_value(bnid, opts.refresh_level, opts.budget.scale_prime_bits);
-        g.node_mut(bnid).outputs.push(b);
+        let refresh = GraphOp::Bootstrap {
+            target_level: opts.refresh_level,
+        };
+        let b = g.push(refresh, vec![x]);
         let occurrences = g.node(nid).inputs.iter().filter(|&&i| i == x).count();
         for _ in 0..occurrences {
             g.unsubscribe(x, nid);
@@ -609,7 +497,6 @@ fn fuse_rescales(g: &mut EvalGraph) -> usize {
         }
         let op = g.node(nid).op.clone();
         let w = g.node(nid).outputs[0];
-        let (level, sb) = (ix.level, ix.scale_bits.max(iy.scale_bits));
 
         // Detach the old structure.
         g.unsubscribe(u, nid);
@@ -624,12 +511,7 @@ fn fuse_rescales(g: &mut EvalGraph) -> usize {
 
         // add/sub at the pre-rescale level, then one rescale producing the
         // original output value id.
-        let add_nid = g.push_raw_node(op, vec![x, y], Vec::new());
-        let na = g.fresh_value(add_nid, level, sb);
-        {
-            let n = &mut g.node_mut(add_nid).outputs;
-            n.push(na);
-        }
+        let na = g.push(op, vec![x, y]);
         g.push_raw_node(GraphOp::Rescale, vec![na], vec![w]);
         fused += 1;
     }
@@ -668,13 +550,7 @@ fn sink_rescales(g: &mut EvalGraph) -> usize {
             continue;
         }
         // One shared rescale of x.
-        let (level, sb) = {
-            let i = g.value(x);
-            (i.level - 1, i.scale_bits - g.rescale_bits())
-        };
-        let rs_nid = g.push_raw_node(GraphOp::Rescale, vec![x], Vec::new());
-        let rx = g.fresh_value(rs_nid, level, sb);
-        g.node_mut(rs_nid).outputs.push(rx);
+        let rx = g.push(GraphOp::Rescale, vec![x]);
 
         for (rot, rot_out, old_rs, final_out) in movable {
             // Retarget the rotation to consume rescale(x) and produce the
@@ -712,7 +588,7 @@ fn sole_rescale_producer_of_consumer(g: &EvalGraph, v: ValueId) -> Option<(NodeI
 
 /// Groups all live rotations per source value into `RotateMany` nodes.
 /// Returns the batch sizes.
-fn hoist_rotations(g: &mut EvalGraph, min_hoist: usize) -> Vec<usize> {
+fn hoist_rotations(g: &mut EvalGraph) -> Vec<usize> {
     let mut batches = Vec::new();
     let value_count = g.values().len();
     for raw in 0..value_count {
@@ -730,7 +606,7 @@ fn hoist_rotations(g: &mut EvalGraph, min_hoist: usize) -> Vec<usize> {
             }
             seen
         };
-        if rotators.len() < min_hoist {
+        if rotators.len() < MIN_HOIST {
             continue;
         }
         let mut steps = Vec::with_capacity(rotators.len());
@@ -1186,11 +1062,6 @@ mod tests {
             assert_eq!(p.graph.count_ops(fans), 1, "{why}");
             assert_eq!(p.graph.validate(), Ok(()), "{why}");
         }
-        assert!(plan(rotation_fan(), &PlanOptions::none())
-            .unwrap()
-            .stats
-            .rotation_sums
-            .is_empty());
     }
 
     #[test]
@@ -1285,13 +1156,14 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_matches_disabled_passes() {
+    fn passthrough_keeps_creation_order() {
         let g = rotation_fan();
-        let p0 = Plan::passthrough(g.clone());
-        let p1 = plan(g, &PlanOptions::none()).unwrap();
-        assert_eq!(p0.schedule, p1.schedule);
-        assert!(p1.value_preserving);
-        assert_eq!(p0.stats.rescales_before, p1.stats.rescales_before);
+        let creation: Vec<NodeId> = g.live_nodes().collect();
+        let p = Plan::passthrough(g);
+        assert_eq!(p.schedule, creation);
+        assert!(p.value_preserving);
+        assert!(p.stats.hoist_batches.is_empty());
+        assert_eq!(p.stats.nodes_after, p.stats.nodes_before);
     }
 
     #[test]
@@ -1416,5 +1288,79 @@ mod tests {
         );
         assert_eq!(p.schedule, base.schedule);
         assert_eq!(p.value_preserving, base.value_preserving);
+    }
+
+    // ---- one metadata rule ------------------------------------------------
+
+    /// Every live value's `(level, scale_bits)`, by value id.
+    fn live_meta(g: &EvalGraph) -> Vec<Option<(usize, f64)>> {
+        let values = g.values().iter();
+        values
+            .map(|v| (!v.is_dead()).then_some((v.level, v.scale_bits)))
+            .collect()
+    }
+
+    /// Every builder op once, plus what makes `plan` emit a `RotateMany` (two
+    /// rotations of one value used apart), a `RotateSum` (a weighted fan,
+    /// summed) and an inserted `Bootstrap` (a level-0 squaring).
+    fn every_op() -> EvalGraph {
+        let mut g = EvalGraph::new(45.0);
+        let x = g.input(3, 45.0);
+        let y = g.input(3, 45.0);
+        let pt = mask(&mut g, 45);
+        let s = g.add(x, y);
+        let d = g.sub(s, y);
+        let a = g.add_plain(d, pt);
+        let m = g.mul(a, x);
+        let r = g.rescale(m);
+        let sq = g.square(r);
+        let r = g.rescale(sq);
+        let c = g.conjugate(r);
+        let low = g.drop_to_level(c, 0);
+        let fresh = g.bootstrap(low, 2);
+        for steps in [1, 2] {
+            let rotated = g.rotate(fresh, steps);
+            g.mark_output(rotated);
+        }
+        let products: Vec<ValueId> = (1..=3)
+            .map(|steps| {
+                let rotated = g.rotate(y, steps);
+                let pt = mask(&mut g, 45);
+                g.mul_plain(rotated, pt)
+            })
+            .collect();
+        let sum = chain(&mut g, products);
+        g.mark_output(sum);
+        let z = g.input(0, 45.0);
+        let exhausted = g.square(z);
+        g.mark_output(exhausted);
+        g
+    }
+
+    #[test]
+    fn rederiving_metadata_changes_no_value() {
+        let built = every_op();
+        let mut rederived = built.clone();
+        recompute_metadata(&mut rederived);
+        assert_eq!(live_meta(&rederived), live_meta(&built), "builder");
+
+        let opts = PlanOptions {
+            bootstrap: Some(BootstrapOptions {
+                key_available: true,
+                refresh_level: 2,
+                budget: demo_budget(),
+            }),
+            ..PlanOptions::default()
+        };
+        let p = plan(built, &opts).unwrap();
+        assert_eq!(p.stats.bootstraps_inserted, 1);
+        assert_eq!(p.stats.rotation_sums, vec![3]);
+        let count = |f: fn(&GraphOp) -> bool| p.graph.count_ops(f);
+        assert_eq!(count(|op| matches!(op, GraphOp::RotateMany { .. })), 1);
+        assert_eq!(count(|op| matches!(op, GraphOp::RotateSum { .. })), 1);
+        assert_eq!(count(|op| matches!(op, GraphOp::Bootstrap { .. })), 2);
+        let mut rederived = p.graph.clone();
+        recompute_metadata(&mut rederived);
+        assert_eq!(live_meta(&rederived), live_meta(&p.graph), "passes");
     }
 }

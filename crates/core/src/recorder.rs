@@ -3,229 +3,164 @@
 //!
 //! This closes the loop between the functional library and the simulator:
 //! instead of hand-writing a workload (as `poseidon-sim::workloads` does
-//! for the paper's benchmarks), wrap the evaluator, run *your actual
-//! program*, and simulate the recorded trace.
-
-use std::cell::RefCell;
+//! for the paper's benchmarks), wrap the backend, run *your actual
+//! program*, and simulate the recorded trace. The recorder is a decorator,
+//! not a backend of its own: it wraps either the software evaluator or the
+//! machine, and the simulator reads the per-operation (op, level) sequence
+//! it keeps, which neither the pool's counters nor the telemetry registry
+//! do.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
+use he_ckks::context::CkksContext;
 use he_ckks::error::EvalError;
-use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
 
 use crate::decompose::{BasicOp, OpParams, OpTrace};
+use crate::ops::{rotate_sum_composed, HomomorphicOps, Weight};
 use crate::plan::graph::{EvalGraph, GraphOp, GraphRecorder};
 
-/// An evaluator wrapper that records every basic operation it executes.
+/// A [`HomomorphicOps`] backend that runs every operation on `B` and, once
+/// it succeeds, records it twice: as an [`OpTrace`] entry in its Table I
+/// cost class at the operand's level (keyswitch-bearing operations with
+/// the paper's single digit, `dnum = 1`), and as a node of the SSA dataflow
+/// graph. A rejected operation records nothing; so does a rotation by a
+/// multiple of the slot count (the identity) and a level drop on the trace
+/// (free data movement), though the graph keeps the drop so a planned
+/// replay reproduces the descent.
+///
+/// `try_rotate_many` and `try_rotate_sum` run as the rotations, products
+/// and additions they compose, each recorded; `try_bootstrap` keeps the
+/// trait's default and reports [`EvalError::BootstrapUnavailable`].
 ///
 /// # Examples
 ///
 /// ```no_run
 /// # use he_ckks::prelude::*;
-/// # use poseidon_core::recorder::RecordingEvaluator;
+/// # use poseidon_core::recorder::Recorder;
+/// # use poseidon_core::HomomorphicOps;
 /// # let ctx = CkksContext::new(CkksParams::toy());
 /// # let mut rng = rand::thread_rng();
 /// # let keys = KeySet::generate(&ctx, &mut rng);
 /// # let ct: Ciphertext = unimplemented!();
-/// let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+/// let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
 /// let sum = rec.try_add(&ct, &ct)?;
-/// let prod = rec.try_mul(&ct, &ct, &keys)?;
-/// let trace = rec.into_trace(); // feed to poseidon_sim::Simulator::run
+/// let prod = rec.try_mul(&sum, &ct, &keys)?;
+/// let (trace, graph) = rec.into_recordings(); // trace: poseidon_sim::Simulator::run
 /// # Ok::<(), EvalError>(())
 /// ```
 #[derive(Debug)]
-pub struct RecordingEvaluator {
-    inner: Evaluator,
+pub struct Recorder<B> {
+    inner: B,
     special: usize,
-    dnum: usize,
-    trace: RefCell<OpTrace>,
-    graph: RefCell<GraphRecorder>,
+    trace: OpTrace,
+    graph: GraphRecorder,
 }
 
-impl RecordingEvaluator {
-    /// Wraps an evaluator; `dnum` sets the keyswitch digit count recorded
-    /// for the *hardware* cost of keyswitch-bearing operations (the
-    /// software library itself uses per-prime digits).
-    pub fn new(inner: Evaluator, dnum: usize) -> Self {
-        let special = inner.context().special_basis().len();
-        let rescale_bits = f64::from(inner.context().params().scale_prime_bits);
+impl<B> Recorder<B> {
+    /// Wraps `inner`, a backend over `ctx`.
+    pub fn new(ctx: &CkksContext, inner: B) -> Self {
         Self {
             inner,
-            special,
-            dnum,
-            trace: RefCell::new(OpTrace::new()),
-            graph: RefCell::new(GraphRecorder::new(rescale_bits)),
+            special: ctx.special_basis().len(),
+            trace: OpTrace::new(),
+            graph: GraphRecorder::new(f64::from(ctx.params().scale_prime_bits)),
         }
     }
 
-    /// The wrapped evaluator (for operations that need no recording).
-    pub fn inner(&self) -> &Evaluator {
-        &self.inner
-    }
-
-    /// The recorded trace so far (cloned).
-    pub fn trace(&self) -> OpTrace {
-        self.trace.borrow().clone()
-    }
-
-    /// Consumes the recorder, returning the trace.
-    pub fn into_trace(self) -> OpTrace {
-        self.trace.into_inner()
+    /// The trace recorded so far.
+    pub fn trace(&self) -> &OpTrace {
+        &self.trace
     }
 
     /// Marks a previously produced ciphertext as a graph output (the
     /// values a later [`plan`](crate::plan) replay must reproduce).
     /// Returns `false` for a ciphertext this recorder never saw. Without
     /// any explicit mark, every leaf value becomes an output.
-    pub fn mark_output(&self, ct: &Ciphertext) -> bool {
-        self.graph.borrow_mut().mark_output(ct)
-    }
-
-    /// A snapshot of the dataflow graph captured so far (see
-    /// [`EvalGraph`]). Unconsumed values become graph outputs unless
-    /// [`mark_output`](Self::mark_output) was used.
-    pub fn eval_graph(&self) -> EvalGraph {
-        self.graph.borrow().snapshot()
+    pub fn mark_output(&mut self, ct: &Ciphertext) -> bool {
+        self.graph.mark_output(ct)
     }
 
     /// Consumes the recorder, returning both recordings: the flat
     /// hardware trace and the SSA dataflow graph.
     pub fn into_recordings(self) -> (OpTrace, EvalGraph) {
-        (self.trace.into_inner(), self.graph.into_inner().finish())
+        (self.trace, self.graph.finish())
     }
 
-    fn record(&self, op: BasicOp, ct: &Ciphertext) {
-        let p = OpParams::with_dnum(
-            ct.n(),
-            ct.level() + 1,
-            self.special,
-            self.dnum.min(ct.level() + 1),
-        );
-        self.trace.borrow_mut().push(op, p, 1);
+    /// Records `out`, which the backend produced by `op` from `operands`.
+    fn record(&mut self, op: GraphOp, operands: &[&Ciphertext], out: Ciphertext) -> Ciphertext {
+        if let Some(class) = cost_class(&op) {
+            let a = operands[0];
+            let params = OpParams::new(a.n(), a.level() + 1, self.special);
+            self.trace.push(class, params, 1);
+        }
+        self.graph.record(op, operands, &out);
+        out
     }
+}
 
-    fn record_graph2(&self, op: GraphOp, a: &Ciphertext, b: &Ciphertext, out: &Ciphertext) {
-        self.graph.borrow_mut().record_binary(op, a, b, out);
-    }
+/// The Table I operation whose cost `op` has on the accelerator; `None` for
+/// a level drop, which is free data movement.
+fn cost_class(op: &GraphOp) -> Option<BasicOp> {
+    Some(match op {
+        GraphOp::Add | GraphOp::Sub | GraphOp::AddPlain { .. } => BasicOp::HAdd,
+        GraphOp::MulPlain { .. } => BasicOp::PMult,
+        GraphOp::Mul | GraphOp::Square => BasicOp::CMult,
+        GraphOp::Rescale => BasicOp::Rescale,
+        GraphOp::Rotate { .. } | GraphOp::Conjugate => BasicOp::Rotation,
+        _ => return None,
+    })
+}
 
-    fn record_graph1(&self, op: GraphOp, a: &Ciphertext, out: &Ciphertext) {
-        self.graph.borrow_mut().record_unary(op, a, out);
-    }
-
-    /// Recorded HAdd: nothing is recorded when the operands are
-    /// rejected (the operation never executed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+impl<B: HomomorphicOps> HomomorphicOps for Recorder<B> {
+    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_add(a, b)?;
-        self.record(BasicOp::HAdd, a);
-        self.record_graph2(GraphOp::Add, a, b, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Add, &[a, b], out))
     }
 
-    /// Recorded HAdd (subtraction variant — same operator cost).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_sub(a, b)?;
-        self.record(BasicOp::HAdd, a);
-        self.record_graph2(GraphOp::Sub, a, b, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Sub, &[a, b], out))
     }
 
-    /// Recorded ciphertext-plaintext addition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_add_plain(a, pt)?;
-        self.record(BasicOp::HAdd, a);
-        let idx = self.graph.borrow_mut().intern_plaintext(pt.clone());
-        self.record_graph1(GraphOp::AddPlain { pt: idx }, a, &out);
-        Ok(out)
+        let pt = self.graph.intern_plaintext(pt.clone());
+        Ok(self.record(GraphOp::AddPlain { pt }, &[a], out))
     }
 
-    /// Recorded PMult.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_mul_plain(a, pt)?;
-        self.record(BasicOp::PMult, a);
-        let idx = self.graph.borrow_mut().intern_plaintext(pt.clone());
-        self.record_graph1(GraphOp::MulPlain { pt: idx }, a, &out);
-        Ok(out)
+        let pt = self.graph.intern_plaintext(pt.clone());
+        Ok(self.record(GraphOp::MulPlain { pt }, &[a], out))
     }
 
-    /// Recorded CMult (with relinearisation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_mul(
-        &self,
+    fn try_mul(
+        &mut self,
         a: &Ciphertext,
         b: &Ciphertext,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_mul(a, b, keys)?;
-        self.record(BasicOp::CMult, a);
-        self.record_graph2(GraphOp::Mul, a, b, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Mul, &[a, b], out))
     }
 
-    /// Recorded squaring (CMult cost class).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_square(a, keys)?;
-        self.record(BasicOp::CMult, a);
-        self.record_graph1(GraphOp::Square, a, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Square, &[a], out))
     }
 
-    /// Recorded Rescale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError::RescaleAtLevelZero`] from the evaluator.
-    pub fn try_rescale(&self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
+    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_rescale(a)?;
-        self.record(BasicOp::Rescale, a);
-        self.record_graph1(GraphOp::Rescale, a, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Rescale, &[a], out))
     }
 
-    /// Recorded level drop. The flat trace skips it (free data
-    /// movement, no hardware op), but the dataflow graph needs the node
-    /// so a planned replay reproduces the level descent.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] when `level` exceeds the current one.
-    pub fn try_drop_to_level(&self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
+    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_drop_to_level(a, level)?;
-        self.record_graph1(GraphOp::DropToLevel { level }, a, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::DropToLevel { level }, &[a], out))
     }
 
-    /// Recorded Rotation: nothing is recorded when the key is
-    /// missing (the operation never executed), nor for a multiple of the
-    /// slot count (the identity: no operation to execute).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError::MissingRotationKey`] from the evaluator.
-    pub fn try_rotate(
-        &self,
+    fn try_rotate(
+        &mut self,
         a: &Ciphertext,
         steps: i64,
         keys: &KeySet,
@@ -234,21 +169,21 @@ impl RecordingEvaluator {
             return Ok(a.clone());
         }
         let out = self.inner.try_rotate(a, steps, keys)?;
-        self.record(BasicOp::Rotation, a);
-        self.record_graph1(GraphOp::Rotate { steps }, a, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Rotate { steps }, &[a], out))
     }
 
-    /// Recorded conjugation (Rotation cost class).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError::MissingConjugationKey`] from the evaluator.
-    pub fn try_conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_conjugate(a, keys)?;
-        self.record(BasicOp::Rotation, a);
-        self.record_graph1(GraphOp::Conjugate, a, &out);
-        Ok(out)
+        Ok(self.record(GraphOp::Conjugate, &[a], out))
+    }
+
+    fn try_rotate_sum(
+        &mut self,
+        a: &Ciphertext,
+        terms: &[(i64, Option<Weight<'_>>)],
+        keys: &KeySet,
+    ) -> Result<Ciphertext, EvalError> {
+        rotate_sum_composed(self, a, terms, keys)
     }
 }
 
@@ -285,14 +220,14 @@ mod tests {
     #[test]
     fn records_the_operations_it_executes() {
         let (ctx, keys, mut rng) = setup();
-        let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
         let s = rec.try_add(&a, &b).unwrap();
         let p = rec.try_mul(&s, &a, &keys).unwrap();
         let r = rec.try_rescale(&p).unwrap();
         let _ = rec.try_rotate(&r, 1, &keys).unwrap();
-        let trace = rec.into_trace();
+        let (trace, _) = rec.into_recordings();
         let ops: Vec<BasicOp> = trace.entries().iter().map(|(op, _, _)| *op).collect();
         assert_eq!(
             ops,
@@ -306,13 +241,14 @@ mod tests {
         // Levels were captured per entry: rescale ran at the pre-drop level.
         assert_eq!(trace.entries()[2].1.components, a.level() + 1);
         assert_eq!(trace.entries()[3].1.components, a.level());
+        assert!(trace.entries().iter().all(|(_, p, _)| p.dnum == 1));
     }
 
     #[test]
     fn recorded_results_match_unrecorded_evaluator() {
         let (ctx, keys, mut rng) = setup();
         let eval = Evaluator::new(&ctx);
-        let rec = RecordingEvaluator::new(eval.clone(), 1);
+        let mut rec = Recorder::new(&ctx, eval.clone());
         let a = encrypt(&ctx, &keys, &mut rng, 1.5);
         let b = encrypt(&ctx, &keys, &mut rng, -0.5);
         assert_eq!(rec.try_add(&a, &b).unwrap(), eval.try_add(&a, &b).unwrap());
@@ -320,15 +256,5 @@ mod tests {
             rec.try_mul(&a, &b, &keys).unwrap(),
             eval.try_mul(&a, &b, &keys).unwrap()
         );
-    }
-
-    #[test]
-    fn dnum_is_clamped_to_available_components() {
-        let (ctx, keys, mut rng) = setup();
-        let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 99);
-        let a = encrypt(&ctx, &keys, &mut rng, 1.0);
-        let _ = rec.try_mul(&a, &a, &keys).unwrap();
-        let trace = rec.into_trace();
-        assert!(trace.entries()[0].1.dnum <= trace.entries()[0].1.components);
     }
 }

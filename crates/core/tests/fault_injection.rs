@@ -8,7 +8,7 @@ use he_ckks::encoding::Complex;
 use he_ckks::error::EvalError;
 use he_ckks::integrity::integrity_stats;
 use he_ckks::prelude::*;
-use poseidon_core::PoseidonMachine;
+use poseidon_core::{HomomorphicOps, PoseidonMachine};
 use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
 use rand::SeedableRng;
 
@@ -37,7 +37,7 @@ fn retire_check_recovers_from_transient_residue_fault() {
     let a = encrypt(&ctx, &keys, &mut rng, 1.5);
     let b = encrypt(&ctx, &keys, &mut rng, -0.25);
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
-    let clean = m.try_hadd(&a, &b).unwrap();
+    let clean = m.try_add(&a, &b).unwrap();
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::transient(
@@ -45,7 +45,7 @@ fn retire_check_recovers_from_transient_residue_fault() {
         FaultKind::BitFlip,
         0xA11CE,
     ));
-    let got = m.try_hadd(&a, &b).expect("transient must recover");
+    let got = m.try_add(&a, &b).expect("transient must recover");
     poseidon_faults::disarm();
     let after = integrity_stats();
 
@@ -71,8 +71,8 @@ fn retire_check_escalates_persistent_fault_without_panicking() {
         FaultKind::BitFlip,
         0xDEAD,
     ));
-    let hadd = m.try_hadd(&a, &b);
-    let hsub = m.try_hsub(&a, &b);
+    let hadd = m.try_add(&a, &b);
+    let hsub = m.try_sub(&a, &b);
     poseidon_faults::disarm();
     let after = integrity_stats();
 
@@ -97,13 +97,13 @@ fn every_sum_check_passes_on_a_clean_machine() {
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
 
     let before = integrity_stats();
-    let sum = m.try_hadd(&a, &b).expect("clean");
-    let diff = m.try_hsub(&a, &b).expect("clean");
+    let sum = m.try_add(&a, &b).expect("clean");
+    let diff = m.try_sub(&a, &b).expect("clean");
     let after = integrity_stats();
 
     assert!(after.checked >= before.checked + 2, "checks not counted");
     assert_eq!(after.detected, before.detected, "false positive");
-    let pt = keys.secret().decrypt(&m.try_hadd(&sum, &diff).unwrap());
+    let pt = keys.secret().decrypt(&m.try_add(&sum, &diff).unwrap());
     let got = ctx.encoder().decode_rns(pt.poly(), pt.scale(), 1)[0].re;
     // (a + b) + (a - b) = 2a
     assert!((got - 1.0).abs() < 1e-3, "clean arithmetic drifted: {got}");

@@ -5,7 +5,7 @@
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::encoding::Complex;
 use he_ckks::prelude::*;
-use poseidon_core::{Operator, PoseidonMachine};
+use poseidon_core::{HomomorphicOps, Operator, PoseidonMachine};
 use rand::SeedableRng;
 
 fn setup() -> (CkksContext, KeySet, Evaluator, rand::rngs::StdRng) {
@@ -46,7 +46,7 @@ fn machine_hadd_decrypts_correctly() {
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0, -2.5]);
     let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 4.0]);
-    let sum = m.try_hadd(&a, &b).unwrap();
+    let sum = m.try_add(&a, &b).unwrap();
     let got = decrypt(&ctx, &keys, &sum, 2);
     assert!((got[0] - 1.5).abs() < 1e-3 && (got[1] - 1.5).abs() < 1e-3);
     // HAdd is MA-only on the machine (Table I / Fig. 7).
@@ -67,7 +67,7 @@ fn machine_pmult_matches_evaluator() {
         ctx.default_scale(),
         a.level(),
     );
-    let machine_out = m.try_pmult(&a, &pt).unwrap();
+    let machine_out = m.try_mul_plain(&a, &pt).unwrap();
     let eval_out = eval.try_mul_plain(&a, &pt).unwrap();
     // Identical ciphertexts (both paths do exact arithmetic).
     assert_eq!(machine_out, eval_out);
@@ -81,7 +81,7 @@ fn machine_cmult_decrypts_to_product() {
     let mut m = PoseidonMachine::new(&ctx, 256, 3);
     let a = encrypt(&ctx, &keys, &mut rng, &[1.5, -2.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[2.0, 0.5]);
-    let raw = m.try_cmult(&a, &b, &keys).unwrap();
+    let raw = m.try_mul(&a, &b, &keys).unwrap();
     let prod = m.try_rescale(&raw).unwrap();
     let got = decrypt(&ctx, &keys, &prod, 2);
     assert!((got[0] - 3.0).abs() < 0.02, "{}", got[0]);
@@ -130,14 +130,14 @@ fn machine_usage_scales_with_level() {
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[1.0]);
     let mut m_full = PoseidonMachine::new(&ctx, 256, 3);
-    let _ = m_full.try_cmult(&a, &b, &keys).unwrap();
+    let _ = m_full.try_mul(&a, &b, &keys).unwrap();
     let full = m_full.usage();
 
     let eval = Evaluator::new(&ctx);
     let a_low = eval.try_drop_to_level(&a, 1).unwrap();
     let b_low = eval.try_drop_to_level(&b, 1).unwrap();
     let mut m_low = PoseidonMachine::new(&ctx, 256, 3);
-    let _ = m_low.try_cmult(&a_low, &b_low, &keys).unwrap();
+    let _ = m_low.try_mul(&a_low, &b_low, &keys).unwrap();
     let low = m_low.usage();
     assert!(full.ntt > low.ntt, "NTT work must grow with level");
     assert!(full.mm > low.mm);

@@ -11,9 +11,10 @@ use he_ckks::eval::Evaluator;
 use he_ckks::integrity::digest_ciphertext;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
-use poseidon_core::plan::{execute, plan, Plan, PlanOptions};
-use poseidon_core::recorder::RecordingEvaluator;
-use poseidon_core::PoseidonMachine;
+use poseidon_core::decompose::OpTrace;
+use poseidon_core::plan::{execute, plan, EvalGraph, Plan, PlanOptions};
+use poseidon_core::recorder::Recorder;
+use poseidon_core::{HomomorphicOps, PoseidonMachine};
 use rand::SeedableRng;
 
 const SLOTS: usize = 4;
@@ -70,8 +71,8 @@ fn record_rotation_fan(
     keys: &KeySet,
     rng: &mut rand::rngs::StdRng,
     summed: bool,
-) -> (poseidon_core::EvalGraph, Ciphertext) {
-    let rec = RecordingEvaluator::new(Evaluator::new(ctx), 1);
+) -> (EvalGraph, Ciphertext) {
+    let mut rec = Recorder::new(ctx, Evaluator::new(ctx));
     let a = encrypt(ctx, keys, rng, 0.5);
     let rots: Vec<Ciphertext> = (1..=8)
         .map(|s| rec.try_rotate(&a, s, keys).unwrap())
@@ -87,7 +88,7 @@ fn record_rotation_fan(
             rec.mark_output(r);
         }
     }
-    (rec.eval_graph(), a)
+    (rec.into_recordings().1, a)
 }
 
 /// Hoisting alone is bit-preserving: a fan whose rotations are used apart
@@ -140,7 +141,7 @@ fn planned_rotation_fan_is_digest_identical_to_unplanned() {
 #[test]
 fn replay_reproduces_the_recorded_run_itself() {
     let (ctx, keys, mut rng) = setup();
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     let b = encrypt(&ctx, &keys, &mut rng, -0.25);
     let s = rec.try_add(&a, &b).unwrap();
@@ -162,7 +163,7 @@ fn replay_reproduces_the_recorded_run_itself() {
 #[test]
 fn rescale_placement_preserves_decrypted_values() {
     let (ctx, keys, mut rng) = setup();
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     // square → 4 rotations each followed by a caller-placed rescale → sum:
     // the sink pass shares one rescale, the hoist pass batches the
@@ -204,7 +205,7 @@ fn rescale_placement_preserves_decrypted_values() {
 #[test]
 fn dead_values_are_not_executed() {
     let (ctx, keys, mut rng) = setup();
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let used = rec.try_square(&a, &keys).unwrap();
     let dead = rec.try_rotate(&a, 1, &keys).unwrap();
@@ -234,7 +235,7 @@ fn planned_execution_agrees_across_all_backends() {
         let planned = plan(graph, &PlanOptions::default()).unwrap();
 
         let mut eval = Evaluator::new(&ctx);
-        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
         let mut machine = PoseidonMachine::new(&ctx, 8, 1);
 
         let e = execute(&planned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();
@@ -262,6 +263,84 @@ fn planned_execution_agrees_across_all_backends() {
         // The machine's rotate_many uses a different digit representative,
         // so agreement is at the decrypted-value level.
         assert_values_close(&ve, &vm, 1e-4);
+    }
+}
+
+/// Records one pipeline over `backend` — add, plaintext product, product,
+/// rescales, a rotation fan and a conjugation — with every result it keeps
+/// marked as an output, and returns the recordings and those outputs.
+fn record_pipeline<B: HomomorphicOps>(
+    ctx: &CkksContext,
+    backend: B,
+    keys: &KeySet,
+    inputs: [&Ciphertext; 2],
+    pt: &Plaintext,
+) -> (OpTrace, EvalGraph, Vec<Ciphertext>) {
+    let [a, b] = inputs;
+    let mut rec = Recorder::new(ctx, backend);
+    let s = rec.try_add(a, b).unwrap();
+    let w = rec.try_mul_plain(&s, pt).unwrap();
+    let w = rec.try_rescale(&w).unwrap();
+    let a_low = rec.try_drop_to_level(a, w.level()).unwrap();
+    let m = rec.try_mul(&w, &a_low, keys).unwrap();
+    let r = rec.try_rescale(&m).unwrap();
+    let mut outputs = rec.try_rotate_many(&r, &[1, 2, 3], keys).unwrap();
+    outputs.push(rec.try_conjugate(&r, keys).unwrap());
+    for out in &outputs {
+        assert!(rec.mark_output(out));
+    }
+    let (trace, graph) = rec.into_recordings();
+    (trace, graph, outputs)
+}
+
+/// The recorder is a decorator, not a backend: over the evaluator and over
+/// the machine it records the same trace and the same graph, and the graph
+/// recorded on the machine, planned, replays on the evaluator.
+#[test]
+fn the_recorder_records_the_same_over_either_backend() {
+    let (ctx, mut keys, mut rng) = setup();
+    keys.add_conjugation_key(&mut rng);
+    let a = encrypt(&ctx, &keys, &mut rng, 0.5);
+    let b = encrypt(&ctx, &keys, &mut rng, -0.25);
+    let z = [Complex::new(0.75, 0.0)];
+    let scale = ctx.default_scale();
+    let pt = Plaintext::new(
+        ctx.encoder().encode_rns(ctx.chain_basis(), &z, scale),
+        scale,
+    );
+
+    let eval = Evaluator::new(&ctx);
+    let (eval_trace, eval_graph, _) = record_pipeline(&ctx, eval, &keys, [&a, &b], &pt);
+    let machine = PoseidonMachine::new(&ctx, 8, 1);
+    let (trace, graph, outputs) = record_pipeline(&ctx, machine, &keys, [&a, &b], &pt);
+
+    // Add, PMult, Rescale, CMult, Rescale, three Rotations, the conjugation.
+    assert_eq!(trace.entries().len(), 9);
+    assert_eq!(trace, eval_trace);
+    assert_eq!(graph.nodes().len(), eval_graph.nodes().len());
+    for (n, e) in graph.nodes().iter().zip(eval_graph.nodes()) {
+        assert_eq!(
+            (&n.op, &n.inputs, &n.outputs),
+            (&e.op, &e.inputs, &e.outputs)
+        );
+    }
+    let meta = |g: &EvalGraph| -> Vec<(usize, f64)> {
+        g.values().iter().map(|v| (v.level, v.scale_bits)).collect()
+    };
+    assert_eq!(meta(&graph), meta(&eval_graph));
+    assert_eq!(graph.outputs(), eval_graph.outputs());
+
+    let planned = plan(graph, &PlanOptions::default()).unwrap();
+    assert_eq!(planned.stats.hoist_batches, vec![3]);
+    let mut eval = Evaluator::new(&ctx);
+    let replayed = execute(&planned, &mut eval, &[a, b], &keys).unwrap();
+    assert_eq!(replayed.outputs.len(), outputs.len());
+    for (got, want) in replayed.outputs.iter().zip(&outputs) {
+        assert_values_close(
+            &decrypt(&ctx, &keys, got),
+            &decrypt(&ctx, &keys, want),
+            1e-3,
+        );
     }
 }
 

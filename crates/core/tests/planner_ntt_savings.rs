@@ -17,7 +17,8 @@ use he_ckks::params::CkksParams;
 use poseidon_core::decompose::{BasicOp, OpParams, OpTrace};
 use poseidon_core::plan::{compile_trace, execute, plan, plan_trace, CompileOptions};
 use poseidon_core::plan::{Plan, PlanOptions};
-use poseidon_core::recorder::RecordingEvaluator;
+use poseidon_core::recorder::Recorder;
+use poseidon_core::HomomorphicOps;
 use poseidon_telemetry::{Registry, Snapshot};
 use rand::SeedableRng;
 
@@ -40,7 +41,7 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
     let a = keys.public().encrypt(&pt, &mut rng);
 
     // An 8-rotation same-source fan, summed.
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
     let rots: Vec<Ciphertext> = (1..=8)
         .map(|s| rec.try_rotate(&a, s, &keys).unwrap())
         .collect();
@@ -49,7 +50,7 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
         acc = rec.try_add(&acc, r).unwrap();
     }
     rec.mark_output(&acc);
-    let graph = rec.eval_graph();
+    let (_, graph) = rec.into_recordings();
 
     let unplanned = Plan::passthrough(graph.clone());
     let planned = plan(graph, &PlanOptions::default()).unwrap();

@@ -9,7 +9,7 @@ use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_core::decompose::{BasicOp, OpParams};
-use poseidon_core::{Operator, PoseidonMachine};
+use poseidon_core::{HomomorphicOps, Operator, PoseidonMachine};
 use rand::SeedableRng;
 
 fn setup() -> (CkksContext, KeySet, rand::rngs::StdRng) {
@@ -38,8 +38,8 @@ fn snapshot_items_equal_usage_exactly() {
     let a = encrypt(&ctx, &keys, &mut rng, 1.5);
     let b = encrypt(&ctx, &keys, &mut rng, -2.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let s = m.try_hadd(&a, &b).unwrap();
-    let p = m.try_cmult(&s, &a, &keys).unwrap();
+    let s = m.try_add(&a, &b).unwrap();
+    let p = m.try_mul(&s, &a, &keys).unwrap();
     let r = m.try_rescale(&p).unwrap();
     let _ = m.try_rotate(&r, 1, &keys).unwrap();
 
@@ -68,7 +68,7 @@ fn hadd_counters_match_table1_decomposition_exactly() {
     let a = encrypt(&ctx, &keys, &mut rng, 0.25);
     let b = encrypt(&ctx, &keys, &mut rng, 0.75);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.try_hadd(&a, &b).unwrap();
+    let _ = m.try_add(&a, &b).unwrap();
 
     let p = OpParams::new(ctx.n(), a.level() + 1, ctx.special_basis().len());
     let model = BasicOp::HAdd.operator_counts(&p);
@@ -137,6 +137,6 @@ fn reset_usage_clears_all_metrics() {
     assert!(m.usage().total() > 0);
     m.reset_usage();
     assert_eq!(m.usage().total(), 0);
-    let _ = m.try_hadd(&a, &a).unwrap();
+    let _ = m.try_add(&a, &a).unwrap();
     assert!(m.usage().uses(Operator::Ma));
 }

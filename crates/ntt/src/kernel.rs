@@ -9,7 +9,7 @@
 //! boundaries — k = 3 stages at a time, mirroring the paper's radix-8
 //! fused TAM (Table II's sweet spot).
 //!
-//! [`forward_fused`] / [`inverse_fused`] are the only transforms behind
+//! `forward_fused` / `inverse_fused` are the only transforms behind
 //! [`crate::NttTable::forward`] / `inverse`: stage groups of k = 3
 //! (remainders at radix 4/2), where each 8-element block is gathered once,
 //! runs 12 lazy butterflies in registers, and is reduced exactly once per

@@ -17,7 +17,7 @@
 //! One directive line sets the ring parameters; each instruction line is
 //! `<op> L=<components> [x<count>]`. Comments (`#`) and blank lines are
 //! ignored. [`parse`] validates everything and produces an
-//! [`OpTrace`]; [`format`] is its inverse.
+//! [`OpTrace`]; [`format`](fn@format) is its inverse.
 
 use poseidon_core::decompose::{BasicOp, OpParams, OpTrace};
 use std::fmt;

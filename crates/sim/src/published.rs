@@ -13,9 +13,9 @@ pub struct Table4Row {
     pub op: &'static str,
     /// Single-thread Xeon 6234 baseline (ops/s).
     pub cpu_ops: f64,
-    /// over100x GPU [21] (ops/s), where reported.
+    /// over100x GPU \[21\] (ops/s), where reported.
     pub gpu_ops: Option<f64>,
-    /// HEAX FPGA [32] (ops/s), where reported.
+    /// HEAX FPGA \[32\] (ops/s), where reported.
     pub heax_ops: Option<f64>,
     /// Poseidon's reported speedup over the CPU.
     pub poseidon_speedup: f64,

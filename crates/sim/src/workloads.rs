@@ -65,7 +65,7 @@ fn p(components: usize) -> OpParams {
 
 /// One fully packed bootstrapping, refreshing L = 3 → 57 (paper Table V).
 ///
-/// Structure mirrors the standard pipeline ([30]): CoeffToSlot as three
+/// Structure mirrors the standard pipeline (\[30\]): CoeffToSlot as three
 /// BSGS-factored DFT matrix levels, EvalMod as a degree-63 scaled-sine
 /// Chebyshev evaluation with double-angle iterations, SlotToCoeff as three
 /// more matrix levels. Component counts decline along the pipeline.

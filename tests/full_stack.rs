@@ -175,19 +175,19 @@ fn rotation_composes_with_cmult_across_levels() {
 #[test]
 fn recorded_session_simulates_on_the_accelerator_model() {
     // Record a real computation, then predict its accelerator time.
-    use poseidon::core::recorder::RecordingEvaluator;
+    use poseidon::core::recorder::Recorder;
+    use poseidon::core::HomomorphicOps;
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rng();
     let mut keys = KeySet::generate(&ctx, &mut rng);
     keys.add_rotation_key(1, &mut rng);
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
 
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0, 2.0, 3.0, 4.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 0.5, 0.5, 0.5]);
     let s = rec.try_add(&a, &b).unwrap();
-    let p = rec
-        .try_rescale(&rec.try_mul(&s, &b, &keys).unwrap())
-        .unwrap();
+    let prod = rec.try_mul(&s, &b, &keys).unwrap();
+    let p = rec.try_rescale(&prod).unwrap();
     let out = rec.try_rotate(&p, 1, &keys).unwrap();
 
     // Functional result is correct...
@@ -197,7 +197,7 @@ fn recorded_session_simulates_on_the_accelerator_model() {
         assert!((got[i] - want).abs() < 0.02, "slot {i}");
     }
     // ...and the recorded trace runs on the model.
-    let trace = rec.into_trace();
+    let (trace, _) = rec.into_recordings();
     assert_eq!(trace.entries().len(), 4);
     let report = Simulator::new(AcceleratorConfig::poseidon_u280()).run(&trace);
     assert!(report.seconds > 0.0);

@@ -108,9 +108,8 @@ fn lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
 }
 
 /// The functional machine checks the same operand: its `try_add_plain` and
-/// `try_pmult` (and their `HomomorphicOps` faces) return the evaluator's
-/// `LevelMismatch` where they used to hit `truncate_basis`'s prefix
-/// assertion.
+/// `try_mul_plain` return the evaluator's `LevelMismatch` where they used
+/// to hit `truncate_basis`'s prefix assertion.
 #[test]
 fn machine_lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
     use poseidon::core::{HomomorphicOps, PoseidonMachine};
@@ -128,19 +127,15 @@ fn machine_lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
     };
 
     assert_eq!(machine.try_add_plain(&ct, &low).unwrap_err(), want);
-    assert_eq!(machine.try_pmult(&ct, &low).unwrap_err(), want);
-    assert_eq!(
-        HomomorphicOps::try_mul_plain(&mut machine, &ct, &low).unwrap_err(),
-        want
-    );
+    assert_eq!(machine.try_mul_plain(&ct, &low).unwrap_err(), want);
 
     // A plaintext above the ciphertext's level is truncated down to it,
     // exactly as the evaluator does.
     let dropped = eval.try_drop_to_level(&ct, 0).unwrap();
     let full = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), ct.level());
     assert_eq!(
-        machine.try_pmult(&dropped, &full).unwrap(),
-        machine.try_pmult(&dropped, &low).unwrap()
+        machine.try_mul_plain(&dropped, &full).unwrap(),
+        machine.try_mul_plain(&dropped, &low).unwrap()
     );
 }
 
