@@ -926,13 +926,36 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the connection is closed or the send fails.
+    /// [`ServeError::Io`] if the connection is closed or the send fails;
+    /// [`ServeError::Protocol`], with nothing sent, for a tenant id longer
+    /// than 65 535 bytes or a request longer than [`MAX_FRAME`].
     pub fn submit_opts(
         &self,
         tenant: &str,
         op: Op<'_>,
         opts: SubmitOptions,
     ) -> Result<PendingReply, ServeError> {
+        // Refuse what the protocol cannot carry before anything is sent: a
+        // truncated tenant id would run the request against whichever
+        // tenant its prefix names, and the server drops a connection that
+        // sends a body past MAX_FRAME, failing every request behind it.
+        let tenant_len = u16::try_from(tenant.len()).map_err(|_| {
+            ServeError::Protocol(format!(
+                "tenant id of {} bytes exceeds the protocol's {} bytes",
+                tenant.len(),
+                u16::MAX
+            ))
+        })?;
+        let blobs = op.blobs();
+        let len = 16
+            + tenant.len()
+            + op.steps().map_or(0, |_| 8)
+            + blobs.iter().map(|blob| 4 + blob.len()).sum::<usize>();
+        if len > MAX_FRAME {
+            return Err(ServeError::Protocol(format!(
+                "request of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+            )));
+        }
         let id = opts
             .id
             .unwrap_or_else(|| self.shared.next_id.fetch_add(1, Ordering::Relaxed));
@@ -945,19 +968,17 @@ impl Client {
             pending.replies.insert(id, tx);
         }
 
-        let mut body = Vec::new();
+        let mut body = Vec::with_capacity(len);
         body.extend_from_slice(&id.to_le_bytes());
         body.push(op.code());
         body.push(if opts.replay { FLAG_REPLAY } else { 0 });
         body.extend_from_slice(&opts.ttl_ms.to_le_bytes());
-        let tenant_bytes = tenant.as_bytes();
-        let tenant_bytes = &tenant_bytes[..tenant_bytes.len().min(u16::MAX as usize)];
-        body.extend_from_slice(&(tenant_bytes.len() as u16).to_le_bytes());
-        body.extend_from_slice(tenant_bytes);
+        body.extend_from_slice(&tenant_len.to_le_bytes());
+        body.extend_from_slice(tenant.as_bytes());
         if let Some(s) = op.steps() {
             body.extend_from_slice(&s.to_le_bytes());
         }
-        for blob in op.blobs() {
+        for blob in blobs {
             body.extend_from_slice(&(blob.len() as u32).to_le_bytes());
             body.extend_from_slice(blob);
         }

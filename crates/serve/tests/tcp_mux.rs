@@ -298,6 +298,74 @@ fn dead_connection_fails_pending_and_future_requests() {
     }
 }
 
+/// A tenant id longer than the protocol's `u16` length field is refused
+/// before anything is sent. Truncated, it would name another tenant: here
+/// the registered 65 535-byte id that is its prefix.
+#[test]
+fn an_overlong_tenant_id_is_refused_not_truncated() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let service = EvalService::start(ServiceConfig::default());
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+
+    let longest = "t".repeat(usize::from(u16::MAX));
+    client
+        .register_tenant(&longest, &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .expect("the longest id the protocol carries registers");
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
+    let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
+    let overlong = format!("{longest}u");
+    match client
+        .request(&overlong, Op::Square { a: &frame })
+        .map(|_| ())
+    {
+        Err(ServeError::Protocol(msg)) => assert!(msg.contains("tenant id"), "{msg}"),
+        other => panic!("expected a local protocol refusal, got {other:?}"),
+    }
+    // Nothing was sent: the connection still serves the longest id.
+    client
+        .request(&longest, Op::Square { a: &frame })
+        .expect("the connection is intact");
+}
+
+/// A request body past `MAX_FRAME` is refused before it is sent and fails
+/// alone. Sent, the server would drop the connection, failing every
+/// request pipelined behind it.
+#[test]
+fn an_oversize_request_fails_alone_in_a_pipeline() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0F);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let service = EvalService::start(ServiceConfig::default());
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+    client
+        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .expect("register");
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
+    let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
+    let oversize = vec![0u8; tcp::MAX_FRAME];
+
+    let before = client
+        .submit("acme", Op::Square { a: &frame })
+        .expect("ordinary request");
+    match client
+        .submit("acme", Op::Square { a: &oversize })
+        .map(|reply| reply.id())
+    {
+        Err(ServeError::Protocol(msg)) => assert!(msg.contains("MAX_FRAME"), "{msg}"),
+        other => panic!("expected a local protocol refusal, got {other:?}"),
+    }
+    let after = client
+        .submit("acme", Op::Square { a: &frame })
+        .expect("ordinary request");
+    let first = before.wait().expect("the request before").expect("reply");
+    let second = after.wait().expect("the request after").expect("reply");
+    assert_eq!(first, second, "the same square, twice");
+}
+
 /// Two independently connected resilient clients sharing one tenant and
 /// the *default* retry policy must not collide in the replay-id space.
 /// Ids mix per-instance entropy into the seed, so each client's first

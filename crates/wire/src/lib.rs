@@ -683,8 +683,27 @@ pub fn encode_keyset_public(ctx: &CkksContext, keys: &KeySet) -> Vec<u8> {
     encode_keyset_inner(ctx, keys, false)
 }
 
+/// The fewest payload bytes after the parameter block that a key set with
+/// `params` can occupy: the secret (when flagged), the public key, the
+/// relinearisation key and the Galois count. `None` when that overflows.
+fn keyset_min_payload(params: &CkksParams, with_secret: bool) -> Option<usize> {
+    let poly_bytes = |limbs: usize| limbs.checked_mul(params.n)?.checked_mul(8);
+    let secret = if with_secret { poly_bytes(1)? } else { 0 };
+    let public = poly_bytes(params.chain_len)?.checked_mul(2)?;
+    let relin = poly_bytes(params.chain_len.checked_add(params.special_len)?)?
+        .checked_mul(2)?
+        .checked_mul(params.chain_len)?
+        .checked_add(8)?;
+    secret
+        .checked_add(public)?
+        .checked_add(relin)?
+        .checked_add(8)
+}
+
 /// Decodes a key set, deriving a fresh context from the frame's parameter
-/// block (tenant provisioning: the frame is self-contained).
+/// block (tenant provisioning: the frame is self-contained). A payload too
+/// short for the keys its parameters declare is refused as
+/// [`WireError::Truncated`] before any context is built.
 ///
 /// # Errors
 ///
@@ -694,6 +713,20 @@ pub fn decode_keyset(bytes: &[u8]) -> Result<(CkksContext, KeySet), WireError> {
     decode_with(bytes, Kind::KeySet, |flags, payload| {
         let mut r = Reader::new(payload);
         let params = take_params(&mut r)?;
+        // Refuse a payload too short for the keys its parameters declare
+        // before deriving a context from them: at a forged ring degree
+        // that takes seconds, or aborts the process on a failed
+        // allocation, which no `catch_unwind` contains.
+        let needed =
+            keyset_min_payload(&params, flags & FLAG_HAS_SECRET != 0).ok_or_else(|| {
+                WireError::Malformed("declared parameters exceed the address width".into())
+            })?;
+        if r.remaining() < needed {
+            return Err(WireError::Truncated {
+                needed,
+                available: r.remaining(),
+            });
+        }
         let ctx = CkksContext::try_new(params)
             .map_err(|e| WireError::Malformed(format!("context derivation failed: {e}")))?;
         let n = ctx.n();

@@ -3,6 +3,8 @@
 //! field-level garbage. Every case must come back as a typed
 //! [`poseidon_wire::WireError`] — a panic anywhere here is a bug.
 
+use std::time::{Duration, Instant};
+
 use he_ckks::cipher::Ciphertext;
 use he_ckks::context::CkksContext;
 use he_ckks::keys::KeySet;
@@ -270,6 +272,51 @@ fn keyset_field_validation_rejects_garbage() {
         poseidon_wire::decode_keyset(&evil),
         Err(WireError::Malformed(_))
     ));
+}
+
+/// A 92-byte key-set frame: a parameter block declaring ring degree `n`,
+/// 60-bit primes and a chain of 8, and no keys.
+fn forged_keyset(n: usize) -> Vec<u8> {
+    let params = CkksParams {
+        n,
+        first_prime_bits: 60,
+        scale_prime_bits: 60,
+        chain_len: 8,
+        special_len: 1,
+        special_prime_bits: 60,
+        scale: 2f64.powi(40),
+        error_std: 3.2,
+    };
+    let mut frame = poseidon_wire::encode_params(&params);
+    frame[10] = 5; // the kind byte: a key set
+    let end = frame.len() - poseidon_wire::TRAILER_LEN;
+    let sum = poseidon_wire::checksum(&frame[MAGIC.len()..end]);
+    frame[end..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// A key-set frame too short for the keys its parameters declare is
+/// refused before a context is derived from them. Deriving one at
+/// N = 2^22 takes seconds, and at 2^24 aborts the process on a failed
+/// allocation — an abort no `catch_unwind` contains.
+#[test]
+fn forged_keyset_parameters_are_refused_before_a_context_is_built() {
+    for log_n in [22u32, 40] {
+        let frame = forged_keyset(1 << log_n);
+        assert_eq!(frame.len(), 92);
+        let start = Instant::now();
+        let result = poseidon_wire::decode_keyset(&frame);
+        let elapsed = start.elapsed();
+        match result {
+            Err(WireError::Truncated { .. }) => {}
+            Err(other) => panic!("N = 2^{log_n}: expected Truncated, got {other:?}"),
+            Ok(_) => panic!("N = 2^{log_n}: a frame without keys decoded"),
+        }
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "N = 2^{log_n}: the refusal took {elapsed:?}, so a context was built"
+        );
+    }
 }
 
 #[test]
