@@ -47,9 +47,14 @@
 //!   client-chosen request id echoed in the reply, so one socket holds
 //!   many requests in flight and replies return in completion order.
 //!   The [`tcp::Client`] is `&self`-shareable (submit from any thread,
-//!   a reader demuxes by id), payloads decode through borrowed frame
-//!   views into pooled scratch rows, and multi-megabyte keysets stream
-//!   in chunks ([`tcp::Client::register_tenant_chunked`]).
+//!   a reader demuxes by id), payloads decode into pooled scratch rows,
+//!   and multi-megabyte keysets stream in chunks
+//!   ([`tcp::Client::register_tenant_chunked`]).
+//! - **One request path** — a TCP request is parsed against one opcode
+//!   table into one [`Request`], and every submission — in-process
+//!   ([`EvalService::submit`]) or tagged from a connection — passes one
+//!   admission function (tenant lookup, replay, deadline, priority,
+//!   queue) into one kind of reply sink.
 //!
 //! [`CkksContext`]: he_ckks::context::CkksContext
 //! [`Evaluator`]: he_ckks::eval::Evaluator
@@ -191,11 +196,10 @@ pub enum ServeError {
     /// A server-reported failure, as seen by the TCP client: the
     /// server's error code (see [`tcp`] docs) plus its message.
     Remote {
-        /// Server-side error code (1 = unknown tenant, 2 = queue full,
-        /// 3 = eval, 4 = wire, 5 = shutting down, 6 = internal,
-        /// 7 = protocol; codes 8 = overloaded and 9 = deadline exceeded
-        /// are mapped back to their typed variants by the client and
-        /// never surface as `Remote`).
+        /// Server-side error code, numbered as the [`tcp`] module docs
+        /// list them. The overloaded and deadline-exceeded codes are
+        /// mapped back to their typed variants by the client and never
+        /// surface as `Remote`.
         code: u8,
         /// The server's rendered error message.
         message: String,

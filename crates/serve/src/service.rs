@@ -17,7 +17,7 @@ use he_ckks::integrity::{digest_ciphertext, CheckedEvaluator};
 use he_ckks::keys::KeySet;
 
 use crate::key_cache::KeyCache;
-use crate::shard::{dispatch_loop, Job, Reply, SharedQueues};
+use crate::shard::{dispatch_loop, Job, Reply, SharedQueues, Sink};
 use crate::{Request, ServeError};
 
 /// The default tenant priority: tenants never marked otherwise sit here
@@ -128,8 +128,8 @@ impl AsRef<CkksContext> for TenantContext {
     }
 }
 
-/// Handle to one submitted job; [`wait`](Ticket::wait) blocks for its
-/// result.
+/// Handle to one submitted job: the receiving end of the channel its
+/// reply sink sends on. [`wait`](Ticket::wait) blocks for the result.
 #[derive(Debug)]
 pub struct Ticket {
     rx: mpsc::Receiver<Result<Ciphertext, ServeError>>,
@@ -293,12 +293,9 @@ impl ReplayCache {
     }
 }
 
-/// The boxed completion sink of a tagged submission.
-type TaggedSink = Box<dyn FnOnce(u64, Result<Ciphertext, ServeError>) + Send>;
-
 /// In-flight replay-flagged executions and the sinks attached to each,
 /// keyed `(tenant, request id)`.
-type PendingSinks = HashMap<(Arc<str>, u64), Vec<TaggedSink>>;
+type PendingSinks = HashMap<(Arc<str>, u64), Vec<Sink>>;
 
 /// Replay-flagged executions currently queued or executing, keyed
 /// `(tenant, request id)`. A duplicate replay submission that *races*
@@ -311,6 +308,18 @@ type PendingSinks = HashMap<(Arc<str>, u64), Vec<TaggedSink>>;
 #[derive(Default)]
 struct ReplayPending {
     map: Mutex<PendingSinks>,
+}
+
+impl ReplayPending {
+    /// Removes a finished or refused execution, handing back the sinks
+    /// that attached to it.
+    fn take(&self, key: &(Arc<str>, u64)) -> Vec<Sink> {
+        self.map
+            .lock()
+            .expect("replay pending poisoned")
+            .remove(key)
+            .unwrap_or_default()
+    }
 }
 
 struct WorkerSlot {
@@ -638,56 +647,36 @@ impl EvalService {
         request: Request,
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
-        let tenant = self.lookup(tenant_id)?;
-        if Self::expired(deadline) {
-            crate::tel::deadline().add(1);
-            return Err(ServeError::DeadlineExceeded);
-        }
         let (tx, rx) = mpsc::channel();
-        self.queues.submit(Job {
-            tenant_id: Arc::from(tenant_id),
-            tenant,
+        self.admit(
+            tenant_id,
             request,
             deadline,
-            priority: self.tenant_priority(tenant_id),
-            reply: Reply::ticket(tx),
-        })?;
+            None,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        )?;
         Ok(Ticket { rx })
     }
 
-    /// Enqueues one request tagged with a caller-chosen id; the `sink`
-    /// receives `(id, result)` from whichever dispatcher worker finishes
-    /// the job — the multiplexed front-end's out-of-order reply path.
+    /// Enqueues one request tagged with a caller-chosen id, with a
+    /// deadline and the idempotent-replay flag; the `sink` receives
+    /// `(id, result)` from whichever dispatcher worker finishes the job
+    /// — the multiplexed front-end's out-of-order reply path. With
+    /// `replay` set, an id this tenant already executed returns the
+    /// cached result immediately (the sink fires inline; nothing
+    /// re-runs); an id still *queued or executing* attaches this sink to
+    /// that pending execution (one run, every waiter answered — a retry
+    /// racing its original never double-executes); and a fresh
+    /// execution's outcome is recorded before any sink sees it — the
+    /// server half of safe client resubmission.
     ///
     /// # Errors
     ///
-    /// Same surface as [`submit`](Self::submit). On error the sink is
-    /// dropped unused: the caller still owns error reporting for
+    /// The [`submit_opts`](Self::submit_opts) surface. On error the sink
+    /// is dropped unused: the caller still owns error reporting for
     /// requests that never entered the queue.
-    pub fn submit_tagged(
-        &self,
-        tenant_id: &str,
-        request: Request,
-        id: u64,
-        sink: impl FnOnce(u64, Result<Ciphertext, ServeError>) + Send + 'static,
-    ) -> Result<(), ServeError> {
-        self.submit_tagged_opts(tenant_id, request, id, None, false, sink)
-    }
-
-    /// [`submit_tagged`](Self::submit_tagged) with a deadline and the
-    /// idempotent-replay flag. With `replay` set, an id this tenant
-    /// already executed returns the cached result immediately (the sink
-    /// fires inline; nothing re-runs); an id still *queued or
-    /// executing* attaches this sink to that pending execution (one
-    /// run, every waiter answered — a retry racing its original never
-    /// double-executes); and a fresh execution's outcome is recorded
-    /// before any sink sees it — the server half of safe client
-    /// resubmission.
-    ///
-    /// # Errors
-    ///
-    /// The [`submit`](Self::submit) surface plus
-    /// [`ServeError::DeadlineExceeded`].
     pub fn submit_tagged_opts(
         &self,
         tenant_id: &str,
@@ -697,11 +686,36 @@ impl EvalService {
         replay: bool,
         sink: impl FnOnce(u64, Result<Ciphertext, ServeError>) + Send + 'static,
     ) -> Result<(), ServeError> {
+        let replay_id = replay.then_some(id);
+        self.admit(
+            tenant_id,
+            request,
+            deadline,
+            replay_id,
+            Box::new(move |result| sink(id, result)),
+        )
+    }
+
+    /// The one admission path: tenant lookup, replay (attach to a pending
+    /// execution, or answer from the cache), the deadline check, priority
+    /// and the queue submit. `replay_id` keys the idempotent-replay cache
+    /// when the request carries the replay flag.
+    fn admit(
+        &self,
+        tenant_id: &str,
+        request: Request,
+        deadline: Option<Instant>,
+        replay_id: Option<u64>,
+        sink: Sink,
+    ) -> Result<(), ServeError> {
         let tenant = self.lookup(tenant_id)?;
         let tid: Arc<str> = Arc::from(tenant_id);
-        let reply = if replay {
-            let key = (Arc::clone(&tid), id);
-            {
+        // The pending-map lock is held from the replay checks through the
+        // pending insert, so a racing duplicate sees either this
+        // execution or its outcome.
+        let replay = match replay_id {
+            Some(id) => {
+                let key = (Arc::clone(&tid), id);
                 let mut pending = self
                     .replay_pending
                     .map
@@ -711,82 +725,65 @@ impl EvalService {
                     // The same (tenant, id) is already queued or
                     // executing: ride that execution instead of
                     // enqueueing a second one.
-                    waiters.push(Box::new(sink));
+                    waiters.push(sink);
                     crate::tel::replay_coalesced().add(1);
                     return Ok(());
                 }
-                // Completed-outcome check under the pending lock:
-                // completion fills the cache before clearing its
-                // pending entry, so missing both maps means the id
-                // genuinely never executed.
+                // Completion fills the cache before clearing its pending
+                // entry, so missing both maps means the id genuinely
+                // never executed.
                 if let Some(cached) = self.replay.get(&tid, id) {
                     crate::tel::replay_hit().add(1);
                     drop(pending);
-                    sink(id, cached);
+                    sink(cached);
                     return Ok(());
                 }
-                if Self::expired(deadline) {
-                    crate::tel::deadline().add(1);
-                    return Err(ServeError::DeadlineExceeded);
-                }
-                pending.insert(key, Vec::new());
+                Some((key, pending))
             }
-            let cache = Arc::clone(&self.replay);
-            let pending = Arc::clone(&self.replay_pending);
-            let key_tenant = Arc::clone(&tid);
-            Reply::tagged(
-                id,
-                Box::new(move |id, result: Result<Ciphertext, ServeError>| {
+            None => None,
+        };
+        if Self::expired(deadline) {
+            crate::tel::deadline().add(1);
+            return Err(ServeError::DeadlineExceeded);
+        }
+        let (key, sink): (_, Sink) = match replay {
+            Some((key, mut pending)) => {
+                pending.insert(key.clone(), Vec::new());
+                let cache = Arc::clone(&self.replay);
+                let waiting = Arc::clone(&self.replay_pending);
+                let done = key.clone();
+                let sink = Box::new(move |result: Result<Ciphertext, ServeError>| {
                     // Record only executed outcomes: an admission-style
                     // error (queue full, shutdown, deadline) never ran,
                     // so a retry must be allowed to actually run. Cache
                     // first, *then* clear pending (see above).
                     if matches!(result, Ok(_) | Err(ServeError::Eval(_))) {
-                        cache.put(Arc::clone(&key_tenant), id, result.clone());
+                        cache.put(Arc::clone(&done.0), done.1, result.clone());
                     }
-                    let waiters = pending
-                        .map
-                        .lock()
-                        .expect("replay pending poisoned")
-                        .remove(&(key_tenant, id))
-                        .unwrap_or_default();
-                    for waiter in waiters {
-                        waiter(id, result.clone());
+                    for waiter in waiting.take(&done) {
+                        waiter(result.clone());
                     }
-                    sink(id, result);
-                }),
-            )
-        } else {
-            if Self::expired(deadline) {
-                crate::tel::deadline().add(1);
-                return Err(ServeError::DeadlineExceeded);
+                    sink(result);
+                });
+                (Some(key), sink)
             }
-            Reply::tagged(id, Box::new(sink))
+            None => (None, sink),
         };
         let submitted = self.queues.submit(Job {
-            tenant_id: Arc::clone(&tid),
+            tenant_id: tid,
             tenant,
             request,
             deadline,
             priority: self.tenant_priority(tenant_id),
-            reply,
+            reply: Reply::new(sink),
         });
-        if let Err(e) = &submitted {
-            if replay {
-                // The job never entered a queue (its reply was defused,
-                // so the completion wrapper will never run): clear the
-                // pending entry and answer any waiters that attached in
-                // the window with the same rejection.
-                let waiters = self
-                    .replay_pending
-                    .map
-                    .lock()
-                    .expect("replay pending poisoned")
-                    .remove(&(tid, id))
-                    .unwrap_or_default();
-                for waiter in waiters {
-                    waiter(id, Err(e.clone()));
-                }
+        if let (Err(e), Some(key)) = (&submitted, &key) {
+            // The job never entered a queue (its reply was defused, so
+            // the completion wrapper will never run): clear the pending
+            // entry and answer any waiters that attached in the window
+            // with the same rejection.
+            for waiter in self.replay_pending.take(key) {
+                waiter(Err(e.clone()));
             }
         }
         submitted

@@ -41,7 +41,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -58,29 +57,10 @@ pub(crate) fn now_ms() -> u64 {
     Instant::now().duration_since(start).as_millis() as u64
 }
 
-/// How a finished job's result leaves the dispatcher.
-enum ReplySink {
-    /// The in-process path: one-shot channel behind a
-    /// [`Ticket`](crate::Ticket).
-    Ticket(mpsc::Sender<Result<Ciphertext, ServeError>>),
-    /// The multiplexed path: the caller's request id is handed back with
-    /// the result, in whatever order jobs complete.
-    Tagged {
-        id: u64,
-        sink: Box<dyn FnOnce(u64, Result<Ciphertext, ServeError>) + Send>,
-    },
-}
-
-impl ReplySink {
-    fn dispatch(self, result: Result<Ciphertext, ServeError>) {
-        match self {
-            ReplySink::Ticket(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplySink::Tagged { id, sink } => sink(id, result),
-        }
-    }
-}
+/// How a finished job's result leaves the dispatcher: one boxed
+/// callback, whether it feeds a [`Ticket`](crate::Ticket)'s channel or a
+/// connection's writer.
+pub(crate) type Sink = Box<dyn FnOnce(Result<Ciphertext, ServeError>) + Send>;
 
 /// Reply sinks parked by dequeued-but-unanswered jobs, one slot map per
 /// shard. The executing worker answers through its slot; if the worker
@@ -89,7 +69,7 @@ impl ReplySink {
 /// half of "never a hang, never a lost reply". The slot mutexes are
 /// leaf locks: nothing is acquired while one is held.
 pub(crate) struct InFlightTable {
-    shards: Vec<Mutex<HashMap<u64, ReplySink>>>,
+    shards: Vec<Mutex<HashMap<u64, Sink>>>,
     serial: AtomicU64,
 }
 
@@ -101,7 +81,7 @@ impl InFlightTable {
         }
     }
 
-    fn park(&self, shard: usize, sink: ReplySink) -> u64 {
+    fn park(&self, shard: usize, sink: Sink) -> u64 {
         let serial = self.serial.fetch_add(1, Ordering::Relaxed);
         self.shards[shard]
             .lock()
@@ -110,7 +90,7 @@ impl InFlightTable {
         serial
     }
 
-    fn take(&self, shard: usize, serial: u64) -> Option<ReplySink> {
+    fn take(&self, shard: usize, serial: u64) -> Option<Sink> {
         self.shards[shard]
             .lock()
             .expect("in-flight table poisoned")
@@ -122,13 +102,13 @@ impl InFlightTable {
     /// sleep forever, so its waiters must not. Returns how many replies
     /// were failed.
     pub(crate) fn fail_shard(&self, shard: usize) -> usize {
-        let drained: Vec<ReplySink> = {
+        let drained: Vec<Sink> = {
             let mut slots = self.shards[shard].lock().expect("in-flight table poisoned");
             slots.drain().map(|(_, sink)| sink).collect()
         };
         let n = drained.len();
         for sink in drained {
-            sink.dispatch(Err(ServeError::Internal(
+            sink(Err(ServeError::Internal(
                 "worker stalled past the watchdog timeout; request abandoned at failover".into(),
             )));
         }
@@ -150,7 +130,7 @@ pub(crate) struct Reply {
 }
 
 enum ReplyState {
-    Direct(ReplySink),
+    Direct(Sink),
     Parked {
         table: Arc<InFlightTable>,
         shard: usize,
@@ -161,7 +141,7 @@ enum ReplyState {
 impl ReplyState {
     fn dispatch(self, result: Result<Ciphertext, ServeError>) {
         match self {
-            ReplyState::Direct(sink) => sink.dispatch(result),
+            ReplyState::Direct(sink) => sink(result),
             // Empty slot: the watchdog already failed this job (or a
             // racing path answered it) — exactly-once means we drop.
             ReplyState::Parked {
@@ -170,7 +150,7 @@ impl ReplyState {
                 serial,
             } => {
                 if let Some(sink) = table.take(shard, serial) {
-                    sink.dispatch(result);
+                    sink(result);
                 }
             }
         }
@@ -178,18 +158,9 @@ impl ReplyState {
 }
 
 impl Reply {
-    pub(crate) fn ticket(tx: mpsc::Sender<Result<Ciphertext, ServeError>>) -> Self {
+    pub(crate) fn new(sink: Sink) -> Self {
         Self {
-            inner: Some(ReplyState::Direct(ReplySink::Ticket(tx))),
-        }
-    }
-
-    pub(crate) fn tagged(
-        id: u64,
-        sink: Box<dyn FnOnce(u64, Result<Ciphertext, ServeError>) + Send>,
-    ) -> Self {
-        Self {
-            inner: Some(ReplyState::Direct(ReplySink::Tagged { id, sink })),
+            inner: Some(ReplyState::Direct(sink)),
         }
     }
 

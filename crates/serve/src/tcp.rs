@@ -25,8 +25,8 @@
 //! the same id returns the cached reply instead of re-running — the
 //! server half of safe client retries. `ttl_ms` (0 = none) becomes an
 //! absolute **deadline** at parse time, enforced at admission, dequeue,
-//! and pre-execution; an expired request answers with error code 9
-//! instead of computing dead work.
+//! and pre-execution; an expired request answers with a
+//! deadline-exceeded error instead of computing dead work.
 //!
 //! Two-blob ops: `Add`/`Sub`/`Mul` (two ciphertexts), `AddPlain`/
 //! `MulPlain` (ciphertext, plaintext). One-blob ops: `Square`,
@@ -34,7 +34,7 @@
 //! (key-set frame, normally [`poseidon_wire::encode_keyset_public`]),
 //! and `RegisterTenantChunk` (one [`poseidon_wire::chunk_keyset`] slice;
 //! chunks stream in order on one connection and the final chunk's reply
-//! acknowledges the registration). `Program` (opcode 12, v4) carries
+//! acknowledges the registration). `Program` (new in v4) carries
 //! two blobs — raw utf-8 `.pos` program text, then one seed ciphertext
 //! frame — and executes the whole program server-side through the
 //! evaluation planner as a single admission-controlled unit.
@@ -43,10 +43,20 @@
 //! status `u8` — `0` = ok then one optional blob (`u32` LE length,
 //! possibly zero, then a ciphertext frame), `1` = error then
 //! `code: u8 | retry_after_ms: u32 LE | msg_len: u16 LE | msg`.
-//! `retry_after_ms` is nonzero only for code 8 (overloaded): the
-//! server's backoff hint. The client maps codes 8 and 9 back to the
-//! typed [`ServeError::Overloaded`] / [`ServeError::DeadlineExceeded`];
-//! every other code surfaces as [`ServeError::Remote`].
+//! `retry_after_ms` is nonzero only for an overloaded error: the
+//! server's backoff hint. The client maps the overloaded and
+//! deadline-exceeded codes back to the typed [`ServeError::Overloaded`]
+//! / [`ServeError::DeadlineExceeded`]; every other code surfaces as
+//! [`ServeError::Remote`].
+//!
+//! Opcode and error-code numbers are written once, in this module's
+//! private `Opcode` and `ErrorCode` tables, which the client encoder and
+//! the server parser both read. Opcodes in wire order: `Add`, `Sub`,
+//! `Mul`, `Square`, `Rescale`, `Rotate`, `Conjugate`, `AddPlain`,
+//! `MulPlain`, `RegisterTenant`, `RegisterTenantChunk`, `Program`
+//! (numbered from one). Error codes in order, also from one: unknown
+//! tenant, queue full, evaluation, wire, shutting down, internal,
+//! protocol, overloaded, deadline exceeded.
 //!
 //! ## Resilience
 //!
@@ -64,15 +74,16 @@
 //! paths (truncate, corrupt, stall, disconnect) so the failure modes
 //! above are reproducible in tests and campaigns.
 //!
-//! Ciphertext operands are decoded **zero-copy**: the server validates
-//! each frame once through [`poseidon_wire::CiphertextView`] and fills
-//! residue rows from a shared [`poseidon_wire::BufferPool`]; encoded
-//! result ciphertexts recycle their rows back into the pool, so the
+//! Operands are decoded by [`poseidon_wire::decode_ciphertext_pooled`]
+//! and [`poseidon_wire::decode_plaintext_pooled`], which fill residue
+//! rows from a shared [`poseidon_wire::BufferPool`]; encoded result
+//! ciphertexts recycle their rows back into the pool, so the
 //! steady-state request path allocates nothing for polynomial data.
 //!
-//! A protocol-level parse failure answers with an error frame and drops
-//! the connection; a wire/eval failure answers with an error frame and
-//! keeps serving. Malformed input never panics the server.
+//! A protocol-level parse failure — an opcode outside the table is
+//! refused before the tenant is looked up — answers with an error frame
+//! and drops the connection; a wire/eval failure answers with an error
+//! frame and keeps serving. Malformed input never panics the server.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -82,7 +93,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use he_ckks::cipher::Ciphertext;
+use he_ckks::cipher::{Ciphertext, Plaintext};
 use poseidon_wire::{BufferPool, KeysetAssembler};
 
 use crate::{EvalService, Request, ServeError, TenantContext};
@@ -130,9 +141,8 @@ impl SocketConfig {
     }
 }
 
-/// One serving operation, borrowing its operand frames. The generic
-/// surface behind [`Client::request`]; the named convenience methods
-/// (`add`, `mul`, …) are thin wrappers over these variants.
+/// One serving operation, borrowing its operand frames: what
+/// [`Client::submit`] and [`Client::request`] send.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub enum Op<'a> {
@@ -215,20 +225,20 @@ pub enum Op<'a> {
 }
 
 impl Op<'_> {
-    fn code(&self) -> u8 {
+    fn opcode(&self) -> Opcode {
         match self {
-            Op::Add { .. } => 1,
-            Op::Sub { .. } => 2,
-            Op::Mul { .. } => 3,
-            Op::Square { .. } => 4,
-            Op::Rescale { .. } => 5,
-            Op::Rotate { .. } => 6,
-            Op::Conjugate { .. } => 7,
-            Op::AddPlain { .. } => 8,
-            Op::MulPlain { .. } => 9,
-            Op::RegisterTenant { .. } => 10,
-            Op::RegisterTenantChunk { .. } => 11,
-            Op::Program { .. } => 12,
+            Op::Add { .. } => Opcode::Add,
+            Op::Sub { .. } => Opcode::Sub,
+            Op::Mul { .. } => Opcode::Mul,
+            Op::Square { .. } => Opcode::Square,
+            Op::Rescale { .. } => Opcode::Rescale,
+            Op::Rotate { .. } => Opcode::Rotate,
+            Op::Conjugate { .. } => Opcode::Conjugate,
+            Op::AddPlain { .. } => Opcode::AddPlain,
+            Op::MulPlain { .. } => Opcode::MulPlain,
+            Op::RegisterTenant { .. } => Opcode::RegisterTenant,
+            Op::RegisterTenantChunk { .. } => Opcode::RegisterTenantChunk,
+            Op::Program { .. } => Opcode::Program,
         }
     }
 
@@ -253,22 +263,86 @@ impl Op<'_> {
     }
 }
 
-/// Request flag bit 0: idempotent replay (see the module docs).
-const FLAG_REPLAY: u8 = 1;
+/// The request opcodes — the one copy of their numbers, which the client
+/// encoder and the server parser both read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Opcode {
+    Add = 1,
+    Sub = 2,
+    Mul = 3,
+    Square = 4,
+    Rescale = 5,
+    Rotate = 6,
+    Conjugate = 7,
+    AddPlain = 8,
+    MulPlain = 9,
+    RegisterTenant = 10,
+    RegisterTenantChunk = 11,
+    Program = 12,
+}
 
-fn error_code(e: &ServeError) -> u8 {
-    match e {
-        ServeError::UnknownTenant(_) => 1,
-        ServeError::QueueFull { .. } => 2,
-        ServeError::Eval(_) => 3,
-        ServeError::Wire(_) => 4,
-        ServeError::ShuttingDown => 5,
-        ServeError::Internal(_) => 6,
-        ServeError::Overloaded { .. } => 8,
-        ServeError::DeadlineExceeded => 9,
-        _ => 7,
+impl Opcode {
+    const ALL: [Opcode; 12] = [
+        Opcode::Add,
+        Opcode::Sub,
+        Opcode::Mul,
+        Opcode::Square,
+        Opcode::Rescale,
+        Opcode::Rotate,
+        Opcode::Conjugate,
+        Opcode::AddPlain,
+        Opcode::MulPlain,
+        Opcode::RegisterTenant,
+        Opcode::RegisterTenantChunk,
+        Opcode::Program,
+    ];
+
+    fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|op| *op as u8 == code)
     }
 }
+
+/// The reply error codes — the one copy of their numbers, which the
+/// server's error frames and the client's reply parser both read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum ErrorCode {
+    UnknownTenant = 1,
+    QueueFull = 2,
+    Eval = 3,
+    Wire = 4,
+    ShuttingDown = 5,
+    Internal = 6,
+    Protocol = 7,
+    Overloaded = 8,
+    DeadlineExceeded = 9,
+}
+
+impl ErrorCode {
+    fn of(e: &ServeError) -> Self {
+        match e {
+            ServeError::UnknownTenant(_) => ErrorCode::UnknownTenant,
+            ServeError::QueueFull { .. } => ErrorCode::QueueFull,
+            ServeError::Eval(_) => ErrorCode::Eval,
+            ServeError::Wire(_) => ErrorCode::Wire,
+            ServeError::ShuttingDown => ErrorCode::ShuttingDown,
+            ServeError::Internal(_) => ErrorCode::Internal,
+            ServeError::Overloaded { .. } => ErrorCode::Overloaded,
+            ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
+            _ => ErrorCode::Protocol,
+        }
+    }
+
+    /// A remote failure a resubmission may clear: the queue was full or
+    /// the worker failed, not the request.
+    fn is_retryable(code: u8) -> bool {
+        code == ErrorCode::QueueFull as u8 || code == ErrorCode::Internal as u8
+    }
+}
+
+/// Request flag bit 0: idempotent replay (see the module docs).
+const FLAG_REPLAY: u8 = 1;
 
 /// Fills `buf` exactly. `Ok(false)` means the peer closed cleanly
 /// before the first byte. While `idle_ok` and nothing has arrived, a
@@ -425,7 +499,7 @@ fn err_response(id: u64, e: &ServeError) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + msg.len());
     out.extend_from_slice(&id.to_le_bytes());
     out.push(1);
-    out.push(error_code(e));
+    out.push(ErrorCode::of(e) as u8);
     out.extend_from_slice(&retry_after_ms.to_le_bytes());
     out.extend_from_slice(&(msg.len() as u16).to_le_bytes());
     out.extend_from_slice(msg);
@@ -571,6 +645,8 @@ fn process_body(
     tx: &mpsc::Sender<WriterMsg>,
 ) -> Result<(), ServeError> {
     let code = r.take(1)?[0];
+    let opcode = Opcode::from_code(code)
+        .ok_or_else(|| ServeError::Protocol(format!("unknown opcode {code}")))?;
     let flags = r.take(1)?[0];
     let ttl_ms = u32::from_le_bytes(r.take(4)?.try_into().expect("4-byte slice"));
     // The deadline is anchored at parse time: queueing and execution all
@@ -582,105 +658,81 @@ fn process_body(
         .map_err(|_| ServeError::Protocol("tenant id is not utf-8".into()))?
         .to_string();
 
-    // Provisioning ops are answered inline from the reader thread.
-    match code {
-        10 => {
-            let keyset = r.blob()?;
-            r.done()?;
-            service.register_tenant_frame(&tenant, keyset)?;
-            let _ = tx.send(WriterMsg::Immediate {
-                body: ok_response(id, None),
-            });
-            return Ok(());
-        }
-        11 => {
-            let chunk = r.blob()?;
-            r.done()?;
-            if let Some(keyset) = assembler.accept(chunk)? {
-                service.register_tenant_frame(&tenant, &keyset)?;
-            }
-            let _ = tx.send(WriterMsg::Immediate {
-                body: ok_response(id, None),
-            });
-            return Ok(());
-        }
-        _ => {}
-    }
-
-    let steps = if code == 6 {
-        Some(i64::from_le_bytes(
-            r.take(8)?.try_into().expect("8-byte slice"),
-        ))
-    } else {
-        None
-    };
-
-    let ctx = service
-        .tenant_context(&tenant)
-        .ok_or_else(|| ServeError::UnknownTenant(tenant.clone()))?;
-
-    // Program submission carries its `.pos` text as the *first* blob —
-    // handled before the generic leading-ciphertext decode below.
-    if code == 12 {
-        let text = std::str::from_utf8(r.blob()?)
-            .map_err(|_| ServeError::Protocol("program text is not utf-8".into()))?
-            .to_string();
-        let a = poseidon_wire::decode_ciphertext_pooled(&ctx, r.blob()?, pool)?;
+    // Provisioning ops are answered inline from the reader thread; a
+    // chunk only registers once it completes its key set.
+    if let Opcode::RegisterTenant | Opcode::RegisterTenantChunk = opcode {
+        let blob = r.blob()?;
         r.done()?;
-        let _ = tx.send(WriterMsg::Expect { id, ctx });
-        let done_tx = tx.clone();
-        let submit = service.submit_tagged_opts(
-            &tenant,
-            Request::Program { text, a },
-            id,
-            deadline,
-            replay,
-            move |id, result| {
-                let _ = done_tx.send(WriterMsg::Done {
-                    id,
-                    result: Box::new(result),
-                });
-            },
-        );
-        if let Err(e) = submit {
-            let _ = tx.send(WriterMsg::Done {
-                id,
-                result: Box::new(Err(e)),
-            });
+        let keyset = match opcode {
+            Opcode::RegisterTenant => Some(blob.to_vec()),
+            _ => assembler.accept(blob)?,
+        };
+        if let Some(keyset) = keyset {
+            service.register_tenant_frame(&tenant, &keyset)?;
         }
+        let _ = tx.send(WriterMsg::Immediate {
+            body: ok_response(id, None),
+        });
         return Ok(());
     }
 
-    let a = poseidon_wire::decode_ciphertext_pooled(&ctx, r.blob()?, pool)?;
-    let request = match code {
-        1 => Request::Add {
-            a,
-            b: poseidon_wire::decode_ciphertext_pooled(&ctx, r.blob()?, pool)?,
+    let steps = if opcode == Opcode::Rotate {
+        i64::from_le_bytes(r.take(8)?.try_into().expect("8-byte slice"))
+    } else {
+        0
+    };
+    let ctx = service
+        .tenant_context(&tenant)
+        .ok_or_else(|| ServeError::UnknownTenant(tenant.clone()))?;
+    let ct = |r: &mut FrameReader<'_>| -> Result<Ciphertext, ServeError> {
+        Ok(poseidon_wire::decode_ciphertext_pooled(
+            &ctx,
+            r.blob()?,
+            pool,
+        )?)
+    };
+    let pt = |r: &mut FrameReader<'_>| -> Result<Plaintext, ServeError> {
+        Ok(poseidon_wire::decode_plaintext_pooled(
+            &ctx,
+            r.blob()?,
+            pool,
+        )?)
+    };
+    let request = match opcode {
+        Opcode::Add => Request::Add {
+            a: ct(r)?,
+            b: ct(r)?,
         },
-        2 => Request::Sub {
-            a,
-            b: poseidon_wire::decode_ciphertext_pooled(&ctx, r.blob()?, pool)?,
+        Opcode::Sub => Request::Sub {
+            a: ct(r)?,
+            b: ct(r)?,
         },
-        3 => Request::Mul {
-            a,
-            b: poseidon_wire::decode_ciphertext_pooled(&ctx, r.blob()?, pool)?,
+        Opcode::Mul => Request::Mul {
+            a: ct(r)?,
+            b: ct(r)?,
         },
-        4 => Request::Square { a },
-        5 => Request::Rescale { a },
-        6 => Request::Rotate {
-            a,
-            steps: steps.expect("steps parsed for Rotate"),
+        Opcode::Square => Request::Square { a: ct(r)? },
+        Opcode::Rescale => Request::Rescale { a: ct(r)? },
+        Opcode::Rotate => Request::Rotate { a: ct(r)?, steps },
+        Opcode::Conjugate => Request::Conjugate { a: ct(r)? },
+        Opcode::AddPlain => Request::AddPlain {
+            a: ct(r)?,
+            pt: pt(r)?,
         },
-        7 => Request::Conjugate { a },
-        8 => Request::AddPlain {
-            a,
-            pt: poseidon_wire::decode_plaintext_pooled(&ctx, r.blob()?, pool)?,
+        Opcode::MulPlain => Request::MulPlain {
+            a: ct(r)?,
+            pt: pt(r)?,
         },
-        9 => Request::MulPlain {
-            a,
-            pt: poseidon_wire::decode_plaintext_pooled(&ctx, r.blob()?, pool)?,
+        // The `.pos` text travels first, then the seed ciphertext.
+        Opcode::Program => Request::Program {
+            text: std::str::from_utf8(r.blob()?)
+                .map_err(|_| ServeError::Protocol("program text is not utf-8".into()))?
+                .to_string(),
+            a: ct(r)?,
         },
-        other => return Err(ServeError::Protocol(format!("unknown opcode {other}"))),
+        Opcode::RegisterTenant | Opcode::RegisterTenantChunk => {
+            unreachable!("provisioning is answered above")
+        }
     };
     r.done()?;
 
@@ -970,7 +1022,7 @@ impl Client {
 
         let mut body = Vec::with_capacity(len);
         body.extend_from_slice(&id.to_le_bytes());
-        body.push(op.code());
+        body.push(op.opcode() as u8);
         body.push(if opts.replay { FLAG_REPLAY } else { 0 });
         body.extend_from_slice(&opts.ttl_ms.to_le_bytes());
         body.extend_from_slice(&tenant_len.to_le_bytes());
@@ -999,18 +1051,13 @@ impl Client {
         Ok(PendingReply { rx, id })
     }
 
-    /// Submit + wait: one request, blocking for its reply. The generic
-    /// surface every named convenience method wraps.
+    /// Submit + wait: one request, blocking for its reply.
     ///
     /// # Errors
     ///
     /// The server's [`ServeError`], or a local [`ServeError::Io`].
     pub fn request(&self, tenant: &str, op: Op<'_>) -> Result<Option<Vec<u8>>, ServeError> {
         self.submit(tenant, op)?.wait()
-    }
-
-    fn expect_blob(result: Result<Option<Vec<u8>>, ServeError>) -> Result<Vec<u8>, ServeError> {
-        result?.ok_or_else(|| ServeError::Protocol("expected a ciphertext in response".into()))
     }
 
     /// Registers a tenant from a key-set frame.
@@ -1050,105 +1097,6 @@ impl Client {
             ack.wait()?;
         }
         Ok(())
-    }
-
-    /// Homomorphic addition of two ciphertext frames.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn add(&self, tenant: &str, a: &[u8], b: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Add { a, b }))
-    }
-
-    /// Homomorphic subtraction.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn sub(&self, tenant: &str, a: &[u8], b: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Sub { a, b }))
-    }
-
-    /// Relinearised multiplication.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn mul(&self, tenant: &str, a: &[u8], b: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Mul { a, b }))
-    }
-
-    /// Relinearised squaring.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn square(&self, tenant: &str, a: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Square { a }))
-    }
-
-    /// Rescale by the top chain prime.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn rescale(&self, tenant: &str, a: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Rescale { a }))
-    }
-
-    /// Slot rotation by `steps`.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn rotate(&self, tenant: &str, a: &[u8], steps: i64) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Rotate { a, steps }))
-    }
-
-    /// Slot-wise conjugation.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn conjugate(&self, tenant: &str, a: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::Conjugate { a }))
-    }
-
-    /// Ciphertext + plaintext addition.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn add_plain(&self, tenant: &str, a: &[u8], pt: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::AddPlain { a, pt }))
-    }
-
-    /// Ciphertext × plaintext multiplication.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn mul_plain(&self, tenant: &str, a: &[u8], pt: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(tenant, Op::MulPlain { a, pt }))
-    }
-
-    /// Submits a whole `.pos` program with `a` seeding every program
-    /// input; the reply is the program's final output ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message — a parse
-    /// or planning failure comes back as an eval error (code 3) without
-    /// executing any operation.
-    pub fn program(&self, tenant: &str, program: &str, a: &[u8]) -> Result<Vec<u8>, ServeError> {
-        Self::expect_blob(self.request(
-            tenant,
-            Op::Program {
-                program: program.as_bytes(),
-                a,
-            },
-        ))
     }
 }
 
@@ -1227,10 +1175,12 @@ fn parse_reply(body: &[u8]) -> Result<Option<Vec<u8>>, ServeError> {
             let len = u16::from_le_bytes(r.take(2)?.try_into().expect("2-byte slice")) as usize;
             let message = String::from_utf8_lossy(r.take(len)?).into_owned();
             r.done()?;
-            Err(match code {
-                8 => ServeError::Overloaded { retry_after_ms },
-                9 => ServeError::DeadlineExceeded,
-                code => ServeError::Remote { code, message },
+            Err(if code == ErrorCode::Overloaded as u8 {
+                ServeError::Overloaded { retry_after_ms }
+            } else if code == ErrorCode::DeadlineExceeded as u8 {
+                ServeError::DeadlineExceeded
+            } else {
+                ServeError::Remote { code, message }
             })
         }
         s => Err(ServeError::Protocol(format!("unknown response status {s}"))),
@@ -1486,8 +1436,7 @@ impl ResilientClient {
                         ServeError::Io(_)
                             | ServeError::Overloaded { .. }
                             | ServeError::QueueFull { .. }
-                            | ServeError::Remote { code: 2 | 6, .. }
-                    );
+                    ) || matches!(e, ServeError::Remote { code, .. } if ErrorCode::is_retryable(code));
                     attempt += 1;
                     if !retryable || attempt >= self.policy.max_attempts {
                         return Err(e);

@@ -283,8 +283,9 @@ fn loopback_fixture() -> (
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.5)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
     let expected = bootstrap
-        .rescale("acme", &frame)
-        .expect("unfaulted baseline");
+        .request("acme", Op::Rescale { a: &frame })
+        .expect("unfaulted baseline")
+        .expect("ciphertext reply");
     drop(bootstrap);
     (service, addr, ctx, frame, expected)
 }
@@ -491,7 +492,10 @@ fn mid_frame_stall_trips_the_server_timeout_and_client_recovers() {
         .expect("register");
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.125, 0.0)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
-    let expected = bootstrap.rescale("acme", &frame).expect("baseline");
+    let expected = bootstrap
+        .request("acme", Op::Rescale { a: &frame })
+        .expect("baseline")
+        .expect("ciphertext reply");
     drop(bootstrap);
 
     let client = ResilientClient::connect(addr, SocketConfig::default(), chaos_policy(0xAB4))

@@ -12,7 +12,8 @@ use he_ckks::integrity::digest_ciphertext;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_core::plan::{execute, plan_trace, PlanOptions};
-use poseidon_serve::{tcp, EvalService, Request, ServeError, ServiceConfig};
+use poseidon_serve::tcp::{self, Op};
+use poseidon_serve::{EvalService, Request, ServeError, ServiceConfig};
 use rand::SeedableRng;
 
 /// A small BSGS-flavoured program: a hoistable rotation fan, masks, a
@@ -180,8 +181,15 @@ fn program_submission_round_trips_over_tcp() {
 
     let a_frame = poseidon_wire::encode_ciphertext(&ctx, &a);
     let reply_frame = client
-        .program("acme", PROGRAM, &a_frame)
-        .expect("program over tcp");
+        .request(
+            "acme",
+            Op::Program {
+                program: PROGRAM.as_bytes(),
+                a: &a_frame,
+            },
+        )
+        .expect("program over tcp")
+        .expect("ciphertext reply");
     let served = poseidon_wire::decode_ciphertext(&ctx, &reply_frame).expect("decode reply");
 
     let trace = poseidon_sim::program::parse(PROGRAM).expect("parse");

@@ -53,7 +53,16 @@ fn loopback_round_trip_decrypts_to_the_reference() {
     let b_frame = poseidon_wire::encode_ciphertext(&ctx, &b);
 
     // add: slot-wise sum.
-    let sum_frame = client.add("acme", &a_frame, &b_frame).expect("add");
+    let sum_frame = client
+        .request(
+            "acme",
+            Op::Add {
+                a: &a_frame,
+                b: &b_frame,
+            },
+        )
+        .expect("add")
+        .expect("ciphertext reply");
     let sum = poseidon_wire::decode_ciphertext(&ctx, &sum_frame).expect("decode sum");
     let dec = keys.secret().decrypt(&sum);
     let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 2);
@@ -63,7 +72,16 @@ fn loopback_round_trip_decrypts_to_the_reference() {
     }
 
     // rotate(1): bit-identical to the local hoisted rotation.
-    let rot_frame = client.rotate("acme", &a_frame, 1).expect("rotate");
+    let rot_frame = client
+        .request(
+            "acme",
+            Op::Rotate {
+                a: &a_frame,
+                steps: 1,
+            },
+        )
+        .expect("rotate")
+        .expect("ciphertext reply");
     let rot = poseidon_wire::decode_ciphertext(&ctx, &rot_frame).expect("decode rot");
     let expected = he_ckks::eval::Evaluator::new(&ctx)
         .try_rotate(&a, 1, &keys)
@@ -72,7 +90,16 @@ fn loopback_round_trip_decrypts_to_the_reference() {
     assert_eq!(rot.c1(), expected.c1());
 
     // mul: slot-wise product (then still decryptable at the wire scale).
-    let prod_frame = client.mul("acme", &a_frame, &b_frame).expect("mul");
+    let prod_frame = client
+        .request(
+            "acme",
+            Op::Mul {
+                a: &a_frame,
+                b: &b_frame,
+            },
+        )
+        .expect("mul")
+        .expect("ciphertext reply");
     let prod = poseidon_wire::decode_ciphertext(&ctx, &prod_frame).expect("decode prod");
     let dec = keys.secret().decrypt(&prod);
     let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 2);
@@ -138,6 +165,28 @@ fn five_op_workload_serve_digest_is_pinned() {
     );
 }
 
+/// A 92-byte key-set frame: a parameter block declaring ring degree `n`,
+/// 60-bit primes and a chain of 8, and no keys (the forgery
+/// `poseidon-wire`'s corruption corpus refuses).
+fn forged_keyset(n: usize) -> Vec<u8> {
+    let params = CkksParams {
+        n,
+        first_prime_bits: 60,
+        scale_prime_bits: 60,
+        chain_len: 8,
+        special_len: 1,
+        special_prime_bits: 60,
+        scale: 2f64.powi(40),
+        error_std: 3.2,
+    };
+    let mut frame = poseidon_wire::encode_params(&params);
+    frame[10] = 5; // the kind byte: a key set
+    let end = frame.len() - poseidon_wire::TRAILER_LEN;
+    let sum = poseidon_wire::checksum(&frame[poseidon_wire::MAGIC.len()..end]);
+    frame[end..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
 #[test]
 fn server_reports_typed_errors_over_the_wire() {
     let ctx = CkksContext::new(CkksParams::toy());
@@ -152,9 +201,23 @@ fn server_reports_typed_errors_over_the_wire() {
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
 
     // Unknown tenant (code 1).
-    match client.square("ghost", &frame) {
+    match client.request("ghost", Op::Square { a: &frame }) {
         Err(ServeError::Remote { code: 1, .. }) => {}
         other => panic!("expected unknown-tenant error, got {other:?}"),
+    }
+
+    // A forged key-set frame — a parameter block declaring N = 2^22 and
+    // no keys — is refused as a wire error (code 4) before a context is
+    // derived from it; the connection keeps serving (checked below).
+    let forged = forged_keyset(1 << 22);
+    match client.request("forged", Op::RegisterTenant { keyset: &forged }) {
+        Err(ServeError::Remote { code: 4, message }) => {
+            assert!(
+                message.contains("truncated"),
+                "unexpected message: {message}"
+            );
+        }
+        other => panic!("expected a wire error for the forged key set, got {other:?}"),
     }
 
     // Registered tenant, corrupt ciphertext frame → wire error (code 4).
@@ -165,7 +228,7 @@ fn server_reports_typed_errors_over_the_wire() {
     let mut corrupt = frame.clone();
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0x40;
-    match client.square("acme", &corrupt) {
+    match client.request("acme", Op::Square { a: &corrupt }) {
         Err(ServeError::Remote { code: 4, message }) => {
             assert!(
                 message.contains("checksum"),
@@ -176,7 +239,13 @@ fn server_reports_typed_errors_over_the_wire() {
     }
 
     // Missing rotation key → eval error (code 3), connection still fine.
-    match client.rotate("acme", &frame, 5) {
+    match client.request(
+        "acme",
+        Op::Rotate {
+            a: &frame,
+            steps: 5,
+        },
+    ) {
         Err(ServeError::Remote { code: 3, message }) => {
             assert!(
                 message.contains("rotation key"),
@@ -196,8 +265,26 @@ fn server_reports_typed_errors_over_the_wire() {
     );
     let low_frame = poseidon_wire::encode_plaintext(&ctx, &low);
     for (op, result) in [
-        ("add_plain", client.add_plain("acme", &frame, &low_frame)),
-        ("mul_plain", client.mul_plain("acme", &frame, &low_frame)),
+        (
+            "add_plain",
+            client.request(
+                "acme",
+                Op::AddPlain {
+                    a: &frame,
+                    pt: &low_frame,
+                },
+            ),
+        ),
+        (
+            "mul_plain",
+            client.request(
+                "acme",
+                Op::MulPlain {
+                    a: &frame,
+                    pt: &low_frame,
+                },
+            ),
+        ),
     ] {
         match result {
             Err(ServeError::Remote { code: 3, message }) => {
@@ -211,7 +298,10 @@ fn server_reports_typed_errors_over_the_wire() {
     }
 
     // And the connection still works for a valid request afterwards.
-    client.square("acme", &frame).expect("square after errors");
+    client
+        .request("acme", Op::Square { a: &frame })
+        .expect("square after errors")
+        .expect("ciphertext reply");
 }
 
 #[test]
@@ -246,4 +336,216 @@ fn protocol_garbage_gets_an_error_frame_not_a_dead_server() {
     client
         .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register after garbage");
+}
+
+/// A small BSGS-flavoured `.pos` program (rotations 1..=4, masks, a
+/// reduction and a squaring tail) for the `Program` opcode.
+const PROGRAM: &str = "\
+n=65536 special=2 dnum=1
+rotation L=8 x4
+pmult    L=8 x4
+hadd     L=8 x4
+rescale  L=8 x1
+cmult    L=7 x1
+rescale  L=6 x1
+";
+
+/// Every `Op` over TCP, against a tenant registered whole and one
+/// registered in chunks, answers bit-identically to `EvalService::call`
+/// on the matching in-process `Request`: the opcode table, the request
+/// parser and the pooled decoders add transport, not arithmetic.
+#[test]
+fn every_op_over_tcp_matches_the_in_process_call() {
+    use he_ckks::integrity::digest_ciphertext;
+    use poseidon_serve::Request;
+
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0B5);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_keys(1..=8i64, &mut rng);
+    keys.add_conjugation_key(&mut rng);
+    let z = [Complex::new(0.25, -0.5), Complex::new(0.5, 0.125)];
+    let a = encrypt(&ctx, &keys, &mut rng, &z);
+    let b = encrypt(&ctx, &keys, &mut rng, &z);
+    let pt =
+        he_ckks::eval::Evaluator::new(&ctx).encode_at_level(&z, ctx.default_scale(), a.level());
+    let (a_frame, b_frame) = (
+        poseidon_wire::encode_ciphertext(&ctx, &a),
+        poseidon_wire::encode_ciphertext(&ctx, &b),
+    );
+    let pt_frame = poseidon_wire::encode_plaintext(&ctx, &pt);
+
+    let service = EvalService::start(ServiceConfig::default());
+    service.register_tenant("local", ctx.clone(), keys.clone());
+    let (addr, _accept) =
+        tcp::listen(std::sync::Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+    let keyset = poseidon_wire::encode_keyset_public(&ctx, &keys);
+    let whole = client
+        .request("whole", Op::RegisterTenant { keyset: &keyset })
+        .expect("register whole");
+    assert_eq!(whole, None, "registration acks carry no ciphertext");
+    let chunks = poseidon_wire::chunk_keyset(&keyset, 64 << 10);
+    assert!(chunks.len() > 1, "the key set must span several chunks");
+    let acks: Vec<_> = chunks
+        .iter()
+        .map(|chunk| {
+            client
+                .submit("chunked", Op::RegisterTenantChunk { chunk })
+                .expect("submit chunk")
+        })
+        .collect();
+    for ack in acks {
+        assert_eq!(ack.wait().expect("chunk ack"), None);
+    }
+
+    let cases = [
+        (
+            Op::Add {
+                a: &a_frame,
+                b: &b_frame,
+            },
+            Request::Add {
+                a: a.clone(),
+                b: b.clone(),
+            },
+        ),
+        (
+            Op::Sub {
+                a: &a_frame,
+                b: &b_frame,
+            },
+            Request::Sub {
+                a: a.clone(),
+                b: b.clone(),
+            },
+        ),
+        (
+            Op::Mul {
+                a: &a_frame,
+                b: &b_frame,
+            },
+            Request::Mul {
+                a: a.clone(),
+                b: b.clone(),
+            },
+        ),
+        (Op::Square { a: &a_frame }, Request::Square { a: a.clone() }),
+        (
+            Op::Rescale { a: &a_frame },
+            Request::Rescale { a: a.clone() },
+        ),
+        (
+            Op::Rotate {
+                a: &a_frame,
+                steps: 3,
+            },
+            Request::Rotate {
+                a: a.clone(),
+                steps: 3,
+            },
+        ),
+        (
+            Op::Conjugate { a: &a_frame },
+            Request::Conjugate { a: a.clone() },
+        ),
+        (
+            Op::AddPlain {
+                a: &a_frame,
+                pt: &pt_frame,
+            },
+            Request::AddPlain {
+                a: a.clone(),
+                pt: pt.clone(),
+            },
+        ),
+        (
+            Op::MulPlain {
+                a: &a_frame,
+                pt: &pt_frame,
+            },
+            Request::MulPlain {
+                a: a.clone(),
+                pt: pt.clone(),
+            },
+        ),
+        (
+            Op::Program {
+                program: PROGRAM.as_bytes(),
+                a: &a_frame,
+            },
+            Request::Program {
+                text: PROGRAM.into(),
+                a: a.clone(),
+            },
+        ),
+    ];
+    for (op, request) in cases {
+        let name = format!("{request:?}")
+            .split_whitespace()
+            .next()
+            .unwrap_or_default()
+            .to_string();
+        let want = digest_ciphertext(&service.call("local", request).expect("in-process call"));
+        for tenant in ["whole", "chunked"] {
+            let reply = client
+                .request(tenant, op)
+                .unwrap_or_else(|e| panic!("{name} for {tenant}: {e}"))
+                .unwrap_or_else(|| panic!("{name} for {tenant}: no ciphertext"));
+            let got = poseidon_wire::decode_ciphertext(&ctx, &reply).expect("decode reply");
+            assert_eq!(digest_ciphertext(&got), want, "{name} for {tenant}");
+        }
+    }
+}
+
+/// Sends one raw request frame and reads the reply body (`None` once the
+/// server has closed the connection).
+fn raw_request(stream: &mut std::net::TcpStream, body: &[u8]) -> Option<Vec<u8>> {
+    use std::io::Read;
+    stream
+        .write_all(&(body.len() as u32).to_le_bytes())
+        .and_then(|()| stream.write_all(body))
+        .ok()?;
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix).ok()?;
+    let mut reply = vec![0u8; u32::from_le_bytes(prefix) as usize];
+    stream.read_exact(&mut reply).ok()?;
+    Some(reply)
+}
+
+/// An opcode outside the table is refused as a protocol error (code 7)
+/// before the tenant is looked up or a blob decoded, and the connection
+/// is then closed — for an unknown tenant and a registered one alike.
+#[test]
+fn unknown_opcode_is_a_protocol_error_that_closes_the_connection() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0C0DE);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let service = EvalService::start(ServiceConfig::default());
+    service.register_tenant("acme", ctx, keys);
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+
+    for tenant in ["ghost", "acme"] {
+        for opcode in [0u8, 13, 200] {
+            let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+            let id = 0x5157_u64 + u64::from(opcode);
+            let mut body = id.to_le_bytes().to_vec();
+            body.extend_from_slice(&[opcode, 0, 0, 0, 0, 0]);
+            body.extend_from_slice(&(tenant.len() as u16).to_le_bytes());
+            body.extend_from_slice(tenant.as_bytes());
+            // One junk blob, where a ciphertext frame would go.
+            body.extend_from_slice(&4u32.to_le_bytes());
+            body.extend_from_slice(b"junk");
+
+            let reply = raw_request(&mut raw, &body).expect("an error frame");
+            assert_eq!(reply[..8], id.to_le_bytes(), "{tenant}/{opcode}: id echoed");
+            assert_eq!(reply[8], 1, "{tenant}/{opcode}: error status");
+            assert_eq!(reply[9], 7, "{tenant}/{opcode}: protocol error code");
+            assert_eq!(
+                raw_request(&mut raw, &body),
+                None,
+                "{tenant}/{opcode}: the connection must be closed"
+            );
+        }
+    }
 }

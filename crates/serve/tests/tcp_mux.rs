@@ -182,11 +182,21 @@ fn chunked_registration_serves_identically_to_whole_frame() {
 
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.5)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
-    let whole = client.rotate("whole", &frame, 1).expect("whole rotate");
-    let chunked = client.rotate("chunked", &frame, 1).expect("chunked rotate");
-    let streamed = client
-        .rotate("streamed", &frame, 1)
-        .expect("streamed rotate");
+    let rotate = |tenant: &str| {
+        client
+            .request(
+                tenant,
+                Op::Rotate {
+                    a: &frame,
+                    steps: 1,
+                },
+            )
+            .expect("rotate")
+            .expect("ciphertext reply")
+    };
+    let whole = rotate("whole");
+    let chunked = rotate("chunked");
+    let streamed = rotate("streamed");
     assert_eq!(whole, chunked, "chunked registration diverged");
     assert_eq!(whole, streamed, "streamed registration diverged");
 }
@@ -225,7 +235,7 @@ fn slowloris_connection_is_reaped_without_blocking_others() {
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
     client
-        .rescale("acme", &frame)
+        .request("acme", Op::Rescale { a: &frame })
         .expect("healthy traffic unaffected");
 
     // The server must hang up on the stalled connection once the

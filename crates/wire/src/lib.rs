@@ -29,10 +29,16 @@
 //!
 //! **Every decode path returns a typed [`WireError`]** — malformed,
 //! truncated, checksum-mismatched, or version-skewed input must never
-//! panic. An armed
-//! [`WireFrame`](poseidon_faults::FaultSite::WireFrame) plan corrupts a
-//! copy of the incoming bytes at decode entry, modelling link corruption
-//! the checksum has to catch.
+//! panic. Every decoder runs one envelope gate: the header is read once
+//! (with checked length arithmetic), the kind and checksum verified, and
+//! an armed [`WireFrame`](poseidon_faults::FaultSite::WireFrame) plan
+//! corrupts a *copy* of the incoming bytes first, modelling link
+//! corruption the checksum has to catch. Every residue word — of a
+//! ciphertext, plaintext, public key or key-switch row — is read by one
+//! reader that range-checks it against its prime before any `RnsPoly`
+//! exists. [`decode_ciphertext_pooled`] and [`decode_plaintext_pooled`]
+//! run the same decoders with rows drawn from a [`BufferPool`] instead of
+//! fresh allocations.
 //!
 //! # Examples
 //!
@@ -73,16 +79,10 @@ pub(crate) mod tel {
 }
 
 mod chunk;
-mod codec;
 mod pool;
-mod view;
 
 pub use chunk::{chunk_keyset, KeysetAssembler, KEYSET_CHUNK_BYTES, MAX_KEYSET_BYTES};
-pub use codec::WireCodec;
 pub use pool::BufferPool;
-pub use view::{
-    decode_ciphertext_pooled, decode_plaintext_pooled, CiphertextView, FrameView, PlaintextView,
-};
 
 /// Frame magic: the first eight bytes of every Poseidon wire frame.
 pub const MAGIC: [u8; 8] = *b"PSDNWIRE";
@@ -319,11 +319,11 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-pub(crate) fn put_poly(out: &mut Vec<u8>, p: &RnsPoly) {
+fn put_poly(out: &mut Vec<u8>, p: &RnsPoly) {
     assert_eq!(p.form(), Form::Coeff, "wire polys travel in coeff form");
     for row in p.all_residues() {
         for &w in row {
@@ -332,29 +332,50 @@ pub(crate) fn put_poly(out: &mut Vec<u8>, p: &RnsPoly) {
     }
 }
 
-/// Reads one residue matrix over `basis`, validating every word against
-/// its prime before any `RnsPoly` is constructed (the constructor would
-/// only debug-assert).
-pub(crate) fn take_poly(r: &mut Reader<'_>, basis: &RnsBasis) -> Result<RnsPoly, WireError> {
+/// Reads `K` residue matrices over `basis` — the crate's one residue
+/// reader. Every word is range-checked against its prime before any
+/// `RnsPoly` is constructed (the constructor would only debug-assert).
+/// Rows come from `pool` when one is given, else from fresh allocations;
+/// on a bad word every row taken so far goes back to the pool, so a
+/// corrupt frame cannot bleed pool capacity.
+fn read_polys<const K: usize>(
+    r: &mut Reader<'_>,
+    basis: &RnsBasis,
+    pool: Option<&BufferPool>,
+) -> Result<[RnsPoly; K], WireError> {
     let n = basis.n();
-    let mut rows = Vec::with_capacity(basis.len());
-    for &q in basis.primes() {
-        let mut row = Vec::with_capacity(n);
-        for _ in 0..n {
-            let w = r.u64()?;
-            if w >= q {
-                return Err(WireError::Malformed(format!(
-                    "residue {w} out of range for prime {q}"
-                )));
-            }
-            row.push(w);
-        }
+    let mut rows: Vec<Vec<u64>> = Vec::with_capacity(K * basis.len());
+    let read = (0..K).flat_map(|_| basis.primes()).try_for_each(|&q| {
+        let words = r.take(n * 8)?;
+        let mut row = pool.map_or_else(|| Vec::with_capacity(n), |pool| pool.take(n));
+        row.extend(
+            words
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))),
+        );
+        let bad = row.iter().copied().find(|&w| w >= q);
         rows.push(row);
+        match bad {
+            Some(w) => Err(WireError::Malformed(format!(
+                "residue {w} out of range for prime {q}"
+            ))),
+            None => Ok(()),
+        }
+    });
+    if let Err(e) = read {
+        if let Some(pool) = pool {
+            rows.into_iter().for_each(|row| pool.put(row));
+        }
+        return Err(e);
     }
-    Ok(RnsPoly::from_residues(basis, rows, Form::Coeff))
+    let mut rows = rows.into_iter();
+    Ok(std::array::from_fn(|_| {
+        let poly_rows = rows.by_ref().take(basis.len()).collect();
+        RnsPoly::from_residues(basis, poly_rows, Form::Coeff)
+    }))
 }
 
-pub(crate) fn put_params(out: &mut Vec<u8>, p: &CkksParams) {
+fn put_params(out: &mut Vec<u8>, p: &CkksParams) {
     put_u64(out, p.n as u64);
     put_u64(out, u64::from(p.first_prime_bits));
     put_u64(out, u64::from(p.scale_prime_bits));
@@ -373,7 +394,7 @@ fn to_u32(v: u64, what: &str) -> Result<u32, WireError> {
     u32::try_from(v).map_err(|_| WireError::Malformed(format!("{what} out of range")))
 }
 
-pub(crate) fn take_params(r: &mut Reader<'_>) -> Result<CkksParams, WireError> {
+fn take_params(r: &mut Reader<'_>) -> Result<CkksParams, WireError> {
     let params = CkksParams {
         n: to_usize(r.u64()?, "ring degree")?,
         first_prime_bits: to_u32(r.u64()?, "first prime bits")?,
@@ -390,7 +411,7 @@ pub(crate) fn take_params(r: &mut Reader<'_>) -> Result<CkksParams, WireError> {
     Ok(params)
 }
 
-pub(crate) fn check_params(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<(), WireError> {
+fn check_params(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<(), WireError> {
     let params = take_params(r)?;
     if &params != ctx.params() {
         return Err(WireError::ContextMismatch(format!(
@@ -407,7 +428,7 @@ pub(crate) fn check_params(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<(), 
     Ok(())
 }
 
-pub(crate) fn take_level(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<usize, WireError> {
+fn take_level(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<usize, WireError> {
     let level = to_usize(r.u64()?, "level")?;
     if level >= ctx.chain_basis().len() {
         return Err(WireError::Malformed(format!(
@@ -418,7 +439,7 @@ pub(crate) fn take_level(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<usize,
     Ok(level)
 }
 
-pub(crate) fn take_scale(r: &mut Reader<'_>) -> Result<f64, WireError> {
+fn take_scale(r: &mut Reader<'_>) -> Result<f64, WireError> {
     let scale = r.f64()?;
     if !scale.is_finite() || scale <= 0.0 {
         return Err(WireError::Malformed(format!("invalid scale {scale}")));
@@ -444,13 +465,12 @@ pub(crate) fn frame(kind: Kind, flags: u8, payload: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Splits a frame into `(kind, flags, payload)`, verifying magic, version,
-/// declared length, and checksum. The returned payload is unvalidated —
-/// object decoders do field-level validation on top.
-pub fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(8)?;
-    if magic != MAGIC {
+/// Reads a frame header — magic, version, kind, flags and payload length —
+/// the one place a header is parsed. A payload length whose frame would
+/// not fit the address space can never be satisfied, so it is reported
+/// as a truncated payload rather than summed into a wrapped total.
+fn read_header(r: &mut Reader<'_>) -> Result<(Kind, u8, usize), WireError> {
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(WireError::BadMagic);
     }
     let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2-byte slice"));
@@ -464,10 +484,25 @@ pub fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
     let kind = Kind::from_code(kind_code).ok_or(WireError::UnknownKind(kind_code))?;
     let flags = r.take(1)?[0];
     let payload_len = to_usize(r.u64()?, "payload length")?;
-    let declared = (HEADER_LEN + payload_len + TRAILER_LEN) as u64;
-    if (bytes.len() as u64) > declared {
+    if payload_len.checked_add(HEADER_LEN + TRAILER_LEN).is_none() {
+        return Err(WireError::Truncated {
+            needed: payload_len,
+            available: r.remaining(),
+        });
+    }
+    Ok((kind, flags, payload_len))
+}
+
+/// Splits a frame into `(kind, flags, payload)`, verifying magic, version,
+/// declared length, and checksum. The returned payload is unvalidated —
+/// object decoders do field-level validation on top.
+pub fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
+    let mut r = Reader::new(bytes);
+    let (kind, flags, payload_len) = read_header(&mut r)?;
+    let declared = HEADER_LEN + payload_len + TRAILER_LEN;
+    if bytes.len() > declared {
         return Err(WireError::LengthMismatch {
-            declared,
+            declared: declared as u64,
             actual: bytes.len() as u64,
         });
     }
@@ -483,43 +518,29 @@ pub fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
 /// The kind of a frame, from its header alone (no checksum walk) — lets a
 /// server dispatch before committing to a full decode.
 pub fn peek_kind(bytes: &[u8]) -> Result<Kind, WireError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(8)?;
-    if magic != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2-byte slice"));
-    if version != VERSION {
-        return Err(WireError::UnsupportedVersion {
-            got: version,
-            supported: VERSION,
-        });
-    }
-    let kind_code = r.take(1)?[0];
-    Kind::from_code(kind_code).ok_or(WireError::UnknownKind(kind_code))
+    read_header(&mut Reader::new(bytes)).map(|(kind, _, _)| kind)
 }
 
-/// Runs a decoder body against the frame, with the corrupt-on-decode fault
-/// hook applied first (a copy of the bytes is tampered, modelling link
-/// corruption — the original buffer is never touched).
+/// The envelope gate every decoder runs: parses the frame, refuses any
+/// kind but `want`, and hands the flags and checksum-verified payload to
+/// the decoder body. With a fault plan armed, a copy of the bytes is
+/// tampered first (modelling link corruption — the caller's buffer is
+/// never touched) and the same gate runs on the copy.
 pub(crate) fn decode_with<T>(
     bytes: &[u8],
     want: Kind,
     f: impl FnOnce(u8, &[u8]) -> Result<T, WireError>,
 ) -> Result<T, WireError> {
     let _span = tel::decode().span(bytes.len() as u64);
-    if poseidon_faults::armed() {
+    let tampered;
+    let bytes = if poseidon_faults::armed() {
         let mut owned = bytes.to_vec();
         poseidon_faults::tamper_bytes(poseidon_faults::FaultSite::WireFrame, &mut owned);
-        let (kind, flags, payload) = parse_frame(&owned)?;
-        if kind != want {
-            return Err(WireError::KindMismatch {
-                expected: want,
-                got: kind,
-            });
-        }
-        return f(flags, payload);
-    }
+        tampered = owned;
+        &tampered[..]
+    } else {
+        bytes
+    };
     let (kind, flags, payload) = parse_frame(bytes)?;
     if kind != want {
         return Err(WireError::KindMismatch {
@@ -534,10 +555,11 @@ pub(crate) fn decode_with<T>(
 // Params
 // ---------------------------------------------------------------------------
 
-/// Encodes a bare parameter block. Delegates to [`WireCodec`] (the
-/// context argument is not needed for parameters).
+/// Encodes a bare parameter block.
 pub fn encode_params(params: &CkksParams) -> Vec<u8> {
-    codec::encode_params_frame(params)
+    let mut payload = Vec::with_capacity(64);
+    put_params(&mut payload, params);
+    frame(Kind::Params, 0, payload)
 }
 
 /// Decodes a bare parameter block (validated, but no context is built).
@@ -546,12 +568,37 @@ pub fn encode_params(params: &CkksParams) -> Vec<u8> {
 ///
 /// Any [`WireError`] on malformed/truncated/corrupt input.
 pub fn decode_params(bytes: &[u8]) -> Result<CkksParams, WireError> {
-    codec::decode_params_frame(bytes)
+    decode_with(bytes, Kind::Params, |_flags, payload| {
+        let mut r = Reader::new(payload);
+        let params = take_params(&mut r)?;
+        r.finish()?;
+        Ok(params)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Plaintext / Ciphertext
 // ---------------------------------------------------------------------------
+
+/// Decodes a plaintext or ciphertext frame: the parameter block (checked
+/// against `ctx`), level and scale, then the `K` residue matrices at that
+/// level.
+fn decode_object<const K: usize>(
+    ctx: &CkksContext,
+    bytes: &[u8],
+    kind: Kind,
+    pool: Option<&BufferPool>,
+) -> Result<([RnsPoly; K], f64), WireError> {
+    decode_with(bytes, kind, |_flags, payload| {
+        let mut r = Reader::new(payload);
+        check_params(ctx, &mut r)?;
+        let level = take_level(ctx, &mut r)?;
+        let scale = take_scale(&mut r)?;
+        let polys = read_polys(&mut r, &ctx.level_basis(level), pool)?;
+        r.finish()?;
+        Ok((polys, scale))
+    })
+}
 
 /// Encodes a plaintext at its level.
 ///
@@ -560,7 +607,14 @@ pub fn decode_params(bytes: &[u8]) -> Result<CkksParams, WireError> {
 /// Panics if the plaintext does not belong to `ctx` (level wider than the
 /// chain) — encoding operates on trusted, locally-produced objects.
 pub fn encode_plaintext(ctx: &CkksContext, pt: &Plaintext) -> Vec<u8> {
-    pt.encode_frame(ctx)
+    let level = pt.poly().level_count() - 1;
+    assert!(level < ctx.chain_basis().len(), "plaintext outside context");
+    let mut payload = Vec::with_capacity(64 + 16 + pt.poly().level_count() * ctx.n() * 8);
+    put_params(&mut payload, ctx.params());
+    put_u64(&mut payload, level as u64);
+    put_f64(&mut payload, pt.scale());
+    put_poly(&mut payload, pt.poly());
+    frame(Kind::Plaintext, 0, payload)
 }
 
 /// Decodes a plaintext against `ctx`.
@@ -570,7 +624,22 @@ pub fn encode_plaintext(ctx: &CkksContext, pt: &Plaintext) -> Vec<u8> {
 /// [`WireError::ContextMismatch`] if the frame was encoded for different
 /// parameters; any other [`WireError`] on malformed input.
 pub fn decode_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, WireError> {
-    Plaintext::decode_frame(ctx, bytes)
+    let ([poly], scale) = decode_object(ctx, bytes, Kind::Plaintext, None)?;
+    Ok(Plaintext::new(poly, scale))
+}
+
+/// [`decode_plaintext`] with the residue rows drawn from `pool`.
+///
+/// # Errors
+///
+/// Same surface as [`decode_plaintext`].
+pub fn decode_plaintext_pooled(
+    ctx: &CkksContext,
+    bytes: &[u8],
+    pool: &BufferPool,
+) -> Result<Plaintext, WireError> {
+    let ([poly], scale) = decode_object(ctx, bytes, Kind::Plaintext, Some(pool))?;
+    Ok(Plaintext::new(poly, scale))
 }
 
 /// Encodes a ciphertext at its level.
@@ -579,7 +648,17 @@ pub fn decode_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, Wi
 ///
 /// Panics if the ciphertext does not belong to `ctx`.
 pub fn encode_ciphertext(ctx: &CkksContext, ct: &Ciphertext) -> Vec<u8> {
-    ct.encode_frame(ctx)
+    assert!(
+        ct.level() < ctx.chain_basis().len(),
+        "ciphertext outside context"
+    );
+    let mut payload = Vec::with_capacity(64 + 16 + 2 * (ct.level() + 1) * ctx.n() * 8);
+    put_params(&mut payload, ctx.params());
+    put_u64(&mut payload, ct.level() as u64);
+    put_f64(&mut payload, ct.scale());
+    put_poly(&mut payload, ct.c0());
+    put_poly(&mut payload, ct.c1());
+    frame(Kind::Ciphertext, 0, payload)
 }
 
 /// Decodes a ciphertext against `ctx`.
@@ -589,14 +668,31 @@ pub fn encode_ciphertext(ctx: &CkksContext, ct: &Ciphertext) -> Vec<u8> {
 /// [`WireError::ContextMismatch`] if the frame was encoded for different
 /// parameters; any other [`WireError`] on malformed input.
 pub fn decode_ciphertext(ctx: &CkksContext, bytes: &[u8]) -> Result<Ciphertext, WireError> {
-    Ciphertext::decode_frame(ctx, bytes)
+    let ([c0, c1], scale) = decode_object(ctx, bytes, Kind::Ciphertext, None)?;
+    Ok(Ciphertext::new(c0, c1, scale))
+}
+
+/// [`decode_ciphertext`] with the residue rows drawn from `pool` — the
+/// serving path's decoder: once the pool is warm, a request allocates
+/// nothing for polynomial data.
+///
+/// # Errors
+///
+/// Same surface as [`decode_ciphertext`].
+pub fn decode_ciphertext_pooled(
+    ctx: &CkksContext,
+    bytes: &[u8],
+    pool: &BufferPool,
+) -> Result<Ciphertext, WireError> {
+    let ([c0, c1], scale) = decode_object(ctx, bytes, Kind::Ciphertext, Some(pool))?;
+    Ok(Ciphertext::new(c0, c1, scale))
 }
 
 // ---------------------------------------------------------------------------
 // Keys
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
+fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
     put_u64(out, key.pairs().len() as u64);
     for (b, a) in key.pairs() {
         put_poly(out, &b.clone().into_coeff());
@@ -604,7 +700,7 @@ pub(crate) fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
     }
 }
 
-pub(crate) fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitchKey, WireError> {
+fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitchKey, WireError> {
     let count = to_usize(r.u64()?, "key pair count")?;
     let chain_len = ctx.chain_basis().len();
     if count != chain_len {
@@ -612,12 +708,10 @@ pub(crate) fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitc
             "keyswitch key has {count} digit pairs, chain needs {chain_len}"
         )));
     }
-    let full = ctx.full_basis();
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
-        let b = take_poly(r, full)?.into_eval();
-        let a = take_poly(r, full)?.into_eval();
-        pairs.push((b, a));
+        let [b, a] = read_polys(r, ctx.full_basis(), None)?;
+        pairs.push((b.into_eval(), a.into_eval()));
     }
     Ok(KeySwitchKey::from_pairs(pairs))
 }
@@ -625,7 +719,11 @@ pub(crate) fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitc
 /// Encodes one keyswitching key (digit pairs over `Q ∪ P`; rows travel in
 /// coefficient form and are forward-transformed on decode, bit-identically).
 pub fn encode_keyswitch_key(ctx: &CkksContext, key: &KeySwitchKey) -> Vec<u8> {
-    key.encode_frame(ctx)
+    let full_rows = ctx.full_basis().len();
+    let mut payload = Vec::with_capacity(64 + 8 + key.pairs().len() * 2 * full_rows * ctx.n() * 8);
+    put_params(&mut payload, ctx.params());
+    put_ksk(&mut payload, key);
+    frame(Kind::KeySwitchKey, 0, payload)
 }
 
 /// Decodes one keyswitching key against `ctx`.
@@ -635,7 +733,13 @@ pub fn encode_keyswitch_key(ctx: &CkksContext, key: &KeySwitchKey) -> Vec<u8> {
 /// [`WireError::ContextMismatch`] for foreign parameters; any other
 /// [`WireError`] on malformed input.
 pub fn decode_keyswitch_key(ctx: &CkksContext, bytes: &[u8]) -> Result<KeySwitchKey, WireError> {
-    KeySwitchKey::decode_frame(ctx, bytes)
+    decode_with(bytes, Kind::KeySwitchKey, |_flags, payload| {
+        let mut r = Reader::new(payload);
+        check_params(ctx, &mut r)?;
+        let key = take_ksk(ctx, &mut r)?;
+        r.finish()?;
+        Ok(key)
+    })
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -745,9 +849,7 @@ pub fn decode_keyset(bytes: &[u8]) -> Result<(CkksContext, KeySet), WireError> {
         } else {
             SecretKey::from_coeffs(&ctx, vec![0i64; n])
         };
-        let chain = ctx.chain_basis();
-        let b = take_poly(&mut r, chain)?;
-        let a = take_poly(&mut r, chain)?;
+        let [b, a] = read_polys(&mut r, ctx.chain_basis(), None)?;
         let public = PublicKey::from_parts(&ctx, b, a);
         let relin = take_ksk(&ctx, &mut r)?;
         let count = to_usize(r.u64()?, "Galois key count")?;

@@ -1,10 +1,13 @@
-//! Reusable residue-row scratch buffers for zero-copy decoding.
+//! Reusable residue-row scratch buffers for pooled decoding.
 //!
-//! [`crate::decode_ciphertext_pooled`] fills one `Vec<u64>` per RNS limb;
-//! at serving rates that is thousands of short-lived multi-KiB
-//! allocations per second. A [`BufferPool`] keeps a bounded free list of
-//! such rows so the steady state allocates nothing: decoders take rows
-//! out, and the dispatcher puts the rows of consumed operands back via
+//! [`crate::decode_ciphertext_pooled`] runs the same decoder as
+//! [`crate::decode_ciphertext`], but the crate's one residue reader takes
+//! each `Vec<u64>` limb row from a [`BufferPool`] instead of the
+//! allocator; at serving rates that is thousands of short-lived
+//! multi-KiB allocations per second avoided. The pool keeps a bounded
+//! free list of such rows so the steady state allocates nothing: decoders
+//! take rows out (and hand them back when a frame is refused), and the
+//! dispatcher puts the rows of consumed operands back via
 //! [`BufferPool::recycle_ciphertext`].
 //!
 //! The pool is a plain `Mutex<Vec<_>>` — take/put are two pointer moves

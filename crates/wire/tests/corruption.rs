@@ -1,7 +1,8 @@
 //! Adversarial decode corpus: truncation at every byte boundary, a bit
 //! flip at every bit position, version skew, kind confusion, and
 //! field-level garbage. Every case must come back as a typed
-//! [`poseidon_wire::WireError`] — a panic anywhere here is a bug.
+//! [`poseidon_wire::WireError`], from the copying and the pooled
+//! decoders alike — a panic anywhere here is a bug.
 
 use std::time::{Duration, Instant};
 
@@ -10,7 +11,10 @@ use he_ckks::context::CkksContext;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use he_rns::{Form, RnsBasis, RnsPoly};
-use poseidon_wire::{Kind, WireError, HEADER_LEN, MAGIC, VERSION};
+use poseidon_wire::{
+    decode_ciphertext_pooled, decode_plaintext_pooled, BufferPool, KeysetAssembler, Kind,
+    WireError, HEADER_LEN, MAGIC, VERSION,
+};
 use rand::{Rng, SeedableRng};
 
 fn tiny_params() -> CkksParams {
@@ -57,23 +61,39 @@ fn decode_any(ctx: &CkksContext, bytes: &[u8]) -> Result<(), WireError> {
         Ok(Kind::Ciphertext) => poseidon_wire::decode_ciphertext(ctx, bytes).map(|_| ()),
         Ok(Kind::KeySwitchKey) => poseidon_wire::decode_keyswitch_key(ctx, bytes).map(|_| ()),
         Ok(Kind::KeySet) => poseidon_wire::decode_keyset(bytes).map(|_| ()),
-        Ok(Kind::KeySetChunk) => poseidon_wire::KeysetAssembler::new()
-            .accept(bytes)
-            .map(|_| ()),
+        Ok(Kind::KeySetChunk) => KeysetAssembler::new().accept(bytes).map(|_| ()),
         Err(e) => Err(e),
     }
+}
+
+/// The kind-dispatched decoders plus both pooled decoders, labelled: each
+/// one must refuse a corrupt frame on its own.
+fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> [(&'static str, Result<(), WireError>); 3] {
+    let pool = BufferPool::new(64);
+    [
+        ("by kind", decode_any(ctx, bytes)),
+        (
+            "pooled ciphertext",
+            decode_ciphertext_pooled(ctx, bytes, &pool).map(|_| ()),
+        ),
+        (
+            "pooled plaintext",
+            decode_plaintext_pooled(ctx, bytes, &pool).map(|_| ()),
+        ),
+    ]
 }
 
 #[test]
 fn truncation_at_every_byte_boundary_is_a_typed_error() {
     let (ctx, bytes) = tiny_ciphertext_frame();
     for len in 0..bytes.len() {
-        let err =
-            decode_any(&ctx, &bytes[..len]).expect_err(&format!("prefix of {len} bytes decoded"));
-        assert!(
-            matches!(err, WireError::Truncated { .. }),
-            "prefix of {len} bytes gave {err:?}, expected Truncated"
-        );
+        for (decoder, result) in decode_all(&ctx, &bytes[..len]) {
+            let err = result.expect_err(&format!("{decoder}: prefix of {len} bytes decoded"));
+            assert!(
+                matches!(err, WireError::Truncated { .. }),
+                "{decoder}: prefix of {len} bytes gave {err:?}, expected Truncated"
+            );
+        }
     }
 }
 
@@ -84,15 +104,20 @@ fn bit_flip_at_every_position_is_a_typed_error() {
         for bit in 0..8 {
             let mut corrupt = bytes.clone();
             corrupt[byte_idx] ^= 1 << bit;
-            let err = decode_any(&ctx, &corrupt).expect_err(&format!(
-                "flip of byte {byte_idx} bit {bit} decoded successfully"
-            ));
-            // The checksum spans everything after the magic, so a flip is
-            // caught either by a field validation or by the checksum.
-            match byte_idx {
-                0..=7 => assert_eq!(err, WireError::BadMagic),
-                8..=9 => assert!(matches!(err, WireError::UnsupportedVersion { .. })),
-                _ => {}
+            for (decoder, result) in decode_all(&ctx, &corrupt) {
+                let err = result.expect_err(&format!(
+                    "{decoder}: flip of byte {byte_idx} bit {bit} decoded successfully"
+                ));
+                // The checksum spans everything after the magic, so a flip
+                // is caught either by a field validation or by the checksum.
+                match byte_idx {
+                    0..=7 => assert_eq!(err, WireError::BadMagic, "{decoder}"),
+                    8..=9 => assert!(
+                        matches!(err, WireError::UnsupportedVersion { .. }),
+                        "{decoder}: {err:?}"
+                    ),
+                    _ => {}
+                }
             }
         }
     }
@@ -132,13 +157,23 @@ fn unknown_kind_and_kind_confusion_are_typed() {
         poseidon_wire::peek_kind(&junk),
         Err(WireError::UnknownKind(0xEE))
     );
-    // A well-formed ciphertext frame handed to the plaintext decoder.
-    match poseidon_wire::decode_plaintext(&ctx, &bytes) {
-        Err(WireError::KindMismatch { expected, got }) => {
-            assert_eq!(expected, Kind::Plaintext);
-            assert_eq!(got, Kind::Ciphertext);
+    // The intact frame's header: its kind and an empty flag byte.
+    assert_eq!(poseidon_wire::peek_kind(&bytes), Ok(Kind::Ciphertext));
+    let (kind, flags, _) = poseidon_wire::parse_frame(&bytes).unwrap();
+    assert_eq!((kind, flags), (Kind::Ciphertext, 0));
+    // A well-formed ciphertext frame handed to either plaintext decoder.
+    let pool = BufferPool::new(8);
+    for result in [
+        poseidon_wire::decode_plaintext(&ctx, &bytes),
+        decode_plaintext_pooled(&ctx, &bytes, &pool),
+    ] {
+        match result {
+            Err(WireError::KindMismatch { expected, got }) => {
+                assert_eq!(expected, Kind::Plaintext);
+                assert_eq!(got, Kind::Ciphertext);
+            }
+            other => panic!("expected KindMismatch, got {other:?}"),
         }
-        other => panic!("expected KindMismatch, got {other:?}"),
     }
 }
 
@@ -167,6 +202,74 @@ fn foreign_context_is_a_context_mismatch() {
         poseidon_wire::decode_ciphertext(&other, &bytes),
         Err(WireError::ContextMismatch(_))
     ));
+    assert!(matches!(
+        decode_ciphertext_pooled(&other, &bytes, &BufferPool::new(8)),
+        Err(WireError::ContextMismatch(_))
+    ));
+}
+
+/// A 36-byte frame whose header declares a payload so long that header,
+/// payload and trailer together overflow the address space: every
+/// decoder — the pooled ones, the key-set decoder and the chunk
+/// assembler included — refuses it as a truncated payload, naming the
+/// declared length rather than a wrapped total.
+#[test]
+fn overflowing_payload_length_is_a_typed_error() {
+    let ctx = CkksContext::new(tiny_params());
+    let pool = BufferPool::new(8);
+    for payload_len in [u64::MAX - 27, u64::MAX - 5, u64::MAX] {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&VERSION.to_le_bytes());
+        frame.extend_from_slice(&[1, 0]); // Kind::Params, no flags
+        frame.extend_from_slice(&payload_len.to_le_bytes());
+        frame.extend_from_slice(&[0; 16]);
+        assert_eq!(frame.len(), 36);
+        let results = [
+            (
+                "parse_frame",
+                poseidon_wire::parse_frame(&frame).map(|_| ()),
+            ),
+            ("peek_kind", poseidon_wire::peek_kind(&frame).map(|_| ())),
+            ("params", poseidon_wire::decode_params(&frame).map(|_| ())),
+            (
+                "plaintext",
+                poseidon_wire::decode_plaintext(&ctx, &frame).map(|_| ()),
+            ),
+            (
+                "pooled plaintext",
+                decode_plaintext_pooled(&ctx, &frame, &pool).map(|_| ()),
+            ),
+            (
+                "ciphertext",
+                poseidon_wire::decode_ciphertext(&ctx, &frame).map(|_| ()),
+            ),
+            (
+                "pooled ciphertext",
+                decode_ciphertext_pooled(&ctx, &frame, &pool).map(|_| ()),
+            ),
+            (
+                "keyswitch key",
+                poseidon_wire::decode_keyswitch_key(&ctx, &frame).map(|_| ()),
+            ),
+            ("keyset", poseidon_wire::decode_keyset(&frame).map(|_| ())),
+            (
+                "chunk assembler",
+                KeysetAssembler::new().accept(&frame).map(|_| ()),
+            ),
+        ];
+        let needed = usize::try_from(payload_len).expect("64-bit host");
+        for (decoder, result) in results {
+            assert_eq!(
+                result,
+                Err(WireError::Truncated {
+                    needed,
+                    available: 16
+                }),
+                "{decoder} at payload_len {payload_len:#x}"
+            );
+        }
+    }
 }
 
 /// Rebuilds a frame around a hand-mangled payload (valid checksum, invalid

@@ -74,3 +74,39 @@ fn armed_wire_fault_is_caught_as_a_typed_error_and_input_stays_clean() {
     let back = poseidon_wire::decode_ciphertext(&ctx, &bytes).expect("clean decode");
     assert_eq!(poseidon_wire::encode_ciphertext(&ctx, &back), bytes);
 }
+
+fn wire_decodes() -> u64 {
+    poseidon_telemetry::Registry::global()
+        .snapshot()
+        .get("wire.decode")
+        .map_or(0, |scope| scope.count)
+}
+
+/// A plan armed at a site the decoder does not hook leaves the pooled
+/// decoder on its one path: one `wire.decode` span per frame, and every
+/// residue row taken from the pool.
+#[test]
+fn pooled_decode_under_an_unrelated_plan_is_one_decode_from_the_pool() {
+    let _guard = poseidon_faults::test_lock();
+    let (ctx, bytes) = frame_under_test();
+    let pool = poseidon_wire::BufferPool::new(64);
+    let warm = poseidon_wire::decode_ciphertext_pooled(&ctx, &bytes, &pool).expect("clean decode");
+    pool.recycle_ciphertext(warm);
+    // Two components × two limbs at level 1.
+    assert_eq!(pool.len(), 4);
+
+    poseidon_faults::arm(FaultPlan::persistent(
+        FaultSite::KeyCache,
+        FaultKind::BitFlip,
+        0x0DD_5173,
+    ));
+    let before = wire_decodes();
+    let result = poseidon_wire::decode_ciphertext_pooled(&ctx, &bytes, &pool);
+    let decodes = wire_decodes() - before;
+    poseidon_faults::disarm();
+
+    let ct = result.expect("a plan at another site leaves the frame intact");
+    assert_eq!(decodes, 1, "one pooled decode, one wire.decode span");
+    assert_eq!(pool.len(), 0, "the rows came from the pool");
+    assert_eq!(poseidon_wire::encode_ciphertext(&ctx, &ct), bytes);
+}
