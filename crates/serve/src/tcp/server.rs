@@ -2,6 +2,7 @@
 //! requests parsed against the opcode table and admitted into the
 //! [`EvalService`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -170,8 +171,8 @@ fn process_body(
         let blob = r.blob()?;
         r.done()?;
         let keyset = match opcode {
-            Opcode::RegisterTenant => Some(blob.to_vec()),
-            _ => assembler.accept(blob)?,
+            Opcode::RegisterTenant => Some(Cow::Borrowed(blob)),
+            _ => assembler.accept(blob)?.map(Cow::Owned),
         };
         if let Some(keyset) = keyset {
             service.register_tenant_frame(&tenant, &keyset)?;
