@@ -401,6 +401,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
 
     let cases = [
         (
+            "Add",
             Op::Add {
                 a: &a_frame,
                 b: &b_frame,
@@ -411,6 +412,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
             },
         ),
         (
+            "Sub",
             Op::Sub {
                 a: &a_frame,
                 b: &b_frame,
@@ -421,6 +423,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
             },
         ),
         (
+            "Mul",
             Op::Mul {
                 a: &a_frame,
                 b: &b_frame,
@@ -430,12 +433,18 @@ fn every_op_over_tcp_matches_the_in_process_call() {
                 b: b.clone(),
             },
         ),
-        (Op::Square { a: &a_frame }, Request::Square { a: a.clone() }),
         (
+            "Square",
+            Op::Square { a: &a_frame },
+            Request::Square { a: a.clone() },
+        ),
+        (
+            "Rescale",
             Op::Rescale { a: &a_frame },
             Request::Rescale { a: a.clone() },
         ),
         (
+            "Rotate",
             Op::Rotate {
                 a: &a_frame,
                 steps: 3,
@@ -446,10 +455,12 @@ fn every_op_over_tcp_matches_the_in_process_call() {
             },
         ),
         (
+            "Conjugate",
             Op::Conjugate { a: &a_frame },
             Request::Conjugate { a: a.clone() },
         ),
         (
+            "AddPlain",
             Op::AddPlain {
                 a: &a_frame,
                 pt: &pt_frame,
@@ -460,6 +471,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
             },
         ),
         (
+            "MulPlain",
             Op::MulPlain {
                 a: &a_frame,
                 pt: &pt_frame,
@@ -470,6 +482,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
             },
         ),
         (
+            "Program",
             Op::Program {
                 program: PROGRAM.as_bytes(),
                 a: &a_frame,
@@ -480,12 +493,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
             },
         ),
     ];
-    for (op, request) in cases {
-        let name = format!("{request:?}")
-            .split_whitespace()
-            .next()
-            .unwrap_or_default()
-            .to_string();
+    for (name, op, request) in cases {
         let want = digest_ciphertext(&service.call("local", request).expect("in-process call"));
         for tenant in ["whole", "chunked"] {
             let reply = client
