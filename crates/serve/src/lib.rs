@@ -194,12 +194,14 @@ pub enum ServeError {
     /// A client-side socket error.
     Io(String),
     /// A server-reported failure, as seen by the TCP client: the
-    /// server's error code (see [`tcp`] docs) plus its message.
+    /// server's error code plus its message.
     Remote {
-        /// Server-side error code, numbered as the [`tcp`] module docs
-        /// list them. The overloaded and deadline-exceeded codes are
-        /// mapped back to their typed variants by the client and never
-        /// surface as `Remote`.
+        /// Server-side error code, as listed in the [`tcp`] module docs:
+        /// 1 unknown tenant, 2 queue full, 3 evaluation error, 4 wire
+        /// error, 5 shutting down, 6 internal error, 7 protocol error.
+        /// The overloaded (8) and deadline-exceeded (9) codes are mapped
+        /// back to their typed variants by the client and never surface
+        /// as `Remote`.
         code: u8,
         /// The server's rendered error message.
         message: String,

@@ -49,14 +49,29 @@
 //! / [`ServeError::DeadlineExceeded`]; every other code surfaces as
 //! [`ServeError::Remote`].
 //!
-//! Opcode and error-code numbers are written once, in this module's
-//! private `Opcode` and `ErrorCode` tables, which the client encoder and
-//! the server parser both read. Opcodes in wire order: `Add`, `Sub`,
-//! `Mul`, `Square`, `Rescale`, `Rotate`, `Conjugate`, `AddPlain`,
-//! `MulPlain`, `RegisterTenant`, `RegisterTenantChunk`, `Program`
-//! (numbered from one). Error codes in order, also from one: unknown
-//! tenant, queue full, evaluation, wire, shutting down, internal,
-//! protocol, overloaded, deadline exceeded.
+//! In code, opcode and error-code numbers are written once, in this
+//! module's private `Opcode` and `ErrorCode` tables, which the client
+//! encoder and the server parser both read. The numbers are part of the
+//! protocol:
+//!
+//! ```text
+//! opcode  operation               error code  meaning
+//!      1  Add                              1  unknown tenant
+//!      2  Sub                              2  queue full
+//!      3  Mul                              3  evaluation error
+//!      4  Square                           4  wire (frame decode) error
+//!      5  Rescale                          5  shutting down
+//!      6  Rotate                           6  internal error
+//!      7  Conjugate                        7  protocol error
+//!      8  AddPlain                         8  overloaded
+//!      9  MulPlain                         9  deadline exceeded
+//!     10  RegisterTenant
+//!     11  RegisterTenantChunk
+//!     12  Program
+//! ```
+//!
+//! Any other opcode is refused with error code 7 and the connection is
+//! closed.
 //!
 //! ## Resilience
 //!

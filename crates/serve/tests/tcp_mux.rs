@@ -236,7 +236,8 @@ fn slowloris_connection_is_reaped_without_blocking_others() {
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
     client
         .request("acme", Op::Rescale { a: &frame })
-        .expect("healthy traffic unaffected");
+        .expect("healthy traffic unaffected")
+        .expect("ciphertext reply");
 
     // The server must hang up on the stalled connection once the
     // mid-frame timeout trips — observed as EOF on our end.
