@@ -64,7 +64,7 @@ fn keyswitch_rotate_pipeline_digest_is_deterministic() {
     assert_eq!(
         d1, PINNED,
         "pipeline digest moved: got {d1:#018x}, pinned {PINNED:#018x}. A legitimate \
-         change updates this constant and the same value in EXPERIMENTS.md."
+         change updates this constant and the same value in DESIGN.md §2."
     );
 }
 
@@ -105,6 +105,6 @@ fn hoisted_rotation_digest_matches_unhoisted() {
     assert_eq!(
         hoisted, PINNED,
         "hoisted digest moved: got {hoisted:#018x}, pinned {PINNED:#018x}. A legitimate \
-         change updates this constant and the same value in EXPERIMENTS.md."
+         change updates this constant and the same value in DESIGN.md §2."
     );
 }

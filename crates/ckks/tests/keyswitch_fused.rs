@@ -771,8 +771,9 @@ fn key_cache_upsets_are_thread_count_independent_and_spare_the_cache() {
 }
 
 /// The `RnsResidue` site covers the lifted digits of an unhoisted keyswitch
-/// and — where `into_coeff` used to fire it — both sums of every extended
-/// limb on their way into the inverse NTT. Under an armed plan the engine
+/// and both sums of every extended limb on their way into the inverse NTT
+/// (the engine fires the site itself, since it does not call
+/// `into_coeff`). Under an armed plan the engine
 /// runs its limb tasks on the calling thread, in item order (stage A's
 /// special limbs, then the chain limbs; within a limb its lifts, then its
 /// sums), so an upset on either kind of row reaches the output identically

@@ -61,8 +61,8 @@ pub enum Exhaustion {
     /// Close the segment (mark `cur` as an output) and restart from a
     /// fresh top-level input — at most once per squeeze; if a *fresh*
     /// input still cannot fund the operation, fail with
-    /// [`PlanError::ScaleOverflow`]. This is the classic PR 8 behavior
-    /// minus its silent-overflow hole.
+    /// [`PlanError::ScaleOverflow`] rather than emit a value past the
+    /// modulus.
     #[default]
     SegmentReset,
     /// Never reset: keep a single dataflow and let the exhausted
@@ -642,9 +642,8 @@ mod tests {
 
     /// Parameter set whose modulus cannot fund a single squaring even
     /// from a fresh top-level input: 2·45 scale bits ≥ 36 + 1·40 live
-    /// bits. PR 8's `make_room` proceeded anyway and produced a value
-    /// past the modulus; the lowering must now refuse with a typed
-    /// error.
+    /// bits. Proceeding would produce a value past the modulus, so the
+    /// lowering must refuse with a typed error.
     fn overflowing_params() -> CkksParams {
         let mut p = CkksParams::toy();
         p.n = 32;

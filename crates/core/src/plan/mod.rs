@@ -54,9 +54,8 @@ pub enum PlanError {
     /// A value's tracked scale meets or exceeds the live modulus bits at
     /// its level — the ciphertext would no longer decrypt. Raised by the
     /// `.pos` lowering when even a fresh top-level input cannot fund the
-    /// requested operation (the condition `make_room` used to paper
-    /// over), and by the bootstrap-insertion pass when refreshing cannot
-    /// help either.
+    /// requested operation, and by the bootstrap-insertion pass when
+    /// refreshing cannot help either.
     ScaleOverflow {
         /// Level at which the overflow occurs.
         level: usize,

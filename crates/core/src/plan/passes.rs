@@ -382,8 +382,8 @@ fn first_violation(g: &EvalGraph, budget: &NoiseBudget) -> Option<(NodeId, Value
 
 /// The bootstrap-insertion pass: while some node's output exhausts the
 /// modulus budget, splice a `Bootstrap` refresh onto that node's
-/// ciphertext operand (the exact condition the `.pos` lowering's
-/// `make_room` used to paper over). Insertion is rejected — with a typed
+/// ciphertext operand (the condition under which the `.pos` lowering's
+/// `make_room` closes a segment). Insertion is rejected — with a typed
 /// error — when no bootstrap key is registered, or when even a refreshed
 /// operand cannot fund the operation (parameters too small).
 fn insert_bootstraps(g: &mut EvalGraph, opts: &BootstrapOptions) -> Result<usize, PlanError> {

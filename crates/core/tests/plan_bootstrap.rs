@@ -68,10 +68,9 @@ fn decrypt(ctx: &CkksContext, keys: &KeySet, ct: &Ciphertext) -> Vec<f64> {
         .collect()
 }
 
-/// Under the legacy `SegmentReset` policy the same program silently
-/// splits into two segments — the condition `make_room` used to paper
-/// over. Under `Defer` (what bootstrap planning uses) the dataflow stays
-/// whole and the exhaustion is *counted*.
+/// Under the default `SegmentReset` policy the same program splits into
+/// two segments. Under `Defer` (what bootstrap planning uses) the
+/// dataflow stays whole and the exhaustion is *counted*.
 #[test]
 fn exhausting_program_split_segments_before_and_is_counted_now() {
     let ctx = CkksContext::new(CkksParams::bootstrap_demo());

@@ -388,6 +388,6 @@ fn value_preserving_digests_are_deterministic() {
     assert_eq!(
         d1, PINNED,
         "rotation_fan_planned digest moved: got {d1:#018x}, pinned {PINNED:#018x}. A \
-         legitimate change updates this constant and the same value in EXPERIMENTS.md."
+         legitimate change updates this constant and the same value in DESIGN.md §2."
     );
 }

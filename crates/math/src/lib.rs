@@ -31,7 +31,6 @@
 pub mod barrett;
 pub mod bigint;
 pub mod modops;
-pub mod montgomery;
 pub mod prime;
 pub mod shoup;
 

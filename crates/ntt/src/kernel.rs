@@ -19,7 +19,7 @@
 //!
 //! Outputs are fully reduced and modular arithmetic is exact, so the
 //! transform value — not just its residue class — is bit-identical to the
-//! seed radix-2 oracle in [`crate::negacyclic`] at every length
+//! radix-2 oracle in [`crate::negacyclic`] at every length
 //! (`tests/kernel_equivalence.rs`).
 
 use he_math::modops::csub;

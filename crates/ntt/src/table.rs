@@ -153,7 +153,7 @@ impl NttTable {
         crate::kernel::inverse_fused(a, &self.inv_psi_rev, &self.n_inv, self.q);
     }
 
-    /// [`forward`](Self::forward) through the seed radix-2 transform of
+    /// [`forward`](Self::forward) through the plain radix-2 transform of
     /// [`crate::negacyclic`] (a full reduction per stage, no telemetry or
     /// fault hooks) — the oracle the production kernel is tested against.
     ///
@@ -165,7 +165,7 @@ impl NttTable {
         crate::negacyclic::forward_in_place(a, &self.psi_rev, self.q);
     }
 
-    /// [`inverse`](Self::inverse) through the seed radix-2 transform — see
+    /// [`inverse`](Self::inverse) through the plain radix-2 transform — see
     /// [`forward_oracle`](Self::forward_oracle).
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Production-vs-oracle equivalence for the NTT kernel.
 //!
 //! [`NttTable::forward`]/`inverse` (the fused radix-8 lazy kernel) must be
-//! *bit-identical* — not merely congruent — to the seed radix-2 oracle
+//! *bit-identical* — not merely congruent — to the radix-2 oracle
 //! ([`NttTable::forward_oracle`]/`inverse_oracle`) at every transform
 //! length: lazy reduction changes how values are carried between stages,
 //! never what leaves the kernel. The suite sweeps every log N in 1..=13
@@ -137,7 +137,7 @@ fn kernel_digest() {
     assert_eq!(
         h, PINNED,
         "transform digest moved: got {h:#018x}, pinned {PINNED:#018x}. A legitimate \
-         change updates this constant and the same value in EXPERIMENTS.md."
+         change updates this constant and the same value in DESIGN.md §2."
     );
 }
 

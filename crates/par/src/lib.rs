@@ -17,8 +17,8 @@
 //!   wakes helpers and starts claiming items *itself*; it never waits for a
 //!   helper that has not started, and a helper that wakes too late finds
 //!   nothing to do. Measured on the 2-core reference host an empty fan-out
-//!   costs about 25 µs (it was 72–91 µs when threads were spawned per
-//!   dispatch).
+//!   costs its caller under a microsecond (`par.par_map.overhead_ns`),
+//!   against 72–91 µs to spawn a scoped team per dispatch.
 //! * **Bit-exact at any thread count.** Participants claim items one index
 //!   at a time and every result lands at its own index, so outputs are
 //!   identical regardless of [`threads()`] and of who ran what; `1` degrades
@@ -28,10 +28,11 @@
 //!   convention), and a team is only as large as the work can feed: every
 //!   participant gets at least [`PAR_THRESHOLD`] operations, or the dispatch
 //!   stays on the caller.
-//! * **Configurable process-wide.** Team size resolves, in order: the
-//!   scoped override ([`with_threads`]), the process-wide setting
-//!   ([`set_threads`] / [`Builder`]), the `POSEIDON_THREADS` environment
-//!   variable, and finally [`std::thread::available_parallelism`].
+//! * **The thread count is read once.** Team size is the scoped override
+//!   ([`with_threads`]) if one is set, otherwise the `POSEIDON_THREADS`
+//!   environment variable or [`std::thread::available_parallelism`], read on
+//!   first use and kept for the life of the process (the host query is a
+//!   syscall plus cgroup reads, far too dear to repeat per dispatch).
 //! * **No nested fan-out.** Code running inside a dispatch — on a helper or
 //!   on the caller — executes nested dispatches serially (the limbs are
 //!   already spread across the team; splitting further only adds overhead).
@@ -63,8 +64,7 @@
 #![deny(unsafe_code)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 #[allow(unsafe_code)]
 mod pool;
@@ -89,16 +89,17 @@ mod tel {
 /// `min(threads(), items, items × weight / PAR_THRESHOLD)`, and a dispatch
 /// whose team would be one runs on the caller.
 ///
-/// Derived once from the measured cost of a dispatch. On the 2-core
-/// reference host an empty fan-out — post, wake one parked helper, withdraw —
-/// costs 24.5 µs (`par.par_map.overhead_ns`; 72–91 µs when threads were
-/// spawned per dispatch), and a pointwise element operation 2–3 ns
-/// (`rns.mul_assign` 43.8 µs and `rns.automorphism_eval` 34.6 µs over
-/// 8 × 2^11 elements on the caller), so one wake-up buys about 10^4
-/// operations. A participant should bring several wake-ups' worth: 2^15,
-/// about 80 µs. An 8-limb add at `N = 2^12` (2^15 operations in all) stays
-/// on the caller; a 10-limb key-switch inner product does not. (2^16
-/// measured the same on all six benchmark workloads.)
+/// Sized against what a dispatch costs. A pointwise element operation is
+/// 2–3 ns on the 2-core reference host (`rns.mul_assign` 43.8 µs and
+/// `rns.automorphism_eval` 34.6 µs over 8 × 2^11 elements on the caller);
+/// a fan-out that hands work to a parked helper pays that helper's wake-up
+/// before the helper claims anything. The constant was fixed when an empty
+/// fan-out measured 24.5 µs, 17 µs of it a host-parallelism query made per
+/// dispatch that [`threads`] makes once per process, so it errs toward
+/// staying on the caller; 2^15 and 2^16 measured the same on all six
+/// benchmark workloads.
+/// An 8-limb add at `N = 2^12` (2^15 operations in all) stays on the
+/// caller; a 10-limb key-switch inner product does not.
 ///
 /// `weight` is the estimated element operations per item. By call-site
 /// family: pointwise `add`/`sub`/`neg`/`mul`/automorphism pass `N`; forward
@@ -109,9 +110,6 @@ mod tel {
 /// per-digit cost (`3N`: gather or lift, two multiply–adds; plus an NTT
 /// when digits are lifted in place).
 pub const PAR_THRESHOLD: usize = 1 << 15;
-
-/// `0` means "not set": fall back to `POSEIDON_THREADS` or the host.
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of worker panics that [`par_map`]/[`par_map_unzip`] contained
 /// and recovered via serial re-dispatch since process start (the
@@ -130,46 +128,28 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-fn env_threads() -> Option<usize> {
-    std::env::var("POSEIDON_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+/// The process's thread count: `POSEIDON_THREADS` if it is a positive
+/// integer, otherwise the host's available parallelism. An invalid value
+/// falls back to the host silently.
+fn process_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("POSEIDON_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
-fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The thread count dispatches currently resolve to.
-///
-/// Resolution order: [`with_threads`] override → [`set_threads`] /
-/// [`Builder`] → `POSEIDON_THREADS` → available host parallelism.
+/// The thread count dispatches on this thread currently resolve to: the
+/// [`with_threads`] override if one is active, otherwise the process's
+/// count (`POSEIDON_THREADS` or the host, read once).
 pub fn threads() -> usize {
-    let local = LOCAL_THREADS.with(Cell::get);
-    if local >= 1 {
-        return local;
+    match LOCAL_THREADS.with(Cell::get) {
+        0 => process_threads(),
+        local => local,
     }
-    let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if global >= 1 {
-        return global;
-    }
-    env_threads().unwrap_or_else(host_threads)
-}
-
-/// Sets the process-wide thread count (`1` = serial execution everywhere).
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn set_threads(n: usize) {
-    assert!(n >= 1, "thread count must be at least 1");
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Clears the process-wide setting, restoring env-var/host resolution.
-pub fn reset_threads() {
-    GLOBAL_THREADS.store(0, Ordering::Relaxed);
 }
 
 /// Runs `f` with the calling thread's dispatches using `n` threads,
@@ -187,42 +167,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(LOCAL_THREADS.with(|c| c.replace(n)));
     f()
-}
-
-/// Builder-style configuration of the process-wide engine.
-///
-/// # Examples
-///
-/// ```
-/// poseidon_par::Builder::new().threads(2).install();
-/// assert_eq!(poseidon_par::threads(), 2);
-/// poseidon_par::reset_threads();
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Builder {
-    threads: Option<usize>,
-}
-
-impl Builder {
-    /// An empty configuration (installing it resets to defaults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pins the worker count.
-    pub fn threads(mut self, n: usize) -> Self {
-        assert!(n >= 1, "thread count must be at least 1");
-        self.threads = Some(n);
-        self
-    }
-
-    /// Applies the configuration process-wide.
-    pub fn install(self) {
-        match self.threads {
-            Some(n) => set_threads(n),
-            None => reset_threads(),
-        }
-    }
 }
 
 /// True while the current thread is executing inside an engine dispatch.
@@ -369,23 +313,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
-    fn resolution_order_prefers_local_override() {
-        set_threads(3);
-        assert_eq!(threads(), 3);
-        with_threads(7, || assert_eq!(threads(), 7));
-        assert_eq!(threads(), 3);
-        reset_threads();
-        assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn builder_installs_and_resets() {
-        Builder::new().threads(5).install();
-        assert_eq!(threads(), 5);
-        Builder::new().install();
-        assert!(threads() >= 1);
+    fn with_threads_overrides_the_count_then_restores_it() {
+        let outer = threads();
+        with_threads(7, || {
+            assert_eq!(threads(), 7);
+            with_threads(3, || assert_eq!(threads(), 3));
+            assert_eq!(threads(), 7);
+        });
+        assert_eq!(threads(), outer);
     }
 
     #[test]

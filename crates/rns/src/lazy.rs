@@ -7,7 +7,7 @@ use he_math::BarrettReducer;
 /// (digit, `b`, `a`) side by side in 2 KB runs — 24 streams are what the L1
 /// ways and the L2 streamer of the reference host follow — and a longer
 /// chain carries its sums between passes in two stack blocks (8 KB, resident
-/// in L1). Fixed from a three-shape sweep (EXPERIMENTS.md "Rotation fan");
+/// in L1). Fixed from a three-shape sweep (EXPERIMENTS.md §6);
 /// not knobs.
 const COEFF_BLOCK: usize = 256;
 const DIGIT_GROUP: usize = 8;

@@ -534,8 +534,8 @@ impl EvalService {
     }
 
     /// The tenant's context, for decoding its wire frames — a cheap
-    /// shared handle (no context clone; the historical API copied the
-    /// full prime chain and NTT tables per lookup).
+    /// shared handle: a lookup per request must not copy the prime chain
+    /// and its NTT tables.
     pub fn tenant_context(&self, id: &str) -> Option<TenantContext> {
         self.tenants
             .get(id)
@@ -841,7 +841,7 @@ impl Drop for EvalService {
 /// Coalescing key for rotation jobs: tenant plus a cheap ciphertext
 /// digest (level/scale folded in). Digest ties are confirmed by exact
 /// residue comparison before jobs share a hoist. The tenant id is an
-/// `Arc` clone — the historical key allocated a `String` per job.
+/// `Arc` clone, so building a key allocates nothing per job.
 fn rotation_key(tenant_id: &Arc<str>, ct: &Ciphertext) -> (Arc<str>, u64, usize, u64) {
     (
         Arc::clone(tenant_id),
@@ -921,8 +921,8 @@ fn run_rotation_group(jobs: Vec<Job>) {
             _ => unreachable!("rotation group holds only Rotate jobs"),
         })
         .collect();
-    // Borrow the representative operand in place — the historical path
-    // cloned the full ciphertext (two RNS polys) per group.
+    // Borrow the representative operand in place: a copy would be two
+    // full RNS polynomials per group.
     let outcome = {
         let tenant = &jobs[0].tenant;
         let Request::Rotate { a, .. } = &jobs[0].request else {

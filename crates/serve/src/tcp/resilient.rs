@@ -7,6 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use poseidon_faults::splitmix64;
+
 use super::{Client, ErrorCode, Op, SocketConfig, SubmitOptions};
 use crate::ServeError;
 
@@ -48,14 +50,6 @@ impl Default for RetryPolicy {
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
-}
-
-/// SplitMix64 — the same deterministic stream the fault injector uses.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-instance entropy for the replay request-id range: a process-wide

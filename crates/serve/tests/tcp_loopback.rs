@@ -161,7 +161,7 @@ fn five_op_workload_serve_digest_is_pinned() {
     assert_eq!(
         digest, PINNED,
         "serve digest moved: got {digest:#018x}, pinned {PINNED:#018x}. A legitimate \
-         change updates this constant and the same value in EXPERIMENTS.md."
+         change updates this constant and the same value in DESIGN.md §2."
     );
 }
 

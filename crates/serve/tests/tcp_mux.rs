@@ -381,7 +381,7 @@ fn an_oversize_request_fails_alone_in_a_pipeline() {
 /// the *default* retry policy must not collide in the replay-id space.
 /// Ids mix per-instance entropy into the seed, so each client's first
 /// replay-flagged request draws a distinct id; were the streams
-/// deterministic (the old behaviour), the second client's rotation
+/// deterministic in the seed alone, the second client's rotation
 /// would replay the first client's cached ciphertext instead of its
 /// own.
 #[test]

@@ -2,7 +2,7 @@
 # One form per operation: a source file may not define both `fn try_X` and
 # `fn X`, and nothing may unwrap a typed error into a panic with
 # `unwrap_or_else(|e| panic!("{e}"))`. The two exceptions are listed with
-# their reason in ROADMAP.md ("Collapse the design").
+# their reason in ROADMAP.md (item 10, "Finish the collapse").
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

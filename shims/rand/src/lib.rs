@@ -93,18 +93,19 @@ impl Standard for f32 {
     }
 }
 
-/// Uniform sampling below an exclusive bound, bias-free (rejection over the
-/// widening-multiply zone, à la Lemire).
+/// Uniform sampling below an exclusive bound, bias-free: Lemire's
+/// nearly-divisionless rejection over the widening-multiply zone. A draw is
+/// rejected when the low word of `v·bound` falls below `2^64 mod bound`;
+/// since that remainder is below `bound`, a low word at or above `bound`
+/// accepts without computing it, so the division runs only on the rare
+/// draws that land in `[0, bound)`.
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
-    let zone = bound.wrapping_neg() % bound; // 2^64 mod bound
+    let mut zone = None;
     loop {
-        let v = rng.next_u64();
-        let (hi, lo) = {
-            let wide = v as u128 * bound as u128;
-            ((wide >> 64) as u64, wide as u64)
-        };
-        if lo >= zone {
+        let wide = rng.next_u64() as u128 * bound as u128;
+        let (hi, lo) = ((wide >> 64) as u64, wide as u64);
+        if lo >= bound || lo >= *zone.get_or_insert_with(|| bound.wrapping_neg() % bound) {
             return hi;
         }
     }
@@ -387,6 +388,40 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let trues = (0..10_000).filter(|_| rng.gen::<bool>()).count();
         assert!((4_000..6_000).contains(&trues), "{trues}");
+    }
+
+    #[test]
+    fn uniform_below_draws_what_the_dividing_formula_draws() {
+        // The formula that computes `2^64 mod bound` before every draw. The
+        // nearly-divisionless form must make every accept/reject decision
+        // the same way, so seeded streams do not move.
+        fn dividing<R: RngCore>(rng: &mut R, bound: u64) -> u64 {
+            let zone = bound.wrapping_neg() % bound;
+            loop {
+                let wide = rng.next_u64() as u128 * bound as u128;
+                if wide as u64 >= zone {
+                    return (wide >> 64) as u64;
+                }
+            }
+        }
+        // The largest 40-bit prime ≡ 1 (mod 2^14): an NTT prime for N = 2^13.
+        let ntt_prime_40_bit = 1_099_511_480_321;
+        for bound in [3, ntt_prime_40_bit, (1 << 63) + 1, u64::MAX - 1] {
+            let mut a = StdRng::seed_from_u64(bound);
+            let mut b = StdRng::seed_from_u64(bound);
+            for _ in 0..100_000 {
+                assert_eq!(
+                    uniform_below(&mut a, bound),
+                    dividing(&mut b, bound),
+                    "bound {bound}"
+                );
+            }
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "bound {bound}: same draws consumed"
+            );
+        }
     }
 
     #[test]
