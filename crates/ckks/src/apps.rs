@@ -2,15 +2,14 @@
 //! the paper's benchmarks, packaged as reusable components.
 //!
 //! Currently: encrypted logistic-regression inference (the HELR class,
-//! paper Table V's LR benchmark) and an encrypted polynomial neuron (the
-//! LSTM cell's activation pattern).
+//! paper Table V's LR benchmark).
 
 use crate::cipher::Ciphertext;
 use crate::encoding::Complex;
 use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
-use crate::linear::{try_fold_sum, try_inner_product_plain};
+use crate::linear::try_inner_product_plain;
 use crate::polyeval::try_evaluate_monomial;
 
 /// The HELR degree-3 sigmoid approximation on [−4, 4]:
@@ -90,46 +89,6 @@ impl LogisticModel {
     }
 }
 
-/// An encrypted "polynomial neuron": `act(⟨w, x⟩)` with a cubic activation
-/// — the per-cell computation of the paper's LSTM benchmark
-/// (`y ← σ(W0·y + W1·x)` with a cubic σ).
-///
-/// # Errors
-///
-/// As [`try_inner_product_plain`] and [`try_evaluate_monomial`].
-pub fn polynomial_neuron(
-    eval: &Evaluator,
-    keys: &KeySet,
-    x: &Ciphertext,
-    weights: &[Complex],
-    activation: &[f64],
-) -> Result<Ciphertext, EvalError> {
-    let s = try_inner_product_plain(eval, keys, x, weights)?;
-    try_evaluate_monomial(eval, keys, &s, activation)
-}
-
-/// Mean of the first `width` slots, landing in every slot (a building
-/// block of encrypted statistics; one level).
-///
-/// # Errors
-///
-/// As [`try_fold_sum`]; [`EvalError::RescaleAtLevelZero`] on an exhausted
-/// ciphertext.
-pub fn slot_mean(
-    eval: &Evaluator,
-    keys: &KeySet,
-    x: &Ciphertext,
-    width: usize,
-) -> Result<Ciphertext, EvalError> {
-    let total = try_fold_sum(eval, keys, x, width)?;
-    let pt = eval.encode_at_level(
-        &[Complex::new(1.0 / width as f64, 0.0)],
-        eval.context().default_scale(),
-        total.level(),
-    );
-    eval.try_rescale(&eval.try_mul_plain(&total, &pt)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,39 +140,6 @@ mod tests {
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
         // Probabilities stay in a sane range for bounded logits.
         assert!(got > 0.0 && got < 1.0);
-    }
-
-    #[test]
-    fn neuron_applies_cubic_activation() {
-        let (ctx, keys, eval, mut rng) = setup(4);
-        let w: Vec<Complex> = [0.25, 0.5, -0.25, 0.1]
-            .iter()
-            .map(|&v| Complex::new(v, 0.0))
-            .collect();
-        let act = [0.0, 1.0, 0.0, -0.15]; // x − 0.15x³
-        let x = [2.0, -1.0, 0.5, 1.0];
-        let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(
-            &ctx,
-            &keys,
-            &polynomial_neuron(&eval, &keys, &ct, &w, &act).unwrap(),
-        );
-        let s: f64 = x.iter().zip(&w).map(|(a, b)| a * b.re).sum();
-        let want = s - 0.15 * s * s * s;
-        assert!((got - want).abs() < 0.02, "{got} vs {want}");
-    }
-
-    #[test]
-    fn slot_mean_averages() {
-        let (ctx, keys, eval, mut rng) = setup(8);
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &slot_mean(&eval, &keys, &ct, 8).unwrap());
-        assert!((got - 4.5).abs() < 0.02, "{got}");
-        assert!(matches!(
-            slot_mean(&eval, &keys, &ct, 6),
-            Err(EvalError::InvalidParams(_))
-        ));
     }
 
     #[test]

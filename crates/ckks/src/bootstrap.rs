@@ -296,7 +296,7 @@ impl Bootstrapper {
     ///
     /// # Errors
     ///
-    /// [`EvalError::MissingRotationKey`]/[`EvalError::MissingGaloisKey`]
+    /// [`EvalError::MissingRotationKey`]/[`EvalError::MissingConjugationKey`]
     /// for absent keys; [`EvalError::RescaleAtLevelZero`] when the chain
     /// is too short; [`EvalError::EmptyOperands`] for a degenerate
     /// (all-zero) transform matrix.

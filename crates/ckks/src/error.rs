@@ -26,11 +26,6 @@ pub enum EvalError {
     ///
     /// [`KeySet::add_conjugation_key`]: crate::keys::KeySet::add_conjugation_key
     MissingConjugationKey,
-    /// No keyswitching key exists for the raw Galois element `g`.
-    MissingGaloisKey {
-        /// The Galois element `X ↦ X^g` that has no key.
-        g: u64,
-    },
     /// Parameter validation failed ([`CkksParams::validate`]), or an
     /// argument lies outside what the operation accepts (a fold width that
     /// is not a power of two, a reference longer than the slot count).
@@ -53,15 +48,17 @@ pub enum EvalError {
         /// Scale of the second operand.
         b: f64,
     },
-    /// An operand list was empty (`try_add_many`,
-    /// `try_linear_combination`), or a paired list (weights) had mismatched
-    /// length.
+    /// An operand list was empty (a rotation sum with no terms, a
+    /// polynomial with no coefficients, the power `x^0`, a noise reference
+    /// with no slots), or a linear transform's diagonals were all
+    /// numerically zero.
     EmptyOperands,
     /// Rescale requested at level 0 — no chain prime left to drop.
     RescaleAtLevelZero,
-    /// The integrity layer detected datapath corruption that survived the
-    /// retry (redundant-residue guard mismatch or duplicate-execution
-    /// checksum divergence). See `he_ckks::integrity`.
+    /// A check detected datapath corruption that survived the retry
+    /// (duplicate-execution digest divergence, or a failed retire
+    /// invariant on the machine's MA core). Only
+    /// [`retry_once`](crate::integrity::retry_once) returns it.
     IntegrityFault {
         /// The checked boundary that caught the fault (e.g. `"mul"`,
         /// `"keyswitch"`, `"pool.retire"`).
@@ -97,9 +94,6 @@ impl fmt::Display for EvalError {
                 write!(f, "missing rotation key for {steps} steps")
             }
             EvalError::MissingConjugationKey => write!(f, "missing conjugation key"),
-            EvalError::MissingGaloisKey { g } => {
-                write!(f, "missing Galois key for element {g}")
-            }
             EvalError::InvalidParams(msg) => write!(f, "invalid CKKS parameters: {msg}"),
             EvalError::LevelMismatch { a, b } => {
                 write!(f, "level mismatch: {a} vs {b}")

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use he_math::{BarrettReducer, ShoupMul};
 use he_rns::conv::{lift_exact, rescale as rns_rescale, ModdownSplit};
+use he_rns::integrity::fnv1a_words;
 use he_rns::poly::automorphism_add_row;
 use he_rns::{Form, LazyDot, LazyRow, RnsBasis, RnsPoly, ShoupOperand};
 
@@ -227,13 +228,11 @@ impl Evaluator {
     }
 
     /// In-place homomorphic addition `acc += term` — the accumulation form
-    /// used by [`try_add_many`]/[`try_linear_combination`] so summing `k`
+    /// the linear-transform and bootstrapping sums use, so summing `k`
     /// terms reuses one allocation instead of cloning per term. Unlike
     /// [`try_add`], operands must already sit at the same level.
     ///
     /// [`try_add`]: Self::try_add
-    /// [`try_add_many`]: Self::try_add_many
-    /// [`try_linear_combination`]: Self::try_linear_combination
     ///
     /// # Errors
     ///
@@ -682,7 +681,7 @@ impl Evaluator {
     /// `h`: the automorphism acts on the pre-NTT'd digits as a pure index
     /// permutation (see [`he_ntt::galois_permutation`]), so no lift and no
     /// forward NTT of ciphertext data happens here — a fan of one through
-    /// the key-switch engine, as is [`try_apply_galois`](Self::try_apply_galois).
+    /// the key-switch engine, as is every single rotation.
     ///
     /// # Panics
     ///
@@ -754,77 +753,6 @@ impl Evaluator {
         ))
     }
 
-    /// Rescales until the scale is within a factor of 2 of the default
-    /// working scale (utility for deep circuits).
-    pub fn rescale_to_default(&self, a: &Ciphertext) -> Ciphertext {
-        let mut ct = a.clone();
-        while ct.level() >= 1 && ct.scale() > 2.0 * self.ctx.default_scale() {
-            ct = self.try_rescale(&ct).expect("level ≥ 1 in the loop");
-        }
-        ct
-    }
-
-    /// Sums many ciphertexts (aligning levels/scales to the weakest
-    /// operand via [`try_adjust`](Self::try_adjust)).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::EmptyOperands`] if `cts` is empty; otherwise as
-    /// [`try_adjust`](Self::try_adjust).
-    pub fn try_add_many(&self, cts: &[Ciphertext]) -> Result<Ciphertext, EvalError> {
-        if cts.is_empty() {
-            return Err(EvalError::EmptyOperands);
-        }
-        let level = cts.iter().map(Ciphertext::level).min().expect("non-empty");
-        let scale = cts
-            .iter()
-            .find(|c| c.level() == level)
-            .expect("non-empty")
-            .scale();
-        let mut acc = self.try_adjust(&cts[0], level, scale)?;
-        for ct in &cts[1..] {
-            let term = self.try_adjust(ct, level, scale)?;
-            self.try_add_assign(&mut acc, &term)?;
-        }
-        Ok(acc)
-    }
-
-    /// Slot-wise linear combination `Σ w_i · ct_i` with plaintext scalar
-    /// weights — one PMult per operand, one rescale total.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::EmptyOperands`] if the lists are empty or their
-    /// lengths differ; [`EvalError::RescaleAtLevelZero`] if an operand is
-    /// exhausted; otherwise as [`try_adjust`](Self::try_adjust).
-    pub fn try_linear_combination(
-        &self,
-        cts: &[Ciphertext],
-        weights: &[f64],
-    ) -> Result<Ciphertext, EvalError> {
-        if cts.is_empty() || cts.len() != weights.len() {
-            return Err(EvalError::EmptyOperands);
-        }
-        let scale = self.ctx.default_scale();
-        let level = cts.iter().map(Ciphertext::level).min().expect("non-empty");
-        let ct_scale = cts
-            .iter()
-            .find(|c| c.level() == level)
-            .expect("non-empty")
-            .scale();
-        let mut acc: Option<Ciphertext> = None;
-        for (ct, &w) in cts.iter().zip(weights) {
-            let aligned = self.try_adjust(ct, level, ct_scale)?;
-            let pt = self.encode_at_level(&[Complex::new(w, 0.0)], scale, level);
-            let term = self.try_mul_plain(&aligned, &pt)?;
-            match &mut acc {
-                None => acc = Some(term),
-                Some(a) => self.try_add_assign(a, &term)?,
-            }
-        }
-        self.try_rescale(&acc.expect("non-empty"))
-    }
-
     /// Brings a ciphertext to exactly (`target_level`, ≈`target_scale`) by
     /// modulus truncation plus, when the scales disagree, one multiplication
     /// by the constant 1 encoded at the correcting scale followed by a
@@ -879,28 +807,6 @@ impl Evaluator {
         let mut out = self.try_rescale(&self.try_mul_plain(&staged, &one)?)?;
         out.set_scale(target_scale);
         Ok(out)
-    }
-
-    /// Applies Galois element `g` to both components and keyswitches back
-    /// to `s`, looking the keyswitching key up in `keys` by the raw
-    /// element. Like every single rotation it is [`hoist`](Self::hoist) +
-    /// [`apply_galois_hoisted`](Self::apply_galois_hoisted) — the lift
-    /// happens on `c_1` *before* the automorphism — so single and batched
-    /// rotations share one code path and are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError::MissingGaloisKey`] if no key for `g` exists.
-    pub fn try_apply_galois(
-        &self,
-        a: &Ciphertext,
-        g: u64,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        let key = keys
-            .galois_key(g)
-            .ok_or(EvalError::MissingGaloisKey { g })?;
-        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 
     /// Rotation (paper Rotation): left-rotates the slot vector by `steps`
@@ -1170,12 +1076,10 @@ impl Source<'_> {
 }
 
 /// An `O(limbs)` fingerprint of a polynomial: the first, middle and last
-/// residue of every limb folded (FNV-1a) into one word.
+/// residue of every limb, chained through FNV-1a into one word.
 fn fingerprint(p: &RnsPoly) -> u64 {
-    let taps = |row: &Vec<u64>| [row[0], row[row.len() / 2], row[row.len() - 1]];
-    let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0100_0000_01b3);
-    let limbs = p.all_residues().iter();
-    limbs.flat_map(taps).fold(0xcbf2_9ce4_8422_2325, fnv)
+    let tap = |h, row: &Vec<u64>| fnv1a_words(&[h, row[0], row[row.len() / 2], row[row.len() - 1]]);
+    p.all_residues().iter().fold(0, tap)
 }
 
 /// Exact lift of a single-prime residue vector `t` (values in `[0, q_j)`)
@@ -1406,35 +1310,6 @@ mod tests {
     }
 
     #[test]
-    fn add_many_sums_across_levels() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
-        let b = encrypt(&ctx, &keys, &mut rng, &[2.0]);
-        // Put c at a lower level via a rescaled multiplication by 1.
-        let one = eval.encode_at_level(&[Complex::new(1.0, 0.0)], ctx.default_scale(), a.level());
-        let c = eval
-            .try_rescale(
-                &eval
-                    .try_mul_plain(&encrypt(&ctx, &keys, &mut rng, &[3.0]), &one)
-                    .unwrap(),
-            )
-            .unwrap();
-        let sum = eval.try_add_many(&[a, b, c]).unwrap();
-        let got = decrypt(&ctx, &keys, &sum, 1);
-        assert!((got[0] - 6.0).abs() < 0.02, "{}", got[0]);
-    }
-
-    #[test]
-    fn linear_combination_weights_slots() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let a = encrypt(&ctx, &keys, &mut rng, &[2.0]);
-        let b = encrypt(&ctx, &keys, &mut rng, &[-1.0]);
-        let lc = eval.try_linear_combination(&[a, b], &[0.5, 3.0]).unwrap();
-        let got = decrypt(&ctx, &keys, &lc, 1);
-        assert!((got[0] - (-2.0)).abs() < 0.02, "{}", got[0]);
-    }
-
-    #[test]
     fn try_rotate_reports_missing_key() {
         let (ctx, keys, eval, mut rng) = setup(); // no rotation keys generated
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
@@ -1445,11 +1320,6 @@ mod tests {
         assert!(matches!(
             eval.try_conjugate(&a, &keys),
             Err(EvalError::MissingConjugationKey)
-        ));
-        let g = keys.galois_element(5);
-        assert!(matches!(
-            eval.try_apply_galois(&a, g, &keys),
-            Err(EvalError::MissingGaloisKey { .. })
         ));
     }
 

@@ -1,42 +1,36 @@
-//! Checked evaluation: duplicate execution with checksum comparison,
-//! retry-once recovery, and typed escalation.
+//! Checked execution: the one place a detected datapath fault is answered.
 //!
 //! The FPGA carries no ECC on its datapath BRAMs, so Poseidon-class
 //! accelerators must assume residues, twiddle tables, and key material can
-//! be silently corrupted in flight. This module is the software model of
-//! the detection layer: every basic operation routed through
-//! [`CheckedEvaluator`] is executed **twice** (dual modular redundancy)
-//! and the two result ciphertexts are compared by FNV checksum over their
-//! residue vectors ([`he_rns::integrity::digest_poly`] — the same cheap
-//! digests taken at NTT/keyswitch entry and exit). The policy is:
+//! be silently corrupted in flight. Every check in the stack — the
+//! duplicated runs of [`CheckedEvaluator`], the machine model's MA-core
+//! retire check — reports what it saw to one policy, [`retry_once`]:
 //!
-//! 1. **detect** — the duplicate digests disagree (or one execution
-//!    panicked on poisoned data): a datapath fault happened in at least
-//!    one run.
-//! 2. **retry once** — re-execute the duplicated pair. A *transient*
-//!    fault (the model's single-shot injections) has passed; the clean
-//!    pair agrees and the caller never notices beyond the
+//! 1. **detect** — an attempt reports a fault (duplicate digests disagree,
+//!    one run panicked on poisoned data, a retire invariant failed).
+//! 2. **retry once** — run the attempt again. A *transient* fault (the
+//!    model's single-shot injections) has passed; the clean attempt
+//!    succeeds and the caller never notices beyond the
 //!    `integrity.retried` counter.
-//! 3. **escalate** — the retried pair still disagrees: the fault is
-//!    persistent (stuck-at bit, corrupted table). The operation returns
+//! 3. **escalate** — the retry saw a fault too: the fault is persistent
+//!    (stuck-at bit, corrupted table). The operation returns
 //!    [`EvalError::IntegrityFault`] — never a panic — so services can
 //!    fail the request, quarantine the accelerator, and continue.
 //!
-//! Detection of persistent faults works because the deterministic
-//! injector (`poseidon-faults`) derives each corruption from its global
-//! hit counter, just as a real stuck-at bit corrupts different data each
-//! time different values stream past it: the two duplicate executions are
-//! corrupted *differently*, so their digests cannot agree.
+//! [`CheckedEvaluator`] detects by dual modular redundancy: each operation
+//! runs twice and the two results are compared by FNV digest
+//! ([`digest_ciphertext`], over [`he_rns::integrity::digest_poly`]).
+//! Persistent faults are caught because the deterministic injector
+//! (`poseidon-faults`) derives each corruption from its global hit
+//! counter, just as a real stuck-at bit corrupts different data each time
+//! different values stream past it: the two runs are corrupted
+//! *differently*, so their digests cannot agree.
 //!
-//! Complementing the DMR layer, `he_rns::integrity::GuardedPoly` provides
-//! the cheaper single-execution redundant-residue (RRNS) check for
-//! pointwise operand flows, and `poseidon_core::OperatorPool::ma_checked`
-//! applies an exact sum-invariant at the MA core's retire boundary.
-//!
-//! Counters are process-global (mirroring `poseidon_par::contained_panics`)
-//! and live only in the telemetry registry, as the scopes
-//! `integrity.checked` / `.detected` / `.retried` / `.escalated`;
-//! [`integrity_stats`] reads them.
+//! The policy's counters are process-global (mirroring
+//! `poseidon_par::contained_panics`) and live only in the telemetry
+//! registry, as the scopes `integrity.checked` / `.detected` / `.retried`
+//! / `.escalated`; only [`retry_once`] bumps them and [`integrity_stats`]
+//! reads them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -73,27 +67,56 @@ pub fn integrity_stats() -> IntegrityStats {
     }
 }
 
-/// Records a checked operation. Public so external checking layers (the
-/// operator pool's retire-boundary checks, the machine's retry wrapper)
-/// aggregate into the same process-wide counters this module exports.
-pub fn note_checked() {
+/// The detect → retry-once → escalate policy around one checked operation.
+///
+/// `attempt` runs the operation under whatever check its caller makes and
+/// returns `Ok(Some(v))` when the check passed, `Ok(None)` when it saw a
+/// fault, and `Err(e)` for a deterministic operand error (which no retry
+/// can change, so it passes straight through). A first fault is retried
+/// once; a second one escalates.
+///
+/// # Errors
+///
+/// `attempt`'s own error, or [`EvalError::IntegrityFault`] naming `site`
+/// when both attempts saw a fault.
+///
+/// # Examples
+///
+/// ```
+/// use he_ckks::error::EvalError;
+/// use he_ckks::integrity::retry_once;
+///
+/// // A transient fault: the first attempt sees it, the retry is clean.
+/// let mut attempts = 0;
+/// let got = retry_once("demo", || {
+///     attempts += 1;
+///     Ok((attempts > 1).then_some(7))
+/// });
+/// assert_eq!((got, attempts), (Ok(7), 2));
+///
+/// // A persistent one escalates.
+/// let got: Result<u8, _> = retry_once("demo", || Ok(None));
+/// assert_eq!(got, Err(EvalError::IntegrityFault { site: "demo" }));
+/// ```
+pub fn retry_once<T>(
+    site: &'static str,
+    mut attempt: impl FnMut() -> Result<Option<T>, EvalError>,
+) -> Result<T, EvalError> {
     tel::checked().add(1);
-}
-
-/// Records a detection (see [`note_checked`]).
-pub fn note_detected() {
+    if let Some(v) = attempt()? {
+        return Ok(v);
+    }
     tel::detected().add(1);
-}
-
-/// Records a successful retry after a detection (see [`note_checked`]).
-pub fn note_retried() {
-    tel::retried().add(1);
-}
-
-/// Records an escalation to [`EvalError::IntegrityFault`]
-/// (see [`note_checked`]).
-pub fn note_escalated() {
-    tel::escalated().add(1);
+    match attempt()? {
+        Some(v) => {
+            tel::retried().add(1);
+            Ok(v)
+        }
+        None => {
+            tel::escalated().add(1);
+            Err(EvalError::IntegrityFault { site })
+        }
+    }
 }
 
 mod tel {
@@ -115,12 +138,12 @@ pub fn digest_ciphertext(ct: &Ciphertext) -> u64 {
     ])
 }
 
-/// An [`Evaluator`] wrapper that runs every operation under duplicate
-/// execution with digest comparison and the detect → retry-once →
-/// escalate policy. All methods return `Result`: deterministic operand
-/// errors (scale/level mismatch, missing keys) pass through unchanged;
-/// datapath corruption that survives the retry surfaces as
-/// [`EvalError::IntegrityFault`] — never a panic.
+/// An [`Evaluator`] wrapper that runs every operation twice, compares the
+/// results' digests, and answers a mismatch with [`retry_once`]. All
+/// methods return `Result`: deterministic operand errors (scale/level
+/// mismatch, missing keys) pass through unchanged; datapath corruption
+/// that survives the retry surfaces as [`EvalError::IntegrityFault`] —
+/// never a panic.
 ///
 /// # Examples
 ///
@@ -155,11 +178,6 @@ impl CheckedEvaluator {
         }
     }
 
-    /// Wraps an existing evaluator.
-    pub fn from_evaluator(inner: Evaluator) -> Self {
-        Self { inner }
-    }
-
     /// The wrapped (unchecked) evaluator.
     pub fn inner(&self) -> &Evaluator {
         &self.inner
@@ -192,28 +210,13 @@ impl CheckedEvaluator {
         }
     }
 
-    /// The detect → retry-once → escalate policy around a fallible
-    /// operation closure.
+    /// [`retry_once`] over duplicated, digest-compared attempts of `f`.
     fn checked(
         &self,
         site: &'static str,
         f: impl Fn() -> Result<Ciphertext, EvalError>,
     ) -> Result<Ciphertext, EvalError> {
-        note_checked();
-        if let Some(ct) = self.attempt(&f)? {
-            return Ok(ct);
-        }
-        note_detected();
-        match self.attempt(&f)? {
-            Some(ct) => {
-                note_retried();
-                Ok(ct)
-            }
-            None => {
-                note_escalated();
-                Err(EvalError::IntegrityFault { site })
-            }
-        }
+        retry_once(site, || self.attempt(&f))
     }
 
     /// Checked HAdd (ct+ct).
@@ -321,6 +324,16 @@ mod tests {
     use crate::params::CkksParams;
     use rand::SeedableRng;
 
+    /// Held by every test here that moves the process-wide counters, so
+    /// each can read exact deltas.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_counters() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn setup() -> (CkksContext, KeySet, CheckedEvaluator, rand::rngs::StdRng) {
         let ctx = CkksContext::new(CkksParams::toy());
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA17);
@@ -346,6 +359,7 @@ mod tests {
 
     #[test]
     fn checked_ops_match_unchecked_when_clean() {
+        let _counters = lock_counters();
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
@@ -366,6 +380,7 @@ mod tests {
 
     #[test]
     fn deterministic_operand_errors_pass_through() {
+        let _counters = lock_counters();
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);
         let before = integrity_stats();
@@ -383,6 +398,57 @@ mod tests {
         let after = integrity_stats();
         assert_eq!(after.detected, before.detected);
         assert_eq!(after.escalated, before.escalated);
+    }
+
+    #[test]
+    fn policy_answers_each_scripted_sequence() {
+        let _counters = lock_counters();
+        let operand = EvalError::RescaleAtLevelZero;
+        let escalated = EvalError::IntegrityFault { site: "scripted" };
+        // (case, attempt results in order, policy result, attempts run,
+        //  checked/detected/retried/escalated deltas)
+        let cases = [
+            ("agree", vec![Ok(Some(1))], Ok(1), 1, [1, 0, 0, 0]),
+            (
+                "disagree then agree",
+                vec![Ok(None), Ok(Some(2))],
+                Ok(2),
+                2,
+                [1, 1, 1, 0],
+            ),
+            (
+                "disagree twice",
+                vec![Ok(None), Ok(None)],
+                Err(escalated),
+                2,
+                [1, 1, 0, 1],
+            ),
+            (
+                "same operand error twice",
+                vec![Err(operand.clone()), Err(operand.clone())],
+                Err(operand),
+                1,
+                [1, 0, 0, 0],
+            ),
+        ];
+        for (case, script, want, want_runs, want_deltas) in cases {
+            let before = integrity_stats();
+            let mut runs = 0;
+            let got = retry_once("scripted", || {
+                runs += 1;
+                script[runs - 1].clone()
+            });
+            let after = integrity_stats();
+            let deltas = [
+                after.checked - before.checked,
+                after.detected - before.detected,
+                after.retried - before.retried,
+                after.escalated - before.escalated,
+            ];
+            assert_eq!(got, want, "{case}");
+            assert_eq!(runs, want_runs, "{case}: attempts");
+            assert_eq!(deltas, want_deltas, "{case}: counter deltas");
+        }
     }
 
     #[test]

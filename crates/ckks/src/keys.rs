@@ -479,21 +479,6 @@ impl KeySet {
         }
     }
 
-    /// Adds the power-of-two rotation keys 1, 2, 4, …, `width`/2 — the set
-    /// a log-depth fold over `width` slots needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not a power of two.
-    pub fn add_fold_keys<R: Rng + ?Sized>(&mut self, width: usize, rng: &mut R) {
-        assert!(width.is_power_of_two(), "fold width must be a power of two");
-        let mut s = 1usize;
-        while s < width {
-            self.add_rotation_key(s as i64, rng);
-            s *= 2;
-        }
-    }
-
     /// Adds a conjugation key.
     pub fn add_conjugation_key<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.add_galois_key(self.conjugation_element(), rng);
@@ -640,7 +625,7 @@ mod tests {
     fn fold_keys_cover_powers_of_two() {
         let (ctx, mut rng) = setup();
         let mut keys = KeySet::generate(&ctx, &mut rng);
-        keys.add_fold_keys(8, &mut rng);
+        keys.add_rotation_keys([1, 2, 4], &mut rng);
         for s in [1i64, 2, 4] {
             assert!(keys.galois_key_for_rotation(s).is_some(), "step {s}");
         }

@@ -13,6 +13,7 @@ use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
+use he_ckks::integrity::retry_once;
 use he_ckks::keys::{KeySet, KeySwitchKey};
 use he_rns::{Form, RnsBasis, RnsPoly};
 
@@ -21,8 +22,7 @@ use crate::ops::{rotate_sum_composed, HomomorphicOps, Weight};
 use crate::pool::OperatorPool;
 
 /// One of the MA core's two checked modes, add or subtract.
-type CheckedMa =
-    fn(&mut OperatorPool, &[u64], &[u64], u64) -> Result<Vec<u64>, he_rns::IntegrityError>;
+type CheckedMa = fn(&mut OperatorPool, &[u64], &[u64], u64) -> Option<Vec<u64>>;
 
 /// A functional Poseidon executor bound to a CKKS context. Its operations
 /// are its [`HomomorphicOps`] impl; the key switch and Moddown they share
@@ -109,40 +109,22 @@ impl PoseidonMachine {
     }
 
     /// The MA core in mode `ma` (add or subtract) through its
-    /// retire-boundary sum check, with the detect → retry-once → escalate
-    /// policy applied per residue limb.
-    fn ma_poly_checked(
-        &mut self,
-        a: &RnsPoly,
-        b: &RnsPoly,
-        ma: CheckedMa,
-    ) -> Result<RnsPoly, EvalError> {
+    /// retire-boundary sum check on every limb; `None` as soon as one
+    /// limb's check fails.
+    fn ma_poly_checked(&mut self, a: &RnsPoly, b: &RnsPoly, ma: CheckedMa) -> Option<RnsPoly> {
         assert_eq!(a.basis(), b.basis());
         assert_eq!(a.form(), b.form());
-        let mut residues = Vec::with_capacity(a.level_count());
-        for j in 0..a.level_count() {
-            let q = a.basis().primes()[j];
-            let r = match ma(&mut self.pool, a.residues(j), b.residues(j), q) {
-                Ok(r) => r,
-                Err(_) => {
-                    he_ckks::integrity::note_detected();
-                    match ma(&mut self.pool, a.residues(j), b.residues(j), q) {
-                        Ok(r) => {
-                            he_ckks::integrity::note_retried();
-                            r
-                        }
-                        Err(_) => {
-                            he_ckks::integrity::note_escalated();
-                            return Err(EvalError::IntegrityFault {
-                                site: "pool.retire",
-                            });
-                        }
-                    }
-                }
-            };
-            residues.push(r);
-        }
-        Ok(RnsPoly::from_residues(a.basis(), residues, a.form()))
+        let residues = (0..a.level_count())
+            .map(|j| {
+                ma(
+                    &mut self.pool,
+                    a.residues(j),
+                    b.residues(j),
+                    a.basis().primes()[j],
+                )
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(RnsPoly::from_residues(a.basis(), residues, a.form()))
     }
 
     fn sub_poly(&mut self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
@@ -204,8 +186,8 @@ impl PoseidonMachine {
     // ---- shared datapaths ------------------------------------------------
 
     /// HAdd in MA mode `ma` (add or subtract) on both components. The MA
-    /// cores run with the retire-boundary sum check; a detection is
-    /// recomputed once and a persistent fault escalates. Operands must be
+    /// cores run with the retire-boundary sum check, and [`retry_once`]
+    /// answers a failed one for the whole operation. Operands must be
     /// level-aligned before they reach the machine.
     fn hadd(
         &mut self,
@@ -220,12 +202,13 @@ impl PoseidonMachine {
             });
         }
         EvalError::check_scales(a.scale(), b.scale())?;
-        he_ckks::integrity::note_checked();
-        Ok(Ciphertext::new(
-            self.ma_poly_checked(a.c0(), b.c0(), ma)?,
-            self.ma_poly_checked(a.c1(), b.c1(), ma)?,
-            a.scale(),
-        ))
+        retry_once("pool.retire", || {
+            let sum = self.ma_poly_checked(a.c0(), b.c0(), ma).and_then(|c0| {
+                let c1 = self.ma_poly_checked(a.c1(), b.c1(), ma)?;
+                Some(Ciphertext::new(c0, c1, a.scale()))
+            });
+            Ok(sum)
+        })
     }
 
     /// The automorphism `X → X^g` on both components, then the key switch
@@ -335,12 +318,10 @@ impl HomomorphicOps for PoseidonMachine {
     fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         EvalError::check_scales(a.scale(), pt.scale())?;
         let m = pt.poly_at_level(a.level())?;
-        he_ckks::integrity::note_checked();
-        Ok(Ciphertext::new(
-            self.ma_poly_checked(a.c0(), &m, OperatorPool::ma_checked)?,
-            a.c1().clone(),
-            a.scale(),
-        ))
+        retry_once("pool.retire", || {
+            let c0 = self.ma_poly_checked(a.c0(), &m, OperatorPool::ma_checked);
+            Ok(c0.map(|c0| Ciphertext::new(c0, a.c1().clone(), a.scale())))
+        })
     }
 
     /// PMult: NTT the operands, MM, INTT back (scale multiplies).

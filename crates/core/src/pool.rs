@@ -10,7 +10,6 @@
 use he_math::BarrettReducer;
 use he_ntt::{FusedNtt, NttTable};
 use poseidon_telemetry::{Metric, Snapshot, Span};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 use crate::auto::HfAuto;
@@ -66,8 +65,6 @@ pub struct OperatorPool {
     reducers: HashMap<u64, BarrettReducer>,
     auto: HfAuto,
     metrics: PoolMetrics,
-    /// `Cell`: bumped while a retire span still borrows `self`.
-    retire_checks: Cell<RetireCheckCounts>,
 }
 
 impl OperatorPool {
@@ -91,7 +88,6 @@ impl OperatorPool {
             reducers: HashMap::new(),
             auto: HfAuto::new(n, lanes.min(n)),
             metrics: PoolMetrics::default(),
-            retire_checks: Cell::new(RetireCheckCounts::default()),
         }
     }
 
@@ -265,31 +261,6 @@ impl OperatorPool {
         self.intt(&mut prod, q);
         prod
     }
-}
-
-/// Counters for the retire-boundary integrity checks
-/// ([`OperatorPool::ma_checked`] / [`OperatorPool::sub_checked`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetireCheckCounts {
-    /// Retire boundaries that ran the sum-invariant check.
-    pub checked: u64,
-    /// Checks whose invariant failed (corruption between compute and
-    /// retire).
-    pub detected: u64,
-}
-
-impl OperatorPool {
-    /// Retire-boundary integrity counters accumulated so far.
-    pub fn retire_checks(&self) -> RetireCheckCounts {
-        self.retire_checks.get()
-    }
-
-    fn bump_retire_check(&self, detected: bool) {
-        let mut c = self.retire_checks.get();
-        c.checked += 1;
-        c.detected += u64::from(detected);
-        self.retire_checks.set(c);
-    }
 
     /// MA core with an ABFT sum-invariant verified at the retire boundary.
     ///
@@ -306,21 +277,13 @@ impl OperatorPool {
     /// output buffer is tampered between compute and retire — the model
     /// of a writeback-path upset.
     ///
-    /// # Errors
-    ///
-    /// [`he_rns::IntegrityError::ChecksumMismatch`] when the retire
-    /// invariant fails; the caller decides whether to recompute (retry)
-    /// or escalate.
+    /// Returns `None` when the retire invariant fails; the caller answers
+    /// that through [`he_ckks::integrity::retry_once`].
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
-    pub fn ma_checked(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        q: u64,
-    ) -> Result<Vec<u64>, he_rns::IntegrityError> {
+    pub fn ma_checked(&mut self, a: &[u64], b: &[u64], q: u64) -> Option<Vec<u64>> {
         assert_eq!(a.len(), b.len(), "operand length mismatch");
         let _op = self.retire(Operator::Ma, a.len() as u64);
         let mut wraps: u128 = 0;
@@ -337,32 +300,19 @@ impl OperatorPool {
         poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut out);
         let sum_in: u128 = a.iter().zip(b).map(|(&x, &y)| x as u128 + y as u128).sum();
         let sum_out: u128 = out.iter().map(|&v| v as u128).sum();
-        let bad = sum_out + wraps * q as u128 != sum_in;
-        self.bump_retire_check(bad);
-        if bad {
-            return Err(he_rns::IntegrityError::ChecksumMismatch { site: "pool.ma" });
-        }
-        Ok(out)
+        (sum_out + wraps * q as u128 == sum_in).then_some(out)
     }
 
     /// MA core in subtract mode with the retire-boundary sum invariant:
     /// `Σ c_i = Σ a_i − Σ b_i + w·q` with `w` the borrow count. See
     /// [`ma_checked`](Self::ma_checked).
     ///
-    /// # Errors
-    ///
-    /// [`he_rns::IntegrityError::ChecksumMismatch`] when the invariant
-    /// fails.
+    /// Returns `None` when the invariant fails.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
-    pub fn sub_checked(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        q: u64,
-    ) -> Result<Vec<u64>, he_rns::IntegrityError> {
+    pub fn sub_checked(&mut self, a: &[u64], b: &[u64], q: u64) -> Option<Vec<u64>> {
         assert_eq!(a.len(), b.len(), "operand length mismatch");
         let _op = self.retire(Operator::Ma, a.len() as u64);
         let mut borrows: i128 = 0;
@@ -379,12 +329,7 @@ impl OperatorPool {
         let sum_a: i128 = a.iter().map(|&v| v as i128).sum();
         let sum_b: i128 = b.iter().map(|&v| v as i128).sum();
         let sum_out: i128 = out.iter().map(|&v| v as i128).sum();
-        let bad = sum_out != sum_a - sum_b + borrows * q as i128;
-        self.bump_retire_check(bad);
-        if bad {
-            return Err(he_rns::IntegrityError::ChecksumMismatch { site: "pool.ma" });
-        }
-        Ok(out)
+        (sum_out == sum_a - sum_b + borrows * q as i128).then_some(out)
     }
 
     /// MA core in subtract mode (hardware MA handles add and subtract via

@@ -3,9 +3,9 @@
 //! The paper's datapath (operator pool, 512-lane cores, scratchpad, 32 HBM
 //! channels) is modeled in this workspace as pure-Rust functional cores. A
 //! production service built on that stack has to survive corrupted buffers
-//! and flaky workers, so the integrity layer (RRNS guard limbs, FNV
-//! checksums, retry/escalation — see `he_rns::integrity` and
-//! `he_ckks::integrity`) needs something to *catch*. This crate is that
+//! and flaky workers, so the integrity layer (duplicate execution compared
+//! by FNV digest, the MA core's retire check, and the one retry/escalation
+//! policy in `he_ckks::integrity`) needs something to *catch*. This crate is that
 //! something: a seeded, fully deterministic injector that corrupts residue
 //! words at named hook sites sprinkled through the stack.
 //!

@@ -15,6 +15,8 @@
 //! * [`lazy::LazyDot`] — sums of residue products with one shared reduction
 //!   per coefficient: the key-switch inner-product kernel, the accumulate
 //!   stage of Moddown's conversion, and the weighted row of a rotation sum.
+//! * [`integrity`] — the one FNV-1a hash: residue digests for checked
+//!   execution, the wire checksum's word hash, shard affinity.
 //!
 //! # Examples
 //!
@@ -90,6 +92,5 @@ pub(crate) mod tel {
 }
 
 pub use basis::RnsBasis;
-pub use integrity::{GuardedPoly, IntegrityError};
 pub use lazy::{LazyDot, LazyRow};
 pub use poly::{Form, RnsPoly, ShoupOperand};

@@ -219,12 +219,7 @@ pub(crate) struct Job {
 /// FNV-1a over the tenant id — the shard affinity hash. Stable across
 /// runs (no randomized hasher) so a tenant's shard is deterministic.
 pub(crate) fn tenant_hash(id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in id.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    he_rns::integrity::fnv1a_bytes(id.as_bytes())
 }
 
 /// One shard's heartbeat, read lock-free by the watchdog. `beats` ticks
