@@ -222,11 +222,9 @@ impl Bootstrapper {
     fn try_matvec(
         &self,
         eval: &Evaluator,
-        keys: &KeySet,
         rotated: &[Ciphertext],
         m: &[Vec<Complex>],
     ) -> Result<Ciphertext, EvalError> {
-        let _ = keys;
         let scale = self.ctx.default_scale();
         let mut acc: Option<Ciphertext> = None;
         for (d, ct_d) in rotated.iter().enumerate() {
@@ -311,12 +309,12 @@ impl Bootstrapper {
         let rot_w = self.try_all_rotations(eval, keys, ct)?;
         let rot_cw = self.try_all_rotations(eval, keys, &conj)?;
         let low = eval.try_add(
-            &self.try_matvec(eval, keys, &rot_w, &self.a_low_w)?,
-            &self.try_matvec(eval, keys, &rot_cw, &self.a_low_cw)?,
+            &self.try_matvec(eval, &rot_w, &self.a_low_w)?,
+            &self.try_matvec(eval, &rot_cw, &self.a_low_cw)?,
         )?;
         let high = eval.try_add(
-            &self.try_matvec(eval, keys, &rot_w, &self.a_high_w)?,
-            &self.try_matvec(eval, keys, &rot_cw, &self.a_high_cw)?,
+            &self.try_matvec(eval, &rot_w, &self.a_high_w)?,
+            &self.try_matvec(eval, &rot_cw, &self.a_high_cw)?,
         )?;
         Ok((low, high))
     }
@@ -342,8 +340,8 @@ impl Bootstrapper {
         let rot_low = self.try_all_rotations(eval, keys, &low)?;
         let rot_high = self.try_all_rotations(eval, keys, &high)?;
         eval.try_add(
-            &self.try_matvec(eval, keys, &rot_low, &self.f_low)?,
-            &self.try_matvec(eval, keys, &rot_high, &self.f_high)?,
+            &self.try_matvec(eval, &rot_low, &self.f_low)?,
+            &self.try_matvec(eval, &rot_high, &self.f_high)?,
         )
     }
 

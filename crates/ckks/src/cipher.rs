@@ -30,12 +30,6 @@ impl Plaintext {
         &self.poly
     }
 
-    /// Consumes into the underlying polynomial.
-    #[inline]
-    pub fn into_poly(self) -> RnsPoly {
-        self.poly
-    }
-
     /// The encoding scale Δ.
     #[inline]
     pub fn scale(&self) -> f64 {

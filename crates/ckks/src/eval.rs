@@ -12,11 +12,11 @@
 //! | Conjugation           | [`Evaluator::try_conjugate`] |
 //! | Σ pt_r ⊙ Rotation_r (a BSGS layer) | [`Evaluator::try_rotate_sum`] |
 //!
-//! Keyswitch, Rotation and Conjugation are one private engine
-//! (`switch_fan`): a fan of one over lifted digits, a fan of one over hoisted
-//! digits, a fan of `R`. The weighted sum is the same two-stage limb-major
-//! pass with the outputs summed over `Q ∪ P` before the one inverse NTT and
-//! Moddown (`sum_fan`).
+//! Every key switch runs one private two-stage engine (`switch_fan`) whose
+//! outputs are sums of terms: Keyswitch is one output of one term; Rotation,
+//! Conjugation and a fan are `R` outputs of one term; the weighted sum is one
+//! output of `R` terms. One function (`lift_limb`) lifts the digits, hoisted
+//! or not.
 //!
 //! Every operation that can fail on caller input has one form, which
 //! returns [`EvalError`].
@@ -24,11 +24,11 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use he_math::{BarrettReducer, ShoupMul};
+use he_math::ShoupMul;
 use he_rns::conv::{lift_exact, rescale as rns_rescale, ModdownSplit};
 use he_rns::integrity::fnv1a_words;
 use he_rns::poly::automorphism_add_row;
-use he_rns::{Form, LazyDot, LazyRow, RnsBasis, RnsPoly, ShoupOperand};
+use he_rns::{Form, LazyDot, RnsBasis, RnsPoly, ShoupOperand};
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
@@ -73,8 +73,9 @@ pub struct HoistedDecomposition {
     level: usize,
     /// Fingerprint of the `c_1` the digits were lifted from.
     source: u64,
-    /// Eval-form digit lifts of `c_1` over `Q_l ∪ P`, one per chain prime.
-    digits: Vec<RnsPoly>,
+    /// Eval-form digit lifts of `c_1` over `Q_l ∪ P`, limb-major: per
+    /// extended limb its `level + 1` rows, one per chain prime.
+    rows: Vec<Vec<Vec<u64>>>,
     /// Number of rotations served, for reuse/saved-NTT accounting.
     uses: AtomicU64,
 }
@@ -89,7 +90,7 @@ impl HoistedDecomposition {
     /// Number of digits (`level + 1` under the α = 1 decomposition).
     #[inline]
     pub fn digit_count(&self) -> usize {
-        self.digits.len()
+        self.level + 1
     }
 
     /// How many rotations this decomposition has served so far.
@@ -408,249 +409,182 @@ impl Evaluator {
     /// Per RNS digit (α = 1, one digit per chain prime): lift `[d]_{q_j}`
     /// exactly to the extended basis `Q_l ∪ P` (a degenerate Modup, Eq. 3),
     /// multiply by key pair `j`, accumulate, then Moddown (Eq. 2) divides
-    /// the `P` factor away: a fan of one through the key-switch engine.
+    /// the `P` factor away: one output of one term through the key-switch
+    /// engine.
     pub fn keyswitch(&self, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        let mut fan = self.switch_fan(d.level_count() - 1, Source::Lift(d), &[(1, key)]);
+        let term = [Term::switch((1, key))];
+        let mut fan = self.switch_fan(d.level_count() - 1, Source::Lift(d), &[&term]);
         fan.pop().expect("a fan of one")
     }
 
-    /// The key-switch engine: one digit decomposition switched under every
-    /// key of `fan`, in two dispatches whatever the fan's size — the paper's
-    /// MM → MA → shared SBT → NTT core → Moddown chain walked limb-major, so
-    /// that a row serves every consumer while it is in cache.
+    /// The key-switch engine, which every key switch runs: one digit
+    /// decomposition and a list of outputs, each a sum of [`Term`]s, in two
+    /// dispatches whatever their number — the paper's MM → MA → shared SBT →
+    /// NTT core → Moddown chain walked limb-major, so that a row serves every
+    /// consumer while it is in cache. *Stage A* (items: output × special
+    /// limb): inner products, the two rows inverse-NTT'd, Moddown's
+    /// `[·p̂_j⁻¹]_{p_j}` scaling — all that lives between the stages. *Stage
+    /// B* (items: chain limbs) walks every output past the limb's digit rows
+    /// once: inner products, inverse NTT, the limb's Moddown.
     ///
-    /// *Stage A* (items: output × special limb): the limb's inner product,
-    /// its inverse NTT in place, Moddown's `[·p̂_j⁻¹]_{p_j}` scaling; these two
-    /// rows per item are all that lives between the stages. *Stage B* (items:
-    /// chain limbs) loads a limb's digit rows once and walks every output
-    /// past them: inner product, inverse NTT, the limb's Moddown, on the
-    /// hoisted path (the only one to read `fan`'s Galois elements) `σ_g(c_0)`
-    /// added in the coefficient domain; each final row is written once.
+    /// The operand joins as the [`Source`] says, exactly either way: a
+    /// rotation adds `σ_g(c_0)` after Moddown; a sum, held unreduced
+    /// ([`he_rns::LazyRow`]), joins `[P]·σ_g(ĉ_0)` (one forward NTT of the
+    /// limb of `c_0`, read through each term's permutation) to each rotation's
+    /// `b` before Moddown divides `P` away, and `[P]·ĉ` for an identity term.
     fn switch_fan(
         &self,
         level: usize,
         source: Source<'_>,
-        fan: &[(u64, &KeySwitchKey)],
+        outputs: &[&[Term<'_>]],
     ) -> Vec<(RnsPoly, RnsPoly)> {
         // An armed plan fires `RnsResidue` inside the items: run them here,
         // in item order, so the firing sequence ignores the thread count.
         if poseidon_faults::armed() && poseidon_par::threads() > 1 {
-            return poseidon_par::with_threads(1, || self.switch_fan(level, source, fan));
+            return poseidon_par::with_threads(1, || self.switch_fan(level, source, outputs));
         }
         let started = std::time::Instant::now();
         let n = self.ctx.n();
-        let (q_len, outputs) = (level + 1, fan.len());
+        let (q_len, outs) = (level + 1, outputs.len());
         let q_basis = self.ctx.level_basis(level);
         let ext_basis = q_basis.concat(self.ctx.special_basis());
         let p_len = ext_basis.len() - q_len;
         let split = ModdownSplit::new(&ext_basis, q_len);
-        // Per output: its key rows, by reference into the evaluation-form
-        // cache, and on the hoisted path its slot permutation (one table of
-        // (N, g) serves every digit and limb).
-        let hoisted = matches!(source, Source::Hoisted(..));
-        let switches: Vec<(EvalKeyRows<'_>, Option<Vec<usize>>)> = fan
+        let summed = matches!(source, Source::Sum(..));
+        // Per term: its key rows, by reference into the evaluation-form
+        // cache, and on hoisted digits its slot permutation (one table of
+        // (N, g) serves every digit and limb); `None` for the identity.
+        let hoisted = !matches!(source, Source::Lift(_));
+        let switches: Vec<Vec<_>> = outputs
             .iter()
-            .map(|&(g, key)| {
-                let perm = hoisted.then(|| he_ntt::galois_permutation(n, g));
-                (key.eval_rows(&self.ctx, level), perm)
+            .map(|terms| {
+                let keyed = terms.iter().map(|term| {
+                    let (g, key) = term.switch?;
+                    let perm = hoisted.then(|| he_ntt::galois_permutation(n, g));
+                    Some((key.eval_rows(&self.ctx, level), perm))
+                });
+                keyed.collect()
             })
             .collect();
-        // Output `r` on extended limb `i`, from the limb's digit rows: both
-        // key products summed by the blocked kernel, each sum inverse-NTT'd.
-        let limb_sums = |i: usize, digits: &[&[u64]], r: usize| {
-            let (rows, perm) = &switches[r];
-            let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
-            let (mut sum_b, mut sum_a) = (vec![0; n], vec![0; n]);
-            let dot = LazyDot::new(ext_basis.reducers()[i]);
-            let span = tel::digit().span((q_len * n) as u64);
-            dot.dot_pair(digits, perm.as_deref(), &keys, &mut sum_b, &mut sum_a);
-            drop(span);
-            for sum in [&mut sum_b, &mut sum_a] {
-                // The `RnsResidue` fault site, where `into_coeff` has it.
-                poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, sum);
-                ext_basis.tables()[i].inverse(sum);
+        let switched = switches.iter().flatten().flatten().count();
+        let identity = switches.iter().flatten().any(Option::is_none);
+        // Output `r` on extended limb `i`, from the limb's digit rows and, on
+        // a sum's chain limb, `pc = [P]·ĉ` there (`c_0`, then `c_1` when a
+        // term is the identity): its two rows, reduced and inverse-NTT'd.
+        let output_rows = |i: usize, digits: &[&[u64]], r: usize, pc: &[Vec<u64>]| {
+            let red = ext_basis.reducers()[i];
+            let dot = LazyDot::new(red);
+            let inner =
+                |(rows, perm): &(EvalKeyRows<'_>, Option<Vec<usize>>), b: &mut _, a: &mut _| {
+                    let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
+                    let _span = tel::digit().span((q_len * n) as u64);
+                    dot.dot_pair(digits, perm.as_deref(), &keys, b, a);
+                };
+            let (mut out_b, mut out_a) = (vec![0; n], vec![0; n]);
+            if summed {
+                // A sum row holds terms `(s + P·c_0)·w` with all three reduced.
+                let q = u128::from(red.modulus());
+                let rule = LazyDot::with_term_bound(red, 2 * q * q);
+                let (mut row_b, mut row_a) = (rule.row(n), rule.row(n));
+                let mut sum_b = poseidon_par::scratch::take(n);
+                let mut sum_a = poseidon_par::scratch::take(n);
+                for (term, switch) in outputs[r].iter().zip(&switches[r]) {
+                    let (b, a) = match (switch, pc) {
+                        (None, [pc0, pc1]) => (pc0, pc1),
+                        (None, _) => continue,
+                        (Some(switch), _) => {
+                            inner(switch, &mut sum_b, &mut sum_a);
+                            if let (Some(pc0), Some(perm)) = (pc.first(), &switch.1) {
+                                for (s, &src) in sum_b.iter_mut().zip(perm) {
+                                    *s += pc0[src];
+                                }
+                            }
+                            (&sum_b, &sum_a)
+                        }
+                    };
+                    let w = term.weight.map(|w| w.row(i, q_len));
+                    row_b.add_weighted(b, w);
+                    row_a.add_weighted(a, w);
+                }
+                poseidon_par::scratch::recycle(sum_b);
+                poseidon_par::scratch::recycle(sum_a);
+                row_b.reduce_into(&mut out_b);
+                row_a.reduce_into(&mut out_a);
+            } else {
+                let switch = switches[r][0].as_ref().expect("a key switch");
+                inner(switch, &mut out_b, &mut out_a);
             }
-            (sum_b, sum_a)
+            for out in [&mut out_b, &mut out_a] {
+                // The `RnsResidue` fault site, where `into_coeff` has it.
+                poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, out);
+                ext_basis.tables()[i].inverse(out);
+            }
+            (out_b, out_a)
         };
-        // Weights, in element operations: a digit lifted here is a lift and a
-        // forward NTT; an output is a read and two multiply–adds per digit,
-        // two inverse NTTs and two Moddown passes.
+        let p_mod_q = self.ctx.special_basis().product_mod_other(&q_basis);
+        // Weights, in element operations: a digit lifted in the task is a lift
+        // and a forward NTT; a switched term is a read and two multiply–adds
+        // per digit (in a sum also the join and two weighted adds); an output
+        // is two inverse NTTs and two Moddown passes; a sum transforms `c_0`.
         let ntt = ext_basis.tables()[0].weight();
         let lifts = if hoisted { 0 } else { q_len * (n + ntt) };
-        let output = q_len * 3 * n + 2 * ntt + 2 * (p_len + 2) * n;
+        let term = (3 * q_len + if summed { 4 } else { 0 }) * n;
+        let output = 2 * ntt + 2 * (p_len + 2) * n;
+        let total = switched * term + outs * output + if summed { ntt } else { 0 };
 
-        let (t_b, t_a) = poseidon_par::par_map_unzip(outputs * p_len, lifts + output, |item| {
+        let (t_b, t_a) = poseidon_par::par_map_unzip(outs * p_len, lifts + total / outs, |item| {
             let (r, j) = (item / p_len, item % p_len);
             source.with_digit_rows(&ext_basis, q_len + j, |digits| {
-                let (mut t_b, mut t_a) = limb_sums(q_len + j, digits, r);
+                let (mut t_b, mut t_a) = output_rows(q_len + j, digits, r, &[]);
                 split.scale_p_limb(j, &mut t_b);
                 split.scale_p_limb(j, &mut t_a);
                 (t_b, t_a)
             })
         });
-        let limbs = poseidon_par::par_map(q_len, lifts + outputs * output, |i| {
+        let mut limbs = poseidon_par::par_map(q_len, lifts + total, |i| {
             source.with_digit_rows(&ext_basis, i, |digits| {
+                // `[P]_{q_i}·ĉ` for each component `c` a sum joins.
+                let p_mod = ShoupMul::new(p_mod_q[i], q_basis.primes()[i]);
+                let scaled_eval = |c: &&RnsPoly| {
+                    let mut row = c.residues(i).to_vec();
+                    // `RnsResidue`, as `into_eval` fires it.
+                    poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
+                    ext_basis.tables()[i].forward(&mut row);
+                    row.iter_mut().for_each(|x| *x = p_mod.mul(*x));
+                    row
+                };
+                let pc: Vec<_> = match source {
+                    Source::Sum(_, a) => [a.c0(), a.c1()][..1 + usize::from(identity)]
+                        .iter()
+                        .map(scaled_eval)
+                        .collect(),
+                    _ => Vec::new(),
+                };
                 let finished = |r: usize| {
-                    let (mut k_b, mut k_a) = limb_sums(i, digits, r);
+                    let (mut k_b, mut k_a) = output_rows(i, digits, r, &pc);
                     let scaled = r * p_len..(r + 1) * p_len;
                     split.finish_q_limb(i, &t_b[scaled.clone()], &mut k_b);
                     split.finish_q_limb(i, &t_a[scaled], &mut k_a);
-                    if let Source::Hoisted(_, c0) = source {
-                        let q = q_basis.primes()[i];
-                        automorphism_add_row(&mut k_b, c0.residues(i), fan[r].0, q);
+                    if let (Source::Rotations(_, c0), [term]) = (source, outputs[r]) {
+                        let (g, _) = term.switch.expect("a rotation");
+                        automorphism_add_row(&mut k_b, c0.residues(i), g, q_basis.primes()[i]);
                     }
                     (k_b, k_a)
                 };
-                (0..outputs).map(finished).collect::<Vec<_>>()
+                (0..outs).map(finished).collect::<Vec<_>>()
             })
         });
-        tel::keyswitch().record_shared(outputs, (q_len * n) as u64, started.elapsed());
+        tel::keyswitch().record_shared(switched, (q_len * n) as u64, started.elapsed());
         // Limb-major rows back into one polynomial pair per output.
-        let mut rows = vec![(Vec::new(), Vec::new()); outputs];
-        for limb in limbs {
-            for ((rows_b, rows_a), (k_b, k_a)) in rows.iter_mut().zip(limb) {
-                rows_b.push(k_b);
-                rows_a.push(k_a);
-            }
-        }
         let poly = |rows| RnsPoly::from_residues(&q_basis, rows, Form::Coeff);
-        rows.into_iter().map(|(b, a)| (poly(b), poly(a))).collect()
-    }
-
-    /// The key-switch engine with its outputs summed before they leave
-    /// `Q ∪ P`: `Σ_r w_r ⊙ (Σ_j σ_r(d_j)·key_{r,j} + P·σ_r(c_0))` per
-    /// extended limb, accumulated unreduced ([`he_rns::LazyRow`]), and only
-    /// the two sum rows inverse-NTT'd and Moddown'd — the same two dispatches
-    /// as [`switch_fan`](Self::switch_fan), one output instead of `R`.
-    ///
-    /// *Stage A* (items: special limbs) walks the rotations past the limb's
-    /// digit rows and leaves two scaled rows per limb: `2·k` rows between the
-    /// stages, not `R·2·k`. *Stage B* (items: chain limbs) forward-NTTs the
-    /// limb of `c_0` once, scaled by `[P]_{q_i}` so that Moddown's division
-    /// returns it, and reads it through each rotation's permutation into that
-    /// rotation's `b` sum; an identity term is the operand itself, scaled the
-    /// same way, and joins both sums directly (on a special limb `P·c ≡ 0`).
-    /// Modular sums do not depend on their order, so the identity terms go
-    /// last.
-    fn sum_fan(
-        &self,
-        a: &Ciphertext,
-        digits: &[RnsPoly],
-        fan: &[SumTerm<'_>],
-    ) -> (RnsPoly, RnsPoly) {
-        // As in `switch_fan`: an armed plan fires inside the items.
-        if poseidon_faults::armed() && poseidon_par::threads() > 1 {
-            return poseidon_par::with_threads(1, || self.sum_fan(a, digits, fan));
-        }
-        let started = std::time::Instant::now();
-        let (n, level) = (self.ctx.n(), a.level());
-        let q_len = level + 1;
-        let q_basis = self.ctx.level_basis(level);
-        let ext_basis = q_basis.concat(self.ctx.special_basis());
-        let p_len = ext_basis.len() - q_len;
-        let split = ModdownSplit::new(&ext_basis, q_len);
-        let p_mod_q = self.ctx.special_basis().product_mod_other(&q_basis);
-        let switches: Vec<Option<(EvalKeyRows<'_>, Vec<usize>)>> = fan
-            .iter()
-            .map(|term| {
-                let (g, key) = term.switch?;
-                Some((
-                    key.eval_rows(&self.ctx, level),
-                    he_ntt::galois_permutation(n, g),
-                ))
-            })
-            .collect();
-        let rotations = switches.iter().flatten().count();
-
-        // A sum row holds terms `(s + P·c_0)·w` with all three reduced.
-        let sum_rows = |i: usize| {
-            let red = ext_basis.reducers()[i];
-            let q = u128::from(red.modulus());
-            let rule = LazyDot::with_term_bound(red, 2 * q * q);
-            (rule.row(n), rule.row(n))
+        let output = |r: usize| {
+            let (b, a) = limbs
+                .iter_mut()
+                .map(|limb| std::mem::take(&mut limb[r]))
+                .unzip();
+            (poly(b), poly(a))
         };
-        // Every rotation's weighted inner products on extended limb `i`,
-        // onto the limb's sums; on a chain limb `pc0` joins each `b` sum.
-        let add_rotations =
-            |i: usize, pc0: Option<&[u64]>, row_b: &mut LazyRow, row_a: &mut LazyRow| {
-                let digit_rows: Vec<&[u64]> = digits.iter().map(|d| d.residues(i)).collect();
-                let dot = LazyDot::new(ext_basis.reducers()[i]);
-                let mut sum_b = poseidon_par::scratch::take(n);
-                let mut sum_a = poseidon_par::scratch::take(n);
-                for (term, switch) in fan.iter().zip(&switches) {
-                    let Some((rows, perm)) = switch else { continue };
-                    let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
-                    let span = tel::digit().span((q_len * n) as u64);
-                    dot.dot_pair(&digit_rows, Some(perm), &keys, &mut sum_b, &mut sum_a);
-                    drop(span);
-                    if let Some(pc0) = pc0 {
-                        for (s, &src) in sum_b.iter_mut().zip(perm) {
-                            *s += pc0[src];
-                        }
-                    }
-                    let w = term.weight.map(|w| w.row(i, q_len));
-                    row_b.add_weighted(&sum_b, w);
-                    row_a.add_weighted(&sum_a, w);
-                }
-                poseidon_par::scratch::recycle(sum_b);
-                poseidon_par::scratch::recycle(sum_a);
-            };
-        // A sum row reduced and inverse-NTT'd: the one transform it costs.
-        let into_coeff = |i: usize, row: &LazyRow| {
-            let mut out = vec![0; n];
-            row.reduce_into(&mut out);
-            // The `RnsResidue` fault site, where `into_coeff` has it.
-            poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut out);
-            ext_basis.tables()[i].inverse(&mut out);
-            out
-        };
-        // Weights, in element operations: a rotation is a read and two
-        // multiply–adds per digit, the join and two weighted adds; a limb adds
-        // the transform of `c_0`, two inverse NTTs and two Moddown passes.
-        let ntt = ext_basis.tables()[0].weight();
-        let limb = rotations * (q_len * 3 + 4) * n + 3 * ntt + 2 * (p_len + 2) * n;
-
-        let (t_b, t_a) = poseidon_par::par_map_unzip(p_len, limb, |j| {
-            let i = q_len + j;
-            let (mut row_b, mut row_a) = sum_rows(i);
-            add_rotations(i, None, &mut row_b, &mut row_a);
-            let (mut t_b, mut t_a) = (into_coeff(i, &row_b), into_coeff(i, &row_a));
-            split.scale_p_limb(j, &mut t_b);
-            split.scale_p_limb(j, &mut t_a);
-            (t_b, t_a)
-        });
-        let (rows_b, rows_a) = poseidon_par::par_map_unzip(q_len, limb, |i| {
-            let p_mod = ShoupMul::new(p_mod_q[i], q_basis.primes()[i]);
-            // `[P]_{q_i}·ĉ` for a component `c`.
-            let scaled_eval = |c: &RnsPoly| {
-                let mut row = c.residues(i).to_vec();
-                // `RnsResidue`, as `into_eval` fires it.
-                poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
-                ext_basis.tables()[i].forward(&mut row);
-                for x in &mut row {
-                    *x = p_mod.mul(*x);
-                }
-                row
-            };
-            let pc0 = scaled_eval(a.c0());
-            let (mut row_b, mut row_a) = sum_rows(i);
-            add_rotations(i, Some(&pc0), &mut row_b, &mut row_a);
-            if rotations < fan.len() {
-                let pc1 = scaled_eval(a.c1());
-                for term in fan.iter().filter(|term| term.switch.is_none()) {
-                    let w = term.weight.map(|w| w.row(i, q_len));
-                    row_b.add_weighted(&pc0, w);
-                    row_a.add_weighted(&pc1, w);
-                }
-            }
-            let (mut k_b, mut k_a) = (into_coeff(i, &row_b), into_coeff(i, &row_a));
-            split.finish_q_limb(i, &t_b, &mut k_b);
-            split.finish_q_limb(i, &t_a, &mut k_a);
-            (k_b, k_a)
-        });
-        tel::keyswitch().record_shared(rotations, (q_len * n) as u64, started.elapsed());
-        let poly = |rows| RnsPoly::from_residues(&q_basis, rows, Form::Coeff);
-        (poly(rows_b), poly(rows_a))
+        (0..outs).map(output).collect()
     }
 
     /// Precomputes the rotation-independent half of a keyswitch: digit
@@ -660,19 +594,22 @@ impl Evaluator {
     ///
     /// [`apply_galois_hoisted`]: Self::apply_galois_hoisted
     pub fn hoist(&self, a: &Ciphertext) -> HoistedDecomposition {
+        // As in the engine: an armed plan fires `RnsResidue` inside the items.
+        if poseidon_faults::armed() && poseidon_par::threads() > 1 {
+            return poseidon_par::with_threads(1, || self.hoist(a));
+        }
         let level = a.level();
         let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
-        let n = a.n();
-        let _span = tel::hoist().span(((level + 1) * ext_basis.len() * n) as u64);
-        // One digit is a lift and a forward NTT on every extended limb.
-        let digit_weight = ext_basis.len() * (n + ext_basis.tables()[0].weight());
-        let digits = poseidon_par::par_map(level + 1, digit_weight, |j| {
-            lift_digit(a.c1().residues(j), &ext_basis)
+        let _span = tel::hoist().span(((level + 1) * ext_basis.len() * a.n()) as u64);
+        // A limb's rows are a lift and a forward NTT per digit.
+        let limb_weight = (level + 1) * (a.n() + ext_basis.tables()[0].weight());
+        let rows = poseidon_par::par_map(ext_basis.len(), limb_weight, |i| {
+            lift_limb(a.c1(), &ext_basis, i)
         });
         HoistedDecomposition {
             level,
             source: fingerprint(a.c1()),
-            digits,
+            rows,
             uses: AtomicU64::new(0),
         }
     }
@@ -694,18 +631,6 @@ impl Evaluator {
         g: u64,
         key: &KeySwitchKey,
     ) -> Ciphertext {
-        let mut fan = self.galois_fan(a, h, &[(g, key)]);
-        fan.pop().expect("a fan of one")
-    }
-
-    /// Every Galois element of `fan` applied to `a` through its hoisted
-    /// decomposition `h`, as one fan of the key-switch engine.
-    fn galois_fan(
-        &self,
-        a: &Ciphertext,
-        h: &HoistedDecomposition,
-        fan: &[(u64, &KeySwitchKey)],
-    ) -> Vec<Ciphertext> {
         let (level, source) = (a.level(), fingerprint(a.c1()));
         assert_eq!(
             level, h.level,
@@ -715,10 +640,11 @@ impl Evaluator {
             source, h.source,
             "hoisted decomposition was lifted from another ciphertext"
         );
-        self.note_uses(h, fan.len());
-        let switched = self.switch_fan(level, Source::Hoisted(&h.digits, a.c0()), fan);
-        let cipher = |(c0, c1)| Ciphertext::new(c0, c1, a.scale());
-        switched.into_iter().map(cipher).collect()
+        self.note_uses(h, 1);
+        let term = [Term::switch((g, key))];
+        let mut fan = self.switch_fan(level, Source::Rotations(&h.rows, a.c0()), &[&term]);
+        let (c0, c1) = fan.pop().expect("a fan of one");
+        Ciphertext::new(c0, c1, a.scale())
     }
 
     /// Reuse accounting for `count` more rotations served by `h`: every
@@ -876,17 +802,29 @@ impl Evaluator {
             .iter()
             .map(|&s| keys.rotation_switch(s))
             .collect::<Result<_, _>>()?;
-        let fan: Vec<(u64, &KeySwitchKey)> = resolved.iter().flatten().copied().collect();
+        let fan: Vec<Term<'_>> = resolved
+            .iter()
+            .flatten()
+            .copied()
+            .map(Term::switch)
+            .collect();
         if fan.is_empty() {
             return Ok(vec![a.clone(); steps.len()]);
         }
         let h = self.hoist(a);
+        self.note_uses(&h, fan.len());
         let started = std::time::Instant::now();
-        let mut rotated = self.galois_fan(a, &h, &fan).into_iter();
+        let outputs: Vec<&[Term<'_>]> = fan.chunks(1).collect();
+        let source = Source::Rotations(&h.rows, a.c0());
+        let switched = self.switch_fan(a.level(), source, &outputs);
         let items = ((a.level() + 1) * self.ctx.n()) as u64;
         tel::rotate().record_shared(fan.len(), items, started.elapsed());
+        let mut rotated = switched.into_iter();
         let rotation = |r: &Option<_>| match r {
-            Some(_) => rotated.next().expect("one output per key"),
+            Some(_) => {
+                let (c0, c1) = rotated.next().expect("one output per key");
+                Ciphertext::new(c0, c1, a.scale())
+            }
             None => a.clone(),
         };
         Ok(resolved.iter().map(rotation).collect())
@@ -986,7 +924,7 @@ impl Evaluator {
         };
         let level = a.level();
         let term_scale = |w: Option<&PlainOperand>| a.scale() * w.map_or(1.0, PlainOperand::scale);
-        let fan: Vec<SumTerm<'_>> = terms
+        let fan: Vec<Term<'_>> = terms
             .iter()
             .map(|&(steps, weight)| {
                 if let Some(w) = weight.filter(|w| w.level() < level) {
@@ -997,7 +935,7 @@ impl Evaluator {
                 }
                 EvalError::check_scales(term_scale(first), term_scale(weight))?;
                 let switch = keys.rotation_switch(steps)?;
-                Ok(SumTerm { switch, weight })
+                Ok(Term { switch, weight })
             })
             .collect::<Result<_, _>>()?;
         let rotations = fan.iter().filter(|term| term.switch.is_some()).count();
@@ -1008,8 +946,9 @@ impl Evaluator {
             self.note_uses(h, rotations);
         }
         let started = std::time::Instant::now();
-        let digits = hoisted.as_ref().map_or(&[][..], |h| &h.digits);
-        let (c0, c1) = self.sum_fan(a, digits, &fan);
+        let rows = hoisted.as_ref().map_or(&[][..], |h| &h.rows);
+        let mut sum = self.switch_fan(level, Source::Sum(rows, a), &[&fan]);
+        let (c0, c1) = sum.pop().expect("one sum");
         tel::rotate().record_shared(rotations, items, started.elapsed());
         Ok(Ciphertext::new(c0, c1, term_scale(first)))
     }
@@ -1028,48 +967,51 @@ impl Evaluator {
     }
 }
 
-/// One resolved term of a rotation sum: the rotation's Galois element and
-/// key (`None` for the identity), and its weight.
-struct SumTerm<'a> {
+/// One term of a key-switch engine output: a key switch under `(g, key)`,
+/// or the operand itself (`None`, an identity step), bare or weighted.
+struct Term<'a> {
     switch: Option<(u64, &'a KeySwitchKey)>,
     weight: Option<&'a PlainOperand>,
 }
 
-/// Where a key-switch fan takes its evaluation-form digit rows from.
+impl<'a> Term<'a> {
+    /// A bare key switch.
+    fn switch(switch: (u64, &'a KeySwitchKey)) -> Self {
+        Term {
+            switch: Some(switch),
+            weight: None,
+        }
+    }
+}
+
+/// Where a key-switch engine call takes its evaluation-form digit rows from,
+/// and how the operand joins its outputs.
 #[derive(Clone, Copy)]
 enum Source<'a> {
-    /// `[d]_{q_j}` of this coefficient-form polynomial, lifted to a limb's
-    /// prime and forward-NTT'd inside the limb's task.
+    /// `[d]_{q_j}` of this polynomial, lifted inside each limb's task by
+    /// [`lift_limb`]; no operand joins.
     Lift(&'a RnsPoly),
-    /// Hoisted evaluation-form digits, read in place through each output's
-    /// slot permutation, and the `c_0` whose automorphism joins its `e_0`.
-    Hoisted(&'a [RnsPoly], &'a RnsPoly),
+    /// Hoisted rows, read through each term's slot permutation; each output
+    /// is one rotation, and `σ_g` of this `c_0` joins after Moddown.
+    Rotations(&'a [Vec<Vec<u64>>], &'a RnsPoly),
+    /// The same (none when no term rotates); each output is a sum, and this
+    /// ciphertext joins as `[P]·ĉ` before Moddown.
+    Sum(&'a [Vec<Vec<u64>>], &'a Ciphertext),
 }
 
 impl Source<'_> {
     /// Runs `f` on every digit's evaluation-form row on extended limb `i`.
-    fn with_digit_rows<R>(
-        self,
-        ext_basis: &RnsBasis,
-        i: usize,
-        f: impl FnOnce(&[&[u64]]) -> R,
-    ) -> R {
+    fn with_digit_rows<R>(self, ext: &RnsBasis, i: usize, f: impl FnOnce(&[&[u64]]) -> R) -> R {
         match self {
-            Source::Hoisted(digits, _) => {
-                f(&digits.iter().map(|d| d.residues(i)).collect::<Vec<_>>())
-            }
             Source::Lift(d) => {
-                let n = d.n();
-                let mut lifted = poseidon_par::scratch::take(d.level_count() * n);
-                for (j, row) in lifted.chunks_exact_mut(n).enumerate() {
-                    lift_row(d.residues(j), &ext_basis.reducers()[i], row);
-                    // `RnsResidue`, as `into_eval` fires it on a hoisted digit.
-                    poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, row);
-                    ext_basis.tables()[i].forward(row);
-                }
-                let out = f(&lifted.chunks_exact(n).collect::<Vec<_>>());
-                poseidon_par::scratch::recycle(lifted);
+                let lifted = lift_limb(d, ext, i);
+                let out = f(&lifted.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                lifted.into_iter().for_each(poseidon_par::scratch::recycle);
                 out
+            }
+            Source::Rotations(limbs, _) | Source::Sum(limbs, _) => {
+                let limb = limbs.get(i).map_or(&[][..], Vec::as_slice);
+                f(&limb.iter().map(Vec::as_slice).collect::<Vec<_>>())
             }
         }
     }
@@ -1082,29 +1024,25 @@ fn fingerprint(p: &RnsPoly) -> u64 {
     p.all_residues().iter().fold(0, tap)
 }
 
-/// Exact lift of a single-prime residue vector `t` (values in `[0, q_j)`)
-/// to the prime of `red` — one row of a degenerate Modup (Eq. 3). The
-/// Barrett reducer replaces the per-element `%`; Barrett reduction is exact,
-/// so the lifted residues are bit-identical to the division path.
-fn lift_row(t: &[u64], red: &BarrettReducer, out: &mut [u64]) {
-    for (o, &v) in out.iter_mut().zip(t) {
-        *o = red.reduce(u128::from(v));
-    }
-}
-
-/// [`lift_row`] to every prime of `ext_basis`, followed by the forward NTT:
-/// one hoisted digit.
-fn lift_digit(t: &[u64], ext_basis: &RnsBasis) -> RnsPoly {
-    let residues: Vec<Vec<u64>> = ext_basis
-        .reducers()
-        .iter()
-        .map(|red| {
-            let mut buf = poseidon_par::scratch::take(t.len());
-            lift_row(t, red, &mut buf);
-            buf
-        })
-        .collect();
-    RnsPoly::from_residues(ext_basis, residues, Form::Coeff).into_eval()
+/// Every digit `[d]_{q_j}` of a coefficient-form `d` lifted exactly to
+/// extended limb `i` of `ext_basis` (a row of a degenerate Modup, Eq. 3) and
+/// forward-NTT'd, one scratch row each, in digit order: the one digit lifter,
+/// run inside an unhoisted key switch's limb tasks and by [`Evaluator::hoist`].
+/// Rows of their own, not one `q·N` buffer per limb: the hoist measured
+/// slower that way on the 2-core reference host (EXPERIMENTS.md §3).
+fn lift_limb(d: &RnsPoly, ext_basis: &RnsBasis, i: usize) -> Vec<Vec<u64>> {
+    let red = &ext_basis.reducers()[i];
+    let lift = |t: &[u64]| {
+        let mut row = poseidon_par::scratch::take(t.len());
+        for (o, &v) in row.iter_mut().zip(t) {
+            *o = red.reduce(u128::from(v));
+        }
+        // `RnsResidue`, as `into_eval` fires it on a digit.
+        poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
+        ext_basis.tables()[i].forward(&mut row);
+        row
+    };
+    d.all_residues().iter().map(|t| lift(t)).collect()
 }
 
 /// `ct` truncated to `level`, which must not exceed its own: itself when it

@@ -133,11 +133,9 @@ impl PlainMatrix {
     /// [`try_apply`]: Self::try_apply
     /// [`try_apply_bsgs`]: Self::try_apply_bsgs
     pub fn required_rotations(&self) -> Vec<i64> {
-        let mut steps: Vec<i64> = (1..self.dim as i64).collect();
         // BSGS also uses the giant steps; they are multiples of the baby
         // block, already contained in 1..dim.
-        steps.dedup();
-        steps
+        (1..self.dim as i64).collect()
     }
 
     /// Applies `M·v` with the plain diagonal method — one rotation and one

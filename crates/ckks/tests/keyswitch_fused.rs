@@ -1,22 +1,29 @@
-//! The fused key-switch datapath against a digit-major reference.
+//! The key-switch engine against digit-major references.
 //!
-//! `Evaluator::keyswitch`, `apply_galois_hoisted` and `try_rotate_many` are
-//! one limb-major engine (both key products summed by one blocked kernel,
-//! one reduction per coefficient, key rows read by reference, the inverse
-//! NTT and Moddown finished inside the limb task) and `moddown` is the same
-//! two per-limb halves. The reference here is the loop they replaced,
-//! written from public `RnsPoly` operations only — per digit
+//! Every key switch is one limb-major engine (both key products summed by
+//! one blocked kernel, one reduction per coefficient, key rows read by
+//! reference, the inverse NTT and Moddown finished inside the limb task),
+//! whose outputs are sums of terms, over digits lifted by one function:
+//! `Evaluator::keyswitch` is one output of one term, `apply_galois_hoisted`
+//! and `try_rotate_many` are `R` outputs of one term each, and `moddown` is
+//! the same two per-limb halves. The reference here is the loop they
+//! replaced, written from public `RnsPoly` operations only — per digit
 //! `lift → mul`, an `add` fold, `into_coeff`, then Moddown as
 //! split / `rns_convert` / `sub` / `mul_scalar_per_prime`. Modular
 //! arithmetic is exact, so the two must agree bit for bit, at every level,
 //! every fan size and every thread count.
 //!
-//! `try_rotate_sum` is the same pass with the outputs weighted and summed
-//! before they leave `Q ∪ P`. Its reference is its own dataflow, digit-major:
+//! `try_rotate_sum` is the same engine with one output of `R` terms,
+//! weighted and summed before it leaves `Q ∪ P`. Its reference is its own
+//! dataflow, digit-major:
 //! `Σ_r w_r ⊙ (Σ_j σ_r(d_j) ⊙ key_{r,j} + P·σ_r(c_0))` over the extended
 //! basis, then one Moddown — bit for bit again; against the composition it
 //! replaces (`try_rotate_many` → `try_mul_plain` → `try_add`), which rounds
 //! once per term, it is held to the decrypted values.
+//!
+//! The fault-order cases arm an upset on the lifted digits (hoisted or
+//! not), on the rows the engine sends into its inverse NTTs and on a sum's
+//! `c_0` limbs, and hold each to one output at every thread count.
 
 use std::sync::Arc;
 
@@ -822,7 +829,7 @@ fn residue_upsets_on_lifted_digits_and_sums_are_thread_count_independent() {
     assert_eq!(eval.keyswitch(&d, keys.relin()), clean);
 }
 
-/// The same for a hoisted fan: past the hoist's own hits (its `into_eval`s)
+/// The same for a hoisted fan: past the hoist's own hits (its lifted rows)
 /// the site fires on the engine's sums only, two per extended limb and
 /// output, in item order whatever the team.
 #[test]
@@ -866,6 +873,59 @@ fn residue_upsets_on_a_fans_sums_are_thread_count_independent() {
             upset(threads),
             "firing order depends on the thread count"
         );
+    }
+    assert_eq!(eval.try_rotate_many(&ct, &steps, &keys).unwrap(), clean);
+}
+
+/// The same inside the hoist: its digits are lifted by the engine's one
+/// lifter, limb by limb (a limb's rows in digit order), and under an armed
+/// plan its limb tasks run on the calling thread, in order, so an upset on
+/// any hoisted row reaches every rotation identically at every thread count.
+#[test]
+fn residue_upsets_inside_the_hoist_are_thread_count_independent() {
+    use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
+
+    let _guard = poseidon_faults::test_lock();
+    poseidon_faults::disarm();
+    let ctx = CkksContext::new(CkksParams::small());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA1A);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    let steps = [1i64, 2, 3];
+    keys.add_rotation_keys(steps, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let clean = eval.try_rotate_many(&ct, &steps, &keys).unwrap();
+
+    let ext_len = ct.level() + 1 + ctx.special_basis().len();
+    let hoist_hits = (ct.level() + 1) * ext_len;
+    let upset = |threads: usize, skip: usize| {
+        poseidon_faults::arm(
+            FaultPlan::transient(FaultSite::RnsResidue, FaultKind::BitFlip, 0xD161)
+                .after(skip as u64),
+        );
+        let out = with_threads(threads, || {
+            eval.try_rotate_many(&ct, &steps, &keys).unwrap()
+        });
+        let fired = poseidon_faults::fired();
+        let hits = poseidon_faults::site_hits(FaultSite::RnsResidue);
+        poseidon_faults::disarm();
+        assert_eq!(fired, 1, "the upset never fired");
+        assert_eq!(hits as usize, hoist_hits + steps.len() * 2 * ext_len);
+        out
+    };
+    for skip in [1, ext_len + 1, hoist_hits / 2, hoist_hits - 3] {
+        let serial = upset(1, skip);
+        assert_ne!(
+            serial, clean,
+            "skip {skip}: a flipped digit bit must reach the output"
+        );
+        for _ in 0..5 {
+            assert_eq!(
+                serial,
+                upset(2, skip),
+                "skip {skip}: firing order depends on the thread count"
+            );
+        }
     }
     assert_eq!(eval.try_rotate_many(&ct, &steps, &keys).unwrap(), clean);
 }

@@ -286,11 +286,6 @@ impl EvalGraph {
         steps
     }
 
-    /// Whether any live node conjugates (needs the conjugation key).
-    pub fn needs_conjugation_key(&self) -> bool {
-        self.count_ops(|op| matches!(op, GraphOp::Conjugate)) > 0
-    }
-
     // ---- construction -----------------------------------------------------
 
     /// The `(level, scale_bits)` of the value `op` produces from `inputs`:

@@ -1,6 +1,7 @@
-//! The planner's forward-NTT saving on a rotation fan, and the transform
-//! and dispatch counts of one planned `bsgs_matvec` execution, counted in
-//! the process-wide telemetry registry.
+//! The planner's forward-NTT saving on a rotation fan, the transform and
+//! dispatch counts of one planned `bsgs_matvec` execution, and those of one
+//! call of each unplanned key switch, counted in the process-wide telemetry
+//! registry.
 //!
 //! A binary of its own, with this one test, on purpose: the assertions diff
 //! global counters around executions, so any sibling test transforming
@@ -71,6 +72,7 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
     );
 
     bsgs_matvec_counts();
+    key_switch_counts();
 }
 
 /// One planned execution of `programs/bsgs_matvec.pos` at `small()` — a
@@ -138,5 +140,74 @@ fn bsgs_matvec_counts() {
         assert_eq!(first, (238, 38), "transforms of a plan's first execution");
         assert_eq!(second, (158, 38), "transforms per execution after it");
         assert!(dispatches <= 16, "{dispatches} dispatches per execution");
+    });
+}
+
+/// One unplanned call of each key switch at `small()` (`q = 8` chain limbs
+/// at the top level, `k = 2` special ones), at the top level and one below,
+/// on the two-thread team pinned here, once its keys sit in the
+/// evaluation-form cache. A relinearisation lifts `q(q+k)` digit rows and
+/// inverse-transforms two rows per extended limb, in the engine's two
+/// dispatches; a rotation or a conjugation hoists the same `q(q+k)` rows in
+/// one dispatch more; a fan of 8 hoists once and inverse-transforms
+/// `16(q+k)`, in as many dispatches as one rotation.
+fn key_switch_counts() {
+    let ctx = CkksContext::new(CkksParams::small());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6E_61);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_keys(1..=8i64, &mut rng);
+    keys.add_conjugation_key(&mut rng);
+    let scale = ctx.default_scale();
+    let z = [Complex::new(0.5, 0.0)];
+    let pt = Plaintext::new(
+        ctx.encoder().encode_rns(ctx.chain_basis(), &z, scale),
+        scale,
+    );
+    let top = keys.public().encrypt(&pt, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let lower = eval.try_drop_to_level(&top, top.level() - 1).unwrap();
+    let steps: Vec<i64> = (1..=8).collect();
+    let reg = Registry::global();
+    poseidon_par::with_threads(2, || {
+        // (call, forward, inverse, dispatches) at each level.
+        let pinned = [
+            [
+                ("keyswitch", 80, 20, 2),
+                ("try_rotate", 80, 20, 3),
+                ("try_conjugate", 80, 20, 3),
+                ("try_rotate_many", 80, 160, 3),
+            ],
+            [
+                ("keyswitch", 63, 18, 2),
+                ("try_rotate", 63, 18, 3),
+                ("try_conjugate", 63, 18, 3),
+                ("try_rotate_many", 63, 144, 3),
+            ],
+        ];
+        for (ct, pinned) in [&top, &lower].into_iter().zip(pinned) {
+            let run = |name: &str| match name {
+                "keyswitch" => drop(eval.keyswitch(ct.c1(), keys.relin())),
+                "try_rotate" => drop(eval.try_rotate(ct, 1, &keys).unwrap()),
+                "try_conjugate" => drop(eval.try_conjugate(ct, &keys).unwrap()),
+                _ => drop(eval.try_rotate_many(ct, &steps, &keys).unwrap()),
+            };
+            for (name, forward, inverse, dispatches) in pinned {
+                run(name);
+                let before = reg.snapshot();
+                run(name);
+                let delta = reg.snapshot().since(&before);
+                let count = |scope: &str| delta.get(scope).map_or(0, |s| s.count);
+                assert_eq!(
+                    (
+                        count("ntt.forward"),
+                        count("ntt.inverse"),
+                        count("par.dispatch")
+                    ),
+                    (forward, inverse, dispatches),
+                    "{name} at level {}: transforms and dispatches",
+                    ct.level()
+                );
+            }
+        }
     });
 }

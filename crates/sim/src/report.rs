@@ -95,12 +95,6 @@ impl Simulator {
         }
     }
 
-    /// Creates a simulator with an explicit energy model.
-    pub fn with_energy_model(cfg: AcceleratorConfig, energy: EnergyModel) -> Self {
-        cfg.validate().expect("invalid accelerator configuration");
-        Self { cfg, energy }
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.cfg
