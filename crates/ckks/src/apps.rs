@@ -10,7 +10,7 @@ use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
 use crate::linear::try_inner_product_plain;
-use crate::polyeval::try_evaluate_monomial;
+use crate::polyeval::{try_evaluate_monomial, PowerBasis};
 
 /// The HELR degree-3 sigmoid approximation on [−4, 4]:
 /// σ(x) ≈ 0.5 + 0.197·x − 0.004·x³.
@@ -72,7 +72,7 @@ impl LogisticModel {
             );
             eval.try_add_plain(&logit, &pt)?
         };
-        try_evaluate_monomial(eval, keys, &with_bias, &HELR_SIGMOID)
+        try_evaluate_monomial(eval, keys, &mut PowerBasis::new(with_bias), &HELR_SIGMOID)
     }
 
     /// Plaintext reference of [`score`] for validation.

@@ -10,17 +10,22 @@
 //!    zeroes every coefficient off the sparse support and multiplies the
 //!    rest by `D = N/(2n')`.
 //! 3. **CoeffToSlot** — homomorphic linear transform moving the `2n'`
-//!    meaningful coefficients into the slots of two ciphertexts, using
-//!    one conjugation plus diagonal (BSGS-free) matrix-vector products.
+//!    meaningful coefficients into the slots of two ciphertexts: one
+//!    conjugation, then the four matrices as two
+//!    [`PlainMatrix::try_products`] calls of two (one hoist of the input,
+//!    one of its conjugate), an add and a rescale per half.
 //! 4. **EvalMod** — approximate `x mod q_0` by `(q_0/2πD)·sin(2πD·x/q_0)`:
 //!    scale down, evaluate a degree-7 Taylor sine and degree-6 cosine of
-//!    the divided angle, then apply `r` double-angle iterations.
+//!    the divided angle over one shared [`PowerBasis`], then apply `r`
+//!    double-angle iterations.
 //! 5. **SlotToCoeff** — the inverse linear transform, recombining both
 //!    halves into a refreshed ciphertext at a high level.
 //!
-//! The linear-transform matrices are derived *numerically from the encoder
-//! itself* (evaluating unit coefficient vectors), so every convention
-//! (bit-reversal, 5^j ordering, replication) is captured by construction.
+//! The six linear-transform matrices are [`PlainMatrix`]es derived
+//! *numerically from the encoder itself* (evaluating unit coefficient
+//! vectors), so every convention (bit-reversal, 5^j ordering, replication)
+//! is captured by construction; every weighted sum of rotations runs
+//! through the key-switch engine ([`Evaluator::try_rotate_sums`]).
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
@@ -28,7 +33,8 @@ use crate::encoding::Complex;
 use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
-use crate::polyeval::try_evaluate_monomial;
+use crate::linear::{try_fold, PlainMatrix};
+use crate::polyeval::{try_evaluate_monomial, PowerBasis};
 use he_rns::RnsPoly;
 
 /// Telemetry scopes for the bootstrapping stages (items = slot count).
@@ -75,13 +81,13 @@ pub struct Bootstrapper {
     /// `q_0` as float.
     q0: f64,
     /// Coefficient→slot matrices: low/high half from `w` and `conj(w)`.
-    a_low_w: Vec<Vec<Complex>>,
-    a_low_cw: Vec<Vec<Complex>>,
-    a_high_w: Vec<Vec<Complex>>,
-    a_high_cw: Vec<Vec<Complex>>,
+    a_low_w: PlainMatrix,
+    a_low_cw: PlainMatrix,
+    a_high_w: PlainMatrix,
+    a_high_cw: PlainMatrix,
     /// Slot→coefficient matrices (columns of the forward map F).
-    f_low: Vec<Vec<Complex>>,
-    f_high: Vec<Vec<Complex>>,
+    f_low: PlainMatrix,
+    f_high: PlainMatrix,
 }
 
 impl Bootstrapper {
@@ -139,21 +145,17 @@ impl Bootstrapper {
                     acw[out_i][j] = Complex::new(p_re / 2.0, p_im / 2.0);
                 }
             }
-            (aw, acw)
+            (PlainMatrix::new(aw), PlainMatrix::new(acw))
         };
         let (a_low_w, a_low_cw) = build(0..slots);
         let (a_high_w, a_high_cw) = build(slots..two_np);
 
         // Slot→coeff: w_out = F_low·m̃_low + F_high·m̃_high, with F_low/high
         // the column blocks of F as n'×n' matrices.
-        let mut f_low = vec![vec![Complex::default(); slots]; slots];
-        let mut f_high = vec![vec![Complex::default(); slots]; slots];
-        for j in 0..slots {
-            for k in 0..slots {
-                f_low[j][k] = f_cols[k][j];
-                f_high[j][k] = f_cols[slots + k][j];
-            }
-        }
+        let f_block = |first: usize| {
+            let rows = (0..slots).map(|j| (0..slots).map(|k| f_cols[first + k][j]).collect());
+            PlainMatrix::new(rows.collect())
+        };
 
         Self {
             ctx: ctx.clone(),
@@ -164,8 +166,8 @@ impl Bootstrapper {
             a_low_cw,
             a_high_w,
             a_high_cw,
-            f_low,
-            f_high,
+            f_low: f_block(0),
+            f_high: f_block(slots),
         }
     }
 
@@ -180,17 +182,15 @@ impl Bootstrapper {
     ///
     /// [`try_bootstrap`]: Self::try_bootstrap
     pub fn required_rotations(&self) -> Vec<i64> {
-        let mut steps: Vec<i64> = (1..self.slots as i64).collect();
-        // SubSum trace rotations.
+        // The transforms' 1..n', then the trace's n', 2n', …: sorted, distinct.
+        let trace = self.trace_steps().map(|s| s as i64);
+        (1..self.slots as i64).chain(trace).collect()
+    }
+
+    /// SubSum's rotation steps `n', 2n', …, N/4`.
+    fn trace_steps(&self) -> impl Iterator<Item = usize> {
         let total = self.ctx.n() / 2;
-        let mut s = self.slots;
-        while s < total {
-            steps.push(s as i64);
-            s *= 2;
-        }
-        steps.sort_unstable();
-        steps.dedup();
-        steps
+        (self.slots.trailing_zeros()..total.trailing_zeros()).map(|bit| 1 << bit)
     }
 
     /// ModRaise (step 1): reinterpret a level-0 ciphertext modulo the full
@@ -215,54 +215,6 @@ impl Bootstrapper {
         Ok(Ciphertext::new(raise(ct.c0()), raise(ct.c1()), ct.scale()))
     }
 
-    /// Homomorphic diagonal matrix-vector product `M·v` on the slot vector
-    /// of `ct` (n'-periodic diagonals). Consumes one level. An
-    /// all-(near-)zero matrix or a level-exhausted operand is a typed
-    /// error, never a panic.
-    fn try_matvec(
-        &self,
-        eval: &Evaluator,
-        rotated: &[Ciphertext],
-        m: &[Vec<Complex>],
-    ) -> Result<Ciphertext, EvalError> {
-        let scale = self.ctx.default_scale();
-        let mut acc: Option<Ciphertext> = None;
-        for (d, ct_d) in rotated.iter().enumerate() {
-            let diag: Vec<Complex> = (0..self.slots)
-                .map(|i| m[i][(i + d) % self.slots])
-                .collect();
-            if diag.iter().all(|c| c.abs() < 1e-300) {
-                continue;
-            }
-            let pt = eval.encode_at_level(&diag, scale, ct_d.level());
-            let term = eval.try_mul_plain(ct_d, &pt)?;
-            match &mut acc {
-                None => acc = Some(term),
-                Some(a) => eval.try_add_assign(a, &term)?,
-            }
-        }
-        eval.try_rescale(&acc.ok_or(EvalError::EmptyOperands)?)
-    }
-
-    /// All left-rotations `0..n'` of a ciphertext (index 0 = the input).
-    ///
-    /// This is the heaviest rotation consumer in the linear transforms, and
-    /// every rotation acts on the same input — the textbook hoisting case:
-    /// one batched call pays the digit lift + forward NTTs once for all
-    /// `n' − 1` rotations.
-    fn try_all_rotations(
-        &self,
-        eval: &Evaluator,
-        keys: &KeySet,
-        ct: &Ciphertext,
-    ) -> Result<Vec<Ciphertext>, EvalError> {
-        let steps: Vec<i64> = (1..self.slots as i64).collect();
-        let mut out = Vec::with_capacity(self.slots);
-        out.push(ct.clone());
-        out.extend(eval.try_rotate_many(ct, &steps, keys)?);
-        Ok(out)
-    }
-
     /// SubSum: trace onto the sparse subring (step 2).
     ///
     /// # Errors
@@ -275,18 +227,7 @@ impl Bootstrapper {
         ct: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
         let _span = tel::subsum().span(self.slots as u64);
-        let total = self.ctx.n() / 2;
-        // The fold rotates the evolving accumulator, so consecutive
-        // rotations never share an input and hoisting across them does not
-        // apply — each `rotate` is already hoisted internally.
-        let mut acc = ct.clone();
-        let mut s = self.slots;
-        while s < total {
-            let rot = eval.try_rotate(&acc, s as i64, keys)?;
-            acc = eval.try_add(&acc, &rot)?;
-            s *= 2;
-        }
-        Ok(acc)
+        try_fold(eval, keys, ct, self.trace_steps())
     }
 
     /// CoeffToSlot (step 3): returns `(ct_low, ct_high)` whose slots hold
@@ -306,17 +247,14 @@ impl Bootstrapper {
     ) -> Result<(Ciphertext, Ciphertext), EvalError> {
         let _span = tel::c2s().span(self.slots as u64);
         let conj = eval.try_conjugate(ct, keys)?;
-        let rot_w = self.try_all_rotations(eval, keys, ct)?;
-        let rot_cw = self.try_all_rotations(eval, keys, &conj)?;
-        let low = eval.try_add(
-            &self.try_matvec(eval, &rot_w, &self.a_low_w)?,
-            &self.try_matvec(eval, &rot_cw, &self.a_low_cw)?,
-        )?;
-        let high = eval.try_add(
-            &self.try_matvec(eval, &rot_w, &self.a_high_w)?,
-            &self.try_matvec(eval, &rot_cw, &self.a_high_cw)?,
-        )?;
-        Ok((low, high))
+        let from_w = PlainMatrix::try_products(&[&self.a_low_w, &self.a_high_w], eval, keys, ct)?;
+        let from_cw =
+            PlainMatrix::try_products(&[&self.a_low_cw, &self.a_high_cw], eval, keys, &conj)?;
+        let half = |w, cw| eval.try_rescale(&eval.try_add(w, cw)?);
+        Ok((
+            half(&from_w[0], &from_cw[0])?,
+            half(&from_w[1], &from_cw[1])?,
+        ))
     }
 
     /// SlotToCoeff (step 5): the inverse linear transform, recombining both
@@ -337,12 +275,9 @@ impl Bootstrapper {
         let scale = low.scale();
         let low = eval.try_adjust(low, level, scale)?;
         let high = eval.try_adjust(high, level, scale)?;
-        let rot_low = self.try_all_rotations(eval, keys, &low)?;
-        let rot_high = self.try_all_rotations(eval, keys, &high)?;
-        eval.try_add(
-            &self.try_matvec(eval, &rot_low, &self.f_low)?,
-            &self.try_matvec(eval, &rot_high, &self.f_high)?,
-        )
+        let low = PlainMatrix::try_products(&[&self.f_low], eval, keys, &low)?;
+        let high = PlainMatrix::try_products(&[&self.f_high], eval, keys, &high)?;
+        eval.try_rescale(&eval.try_add(&low[0], &high[0])?)
     }
 
     /// EvalMod (step 4): approximates `x mod q_0` on the slot values of
@@ -371,17 +306,14 @@ impl Bootstrapper {
         let half = c.sqrt();
         let mut y = ct.clone();
         for _ in 0..2 {
-            let pt = eval.encode_at_level(
-                &[Complex::new(half, 0.0)],
-                self.ctx.default_scale(),
-                y.level(),
-            );
-            y = eval.try_rescale(&eval.try_mul_plain(&y, &pt)?)?;
+            y = eval.try_rescale(&eval.mul_const(&y, Complex::new(half, 0.0)))?;
         }
 
-        // Taylor sine and cosine of the divided angle.
-        let mut s = try_evaluate_monomial(eval, keys, &y, &SIN_COEFFS)?;
-        let mut co = try_evaluate_monomial(eval, keys, &y, &COS_COEFFS)?;
+        // Taylor sine and cosine of the divided angle, over one set of
+        // powers: y²…y⁷ cost six products between them.
+        let mut powers = PowerBasis::new(y);
+        let mut s = try_evaluate_monomial(eval, keys, &mut powers, &SIN_COEFFS)?;
+        let mut co = try_evaluate_monomial(eval, keys, &mut powers, &COS_COEFFS)?;
 
         // r double-angle iterations: s ← 2sc, c ← 1 − 2s².
         for _ in 0..self.doublings {
@@ -411,12 +343,7 @@ impl Bootstrapper {
         // few bits above Δ the constant is O(1) and encodes at the working
         // scale without precision loss.
         let back = q0_eff / (2.0 * std::f64::consts::PI);
-        let pt = eval.encode_at_level(
-            &[Complex::new(back, 0.0)],
-            self.ctx.default_scale(),
-            s.level(),
-        );
-        eval.try_rescale(&eval.try_mul_plain(&s, &pt)?)
+        eval.try_rescale(&eval.mul_const(&s, Complex::new(back, 0.0)))
     }
 
     /// Runs the full bootstrapping pipeline on an exhausted (level 0)
@@ -548,13 +475,14 @@ mod tests {
             coeffs[k * stride] = v;
         }
         let w = ctx.encoder().decode_from_coeffs(&coeffs, 1.0, slots);
-        // m̃_low = A_lw·w + A_lcw·conj(w)
-        let apply = |m: &[Vec<Complex>], v: &[Complex]| -> Vec<Complex> {
+        // m̃_low = A_lw·w + A_lcw·conj(w), each product through the
+        // matrix's diagonals: (M·v)_i = Σ_d diag_d[i]·v[(i + d) mod n'].
+        let apply = |m: &PlainMatrix, v: &[Complex]| -> Vec<Complex> {
             (0..slots)
                 .map(|i| {
                     let mut acc = Complex::default();
-                    for j in 0..slots {
-                        acc = acc + m[i][j] * v[j];
+                    for d in 0..slots {
+                        acc = acc + m.diagonal(d)[i] * v[(i + d) % slots];
                     }
                     acc
                 })

@@ -10,7 +10,7 @@
 //! | Keyswitch (Modup/RNSconv/Moddown) | [`Evaluator::keyswitch`] |
 //! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`], [`Evaluator::try_rotate_many`] |
 //! | Conjugation           | [`Evaluator::try_conjugate`] |
-//! | Σ pt_r ⊙ Rotation_r (a BSGS layer) | [`Evaluator::try_rotate_sum`] |
+//! | Σ pt_r ⊙ Rotation_r (a BSGS layer) | [`Evaluator::try_rotate_sum`], [`Evaluator::try_rotate_sums`] |
 //!
 //! Every key switch runs one private two-stage engine (`switch_fan`) whose
 //! outputs are sums of terms: Keyswitch is one output of one term; Rotation,
@@ -229,9 +229,10 @@ impl Evaluator {
     }
 
     /// In-place homomorphic addition `acc += term` — the accumulation form
-    /// the linear-transform and bootstrapping sums use, so summing `k`
-    /// terms reuses one allocation instead of cloning per term. Unlike
-    /// [`try_add`], operands must already sit at the same level.
+    /// [`PlainMatrix::try_apply_bsgs`](crate::linear::PlainMatrix::try_apply_bsgs)
+    /// sums its giant steps with, so summing `k` terms reuses one allocation
+    /// instead of cloning per term. Unlike [`try_add`], operands must already
+    /// sit at the same level.
     ///
     /// [`try_add`]: Self::try_add
     ///
@@ -864,33 +865,12 @@ impl Evaluator {
     }
 
     /// A weighted sum of rotations of one ciphertext, `Σ_r pt_r ⊙ rot_r(a)`
-    /// — a diagonal matrix–vector layer — as **one** key-switch pass: the
-    /// digit decomposition is hoisted once, every rotation's key-switch
-    /// output stays over `Q ∪ P` in evaluation form and meets its plaintext
-    /// there, and only the sum is inverse-NTT'd and Moddown'd (double
-    /// hoisting, Bossuat et al., Eurocrypt 2021). `q(q+k) + q + 2(q+k)`
-    /// transforms at `q = level + 1` limbs and `k` special primes, whatever
-    /// the number of terms; the composition [`try_rotate_many`] →
-    /// [`try_mul_plain`] → [`try_add`] costs `5q + 2(q+k)` more per term.
-    ///
-    /// A term without a weight is the bare rotation; a term whose step is a
-    /// multiple of the slot count is the operand itself and needs no key. The
-    /// result's scale is the operand's times the weights' (rescale
-    /// afterwards); it decrypts to the composition's value but rounds once
-    /// where that rounds per term, so its bits differ.
-    ///
-    /// [`try_rotate_many`]: Self::try_rotate_many
-    /// [`try_mul_plain`]: Self::try_mul_plain
-    /// [`try_add`]: Self::try_add
+    /// — a diagonal matrix–vector layer — as **one** key-switch pass.
     ///
     /// # Errors
     ///
-    /// [`EvalError::EmptyOperands`] for no terms;
-    /// [`EvalError::LevelMismatch`] for a weight prepared below the
-    /// ciphertext's level; [`EvalError::ScaleMismatch`] for weights of
-    /// different scales, or weighted terms beside bare ones;
-    /// [`EvalError::MissingRotationKey`] for the first step without a key —
-    /// all before any work.
+    /// As [`try_rotate_sums`](Self::try_rotate_sums), of which this is the
+    /// one-sum case.
     ///
     /// # Examples
     ///
@@ -919,14 +899,54 @@ impl Evaluator {
         terms: &[(i64, Option<&PlainOperand>)],
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        let Some(&(_, first)) = terms.first() else {
+        let mut sums = self.try_rotate_sums(a, &[terms], keys)?;
+        Ok(sums.pop().expect("one sum"))
+    }
+
+    /// Several weighted sums of rotations of one ciphertext, each
+    /// `Σ_r pt_r ⊙ rot_r(a)`, over **one** hoist and one key-switch pass:
+    /// every rotation's key-switch output stays over `Q ∪ P` in evaluation
+    /// form and meets its plaintext there, and only the sums are
+    /// inverse-NTT'd and Moddown'd (double hoisting, Bossuat et al.,
+    /// Eurocrypt 2021). `q(q+k) + q + 2S(q+k)` transforms for `S` sums at
+    /// `q = level + 1` limbs and `k` special primes, whatever the number of
+    /// terms; the composition [`try_rotate_many`] → [`try_mul_plain`] →
+    /// [`try_add`] costs `5q + 2(q+k)` more per term.
+    ///
+    /// A term without a weight is the bare rotation; a term whose step is a
+    /// multiple of the slot count is the operand itself and needs no key. A
+    /// sum's scale is the operand's times its weights' (rescale afterwards);
+    /// it decrypts to the composition's value but rounds once where that
+    /// rounds per term, so its bits differ. Each sum is bit-identical to its
+    /// own [`try_rotate_sum`] call.
+    ///
+    /// [`try_rotate_many`]: Self::try_rotate_many
+    /// [`try_mul_plain`]: Self::try_mul_plain
+    /// [`try_add`]: Self::try_add
+    /// [`try_rotate_sum`]: Self::try_rotate_sum
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::EmptyOperands`] for no sums or a sum of no terms;
+    /// [`EvalError::LevelMismatch`] for a weight prepared below the
+    /// ciphertext's level; [`EvalError::ScaleMismatch`] for weights of
+    /// different scales within a sum, or weighted terms beside bare ones;
+    /// [`EvalError::MissingRotationKey`] for the first step without a key —
+    /// all before any work.
+    pub fn try_rotate_sums(
+        &self,
+        a: &Ciphertext,
+        sums: &[&[(i64, Option<&PlainOperand>)]],
+        keys: &KeySet,
+    ) -> Result<Vec<Ciphertext>, EvalError> {
+        if sums.is_empty() {
             return Err(EvalError::EmptyOperands);
-        };
+        }
         let level = a.level();
         let term_scale = |w: Option<&PlainOperand>| a.scale() * w.map_or(1.0, PlainOperand::scale);
-        let fan: Vec<Term<'_>> = terms
-            .iter()
-            .map(|&(steps, weight)| {
+        let fans = sums.iter().map(|terms| {
+            let first = terms.first().ok_or(EvalError::EmptyOperands)?.1;
+            let fan = terms.iter().map(|&(steps, weight)| {
                 if let Some(w) = weight.filter(|w| w.level() < level) {
                     return Err(EvalError::LevelMismatch {
                         a: level,
@@ -936,21 +956,27 @@ impl Evaluator {
                 EvalError::check_scales(term_scale(first), term_scale(weight))?;
                 let switch = keys.rotation_switch(steps)?;
                 Ok(Term { switch, weight })
-            })
-            .collect::<Result<_, _>>()?;
-        let rotations = fan.iter().filter(|term| term.switch.is_some()).count();
+            });
+            fan.collect::<Result<Vec<_>, _>>()
+        });
+        let fans = fans.collect::<Result<Vec<_>, _>>()?;
+        let terms = fans.iter().flatten();
+        let rotations = terms.clone().filter(|term| term.switch.is_some()).count();
         let items = ((level + 1) * self.ctx.n()) as u64;
-        let _span = tel::rotate_sum().span(terms.len() as u64 * items);
+        let _span = tel::rotate_sum().span(terms.count() as u64 * items);
         let hoisted = (rotations > 0).then(|| self.hoist(a));
         if let Some(h) = &hoisted {
             self.note_uses(h, rotations);
         }
         let started = std::time::Instant::now();
         let rows = hoisted.as_ref().map_or(&[][..], |h| &h.rows);
-        let mut sum = self.switch_fan(level, Source::Sum(rows, a), &[&fan]);
-        let (c0, c1) = sum.pop().expect("one sum");
+        let outputs: Vec<&[Term<'_>]> = fans.iter().map(Vec::as_slice).collect();
+        let summed = self.switch_fan(level, Source::Sum(rows, a), &outputs);
         tel::rotate().record_shared(rotations, items, started.elapsed());
-        Ok(Ciphertext::new(c0, c1, term_scale(first)))
+        // A sum's scale is its first term's.
+        let scales = sums.iter().map(|terms| term_scale(terms[0].1));
+        let sum = |((c0, c1), scale)| Ciphertext::new(c0, c1, scale);
+        Ok(summed.into_iter().zip(scales).map(sum).collect())
     }
 
     /// Complex conjugation of every slot (`g = 2N − 1`).

@@ -4,7 +4,11 @@
 //! These are the building blocks of the paper's benchmark workloads — the
 //! HELR inner product, the LSTM 128×128 matrix products, and the
 //! CoeffToSlot/SlotToCoeff transforms inside bootstrapping — exposed as a
-//! reusable API.
+//! reusable API. [`PlainMatrix`] is the one linear-transform type: every
+//! product, plain or BSGS, is weighted sums of rotations of one ciphertext
+//! through [`Evaluator::try_rotate_sums`], several matrices over one hoist.
+
+use std::ops::Range;
 
 use crate::cipher::Ciphertext;
 use crate::encoding::Complex;
@@ -29,15 +33,24 @@ pub fn try_fold_sum(
     width: usize,
 ) -> Result<Ciphertext, EvalError> {
     check_fold_width(width)?;
-    // Each iteration rotates the freshly updated accumulator, so there is
-    // no shared ciphertext to hoist across — `try_rotate` (internally
-    // hoisted for its single application) is already optimal here.
+    let steps = (0..width.trailing_zeros()).rev().map(|bit| 1 << bit);
+    try_fold(eval, keys, ct, steps)
+}
+
+/// `acc ← acc + rot_s(acc)` for each step `s` in order, from `acc = ct`: the
+/// one rotate-and-add fold, behind [`try_fold_sum`] and bootstrapping's
+/// SubSum. Each rotation acts on the freshly updated accumulator, so there
+/// is no shared ciphertext to hoist across.
+pub(crate) fn try_fold(
+    eval: &Evaluator,
+    keys: &KeySet,
+    ct: &Ciphertext,
+    steps: impl IntoIterator<Item = usize>,
+) -> Result<Ciphertext, EvalError> {
     let mut acc = ct.clone();
-    let mut step = width / 2;
-    while step >= 1 {
+    for step in steps {
         let rot = eval.try_rotate(&acc, step as i64, keys)?;
         acc = eval.try_add(&acc, &rot)?;
-        step /= 2;
     }
     Ok(acc)
 }
@@ -138,11 +151,30 @@ impl PlainMatrix {
         (1..self.dim as i64).collect()
     }
 
-    /// Applies `M·v` with the plain diagonal method — one rotation and one
-    /// PMult per non-zero diagonal, summed — as a single
-    /// [`try_rotate_sum`](Evaluator::try_rotate_sum) pass (the diagonals
-    /// prepared once per call), and one rescale at the end. Consumes one
-    /// level.
+    /// `M·v` for every matrix `M` of `matrices` with the plain diagonal
+    /// method — per matrix one rotation and one PMult per non-zero diagonal,
+    /// summed — as one [`try_rotate_sums`](Evaluator::try_rotate_sums) call:
+    /// one hoist of `v` and one key-switch pass serve every product. The
+    /// products are not rescaled (their scale is `v`'s times Δ), so a sum of
+    /// products is rescaled once.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::EmptyOperands`] for no matrices, or a matrix whose every
+    /// diagonal is numerically zero; [`EvalError::MissingRotationKey`] for an
+    /// absent key.
+    pub fn try_products(
+        matrices: &[&PlainMatrix],
+        eval: &Evaluator,
+        keys: &KeySet,
+        v: &Ciphertext,
+    ) -> Result<Vec<Ciphertext>, EvalError> {
+        let blocks: Vec<_> = matrices.iter().map(|&m| (m, 0..m.dim)).collect();
+        try_diagonal_sums(eval, keys, v, &blocks)
+    }
+
+    /// Applies `M·v` with the plain diagonal method: the one-matrix case of
+    /// [`try_products`](Self::try_products), rescaled. Consumes one level.
     ///
     /// # Errors
     ///
@@ -155,24 +187,15 @@ impl PlainMatrix {
         keys: &KeySet,
         v: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
-        let (scale, level) = (eval.context().default_scale(), v.level());
-        // Diagonal `d` weighs the rotation by `d`; diagonal 0, the input.
-        let weights = (0..self.dim)
-            .filter(|&d| !self.diagonal_is_zero(d))
-            .map(|d| {
-                let pt = eval.encode_at_level(&self.diagonals[d], scale, level);
-                Ok((d as i64, eval.prepare_plain(&pt, level)?))
-            })
-            .collect::<Result<Vec<_>, EvalError>>()?;
-        let terms: Vec<_> = weights.iter().map(|(d, w)| (*d, Some(w))).collect();
-        eval.try_rescale(&eval.try_rotate_sum(v, &terms, keys)?)
+        eval.try_rescale(&Self::try_products(&[self], eval, keys, v)?[0])
     }
 
-    /// Applies `M·v` with baby-step/giant-step: `√dim` baby rotations of
-    /// the input plus `√dim` giant rotations of partial sums — the
-    /// rotation count drops from `dim − 1` to `≈ 2√dim`. Consumes one
-    /// level. Requires rotation keys for the baby steps `1..bs` and the
-    /// giant steps `bs, 2bs, …`.
+    /// Applies `M·v` with baby-step/giant-step (`bs = ⌈√dim⌉`): one
+    /// [`try_rotate_sums`](Evaluator::try_rotate_sums) call with one sum per
+    /// non-empty giant block, then the `gs − 1` giant rotations and adds. On
+    /// a dense matrix it switches `dim − 1` keys, as
+    /// [`try_apply`](Self::try_apply) does, plus one Moddown per block; it
+    /// only needs fewer keys (`1..bs` and `bs, 2bs, …`). Consumes one level.
     ///
     /// # Errors
     ///
@@ -186,59 +209,59 @@ impl PlainMatrix {
         v: &Ciphertext,
     ) -> Result<Ciphertext, EvalError> {
         let dim = self.dim;
-        let bs = (dim as f64).sqrt().ceil() as usize; // baby block
-        let gs = dim.div_ceil(bs);
-        let scale = eval.context().default_scale();
-
-        // Baby rotations of the input, computed once — and hoisted once:
-        // all of them rotate the same `v`, so a single digit decomposition
-        // serves the whole block.
-        let baby_steps: Vec<i64> = (1..bs as i64).collect();
-        let mut baby = Vec::with_capacity(bs);
-        baby.push(v.clone());
-        baby.extend(eval.try_rotate_many(v, &baby_steps, keys)?);
-
-        // For giant block g: Σ_b diag[g·bs + b] rotated... Using the BSGS
-        // identity: M·v = Σ_g rot_{g·bs}( Σ_b rot_{-g·bs}(diag_{g·bs+b}) ⊙
-        // rot_b(v) ); rotating the diagonal in plaintext is free.
-        let mut acc: Option<Ciphertext> = None;
-        for g in 0..gs {
-            let mut inner: Option<Ciphertext> = None;
-            for (b, ct_b) in baby.iter().enumerate().take(bs) {
-                let d = g * bs + b;
-                if d >= dim || self.diagonal_is_zero(d) {
-                    continue;
-                }
-                // Plaintext-rotated diagonal: entry i of rot_{-g·bs}(diag_d)
-                // is diag_d[(i + dim - g·bs) mod dim]... rotation left by
-                // −g·bs means index (i − g·bs) mod dim.
-                let shift = g * bs;
-                let rotated_diag: Vec<Complex> = (0..dim)
-                    .map(|i| self.diagonals[d][(i + dim - shift) % dim])
-                    .collect();
-                let pt = eval.encode_at_level(&rotated_diag, scale, ct_b.level());
-                let term = eval.try_mul_plain(ct_b, &pt)?;
-                match &mut inner {
-                    None => inner = Some(term),
-                    Some(a) => eval.try_add_assign(a, &term)?,
-                }
-            }
-            if let Some(inner) = inner {
-                // Each giant step rotates a *different* inner sum, so
-                // there is nothing to hoist across them.
-                let shifted = if g == 0 {
-                    inner
-                } else {
-                    eval.try_rotate(&inner, (g * bs) as i64, keys)?
-                };
-                match &mut acc {
-                    None => acc = Some(shifted),
-                    Some(a) => eval.try_add_assign(a, &shifted)?,
-                }
-            }
+        let bs = (dim as f64).sqrt().ceil() as usize;
+        // M·v = Σ_g rot_{g·bs}(Σ_{b<bs} rot_{−g·bs}(diag_{g·bs+b}) ⊙ rot_b(v)):
+        // one inner sum per non-empty giant block, over one hoist of `v`.
+        let blocks: Vec<_> = (0..dim)
+            .step_by(bs)
+            .map(|giant| (self, giant..dim.min(giant + bs)))
+            .filter(|(_, block)| block.clone().any(|d| !self.diagonal_is_zero(d)))
+            .collect();
+        let inner = try_diagonal_sums(eval, keys, v, &blocks)?;
+        // Each giant step rotates a different inner sum: nothing to hoist.
+        let mut shifted = blocks
+            .iter()
+            .zip(&inner)
+            .map(|((_, block), sum)| eval.try_rotate(sum, block.start as i64, keys));
+        let mut acc = shifted.next().expect("try_rotate_sums refuses no sums")?;
+        for term in shifted {
+            eval.try_add_assign(&mut acc, &term?)?;
         }
-        eval.try_rescale(&acc.ok_or(EvalError::EmptyOperands)?)
+        eval.try_rescale(&acc)
     }
+}
+
+/// One [`Evaluator::try_rotate_sums`] call over `v`, one sum per block
+/// `(m, diagonals)`: the non-zero diagonals `d` of `m` in the range as
+/// weights at `v`'s level, each rotated right by the range's start `g` (a
+/// giant step, free in plaintext; 0 for a whole matrix) and weighing the
+/// rotation by `d − g`.
+fn try_diagonal_sums(
+    eval: &Evaluator,
+    keys: &KeySet,
+    v: &Ciphertext,
+    blocks: &[(&PlainMatrix, Range<usize>)],
+) -> Result<Vec<Ciphertext>, EvalError> {
+    let (level, scale) = (v.level(), eval.context().default_scale());
+    let weights = blocks.iter().map(|(m, block)| {
+        let shift = block.start;
+        let live = block.clone().filter(|&d| !m.diagonal_is_zero(d));
+        let weight = |d: usize| {
+            let diag: Vec<Complex> = (0..m.dim)
+                .map(|i| m.diagonals[d][(i + m.dim - shift) % m.dim])
+                .collect();
+            let pt = eval.encode_at_level(&diag, scale, level);
+            Ok(((d - shift) as i64, eval.prepare_plain(&pt, level)?))
+        };
+        live.map(weight).collect::<Result<Vec<_>, EvalError>>()
+    });
+    let weights = weights.collect::<Result<Vec<_>, _>>()?;
+    let sums: Vec<Vec<_>> = weights
+        .iter()
+        .map(|sum| sum.iter().map(|(step, w)| (*step, Some(w))).collect())
+        .collect();
+    let sums: Vec<&[_]> = sums.iter().map(Vec::as_slice).collect();
+    eval.try_rotate_sums(v, &sums, keys)
 }
 
 #[cfg(test)]

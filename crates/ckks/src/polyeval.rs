@@ -76,9 +76,12 @@ impl PowerBasis {
     }
 }
 
-/// Evaluates `Σ_j coeffs[j] · x^j` (monomial basis, real coefficients) on a
-/// ciphertext. Zero coefficients cost nothing; the result sits at the level
-/// of the deepest power used, one more for the coefficient products.
+/// Evaluates `Σ_j coeffs[j] · x^j` (monomial basis, real coefficients) on
+/// the ciphertext `x` whose powers `powers` holds: the powers it lacks are
+/// computed and kept there, so polynomials in the same `x` share their
+/// products (EvalMod's sine and cosine do). Zero coefficients cost nothing;
+/// the result sits at the level of the deepest power used, one more for the
+/// coefficient products.
 ///
 /// # Errors
 ///
@@ -87,49 +90,50 @@ impl PowerBasis {
 pub fn try_evaluate_monomial(
     eval: &Evaluator,
     keys: &KeySet,
-    x: &Ciphertext,
+    powers: &mut PowerBasis,
     coeffs: &[f64],
 ) -> Result<Ciphertext, EvalError> {
-    if coeffs.is_empty() {
+    let Some(&constant) = coeffs.first() else {
         return Err(EvalError::EmptyOperands);
-    }
-    let mut powers = PowerBasis::new(x.clone());
+    };
     // Materialise all needed powers first to learn the deepest level.
-    let mut terms: Vec<(f64, Ciphertext)> = Vec::new();
-    for (j, &c) in coeffs.iter().enumerate().skip(1) {
-        if c != 0.0 {
-            terms.push((c, powers.try_power(eval, keys, j as u32)?));
-        }
+    let mut terms = Vec::new();
+    for (j, &c) in coeffs.iter().enumerate().skip(1).filter(|(_, &c)| c != 0.0) {
+        terms.push((c, powers.try_power(eval, keys, j as u32)?));
     }
+    let terms: Vec<_> = terms.iter().map(|(c, t)| (*c, t)).collect();
+    try_combine(eval, &powers.cache[&1], constant, &terms)
+}
 
-    let scale = eval.context().default_scale();
+/// The step both evaluators end with, `constant + Σ c·t` over the `(c, t)`
+/// terms: each term multiplied by its coefficient (PMult + rescale), all
+/// aligned to the deepest resulting level and working scale, summed, and the
+/// constant added. With no terms, the constant on a zero ciphertext at `x`'s
+/// level and scale.
+fn try_combine(
+    eval: &Evaluator,
+    x: &Ciphertext,
+    constant: f64,
+    terms: &[(f64, &Ciphertext)],
+) -> Result<Ciphertext, EvalError> {
     if terms.is_empty() {
-        // Pure constant: encode at the input's level as a "ciphertext" by
-        // adding to an explicit zero — callers normally avoid this path.
+        // Callers normally avoid this path.
         let zero = eval.try_sub(x, x)?;
-        let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], zero.scale(), zero.level());
+        let pt = eval.encode_at_level(&[Complex::new(constant, 0.0)], zero.scale(), zero.level());
         return eval.try_add_plain(&zero, &pt);
     }
-
-    // Multiply each term by its coefficient (PMult + rescale), then align
-    // everything to the deepest resulting level and working scale.
     let mut scaled = Vec::with_capacity(terms.len());
-    for (c, ct) in &terms {
-        let pt = eval.encode_at_level(&[Complex::new(*c, 0.0)], scale, ct.level());
-        scaled.push(eval.try_rescale(&eval.try_mul_plain(ct, &pt)?)?);
+    for &(c, ct) in terms {
+        scaled.push(eval.try_rescale(&eval.mul_const(ct, Complex::new(c, 0.0)))?);
     }
-    let target_level = scaled.iter().map(|c| c.level()).min().expect("non-empty");
-    let target_scale = scaled
-        .iter()
-        .find(|c| c.level() == target_level)
-        .expect("non-empty")
-        .scale();
+    let deepest = scaled.iter().min_by_key(|c| c.level()).expect("non-empty");
+    let (target_level, target_scale) = (deepest.level(), deepest.scale());
     let mut acc = eval.try_adjust(&scaled.remove(0), target_level, target_scale)?;
     for t in &scaled {
         acc = eval.try_add(&acc, &eval.try_adjust(t, target_level, target_scale)?)?;
     }
-    if coeffs[0] != 0.0 {
-        let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], acc.scale(), acc.level());
+    if constant != 0.0 {
+        let pt = eval.encode_at_level(&[Complex::new(constant, 0.0)], acc.scale(), acc.level());
         acc = eval.try_add_plain(&acc, &pt)?;
     }
     Ok(acc)
@@ -203,7 +207,13 @@ mod tests {
         let got = decrypt(
             &ctx,
             &keys,
-            &try_evaluate_monomial(&eval, &keys, &ct, &[2.0, -1.0, 0.0, 0.5]).unwrap(),
+            &try_evaluate_monomial(
+                &eval,
+                &keys,
+                &mut PowerBasis::new(ct),
+                &[2.0, -1.0, 0.0, 0.5],
+            )
+            .unwrap(),
         );
         let want = 2.0 - x + 0.5 * x * x * x;
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
@@ -227,9 +237,37 @@ mod tests {
         let got = decrypt(
             &ctx,
             &keys,
-            &try_evaluate_monomial(&eval, &keys, &ct, &coeffs).unwrap(),
+            &try_evaluate_monomial(&eval, &keys, &mut PowerBasis::new(ct), &coeffs).unwrap(),
         );
         assert!((got - x.sin()).abs() < 0.01, "{got} vs {}", x.sin());
+    }
+
+    #[test]
+    fn sine_and_cosine_share_one_power_basis_bit_for_bit() {
+        let (ctx, keys, eval, mut rng) = setup();
+        let ct = encrypt(&ctx, &keys, &mut rng, &[0.3]);
+        let sin = [
+            0.0,
+            1.0,
+            0.0,
+            -1.0 / 6.0,
+            0.0,
+            1.0 / 120.0,
+            0.0,
+            -1.0 / 5040.0,
+        ];
+        let cos = [1.0, 0.0, -0.5, 0.0, 1.0 / 24.0, 0.0, -1.0 / 720.0];
+        let fresh = |coeffs: &[f64]| {
+            try_evaluate_monomial(&eval, &keys, &mut PowerBasis::new(ct.clone()), coeffs).unwrap()
+        };
+        let mut shared = PowerBasis::new(ct.clone());
+        let s = try_evaluate_monomial(&eval, &keys, &mut shared, &sin).unwrap();
+        let c = try_evaluate_monomial(&eval, &keys, &mut shared, &cos).unwrap();
+        assert_eq!(s, fresh(&sin), "sine over the shared basis");
+        assert_eq!(c, fresh(&cos), "cosine over the shared basis");
+        let mut held: Vec<u32> = shared.cache.keys().copied().collect();
+        held.sort_unstable();
+        assert_eq!(held, (1..=7).collect::<Vec<_>>());
     }
 }
 
@@ -254,7 +292,6 @@ pub fn evaluate_chebyshev(
     if coeffs.is_empty() {
         return Err(EvalError::EmptyOperands);
     }
-    let scale = eval.context().default_scale();
     // Materialise T_1..T_d with the recurrence.
     let mut t_polys: Vec<Ciphertext> = Vec::with_capacity(coeffs.len());
     if coeffs.len() > 1 {
@@ -283,35 +320,13 @@ pub fn evaluate_chebyshev(
     }
 
     // Combine: c_0 + Σ_{j≥1} c_j·T_j.
-    let mut scaled: Vec<Ciphertext> = Vec::new();
-    for (j, &c) in coeffs.iter().enumerate().skip(1) {
-        if c == 0.0 {
-            continue;
-        }
-        let t_j = &t_polys[j - 1];
-        let pt = eval.encode_at_level(&[Complex::new(c, 0.0)], scale, t_j.level());
-        scaled.push(eval.try_rescale(&eval.try_mul_plain(t_j, &pt)?)?);
-    }
-    if scaled.is_empty() {
-        let zero = eval.try_sub(x, x)?;
-        let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], zero.scale(), zero.level());
-        return eval.try_add_plain(&zero, &pt);
-    }
-    let target_level = scaled.iter().map(|c| c.level()).min().expect("non-empty");
-    let target_scale = scaled
+    let terms: Vec<_> = coeffs[1..]
         .iter()
-        .find(|c| c.level() == target_level)
-        .expect("non-empty")
-        .scale();
-    let mut acc = eval.try_adjust(&scaled.remove(0), target_level, target_scale)?;
-    for t in &scaled {
-        acc = eval.try_add(&acc, &eval.try_adjust(t, target_level, target_scale)?)?;
-    }
-    if coeffs[0] != 0.0 {
-        let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], acc.scale(), acc.level());
-        acc = eval.try_add_plain(&acc, &pt)?;
-    }
-    Ok(acc)
+        .copied()
+        .zip(&t_polys)
+        .filter(|&(c, _)| c != 0.0)
+        .collect();
+    try_combine(eval, x, coeffs[0], &terms)
 }
 
 /// Computes the Chebyshev interpolation coefficients of `f` on `[-1, 1]`

@@ -168,7 +168,7 @@ fn stage_by_stage() {
 #[test]
 #[ignore = "diagnostic: run manually with --nocapture"]
 fn evalmod_stages() {
-    use he_ckks::polyeval::try_evaluate_monomial;
+    use he_ckks::polyeval::{try_evaluate_monomial, PowerBasis};
     let ctx = CkksContext::new(CkksParams::bootstrap_demo());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
     let keys = KeySet::generate_sparse(&ctx, 8, &mut rng);
@@ -226,8 +226,9 @@ fn evalmod_stages() {
         -1.0 / 5040.0,
     ];
     let cos_c = [1.0, 0.0, -0.5, 0.0, 1.0 / 24.0, 0.0, -1.0 / 720.0];
-    let mut s = try_evaluate_monomial(&eval, &keys, &y, &sin_c).unwrap();
-    let mut co = try_evaluate_monomial(&eval, &keys, &y, &cos_c).unwrap();
+    let mut powers = PowerBasis::new(y);
+    let mut s = try_evaluate_monomial(&eval, &keys, &mut powers, &sin_c).unwrap();
+    let mut co = try_evaluate_monomial(&eval, &keys, &mut powers, &cos_c).unwrap();
     println!("after Taylor (levels {} / {}):", s.level(), co.level());
     probe("sin", &s, &|x| (c * x).sin(), &inputs);
     probe("cos", &co, &|x| (c * x).cos(), &inputs);

@@ -19,7 +19,9 @@
 //! `Σ_r w_r ⊙ (Σ_j σ_r(d_j) ⊙ key_{r,j} + P·σ_r(c_0))` over the extended
 //! basis, then one Moddown — bit for bit again; against the composition it
 //! replaces (`try_rotate_many` → `try_mul_plain` → `try_add`), which rounds
-//! once per term, it is held to the decrypted values.
+//! once per term, it is held to the decrypted values. `try_rotate_sums` is
+//! the engine with one output per sum over one hoist; each output equals its
+//! own `try_rotate_sum` call bit for bit.
 //!
 //! The fault-order cases arm an upset on the lifted digits (hoisted or
 //! not), on the rows the engine sends into its inverse NTTs and on a sum's
@@ -37,6 +39,7 @@ use he_math::BarrettReducer;
 use he_rns::conv::{moddown, modup, rns_convert, ModdownSplit};
 use he_rns::{Form, LazyDot, RnsBasis, RnsPoly};
 use poseidon_par::with_threads;
+use poseidon_telemetry::Registry;
 use rand::{Rng, SeedableRng};
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -490,6 +493,96 @@ fn a_rotation_sum_rejects_bad_terms_with_typed_errors() {
     let high = eval.try_rotate_sum(&dropped, &[(1, Some(&w))], &keys);
     let exact = eval.try_rotate_sum(&dropped, &[(1, Some(&low))], &keys);
     assert_eq!(high, exact);
+}
+
+/// Several sums over one hoist: each output of `try_rotate_sums` equals its
+/// own `try_rotate_sum` call bit for bit — calls of two and of three sums,
+/// weighted, bare and with an identity term, each sum over its own steps —
+/// at the top level and one below, every thread count.
+#[test]
+fn several_sums_over_one_hoist_each_equal_their_own_sum() {
+    let _guard = poseidon_faults::test_lock();
+    for (name, params) in parameter_sets().into_iter().take(2) {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x35_5E75);
+        let mut keys = KeySet::generate(&ctx, &mut rng);
+        keys.add_rotation_keys(1..=8, &mut rng);
+        let eval = Evaluator::new(&ctx);
+        let top = encrypt(&ctx, &keys, &mut rng);
+        let slots = ctx.params().slots() as i64;
+
+        for level in [ctx.max_level(), ctx.max_level() - 1] {
+            let ct = eval.try_drop_to_level(&top, level).unwrap();
+            let operands: Vec<PlainOperand> = (0..7)
+                .map(|r| {
+                    let z: Vec<Complex> = (0..8)
+                        .map(|i| Complex::new(0.3 - 0.05 * ((3 * r + i) % 7) as f64, 0.0))
+                        .collect();
+                    let pt = eval.encode_at_level(&z, ctx.default_scale(), level);
+                    eval.prepare_plain(&pt, level).unwrap()
+                })
+                .collect();
+            let weighted: Vec<_> = [1, 2, 3, 4]
+                .into_iter()
+                .zip(&operands)
+                .map(|(s, w)| (s, Some(w)))
+                .collect();
+            let bare: Vec<_> = [2, 5, 7].into_iter().map(|s| (s, None)).collect();
+            let with_identity: Vec<_> = [3, -slots, 8]
+                .into_iter()
+                .zip(&operands[4..])
+                .map(|(s, w)| (s, Some(w)))
+                .collect();
+            for sums in [
+                vec![&weighted[..], &bare[..]],
+                vec![&bare[..], &with_identity[..], &weighted[..]],
+            ] {
+                let want: Vec<Ciphertext> = sums
+                    .iter()
+                    .map(|terms| eval.try_rotate_sum(&ct, terms, &keys).unwrap())
+                    .collect();
+                for threads in THREADS {
+                    let got =
+                        with_threads(threads, || eval.try_rotate_sums(&ct, &sums, &keys).unwrap());
+                    let at = format!("{name}, level {level}, {threads} thread(s)");
+                    assert_eq!(got, want, "{} sums diverged ({at})", sums.len());
+                }
+            }
+        }
+    }
+}
+
+/// What several sums refuse: no sums, an empty sum anywhere, a step without
+/// a key in the second sum — all before any work, so nothing is hoisted.
+#[test]
+fn several_sums_refuse_an_empty_sum_and_a_missing_key_before_any_work() {
+    // Every case here that hoists holds the lock, so the count is this test's.
+    let _guard = poseidon_faults::test_lock();
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x35_E220);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    keys.add_rotation_key(1, &mut rng);
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng);
+    let good: &[(i64, Option<&PlainOperand>)] = &[(1, None), (0, None)];
+    let missing: &[(i64, Option<&PlainOperand>)] = &[(1, None), (3, None)];
+    let hoists = || {
+        let snapshot = Registry::global().snapshot();
+        snapshot.get("keyswitch.hoist").map_or(0, |s| s.count)
+    };
+
+    let before = hoists();
+    let sums = |sums: &[&[(i64, Option<&PlainOperand>)]]| eval.try_rotate_sums(&ct, sums, &keys);
+    assert_eq!(sums(&[]), Err(EvalError::EmptyOperands));
+    assert_eq!(sums(&[good, &[]]), Err(EvalError::EmptyOperands));
+    assert_eq!(sums(&[&[], good]), Err(EvalError::EmptyOperands));
+    assert_eq!(
+        sums(&[good, missing]),
+        Err(EvalError::MissingRotationKey { steps: 3 })
+    );
+    assert_eq!(hoists(), before, "an error was reported after the hoist");
+    assert_eq!(sums(&[good, good]).map(|out| out.len()), Ok(2));
+    assert_eq!(hoists(), before + 1, "one hoist serves every sum");
 }
 
 /// `moddown`, and its two halves called the way the engine calls them (on

@@ -150,7 +150,10 @@ fn bsgs_matvec_counts() {
 /// inverse-transforms two rows per extended limb, in the engine's two
 /// dispatches; a rotation or a conjugation hoists the same `q(q+k)` rows in
 /// one dispatch more; a fan of 8 hoists once and inverse-transforms
-/// `16(q+k)`, in as many dispatches as one rotation.
+/// `16(q+k)`, in as many dispatches as one rotation. Two 8-term weighted sums
+/// over one hoist (`try_rotate_sums`, its weights prepared beforehand) add one
+/// forward transform of `c_0` per chain limb to the hoist and
+/// inverse-transform `2(q+k)` per sum, in the same three dispatches.
 fn key_switch_counts() {
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x6E_61);
@@ -167,6 +170,20 @@ fn key_switch_counts() {
     let eval = Evaluator::new(&ctx);
     let lower = eval.try_drop_to_level(&top, top.level() - 1).unwrap();
     let steps: Vec<i64> = (1..=8).collect();
+    let weights: Vec<_> = (0..16)
+        .map(|r| {
+            let z = [Complex::new(0.25 + 0.03125 * r as f64, 0.0)];
+            let pt = eval.encode_at_level(&z, scale, top.level());
+            eval.prepare_plain(&pt, top.level()).unwrap()
+        })
+        .collect();
+    let [first_sum, second_sum] = [&weights[..8], &weights[8..]].map(|w| {
+        steps
+            .iter()
+            .copied()
+            .zip(w.iter().map(Some))
+            .collect::<Vec<_>>()
+    });
     let reg = Registry::global();
     poseidon_par::with_threads(2, || {
         // (call, forward, inverse, dispatches) at each level.
@@ -176,12 +193,14 @@ fn key_switch_counts() {
                 ("try_rotate", 80, 20, 3),
                 ("try_conjugate", 80, 20, 3),
                 ("try_rotate_many", 80, 160, 3),
+                ("try_rotate_sums", 88, 40, 3),
             ],
             [
                 ("keyswitch", 63, 18, 2),
                 ("try_rotate", 63, 18, 3),
                 ("try_conjugate", 63, 18, 3),
                 ("try_rotate_many", 63, 144, 3),
+                ("try_rotate_sums", 70, 36, 3),
             ],
         ];
         for (ct, pinned) in [&top, &lower].into_iter().zip(pinned) {
@@ -189,7 +208,11 @@ fn key_switch_counts() {
                 "keyswitch" => drop(eval.keyswitch(ct.c1(), keys.relin())),
                 "try_rotate" => drop(eval.try_rotate(ct, 1, &keys).unwrap()),
                 "try_conjugate" => drop(eval.try_conjugate(ct, &keys).unwrap()),
-                _ => drop(eval.try_rotate_many(ct, &steps, &keys).unwrap()),
+                "try_rotate_many" => drop(eval.try_rotate_many(ct, &steps, &keys).unwrap()),
+                _ => {
+                    let sums = [&first_sum[..], &second_sum[..]];
+                    drop(eval.try_rotate_sums(ct, &sums, &keys).unwrap())
+                }
             };
             for (name, forward, inverse, dispatches) in pinned {
                 run(name);

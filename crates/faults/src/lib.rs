@@ -23,8 +23,8 @@
 //! Hook sites (see [`FaultSite`]) map to the paper's hardware structures:
 //! RNS residue vectors (register files / scratchpad lines), NTT twiddle
 //! tables (BRAM), the eval-form key-switch key store (HBM-resident keys),
-//! `poseidon-par` scratch buffers (on-chip scratchpad), and the simulator's
-//! HBM channel model (memory-side corruption).
+//! `poseidon-par` scratch buffers (on-chip scratchpad), the wire format
+//! (the host↔accelerator link) and the serving sockets and workers.
 //!
 //! # Examples
 //!
@@ -61,9 +61,6 @@ pub enum FaultSite {
     /// `poseidon-par` scratch-pool buffers at hand-out: models stale or
     /// flipped scratchpad contents.
     ParScratch,
-    /// The simulator's HBM channel model (`poseidon-sim`): corrupted beats
-    /// on one channel of a striped transfer.
-    HbmChannel,
     /// Serialized frames at wire decode entry (`poseidon-wire`): models
     /// corruption on the host↔accelerator link or in a network buffer —
     /// the decoder's checksum must catch every flip.
@@ -87,12 +84,11 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in hook order.
-    pub const ALL: [FaultSite; 10] = [
+    pub const ALL: [FaultSite; 9] = [
         FaultSite::RnsResidue,
         FaultSite::NttTwiddle,
         FaultSite::KeyCache,
         FaultSite::ParScratch,
-        FaultSite::HbmChannel,
         FaultSite::WireFrame,
         FaultSite::SocketRead,
         FaultSite::SocketWrite,
@@ -107,7 +103,6 @@ impl FaultSite {
             FaultSite::NttTwiddle => "ntt_twiddle",
             FaultSite::KeyCache => "key_cache",
             FaultSite::ParScratch => "par_scratch",
-            FaultSite::HbmChannel => "hbm_channel",
             FaultSite::WireFrame => "wire_frame",
             FaultSite::SocketRead => "socket_read",
             FaultSite::SocketWrite => "socket_write",
@@ -122,12 +117,11 @@ impl FaultSite {
             FaultSite::NttTwiddle => 1,
             FaultSite::KeyCache => 2,
             FaultSite::ParScratch => 3,
-            FaultSite::HbmChannel => 4,
-            FaultSite::WireFrame => 5,
-            FaultSite::SocketRead => 6,
-            FaultSite::SocketWrite => 7,
-            FaultSite::SocketStall => 8,
-            FaultSite::ShardWorker => 9,
+            FaultSite::WireFrame => 4,
+            FaultSite::SocketRead => 5,
+            FaultSite::SocketWrite => 6,
+            FaultSite::SocketStall => 7,
+            FaultSite::ShardWorker => 8,
         }
     }
 }
@@ -249,8 +243,7 @@ struct Armed {
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static FIRED: AtomicU64 = AtomicU64::new(0);
-static SITE_HITS: [AtomicU64; 10] = [
-    AtomicU64::new(0),
+static SITE_HITS: [AtomicU64; 9] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -601,7 +594,7 @@ mod tests {
     fn mismatched_site_counts_hits_but_never_fires() {
         let _l = test_lock();
         arm(FaultPlan::persistent(
-            FaultSite::HbmChannel,
+            FaultSite::KeyCache,
             FaultKind::BitFlip,
             3,
         ));

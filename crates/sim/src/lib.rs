@@ -26,7 +26,6 @@
 
 pub mod config;
 pub mod energy;
-pub mod hbm;
 pub mod program;
 pub mod published;
 pub mod report;
