@@ -418,6 +418,14 @@ impl KeySet {
         entries
     }
 
+    /// The context the key set was built for. A set decoded from a public
+    /// keyset frame carries an all-zero secret, so read the context here
+    /// rather than through [`secret`](Self::secret).
+    #[inline]
+    pub fn context(&self) -> &CkksContext {
+        &self.ctx
+    }
+
     /// The secret key.
     #[inline]
     pub fn secret(&self) -> &SecretKey {

@@ -198,7 +198,7 @@ pub trait HomomorphicOps {
         terms: &[(i64, Option<Weight<'_>>)],
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        engine_rotate_sum(&Evaluator::new(keys.secret().context()), a, terms, keys)
+        engine_rotate_sum(&Evaluator::new(keys.context()), a, terms, keys)
     }
 
     /// Ciphertext refresh through the full bootstrapping pipeline (`a`

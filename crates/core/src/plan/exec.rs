@@ -107,7 +107,7 @@ pub fn execute_with<B: HomomorphicOps>(
                     let weight = match *weight {
                         Some(pt) => Some(Weight {
                             plain: &g.plaintexts()[pt],
-                            prepared: plan.operand(pt, keys)?,
+                            prepared: plan.operand(pt, keys.context())?,
                         }),
                         None => None,
                     };

@@ -35,9 +35,9 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use he_ckks::context::CkksContext;
 use he_ckks::error::EvalError;
 use he_ckks::eval::{Evaluator, PlainOperand};
-use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 
 use crate::plan::compile::SCALE_MARGIN_BITS;
@@ -230,16 +230,16 @@ impl Plan {
 }
 
 impl Plan {
-    /// Side-table plaintext `pt` as a `RotateSum` weight: prepared at the
-    /// plaintext's own level — every level it could multiply at — on first
-    /// use, then kept.
-    pub(crate) fn operand(&self, pt: usize, keys: &KeySet) -> Result<&PlainOperand, EvalError> {
+    /// Side-table plaintext `pt` as a `RotateSum` weight: prepared over
+    /// `ctx` at the plaintext's own level — every level it could multiply
+    /// at — on first use, then kept.
+    pub(crate) fn operand(&self, pt: usize, ctx: &CkksContext) -> Result<&PlainOperand, EvalError> {
         let cell = &self.operands[pt];
         if let Some(prepared) = cell.get() {
             return Ok(prepared);
         }
         let plain = &self.graph.plaintexts()[pt];
-        let eval = Evaluator::new(keys.secret().context());
+        let eval = Evaluator::new(ctx);
         let prepared = eval.prepare_plain(plain, plain.level())?;
         Ok(cell.get_or_init(|| prepared))
     }

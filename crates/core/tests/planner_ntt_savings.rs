@@ -80,8 +80,8 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
 /// step starts from a counted baseline. Both fans are rotation sums: 158
 /// forward transforms (80 + 63 to hoist them, 8 + 7 for `c_0`) and 38
 /// inverse (two sum rows on 10 and on 9 extended limbs), where the unfused
-/// layers ran 335 and 324. The plan's first execution — all a served request
-/// ever runs, planned per request — also prepares the eight plaintexts,
+/// layers ran 335 and 324. The plan's first execution — a tenant's first
+/// served request of the program — also prepares the eight plaintexts,
 /// 8·10 forward transforms more, and keeps them: 238. A sum is two dispatches
 /// whatever its size (46 dispatches an execution before the fusion, on the
 /// two-thread team pinned here).

@@ -37,6 +37,13 @@
 //!   (outside the lock, double-checked install) bit-identically;
 //!   in-process registrations are pinned. Counters:
 //!   `serve.keycache.{hit,miss,evict}`.
+//! - **Per-tenant plan cache** — a [`Request::Program`] is parsed,
+//!   lowered and planned on its tenant's first submission of that exact
+//!   text; the plan, with the plaintext operands its first execution
+//!   prepares, is kept in the tenant (at most 16 programs and about
+//!   16 MiB, least-recently-used evicted) and goes away with it. Only a
+//!   plan whose execution succeeded is kept; one whose execution fails is
+//!   dropped. Counters: `serve.plan.{hit,miss,evict}`.
 //! - **Integrity escalation** — non-rotation ops run under
 //!   [`CheckedEvaluator`] (dual execution + digest compare), so a
 //!   persistent datapath fault surfaces as a per-request
@@ -273,5 +280,8 @@ pub(crate) mod tel {
         pub watchdog_failed = "serve.watchdog.failed";
         pub replay_coalesced = "serve.replay.coalesced";
         pub program = "serve.program";
+        pub plan_hit = "serve.plan.hit";
+        pub plan_miss = "serve.plan.miss";
+        pub plan_evict = "serve.plan.evict";
     }
 }

@@ -15,6 +15,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::eval::Evaluator;
 use he_ckks::integrity::{digest_ciphertext, CheckedEvaluator};
 use he_ckks::keys::KeySet;
+use poseidon_core::plan::{GraphOp, Plan};
 
 use crate::key_cache::KeyCache;
 use crate::shard::{dispatch_loop, Job, Reply, SharedQueues, Sink};
@@ -85,6 +86,12 @@ impl Default for ServiceConfig {
     }
 }
 
+/// The most programs one tenant keeps planned.
+const PLAN_CACHE_ENTRIES: usize = 16;
+/// About the most bytes of plaintexts one tenant's planned programs hold;
+/// a plan larger than this on its own runs uncached.
+const PLAN_CACHE_BYTES: usize = 16 << 20;
+
 /// Per-tenant evaluation state, built once at registration (or rebuilt
 /// deterministically from the retained keyset frame after eviction).
 pub(crate) struct Tenant {
@@ -92,6 +99,10 @@ pub(crate) struct Tenant {
     pub(crate) keys: KeySet,
     pub(crate) eval: Evaluator,
     pub(crate) checked: CheckedEvaluator,
+    /// Programs this tenant ran, planned over its context. Kept here and
+    /// nowhere wider, so re-registration and key-cache eviction, which
+    /// drop the tenant, drop its plans with it.
+    plans: Mutex<PlanCache>,
 }
 
 impl Tenant {
@@ -103,8 +114,92 @@ impl Tenant {
             keys,
             eval,
             checked,
+            plans: Mutex::new(PlanCache::default()),
         }
     }
+
+    fn plans(&self) -> std::sync::MutexGuard<'_, PlanCache> {
+        self.plans.lock().expect("plan cache poisoned")
+    }
+}
+
+/// A tenant's planned programs keyed by their exact text, least recently
+/// used first, bounded by [`PLAN_CACHE_ENTRIES`] and [`PLAN_CACHE_BYTES`].
+#[derive(Default)]
+struct PlanCache {
+    entries: Vec<CachedPlan>,
+    bytes: usize,
+}
+
+struct CachedPlan {
+    text: Box<str>,
+    plan: Arc<Plan>,
+    bytes: usize,
+}
+
+impl PlanCache {
+    /// The plan of `text`, now the most recently used.
+    fn get(&mut self, text: &str) -> Option<Arc<Plan>> {
+        let i = self.entries.iter().position(|e| *e.text == *text)?;
+        let entry = self.entries.remove(i);
+        let plan = Arc::clone(&entry.plan);
+        self.entries.push(entry);
+        Some(plan)
+    }
+
+    /// Keeps `plan` for `text` unless `text` already has one (a concurrent
+    /// request planned it too) or `bytes` alone exceed the byte bound, then
+    /// evicts least-recently-used entries down to both bounds.
+    fn insert(&mut self, text: &str, plan: Arc<Plan>, bytes: usize) {
+        if bytes > PLAN_CACHE_BYTES || self.entries.iter().any(|e| *e.text == *text) {
+            return;
+        }
+        self.bytes += bytes;
+        self.entries.push(CachedPlan {
+            text: text.into(),
+            plan,
+            bytes,
+        });
+        while self.entries.len() > PLAN_CACHE_ENTRIES || self.bytes > PLAN_CACHE_BYTES {
+            let evicted = self.entries.remove(0);
+            self.bytes -= evicted.bytes;
+            crate::tel::plan_evict().add(1);
+        }
+    }
+
+    /// Forgets `plan`, if it is still kept.
+    fn remove(&mut self, plan: &Arc<Plan>) {
+        if let Some(i) = self.entries.iter().position(|e| Arc::ptr_eq(&e.plan, plan)) {
+            let removed = self.entries.remove(i);
+            self.bytes -= removed.bytes;
+        }
+    }
+}
+
+/// Approximate bytes a kept plan holds: its plaintext side table, and the
+/// prepared form — the plaintext's limbs and the special limbs — of every
+/// plaintext a `RotateSum` weights by, which its first execution builds.
+fn plan_bytes(plan: &Plan, ctx: &CkksContext) -> usize {
+    let limb = ctx.n() * std::mem::size_of::<u64>();
+    let plaintexts = plan.graph.plaintexts();
+    let mut weighted = vec![false; plaintexts.len()];
+    for node in plan.graph.nodes() {
+        if let GraphOp::RotateSum { weights, .. } = &node.op {
+            for &pt in weights.iter().flatten() {
+                weighted[pt] = true;
+            }
+        }
+    }
+    let special = ctx.special_basis().len();
+    plaintexts
+        .iter()
+        .zip(weighted)
+        .map(|(pt, weighted)| {
+            let side = pt.level() + 1;
+            let prepared = if weighted { side + special } else { 0 };
+            (side + prepared) * limb
+        })
+        .sum()
 }
 
 /// A cheap handle on a tenant's [`CkksContext`] — an `Arc` clone, not a
@@ -968,10 +1063,19 @@ fn run_one(tenant: &Tenant, request: &Request) -> Result<Ciphertext, he_ckks::er
     }
 }
 
-/// Compiles and executes one `.pos` program as a unit: parse → lower
-/// (`compile_trace`) → pass pipeline (`plan`) → plan executor, on a
-/// fresh evaluator over the tenant's context. Every graph input is
-/// seeded with `a`; the reply is the program's final output.
+/// Executes one `.pos` program as a unit on a fresh evaluator over the
+/// tenant's context. Every graph input is seeded with `a`; the reply is the
+/// program's final output.
+///
+/// The plan — parse → lower (`compile_trace`) → pass pipeline (`plan`) —
+/// comes from the tenant's plan cache when this exact text ran before, and
+/// with it the `RotateSum` plaintexts its first execution prepared. A plan
+/// is kept only once an execution of it has succeeded, and dropped when an
+/// execution of it returns any error, so operands prepared by a failed or
+/// integrity-escalated request never serve a later one. Parse and planning
+/// errors are never kept: the same malformed text fails the same way every
+/// time. The cache lock is held to look a plan up, keep it or drop it,
+/// never while one executes.
 ///
 /// Serve-side planning runs without bootstrap insertion — tenants
 /// register evaluation keys, not bootstrap keys, so an exhausted
@@ -984,19 +1088,39 @@ fn run_program(
     use he_ckks::error::EvalError;
     use poseidon_core::plan::{execute, plan_trace, PlanOptions};
 
-    let trace = poseidon_sim::program::parse(text)
-        .map_err(|e| EvalError::InvalidParams(format!("program parse: {e}")))?;
-    let plan = plan_trace(&trace, &tenant.ctx, &PlanOptions::default())
-        .map_err(|e| EvalError::InvalidParams(format!("program planning: {e}")))?;
+    let cached = tenant.plans().get(text);
+    let hit = cached.is_some();
+    let plan = match cached {
+        Some(plan) => {
+            crate::tel::plan_hit().add(1);
+            plan
+        }
+        None => {
+            crate::tel::plan_miss().add(1);
+            let trace = poseidon_sim::program::parse(text)
+                .map_err(|e| EvalError::InvalidParams(format!("program parse: {e}")))?;
+            let plan = plan_trace(&trace, &tenant.ctx, &PlanOptions::default())
+                .map_err(|e| EvalError::InvalidParams(format!("program planning: {e}")))?;
+            Arc::new(plan)
+        }
+    };
     crate::tel::program().add(plan.schedule.len() as u64);
     let inputs = vec![a.clone(); plan.graph.inputs().len()];
     let mut eval = Evaluator::new(&tenant.ctx);
-    let outcome = execute(&plan, &mut eval, &inputs, &tenant.keys)?;
-    outcome
-        .outputs
-        .into_iter()
-        .next_back()
-        .ok_or_else(|| EvalError::InvalidParams("program produced no outputs".into()))
+    let reply = execute(&plan, &mut eval, &inputs, &tenant.keys).and_then(|outcome| {
+        outcome
+            .outputs
+            .into_iter()
+            .next_back()
+            .ok_or_else(|| EvalError::InvalidParams("program produced no outputs".into()))
+    });
+    if reply.is_err() {
+        tenant.plans().remove(&plan);
+    } else if !hit {
+        let bytes = plan_bytes(&plan, &tenant.ctx);
+        tenant.plans().insert(text, plan, bytes);
+    }
+    reply
 }
 
 /// Panic containment: a worker panic answers this request with
@@ -1012,5 +1136,131 @@ fn contain<R>(f: impl FnOnce() -> Result<R, ServeError>) -> Result<R, ServeError
                 .unwrap_or_else(|| "worker panicked".into());
             Err(ServeError::Internal(msg))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use he_ckks::cipher::Plaintext;
+    use he_ckks::params::CkksParams;
+    use rand::SeedableRng;
+
+    use super::*;
+
+    fn setup() -> (CkksContext, KeySet, Ciphertext) {
+        let ctx = CkksContext::new(CkksParams::toy());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9706);
+        let mut keys = KeySet::generate(&ctx, &mut rng);
+        keys.add_rotation_keys(1..=4i64, &mut rng);
+        let scale = ctx.default_scale();
+        let values = [he_ckks::encoding::Complex::new(0.5, 0.0)];
+        let pt = Plaintext::new(
+            ctx.encoder().encode_rns(ctx.chain_basis(), &values, scale),
+            scale,
+        );
+        let a = keys.public().encrypt(&pt, &mut rng);
+        (ctx, keys, a)
+    }
+
+    fn tenant() -> (Tenant, Ciphertext) {
+        let (ctx, keys, a) = setup();
+        (Tenant::build(ctx, keys), a)
+    }
+
+    /// A weighted rotation fan, so every plan prepares `RotateSum` operands.
+    fn program(tag: usize) -> String {
+        format!("# program {tag}\nn=65536 special=2 dnum=1\nrotation L=3 x4\npmult L=3 x4\nhadd L=3 x4\n")
+    }
+
+    #[test]
+    fn more_programs_than_the_entry_bound_keep_the_most_recent() {
+        let (tenant, a) = tenant();
+        let texts: Vec<String> = (0..PLAN_CACHE_ENTRIES + 3).map(program).collect();
+        for text in &texts {
+            run_program(&tenant, text, &a).expect("program runs");
+        }
+        let plans = tenant.plans();
+        assert_eq!(plans.entries.len(), PLAN_CACHE_ENTRIES);
+        let kept: Vec<&str> = plans.entries.iter().map(|e| &*e.text).collect();
+        let newest: Vec<&str> = texts[3..].iter().map(String::as_str).collect();
+        assert_eq!(kept, newest, "the least recently used go first");
+        let bytes: usize = plans.entries.iter().map(|e| e.bytes).sum();
+        assert_eq!(plans.bytes, bytes);
+        assert!(bytes > 0, "a weighted fan's plaintexts are counted");
+        assert!(
+            plans
+                .entries
+                .iter()
+                .all(|e| !e.plan.stats.rotation_sums.is_empty()),
+            "every kept plan weights a rotation sum"
+        );
+    }
+
+    #[test]
+    fn a_replaced_or_evicted_tenant_keeps_no_plans() {
+        let (ctx, keys, a) = setup();
+        let frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
+        let service = EvalService::start(ServiceConfig {
+            key_cache_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        let kept = |id: &str| {
+            let tenant = service.tenant(id).expect("decodes").expect("registered");
+            let count = tenant.plans().entries.len();
+            count
+        };
+        let run = |id: &str| {
+            let text = program(0);
+            service
+                .call(id, Request::Program { text, a: a.clone() })
+                .expect("program runs");
+        };
+        for id in ["t0", "t1"] {
+            service.register_tenant_frame(id, &frame).expect("register");
+        }
+        run("t1");
+        assert_eq!(kept("t1"), 1);
+        service
+            .register_tenant_frame("t1", &frame)
+            .expect("re-register");
+        assert_eq!(kept("t1"), 0, "re-registration drops the plans");
+        run("t1");
+        assert_eq!(kept("t1"), 1);
+        // With room for one decoded tenant, each reload below evicts the other.
+        run("t0");
+        assert_eq!(kept("t0"), 1);
+        assert_eq!(kept("t1"), 0, "t1 was evicted with its plans");
+        assert_eq!(kept("t0"), 0, "t0 was evicted with its plans");
+        service.shutdown();
+    }
+
+    #[test]
+    fn failures_and_oversized_plans_are_not_kept() {
+        let (tenant, a) = tenant();
+        assert!(run_program(&tenant, "not a trace", &a).is_err());
+        // Step 5 has no rotation key: the plan executes and fails.
+        let unkeyed = "n=65536 special=2 dnum=1\nrotation L=3 x5\nhadd L=3 x5\n";
+        let err = run_program(&tenant, unkeyed, &a).expect_err("no key for step 5");
+        assert!(
+            matches!(err, he_ckks::error::EvalError::MissingRotationKey { .. }),
+            "{err}"
+        );
+        assert!(tenant.plans().entries.is_empty());
+        // A kept plan whose execution fails is dropped: here the input sits
+        // at level 0, below what the program consumes.
+        let rescaled = format!("{}rescale L=3 x1\n", program(0));
+        run_program(&tenant, &rescaled, &a).expect("program runs");
+        assert_eq!(tenant.plans().entries.len(), 1);
+        let floor = tenant.eval.try_drop_to_level(&a, 0).expect("drops");
+        run_program(&tenant, &rescaled, &floor).expect_err("no prime to rescale by");
+        assert!(tenant.plans().entries.is_empty());
+
+        let mut plans = PlanCache::default();
+        let plan = Arc::new(Plan::passthrough(poseidon_core::plan::EvalGraph::new(40.0)));
+        plans.insert("huge", Arc::clone(&plan), PLAN_CACHE_BYTES + 1);
+        assert!(plans.get("huge").is_none());
+        plans.insert("small", Arc::clone(&plan), 1);
+        plans.remove(&plan);
+        assert!(plans.entries.is_empty() && plans.bytes == 0);
     }
 }

@@ -132,8 +132,92 @@ fn expired_program_deadline_rejected_before_any_op_runs() {
     service.shutdown();
 }
 
+/// The digest of [`PROGRAM`] planned and executed in process: what every
+/// served reply must equal bit for bit.
+fn local_reply(ctx: &CkksContext, keys: &KeySet, a: &Ciphertext) -> u64 {
+    let trace = poseidon_sim::program::parse(PROGRAM).expect("parse");
+    let plan = plan_trace(&trace, ctx, &PlanOptions::default()).expect("plan");
+    let inputs = vec![a.clone(); plan.graph.inputs().len()];
+    let mut eval = he_ckks::eval::Evaluator::new(ctx);
+    let local = execute(&plan, &mut eval, &inputs, keys)
+        .expect("local execution")
+        .outputs
+        .pop()
+        .expect("program output");
+    digest_ciphertext(&local)
+}
+
+/// The digest of the tenant's reply to [`PROGRAM`].
+fn served_reply(service: &EvalService, tenant: &str, a: &Ciphertext) -> u64 {
+    let reply = service
+        .call(
+            tenant,
+            Request::Program {
+                text: PROGRAM.into(),
+                a: a.clone(),
+            },
+        )
+        .unwrap_or_else(|e| panic!("{tenant}: served program: {e}"));
+    digest_ciphertext(&reply)
+}
+
+/// A tenant's first request plans the program and later ones reuse the
+/// kept plan and its prepared operands: every reply is the same bits as
+/// planning and executing the text locally.
+#[test]
+fn repeated_program_requests_reply_identically() {
+    let (ctx, keys, mut rng) = setup();
+    let a = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.25)]);
+    let want = local_reply(&ctx, &keys, &a);
+    let service = EvalService::start(ServiceConfig::default());
+    service.register_tenant("acme", ctx, keys);
+    for request in 0..3 {
+        assert_eq!(
+            served_reply(&service, "acme", &a),
+            want,
+            "request {request}"
+        );
+    }
+    service.shutdown();
+}
+
+/// Re-registering a tenant and evicting it from the key cache both drop
+/// its kept plans with it; the tenant that replaces it plans the program
+/// again and replies with the same bits.
+#[test]
+fn re_registered_and_evicted_tenants_replan_identically() {
+    let (ctx, keys, mut rng) = setup();
+    let a = encrypt(&ctx, &keys, &mut rng, &[Complex::new(-0.5, 0.25)]);
+    let want = local_reply(&ctx, &keys, &a);
+    let frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
+    let service = EvalService::start(ServiceConfig {
+        key_cache_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    for tenant in ["t0", "t1"] {
+        service
+            .register_tenant_frame(tenant, &frame)
+            .expect("register frame");
+    }
+    // t1 evicted t0 at registration: t0's first request reloads it.
+    assert_eq!(served_reply(&service, "t0", &a), want, "reloaded");
+    assert_eq!(served_reply(&service, "t0", &a), want, "kept plan");
+    service
+        .register_tenant_frame("t0", &frame)
+        .expect("re-register frame");
+    assert_eq!(served_reply(&service, "t0", &a), want, "re-registered");
+    assert_eq!(served_reply(&service, "t1", &a), want, "t1 evicts t0");
+    assert_eq!(
+        served_reply(&service, "t0", &a),
+        want,
+        "evicted and reloaded"
+    );
+    service.shutdown();
+}
+
 /// A malformed program is a typed per-request eval failure, not a
-/// panic and not a silent empty reply.
+/// panic and not a silent empty reply — and, never being kept, the same
+/// failure every time it is submitted.
 #[test]
 fn malformed_program_is_a_typed_error() {
     let (ctx, keys, mut rng) = setup();
@@ -141,21 +225,25 @@ fn malformed_program_is_a_typed_error() {
     let service = EvalService::start(ServiceConfig::default());
     service.register_tenant("acme", ctx, keys);
 
-    let err = service
-        .call(
-            "acme",
-            Request::Program {
-                text: "this is not a trace".into(),
-                a,
-            },
-        )
-        .expect_err("malformed program must fail");
-    match err {
+    let submit = || {
+        service
+            .call(
+                "acme",
+                Request::Program {
+                    text: "this is not a trace".into(),
+                    a: a.clone(),
+                },
+            )
+            .expect_err("malformed program must fail")
+    };
+    let err = submit();
+    match &err {
         ServeError::Eval(EvalError::InvalidParams(msg)) => {
             assert!(msg.contains("program parse"), "{msg}");
         }
         other => panic!("unexpected error: {other:?}"),
     }
+    assert_eq!(submit(), err, "a second submission fails the same way");
     service.shutdown();
 }
 
@@ -191,15 +279,5 @@ fn program_submission_round_trips_over_tcp() {
         .expect("program over tcp")
         .expect("ciphertext reply");
     let served = poseidon_wire::decode_ciphertext(&ctx, &reply_frame).expect("decode reply");
-
-    let trace = poseidon_sim::program::parse(PROGRAM).expect("parse");
-    let plan = plan_trace(&trace, &ctx, &PlanOptions::default()).expect("plan");
-    let inputs = vec![a.clone(); plan.graph.inputs().len()];
-    let mut eval = he_ckks::eval::Evaluator::new(&ctx);
-    let local = execute(&plan, &mut eval, &inputs, &keys)
-        .expect("local execution")
-        .outputs
-        .pop()
-        .expect("program output");
-    assert_eq!(digest_ciphertext(&served), digest_ciphertext(&local));
+    assert_eq!(digest_ciphertext(&served), local_reply(&ctx, &keys, &a));
 }
