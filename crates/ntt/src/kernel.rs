@@ -5,17 +5,23 @@
 //! k·2^k. In software the same saving is realised with *lazy (redundant)
 //! arithmetic*: Harvey butterflies keep values in `[0, 4q)` (forward) or
 //! `[0, 2q)` (inverse), the Shoup twiddle product lands in `[0, 2q)`
-//! without correction, and a full reduction happens only at stage-group
-//! boundaries — k = 3 stages at a time, mirroring the paper's radix-8
-//! fused TAM (Table II's sweet spot).
+//! without correction, and stages run k = 3 at a time, mirroring the
+//! paper's radix-8 fused TAM (Table II's sweet spot).
 //!
 //! `forward_fused` / `inverse_fused` are the only transforms behind
-//! [`crate::NttTable::forward`] / `inverse`: stage groups of k = 3
-//! (remainders at radix 4/2), where each 8-element block is gathered once,
-//! runs 12 lazy butterflies in registers, and is reduced exactly once per
-//! output at the group boundary. Inner loops are explicit 4- and 8-lane
-//! chunked passes over the contiguous sub-transform columns — the software
-//! stand-in for the paper's 512 vector lanes.
+//! [`crate::NttTable::forward`] / `inverse`: stage groups of k = 3, where
+//! each 8-element block is gathered once and runs 12 lazy butterflies in
+//! registers, plus the `log2 N mod 3` remainder as one radix-2 stage or
+//! one radix-4 group on the coarse stages, where the columns are widest
+//! (first in the forward transform, last in the inverse). Neither
+//! transform reduces at a group boundary: the lazy representatives are
+//! carried through the whole transform, and each output is reduced exactly
+//! once — in the forward transform's last group write-back (a final pass
+//! when N < 8), in the inverse's `N⁻¹` pass. That is why
+//! [`crate::NttTable::new`] requires `q < 2^62`: `4q` must fit in a `u64`.
+//! Inner loops are explicit 8-lane chunked passes over the contiguous
+//! sub-transform columns — the software stand-in for the paper's 512
+//! vector lanes.
 //!
 //! Outputs are fully reduced and modular arithmetic is exact, so the
 //! transform value — not just its residue class — is bit-identical to the
@@ -33,7 +39,8 @@ use he_math::ShoupMul;
 /// zero. A "multiply" is one 64×64 hardware multiply of a twiddle product
 /// (each Shoup product counts 2, matching how Table II tallies the
 /// unfused butterflies); a "reduction" is one full modular reduction of an
-/// output at a fused-group boundary.
+/// output to `[0, q)`, counted where it runs — once per output per
+/// transform.
 pub mod op_counters {
     #[cfg(debug_assertions)]
     use std::cell::Cell;
@@ -146,10 +153,11 @@ fn inv_bf_lanes<const L: usize>(x: &mut [u64; L], y: &mut [u64; L], w: &ShoupMul
 /// `L` columns of one forward radix-8 fused block, starting at column
 /// `b0`. The block slice spans `8·t_min` elements; lane `e` is the
 /// contiguous run `[e·t_min, e·t_min + t_min)`. Three butterfly levels run
-/// entirely in registers; each output takes its single full reduction at
-/// the write-back (the fused-TAM boundary).
+/// entirely in registers. Values enter and leave in `[0, 4q)`; only the
+/// transform's last group (`REDUCE`) folds each output to `[0, q)` at its
+/// write-back, the one reduction that output takes.
 #[inline(always)]
-fn fwd_radix8_cols<const L: usize>(
+fn fwd_radix8_cols<const L: usize, const REDUCE: bool>(
     a: &mut [u64],
     b0: usize,
     t_min: usize,
@@ -182,17 +190,22 @@ fn fwd_radix8_cols<const L: usize>(
         let (x, y) = pair_mut(&mut v, 2 * c, 2 * c + 1);
         fwd_bf_lanes(x, y, w, two_q);
     }
-    // Group boundary: the single modular reduction per output.
     for (e, lane) in v.iter().enumerate() {
         let s = b0 + e * t_min;
-        for (out, &val) in a[s..s + L].iter_mut().zip(lane) {
-            *out = reduce_4q(val, q, two_q);
+        if REDUCE {
+            for (out, &val) in a[s..s + L].iter_mut().zip(lane) {
+                *out = reduce_4q(val, q, two_q);
+            }
+        } else {
+            a[s..s + L].copy_from_slice(lane);
         }
     }
-    op_counters::count(8 * L as u64, 24 * L as u64);
+    op_counters::count(if REDUCE { 8 * L as u64 } else { 0 }, 24 * L as u64);
 }
 
-/// All columns of one forward radix-8 fused block, chunked 8 / 4 / narrow.
+/// All columns of one forward radix-8 fused block. After the remainder
+/// stages every group but the last has `t_min = 8^j ≥ 8` (chunks of 8
+/// columns); the last has `t_min = 1` and reduces its outputs.
 #[inline]
 fn fwd_radix8_block(
     a: &mut [u64],
@@ -202,21 +215,17 @@ fn fwd_radix8_block(
     w3: &[ShoupMul],
     q: u64,
 ) {
-    if t_min >= 8 {
-        for b0 in (0..t_min).step_by(8) {
-            fwd_radix8_cols::<8>(a, b0, t_min, w1, w2, w3, q);
-        }
-    } else if t_min == 4 {
-        fwd_radix8_cols::<4>(a, 0, t_min, w1, w2, w3, q);
-    } else if t_min == 2 {
-        fwd_radix8_cols::<2>(a, 0, t_min, w1, w2, w3, q);
+    if t_min == 1 {
+        fwd_radix8_cols::<1, true>(a, 0, t_min, w1, w2, w3, q);
     } else {
-        fwd_radix8_cols::<1>(a, 0, t_min, w1, w2, w3, q);
+        for b0 in (0..t_min).step_by(8) {
+            fwd_radix8_cols::<8, false>(a, b0, t_min, w1, w2, w3, q);
+        }
     }
 }
 
-/// `L` columns of one forward radix-4 fused block (the 2-stage remainder
-/// group when `log2 N mod 3 == 2`).
+/// `L` columns of the forward radix-4 remainder group (the two coarsest
+/// stages when `log2 N mod 3 == 2`); values stay in `[0, 4q)`.
 #[inline(always)]
 fn fwd_radix4_cols<const L: usize>(
     a: &mut [u64],
@@ -224,9 +233,8 @@ fn fwd_radix4_cols<const L: usize>(
     t_min: usize,
     w1: &ShoupMul,
     w2: &[ShoupMul],
-    q: u64,
+    two_q: u64,
 ) {
-    let two_q = 2 * q;
     let mut v = [[0u64; L]; 4];
     for (e, lane) in v.iter_mut().enumerate() {
         let s = b0 + e * t_min;
@@ -242,78 +250,66 @@ fn fwd_radix4_cols<const L: usize>(
     }
     for (e, lane) in v.iter().enumerate() {
         let s = b0 + e * t_min;
-        for (out, &val) in a[s..s + L].iter_mut().zip(lane) {
-            *out = reduce_4q(val, q, two_q);
-        }
+        a[s..s + L].copy_from_slice(lane);
     }
-    op_counters::count(4 * L as u64, 8 * L as u64);
+    op_counters::count(0, 8 * L as u64);
 }
 
-#[inline]
-fn fwd_radix4_block(a: &mut [u64], t_min: usize, w1: &ShoupMul, w2: &[ShoupMul], q: u64) {
-    if t_min >= 4 {
-        for b0 in (0..t_min).step_by(4) {
-            fwd_radix4_cols::<4>(a, b0, t_min, w1, w2, q);
-        }
-    } else if t_min == 2 {
-        fwd_radix4_cols::<2>(a, 0, t_min, w1, w2, q);
-    } else {
-        fwd_radix4_cols::<1>(a, 0, t_min, w1, w2, q);
-    }
-}
-
-/// Forward negacyclic NTT through fused radix-8 stage groups. Bit-identical
-/// to the scalar kernel; reductions happen only at group boundaries.
+/// Forward negacyclic NTT: the `log2 N mod 3` remainder stages first, on
+/// the coarsest stages where the columns are `N/2` or `N/4` wide, then
+/// fused radix-8 groups. Values are carried in Harvey's `[0, 4q)` across
+/// every group boundary and reduced once per output, in the last group's
+/// write-back (or in a final pass when `N < 8`), so the result is
+/// bit-identical to the radix-2 oracle. Requires `q < 2^62`
+/// ([`crate::NttTable::new`] asserts it).
 pub(crate) fn forward_fused(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
     let n = a.len();
     debug_assert!(n.is_power_of_two() && psi_rev.len() == n);
     let two_q = 2 * q;
-    let log_n = n.trailing_zeros();
-    let mut m = 1usize;
-    let mut t = n / 2;
-    let mut done = 0u32;
-    while done < log_n {
-        match log_n - done {
-            rem if rem >= 3 => {
-                let t_min = t / 4;
-                for i0 in 0..m {
-                    let base = 2 * i0 * t;
-                    let w1 = &psi_rev[m + i0];
-                    let w2 = &psi_rev[2 * m + 2 * i0..2 * m + 2 * i0 + 2];
-                    let w3 = &psi_rev[4 * m + 4 * i0..4 * m + 4 * i0 + 4];
-                    fwd_radix8_block(&mut a[base..base + 2 * t], t_min, w1, w2, w3, q);
-                }
-                m <<= 3;
-                t >>= 3;
-                done += 3;
+    let mut m = match n.trailing_zeros() % 3 {
+        1 => {
+            // One radix-2 stage across the two halves.
+            let (lo, hi) = a.split_at_mut(n / 2);
+            let w = &psi_rev[1];
+            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                (*x, *y) = fwd_bf(*x, *y, w, two_q);
             }
-            2 => {
-                // t == 2 here: one radix-4 group finishes the transform.
-                let t_min = t / 2;
-                for i0 in 0..m {
-                    let base = 2 * i0 * t;
-                    let w1 = &psi_rev[m + i0];
-                    let w2 = &psi_rev[2 * m + 2 * i0..2 * m + 2 * i0 + 2];
-                    fwd_radix4_block(&mut a[base..base + 2 * t], t_min, w1, w2, q);
-                }
-                m <<= 2;
-                t >>= 2;
-                done += 2;
-            }
-            _ => {
-                // t == 1: a single lazy stage, reduced at its boundary.
-                for i0 in 0..m {
-                    let j = 2 * i0;
-                    let (u, v) = fwd_bf(a[j], a[j + 1], &psi_rev[m + i0], two_q);
-                    a[j] = reduce_4q(u, q, two_q);
-                    a[j + 1] = reduce_4q(v, q, two_q);
-                }
-                op_counters::count(2 * m as u64, 2 * m as u64);
-                m <<= 1;
-                t >>= 1;
-                done += 1;
-            }
+            op_counters::count(0, n as u64);
+            2
         }
+        2 => {
+            // One radix-4 group across the four quarters.
+            let t_min = n / 4;
+            if t_min == 1 {
+                fwd_radix4_cols::<1>(a, 0, t_min, &psi_rev[1], &psi_rev[2..4], two_q);
+            } else {
+                for b0 in (0..t_min).step_by(8) {
+                    fwd_radix4_cols::<8>(a, b0, t_min, &psi_rev[1], &psi_rev[2..4], two_q);
+                }
+            }
+            4
+        }
+        _ => 1,
+    };
+    let mut t = n / (2 * m);
+    while m < n {
+        let t_min = t / 4;
+        for i0 in 0..m {
+            let base = 2 * i0 * t;
+            let w1 = &psi_rev[m + i0];
+            let w2 = &psi_rev[2 * m + 2 * i0..2 * m + 2 * i0 + 2];
+            let w3 = &psi_rev[4 * m + 4 * i0..4 * m + 4 * i0 + 4];
+            fwd_radix8_block(&mut a[base..base + 2 * t], t_min, w1, w2, w3, q);
+        }
+        m <<= 3;
+        t >>= 3;
+    }
+    if n < 8 {
+        // No radix-8 group ran: the remainder was the whole transform.
+        for x in a.iter_mut() {
+            *x = reduce_4q(*x, q, two_q);
+        }
+        op_counters::count(n as u64, 0);
     }
 }
 
@@ -362,6 +358,10 @@ fn inv_radix8_cols<const L: usize>(
     op_counters::count(0, 24 * L as u64);
 }
 
+/// All columns of one inverse radix-8 fused block. Groups run finest stage
+/// first, so `t = 8^j`: the first group has `t = 1`, every later one takes
+/// its columns in chunks of 8. The radix-4 or radix-2 remainder follows
+/// them, on the same `t`.
 #[inline]
 fn inv_radix8_block(
     a: &mut [u64],
@@ -371,16 +371,12 @@ fn inv_radix8_block(
     wc: &ShoupMul,
     q: u64,
 ) {
-    if t >= 8 {
+    if t == 1 {
+        inv_radix8_cols::<1>(a, 0, t, wa, wb, wc, q);
+    } else {
         for b0 in (0..t).step_by(8) {
             inv_radix8_cols::<8>(a, b0, t, wa, wb, wc, q);
         }
-    } else if t == 4 {
-        inv_radix8_cols::<4>(a, 0, t, wa, wb, wc, q);
-    } else if t == 2 {
-        inv_radix8_cols::<2>(a, 0, t, wa, wb, wc, q);
-    } else {
-        inv_radix8_cols::<1>(a, 0, t, wa, wb, wc, q);
     }
 }
 
@@ -417,14 +413,12 @@ fn inv_radix4_cols<const L: usize>(
 
 #[inline]
 fn inv_radix4_block(a: &mut [u64], t: usize, wa: &[ShoupMul], wb: &ShoupMul, q: u64) {
-    if t >= 4 {
-        for b0 in (0..t).step_by(4) {
-            inv_radix4_cols::<4>(a, b0, t, wa, wb, q);
-        }
-    } else if t == 2 {
-        inv_radix4_cols::<2>(a, 0, t, wa, wb, q);
-    } else {
+    if t == 1 {
         inv_radix4_cols::<1>(a, 0, t, wa, wb, q);
+    } else {
+        for b0 in (0..t).step_by(8) {
+            inv_radix4_cols::<8>(a, b0, t, wa, wb, q);
+        }
     }
 }
 

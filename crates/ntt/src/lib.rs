@@ -11,8 +11,8 @@
 //! * [`kernel`] — the one production transform behind
 //!   [`NttTable::forward`]/[`NttTable::inverse`]: Harvey butterflies in
 //!   redundant `[0, 4q)` representation, fused into radix-8 stage groups
-//!   with a single reduction per output at each group boundary (the
-//!   software form of the paper's k = 3 fused TAM).
+//!   (the software form of the paper's k = 3 fused TAM), carried lazily
+//!   across group boundaries and reduced once per output.
 //! * [`negacyclic`] — the classic iterative radix-2 forward (Cooley–Tukey,
 //!   decimation-in-time) and inverse (Gentleman–Sande) transforms, kept
 //!   only as the bit-exact oracle tests reach through

@@ -51,13 +51,16 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two or `q` is not an NTT prime for
-    /// this degree.
+    /// Panics if `n` is not a power of two, if `q ≥ 2^62`, or if `q` is not
+    /// an NTT prime for this degree. The forward kernel carries Harvey's
+    /// lazy representatives in `[0, 4q)` through the whole transform, and
+    /// `4q` must fit in a `u64`.
     pub fn new(n: usize, q: u64) -> Self {
         assert!(
             n.is_power_of_two() && n >= 2,
             "n must be a power of two ≥ 2"
         );
+        assert!(q < 1 << 62, "q must be below 2^62 (4q must fit in a u64)");
         assert!(
             (q - 1).is_multiple_of(2 * n as u64),
             "q must satisfy q ≡ 1 (mod 2n)"
@@ -319,6 +322,18 @@ mod tests {
     #[should_panic(expected = "q must satisfy")]
     fn rejects_bad_modulus() {
         let _ = NttTable::new(16, 101); // 101 ≢ 1 mod 32
+    }
+
+    #[test]
+    #[should_panic(expected = "q must be below 2^62")]
+    fn rejects_modulus_past_the_lazy_range() {
+        // The smallest NTT prime for n = 16 at or above 2^62: a valid
+        // modulus in every other respect, but 4q overflows a u64.
+        let q = (0..)
+            .map(|k: u64| (1 << 62) + 1 + 32 * k)
+            .find(|&p| he_math::prime::is_prime(p))
+            .unwrap();
+        let _ = NttTable::new(16, q);
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! ([`NttTable::forward_oracle`]/`inverse_oracle`) at every transform
 //! length: lazy reduction changes how values are carried between stages,
 //! never what leaves the kernel. The suite sweeps every log N in 1..=13
-//! plus 2^16 (the paper's N) over 30- and 61-bit primes, random and
+//! plus 2^16 (the paper's N) over 30-, 61- and 62-bit primes, random and
 //! all-`(q−1)` inputs, checks `multiply` against the schoolbook product,
 //! and pins a deterministic transform digest.
 //!
 //! The debug-build counter tests reconcile the kernel with the analytic
-//! [`FusionAnalysis`] model of paper Table II: per 2^k block a fused stage
-//! group performs exactly 2^k modular reductions (not k·2^k), while the
-//! twiddle multiply count stays at the unfused k·2^k tally.
+//! [`FusionAnalysis`] model of paper Table II: one fused radix-8 block
+//! performs 2^k modular reductions (not k·2^k), and a whole transform
+//! performs one per output, while the twiddle multiply count stays at the
+//! unfused k·2^k tally.
 
 use he_ntt::kernel::op_counters;
 use he_ntt::{naive, FusionAnalysis, NttTable};
@@ -63,9 +64,10 @@ fn assert_matches_oracle(t: &NttTable, input: &[u64], what: &str) {
 fn production_kernel_is_bit_identical_to_the_oracle() {
     for log_n in LOG_NS {
         let n = 1usize << log_n;
-        // 61-bit primes push the [0, 4q) redundant range right up against
-        // u64, and all-(q−1) inputs maximise every intermediate in it.
-        for bits in [30u32, 61] {
+        // 61- and 62-bit primes push the [0, 4q) redundant range right up
+        // against u64 (62 bits is the widest `NttTable::new` accepts), and
+        // all-(q−1) inputs maximise every intermediate in it.
+        for bits in [30u32, 61, 62] {
             let q = prime_for(n, bits);
             let t = NttTable::new(n, q);
             let random = random_vector(n, q, 0x5eed ^ ((log_n as u64) << 8) ^ bits as u64);
@@ -141,17 +143,22 @@ fn kernel_digest() {
     );
 }
 
-/// The instrumented fused kernel must land exactly on the analytic Table II
-/// model: a full length-n transform at fusion degree k=3 performs
-/// `FusionAnalysis::reductions_full_transform(n)` modular reductions —
-/// 2^k per block per phase, *not* k·2^k.
+/// The instrumented kernels count what they do. The forward kernel carries
+/// `[0, 4q)` representatives across every group boundary and reduces each
+/// output once, so a length-n transform performs exactly `n` modular
+/// reductions — fewer than the Table II model's per-phase tally
+/// `FusionAnalysis::reductions_full_transform(n)` whenever there is more
+/// than one phase — and keeps the unfused multiply tally, `n·log2(n)`
+/// (each Shoup product = 2 hardware multiplies, as Table II counts them).
+/// The inverse also reduces once per output, in its `N⁻¹` pass, whose
+/// Shoup products add `2n` multiplies.
 ///
 /// Counters only exist in debug builds; the release hot path is untouched.
 #[cfg(debug_assertions)]
 #[test]
 fn fused_reduction_count_matches_table2_model() {
     let a3 = FusionAnalysis::for_radix(3);
-    for log_n in [3u32, 5, 6, 9, 12] {
+    for log_n in [1u32, 2, 3, 4, 5, 6, 9, 12, 13] {
         let n = 1usize << log_n;
         let q = prime_for(n, 30);
         let t = NttTable::new(n, q);
@@ -160,16 +167,26 @@ fn fused_reduction_count_matches_table2_model() {
         t.forward(&mut a);
         assert_eq!(
             op_counters::reductions(),
-            a3.reductions_full_transform(n),
-            "reductions at n={n}"
+            n as u64,
+            "forward reductions at n={n}"
         );
-        // The butterfly-fused kernel keeps the unfused multiply tally:
-        // k·2^k per block per phase (each Shoup product = 2 hardware
-        // multiplies, as Table II counts them) — i.e. n·log2(n) total.
+        assert!(op_counters::reductions() <= a3.reductions_full_transform(n));
         assert_eq!(
             op_counters::multiplies(),
             n as u64 * log_n as u64,
-            "multiplies at n={n}"
+            "forward multiplies at n={n}"
+        );
+        op_counters::reset();
+        t.inverse(&mut a);
+        assert_eq!(
+            op_counters::reductions(),
+            n as u64,
+            "inverse reductions at n={n}"
+        );
+        assert_eq!(
+            op_counters::multiplies(),
+            n as u64 * log_n as u64 + 2 * n as u64,
+            "inverse multiplies at n={n}"
         );
     }
 }
