@@ -10,25 +10,23 @@ use he_ckks::prelude::*;
 use rand::SeedableRng;
 
 /// A ready-to-measure CKKS working set.
-pub struct CpuHarness {
-    /// The context.
-    pub ctx: CkksContext,
+struct CpuHarness {
     /// Keys incl. one rotation key.
-    pub keys: KeySet,
+    keys: KeySet,
     /// The evaluator.
-    pub eval: Evaluator,
+    eval: Evaluator,
     /// Two fresh ciphertexts.
-    pub ct_a: Ciphertext,
+    ct_a: Ciphertext,
     /// Second operand.
-    pub ct_b: Ciphertext,
+    ct_b: Ciphertext,
     /// An encoded plaintext operand.
-    pub pt: Plaintext,
+    pt: Plaintext,
 }
 
 impl CpuHarness {
     /// Builds the harness at ring degree `n` with `chain_len` primes
     /// (32-bit datapath parameters, matching the paper's word width).
-    pub fn new(n: usize, chain_len: usize) -> Self {
+    fn new(n: usize, chain_len: usize) -> Self {
         let ctx = CkksContext::new(CkksParams::paper_32bit(n, chain_len));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
         let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -43,7 +41,6 @@ impl CpuHarness {
         let ct_a = keys.public().encrypt(&pt, &mut rng);
         let ct_b = keys.public().encrypt(&pt, &mut rng);
         Self {
-            ctx,
             keys,
             eval,
             ct_a,
@@ -53,7 +50,7 @@ impl CpuHarness {
     }
 
     /// Times `f` over `iters` runs, returning operations per second.
-    pub fn ops_per_second<F: FnMut()>(&self, iters: u32, mut f: F) -> f64 {
+    fn ops_per_second<F: FnMut()>(&self, iters: u32, mut f: F) -> f64 {
         // One warm-up.
         f();
         let start = Instant::now();

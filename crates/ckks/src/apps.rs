@@ -14,7 +14,7 @@ use crate::polyeval::{try_evaluate_monomial, PowerBasis};
 
 /// The HELR degree-3 sigmoid approximation on [−4, 4]:
 /// σ(x) ≈ 0.5 + 0.197·x − 0.004·x³.
-pub const HELR_SIGMOID: [f64; 4] = [0.5, 0.197, 0.0, -0.004];
+const HELR_SIGMOID: [f64; 4] = [0.5, 0.197, 0.0, -0.004];
 
 /// An encrypted logistic-regression scorer with plaintext weights.
 ///

@@ -36,7 +36,7 @@ impl Complex {
 
     /// `e^{iθ}`.
     #[inline]
-    pub fn from_angle(theta: f64) -> Self {
+    fn from_angle(theta: f64) -> Self {
         Self::new(theta.cos(), theta.sin())
     }
 
@@ -154,7 +154,7 @@ impl Encoder {
 
     /// Maximum slot count (`N/2`).
     #[inline]
-    pub fn max_slots(&self) -> usize {
+    fn max_slots(&self) -> usize {
         self.n / 2
     }
 
@@ -238,7 +238,7 @@ impl Encoder {
 
 /// Iterative radix-2 complex DFT. `inverse` applies the 1/N factor and the
 /// conjugated kernel. Input length must be a power of two.
-pub fn dft(input: &[Complex], inverse: bool) -> Vec<Complex> {
+fn dft(input: &[Complex], inverse: bool) -> Vec<Complex> {
     let n = input.len();
     assert!(n.is_power_of_two(), "DFT length must be a power of two");
     let mut a = input.to_vec();

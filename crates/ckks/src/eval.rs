@@ -87,12 +87,6 @@ impl HoistedDecomposition {
         self.level
     }
 
-    /// Number of digits (`level + 1` under the α = 1 decomposition).
-    #[inline]
-    pub fn digit_count(&self) -> usize {
-        self.level + 1
-    }
-
     /// How many rotations this decomposition has served so far.
     #[inline]
     pub fn uses(&self) -> u64 {
@@ -1309,7 +1303,6 @@ mod tests {
         let a = encrypt(&ctx, &keys, &mut rng, &vals);
         let h = eval.hoist(&a);
         assert_eq!(h.level(), a.level());
-        assert_eq!(h.digit_count(), a.level() + 1);
         for steps in [1i64, 2] {
             let g = keys.galois_element(steps);
             let key = keys.galois_key(g).expect("key present");

@@ -27,7 +27,7 @@
 //! *differently*, so their digests cannot agree.
 //!
 //! The policy's counters are process-global (mirroring
-//! `poseidon_par::contained_panics`) and live only in the telemetry
+//! `poseidon_par`'s `par.contained`) and live only in the telemetry
 //! registry, as the scopes `integrity.checked` / `.detected` / `.retried`
 //! / `.escalated`; only [`retry_once`] bumps them and [`integrity_stats`]
 //! reads them.

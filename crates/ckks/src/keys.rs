@@ -63,7 +63,7 @@ impl SecretKey {
     }
 
     /// Instantiates `s` in `basis`, coefficient form.
-    pub fn poly_in(&self, basis: &RnsBasis) -> RnsPoly {
+    fn poly_in(&self, basis: &RnsBasis) -> RnsPoly {
         RnsPoly::from_i64_coeffs(basis, &self.coeffs)
     }
 
@@ -466,7 +466,7 @@ impl KeySet {
 
     /// Adds a Galois key for raw element `g` (rotations use `5^k`,
     /// conjugation uses `2N − 1`).
-    pub fn add_galois_key<R: Rng + ?Sized>(&mut self, g: u64, rng: &mut R) {
+    fn add_galois_key<R: Rng + ?Sized>(&mut self, g: u64, rng: &mut R) {
         if self.galois.contains_key(&g) {
             return;
         }
@@ -624,7 +624,7 @@ mod tests {
         // g·g⁻¹ ≡ 1 (mod 2N) composes to the identity.
         let s: Vec<i64> = (0..16).map(|i| (i % 3) as i64 - 1).collect();
         let g = 5u64; // unit mod 32
-        let g_inv = he_math::modops::inv_mod(5, 32).unwrap();
+        let g_inv = 13u64; // 5·13 = 65 ≡ 1 (mod 32)
         let round = automorphism_signed(&automorphism_signed(&s, g), g_inv);
         assert_eq!(round, s);
     }

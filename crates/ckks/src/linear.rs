@@ -26,7 +26,7 @@ use crate::keys::KeySet;
 ///
 /// [`EvalError::InvalidParams`] if `width` is not a power of two;
 /// [`EvalError::MissingRotationKey`] for an absent fold key.
-pub fn try_fold_sum(
+fn try_fold_sum(
     eval: &Evaluator,
     keys: &KeySet,
     ct: &Ciphertext,
@@ -66,7 +66,8 @@ fn check_fold_width(width: usize) -> Result<(), EvalError> {
 }
 
 /// Homomorphic inner product `⟨x, w⟩` with a plaintext weight vector of
-/// power-of-two length: elementwise PMult, rescale, then [`try_fold_sum`].
+/// power-of-two length: elementwise PMult, rescale, then a rotate-and-add
+/// fold.
 /// Every slot of the result holds the inner product. Consumes one level.
 ///
 /// # Errors

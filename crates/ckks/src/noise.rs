@@ -85,12 +85,6 @@ pub fn try_measure(
     })
 }
 
-/// Estimated multiplication depth remaining, assuming each CMult+rescale
-/// consumes one scale prime.
-pub fn remaining_depth(ct: &Ciphertext) -> usize {
-    ct.level()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +136,7 @@ mod tests {
         let after = try_measure(&ctx, keys.secret(), &sq, &z_sq).unwrap();
         assert!(after.budget_bits < fresh.budget_bits);
         assert!(after.precision_bits <= fresh.precision_bits + 1.0);
-        assert_eq!(remaining_depth(&sq), remaining_depth(&ct) - 1);
+        assert_eq!(sq.level(), ct.level() - 1);
     }
 
     #[test]

@@ -13,20 +13,23 @@ use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
 
-/// Lazily materialised powers of a ciphertext.
+/// Lazily materialised powers of a ciphertext, shared by the polynomials
+/// [`try_evaluate_monomial`] evaluates in the same `x`.
 ///
 /// # Examples
 ///
 /// ```no_run
 /// # use he_ckks::prelude::*;
-/// # use he_ckks::polyeval::PowerBasis;
+/// # use he_ckks::polyeval::{try_evaluate_monomial, PowerBasis};
 /// # let ctx = CkksContext::new(CkksParams::small());
 /// # let mut rng = rand::thread_rng();
 /// # let keys = KeySet::generate(&ctx, &mut rng);
 /// # let eval = Evaluator::new(&ctx);
 /// # let ct: Ciphertext = unimplemented!();
 /// let mut powers = PowerBasis::new(ct);
-/// let x3 = powers.try_power(&eval, &keys, 3)?; // x·x² with one relinearisation
+/// let cube = try_evaluate_monomial(&eval, &keys, &mut powers, &[0.0, 0.0, 0.0, 1.0])?;
+/// // x² was built on the way to x³ and is reused here.
+/// let square = try_evaluate_monomial(&eval, &keys, &mut powers, &[0.0, 0.0, 1.0])?;
 /// # Ok::<(), EvalError>(())
 /// ```
 #[derive(Debug)]
@@ -50,7 +53,7 @@ impl PowerBasis {
     /// ciphertext powers);
     /// [`EvalError::RescaleAtLevelZero`] when the modulus chain runs out
     /// of levels mid-tree.
-    pub fn try_power(
+    fn try_power(
         &mut self,
         eval: &Evaluator,
         keys: &KeySet,

@@ -1,5 +1,5 @@
 //! Boundary pinning for the `noise` module: the evaluation planner uses
-//! `remaining_depth` and `try_measure` to decide rescale placement, so
+//! the ciphertext level and `try_measure` to decide rescale placement, so
 //! their behaviour at level 0 and under an exhausted scale budget must be
 //! exact, not approximately right.
 
@@ -9,7 +9,7 @@ use he_ckks::encoding::Complex;
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
-use he_ckks::noise::{remaining_depth, try_measure};
+use he_ckks::noise::try_measure;
 use he_ckks::params::CkksParams;
 use rand::SeedableRng;
 
@@ -31,19 +31,19 @@ fn encrypt(ctx: &CkksContext, keys: &KeySet, rng: &mut rand::rngs::StdRng, v: f6
     keys.public().encrypt(&pt, rng)
 }
 
-/// `remaining_depth` must equal the ciphertext level at every step of the
-/// descent to 0 — the planner's budget accounting divides by it.
+/// The level must fall by one at every step of the descent to 0 — the
+/// planner's budget accounting divides by it.
 #[test]
-fn remaining_depth_tracks_every_level_down_to_zero() {
+fn level_tracks_every_step_down_to_zero() {
     let (ctx, keys, eval, mut rng) = setup();
     let mut ct = encrypt(&ctx, &keys, &mut rng, 0.5);
-    assert_eq!(remaining_depth(&ct), ctx.max_level());
+    assert_eq!(ct.level(), ctx.max_level());
     while ct.level() > 0 {
         let next = eval.try_drop_to_level(&ct, ct.level() - 1).unwrap();
-        assert_eq!(remaining_depth(&next), remaining_depth(&ct) - 1);
+        assert_eq!(next.level(), ct.level() - 1);
         ct = next;
     }
-    assert_eq!(remaining_depth(&ct), 0);
+    assert_eq!(ct.level(), 0);
     // The floor is hard: rescaling past it is a typed error, not a wrap.
     assert_eq!(eval.try_rescale(&ct), Err(EvalError::RescaleAtLevelZero));
 }

@@ -44,19 +44,6 @@ pub struct HfAuto {
     r: usize,
 }
 
-/// Per-stage element-movement statistics for the cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HfAutoStats {
-    /// Stage ❶ row reads (each moves C elements).
-    pub row_reads: u64,
-    /// Stage ❷ FIFO rotations (each moves C elements).
-    pub fifo_shifts: u64,
-    /// Stage ❸ dimension-switch steps.
-    pub transpose_steps: u64,
-    /// Stage ❹ column writes.
-    pub column_writes: u64,
-}
-
 impl HfAuto {
     /// Creates the engine for vector length `n` split into lanes of `c`.
     ///
@@ -98,19 +85,11 @@ impl HfAuto {
     ///
     /// Panics if `data.len() != N`, `g` is even, or values are unreduced.
     pub fn apply(&self, data: &[u64], g: u64, q: u64) -> Vec<u64> {
-        self.apply_with_stats(data, g, q).0
-    }
-
-    /// [`apply`] plus the per-stage movement statistics.
-    ///
-    /// [`apply`]: Self::apply
-    pub fn apply_with_stats(&self, data: &[u64], g: u64, q: u64) -> (Vec<u64>, HfAutoStats) {
         assert_eq!(data.len(), self.n, "input length must equal N");
         assert_eq!(g % 2, 1, "Galois element must be odd");
         debug_assert!(data.iter().all(|&v| v < q), "values must be reduced");
         let _span = tel::hfauto().span(self.n as u64);
         let (n, c, r) = (self.n as u64, self.c as u64, self.r as u64);
-        let mut stats = HfAutoStats::default();
 
         // Stage ❶ with sign pre-application: read row i, negate elements
         // whose destination wraps past X^N, and place the row at i·g mod R.
@@ -124,7 +103,6 @@ impl HfAuto {
                 let v = data[idx as usize];
                 grid[dest_row as usize][j as usize] = if e >= n && v != 0 { q - v } else { v };
             }
-            stats.row_reads += 1;
         }
 
         // Stage ❷: per-column cyclic rotation by ⌊j·g/C⌋ mod R (the FIFO
@@ -137,12 +115,9 @@ impl HfAuto {
                 shifted[dest as usize][j as usize] = grid[i as usize][j as usize];
             }
         }
-        stats.fifo_shifts += r;
 
         // Stage ❸: dimension switch — in hardware a diagonal BRAM layout;
-        // functionally the identity on the logical grid, but it costs R
-        // C-wide steps, which the stats record.
-        stats.transpose_steps += r;
+        // functionally the identity on the logical grid.
 
         // Stage ❹: column permutation j ↦ j·g mod C, written back C-wide.
         let mut out = vec![0u64; self.n];
@@ -151,9 +126,8 @@ impl HfAuto {
                 let dest_col = (j * g) % c;
                 out[(i * c + dest_col) as usize] = shifted[i as usize][j as usize];
             }
-            stats.column_writes += 1;
         }
-        (out, stats)
+        out
     }
 
     /// The naive single-index-per-cycle automorphism (the paper's "Auto"
@@ -204,17 +178,16 @@ mod tests {
     fn hfauto_matches_reference_automorphism() {
         let n = 64;
         let q = he_math::prime::ntt_prime(28, 2 * n as u64).unwrap();
-        let data: Vec<u64> = (0..n as u64).map(|i| (i * 37 + 5) % q).collect();
-        let signed: Vec<i64> = data
-            .iter()
-            .map(|&v| he_math::modops::center(v, q))
-            .collect();
+        let center = |v: u64| {
+            if v > q / 2 {
+                v as i64 - q as i64
+            } else {
+                v as i64
+            }
+        };
         for c in [1usize, 4, 8, 64] {
             let hf = HfAuto::new(n, c);
             for g in [3u64, 5, 25, 127] {
-                let got = hf.apply(&data, g, q);
-                let got_signed: Vec<i64> =
-                    got.iter().map(|&v| he_math::modops::center(v, q)).collect();
                 // Reference basis has a different prime; compare via signed
                 // semantics with small values.
                 let small: Vec<i64> = (0..n as i64).collect();
@@ -225,10 +198,9 @@ mod tests {
                 let hf_small: Vec<i64> = hf
                     .apply(&small_u, g, q)
                     .iter()
-                    .map(|&v| he_math::modops::center(v, q))
+                    .map(|&v| center(v))
                     .collect();
                 assert_eq!(hf_small, reference(&small, g, n), "c={c} g={g}");
-                let _ = (got_signed, signed.clone());
             }
         }
     }
@@ -263,17 +235,5 @@ mod tests {
         assert_eq!(hf.hf_latency_steps(), 512);
         assert_eq!(hf.naive_latency_cycles(), 65536);
         assert!(hf.hf_latency_steps() * 64 < hf.naive_latency_cycles() * 2);
-    }
-
-    #[test]
-    fn stats_count_all_four_stages() {
-        let hf = HfAuto::new(64, 8);
-        let q = 97u64;
-        let data = vec![1u64; 64];
-        let (_, stats) = hf.apply_with_stats(&data, 3, q);
-        assert_eq!(stats.row_reads, 8);
-        assert_eq!(stats.fifo_shifts, 8);
-        assert_eq!(stats.transpose_steps, 8);
-        assert_eq!(stats.column_writes, 8);
     }
 }

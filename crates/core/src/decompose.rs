@@ -88,7 +88,7 @@ impl OpParams {
 
     /// Element count of one full NTT at this degree: `N·log2(N)` butterfly
     /// element-phases.
-    pub fn ntt_elems(&self) -> u64 {
+    fn ntt_elems(&self) -> u64 {
         self.n64() * self.n.trailing_zeros() as u64
     }
 }
@@ -275,19 +275,6 @@ impl OpTrace {
                 acc + op.operator_counts(p) * *c
             })
     }
-
-    /// Per-basic-operation totals (for Fig. 8-style breakdowns).
-    pub fn per_op_counts(&self) -> Vec<(BasicOp, OperatorCounts)> {
-        let mut agg: Vec<(BasicOp, OperatorCounts)> = Vec::new();
-        for (op, p, c) in &self.entries {
-            let counts = op.operator_counts(p) * *c;
-            match agg.iter_mut().find(|(o, _)| o == op) {
-                Some((_, acc)) => *acc += counts,
-                None => agg.push((*op, counts)),
-            }
-        }
-        agg
-    }
 }
 
 #[cfg(test)]
@@ -360,8 +347,6 @@ mod tests {
         t.push(BasicOp::HAdd, p, 1);
         let total = t.operator_counts();
         assert_eq!(total.ma, BasicOp::HAdd.operator_counts(&p).ma * 4);
-        let per = t.per_op_counts();
-        assert_eq!(per.len(), 2);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl PoseidonMachine {
         self.pool.reset_usage();
     }
 
-    /// Direct access to the pool (for custom dataflows).
-    pub fn pool_mut(&mut self) -> &mut OperatorPool {
-        &mut self.pool
-    }
-
     // ---- residue-level helpers ------------------------------------------
 
     fn ntt_poly(&mut self, p: &RnsPoly) -> RnsPoly {
@@ -547,5 +542,52 @@ impl HomomorphicOps for PoseidonMachine {
     ) -> Result<Ciphertext, EvalError> {
         let eval = Evaluator::new(&self.ctx);
         bs.try_bootstrap(&eval, keys, a)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use he_ckks::encoding::Complex;
+    use he_ckks::params::CkksParams;
+    use rand::SeedableRng;
+
+    /// Per-operator snapshot items must equal `usage()` exactly — they are
+    /// two views over the same atomics, so any drift is a double-count bug.
+    #[test]
+    fn snapshot_items_equal_usage_exactly() {
+        let ctx = CkksContext::new(CkksParams::toy());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7E1E);
+        let mut keys = KeySet::generate(&ctx, &mut rng);
+        keys.add_rotation_key(1, &mut rng);
+        let mut encrypt = |v: f64| {
+            let z = [Complex::new(v, 0.0)];
+            let pt = ctx
+                .encoder()
+                .encode_rns(ctx.chain_basis(), &z, ctx.default_scale());
+            keys.public()
+                .encrypt(&Plaintext::new(pt, ctx.default_scale()), &mut rng)
+        };
+        let (a, b) = (encrypt(1.5), encrypt(-2.0));
+        let mut m = PoseidonMachine::new(&ctx, 8, 1);
+        let s = m.try_add(&a, &b).unwrap();
+        let p = m.try_mul(&s, &a, &keys).unwrap();
+        let r = m.try_rescale(&p).unwrap();
+        let _ = m.try_rotate(&r, 1, &keys).unwrap();
+
+        let usage = m.usage();
+        assert!(usage.total() > 0, "workload produced no operator traffic");
+        let snap = m.pool.snapshot();
+        for (scope, expected) in [
+            ("pool.ma", usage.ma),
+            ("pool.mm", usage.mm),
+            ("pool.ntt", usage.ntt),
+            ("pool.auto", usage.auto),
+            ("pool.sbt", usage.sbt),
+        ] {
+            let stats = snap.get(scope).expect("scope registered");
+            assert_eq!(stats.items, expected, "{scope} diverged from usage()");
+            assert!(stats.count > 0, "{scope} recorded items but no events");
+        }
     }
 }

@@ -606,7 +606,7 @@ mod tests {
         let prog = compile_trace(&trace, &ctx, &CompileOptions::default()).expect("fits");
         assert!(prog.graph.validate().is_ok());
         // Every live value stays within the decryption margin.
-        for v in prog.graph.values().iter().filter(|v| !v.is_dead()) {
+        for v in prog.graph.values().iter().filter(|v| !v.dead) {
             let p = ctx.params();
             let total =
                 f64::from(p.first_prime_bits) + v.level as f64 * f64::from(p.scale_prime_bits);

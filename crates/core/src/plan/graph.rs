@@ -153,13 +153,6 @@ pub struct Node {
     pub(crate) dead: bool,
 }
 
-impl Node {
-    /// Whether a pass tombstoned this node.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-}
-
 /// Metadata of one SSA value.
 #[derive(Debug, Clone)]
 pub struct ValueInfo {
@@ -174,13 +167,6 @@ pub struct ValueInfo {
     /// pass matches on.
     pub scale_bits: f64,
     pub(crate) dead: bool,
-}
-
-impl ValueInfo {
-    /// Whether a pass tombstoned this value.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
 }
 
 /// The SSA dataflow graph.
@@ -207,13 +193,8 @@ impl EvalGraph {
         }
     }
 
-    /// Nominal bits one rescale removes.
-    pub fn rescale_bits(&self) -> f64 {
-        self.rescale_bits
-    }
-
-    /// All nodes (including dead ones — check [`Node::is_dead`] or use
-    /// [`live_nodes`](Self::live_nodes)).
+    /// All nodes, dead ones included ([`live_nodes`](Self::live_nodes)
+    /// skips them).
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
@@ -290,9 +271,8 @@ impl EvalGraph {
 
     /// The `(level, scale_bits)` of the value `op` produces from `inputs`:
     /// the one propagation rule. `None` for an `Input`, whose metadata is
-    /// bound, not derived. A rescale removes the nominal
-    /// [`rescale_bits`](Self::rescale_bits), and a refresh delivers that
-    /// scale; a `RotateSum`'s weights share one scale, so its first weight
+    /// bound, not derived. A rescale removes the nominal `rescale_bits`,
+    /// and a refresh delivers that scale; a `RotateSum`'s weights share one scale, so its first weight
     /// stands for all.
     pub(crate) fn derive_meta(&self, op: &GraphOp, inputs: &[ValueId]) -> Option<(usize, f64)> {
         let meta = |i: usize| {
@@ -416,7 +396,7 @@ impl EvalGraph {
         self.push(GraphOp::Square, vec![a])
     }
 
-    /// Rescale: drops a level, removes ≈[`rescale_bits`](Self::rescale_bits).
+    /// Rescale: drops a level, removes ≈`rescale_bits`.
     ///
     /// # Panics
     ///
@@ -450,7 +430,7 @@ impl EvalGraph {
     }
 
     /// Ciphertext refresh to `target_level` at the nominal default scale
-    /// (≈ [`rescale_bits`](Self::rescale_bits)). The executor drops the
+    /// (≈ `rescale_bits`). The executor drops the
     /// operand to level 0 and runs the bootstrapping pipeline.
     pub fn bootstrap(&mut self, a: ValueId, target_level: usize) -> ValueId {
         self.push(GraphOp::Bootstrap { target_level }, vec![a])

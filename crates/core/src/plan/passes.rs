@@ -87,7 +87,7 @@ pub struct NoiseBudget {
 
 impl NoiseBudget {
     /// The budget implied by a parameter set, with the lowering's margin.
-    pub fn from_params(params: &CkksParams) -> Self {
+    fn from_params(params: &CkksParams) -> Self {
         Self {
             first_prime_bits: f64::from(params.first_prime_bits),
             scale_prime_bits: f64::from(params.scale_prime_bits),
@@ -1296,7 +1296,7 @@ mod tests {
     fn live_meta(g: &EvalGraph) -> Vec<Option<(usize, f64)>> {
         let values = g.values().iter();
         values
-            .map(|v| (!v.is_dead()).then_some((v.level, v.scale_bits)))
+            .map(|v| (!v.dead).then_some((v.level, v.scale_bits)))
             .collect()
     }
 

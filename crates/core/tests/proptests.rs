@@ -30,7 +30,8 @@ proptest! {
         let n = 1usize << log_n;
         let two_n = 2 * n as u64;
         let g = he_math::modops::pow_mod(5, e, two_n);
-        let g_inv = he_math::modops::inv_mod(g, two_n).unwrap();
+        // 5 has order N/2 modulo 2N, so g^(N/2 - 1) = g^-1.
+        let g_inv = he_math::modops::pow_mod(g, n as u64 / 2 - 1, two_n);
         let q = he_math::prime::ntt_prime(28, two_n).unwrap();
         let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(seed | 1) % q).collect();
         let hf = HfAuto::new(n, (n / 4).max(1));

@@ -128,21 +128,6 @@ impl BarrettReducer {
     pub fn sub(&self, a: u64, b: u64) -> u64 {
         modops::sub_mod(a, b, self.q)
     }
-
-    /// Raises `base` to `exp` modulo `q` using the Barrett multiply.
-    pub fn pow(&self, base: u64, exp: u64) -> u64 {
-        let mut base = base % self.q;
-        let mut exp = exp;
-        let mut acc = 1u64 % self.q;
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = self.mul(acc, base);
-            }
-            base = self.mul(base, base);
-            exp >>= 1;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -221,15 +206,6 @@ mod tests {
                 let x = x >> (next() % 128);
                 assert_eq!(u128::from(r.reduce(x)), x % u128::from(q), "q={q} x={x}");
             }
-        }
-    }
-
-    #[test]
-    fn pow_matches_modops() {
-        let q = 786_433u64; // 3·2^18 + 1
-        let r = BarrettReducer::new(q);
-        for (base, exp) in [(5u64, 0u64), (5, 1), (5, 100), (q - 1, 2), (7, q - 1)] {
-            assert_eq!(r.pow(base, exp), modops::pow_mod(base, exp, q));
         }
     }
 

@@ -38,12 +38,12 @@ impl BigUint {
     }
 
     /// Whether this value is zero.
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
     /// Builds a value from little-endian limbs (trailing zeros permitted).
-    pub fn from_limbs(limbs: Vec<u64>) -> Self {
+    fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut v = Self { limbs };
         v.normalize();
         v

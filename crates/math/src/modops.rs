@@ -140,51 +140,6 @@ pub fn inv_mod_prime(a: u64, q: u64) -> Option<u64> {
     Some(pow_mod(a, q - 2, q))
 }
 
-/// Computes the modular inverse of `a` modulo arbitrary `m` (not necessarily
-/// prime) via the extended Euclidean algorithm. Returns `None` when
-/// `gcd(a, m) ≠ 1`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(he_math::modops::inv_mod(3, 10), Some(7));
-/// assert_eq!(he_math::modops::inv_mod(4, 10), None);
-/// ```
-pub fn inv_mod(a: u64, m: u64) -> Option<u64> {
-    let (mut old_r, mut r) = (a as i128, m as i128);
-    let (mut old_s, mut s) = (1i128, 0i128);
-    while r != 0 {
-        let quot = old_r / r;
-        (old_r, r) = (r, old_r - quot * r);
-        (old_s, s) = (s, old_s - quot * s);
-    }
-    if old_r != 1 {
-        return None;
-    }
-    Some(old_s.rem_euclid(m as i128) as u64)
-}
-
-/// Maps a residue in `[0, q)` to its centred representative in
-/// `(-q/2, q/2]`, returned as `i64`.
-///
-/// Used by the CKKS decoder and by noise-budget estimation.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(he_math::modops::center(6, 7), -1);
-/// assert_eq!(he_math::modops::center(3, 7), 3);
-/// ```
-#[inline]
-pub fn center(a: u64, q: u64) -> i64 {
-    debug_assert!(a < q);
-    if a > q / 2 {
-        -((q - a) as i64)
-    } else {
-        a as i64
-    }
-}
-
 /// Reduces a signed integer into `[0, q)`.
 ///
 /// # Examples
@@ -238,22 +193,6 @@ mod tests {
         for a in [1u64, 2, 999, q - 1] {
             let inv = inv_mod_prime(a, q).unwrap();
             assert_eq!(mul_mod(a, inv, q), 1);
-        }
-    }
-
-    #[test]
-    fn extended_euclid_matches_fermat_for_primes() {
-        let q = 65537u64;
-        for a in 1..200u64 {
-            assert_eq!(inv_mod(a, q), inv_mod_prime(a, q));
-        }
-    }
-
-    #[test]
-    fn center_round_trips() {
-        let q = 97u64;
-        for a in 0..q {
-            assert_eq!(reduce_i64(center(a, q), q), a);
         }
     }
 }

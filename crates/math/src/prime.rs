@@ -120,13 +120,7 @@ pub fn ntt_prime_chain(bits: u32, modulo: u64, count: usize) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics if `p` is not prime.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(he_math::prime::primitive_root(7), 3);
-/// ```
-pub fn primitive_root(p: u64) -> u64 {
+fn primitive_root(p: u64) -> u64 {
     assert!(is_prime(p), "primitive_root requires a prime modulus");
     if p == 2 {
         return 1;

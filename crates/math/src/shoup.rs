@@ -44,12 +44,6 @@ impl ShoupMul {
         self.w
     }
 
-    /// The precomputed quotient constant `floor(w · 2^64 / q)`.
-    #[inline]
-    pub fn quotient(&self) -> u64 {
-        self.w_shoup
-    }
-
     /// Computes `a · w mod q` for reduced `a`.
     ///
     /// The result of the core step lies in `[0, 2q)`; one conditional
@@ -64,16 +58,6 @@ impl ShoupMul {
         } else {
             r
         }
-    }
-
-    /// Computes `a · w mod q` leaving the result in `[0, 2q)` (lazy form),
-    /// for pipelines that defer the final correction — mirroring how the
-    /// hardware SBT core is shared across butterfly stages.
-    #[inline]
-    pub fn mul_lazy(&self, a: u64) -> u64 {
-        debug_assert!(a < self.q);
-        let quot = ((self.w_shoup as u128 * a as u128) >> 64) as u64;
-        (self.w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(self.q))
     }
 
     /// Computes `a · w mod q` in `[0, 2q)` for **any** `a`, reduced or not.
@@ -174,21 +158,10 @@ mod tests {
         for w in [0u64, 1, 5, q / 2, q - 1] {
             let m = ShoupMul::new(w, q);
             let wq = shoup_quotient(w, q);
-            assert_eq!(wq, m.quotient());
+            assert_eq!(wq, m.w_shoup);
             for a in [0u64, 1, q - 1, 2 * q - 1, u64::MAX] {
                 assert_eq!(mul_shoup_lane(a, w, wq, q), mul_mod(a % q, w, q));
             }
-        }
-    }
-
-    #[test]
-    fn lazy_form_is_within_2q() {
-        let q = 786_433u64;
-        let m = ShoupMul::new(q - 1, q);
-        for a in [0u64, 1, q / 2, q - 1] {
-            let lazy = m.mul_lazy(a);
-            assert!(lazy < 2 * q);
-            assert_eq!(lazy % q, mul_mod(a, q - 1, q));
         }
     }
 }

@@ -78,18 +78,11 @@ impl AccessPattern {
         1usize << (self.k * (iter - 1)).min(self.n.trailing_zeros() - 1)
     }
 
-    /// The `2^k` operand indices one NTT core consumes in fused iteration
-    /// `iter`, for the block starting at `base`.
-    pub fn fused_operands(&self, iter: u32, base: usize) -> Vec<usize> {
-        let off = self.fused_offset(iter);
-        (0..1usize << self.k).map(|e| base + e * off).collect()
-    }
-
     /// The diagonal BRAM bank that stores operand index `idx` so that each
     /// fused gather touches `2^k` *distinct* banks (Fig. 5's diagonal
     /// layout): `bank = (idx + idx / 2^k) mod 2^k` folded over phases —
     /// we use the standard skewed scheme `(sum of base-2^k digits) mod 2^k`.
-    pub fn bram_bank(&self, idx: usize) -> usize {
+    fn bram_bank(&self, idx: usize) -> usize {
         let radix = 1usize << self.k;
         let mut v = idx;
         let mut acc = 0usize;
@@ -147,14 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn fig5_operand_gathers() {
-        let p = AccessPattern::new(4096, 3);
-        assert_eq!(p.fused_operands(1, 0), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(p.fused_operands(2, 0), vec![0, 8, 16, 24, 32, 40, 48, 56]);
-        assert_eq!(p.fused_operands(3, 0)[1], 64);
-    }
-
-    #[test]
     fn diagonal_banking_is_conflict_free() {
         for (n, k) in [(512usize, 3u32), (4096, 3), (256, 2), (4096, 4)] {
             let p = AccessPattern::new(n, k);
@@ -168,7 +153,7 @@ mod tests {
         // {0, 8, 16, ...} hits bank 0 every time — the diagonal scheme is
         // what avoids this.
         let p = AccessPattern::new(4096, 3);
-        let ops = p.fused_operands(2, 0);
+        let ops: Vec<usize> = (0..8).map(|e| e * p.fused_offset(2)).collect();
         let linear: Vec<usize> = ops.iter().map(|i| i % 8).collect();
         assert!(linear.iter().all(|&b| b == 0));
         let diagonal: Vec<usize> = ops.iter().map(|&i| p.bram_bank(i)).collect();

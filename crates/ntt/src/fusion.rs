@@ -43,7 +43,6 @@ use crate::table::NttTable;
 #[derive(Debug, Clone)]
 pub struct FusedNtt {
     n: usize,
-    radix_log: u32,
     /// One group of fused stages; applied in order.
     groups: Vec<StageGroup>,
     reducer: BarrettReducer,
@@ -140,17 +139,10 @@ impl FusedNtt {
 
         Self {
             n,
-            radix_log: k,
             groups,
             reducer: BarrettReducer::new(q),
             distinct_twiddles_per_block: distinct_total as f64 / kernel_count as f64,
         }
-    }
-
-    /// Fusion degree `k`.
-    #[inline]
-    pub fn radix_log(&self) -> u32 {
-        self.radix_log
     }
 
     /// Number of fused phases (stage groups) — `ceil(log2(N)/k)`, paper
@@ -266,15 +258,6 @@ impl FusionAnalysis {
             reductions_unfused: k as u64 * block,
             reductions_fused: block,
         }
-    }
-
-    /// Total modular reductions for a full length-`n` transform at this
-    /// fusion degree (blocks per phase × phases × per-block reductions).
-    pub fn reductions_full_transform(&self, n: usize) -> u64 {
-        let log_n = n.trailing_zeros();
-        let phases = log_n.div_ceil(self.k);
-        let blocks_per_phase = (n as u64) >> self.k.min(log_n);
-        blocks_per_phase.max(1) * phases as u64 * self.reductions_fused
     }
 }
 

@@ -111,14 +111,6 @@ mod tel {
 /// when digits are lifted in place).
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
-/// Number of worker panics that [`par_map`]/[`par_map_unzip`] contained
-/// and recovered via serial re-dispatch since process start (the
-/// `par.contained` scope's count). A panic that reproduces on the retry is
-/// *not* counted — it propagates to the caller unchanged.
-pub fn contained_panics() -> u64 {
-    tel::contained().count()
-}
-
 thread_local! {
     /// Scoped override installed by [`with_threads`].
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
@@ -250,7 +242,7 @@ where
 /// On the parallel path each item runs under `catch_unwind`: a panicking
 /// item does not tear down the dispatch. Failed items are re-run serially
 /// on the calling thread, once each — a transient failure (a poisoned
-/// limb job) recovers and bumps [`contained_panics`]; a panic that
+/// limb job) recovers and bumps `par.contained`; a panic that
 /// reproduces on the retry propagates to the caller with its original
 /// payload, so deterministic `assert!` failures behave exactly as before.
 /// The retry re-invokes `f` from scratch, which is sound here because
@@ -428,7 +420,7 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
-    /// Held by the tests that bump the process-wide [`contained_panics`]
+    /// Held by the tests that bump the process-wide `par.contained`
     /// counter, so that an exact `before + 1` can be asserted.
     static CONTAINS_A_PANIC: Mutex<()> = Mutex::new(());
 
@@ -438,7 +430,7 @@ mod tests {
         let _counter = CONTAINS_A_PANIC.lock().unwrap_or_else(|e| e.into_inner());
         static TRIPPED: AtomicBool = AtomicBool::new(false);
         TRIPPED.store(false, Ordering::SeqCst);
-        let before = contained_panics();
+        let before = tel::contained().count();
         let out = with_threads(4, || {
             par_map(8, PAR_THRESHOLD, |i| {
                 if i == 3 && !TRIPPED.swap(true, Ordering::SeqCst) {
@@ -448,7 +440,7 @@ mod tests {
             })
         });
         assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(contained_panics(), before + 1);
+        assert_eq!(tel::contained().count(), before + 1);
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl RnsBasis {
     }
 
     /// `q̂_j = Q / q_j mod q_j` for each `j` — the CRT "hat" residues.
-    pub fn qhat_mod_self(&self) -> Vec<u64> {
+    fn qhat_mod_self(&self) -> Vec<u64> {
         (0..self.len())
             .map(|j| {
                 let qj = self.primes[j];

@@ -144,7 +144,12 @@ fn batched_rotations_hoist_once() {
         steps.len() as u64,
         "all jobs must land on the tenant's affine shard"
     );
-    let (_, all_shard_items) = diff.sum_prefix("serve.shard.");
+    let all_shard_items: u64 = diff
+        .scopes
+        .iter()
+        .filter(|s| s.name.starts_with("serve.shard."))
+        .map(|s| s.items)
+        .sum();
     assert_eq!(
         all_shard_items,
         steps.len() as u64,

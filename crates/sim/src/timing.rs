@@ -69,7 +69,7 @@ pub fn cycles_by_operator(
 
 /// Compulsory HBM words for one instance of `op` (reads + writes),
 /// including keyswitching key streams, before scratchpad adjustment.
-pub fn hbm_words(op: BasicOp, p: &OpParams) -> u64 {
+pub(crate) fn hbm_words(op: BasicOp, p: &OpParams) -> u64 {
     let n = p.n as u64;
     let l = p.components as u64;
     let k = p.special as u64;

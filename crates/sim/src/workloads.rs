@@ -105,7 +105,7 @@ pub fn packed_bootstrap_trace() -> OpTrace {
 /// Per iteration: the batched gradient needs one inner product
 /// (rotations-and-adds reduction over log2(features) ≈ 8 steps), a degree-3
 /// sigmoid approximation (2 CMults), and the weight update (PMults/HAdds).
-pub fn logistic_regression_trace() -> OpTrace {
+fn logistic_regression_trace() -> OpTrace {
     let mut t = OpTrace::new();
     let iters = 10u64;
     for it in 0..iters {
@@ -129,7 +129,7 @@ pub fn logistic_regression_trace() -> OpTrace {
 
 /// LSTM inference: 50 iterations of `y ← σ(W0·y + W1·x)` with 128×128
 /// matrices (paper Table V), 50 bootstraps.
-pub fn lstm_trace() -> OpTrace {
+fn lstm_trace() -> OpTrace {
     let mut t = OpTrace::new();
     let iters = 50u64;
     for _ in 0..iters {
@@ -155,7 +155,7 @@ pub fn lstm_trace() -> OpTrace {
 /// ResNet-20 inference (paper Table V): 20 convolutional layers expressed
 /// as FHE matrix products plus ReLU polynomial approximations, with
 /// periodic bootstrapping.
-pub fn resnet20_trace() -> OpTrace {
+fn resnet20_trace() -> OpTrace {
     let mut t = OpTrace::new();
     // 19 conv layers + FC; channel-packed convolutions: per layer ~9
     // kernel taps × rotations plus per-tap PMults; ReLU ≈ degree-7 poly.
@@ -203,12 +203,13 @@ mod tests {
     fn keyswitch_bearing_ops_dominate_bootstrap() {
         // Fig. 8: Keyswitch-bearing ops (CMult/Rotation) take the largest
         // share of bootstrapping work.
-        let per = packed_bootstrap_trace().per_op_counts();
-        let total: u64 = per.iter().map(|(_, c)| c.total()).sum();
-        let heavy: u64 = per
+        let trace = packed_bootstrap_trace();
+        let total = trace.operator_counts().total();
+        let heavy: u64 = trace
+            .entries()
             .iter()
-            .filter(|(op, _)| matches!(op, BasicOp::CMult | BasicOp::Rotation))
-            .map(|(_, c)| c.total())
+            .filter(|(op, _, _)| matches!(op, BasicOp::CMult | BasicOp::Rotation))
+            .map(|(op, p, c)| (op.operator_counts(p) * *c).total())
             .sum();
         assert!(heavy * 2 > total, "{heavy} of {total}");
     }

@@ -10,7 +10,7 @@
 //!
 //! * [`Metric`] — an atomic bundle per named scope: an event counter, an
 //!   element (work-item) counter, a monotonic busy-time accumulator, and a
-//!   fixed-bucket log₂ latency [`Histogram`].
+//!   fixed-bucket log₂ latency histogram.
 //! * [`Span`] — an RAII timer guard ([`Metric::span`]): measures one timed
 //!   region with `Instant` and folds duration + element count into the
 //!   metric on drop. [`Metric::add`] is the timer-free variant for pure
@@ -21,8 +21,8 @@
 //!   path never touches the map lock.
 //!
 //! [`Snapshot`] captures the registry (or any metric set) at an instant and
-//! renders to an aligned text table or JSON (hand-rolled — this crate has
-//! zero dependencies by design, matching the offline build).
+//! renders to JSON (hand-rolled — this crate has zero dependencies by
+//! design, matching the offline build).
 //!
 //! Scope naming convention is dotted lower-case paths mirroring the layers:
 //! `ntt.forward`, `rns.convert`, `rescale`, `keyswitch.digit`, `eval.mul`,
@@ -100,25 +100,25 @@ pub const HIST_BUCKETS: usize = 32;
 /// Recording is a single relaxed atomic increment; there is no dynamic
 /// allocation after construction. Bucket `i` covers `[2^i, 2^{i+1})` ns.
 #[derive(Debug, Default)]
-pub struct Histogram {
+struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
 impl Histogram {
     /// Bucket index for a duration in nanoseconds.
     #[inline]
-    pub fn bucket_index(nanos: u64) -> usize {
+    fn bucket_index(nanos: u64) -> usize {
         (63 - nanos.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1)
     }
 
     /// Records one observation.
     #[inline]
-    pub fn record(&self, nanos: u64) {
+    fn record(&self, nanos: u64) {
         self.buckets[Self::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current bucket counts.
-    pub fn counts(&self) -> [u64; HIST_BUCKETS] {
+    fn counts(&self) -> [u64; HIST_BUCKETS] {
         let mut out = [0u64; HIST_BUCKETS];
         for (o, b) in out.iter_mut().zip(&self.buckets) {
             *o = b.load(Ordering::Relaxed);
@@ -127,7 +127,7 @@ impl Histogram {
     }
 
     /// Zeroes every bucket.
-    pub fn reset(&self) {
+    fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
@@ -150,7 +150,7 @@ pub struct Metric {
 
 impl Metric {
     /// A fresh, unregistered metric: instance-local counters that no
-    /// registry snapshot sees unless [`Registry::register`]ed.
+    /// registry snapshot sees ([`Snapshot::from_metrics`] exports them).
     pub fn new() -> Arc<Metric> {
         Arc::new(Metric::default())
     }
@@ -221,11 +221,6 @@ impl Metric {
         self.nanos.load(Ordering::Relaxed)
     }
 
-    /// The latency histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
     /// Zeroes the metric (counters and histogram).
     pub fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
@@ -291,17 +286,9 @@ impl Registry {
     /// Resolves the metric for an indexed scope family, `"{base}{index}"`
     /// — e.g. `scope_indexed("serve.shard", 2)` → `serve.shard2`. Sharded
     /// subsystems use one scope per lane/worker so imbalance is visible in
-    /// a snapshot, while [`Snapshot::sum_prefix`] recovers the aggregate.
+    /// a snapshot; summing the family's scopes recovers the aggregate.
     pub fn scope_indexed(&self, base: &str, index: usize) -> Arc<Metric> {
         self.scope(&format!("{base}{index}"))
-    }
-
-    /// Registers an externally created metric under `name` (used to expose
-    /// instance-local counters, e.g. one operator pool's, in a snapshot
-    /// namespace). Replaces any previous metric of that name.
-    pub fn register(&self, name: &str, metric: Arc<Metric>) {
-        let mut map = self.scopes.lock().expect("telemetry registry poisoned");
-        map.insert(name.to_string(), metric);
     }
 
     /// Names currently registered, sorted.
@@ -342,32 +329,7 @@ pub struct ScopeStats {
     pub buckets: [u64; HIST_BUCKETS],
 }
 
-impl ScopeStats {
-    /// Mean span duration in nanoseconds (0 when untimed or empty).
-    pub fn mean_nanos(&self) -> u64 {
-        self.nanos.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Approximate quantile from the histogram: the upper bound (ns) of
-    /// the bucket containing the `q`-quantile observation, or 0 if empty.
-    pub fn quantile_nanos(&self, q: f64) -> u64 {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        1u64 << HIST_BUCKETS
-    }
-}
-
-/// A point-in-time capture of a metric set, renderable as text or JSON.
+/// A point-in-time capture of a metric set, renderable as JSON.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Captured scopes, sorted by name.
@@ -386,23 +348,6 @@ impl Snapshot {
     /// Stats for one scope, if present.
     pub fn get(&self, name: &str) -> Option<&ScopeStats> {
         self.scopes.iter().find(|s| s.name == name)
-    }
-
-    /// Scopes whose name starts with `prefix` (e.g. `"pool."`).
-    pub fn with_prefix(&self, prefix: &str) -> Vec<&ScopeStats> {
-        self.scopes
-            .iter()
-            .filter(|s| s.name.starts_with(prefix))
-            .collect()
-    }
-
-    /// Aggregate `(count, items)` over every scope whose name starts with
-    /// `prefix` — the rollup view of an indexed scope family such as the
-    /// per-shard `serve.shard{N}.*` counters.
-    pub fn sum_prefix(&self, prefix: &str) -> (u64, u64) {
-        self.with_prefix(prefix)
-            .iter()
-            .fold((0, 0), |(c, i), s| (c + s.count, i + s.items))
     }
 
     /// The scope-by-scope difference `self − earlier` (counters only;
@@ -430,31 +375,6 @@ impl Snapshot {
             })
             .collect();
         Snapshot { scopes }
-    }
-
-    /// Renders an aligned text table (one row per non-empty scope).
-    pub fn to_text_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<20} {:>12} {:>16} {:>12} {:>10} {:>10} {:>10}\n",
-            "scope", "count", "items", "total ms", "mean us", "p50 us", "p99 us"
-        ));
-        for s in &self.scopes {
-            if s.count == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{:<20} {:>12} {:>16} {:>12.3} {:>10.2} {:>10.2} {:>10.2}\n",
-                s.name,
-                s.count,
-                s.items,
-                s.nanos as f64 / 1e6,
-                s.mean_nanos() as f64 / 1e3,
-                s.quantile_nanos(0.5) as f64 / 1e3,
-                s.quantile_nanos(0.99) as f64 / 1e3,
-            ));
-        }
-        out
     }
 
     /// Renders JSON (hand-rolled: scope names are internal identifiers,
@@ -506,7 +426,7 @@ mod tests {
         assert_eq!(m.count(), 3);
         assert_eq!(m.items(), 18);
         assert_eq!(m.nanos(), 1500);
-        assert_eq!(m.histogram().counts()[Histogram::bucket_index(1500)], 1);
+        assert_eq!(m.hist.counts()[Histogram::bucket_index(1500)], 1);
         m.reset();
         assert_eq!((m.count(), m.items(), m.nanos()), (0, 0, 0));
     }
@@ -520,7 +440,7 @@ mod tests {
         assert_eq!(m.count(), 1);
         assert_eq!(m.items(), 7);
         // Even an empty region takes ≥ 0 ns; the histogram gained one entry.
-        assert_eq!(m.histogram().counts().iter().sum::<u64>(), 1);
+        assert_eq!(m.hist.counts().iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -547,32 +467,14 @@ mod tests {
         assert_eq!(d.get("a").unwrap().items, 6);
         assert_eq!(d.get("a").unwrap().count, 1);
         assert_eq!(d.get("b").unwrap().nanos, 100);
-        assert_eq!(d.with_prefix("a").len(), 1);
     }
 
     #[test]
-    fn quantiles_use_bucket_upper_bounds() {
-        let m = Metric::new();
-        for _ in 0..99 {
-            m.record_nanos(1, 100); // bucket 6: [64, 128)
-        }
-        m.record_nanos(1, 1 << 20); // one ~1 ms outlier
-        let s = m.stats("q");
-        assert_eq!(s.quantile_nanos(0.5), 1 << 7);
-        assert_eq!(s.quantile_nanos(0.99), 1 << 7);
-        assert_eq!(s.quantile_nanos(1.0), 1 << 21);
-    }
-
-    #[test]
-    fn renders_text_and_json() {
+    fn renders_json() {
         let r = Registry::new();
         r.scope("ntt.forward").record_nanos(1024, 2_000_000);
-        r.scope("empty.scope"); // zero-count scopes are hidden in text
-        let snap = r.snapshot();
-        let t = snap.to_text_table();
-        assert!(t.contains("ntt.forward"));
-        assert!(!t.contains("empty.scope"));
-        let j = snap.to_json();
+        r.scope("empty.scope");
+        let j = r.snapshot().to_json();
         assert!(j.starts_with("{\"scopes\":["));
         assert!(j.contains("\"name\":\"empty.scope\""));
         assert!(j.contains("\"nanos\":2000000"));

@@ -97,7 +97,7 @@ pub const HEADER_LEN: usize = 20;
 pub const TRAILER_LEN: usize = 8;
 
 /// KeySet frame flag bit: the frame carries the secret key coefficients.
-pub const FLAG_HAS_SECRET: u8 = 1;
+const FLAG_HAS_SECRET: u8 = 1;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -496,7 +496,7 @@ fn read_header(r: &mut Reader<'_>) -> Result<(Kind, u8, usize), WireError> {
 /// Splits a frame into `(kind, flags, payload)`, verifying magic, version,
 /// declared length, and checksum. The returned payload is unvalidated —
 /// object decoders do field-level validation on top.
-pub fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
+fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
     let mut r = Reader::new(bytes);
     let (kind, flags, payload_len) = read_header(&mut r)?;
     let declared = HEADER_LEN + payload_len + TRAILER_LEN;
@@ -513,12 +513,6 @@ pub fn parse_frame(bytes: &[u8]) -> Result<(Kind, u8, &[u8]), WireError> {
         return Err(WireError::ChecksumMismatch { expected, got });
     }
     Ok((kind, flags, payload))
-}
-
-/// The kind of a frame, from its header alone (no checksum walk) — lets a
-/// server dispatch before committing to a full decode.
-pub fn peek_kind(bytes: &[u8]) -> Result<Kind, WireError> {
-    read_header(&mut Reader::new(bytes)).map(|(kind, _, _)| kind)
 }
 
 /// The envelope gate every decoder runs: parses the frame, refuses any

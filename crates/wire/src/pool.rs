@@ -62,7 +62,7 @@ impl BufferPool {
     }
 
     /// Recycles every residue row of a consumed polynomial.
-    pub fn recycle_poly(&self, poly: RnsPoly) {
+    fn recycle_poly(&self, poly: RnsPoly) {
         for row in poly.into_residues() {
             self.put(row);
         }

@@ -13,7 +13,7 @@ use he_ckks::params::CkksParams;
 use he_rns::{Form, RnsBasis, RnsPoly};
 use poseidon_wire::{
     decode_ciphertext_pooled, decode_plaintext_pooled, BufferPool, KeysetAssembler, Kind,
-    WireError, HEADER_LEN, MAGIC, VERSION,
+    WireError, HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
 };
 use rand::{Rng, SeedableRng};
 
@@ -52,33 +52,37 @@ fn tiny_ciphertext_frame() -> (CkksContext, Vec<u8>) {
     (ctx, bytes)
 }
 
-/// Decoding dispatched on the frame's own kind — used to prove that *no*
-/// decoder panics on a corrupt frame, whatever the bytes claim to be.
-fn decode_any(ctx: &CkksContext, bytes: &[u8]) -> Result<(), WireError> {
-    match poseidon_wire::peek_kind(bytes) {
-        Ok(Kind::Params) => poseidon_wire::decode_params(bytes).map(|_| ()),
-        Ok(Kind::Plaintext) => poseidon_wire::decode_plaintext(ctx, bytes).map(|_| ()),
-        Ok(Kind::Ciphertext) => poseidon_wire::decode_ciphertext(ctx, bytes).map(|_| ()),
-        Ok(Kind::KeySwitchKey) => poseidon_wire::decode_keyswitch_key(ctx, bytes).map(|_| ()),
-        Ok(Kind::KeySet) => poseidon_wire::decode_keyset(bytes).map(|_| ()),
-        Ok(Kind::KeySetChunk) => KeysetAssembler::new().accept(bytes).map(|_| ()),
-        Err(e) => Err(e),
-    }
-}
-
-/// The kind-dispatched decoders plus both pooled decoders, labelled: each
-/// one must refuse a corrupt frame on its own.
-fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> [(&'static str, Result<(), WireError>); 3] {
+/// Every public decoder, copying and pooled, labelled: whatever kind the
+/// bytes claim to be, each one must refuse a corrupt frame on its own with
+/// a typed error — none may panic.
+fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> [(&'static str, Result<(), WireError>); 8] {
     let pool = BufferPool::new(64);
     [
-        ("by kind", decode_any(ctx, bytes)),
+        ("params", poseidon_wire::decode_params(bytes).map(|_| ())),
+        (
+            "plaintext",
+            poseidon_wire::decode_plaintext(ctx, bytes).map(|_| ()),
+        ),
+        (
+            "pooled plaintext",
+            decode_plaintext_pooled(ctx, bytes, &pool).map(|_| ()),
+        ),
+        (
+            "ciphertext",
+            poseidon_wire::decode_ciphertext(ctx, bytes).map(|_| ()),
+        ),
         (
             "pooled ciphertext",
             decode_ciphertext_pooled(ctx, bytes, &pool).map(|_| ()),
         ),
         (
-            "pooled plaintext",
-            decode_plaintext_pooled(ctx, bytes, &pool).map(|_| ()),
+            "keyswitch key",
+            poseidon_wire::decode_keyswitch_key(ctx, bytes).map(|_| ()),
+        ),
+        ("keyset", poseidon_wire::decode_keyset(bytes).map(|_| ())),
+        (
+            "chunk assembler",
+            KeysetAssembler::new().accept(bytes).map(|_| ()),
         ),
     ]
 }
@@ -150,17 +154,15 @@ fn version_skew_is_reported_with_both_versions() {
 #[test]
 fn unknown_kind_and_kind_confusion_are_typed() {
     let (ctx, bytes) = tiny_ciphertext_frame();
-    // peek_kind on a junk kind byte (header checksum not consulted there).
+    // A junk kind byte is refused from the header, before the checksum.
     let mut junk = bytes.clone();
     junk[10] = 0xEE;
-    assert_eq!(
-        poseidon_wire::peek_kind(&junk),
-        Err(WireError::UnknownKind(0xEE))
-    );
-    // The intact frame's header: its kind and an empty flag byte.
-    assert_eq!(poseidon_wire::peek_kind(&bytes), Ok(Kind::Ciphertext));
-    let (kind, flags, _) = poseidon_wire::parse_frame(&bytes).unwrap();
-    assert_eq!((kind, flags), (Kind::Ciphertext, 0));
+    for (decoder, result) in decode_all(&ctx, &junk) {
+        assert_eq!(result, Err(WireError::UnknownKind(0xEE)), "{decoder}");
+    }
+    // The intact frame's header: its kind (3, a ciphertext) and an empty
+    // flag byte.
+    assert_eq!(bytes[10..12], [3, 0]);
     // A well-formed ciphertext frame handed to either plaintext decoder.
     let pool = BufferPool::new(8);
     for result in [
@@ -216,7 +218,6 @@ fn foreign_context_is_a_context_mismatch() {
 #[test]
 fn overflowing_payload_length_is_a_typed_error() {
     let ctx = CkksContext::new(tiny_params());
-    let pool = BufferPool::new(8);
     for payload_len in [u64::MAX - 27, u64::MAX - 5, u64::MAX] {
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
@@ -225,41 +226,8 @@ fn overflowing_payload_length_is_a_typed_error() {
         frame.extend_from_slice(&payload_len.to_le_bytes());
         frame.extend_from_slice(&[0; 16]);
         assert_eq!(frame.len(), 36);
-        let results = [
-            (
-                "parse_frame",
-                poseidon_wire::parse_frame(&frame).map(|_| ()),
-            ),
-            ("peek_kind", poseidon_wire::peek_kind(&frame).map(|_| ())),
-            ("params", poseidon_wire::decode_params(&frame).map(|_| ())),
-            (
-                "plaintext",
-                poseidon_wire::decode_plaintext(&ctx, &frame).map(|_| ()),
-            ),
-            (
-                "pooled plaintext",
-                decode_plaintext_pooled(&ctx, &frame, &pool).map(|_| ()),
-            ),
-            (
-                "ciphertext",
-                poseidon_wire::decode_ciphertext(&ctx, &frame).map(|_| ()),
-            ),
-            (
-                "pooled ciphertext",
-                decode_ciphertext_pooled(&ctx, &frame, &pool).map(|_| ()),
-            ),
-            (
-                "keyswitch key",
-                poseidon_wire::decode_keyswitch_key(&ctx, &frame).map(|_| ()),
-            ),
-            ("keyset", poseidon_wire::decode_keyset(&frame).map(|_| ())),
-            (
-                "chunk assembler",
-                KeysetAssembler::new().accept(&frame).map(|_| ()),
-            ),
-        ];
         let needed = usize::try_from(payload_len).expect("64-bit host");
-        for (decoder, result) in results {
+        for (decoder, result) in decode_all(&ctx, &frame) {
             assert_eq!(
                 result,
                 Err(WireError::Truncated {
@@ -275,21 +243,10 @@ fn overflowing_payload_length_is_a_typed_error() {
 /// Rebuilds a frame around a hand-mangled payload (valid checksum, invalid
 /// fields) so field validation is exercised *past* the checksum gate.
 fn reframe(original: &[u8], mangle: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let (kind, _flags, payload) = poseidon_wire::parse_frame(original).expect("valid input frame");
-    let mut payload = payload.to_vec();
+    let mut payload = original[HEADER_LEN..original.len() - TRAILER_LEN].to_vec();
     mangle(&mut payload);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(match kind {
-        Kind::Params => 1,
-        Kind::Plaintext => 2,
-        Kind::Ciphertext => 3,
-        Kind::KeySwitchKey => 4,
-        Kind::KeySet => 5,
-        Kind::KeySetChunk => 6,
-    });
-    out.push(if kind == Kind::KeySet { 1 } else { 0 });
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    out.extend_from_slice(&original[..12]); // magic, version, kind, flags
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
     let sum = poseidon_wire::checksum(&out[8..]);
@@ -392,7 +349,7 @@ fn forged_keyset(n: usize) -> Vec<u8> {
     };
     let mut frame = poseidon_wire::encode_params(&params);
     frame[10] = 5; // the kind byte: a key set
-    let end = frame.len() - poseidon_wire::TRAILER_LEN;
+    let end = frame.len() - TRAILER_LEN;
     let sum = poseidon_wire::checksum(&frame[MAGIC.len()..end]);
     frame[end..].copy_from_slice(&sum.to_le_bytes());
     frame
@@ -433,7 +390,7 @@ fn decoder_never_panics_on_random_garbage() {
             if rng.gen_range(0..2u32) == 0 && junk.len() >= 8 {
                 junk[..8].copy_from_slice(&MAGIC);
             }
-            let _ = decode_any(&ctx, &junk);
+            let _ = decode_all(&ctx, &junk);
         }
     }
 }

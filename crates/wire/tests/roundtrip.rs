@@ -53,10 +53,6 @@ fn params_round_trip_all_presets() {
             bytes,
             "re-encode drifted"
         );
-        assert_eq!(
-            poseidon_wire::peek_kind(&bytes).expect("peek"),
-            poseidon_wire::Kind::Params
-        );
     }
 }
 

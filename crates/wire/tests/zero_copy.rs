@@ -106,7 +106,7 @@ fn corrupt_residue_returns_rows_to_pool() {
 
     // Rebuild the frame with an out-of-range residue in the *last* c1 row
     // so several rows are already pooled when validation fails.
-    let (_, _, payload) = poseidon_wire::parse_frame(&bytes).unwrap();
+    let payload = &bytes[poseidon_wire::HEADER_LEN..bytes.len() - poseidon_wire::TRAILER_LEN];
     let mut payload = payload.to_vec();
     let q_last = *basis.primes().last().unwrap();
     let tail = payload.len() - 8;
