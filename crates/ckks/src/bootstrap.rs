@@ -306,7 +306,7 @@ impl Bootstrapper {
         let half = c.sqrt();
         let mut y = ct.clone();
         for _ in 0..2 {
-            y = eval.try_rescale(&eval.mul_const(&y, Complex::new(half, 0.0)))?;
+            y = eval.try_rescale(&eval.mul_const(&y, half))?;
         }
 
         // Taylor sine and cosine of the divided angle, over one set of
@@ -343,7 +343,7 @@ impl Bootstrapper {
         // few bits above Δ the constant is O(1) and encodes at the working
         // scale without precision loss.
         let back = q0_eff / (2.0 * std::f64::consts::PI);
-        eval.try_rescale(&eval.mul_const(&s, Complex::new(back, 0.0)))
+        eval.try_rescale(&eval.mul_const(&s, back))
     }
 
     /// Runs the full bootstrapping pipeline on an exhausted (level 0)

@@ -4,8 +4,8 @@
 //! | paper operation | method |
 //! |---|---|
 //! | HAdd (ct+ct, ct+pt)   | [`Evaluator::try_add`], [`Evaluator::try_add_plain`] |
-//! | PMult                 | [`Evaluator::try_mul_plain`], [`Evaluator::mul_const`] |
-//! | CMult + relinearise   | [`Evaluator::try_mul`] |
+//! | PMult                 | [`Evaluator::try_mul_plain`]; by a real constant, a per-limb scalar: [`Evaluator::mul_const`] |
+//! | CMult + relinearise   | [`Evaluator::try_mul`], [`Evaluator::try_square`] (a key-switch engine output that joins `d_0`, `d_1`) |
 //! | Rescale               | [`Evaluator::try_rescale`] |
 //! | Keyswitch (Modup/RNSconv/Moddown) | [`Evaluator::keyswitch`] |
 //! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`], [`Evaluator::try_rotate_many`] |
@@ -24,6 +24,7 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use he_math::modops::{add_mod, reduce_i64};
 use he_math::ShoupMul;
 use he_rns::conv::{lift_exact, rescale as rns_rescale, ModdownSplit};
 use he_rns::integrity::fnv1a_words;
@@ -331,13 +332,14 @@ impl Evaluator {
         self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Multiplies by a complex constant, encoding it at the context scale.
-    /// Rescale afterwards.
-    pub fn mul_const(&self, a: &Ciphertext, c: Complex) -> Ciphertext {
+    /// Multiplies by a real constant at the context scale Δ: both
+    /// components times `[round(c·Δ)]_{q_i}` per limb, in coefficient form.
+    /// That is the constant polynomial a real constant encodes to, so this
+    /// is [`try_mul_plain`](Self::try_mul_plain) by it bit for bit, with no
+    /// encode and no transform. Rescale afterwards.
+    pub fn mul_const(&self, a: &Ciphertext, c: f64) -> Ciphertext {
         let scale = self.ctx.default_scale();
-        let pt = self.encode_at_level(&[c], scale, a.level());
-        self.try_mul_plain(a, &pt)
-            .expect("constant encoded at the ciphertext's level")
+        mul_integer(a, (c * scale).round() as i64, a.scale() * scale)
     }
 
     /// Encodes a (replicated) slot vector at a specific level.
@@ -347,7 +349,9 @@ impl Evaluator {
     }
 
     /// Ciphertext multiplication with relinearisation (paper CMult):
-    /// computes `(d_0, d_1, d_2)` and folds `d_2` back with the relin key.
+    /// computes `(d̂_0, d̂_1, d̂_2)` in evaluation form and folds `d_2` back
+    /// with the relin key through the key-switch engine, which joins `d̂_0`
+    /// and `d̂_1` before Moddown (see [`keyswitch`](Self::keyswitch)).
     /// Result scale is Δ_a · Δ_b; rescale afterwards.
     ///
     /// The plain path always succeeds; it shares the signature of the
@@ -369,33 +373,39 @@ impl Evaluator {
         let a1 = a.c1().clone().into_eval();
         let b0 = b.c0().clone().into_eval();
         let b1 = b.c1().clone().into_eval();
-        let d0 = a0.mul(&b0).into_coeff();
-        let d1 = a0.mul(&b1).add(&a1.mul(&b0)).into_coeff();
-        let d2 = a1.mul(&b1).into_coeff();
-        let (k0, k1) = self.keyswitch(&d2, keys.relin());
-        Ok(Ciphertext::new(
-            d0.add(&k0),
-            d1.add(&k1),
-            a.scale() * b.scale(),
-        ))
+        let d0 = a0.mul(&b0);
+        let d1 = a0.mul(&b1).add(&a1.mul(&b0));
+        let d2 = a1.mul(&b1);
+        Ok(self.relinearise([d0, d1, d2], keys, a.scale() * b.scale()))
     }
 
     /// Squares a ciphertext (saves one eval-form product vs
-    /// [`try_mul`](Self::try_mul), whose error contract it shares).
+    /// [`try_mul`](Self::try_mul), whose error contract it shares, and
+    /// two forward transforms per limb; bit-identical to `try_mul(a, a)`).
     pub fn try_square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let _span = tel::mul().span(((a.level() + 1) * self.ctx.n()) as u64);
         let a0 = a.c0().clone().into_eval();
         let a1 = a.c1().clone().into_eval();
-        let d0 = a0.mul(&a0).into_coeff();
+        let d0 = a0.mul(&a0);
         let cross = a0.mul(&a1);
-        let d1 = cross.add(&cross).into_coeff();
-        let d2 = a1.mul(&a1).into_coeff();
-        let (k0, k1) = self.keyswitch(&d2, keys.relin());
-        Ok(Ciphertext::new(
-            d0.add(&k0),
-            d1.add(&k1),
-            a.scale() * a.scale(),
-        ))
+        let d1 = cross.add(&cross);
+        let d2 = a1.mul(&a1);
+        Ok(self.relinearise([d0, d1, d2], keys, a.scale() * a.scale()))
+    }
+
+    /// The evaluation-form products `(d̂_0, d̂_1, d̂_2)` relinearised as one
+    /// output of the key-switch engine: only `d_2` is inverse-transformed
+    /// (its digits need coefficient form); `d̂_2`'s own residue is digit `i`
+    /// on limb `i`, and `[P]·d̂_0`, `[P]·d̂_1` join the chain-limb rows
+    /// before their inverse NTT, so Moddown returns `d + Moddown(y)` exactly
+    /// (`[P·d]_P = 0`).
+    fn relinearise(&self, d: [RnsPoly; 3], keys: &KeySet, scale: f64) -> Ciphertext {
+        let d2 = d[2].clone().into_coeff();
+        let term = [Term::switch((1, keys.relin()))];
+        let source = Source::Lift(&d2, Some(&d));
+        let mut fan = self.switch_fan(d2.level_count() - 1, source, &[&term]);
+        let (c0, c1) = fan.pop().expect("a fan of one");
+        Ciphertext::new(c0, c1, scale)
     }
 
     /// The raw keyswitch primitive (paper Keyswitch): given `d` in the
@@ -408,7 +418,7 @@ impl Evaluator {
     /// engine.
     pub fn keyswitch(&self, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let term = [Term::switch((1, key))];
-        let mut fan = self.switch_fan(d.level_count() - 1, Source::Lift(d), &[&term]);
+        let mut fan = self.switch_fan(d.level_count() - 1, Source::Lift(d, None), &[&term]);
         fan.pop().expect("a fan of one")
     }
 
@@ -426,7 +436,9 @@ impl Evaluator {
     /// rotation adds `σ_g(c_0)` after Moddown; a sum, held unreduced
     /// ([`he_rns::LazyRow`]), joins `[P]·σ_g(ĉ_0)` (one forward NTT of the
     /// limb of `c_0`, read through each term's permutation) to each rotation's
-    /// `b` before Moddown divides `P` away, and `[P]·ĉ` for an identity term.
+    /// `b` before Moddown divides `P` away, and `[P]·ĉ` for an identity term;
+    /// a product joins `[P]·d̂_0` and `[P]·d̂_1` to its `b` and `a`, already
+    /// in evaluation form.
     fn switch_fan(
         &self,
         level: usize,
@@ -449,7 +461,7 @@ impl Evaluator {
         // Per term: its key rows, by reference into the evaluation-form
         // cache, and on hoisted digits its slot permutation (one table of
         // (N, g) serves every digit and limb); `None` for the identity.
-        let hoisted = !matches!(source, Source::Lift(_));
+        let hoisted = !matches!(source, Source::Lift(..));
         let switches: Vec<Vec<_>> = outputs
             .iter()
             .map(|terms| {
@@ -464,8 +476,9 @@ impl Evaluator {
         let switched = switches.iter().flatten().flatten().count();
         let identity = switches.iter().flatten().any(Option::is_none);
         // Output `r` on extended limb `i`, from the limb's digit rows and, on
-        // a sum's chain limb, `pc = [P]·ĉ` there (`c_0`, then `c_1` when a
-        // term is the identity): its two rows, reduced and inverse-NTT'd.
+        // a chain limb, `pc = [P]·ĉ` there (a sum's `c_0`, then `c_1` when a
+        // term is the identity; a product's `d_0` and `d_1`): its two rows,
+        // reduced and inverse-NTT'd.
         let output_rows = |i: usize, digits: &[&[u64]], r: usize, pc: &[Vec<u64>]| {
             let red = ext_basis.reducers()[i];
             let dot = LazyDot::new(red);
@@ -508,6 +521,12 @@ impl Evaluator {
             } else {
                 let switch = switches[r][0].as_ref().expect("a key switch");
                 inner(switch, &mut out_b, &mut out_a);
+                let q = red.modulus();
+                for (out, pc) in [&mut out_b, &mut out_a].into_iter().zip(pc) {
+                    out.iter_mut()
+                        .zip(pc)
+                        .for_each(|(o, &x)| *o = add_mod(*o, x, q));
+                }
             }
             for out in [&mut out_b, &mut out_a] {
                 // The `RnsResidue` fault site, where `into_coeff` has it.
@@ -538,7 +557,7 @@ impl Evaluator {
         });
         let mut limbs = poseidon_par::par_map(q_len, lifts + total, |i| {
             source.with_digit_rows(&ext_basis, i, |digits| {
-                // `[P]_{q_i}·ĉ` for each component `c` a sum joins.
+                // `[P]_{q_i}·ĉ` for each component `c` a sum or a product joins.
                 let p_mod = ShoupMul::new(p_mod_q[i], q_basis.primes()[i]);
                 let scaled_eval = |c: &&RnsPoly| {
                     let mut row = c.residues(i).to_vec();
@@ -552,6 +571,11 @@ impl Evaluator {
                     Source::Sum(_, a) => [a.c0(), a.c1()][..1 + usize::from(identity)]
                         .iter()
                         .map(scaled_eval)
+                        .collect(),
+                    // Already in evaluation form: no transform.
+                    Source::Lift(_, Some(d)) => d[..2]
+                        .iter()
+                        .map(|c| c.residues(i).iter().map(|&x| p_mod.mul(x)).collect())
                         .collect(),
                     _ => Vec::new(),
                 };
@@ -599,7 +623,7 @@ impl Evaluator {
         // A limb's rows are a lift and a forward NTT per digit.
         let limb_weight = (level + 1) * (a.n() + ext_basis.tables()[0].weight());
         let rows = poseidon_par::par_map(ext_basis.len(), limb_weight, |i| {
-            lift_limb(a.c1(), &ext_basis, i)
+            lift_limb(a.c1(), None, &ext_basis, i)
         });
         HoistedDecomposition {
             level,
@@ -676,8 +700,9 @@ impl Evaluator {
 
     /// Brings a ciphertext to exactly (`target_level`, ≈`target_scale`) by
     /// modulus truncation plus, when the scales disagree, one multiplication
-    /// by the constant 1 encoded at the correcting scale followed by a
-    /// rescale. Used to align circuit branches of different depth.
+    /// by the integer `round(correction)` — the constant 1 at the correcting
+    /// scale, as a per-limb scalar — followed by a rescale. Used to align
+    /// circuit branches of different depth.
     ///
     /// # Errors
     ///
@@ -724,8 +749,12 @@ impl Evaluator {
                 b: target_scale,
             });
         }
-        let one = self.encode_at_level(&[Complex::new(1.0, 0.0)], correction, staged.level());
-        let mut out = self.try_rescale(&self.try_mul_plain(&staged, &one)?)?;
+        let one = mul_integer(
+            &staged,
+            correction.round() as i64,
+            staged.scale() * correction,
+        );
+        let mut out = self.try_rescale(&one)?;
         out.set_scale(target_scale);
         Ok(out)
     }
@@ -1009,8 +1038,10 @@ impl<'a> Term<'a> {
 #[derive(Clone, Copy)]
 enum Source<'a> {
     /// `[d]_{q_j}` of this polynomial, lifted inside each limb's task by
-    /// [`lift_limb`]; no operand joins.
-    Lift(&'a RnsPoly),
+    /// [`lift_limb`]. Bare (a key switch), no operand joins; for a product,
+    /// the evaluation-form `(d̂_0, d̂_1, d̂_2)` with `d = d_2`: `d̂_2` gives
+    /// limb `i` its own digit, and `[P]·d̂_0`, `[P]·d̂_1` join before Moddown.
+    Lift(&'a RnsPoly, Option<&'a [RnsPoly; 3]>),
     /// Hoisted rows, read through each term's slot permutation; each output
     /// is one rotation, and `σ_g` of this `c_0` joins after Moddown.
     Rotations(&'a [Vec<Vec<u64>>], &'a RnsPoly),
@@ -1023,8 +1054,8 @@ impl Source<'_> {
     /// Runs `f` on every digit's evaluation-form row on extended limb `i`.
     fn with_digit_rows<R>(self, ext: &RnsBasis, i: usize, f: impl FnOnce(&[&[u64]]) -> R) -> R {
         match self {
-            Source::Lift(d) => {
-                let lifted = lift_limb(d, ext, i);
+            Source::Lift(d, product) => {
+                let lifted = lift_limb(d, product.map(|d| &d[2]), ext, i);
                 let out = f(&lifted.iter().map(Vec::as_slice).collect::<Vec<_>>());
                 lifted.into_iter().for_each(poseidon_par::scratch::recycle);
                 out
@@ -1048,21 +1079,46 @@ fn fingerprint(p: &RnsPoly) -> u64 {
 /// extended limb `i` of `ext_basis` (a row of a degenerate Modup, Eq. 3) and
 /// forward-NTT'd, one scratch row each, in digit order: the one digit lifter,
 /// run inside an unhoisted key switch's limb tasks and by [`Evaluator::hoist`].
+/// Given `d`'s evaluation form `d_eval`, digit `i` on its own limb is that
+/// residue, copied: no lift and no transform. A residue already below the
+/// target prime is copied; only the rest is reduced.
 /// Rows of their own, not one `q·N` buffer per limb: the hoist measured
 /// slower that way on the 2-core reference host (EXPERIMENTS.md §3).
-fn lift_limb(d: &RnsPoly, ext_basis: &RnsBasis, i: usize) -> Vec<Vec<u64>> {
+fn lift_limb(
+    d: &RnsPoly,
+    d_eval: Option<&RnsPoly>,
+    ext_basis: &RnsBasis,
+    i: usize,
+) -> Vec<Vec<u64>> {
     let red = &ext_basis.reducers()[i];
-    let lift = |t: &[u64]| {
+    let p = red.modulus();
+    let lift = |(j, t): (usize, &Vec<u64>)| {
         let mut row = poseidon_par::scratch::take(t.len());
+        if let Some(own) = d_eval.filter(|_| j == i) {
+            row.copy_from_slice(own.residues(i));
+            return row;
+        }
         for (o, &v) in row.iter_mut().zip(t) {
-            *o = red.reduce(u128::from(v));
+            *o = if v < p { v } else { red.reduce(u128::from(v)) };
         }
         // `RnsResidue`, as `into_eval` fires it on a digit.
         poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
         ext_basis.tables()[i].forward(&mut row);
         row
     };
-    d.all_residues().iter().map(|t| lift(t)).collect()
+    d.all_residues().iter().enumerate().map(lift).collect()
+}
+
+/// Both components of `ct` times the integer `k`, per limb in coefficient
+/// form, at `scale`.
+fn mul_integer(ct: &Ciphertext, k: i64, scale: f64) -> Ciphertext {
+    let primes = ct.c0().basis().primes();
+    let scalars: Vec<u64> = primes.iter().map(|&q| reduce_i64(k, q)).collect();
+    Ciphertext::new(
+        ct.c0().mul_scalar_per_prime(&scalars),
+        ct.c1().mul_scalar_per_prime(&scalars),
+        scale,
+    )
 }
 
 /// `ct` truncated to `level`, which must not exceed its own: itself when it

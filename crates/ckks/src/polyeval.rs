@@ -73,7 +73,14 @@ impl PowerBasis {
         let level = a.level().min(b.level());
         let a = eval.try_drop_to_level(&a, level)?;
         let b = eval.try_drop_to_level(&b, level)?;
-        let prod = eval.try_rescale(&eval.try_mul(&a, &b, keys)?)?;
+        // Equal halves (x², x⁴, …) are a square: two forward transforms a
+        // limb fewer, the same bits.
+        let prod = if hi == lo {
+            eval.try_square(&a, keys)?
+        } else {
+            eval.try_mul(&a, &b, keys)?
+        };
+        let prod = eval.try_rescale(&prod)?;
         self.cache.insert(j, prod.clone());
         Ok(prod)
     }
@@ -127,7 +134,7 @@ fn try_combine(
     }
     let mut scaled = Vec::with_capacity(terms.len());
     for &(c, ct) in terms {
-        scaled.push(eval.try_rescale(&eval.mul_const(ct, Complex::new(c, 0.0)))?);
+        scaled.push(eval.try_rescale(&eval.mul_const(ct, c))?);
     }
     let deepest = scaled.iter().min_by_key(|c| c.level()).expect("non-empty");
     let (target_level, target_scale) = (deepest.level(), deepest.scale());

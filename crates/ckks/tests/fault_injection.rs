@@ -8,7 +8,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
-use he_ckks::integrity::{integrity_stats, CheckedEvaluator};
+use he_ckks::integrity::{integrity_stats, CheckedEvaluator, IntegrityStats};
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
@@ -172,4 +172,83 @@ fn checked_ops_are_clean_passthrough_when_disarmed() {
     let after = integrity_stats();
     assert!(after.checked >= before.checked + 3, "checks not counted");
     assert_eq!(after.detected, before.detected, "false positive detection");
+}
+
+/// A product relinearises inside the key-switch engine: `d̂_0` and `d̂_1`
+/// join the chain-limb rows there, and digit `i` on limb `i` is `d̂_2`'s own
+/// residue. An upset on the product's first transform or on its last (a
+/// joined row on its way into the engine's last inverse NTT) is retried and
+/// recovers to the clean result, through a checked `mul` and a checked
+/// `square`, at the `RnsResidue` and the `NttTwiddle` site; a persistent
+/// fault at either site escalates to `IntegrityFault`.
+#[test]
+fn product_faults_on_the_engine_path_land_in_their_buckets() {
+    let _guard = poseidon_faults::test_lock();
+    poseidon_faults::disarm();
+    let (ctx, keys, mut rng) = setup();
+    let a = encrypt(&ctx, &keys, &mut rng, 1.5);
+    let b = encrypt(&ctx, &keys, &mut rng, -0.75);
+    let checked = CheckedEvaluator::new(&ctx);
+    type CheckedOp<'a> = &'a dyn Fn() -> Result<Ciphertext, EvalError>;
+    let ops: [(&str, CheckedOp); 2] = [
+        ("mul", &|| checked.mul(&a, &b, &keys)),
+        ("square", &|| checked.square(&a, &keys)),
+    ];
+    let deltas = |before: IntegrityStats| {
+        let after = integrity_stats();
+        [
+            after.detected - before.detected,
+            after.retried - before.retried,
+            after.escalated - before.escalated,
+        ]
+    };
+
+    for (op, run) in ops {
+        let clean = run().expect("no fault armed");
+        for site in [FaultSite::RnsResidue, FaultSite::NttTwiddle] {
+            // The hits of one of the two duplicated runs, counted under a
+            // plan that never fires.
+            poseidon_faults::arm(FaultPlan::transient(site, FaultKind::BitFlip, 1).after(u64::MAX));
+            run().expect("the plan never fires");
+            let hits = poseidon_faults::site_hits(site) / 2;
+            poseidon_faults::disarm();
+
+            for skip in [0, hits - 1] {
+                let at = format!("{op}, {site:?}, transient after {skip} of {hits} hits");
+                let before = integrity_stats();
+                poseidon_faults::arm(
+                    FaultPlan::transient(site, FaultKind::BitFlip, 0x5EED).after(skip),
+                );
+                let got = run();
+                let fired = poseidon_faults::fired();
+                poseidon_faults::disarm();
+                assert_eq!(fired, 1, "{at}: the upset never fired");
+                assert_eq!(
+                    got.as_ref(),
+                    Ok(&clean),
+                    "{at}: no recovery to the clean run"
+                );
+                assert_eq!(
+                    deltas(before),
+                    [1, 1, 0],
+                    "{at}: detected/retried/escalated"
+                );
+            }
+
+            let at = format!("{op}, {site:?}, persistent");
+            let before = integrity_stats();
+            poseidon_faults::arm(FaultPlan::persistent(site, FaultKind::BitFlip, 0xBAD));
+            let got = run();
+            poseidon_faults::disarm();
+            assert!(
+                matches!(got, Err(EvalError::IntegrityFault { .. })),
+                "{at}: expected IntegrityFault, got {got:?}"
+            );
+            assert_eq!(
+                deltas(before),
+                [1, 0, 1],
+                "{at}: detected/retried/escalated"
+            );
+        }
+    }
 }

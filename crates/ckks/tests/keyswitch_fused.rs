@@ -23,6 +23,13 @@
 //! the engine with one output per sum over one hoist; each output equals its
 //! own `try_rotate_sum` call bit for bit.
 //!
+//! A product is the engine too: `try_mul` and `try_square` keep their
+//! three products in evaluation form, join `d̂_0` and `d̂_1` before Moddown
+//! and take digit `i` on limb `i` from `d̂_2`; they equal the textbook
+//! composition (`into_coeff`, `keyswitch`, `add`) bit for bit. A real
+//! constant is a per-limb scalar and equals `try_mul_plain` by its
+//! constant polynomial bit for bit, in `mul_const` and in `try_adjust`.
+//!
 //! The fault-order cases arm an upset on the lifted digits (hoisted or
 //! not), on the rows the engine sends into its inverse NTTs and on a sum's
 //! `c_0` limbs, and hold each to one output at every thread count.
@@ -617,6 +624,146 @@ fn moddown_through_its_two_halves_equals_the_composition() {
         }
         let got = RnsPoly::from_residues(&q, q_rows, Form::Coeff);
         assert_eq!(got, want, "halves, |P| = {p_len}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Products and constants: the transforms they skip change no bit
+// ---------------------------------------------------------------------------
+
+/// CMult + relinearisation as the composition the engine's product path
+/// replaces: `d_0`, `d_1` and `d_2` each inverse-transformed, `d_2` key
+/// switched on its own, and the two sums added in coefficient form.
+fn textbook_mul(eval: &Evaluator, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
+    let level = a.level().min(b.level());
+    let a = eval.try_drop_to_level(a, level).unwrap();
+    let b = eval.try_drop_to_level(b, level).unwrap();
+    let a0 = a.c0().clone().into_eval();
+    let a1 = a.c1().clone().into_eval();
+    let b0 = b.c0().clone().into_eval();
+    let b1 = b.c1().clone().into_eval();
+    let d0 = a0.mul(&b0).into_coeff();
+    let d1 = a0.mul(&b1).add(&a1.mul(&b0)).into_coeff();
+    let d2 = a1.mul(&b1).into_coeff();
+    let (k0, k1) = eval.keyswitch(&d2, keys.relin());
+    Ciphertext::new(d0.add(&k0), d1.add(&k1), a.scale() * b.scale())
+}
+
+/// The plaintext a real constant `k` already rounded stands for: the
+/// constant polynomial `[k, 0, …, 0]` at `level`.
+fn constant_plain(ctx: &CkksContext, k: f64, scale: f64, level: usize) -> Plaintext {
+    let mut coeffs = vec![0; ctx.n()];
+    coeffs[0] = k as i64;
+    Plaintext::new(
+        RnsPoly::from_i64_coeffs(&ctx.level_basis(level), &coeffs),
+        scale,
+    )
+}
+
+/// `try_mul` (operands at different levels) and `try_square` equal the
+/// textbook composition, and `try_square(a)` equals `try_mul(a, a)`, bit
+/// for bit at every level of `small()` and `bootstrap_demo()`, on one
+/// thread and on four.
+#[test]
+fn products_equal_the_textbook_composition_at_every_level() {
+    let _guard = poseidon_faults::test_lock();
+    for (name, params) in [
+        ("small", CkksParams::small()),
+        ("bootstrap_demo", CkksParams::bootstrap_demo()),
+    ] {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC_3017);
+        let keys = KeySet::generate(&ctx, &mut rng);
+        let eval = Evaluator::new(&ctx);
+        let top = encrypt(&ctx, &keys, &mut rng);
+        let other = encrypt(&ctx, &keys, &mut rng);
+        for level in 0..=ctx.max_level() {
+            let a = eval.try_drop_to_level(&top, level).unwrap();
+            let want_mul = textbook_mul(&eval, &a, &other, &keys);
+            let want_square = textbook_mul(&eval, &a, &a, &keys);
+            let self_mul = eval.try_mul(&a, &a, &keys).unwrap();
+            assert_eq!(
+                self_mul, want_square,
+                "try_mul(a, a) diverged ({name}, level {level})"
+            );
+            for threads in [1, 4] {
+                let at = format!("{name}, level {level}, {threads} thread(s)");
+                let (mul, square) = with_threads(threads, || {
+                    (
+                        eval.try_mul(&a, &other, &keys).unwrap(),
+                        eval.try_square(&a, &keys).unwrap(),
+                    )
+                });
+                assert_eq!(mul, want_mul, "try_mul diverged ({at})");
+                assert_eq!(square, self_mul, "try_square ≠ try_mul(a, a) ({at})");
+                assert_shares_tables(&at, mul.c0().basis(), &ctx.level_basis(level));
+            }
+        }
+    }
+}
+
+/// `mul_const(c)` equals `try_mul_plain` by `[round(c·Δ), 0, …]`, and
+/// `try_adjust` equals `try_mul_plain` by `[round(correction), 0, …]`
+/// followed by the rescale, bit for bit over negative, tiny and large `c`,
+/// at every level of `small()` and `bootstrap_demo()`, on one thread and on
+/// four.
+#[test]
+fn constants_equal_a_product_by_their_constant_polynomial() {
+    let _guard = poseidon_faults::test_lock();
+    // Tiny ones round to ±1 and 0 at Δ = 2^40 and 2^45; the large ones keep
+    // c·Δ within an i64.
+    let constants = [
+        0.5,
+        -0.6180339887,
+        2.0e-12,
+        -3.1e-14,
+        1.0e-16,
+        12345.678,
+        -98765.4321,
+    ];
+    for (name, params) in [
+        ("small", CkksParams::small()),
+        ("bootstrap_demo", CkksParams::bootstrap_demo()),
+    ] {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0_4575);
+        let keys = KeySet::generate(&ctx, &mut rng);
+        let eval = Evaluator::new(&ctx);
+        let top = encrypt(&ctx, &keys, &mut rng);
+        let delta = ctx.default_scale();
+        for level in 0..=ctx.max_level() {
+            let ct = eval.try_drop_to_level(&top, level).unwrap();
+            for threads in [1, 4] {
+                let at = format!("{name}, level {level}, {threads} thread(s)");
+                for c in constants {
+                    let k = (c * delta).round();
+                    let want = eval
+                        .try_mul_plain(&ct, &constant_plain(&ctx, k, delta, level))
+                        .unwrap();
+                    let got = with_threads(threads, || eval.mul_const(&ct, c));
+                    assert_eq!(got, want, "mul_const({c}) diverged ({at})");
+                }
+                let Some(target) = level.checked_sub(1) else {
+                    continue;
+                };
+                // A scale off by a few percent, corrected on the spare level.
+                for drift in [0.97, 1.0625] {
+                    let target_scale = ct.scale() * drift;
+                    let staged = eval.try_drop_to_level(&ct, target + 1).unwrap();
+                    let dropped = *staged.c0().basis().primes().last().unwrap() as f64;
+                    let correction = target_scale * dropped / staged.scale();
+                    let one = constant_plain(&ctx, correction.round(), correction, target + 1);
+                    let mut want = eval
+                        .try_rescale(&eval.try_mul_plain(&staged, &one).unwrap())
+                        .unwrap();
+                    want.set_scale(target_scale);
+                    let got = with_threads(threads, || {
+                        eval.try_adjust(&ct, target, target_scale).unwrap()
+                    });
+                    assert_eq!(got, want, "try_adjust by {drift} diverged ({at})");
+                }
+            }
+        }
     }
 }
 

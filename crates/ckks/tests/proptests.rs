@@ -119,7 +119,7 @@ proptest! {
     #[test]
     fn scalar_multiplication_matches(a in arb_vals(), c in -4.0f64..4.0) {
         let (_, _, eval) = setup();
-        let prod = eval.try_rescale(&eval.mul_const(&encrypt(&a), Complex::new(c, 0.0))).unwrap();
+        let prod = eval.try_rescale(&eval.mul_const(&encrypt(&a), c)).unwrap();
         let got = decrypt(&prod);
         for i in 0..SLOTS {
             prop_assert!((got[i] - c * a[i]).abs() < 0.02);

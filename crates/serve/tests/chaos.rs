@@ -174,7 +174,6 @@ fn stalled_worker_fails_over_before_the_stall_ends() {
         }
         other => panic!("expected the watchdog's typed Internal, got {other:?}"),
     }
-    assert_eq!(service.worker_in_flight(0), 0, "no reply left parked");
     queued_job
         .wait_timeout(Duration::from_millis(1_000))
         .expect("queued job must complete on the replacement, not wait out the stall")
@@ -183,6 +182,10 @@ fn stalled_worker_fails_over_before_the_stall_ends() {
         t0.elapsed() < Duration::from_millis(1_200),
         "failover did not beat the stall"
     );
+    // Read once the queued job is answered: until then the replacement
+    // parks it in the table while it runs, and a reply leaves the table
+    // before its waiter wakes.
+    assert_eq!(service.worker_in_flight(0), 0, "no reply left parked");
     // Let the zombie wake mid-shutdown-free window: its late send must
     // find an empty slot and be dropped, not panic or double-answer.
     std::thread::sleep(Duration::from_millis(1_600));
