@@ -252,3 +252,78 @@ fn product_faults_on_the_engine_path_land_in_their_buckets() {
         }
     }
 }
+
+/// A key-row upset at or above bit 52, on a 40-bit limb of a checked
+/// rotation. The AVX-512 IFMA inner product multiplies the low 52 bits of
+/// each residue, which such a flip leaves as they were: summed there, the
+/// upset would pass unseen. The kernel's operand guard sends the call to the
+/// scalar kernel instead, whose sum the flip does move, so a transient upset
+/// is detected and retried (1/1/0) and a persistent one escalates (1/0/1),
+/// on a CPU with IFMA or without.
+#[test]
+fn key_row_upsets_past_52_bits_are_detected() {
+    let _guard = poseidon_faults::test_lock();
+    poseidon_faults::disarm();
+    let (ctx, keys, mut rng) = setup();
+    let a = encrypt(&ctx, &keys, &mut rng, 0.75);
+    let checked = CheckedEvaluator::new(&ctx);
+    let clean = checked.inner().try_rotate(&a, 1, &keys).unwrap();
+    // The key rows are read digit by digit, `b` then `a`, each limb by limb:
+    // the second row read is `b_0` on limb 1, a 40-bit prime.
+    let skip = 1;
+    assert_eq!(64 - ctx.chain_basis().primes()[1].leading_zeros(), 40);
+    let plan = |make: fn(FaultSite, FaultKind, u64) -> FaultPlan, seed| {
+        make(FaultSite::KeyCache, FaultKind::BitFlip, seed)
+            .width(63)
+            .after(skip)
+    };
+    // The first seed whose flip on that row lands at bit 52 or above, read
+    // from the injector itself on a blank row.
+    let flipped_bit = |seed| {
+        poseidon_faults::arm(plan(FaultPlan::transient, seed));
+        let mut row = vec![0u64; ctx.n()];
+        for _ in 0..=skip {
+            poseidon_faults::tamper(FaultSite::KeyCache, &mut row);
+        }
+        poseidon_faults::disarm();
+        row.iter().fold(0, |bits, w| bits | w).trailing_zeros()
+    };
+    let seed = (0..64)
+        .find(|&seed| flipped_bit(seed) >= 52)
+        .expect("a seed that flips bit 52 or above");
+    let deltas = |before: IntegrityStats| {
+        let after = integrity_stats();
+        [
+            after.detected - before.detected,
+            after.retried - before.retried,
+            after.escalated - before.escalated,
+        ]
+    };
+
+    let before = integrity_stats();
+    poseidon_faults::arm(plan(FaultPlan::transient, seed));
+    let got = checked.rotate(&a, 1, &keys);
+    let fired = poseidon_faults::fired();
+    poseidon_faults::disarm();
+    assert_eq!(fired, 1, "the upset never fired");
+    assert_eq!(got, Ok(clean), "no recovery to the clean run");
+    assert_eq!(
+        deltas(before),
+        [1, 1, 0],
+        "transient: detected/retried/escalated"
+    );
+
+    let before = integrity_stats();
+    poseidon_faults::arm(plan(FaultPlan::persistent, seed));
+    let got = checked.rotate(&a, 1, &keys);
+    poseidon_faults::disarm();
+    assert!(
+        matches!(got, Err(EvalError::IntegrityFault { .. })),
+        "persistent: expected IntegrityFault, got {got:?}"
+    );
+    assert_eq!(
+        deltas(before),
+        [1, 0, 1],
+        "persistent: detected/retried/escalated"
+    );
+}

@@ -40,10 +40,10 @@
 //!   `Vec<u64>` buffers so hot paths (keyswitch lifts, basis conversion)
 //!   don't churn the allocator once warm. Helpers outlive dispatches, so
 //!   their pools stay warm too.
-//! * **One `unsafe`.** Handing a stack-borrowed closure to long-lived
-//!   threads needs a lifetime erasure; it is confined to `pool`, next to the
-//!   invariant that makes it sound. The rest of the workspace forbids
-//!   `unsafe_code`.
+//! * **One `unsafe` module.** Handing a stack-borrowed closure to
+//!   long-lived threads needs a lifetime erasure; it is confined to `pool`,
+//!   next to the invariant that makes it sound. The rest of the workspace
+//!   forbids `unsafe_code`, but for `he-rns`'s vector inner product.
 //!
 //! In the telemetry registry, `par.serial` counts dispatches that stayed
 //! on the caller and `par.dispatch` those that fanned out. Cheap operations

@@ -11,7 +11,8 @@
 //! to leave. A helper that does not wake in time finds nothing to do; the
 //! caller never waits on a thread that has not started.
 //!
-//! This is the workspace's only `unsafe`: the body borrows the dispatcher's
+//! This is one of the workspace's two `unsafe` files (the other is
+//! `he-rns`'s vector inner product): the body borrows the dispatcher's
 //! stack, and helpers are `'static` threads, so its lifetime is erased.
 //!
 //! **Invariant.** The dispatcher neither returns nor unwinds before its job

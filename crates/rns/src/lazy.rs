@@ -8,9 +8,10 @@ use he_math::BarrettReducer;
 /// ways and the L2 streamer of the reference host follow — and a longer
 /// chain carries its sums between passes in two stack blocks (8 KB, resident
 /// in L1). Fixed from a three-shape sweep (EXPERIMENTS.md §6);
-/// not knobs.
-const COEFF_BLOCK: usize = 256;
-const DIGIT_GROUP: usize = 8;
+/// not knobs. The vector kernel (`crate::ifma`) walks the same blocks and
+/// groups.
+pub(crate) const COEFF_BLOCK: usize = 256;
+pub(crate) const DIGIT_GROUP: usize = 8;
 
 /// The fold rule of a sum of products modulo `q` that is reduced **once** per
 /// coefficient — the paper's MM → MA → shared-SBT chain, as opposed to a
@@ -91,9 +92,15 @@ impl LazyDot {
     /// in registers, so a digit residue is loaded once for its two uses and
     /// nothing of size `N` is written but the outputs.
     ///
+    /// On a CPU with AVX-512 IFMA and a prime below 2^52 the sums are taken
+    /// eight coefficients at a time in 52-bit halves (`crate::ifma`); every
+    /// other call, and one whose operands the vector kernel cannot sum
+    /// exactly, runs the scalar kernel. Both give the same bits.
+    ///
     /// # Panics
     ///
-    /// Panics if the row counts or any row length disagree.
+    /// Panics if the row counts or any row length disagree, or if a
+    /// permutation index is not below the row length.
     pub fn dot_pair(
         &self,
         xs: &[&[u64]],
@@ -102,6 +109,19 @@ impl LazyDot {
         out_b: &mut [u64],
         out_a: &mut [u64],
     ) {
+        self.dot_pair_on_ifma(xs, perm, keys, out_b, out_a);
+    }
+
+    /// [`dot_pair`](Self::dot_pair), returning whether the IFMA kernel
+    /// produced the outputs.
+    fn dot_pair_on_ifma(
+        &self,
+        xs: &[&[u64]],
+        perm: Option<&[usize]>,
+        keys: &[(&[u64], &[u64])],
+        out_b: &mut [u64],
+        out_a: &mut [u64],
+    ) -> bool {
         let n = out_b.len();
         assert_eq!(xs.len(), keys.len(), "one key pair per digit");
         let rows = xs.iter().zip(keys);
@@ -110,6 +130,25 @@ impl LazyDot {
         });
         let ends_match = out_a.len() == n && perm.is_none_or(|p| p.len() == n);
         assert!(rows_match && ends_match, "row length must match");
+        let vector = crate::ifma::dot_pair(self.red, xs, perm, keys, out_b, out_a);
+        if !vector {
+            self.scalar_pair(xs, perm, keys, out_b, out_a);
+        }
+        vector
+    }
+
+    /// The portable kernel of [`dot_pair`](Self::dot_pair), on rows whose
+    /// lengths it has checked; the oracle the vector kernel is tested
+    /// against.
+    fn scalar_pair(
+        &self,
+        xs: &[&[u64]],
+        perm: Option<&[usize]>,
+        keys: &[(&[u64], &[u64])],
+        out_b: &mut [u64],
+        out_a: &mut [u64],
+    ) {
+        let n = out_b.len();
         // A folded total is one term of the next block, so a group is at
         // most `block − 1` digits (`block ≥ 2` by construction).
         let (red, block) = (self.red, self.block);
@@ -251,6 +290,200 @@ impl LazyRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifma;
+    use rand::{Rng, SeedableRng};
+
+    type KeyRows<'a> = Vec<(&'a [u64], &'a [u64])>;
+
+    /// Digit and key rows of one `dot_pair` call over `n` coefficients.
+    struct Rows {
+        n: usize,
+        xs: Vec<Vec<u64>>,
+        bs: Vec<Vec<u64>>,
+        az: Vec<Vec<u64>>,
+    }
+
+    impl Rows {
+        /// `digits` triples of `n ≥ 1` residues below `q`, the first of each
+        /// row at `q − 1`.
+        fn random(rng: &mut impl Rng, q: u64, digits: usize, n: usize) -> Self {
+            let mut rows = || -> Vec<Vec<u64>> {
+                let mut row = || -> Vec<u64> {
+                    let mut row: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+                    row[0] = q - 1;
+                    row
+                };
+                (0..digits).map(|_| row()).collect()
+            };
+            let (xs, bs, az) = (rows(), rows(), rows());
+            Self { n, xs, bs, az }
+        }
+
+        /// `dot_pair`'s row arguments.
+        fn args(&self) -> (Vec<&[u64]>, KeyRows<'_>) {
+            let xs = self.xs.iter().map(Vec::as_slice).collect();
+            let keys = self.bs.iter().zip(&self.az);
+            (
+                xs,
+                keys.map(|(b, a)| (b.as_slice(), a.as_slice())).collect(),
+            )
+        }
+    }
+
+    fn shuffled(rng: &mut impl Rng, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.gen_range(0..=i));
+        }
+        p
+    }
+
+    fn host_has_ifma() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// The vector kernel, called directly, against the scalar kernel: it
+    /// must run (on an IFMA host, for a prime below 2^52) and agree bit for
+    /// bit, or decline; `dot_pair` must give the scalar kernel's bits either
+    /// way. Returns whether the vector kernel ran.
+    fn kernels_agree(dot: &LazyDot, rows: &Rows, perm: Option<&[usize]>, at: &str) -> bool {
+        let (n, (xs, keys)) = (rows.n, rows.args());
+        let (mut want_b, mut want_a) = (vec![0; n], vec![0; n]);
+        dot.scalar_pair(&xs, perm, &keys, &mut want_b, &mut want_a);
+        let (mut got_b, mut got_a) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        let ran = ifma::dot_pair(dot.red, &xs, perm, &keys, &mut got_b, &mut got_a);
+        if ran {
+            assert_eq!((&got_b, &got_a), (&want_b, &want_a), "vector kernel, {at}");
+        }
+        dot.dot_pair(&xs, perm, &keys, &mut got_b, &mut got_a);
+        assert_eq!((got_b, got_a), (want_b, want_a), "dot_pair, {at}");
+        ran
+    }
+
+    #[test]
+    fn the_vector_kernel_sums_as_the_scalar_kernel_does() {
+        // Primes of 31 to 51 bits take the vector kernel, 56 and 60 bits the
+        // scalar one; 70 digits cross the digit group and, under the 60-bit
+        // prime (64 products a block), the scalar fold; lengths that are not
+        // multiples of 8 end in a partial vector.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1F3A);
+        for bits in [31, 40, 45, 50, 51, 56, 60] {
+            let q = he_math::prime::ntt_prime_chain(bits, 32, 1)[0];
+            let dot = LazyDot::new(BarrettReducer::new(q));
+            let vector = bits < 52 && host_has_ifma();
+            for digits in [0, 1, 7, 8, 9, 17, 70] {
+                for n in [1, 5, 8, 13, 256, 263, 700] {
+                    let rows = Rows::random(&mut rng, q, digits, n);
+                    let perm = shuffled(&mut rng, n);
+                    for perm in [None, Some(&perm[..])] {
+                        let permuted = perm.is_some();
+                        let at = format!("{bits} bits, {digits} digits, n = {n}, {permuted}");
+                        assert_eq!(kernels_agree(&dot, &rows, perm, &at), vector, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn operands_past_52_bits_fall_back_to_the_scalar_kernel() {
+        // A 40-bit prime: one operand with a bit at or above 52 — a digit
+        // read in place or through the permutation, or a key residue — sends
+        // the call to the scalar kernel, whose sum is exact modulo `q` for
+        // any residue. An unreduced operand below 2^52 stays on the vector
+        // kernel and sums exactly there too.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB17);
+        let q = he_math::prime::ntt_prime_chain(40, 32, 1)[0];
+        let dot = LazyDot::new(BarrettReducer::new(q));
+        let (digits, n) = (9, 37);
+        let perm = shuffled(&mut rng, n);
+        type Tamper = fn(&mut Rows);
+        let tampers: [(&str, Tamper, bool); 5] = [
+            ("digit bit 52", |r| r.xs[3][5] |= 1 << 52, false),
+            ("digit bit 63", |r| r.xs[8][36] |= 1 << 63, false),
+            ("b bit 55", |r| r.bs[0][0] ^= 1 << 55, false),
+            ("a bit 60", |r| r.az[5][20] |= 1 << 60, false),
+            (
+                "unreduced, below 2^52",
+                |r| r.bs[2][9] = (1 << 52) - 1,
+                true,
+            ),
+        ];
+        for (what, tamper, stays) in tampers {
+            for perm in [None, Some(&perm[..])] {
+                let mut rows = Rows::random(&mut rng, q, digits, n);
+                tamper(&mut rows);
+                let at = format!("{what}, permuted: {}", perm.is_some());
+                assert_eq!(
+                    kernels_agree(&dot, &rows, perm, &at),
+                    stays && host_has_ifma(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_permutation_index_past_the_row_panics_as_the_scalar_kernel_does() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0B0E);
+        let q = he_math::prime::ntt_prime_chain(50, 32, 1)[0];
+        let dot = LazyDot::new(BarrettReducer::new(q));
+        let n = 19;
+        let mut perm = shuffled(&mut rng, n);
+        perm[11] = n;
+        for digits in [0, 3] {
+            let rows = Rows::random(&mut rng, q, digits, n);
+            let (xs, keys) = rows.args();
+            let (mut b, mut a) = (vec![0; n], vec![0; n]);
+            assert!(!ifma::dot_pair(
+                dot.red,
+                &xs,
+                Some(&perm),
+                &keys,
+                &mut b,
+                &mut a
+            ));
+            let message = |run: &dyn Fn(&mut [u64], &mut [u64])| {
+                let (mut b, mut a) = (vec![0; n], vec![0; n]);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(&mut b, &mut a);
+                }));
+                outcome.map(|()| (b, a)).map_err(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                })
+            };
+            let got = message(&|b, a| dot.dot_pair(&xs, Some(&perm), &keys, b, a));
+            let want = message(&|b, a| dot.scalar_pair(&xs, Some(&perm), &keys, b, a));
+            assert_eq!(got, want, "{digits} digits");
+            assert_eq!(got.is_err(), digits > 0, "{digits} digits: {got:?}");
+        }
+    }
+
+    #[test]
+    fn an_ifma_host_sums_on_the_vector_kernel() {
+        // The selection hook: on a CPU with AVX-512 IFMA a call under a
+        // prime below 2^52 must not silently stay scalar.
+        let ifma = host_has_ifma();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1F3A);
+        for (bits, vector) in [(50, ifma), (51, ifma), (56, false)] {
+            let q = he_math::prime::ntt_prime_chain(bits, 32, 1)[0];
+            assert_eq!(ifma::selected(q, 8), vector, "{bits} bits");
+            assert_eq!(ifma::selected(q, 4096), vector, "{bits} bits, 4096 digits");
+            assert!(!ifma::selected(q, 4097), "{bits} bits, 4097 digits");
+            let dot = LazyDot::new(BarrettReducer::new(q));
+            let rows = Rows::random(&mut rng, q, 8, 64);
+            let (xs, keys) = rows.args();
+            let (mut b, mut a) = (vec![0; 64], vec![0; 64]);
+            let ran = dot.dot_pair_on_ifma(&xs, None, &keys, &mut b, &mut a);
+            assert_eq!(ran, vector, "{bits} bits");
+        }
+    }
 
     #[test]
     fn empty_sum_is_zero() {

@@ -15,6 +15,10 @@
 //! * [`lazy::LazyDot`] — sums of residue products with one shared reduction
 //!   per coefficient: the key-switch inner-product kernel, the accumulate
 //!   stage of Moddown's conversion, and the weighted row of a rotation sum.
+//!   On a CPU with AVX-512 IFMA and a prime below 2^52 the key-switch kernel
+//!   sums eight coefficients at a time in 52-bit halves (the private
+//!   `ifma` module, the crate's one `unsafe` module); its outputs are the
+//!   scalar kernel's bits.
 //! * [`integrity`] — the one FNV-1a hash: residue digests for checked
 //!   execution, the wire checksum's word hash, shard affinity.
 //!
@@ -32,10 +36,12 @@
 //! assert_eq!(sq.basis().len(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod basis;
 pub mod conv;
+#[allow(unsafe_code)]
+mod ifma;
 pub mod integrity;
 pub mod lazy;
 pub mod poly;

@@ -150,20 +150,26 @@ proptest! {
     /// end inside a coefficient block, and every fold regime — a 60-bit
     /// prime (64 products a block, so 70 digits fold), a 31-bit one (never),
     /// and bounds that fold every 2 and every 9 terms (digit groups of 1
-    /// and 8).
+    /// and 8) — and a 51-bit prime, the widest the AVX-512 IFMA kernel sums
+    /// (on a CPU that has it; the 31-bit cases take it too).
     #[test]
     fn pair_kernel_matches_a_reduction_per_product(
         seed in any::<u64>(),
         digits in 1usize..71,
-        rule in 0usize..4,
+        rule in 0usize..5,
         permuted in 0u8..2,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = rng.gen_range(1..700usize);
-        let q = he_math::prime::ntt_prime_chain(if rule == 0 { 60 } else { 31 }, 32, 1)[0];
+        let bits = match rule {
+            0 => 60,
+            4 => 51,
+            _ => 31,
+        };
+        let q = he_math::prime::ntt_prime_chain(bits, 32, 1)[0];
         let red = BarrettReducer::new(q);
         let dot = match rule {
-            0 | 1 => LazyDot::new(red),
+            0 | 1 | 4 => LazyDot::new(red),
             2 => LazyDot::with_term_bound(red, BarrettReducer::REDUCE_LIMIT / 2),
             _ => LazyDot::with_term_bound(red, BarrettReducer::REDUCE_LIMIT / 9),
         };
