@@ -60,8 +60,8 @@
 //! - **One request path** — a TCP request is parsed against one opcode
 //!   table into one [`Request`], and every submission — in-process
 //!   ([`EvalService::submit`]) or tagged from a connection — passes one
-//!   admission function (tenant lookup, replay, deadline, priority,
-//!   queue) into one kind of reply sink.
+//!   admission function (tenant lookup, replay, deadline, queue) into
+//!   one kind of reply sink.
 //!
 //! [`CkksContext`]: he_ckks::context::CkksContext
 //! [`Evaluator`]: he_ckks::eval::Evaluator
@@ -82,7 +82,7 @@ mod service;
 mod shard;
 pub mod tcp;
 
-pub use service::{EvalService, ServiceConfig, TenantContext, Ticket, DEFAULT_PRIORITY};
+pub use service::{EvalService, ServiceConfig, TenantContext, Ticket};
 
 /// One evaluation request against a tenant's key material. Ciphertexts
 /// are owned: the service executes asynchronously to the submitter.
@@ -148,7 +148,7 @@ pub enum Request {
     },
     /// A whole `.pos` program, compiled through the evaluation planner
     /// and executed as **one** admission-controlled unit: the deadline,
-    /// priority ladder, and replay cache govern the entire program, and
+    /// queue bound, and replay cache govern the entire program, and
     /// the planner's rotation hoisting / rescale sinking apply across
     /// its full dataflow instead of per wire op.
     Program {
@@ -176,14 +176,6 @@ pub enum ServeError {
         /// The configured queue bound.
         capacity: usize,
     },
-    /// Graceful degradation: the service is under sustained pressure and
-    /// shed this request because its tenant sits below the current
-    /// priority floor. Higher-priority tenants are still admitted.
-    Overloaded {
-        /// Suggested client backoff before resubmitting, derived from
-        /// the queue depth at shed time.
-        retry_after_ms: u64,
-    },
     /// The request's deadline elapsed before execution (at admission,
     /// dequeue, or just before running); no work was performed.
     DeadlineExceeded,
@@ -205,10 +197,10 @@ pub enum ServeError {
     Remote {
         /// Server-side error code, as listed in the [`tcp`] module docs:
         /// 1 unknown tenant, 2 queue full, 3 evaluation error, 4 wire
-        /// error, 5 shutting down, 6 internal error, 7 protocol error.
-        /// The overloaded (8) and deadline-exceeded (9) codes are mapped
-        /// back to their typed variants by the client and never surface
-        /// as `Remote`.
+        /// error, 5 shutting down, 6 internal error, 7 protocol error
+        /// (8 is retired). The deadline-exceeded code (9) is mapped back
+        /// to [`ServeError::DeadlineExceeded`] by the client and never
+        /// surfaces as `Remote`.
         code: u8,
         /// The server's rendered error message.
         message: String,
@@ -223,12 +215,6 @@ impl fmt::Display for ServeError {
                 write!(
                     f,
                     "queue full: admission control rejected (depth {depth} of capacity {capacity})"
-                )
-            }
-            ServeError::Overloaded { retry_after_ms } => {
-                write!(
-                    f,
-                    "overloaded: request shed by priority ladder (retry after {retry_after_ms} ms)"
                 )
             }
             ServeError::DeadlineExceeded => {
@@ -272,7 +258,6 @@ pub(crate) mod tel {
         pub keycache_hit = "serve.keycache.hit";
         pub keycache_miss = "serve.keycache.miss";
         pub keycache_evict = "serve.keycache.evict";
-        pub shed = "serve.shed";
         pub deadline = "serve.deadline";
         pub replay_hit = "serve.replay.hit";
         pub watchdog_restart = "serve.watchdog.restart";

@@ -21,11 +21,6 @@ use crate::key_cache::KeyCache;
 use crate::shard::{dispatch_loop, Job, Reply, SharedQueues, Sink};
 use crate::{Request, ServeError};
 
-/// The default tenant priority: tenants never marked otherwise sit here
-/// and are only rejected at the hard [`ServeError::QueueFull`] bound,
-/// never shed by the overload ladder.
-pub const DEFAULT_PRIORITY: u8 = 128;
-
 /// Sizing knobs for the queues and scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -516,7 +511,6 @@ pub struct EvalService {
     watchdog: Mutex<Option<JoinHandle<()>>>,
     replay: Arc<ReplayCache>,
     replay_pending: Arc<ReplayPending>,
-    priorities: Mutex<HashMap<String, u8>>,
 }
 
 impl EvalService {
@@ -567,7 +561,6 @@ impl EvalService {
                 config.replay_capacity_bytes,
             )),
             replay_pending: Arc::new(ReplayPending::default()),
-            priorities: Mutex::new(HashMap::new()),
         })
     }
 
@@ -599,29 +592,6 @@ impl EvalService {
         self.tenants
             .insert_frame(id, Arc::from(frame), Arc::new(Tenant::build(ctx, keys)));
         Ok(())
-    }
-
-    /// Sets a tenant's priority for the overload ladder. The default is
-    /// [`DEFAULT_PRIORITY`] (128): under sustained pressure, priorities
-    /// below 64 shed at 3/4 queue capacity and priorities below 128 at
-    /// 7/8, both as typed [`ServeError::Overloaded`]; tenants at or
-    /// above the default only ever see the hard
-    /// [`ServeError::QueueFull`] bound.
-    pub fn set_tenant_priority(&self, id: impl Into<String>, priority: u8) {
-        self.priorities
-            .lock()
-            .expect("priorities poisoned")
-            .insert(id.into(), priority);
-    }
-
-    /// The tenant's current overload-ladder priority.
-    pub fn tenant_priority(&self, id: &str) -> u8 {
-        self.priorities
-            .lock()
-            .expect("priorities poisoned")
-            .get(id)
-            .copied()
-            .unwrap_or(DEFAULT_PRIORITY)
     }
 
     pub(crate) fn tenant(&self, id: &str) -> Result<Option<Arc<Tenant>>, ServeError> {
@@ -720,33 +690,14 @@ impl EvalService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownTenant`], [`ServeError::QueueFull`],
-    /// [`ServeError::Overloaded`], or [`ServeError::ShuttingDown`].
+    /// [`ServeError::UnknownTenant`], [`ServeError::QueueFull`], or
+    /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, tenant_id: &str, request: Request) -> Result<Ticket, ServeError> {
-        self.submit_opts(tenant_id, request, None)
-    }
-
-    /// [`submit`](Self::submit) with an absolute deadline: a request
-    /// whose deadline has already passed is rejected at admission, and
-    /// one that expires while queued is answered with
-    /// [`ServeError::DeadlineExceeded`] at dequeue instead of computing
-    /// dead work.
-    ///
-    /// # Errors
-    ///
-    /// The [`submit`](Self::submit) surface plus
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn submit_opts(
-        &self,
-        tenant_id: &str,
-        request: Request,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ServeError> {
         let (tx, rx) = mpsc::channel();
         self.admit(
             tenant_id,
             request,
-            deadline,
+            None,
             None,
             Box::new(move |result| {
                 let _ = tx.send(result);
@@ -758,20 +709,24 @@ impl EvalService {
     /// Enqueues one request tagged with a caller-chosen id, with a
     /// deadline and the idempotent-replay flag; the `sink` receives
     /// `(id, result)` from whichever dispatcher worker finishes the job
-    /// — the multiplexed front-end's out-of-order reply path. With
-    /// `replay` set, an id this tenant already executed returns the
-    /// cached result immediately (the sink fires inline; nothing
-    /// re-runs); an id still *queued or executing* attaches this sink to
-    /// that pending execution (one run, every waiter answered — a retry
-    /// racing its original never double-executes); and a fresh
+    /// — the multiplexed front-end's out-of-order reply path. A request
+    /// whose deadline has already passed is rejected at admission, and
+    /// one that expires while queued is answered with
+    /// [`ServeError::DeadlineExceeded`] at dequeue instead of computing
+    /// dead work. With `replay` set, an id this tenant already executed
+    /// returns the cached result immediately (the sink fires inline;
+    /// nothing re-runs); an id still *queued or executing* attaches this
+    /// sink to that pending execution (one run, every waiter answered — a
+    /// retry racing its original never double-executes); and a fresh
     /// execution's outcome is recorded before any sink sees it — the
     /// server half of safe client resubmission.
     ///
     /// # Errors
     ///
-    /// The [`submit_opts`](Self::submit_opts) surface. On error the sink
-    /// is dropped unused: the caller still owns error reporting for
-    /// requests that never entered the queue.
+    /// The [`submit`](Self::submit) surface plus
+    /// [`ServeError::DeadlineExceeded`]. On error the sink is dropped
+    /// unused: the caller still owns error reporting for requests that
+    /// never entered the queue.
     pub fn submit_tagged_opts(
         &self,
         tenant_id: &str,
@@ -792,8 +747,8 @@ impl EvalService {
     }
 
     /// The one admission path: tenant lookup, replay (attach to a pending
-    /// execution, or answer from the cache), the deadline check, priority
-    /// and the queue submit. `replay_id` keys the idempotent-replay cache
+    /// execution, or answer from the cache), the deadline check and the
+    /// queue submit. `replay_id` keys the idempotent-replay cache
     /// when the request carries the replay flag.
     fn admit(
         &self,
@@ -869,7 +824,6 @@ impl EvalService {
             tenant,
             request,
             deadline,
-            priority: self.tenant_priority(tenant_id),
             reply: Reply::new(sink),
         });
         if let (Err(e), Some(key)) = (&submitted, &key) {

@@ -210,9 +210,6 @@ pub(crate) struct Job {
     /// Absolute completion deadline; enforced at admission, dequeue, and
     /// just before execution.
     pub(crate) deadline: Option<Instant>,
-    /// Tenant priority for the overload ladder (default 128; below 128
-    /// sheds first under pressure).
-    pub(crate) priority: u8,
     pub(crate) reply: Reply,
 }
 
@@ -304,11 +301,8 @@ impl SharedQueues {
     }
 
     /// Enqueues one job onto its tenant's shard. Strict admission
-    /// control against the *global* capacity, with a graceful-
-    /// degradation ladder in front of it: under sustained pressure the
-    /// lowest-priority tenants shed first (typed
-    /// [`ServeError::Overloaded`] with a depth-derived retry hint)
-    /// while higher-priority traffic is still admitted.
+    /// control against the *global* capacity: the one answer to overload
+    /// is [`ServeError::QueueFull`].
     pub(crate) fn submit(&self, mut job: Job) -> Result<(), ServeError> {
         {
             let mut q = self.state.lock().expect("queue poisoned");
@@ -323,23 +317,6 @@ impl SharedQueues {
                     depth: q.total,
                     capacity: self.capacity,
                 });
-            }
-            // Overload ladder: at 3/4 capacity shed the low tier
-            // (priority < 64); at 7/8 shed everything below the default
-            // (priority < 128). Default-priority tenants ride through to
-            // the hard QueueFull bound.
-            let floor = if q.total >= self.capacity.saturating_mul(7) / 8 {
-                128
-            } else if q.total >= self.capacity.saturating_mul(3) / 4 {
-                64
-            } else {
-                0
-            };
-            if job.priority < floor {
-                crate::tel::shed().add(1);
-                let retry_after_ms = 10 + 4 * q.total as u64;
-                job.reply.defuse();
-                return Err(ServeError::Overloaded { retry_after_ms });
             }
             let shard = self.shard_for(&job.tenant_id, q.shards.len());
             q.shards[shard].push_back(job);

@@ -343,15 +343,10 @@ fn parse_reply(body: &[u8]) -> Result<Option<Vec<u8>>, ServeError> {
         }
         1 => {
             let code = r.take(1)?[0];
-            let retry_after_ms = u64::from(u32::from_le_bytes(
-                r.take(4)?.try_into().expect("4-byte slice"),
-            ));
             let len = u16::from_le_bytes(r.take(2)?.try_into().expect("2-byte slice")) as usize;
             let message = String::from_utf8_lossy(r.take(len)?).into_owned();
             r.done()?;
-            Err(if code == ErrorCode::Overloaded as u8 {
-                ServeError::Overloaded { retry_after_ms }
-            } else if code == ErrorCode::DeadlineExceeded as u8 {
+            Err(if code == ErrorCode::DeadlineExceeded as u8 {
                 ServeError::DeadlineExceeded
             } else {
                 ServeError::Remote { code, message }

@@ -1,7 +1,7 @@
 //! Multiplexed TCP front-end over the wire format, plus pipelining and
 //! self-healing clients.
 //!
-//! ## Protocol (v4)
+//! ## Protocol (v5)
 //!
 //! Both directions speak `u32` little-endian length-prefixed frames
 //! (length excludes the prefix itself; bounded by [`MAX_FRAME`]). Every
@@ -42,12 +42,11 @@
 //! **Response** frame body: `request_id: u64 LE` (echoed) followed by
 //! status `u8` — `0` = ok then one optional blob (`u32` LE length,
 //! possibly zero, then a ciphertext frame), `1` = error then
-//! `code: u8 | retry_after_ms: u32 LE | msg_len: u16 LE | msg`.
-//! `retry_after_ms` is nonzero only for an overloaded error: the
-//! server's backoff hint. The client maps the overloaded and
-//! deadline-exceeded codes back to the typed [`ServeError::Overloaded`]
-//! / [`ServeError::DeadlineExceeded`]; every other code surfaces as
-//! [`ServeError::Remote`].
+//! `code: u8 | msg_len: u16 LE | msg`. The client maps the
+//! deadline-exceeded code back to the typed
+//! [`ServeError::DeadlineExceeded`]; every other code surfaces as
+//! [`ServeError::Remote`]. Overload has one answer, code 2 (queue full),
+//! which a [`ResilientClient`] retries with backoff.
 //!
 //! In code, opcode and error-code numbers are written once, in this
 //! module's private `Opcode` and `ErrorCode` tables, which the client
@@ -63,7 +62,7 @@
 //!      5  Rescale                          5  shutting down
 //!      6  Rotate                           6  internal error
 //!      7  Conjugate                        7  protocol error
-//!      8  AddPlain                         8  overloaded
+//!      8  AddPlain                         8  (retired; never reused)
 //!      9  MulPlain                         9  deadline exceeded
 //!     10  RegisterTenant
 //!     11  RegisterTenantChunk
@@ -225,7 +224,7 @@ pub enum Op<'a> {
         chunk: &'a [u8],
     },
     /// A whole `.pos` program submitted as one planned, admission-
-    /// controlled unit (deadline, priority, and replay cover the full
+    /// controlled unit (deadline, queue bound, and replay cover the full
     /// program, and the planner optimises across its dataflow).
     Program {
         /// Program text in the `.pos` trace format (utf-8).
@@ -326,7 +325,7 @@ enum ErrorCode {
     ShuttingDown = 5,
     Internal = 6,
     Protocol = 7,
-    Overloaded = 8,
+    // 8 is retired; never reuse it.
     DeadlineExceeded = 9,
 }
 
@@ -339,9 +338,10 @@ impl ErrorCode {
             ServeError::Wire(_) => ErrorCode::Wire,
             ServeError::ShuttingDown => ErrorCode::ShuttingDown,
             ServeError::Internal(_) => ErrorCode::Internal,
-            ServeError::Overloaded { .. } => ErrorCode::Overloaded,
             ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
-            _ => ErrorCode::Protocol,
+            ServeError::Protocol(_) | ServeError::Io(_) | ServeError::Remote { .. } => {
+                ErrorCode::Protocol
+            }
         }
     }
 

@@ -81,9 +81,8 @@ fn instance_entropy() -> u64 {
 /// reply — the observable effect is exactly-once even when the
 /// connection dies mid-flight.
 ///
-/// Retryable failures: local socket errors, per-attempt timeouts,
-/// [`ServeError::Overloaded`] (honouring its retry-after hint), and the
-/// remote queue-full/internal codes. Everything else (unknown tenant,
+/// Retryable failures: local socket errors, per-attempt timeouts, and
+/// the remote queue-full/internal codes. Everything else (unknown tenant,
 /// eval errors, protocol desync, deadline exhaustion) returns
 /// immediately.
 pub struct ResilientClient {
@@ -167,13 +166,12 @@ impl ResilientClient {
         *state
     }
 
-    fn backoff_ms(&self, attempt: u32, hint_ms: Option<u64>) -> u64 {
-        let exp = self
+    fn backoff_ms(&self, attempt: u32) -> u64 {
+        let base = self
             .policy
             .base_backoff_ms
             .saturating_mul(1u64 << attempt.min(16))
             .min(self.policy.max_backoff_ms);
-        let base = hint_ms.map_or(exp, |h| h.max(exp).min(self.policy.max_backoff_ms.max(h)));
         let jitter_span = self.policy.base_backoff_ms.max(1);
         base + self.next_jitter() % jitter_span
     }
@@ -240,22 +238,17 @@ impl ResilientClient {
             match self.attempt(tenant, op, id) {
                 Ok(reply) => return Ok(reply),
                 Err(e) => {
-                    let hint = match &e {
-                        ServeError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
-                        _ => None,
+                    let retryable = match e {
+                        ServeError::Io(_) => true,
+                        ServeError::Remote { code, .. } => ErrorCode::is_retryable(code),
+                        _ => false,
                     };
-                    let retryable = matches!(
-                        e,
-                        ServeError::Io(_)
-                            | ServeError::Overloaded { .. }
-                            | ServeError::QueueFull { .. }
-                    ) || matches!(e, ServeError::Remote { code, .. } if ErrorCode::is_retryable(code));
                     attempt += 1;
                     if !retryable || attempt >= self.policy.max_attempts {
                         return Err(e);
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt - 1, hint)));
+                    std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt - 1)));
                 }
             }
         }

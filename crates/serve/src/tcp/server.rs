@@ -32,19 +32,12 @@ fn ok_response(id: u64, blob: Option<&[u8]>) -> Vec<u8> {
 }
 
 fn err_response(id: u64, e: &ServeError) -> Vec<u8> {
-    let retry_after_ms: u32 = match e {
-        ServeError::Overloaded { retry_after_ms } => {
-            (*retry_after_ms).min(u64::from(u32::MAX)) as u32
-        }
-        _ => 0,
-    };
     let msg = e.to_string();
     let msg = &msg.as_bytes()[..msg.len().min(u16::MAX as usize)];
-    let mut out = Vec::with_capacity(16 + msg.len());
+    let mut out = Vec::with_capacity(12 + msg.len());
     out.extend_from_slice(&id.to_le_bytes());
     out.push(1);
     out.push(ErrorCode::of(e) as u8);
-    out.extend_from_slice(&retry_after_ms.to_le_bytes());
     out.extend_from_slice(&(msg.len() as u16).to_le_bytes());
     out.extend_from_slice(msg);
     out

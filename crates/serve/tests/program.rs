@@ -2,6 +2,7 @@
 //! admission-controlled unit — planned and executed server-side, with
 //! the deadline and typed-error machinery covering the entire program.
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
@@ -117,18 +118,29 @@ fn expired_program_deadline_rejected_before_any_op_runs() {
     service.register_tenant("acme", ctx, keys);
 
     let past = Instant::now() - Duration::from_millis(5);
+    let (tx, rx) = mpsc::channel();
     let err = service
-        .submit_opts(
+        .submit_tagged_opts(
             "acme",
             Request::Program {
                 text: PROGRAM.into(),
                 a,
             },
+            1,
             Some(past),
+            false,
+            move |_, result| {
+                let _ = tx.send(result);
+            },
         )
         .expect_err("expired program must be rejected");
     assert_eq!(err, ServeError::DeadlineExceeded);
     assert_eq!(service.queue_depth(), 0, "nothing may have been queued");
+    assert_eq!(
+        rx.try_recv(),
+        Err(mpsc::TryRecvError::Disconnected),
+        "a rejected program's sink is dropped unused"
+    );
     service.shutdown();
 }
 

@@ -1,9 +1,9 @@
 //! Resilience semantics that need no fault injection: deadline
-//! enforcement at admission and dequeue, the graceful-degradation
-//! priority ladder, the idempotent replay cache, bounded ticket waits,
-//! and the pinned rendering of the enriched error variants.
+//! enforcement at admission and dequeue, the idempotent replay cache,
+//! bounded ticket waits, and the pinned rendering of the enriched error
+//! variants.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use he_ckks::cipher::Plaintext;
@@ -11,7 +11,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
-use poseidon_serve::{EvalService, Request, ServeError, ServiceConfig, DEFAULT_PRIORITY};
+use poseidon_serve::{EvalService, Request, ServeError, ServiceConfig};
 use rand::SeedableRng;
 
 fn setup() -> (CkksContext, KeySet, rand::rngs::StdRng) {
@@ -48,10 +48,6 @@ fn error_display_is_pinned() {
         "queue full: admission control rejected (depth 7 of capacity 8)"
     );
     assert_eq!(
-        ServeError::Overloaded { retry_after_ms: 42 }.to_string(),
-        "overloaded: request shed by priority ladder (retry after 42 ms)"
-    );
-    assert_eq!(
         ServeError::DeadlineExceeded.to_string(),
         "deadline exceeded before execution"
     );
@@ -67,11 +63,26 @@ fn expired_deadline_rejected_at_admission() {
     service.register_tenant("acme", ctx, keys);
 
     let past = Instant::now() - Duration::from_millis(5);
+    let (tx, rx) = mpsc::channel();
     let err = service
-        .submit_opts("acme", Request::Rescale { a: ct }, Some(past))
+        .submit_tagged_opts(
+            "acme",
+            Request::Rescale { a: ct },
+            1,
+            Some(past),
+            false,
+            move |_, result| {
+                let _ = tx.send(result);
+            },
+        )
         .expect_err("expired deadline must be rejected");
     assert_eq!(err, ServeError::DeadlineExceeded);
     assert_eq!(service.queue_depth(), 0, "nothing may have been queued");
+    assert_eq!(
+        rx.try_recv(),
+        Err(mpsc::TryRecvError::Disconnected),
+        "a rejected request's sink is dropped unused"
+    );
     service.shutdown();
 }
 
@@ -86,11 +97,17 @@ fn deadline_elapsing_in_queue_is_typed_not_executed() {
     service.register_tenant("acme", ctx, keys);
 
     service.suspend();
-    let doomed = service
-        .submit_opts(
+    let (tx, doomed) = mpsc::channel();
+    service
+        .submit_tagged_opts(
             "acme",
             Request::Rescale { a: ct.clone() },
+            1,
             Some(Instant::now() + Duration::from_millis(10)),
+            false,
+            move |_, result| {
+                let _ = tx.send(result);
+            },
         )
         .expect("admitted while fresh");
     let unbounded = service
@@ -99,7 +116,10 @@ fn deadline_elapsing_in_queue_is_typed_not_executed() {
     std::thread::sleep(Duration::from_millis(30));
     service.resume();
 
-    assert_eq!(doomed.wait(), Err(ServeError::DeadlineExceeded));
+    assert_eq!(
+        doomed.recv().expect("sink fired"),
+        Err(ServeError::DeadlineExceeded)
+    );
     unbounded.wait().expect("undeadlined sibling still served");
     service.shutdown();
 }
@@ -129,75 +149,6 @@ fn ticket_wait_timeout_bounds_the_wait() {
     service.shutdown();
 }
 
-/// The degradation ladder sheds below-default-priority tenants as the
-/// queue fills — with a depth-derived retry hint — while default
-/// tenants ride to the hard capacity bound.
-#[test]
-fn overload_ladder_sheds_low_priority_first() {
-    let (ctx, keys, mut rng) = setup();
-    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
-    let service = EvalService::start(ServiceConfig {
-        queue_capacity: 8,
-        ..ServiceConfig::default()
-    });
-    service.register_tenant("acme", ctx.clone(), keys.clone());
-    service.register_tenant("batch-tier", ctx, keys);
-    service.set_tenant_priority("batch-tier", 10);
-    assert_eq!(service.tenant_priority("acme"), DEFAULT_PRIORITY);
-    assert_eq!(service.tenant_priority("batch-tier"), 10);
-
-    service.suspend();
-    let mut tickets = Vec::new();
-    // Below 3/4 capacity nobody is shed — the low tier is admitted.
-    for _ in 0..5 {
-        tickets.push(
-            service
-                .submit("batch-tier", Request::Rescale { a: ct.clone() })
-                .expect("below the ladder, low priority admitted"),
-        );
-    }
-    tickets.push(
-        service
-            .submit("acme", Request::Rescale { a: ct.clone() })
-            .expect("sixth job"),
-    );
-    // Depth 6 ≥ 3/4 of 8: the floor rises above the low tier.
-    let err = service
-        .submit("batch-tier", Request::Rescale { a: ct.clone() })
-        .expect_err("low priority shed under pressure");
-    match err {
-        ServeError::Overloaded { retry_after_ms } => {
-            assert_eq!(retry_after_ms, 10 + 4 * 6, "hint derives from depth");
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    // Default-priority tenants are never shed — they ride to capacity...
-    for _ in 0..2 {
-        tickets.push(
-            service
-                .submit("acme", Request::Rescale { a: ct.clone() })
-                .expect("default priority admitted to capacity"),
-        );
-    }
-    // ...and then hit the hard bound, never the ladder.
-    let err = service
-        .submit("acme", Request::Rescale { a: ct.clone() })
-        .expect_err("full queue");
-    assert_eq!(
-        err,
-        ServeError::QueueFull {
-            depth: 8,
-            capacity: 8
-        }
-    );
-
-    service.resume();
-    for t in tickets {
-        t.wait().expect("admitted job served after the storm");
-    }
-    service.shutdown();
-}
-
 /// The replay cache makes resubmission idempotent: the second
 /// submission of an executed id returns the cached ciphertext without
 /// re-running, bit-identically.
@@ -209,7 +160,7 @@ fn replayed_resubmission_is_idempotent_and_bit_identical() {
     service.register_tenant("acme", ctx, keys);
 
     let run = |id: u64| {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         service
             .submit_tagged_opts(
                 "acme",
@@ -270,7 +221,7 @@ fn unexecuted_outcomes_are_not_cached_for_replay() {
     assert_eq!(service.replay_entries(), 0, "rejection must not be cached");
 
     // The same id, now within deadline, runs for real.
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = mpsc::channel();
     service
         .submit_tagged_opts(
             "acme",
@@ -301,7 +252,7 @@ fn replay_cache_is_bounded() {
     service.register_tenant("acme", ctx, keys);
 
     for id in 0..10u64 {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         service
             .submit_tagged_opts(
                 "acme",
@@ -334,7 +285,7 @@ fn replay_eviction_is_tenant_fair() {
     service.register_tenant("chatty", ctx, keys);
 
     let run = |tenant: &'static str, id: u64| {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         service
             .submit_tagged_opts(
                 tenant,
@@ -387,7 +338,7 @@ fn replay_cache_byte_budget_evicts_but_keeps_newest() {
     service.register_tenant("acme", ctx, keys);
 
     for id in 0..5u64 {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         service
             .submit_tagged_opts(
                 "acme",
@@ -428,7 +379,7 @@ fn racing_duplicate_replay_attaches_to_in_flight_execution() {
     // Freeze the dispatcher so the original is still queued when the
     // duplicate arrives.
     service.suspend();
-    let submit = |tx: std::sync::mpsc::Sender<Result<_, ServeError>>| {
+    let submit = |tx: mpsc::Sender<Result<_, ServeError>>| {
         service
             .submit_tagged_opts(
                 "acme",
@@ -442,12 +393,12 @@ fn racing_duplicate_replay_attaches_to_in_flight_execution() {
             )
             .expect("submit");
     };
-    let (tx1, rx1) = std::sync::mpsc::channel();
+    let (tx1, rx1) = mpsc::channel();
     submit(tx1);
     assert_eq!(service.queue_depth(), 1);
     assert_eq!(service.replay_in_flight(), 1, "marker registered");
 
-    let (tx2, rx2) = std::sync::mpsc::channel();
+    let (tx2, rx2) = mpsc::channel();
     submit(tx2);
     assert_eq!(
         service.queue_depth(),

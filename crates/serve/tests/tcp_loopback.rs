@@ -312,7 +312,8 @@ fn protocol_garbage_gets_an_error_frame_not_a_dead_server() {
     // Raw garbage on one connection: a framed body whose first 8 bytes
     // parse as a request id but whose remainder is not a valid request.
     // The server must answer with an error frame (echoed id, status 1,
-    // code 7) rather than dropping silently or crashing.
+    // code 7) rather than dropping silently or crashing. The frame is
+    // v5's `id | status | code | msg_len: u16 LE | msg`, nothing more.
     let mut raw = std::net::TcpStream::connect(addr).expect("connect");
     let junk = b"\xEEgarbage";
     raw.write_all(&(junk.len() as u32).to_le_bytes())
@@ -327,6 +328,17 @@ fn protocol_garbage_gets_an_error_frame_not_a_dead_server() {
     assert_eq!(&response[..8], junk, "expected the request id echoed");
     assert_eq!(response[8], 1, "expected an error status");
     assert_eq!(response[9], 7, "expected a protocol error code");
+    let msg_len = u16::from_le_bytes([response[10], response[11]]) as usize;
+    assert!(msg_len > 0, "expected a rendered error message");
+    assert_eq!(
+        response.len(),
+        12 + msg_len,
+        "an error frame is id, status, code, msg_len and msg"
+    );
+    assert!(
+        std::str::from_utf8(&response[12..]).is_ok_and(|m| m.starts_with("protocol error")),
+        "the message follows msg_len directly"
+    );
 
     // The listener survived: a fresh, well-behaved connection works.
     let ctx = CkksContext::new(CkksParams::toy());

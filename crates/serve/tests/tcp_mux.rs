@@ -444,3 +444,74 @@ fn independent_resilient_clients_draw_disjoint_replay_ids() {
     // distinct, no cross-client replay aliasing.
     assert_eq!(handle.replay_entries(), 2, "replay ids collided");
 }
+
+/// Overload has one answer, queue full, and a TCP client meets it as
+/// `Remote { code: 2 }`. A plain client sees the rejection; a resilient
+/// client retries it and succeeds once the service drains. The service
+/// resumes only after the resilient client's first rejection is
+/// observed, so the retry is certain, not timed.
+#[test]
+fn a_full_queue_is_remote_code_2_and_the_resilient_client_retries_it() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF11);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.25)]);
+    let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
+    let expected = he_ckks::eval::Evaluator::new(&ctx)
+        .try_rescale(&ct)
+        .expect("local rescale");
+
+    let capacity = 2;
+    let service = EvalService::start(ServiceConfig {
+        queue_capacity: capacity,
+        ..ServiceConfig::default()
+    });
+    let handle = Arc::clone(&service);
+    handle.register_tenant("acme", ctx.clone(), keys);
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+
+    handle.suspend();
+    let tickets: Vec<_> = (0..capacity)
+        .map(|_| {
+            handle
+                .submit("acme", poseidon_serve::Request::Rescale { a: ct.clone() })
+                .expect("fill the queue")
+        })
+        .collect();
+    assert_eq!(handle.queue_depth(), capacity);
+
+    let client = tcp::Client::connect(addr).expect("connect");
+    match client.request("acme", Op::Rescale { a: &frame }) {
+        Err(ServeError::Remote { code: 2, .. }) => {}
+        other => panic!("expected Remote {{ code: 2 }}, got {other:?}"),
+    }
+
+    let resilient = tcp::ResilientClient::connect(
+        addr,
+        tcp::SocketConfig::default(),
+        tcp::RetryPolicy {
+            max_attempts: 64,
+            base_backoff_ms: 1,
+            max_backoff_ms: 20,
+            ..tcp::RetryPolicy::default()
+        },
+    )
+    .expect("resilient client");
+    let reply = std::thread::scope(|s| {
+        let call = s.spawn(|| resilient.call("acme", Op::Rescale { a: &frame }));
+        while resilient.retries() == 0 {
+            assert!(!call.is_finished(), "the full queue must reject first");
+            std::thread::yield_now();
+        }
+        handle.resume();
+        call.join().expect("resilient call thread")
+    })
+    .expect("retried until admitted");
+    assert!(resilient.retries() >= 1);
+    let got = poseidon_wire::decode_ciphertext(&ctx, &reply).expect("decode");
+    assert_eq!(got.c0(), expected.c0());
+    assert_eq!(got.c1(), expected.c1());
+    for t in tickets {
+        t.wait().expect("queued job served after resume");
+    }
+}
