@@ -117,14 +117,6 @@ impl Ciphertext {
         self.c0.level_count() - 1
     }
 
-    /// Component-wise in-place addition; the caller (the evaluator) has
-    /// already aligned levels and checked scales.
-    #[inline]
-    pub(crate) fn add_assign_raw(&mut self, other: &Ciphertext) {
-        self.c0.add_assign(&other.c0);
-        self.c1.add_assign(&other.c1);
-    }
-
     /// Ring degree.
     #[inline]
     pub fn n(&self) -> usize {

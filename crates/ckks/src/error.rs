@@ -32,9 +32,9 @@ pub enum EvalError {
     ///
     /// [`CkksParams::validate`]: crate::params::CkksParams::validate
     InvalidParams(String),
-    /// Operand levels disagree where the operation needs them pre-aligned
-    /// (e.g. `try_add_assign`), or a level would have to be *raised* by
-    /// truncation (`try_drop_to_level`).
+    /// An operand sits below the level the operation needs (e.g. a prepared
+    /// plaintext weight under its ciphertext's level), or a level would have
+    /// to be *raised* by truncation (`try_drop_to_level`).
     LevelMismatch {
         /// Level of the first operand (or the current level).
         a: usize,

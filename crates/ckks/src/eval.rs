@@ -223,31 +223,6 @@ impl Evaluator {
         ))
     }
 
-    /// In-place homomorphic addition `acc += term` — the accumulation form
-    /// [`PlainMatrix::try_apply_bsgs`](crate::linear::PlainMatrix::try_apply_bsgs)
-    /// sums its giant steps with, so summing `k` terms reuses one allocation
-    /// instead of cloning per term. Unlike [`try_add`], operands must already
-    /// sit at the same level.
-    ///
-    /// [`try_add`]: Self::try_add
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] if the operands sit at different
-    /// levels, [`EvalError::ScaleMismatch`] if the scales disagree. `acc`
-    /// is untouched on error.
-    pub fn try_add_assign(&self, acc: &mut Ciphertext, term: &Ciphertext) -> Result<(), EvalError> {
-        if acc.level() != term.level() {
-            return Err(EvalError::LevelMismatch {
-                a: acc.level(),
-                b: term.level(),
-            });
-        }
-        EvalError::check_scales(acc.scale(), term.scale())?;
-        acc.add_assign_raw(term);
-        Ok(())
-    }
-
     /// Homomorphic subtraction; operands are aligned as in
     /// [`try_add`](Self::try_add).
     ///
@@ -1385,16 +1360,6 @@ mod tests {
             .try_rotate_many(&a, &[], &keys)
             .expect("empty")
             .is_empty());
-    }
-
-    #[test]
-    fn add_assign_matches_add() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let a = encrypt(&ctx, &keys, &mut rng, &[1.0, -2.0]);
-        let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 4.0]);
-        let mut acc = a.clone();
-        eval.try_add_assign(&mut acc, &b).unwrap();
-        assert_eq!(acc, eval.try_add(&a, &b).unwrap());
     }
 
     #[test]

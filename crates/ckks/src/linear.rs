@@ -1,14 +1,12 @@
-//! Homomorphic linear algebra: slot folds, diagonal matrix-vector
-//! products, and their baby-step/giant-step (BSGS) variant.
+//! Homomorphic linear algebra: slot folds and diagonal matrix-vector
+//! products.
 //!
 //! These are the building blocks of the paper's benchmark workloads — the
 //! HELR inner product, the LSTM 128×128 matrix products, and the
 //! CoeffToSlot/SlotToCoeff transforms inside bootstrapping — exposed as a
 //! reusable API. [`PlainMatrix`] is the one linear-transform type: every
-//! product, plain or BSGS, is weighted sums of rotations of one ciphertext
-//! through [`Evaluator::try_rotate_sums`], several matrices over one hoist.
-
-use std::ops::Range;
+//! product is a weighted sum of rotations of one ciphertext through
+//! [`Evaluator::try_rotate_sums`], several matrices over one hoist.
 
 use crate::cipher::Ciphertext;
 use crate::encoding::Complex;
@@ -142,13 +140,8 @@ impl PlainMatrix {
         self.diagonals[d].iter().all(|c| c.abs() < 1e-300)
     }
 
-    /// The rotation steps [`try_apply`]/[`try_apply_bsgs`] need keys for.
-    ///
-    /// [`try_apply`]: Self::try_apply
-    /// [`try_apply_bsgs`]: Self::try_apply_bsgs
+    /// The rotation steps [`try_apply`](Self::try_apply) needs keys for.
     pub fn required_rotations(&self) -> Vec<i64> {
-        // BSGS also uses the giant steps; they are multiples of the baby
-        // block, already contained in 1..dim.
         (1..self.dim as i64).collect()
     }
 
@@ -170,8 +163,24 @@ impl PlainMatrix {
         keys: &KeySet,
         v: &Ciphertext,
     ) -> Result<Vec<Ciphertext>, EvalError> {
-        let blocks: Vec<_> = matrices.iter().map(|&m| (m, 0..m.dim)).collect();
-        try_diagonal_sums(eval, keys, v, &blocks)
+        let (level, scale) = (v.level(), eval.context().default_scale());
+        // One sum per matrix: each non-zero diagonal `d`, encoded at `v`'s
+        // level, weighs the rotation by `d`.
+        let weights = matrices.iter().map(|m| {
+            let live = (0..m.dim).filter(|&d| !m.diagonal_is_zero(d));
+            let weight = |d: usize| {
+                let pt = eval.encode_at_level(&m.diagonals[d], scale, level);
+                Ok((d as i64, eval.prepare_plain(&pt, level)?))
+            };
+            live.map(weight).collect::<Result<Vec<_>, EvalError>>()
+        });
+        let weights = weights.collect::<Result<Vec<_>, _>>()?;
+        let sums: Vec<Vec<_>> = weights
+            .iter()
+            .map(|sum| sum.iter().map(|(step, w)| (*step, Some(w))).collect())
+            .collect();
+        let sums: Vec<&[_]> = sums.iter().map(Vec::as_slice).collect();
+        eval.try_rotate_sums(v, &sums, keys)
     }
 
     /// Applies `M·v` with the plain diagonal method: the one-matrix case of
@@ -190,79 +199,6 @@ impl PlainMatrix {
     ) -> Result<Ciphertext, EvalError> {
         eval.try_rescale(&Self::try_products(&[self], eval, keys, v)?[0])
     }
-
-    /// Applies `M·v` with baby-step/giant-step (`bs = ⌈√dim⌉`): one
-    /// [`try_rotate_sums`](Evaluator::try_rotate_sums) call with one sum per
-    /// non-empty giant block, then the `gs − 1` giant rotations and adds. On
-    /// a dense matrix it switches `dim − 1` keys, as
-    /// [`try_apply`](Self::try_apply) does, plus one Moddown per block; it
-    /// only needs fewer keys (`1..bs` and `bs, 2bs, …`). Consumes one level.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::EmptyOperands`] if every diagonal is numerically zero;
-    /// [`EvalError::MissingRotationKey`] for an absent baby/giant key;
-    /// [`EvalError::RescaleAtLevelZero`] on an exhausted ciphertext.
-    pub fn try_apply_bsgs(
-        &self,
-        eval: &Evaluator,
-        keys: &KeySet,
-        v: &Ciphertext,
-    ) -> Result<Ciphertext, EvalError> {
-        let dim = self.dim;
-        let bs = (dim as f64).sqrt().ceil() as usize;
-        // M·v = Σ_g rot_{g·bs}(Σ_{b<bs} rot_{−g·bs}(diag_{g·bs+b}) ⊙ rot_b(v)):
-        // one inner sum per non-empty giant block, over one hoist of `v`.
-        let blocks: Vec<_> = (0..dim)
-            .step_by(bs)
-            .map(|giant| (self, giant..dim.min(giant + bs)))
-            .filter(|(_, block)| block.clone().any(|d| !self.diagonal_is_zero(d)))
-            .collect();
-        let inner = try_diagonal_sums(eval, keys, v, &blocks)?;
-        // Each giant step rotates a different inner sum: nothing to hoist.
-        let mut shifted = blocks
-            .iter()
-            .zip(&inner)
-            .map(|((_, block), sum)| eval.try_rotate(sum, block.start as i64, keys));
-        let mut acc = shifted.next().expect("try_rotate_sums refuses no sums")?;
-        for term in shifted {
-            eval.try_add_assign(&mut acc, &term?)?;
-        }
-        eval.try_rescale(&acc)
-    }
-}
-
-/// One [`Evaluator::try_rotate_sums`] call over `v`, one sum per block
-/// `(m, diagonals)`: the non-zero diagonals `d` of `m` in the range as
-/// weights at `v`'s level, each rotated right by the range's start `g` (a
-/// giant step, free in plaintext; 0 for a whole matrix) and weighing the
-/// rotation by `d − g`.
-fn try_diagonal_sums(
-    eval: &Evaluator,
-    keys: &KeySet,
-    v: &Ciphertext,
-    blocks: &[(&PlainMatrix, Range<usize>)],
-) -> Result<Vec<Ciphertext>, EvalError> {
-    let (level, scale) = (v.level(), eval.context().default_scale());
-    let weights = blocks.iter().map(|(m, block)| {
-        let shift = block.start;
-        let live = block.clone().filter(|&d| !m.diagonal_is_zero(d));
-        let weight = |d: usize| {
-            let diag: Vec<Complex> = (0..m.dim)
-                .map(|i| m.diagonals[d][(i + m.dim - shift) % m.dim])
-                .collect();
-            let pt = eval.encode_at_level(&diag, scale, level);
-            Ok(((d - shift) as i64, eval.prepare_plain(&pt, level)?))
-        };
-        live.map(weight).collect::<Result<Vec<_>, EvalError>>()
-    });
-    let weights = weights.collect::<Result<Vec<_>, _>>()?;
-    let sums: Vec<Vec<_>> = weights
-        .iter()
-        .map(|sum| sum.iter().map(|(step, w)| (*step, Some(w))).collect())
-        .collect();
-    let sums: Vec<&[_]> = sums.iter().map(Vec::as_slice).collect();
-    eval.try_rotate_sums(v, &sums, keys)
 }
 
 #[cfg(test)]
@@ -368,24 +304,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bsgs_matches_plain_diagonal_method() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let (m, _) = test_matrix();
-        let x = [0.3, 0.6, -0.9, 1.2, -1.5, 0.1, 0.4, -0.2];
-        let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let plain = decrypt(&ctx, &keys, &m.try_apply(&eval, &keys, &ct).unwrap());
-        let bsgs = decrypt(&ctx, &keys, &m.try_apply_bsgs(&eval, &keys, &ct).unwrap());
-        for i in 0..DIM {
-            assert!((plain[i] - bsgs[i]).abs() < 2e-2, "row {i}");
-        }
-    }
-
-    #[test]
-    fn sparse_matrix_skips_zero_diagonals() {
-        let (ctx, keys, eval, mut rng) = setup();
-        // Identity matrix: only diagonal 0 is non-zero.
-        let ident = PlainMatrix::new(
+    /// The identity matrix: only diagonal 0 is non-zero.
+    fn identity() -> PlainMatrix {
+        PlainMatrix::new(
             (0..DIM)
                 .map(|i| {
                     (0..DIM)
@@ -393,7 +314,27 @@ mod tests {
                         .collect()
                 })
                 .collect(),
-        );
+        )
+    }
+
+    #[test]
+    fn products_over_one_hoist_match_each_matrix_alone() {
+        let (ctx, keys, eval, mut rng) = setup();
+        let ((m, _), ident) = (test_matrix(), identity());
+        let x = [0.3, 0.6, -0.9, 1.2, -1.5, 0.1, 0.4, -0.2];
+        let ct = encrypt(&ctx, &keys, &mut rng, &x);
+        let both = PlainMatrix::try_products(&[&m, &ident], &eval, &keys, &ct).unwrap();
+        assert_eq!(both.len(), 2);
+        for (i, alone) in [&m, &ident].into_iter().enumerate() {
+            let own = PlainMatrix::try_products(&[alone], &eval, &keys, &ct).unwrap();
+            assert_eq!(both[i], own[0], "matrix {i}");
+        }
+    }
+
+    #[test]
+    fn sparse_matrix_skips_zero_diagonals() {
+        let (ctx, keys, eval, mut rng) = setup();
+        let ident = identity();
         assert!(ident.diagonal_is_zero(1));
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
@@ -420,7 +361,7 @@ mod tests {
             Err(crate::error::EvalError::EmptyOperands)
         ));
         assert!(matches!(
-            zero.try_apply_bsgs(&eval, &keys, &ct),
+            PlainMatrix::try_products(&[&zero], &eval, &keys, &ct),
             Err(crate::error::EvalError::EmptyOperands)
         ));
     }

@@ -125,7 +125,7 @@ impl OperatorPool {
 
     /// Exports this pool's counters as a snapshot under the `pool.*` scope
     /// names (`pool.ma`, `pool.mm`, `pool.ntt`, `pool.auto`, `pool.sbt`),
-    /// with per-core busy time and latency histograms.
+    /// with per-core busy time.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::from_metrics([
             ("pool.ma", &self.metrics.ma),

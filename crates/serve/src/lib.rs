@@ -261,7 +261,6 @@ pub(crate) mod tel {
         pub deadline = "serve.deadline";
         pub replay_hit = "serve.replay.hit";
         pub watchdog_restart = "serve.watchdog.restart";
-        pub watchdog_requeued = "serve.watchdog.requeued";
         pub watchdog_failed = "serve.watchdog.failed";
         pub replay_coalesced = "serve.replay.coalesced";
         pub program = "serve.program";

@@ -43,11 +43,12 @@ pub struct ServiceConfig {
     /// How often the watchdog scans the dispatcher workers for deaths
     /// and stalls. `0` disables the watchdog entirely.
     pub watchdog_interval_ms: u64,
-    /// A worker continuously executing one batch for longer than this is
-    /// declared stalled: its queued jobs fail over to a surviving shard
-    /// and a replacement worker is installed. Generous by default —
-    /// integrity-checked batches are milliseconds, not seconds. `0`
-    /// disables stall detection (deaths are still handled).
+    /// A worker executing one job (or one coalesced rotation group) for
+    /// longer than this is declared stalled: that batch's unanswered jobs
+    /// fail with a typed `Internal` error and a replacement worker takes
+    /// over the shard's queue. A batch of many short jobs is not a stall.
+    /// Generous by default — integrity-checked jobs are milliseconds, not
+    /// seconds. `0` disables stall detection (deaths are still handled).
     pub stall_timeout_ms: u64,
     /// Entry bound on the idempotent-replay cache: completed `(tenant,
     /// request id)` results retained so a client retry of an
@@ -419,9 +420,8 @@ struct WorkerSlot {
 /// Owns the dispatcher worker handles and performs the watchdog scan:
 /// a finished handle outside shutdown is a death (escaped panic), a
 /// busy-since pulse past the stall bound is a wedge. Either way the
-/// victim shard's queued jobs fail over to a surviving sibling, the
-/// worker's epoch is retired (a recovered zombie exits on observing
-/// it), and a fresh worker is installed.
+/// worker's epoch is retired (a recovered zombie exits on observing it)
+/// and a fresh worker is installed, which drains the shard's queue.
 struct Supervisor {
     queues: Arc<SharedQueues>,
     slots: Mutex<Vec<WorkerSlot>>,
@@ -455,7 +455,6 @@ impl Supervisor {
                 // handle here is drain, not death.
                 return;
             }
-            let requeued = self.queues.requeue_shard(i);
             let epoch = self.queues.bump_epoch(i);
             // A stalled zombie may sleep forever holding its batch; its
             // waiters must not. Fail the shard's in-flight replies with
@@ -478,9 +477,6 @@ impl Supervisor {
                 let _ = old.handle.join();
             }
             crate::tel::watchdog_restart().add(1);
-            if requeued > 0 {
-                crate::tel::watchdog_requeued().add(requeued as u64);
-            }
             if failed > 0 {
                 crate::tel::watchdog_failed().add(failed as u64);
             }
@@ -913,7 +909,10 @@ fn reap_expired(job: Job) -> Option<Job> {
     }
 }
 
-pub(crate) fn execute_batch(batch: Vec<Job>) {
+/// Runs one dequeued batch: rotation groups first, then single jobs.
+/// `start_job` runs before each group and each single job, restarting the
+/// watchdog's clock, so a stall is one job over the bound, not a long batch.
+pub(crate) fn execute_batch(batch: Vec<Job>, start_job: impl Fn()) {
     // Dequeue-time deadline check: a request that expired while queued
     // is answered without computing dead work.
     let batch: Vec<Job> = batch.into_iter().filter_map(reap_expired).collect();
@@ -948,6 +947,7 @@ pub(crate) fn execute_batch(batch: Vec<Job>) {
         // have consumed the remaining budget.
         let jobs: Vec<Job> = jobs.into_iter().filter_map(reap_expired).collect();
         if !jobs.is_empty() {
+            start_job();
             run_rotation_group(jobs);
         }
     }
@@ -955,6 +955,7 @@ pub(crate) fn execute_batch(batch: Vec<Job>) {
         let Some(job) = reap_expired(job) else {
             continue;
         };
+        start_job();
         let result = contain(|| run_one(&job.tenant, &job.request).map_err(ServeError::Eval));
         job.reply.send(result);
     }

@@ -1,5 +1,5 @@
 //! Sharded dispatch queues: per-tenant shard affinity plus bounded work
-//! stealing, heartbeat pulses for the watchdog, and failover requeueing.
+//! stealing, and heartbeat pulses for the watchdog.
 //!
 //! The software analogue of the paper's channel scheduling: Poseidon
 //! keeps all HBM channels busy by statically mapping operands to
@@ -27,11 +27,9 @@
 //!   queue interaction and exits instead of competing with its
 //!   replacement;
 //! - every shard has a **pulse**: a beats counter plus a busy-since
-//!   timestamp, letting the watchdog distinguish "executing a long
-//!   batch" from "wedged";
-//! - [`SharedQueues::requeue_shard`] migrates a victim shard's queued
-//!   jobs to the least-loaded surviving sibling in submission order, so
-//!   coalescing windows survive failover intact;
+//!   timestamp, restarted before each job (or rotation group) of a batch,
+//!   so the watchdog times one job, not a long batch of short ones; a
+//!   replaced worker's queued jobs stay on its shard for the replacement;
 //! - every dequeued job parks its reply sink in the [`InFlightTable`]
 //!   until answered, so a *wedged* worker's held batch can be failed by
 //!   the watchdog with a typed error instead of hanging its waiters
@@ -221,7 +219,8 @@ pub(crate) fn tenant_hash(id: &str) -> u64 {
 
 /// One shard's heartbeat, read lock-free by the watchdog. `beats` ticks
 /// every time the worker returns to the queue; `busy_since_ms` is the
-/// [`now_ms`] timestamp when its current batch started (0 = idle).
+/// [`now_ms`] timestamp when its batch was dequeued, restarted as each
+/// job (or rotation group) of it starts (0 = idle).
 pub(crate) struct Pulse {
     pub(crate) beats: AtomicU64,
     pub(crate) busy_since_ms: AtomicU64,
@@ -368,8 +367,22 @@ impl SharedQueues {
         fresh
     }
 
-    /// How long shard `i`'s worker has been executing its current batch,
-    /// in milliseconds (0 when idle). The watchdog's stall signal.
+    /// Restarts shard `me`'s busy clock as its worker (spawned at `epoch`)
+    /// starts the next job of its batch. Under the queue lock, so a retired
+    /// worker that wakes cannot restart its replacement's clock: either its
+    /// store precedes [`bump_epoch`](Self::bump_epoch)'s reset, or it sees
+    /// the bumped epoch and leaves the clock alone.
+    pub(crate) fn restart_clock(&self, me: usize, epoch: u64) {
+        let _q = self.state.lock().expect("queue poisoned");
+        if self.epochs[me].load(Ordering::Acquire) == epoch {
+            self.pulses[me]
+                .busy_since_ms
+                .store(now_ms().max(1), Ordering::Release);
+        }
+    }
+
+    /// How long shard `i`'s worker has been executing its current job, in
+    /// milliseconds (0 when idle). The watchdog's stall signal.
     pub(crate) fn busy_for_ms(&self, i: usize) -> u64 {
         let since = self.pulses[i].busy_since_ms.load(Ordering::Acquire);
         if since == 0 {
@@ -398,34 +411,6 @@ impl SharedQueues {
             .lock()
             .expect("in-flight table poisoned")
             .len()
-    }
-
-    /// Failover: migrates every job queued on `victim` to the least-
-    /// loaded surviving shard, preserving submission order (the jobs
-    /// stay contiguous, so the coalescing window survives the move).
-    /// Returns how many jobs moved. With a single shard there is no
-    /// survivor; jobs stay put for the respawned worker.
-    pub(crate) fn requeue_shard(&self, victim: usize) -> usize {
-        let mut q = self.state.lock().expect("queue poisoned");
-        if q.shards[victim].is_empty() {
-            return 0;
-        }
-        let Some(target) = (0..q.shards.len())
-            .filter(|&j| j != victim)
-            .min_by_key(|&j| q.shards[j].len())
-        else {
-            return 0;
-        };
-        let moved: Vec<Job> = q.shards[victim].drain(..).collect();
-        let n = moved.len();
-        for job in moved {
-            q.shards[target].push_back(job);
-        }
-        self.sample_depth(&q, victim);
-        self.sample_depth(&q, target);
-        drop(q);
-        self.cv.notify_all();
-        n
     }
 
     /// Is there a shard worker `me` may steal from? Only shards whose
@@ -528,7 +513,7 @@ pub(crate) fn dispatch_loop(queues: Arc<SharedQueues>, me: usize, epoch: u64) {
         // worker (tripping the stall watchdog) or kill it outright (the
         // escaped panic unwinds `batch`, whose Reply drop guards answer
         // every held job with a typed Internal error; the watchdog then
-        // requeues the shard and respawns the worker).
+        // respawns the worker, which drains the shard's queue).
         match poseidon_faults::disrupt(poseidon_faults::FaultSite::ShardWorker, &mut []) {
             Some(poseidon_faults::Disruption::Stalled(ms)) => {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
@@ -538,7 +523,7 @@ pub(crate) fn dispatch_loop(queues: Arc<SharedQueues>, me: usize, epoch: u64) {
             }
             _ => {}
         }
-        crate::service::execute_batch(batch);
+        crate::service::execute_batch(batch, || queues.restart_clock(me, epoch));
     }
 }
 

@@ -194,8 +194,9 @@ fn stalled_worker_fails_over_before_the_stall_ends() {
 }
 
 /// With multiple shards, a dead shard's backlog drains through the
-/// surviving sibling (steal or watchdog requeue) — nothing is lost and
-/// the bytes match the unfaulted run.
+/// surviving worker (it steals from a shard whose worker died mid-batch,
+/// before any watchdog scan) — nothing is lost and the bytes match the
+/// unfaulted run.
 #[test]
 fn dead_shard_backlog_drains_through_the_survivor() {
     let _guard = poseidon_faults::test_lock();

@@ -449,6 +449,59 @@ fn watchdog_is_quiescent_on_a_healthy_service() {
     service.shutdown();
 }
 
+/// The stall bound times one job, not a batch: a batch of many healthy
+/// jobs, each far under the bound but together far over it, runs to the
+/// end without a watchdog failover.
+#[test]
+fn a_long_batch_of_short_jobs_is_not_a_stall() {
+    let (ctx, keys, mut rng) = setup();
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
+    let mul = || Request::Mul {
+        a: ct.clone(),
+        b: ct.clone(),
+    };
+    // Calibrate one job on this host, round trip included.
+    let probe = EvalService::start(ServiceConfig::default());
+    probe.register_tenant("acme", ctx.clone(), keys.clone());
+    let mut job_ms = 1;
+    for _ in 0..3 {
+        let started = Instant::now();
+        probe.call("acme", mul()).expect("calibration mul");
+        job_ms = job_ms.max(started.elapsed().as_millis() as u64);
+    }
+    probe.shutdown();
+
+    // One job is a tenth of the bound; the batch is four bounds long.
+    let stall_timeout_ms = (10 * job_ms).max(30);
+    let jobs = (4 * stall_timeout_ms / job_ms) as usize;
+    let service = EvalService::start(ServiceConfig {
+        shards: 1,
+        max_batch: jobs,
+        queue_capacity: jobs,
+        watchdog_interval_ms: 2,
+        stall_timeout_ms,
+        ..ServiceConfig::default()
+    });
+    service.register_tenant("acme", ctx, keys);
+    // Queue every job before the worker may take any: one batch.
+    service.suspend();
+    let tickets: Vec<_> = (0..jobs)
+        .map(|_| service.submit("acme", mul()).expect("admitted"))
+        .collect();
+    service.resume();
+    let failed = tickets
+        .into_iter()
+        .map(|t| t.wait())
+        .filter(Result::is_err)
+        .count();
+    assert_eq!(
+        (failed, service.worker_epoch(0)),
+        (0, 0),
+        "{jobs} jobs of at most {job_ms} ms against a {stall_timeout_ms} ms bound"
+    );
+    service.shutdown();
+}
+
 /// Shutdown with a live watchdog thread terminates cleanly — the
 /// watchdog must not scan (and "restart") workers that are exiting.
 #[test]

@@ -8,9 +8,8 @@
 //!
 //! Three primitives, all `std`-only and lock-free on the hot path:
 //!
-//! * [`Metric`] — an atomic bundle per named scope: an event counter, an
-//!   element (work-item) counter, a monotonic busy-time accumulator, and a
-//!   fixed-bucket log₂ latency histogram.
+//! * [`Metric`] — three atomics per named scope: an event counter, an
+//!   element (work-item) counter and a monotonic busy-time accumulator.
 //! * [`Span`] — an RAII timer guard ([`Metric::span`]): measures one timed
 //!   region with `Instant` and folds duration + element count into the
 //!   metric on drop. [`Metric::add`] is the timer-free variant for pure
@@ -20,9 +19,8 @@
 //!   scope is resolved once into a static handle ([`scope_fn!`]) so the hot
 //!   path never touches the map lock.
 //!
-//! [`Snapshot`] captures the registry (or any metric set) at an instant and
-//! renders to JSON (hand-rolled — this crate has zero dependencies by
-//! design, matching the offline build).
+//! [`Snapshot`] captures the registry (or any metric set) at an instant;
+//! [`Snapshot::since`] is the difference of two.
 //!
 //! Scope naming convention is dotted lower-case paths mirroring the layers:
 //! `ntt.forward`, `rns.convert`, `rescale`, `keyswitch.digit`, `eval.mul`,
@@ -91,53 +89,9 @@ macro_rules! scope_fn {
     )+};
 }
 
-/// Number of latency buckets: bucket `i` holds durations `d` with
-/// `⌊log₂ d_ns⌋ = i`, saturating at the last bucket (≈ 2.1 s and above).
-pub const HIST_BUCKETS: usize = 32;
-
-/// Fixed-bucket log₂-nanosecond latency histogram.
+/// The per-scope metric bundle: event count, element count, busy nanos.
 ///
-/// Recording is a single relaxed atomic increment; there is no dynamic
-/// allocation after construction. Bucket `i` covers `[2^i, 2^{i+1})` ns.
-#[derive(Debug, Default)]
-struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Histogram {
-    /// Bucket index for a duration in nanoseconds.
-    #[inline]
-    fn bucket_index(nanos: u64) -> usize {
-        (63 - nanos.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-
-    /// Records one observation.
-    #[inline]
-    fn record(&self, nanos: u64) {
-        self.buckets[Self::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current bucket counts.
-    fn counts(&self) -> [u64; HIST_BUCKETS] {
-        let mut out = [0u64; HIST_BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Zeroes every bucket.
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The per-scope metric bundle: event count, element count, busy nanos,
-/// and a latency histogram of span durations.
-///
-/// All four update with relaxed atomics — cross-scope consistency is not
+/// All three update with relaxed atomics — cross-scope consistency is not
 /// needed (snapshots are diagnostic, not transactional), and the counters
 /// themselves are exact.
 #[derive(Debug, Default)]
@@ -145,7 +99,6 @@ pub struct Metric {
     count: AtomicU64,
     items: AtomicU64,
     nanos: AtomicU64,
-    hist: Histogram,
 }
 
 impl Metric {
@@ -179,7 +132,6 @@ impl Metric {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.items.fetch_add(items, Ordering::Relaxed);
         self.nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.hist.record(nanos);
     }
 
     /// Records `count` events that ran together in one region of `elapsed`
@@ -199,13 +151,6 @@ impl Metric {
         self.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Times `f` as one span.
-    #[inline]
-    pub fn time<R>(&self, items: u64, f: impl FnOnce() -> R) -> R {
-        let _span = self.span(items);
-        f()
-    }
-
     /// Events recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -221,12 +166,11 @@ impl Metric {
         self.nanos.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the metric (counters and histogram).
+    /// Zeroes the metric.
     pub fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.items.store(0, Ordering::Relaxed);
         self.nanos.store(0, Ordering::Relaxed);
-        self.hist.reset();
     }
 
     /// Captures the metric under a scope name.
@@ -236,7 +180,6 @@ impl Metric {
             count: self.count(),
             items: self.items(),
             nanos: self.nanos(),
-            buckets: self.hist.counts(),
         }
     }
 }
@@ -266,8 +209,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// A fresh private registry (tests, per-subsystem isolation).
-    pub fn new() -> Registry {
+    /// A fresh private registry (the global one, and tests).
+    fn new() -> Registry {
         Registry::default()
     }
 
@@ -289,12 +232,6 @@ impl Registry {
     /// a snapshot; summing the family's scopes recovers the aggregate.
     pub fn scope_indexed(&self, base: &str, index: usize) -> Arc<Metric> {
         self.scope(&format!("{base}{index}"))
-    }
-
-    /// Names currently registered, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let map = self.scopes.lock().expect("telemetry registry poisoned");
-        map.keys().cloned().collect()
     }
 
     /// Zeroes every registered metric (registrations survive).
@@ -325,11 +262,9 @@ pub struct ScopeStats {
     pub items: u64,
     /// Total busy nanoseconds (0 for untimed counters).
     pub nanos: u64,
-    /// Latency histogram bucket counts (log₂-ns buckets).
-    pub buckets: [u64; HIST_BUCKETS],
 }
 
-/// A point-in-time capture of a metric set, renderable as JSON.
+/// A point-in-time capture of a metric set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Captured scopes, sorted by name.
@@ -350,9 +285,8 @@ impl Snapshot {
         self.scopes.iter().find(|s| s.name == name)
     }
 
-    /// The scope-by-scope difference `self − earlier` (counters only;
-    /// histograms subtract bucket-wise, saturating at zero). Scopes absent
-    /// from `earlier` pass through unchanged.
+    /// The scope-by-scope difference `self − earlier`, saturating at zero.
+    /// Scopes absent from `earlier` pass through unchanged.
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
         let scopes = self
             .scopes
@@ -361,61 +295,21 @@ impl Snapshot {
                 let Some(e) = earlier.get(&s.name) else {
                     return s.clone();
                 };
-                let mut buckets = [0u64; HIST_BUCKETS];
-                for (o, (&a, &b)) in buckets.iter_mut().zip(s.buckets.iter().zip(&e.buckets)) {
-                    *o = a.saturating_sub(b);
-                }
                 ScopeStats {
                     name: s.name.clone(),
                     count: s.count.saturating_sub(e.count),
                     items: s.items.saturating_sub(e.items),
                     nanos: s.nanos.saturating_sub(e.nanos),
-                    buckets,
                 }
             })
             .collect();
         Snapshot { scopes }
-    }
-
-    /// Renders JSON (hand-rolled: scope names are internal identifiers,
-    /// so only basic string escaping is applied).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\"scopes\":[");
-        for (i, s) in self.scopes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = s.buckets.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"count\":{},\"items\":{},\"nanos\":{},\"buckets\":[{}]}}",
-                esc(&s.name),
-                s.count,
-                s.items,
-                s.nanos,
-                buckets.join(",")
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_index_is_log2() {
-        assert_eq!(Histogram::bucket_index(0), 0); // clamped to 1 ns
-        assert_eq!(Histogram::bucket_index(1), 0);
-        assert_eq!(Histogram::bucket_index(2), 1);
-        assert_eq!(Histogram::bucket_index(1023), 9);
-        assert_eq!(Histogram::bucket_index(1024), 10);
-        assert_eq!(Histogram::bucket_index(u64::MAX), HIST_BUCKETS - 1);
-    }
 
     #[test]
     fn metric_accumulates_and_resets() {
@@ -426,7 +320,6 @@ mod tests {
         assert_eq!(m.count(), 3);
         assert_eq!(m.items(), 18);
         assert_eq!(m.nanos(), 1500);
-        assert_eq!(m.hist.counts()[Histogram::bucket_index(1500)], 1);
         m.reset();
         assert_eq!((m.count(), m.items(), m.nanos()), (0, 0, 0));
     }
@@ -439,8 +332,6 @@ mod tests {
         }
         assert_eq!(m.count(), 1);
         assert_eq!(m.items(), 7);
-        // Even an empty region takes ≥ 0 ns; the histogram gained one entry.
-        assert_eq!(m.hist.counts().iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -450,7 +341,7 @@ mod tests {
         let b = r.scope("x.y");
         a.add(3);
         assert_eq!(b.items(), 3);
-        assert_eq!(r.names(), vec!["x.y".to_string()]);
+        assert_eq!(r.snapshot().scopes.len(), 1);
         r.reset();
         assert_eq!(b.items(), 0);
     }
@@ -467,17 +358,6 @@ mod tests {
         assert_eq!(d.get("a").unwrap().items, 6);
         assert_eq!(d.get("a").unwrap().count, 1);
         assert_eq!(d.get("b").unwrap().nanos, 100);
-    }
-
-    #[test]
-    fn renders_json() {
-        let r = Registry::new();
-        r.scope("ntt.forward").record_nanos(1024, 2_000_000);
-        r.scope("empty.scope");
-        let j = r.snapshot().to_json();
-        assert!(j.starts_with("{\"scopes\":["));
-        assert!(j.contains("\"name\":\"empty.scope\""));
-        assert!(j.contains("\"nanos\":2000000"));
     }
 
     #[test]

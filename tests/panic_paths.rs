@@ -41,7 +41,7 @@ fn try_bootstrap_rejects_non_exhausted_input_with_a_typed_error() {
 }
 
 /// An all-zero linear-transform matrix has no live diagonal to
-/// accumulate: `try_apply`/`try_apply_bsgs` report `EmptyOperands`.
+/// accumulate: `try_apply` reports `EmptyOperands`.
 #[test]
 fn zero_matrix_apply_is_empty_operands_not_a_panic() {
     let ctx = CkksContext::new(CkksParams::toy());
@@ -56,10 +56,6 @@ fn zero_matrix_apply_is_empty_operands_not_a_panic() {
 
     assert_eq!(
         zero.try_apply(&eval, &keys, &ct).unwrap_err(),
-        EvalError::EmptyOperands
-    );
-    assert_eq!(
-        zero.try_apply_bsgs(&eval, &keys, &ct).unwrap_err(),
         EvalError::EmptyOperands
     );
 }
