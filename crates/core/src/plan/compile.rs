@@ -23,13 +23,15 @@
 //! * A **pressure rule** keeps the tracked scale decryptable at every
 //!   step: an operation that would push `log2(scale)` within
 //!   [`SCALE_MARGIN_BITS`] of the live modulus bits forces an eager
-//!   rescale, or — when no level is left — applies the configured
-//!   [`Exhaustion`] policy: close the segment and restart from a fresh
-//!   top-level input ([`CompiledProgram::segments`] counts these), defer
-//!   to the planner's bootstrap-insertion pass, or — when even a fresh
-//!   input cannot fund the operation — fail with a typed
-//!   [`PlanError::ScaleOverflow`] instead of silently exceeding the
-//!   modulus.
+//!   rescale, or — when no level is left — closes the segment and
+//!   restarts from a fresh top-level input ([`CompiledProgram::segments`]
+//!   counts these), or — when even a fresh input cannot fund the
+//!   operation — fails with a typed [`PlanError::ScaleOverflow`] instead
+//!   of silently exceeding the modulus. [`plan_trace`] with bootstrap
+//!   keys lowers without resets instead: it leaves the exhausted values
+//!   standing for the planner's bootstrap-insertion pass to repair. The
+//!   policy follows from whether bootstrap keys exist; it is not an
+//!   option.
 
 use he_ckks::cipher::Plaintext;
 use he_ckks::context::CkksContext;
@@ -55,15 +57,15 @@ pub const SCALE_MARGIN_BITS: f64 = 10.0;
 const MAX_ROTATION_STEP: i64 = 8;
 
 /// What the lowering does when the level/scale budget is exhausted and
-/// rescaling cannot make room.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Exhaustion {
+/// rescaling cannot make room: [`compile_trace`] always resets,
+/// [`plan_trace`] defers when it may insert bootstraps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exhaustion {
     /// Close the segment (mark `cur` as an output) and restart from a
     /// fresh top-level input — at most once per squeeze; if a *fresh*
     /// input still cannot fund the operation, fail with
     /// [`PlanError::ScaleOverflow`] rather than emit a value past the
     /// modulus.
-    #[default]
     SegmentReset,
     /// Never reset: keep a single dataflow and let the exhausted
     /// level/scale metadata stand, counting each event in
@@ -79,16 +81,11 @@ pub struct CompileOptions {
     /// Per-entry repetition cap (`.pos` counts above this are truncated
     /// and reported).
     pub count_cap: u64,
-    /// Budget-exhaustion policy (see [`Exhaustion`]).
-    pub exhaustion: Exhaustion,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        Self {
-            count_cap: 8,
-            exhaustion: Exhaustion::SegmentReset,
-        }
+        Self { count_cap: 8 }
     }
 }
 
@@ -103,7 +100,7 @@ pub struct CompiledProgram {
     /// level/scale budget).
     pub segments: usize,
     /// Budget-exhaustion events left in the graph for the planner to
-    /// repair (always 0 under [`Exhaustion::SegmentReset`]).
+    /// repair (always 0 from [`compile_trace`], which resets instead).
     pub exhausted: u64,
     /// Rotation steps the graph uses (generate these keys before
     /// executing).
@@ -113,7 +110,8 @@ pub struct CompiledProgram {
 struct Lowering<'a> {
     g: EvalGraph,
     ctx: &'a CkksContext,
-    opts: &'a CompileOptions,
+    count_cap: u64,
+    exhaustion: Exhaustion,
     cur: ValueId,
     fan: Vec<ValueId>,
     pt_counter: usize,
@@ -125,14 +123,15 @@ struct Lowering<'a> {
 }
 
 impl<'a> Lowering<'a> {
-    fn new(ctx: &'a CkksContext, opts: &'a CompileOptions) -> Self {
+    fn new(ctx: &'a CkksContext, count_cap: u64, exhaustion: Exhaustion) -> Self {
         let default_bits = ctx.default_scale().log2();
         let mut g = EvalGraph::new(f64::from(ctx.params().scale_prime_bits));
         let cur = g.input(ctx.max_level(), default_bits);
         Self {
             g,
             ctx,
-            opts,
+            count_cap,
+            exhaustion,
             cur,
             fan: Vec::new(),
             pt_counter: 0,
@@ -164,7 +163,7 @@ impl<'a> Lowering<'a> {
     }
 
     fn cap(&mut self, count: u64) -> u64 {
-        let k = count.min(self.opts.count_cap);
+        let k = count.min(self.count_cap);
         self.truncated += count - k;
         k
     }
@@ -244,7 +243,7 @@ impl<'a> Lowering<'a> {
 
     /// Makes room on `cur` for an operation that adds `extra_bits` of
     /// scale. Rescales while a level and scale headroom remain; on
-    /// exhaustion, applies the configured [`Exhaustion`] policy. Under
+    /// exhaustion, applies the lowering's [`Exhaustion`] policy. Under
     /// [`Exhaustion::SegmentReset`], at most one reset — if even a fresh
     /// top-level input cannot fund the operation, the program does not
     /// fit the parameter set and a typed [`PlanError::ScaleOverflow`] is
@@ -259,7 +258,7 @@ impl<'a> Lowering<'a> {
             }
             if lv > 0 && s > self.default_bits + 0.5 {
                 self.cur = self.g.rescale(self.cur);
-            } else if self.opts.exhaustion == Exhaustion::Defer {
+            } else if self.exhaustion == Exhaustion::Defer {
                 self.exhausted += 1;
                 return Ok(());
             } else if !reset_done {
@@ -313,7 +312,7 @@ impl<'a> Lowering<'a> {
                     if !self.fits(lv, s + self.default_bits) {
                         if lv > 0 && s > self.default_bits + 0.5 {
                             self.rescale_fan();
-                        } else if self.opts.exhaustion == Exhaustion::Defer {
+                        } else if self.exhaustion == Exhaustion::Defer {
                             self.exhausted += 1;
                         } else if lv == 0 {
                             // No scale room at the chain floor — close the
@@ -332,7 +331,7 @@ impl<'a> Lowering<'a> {
                     }
                     if self.fan.is_empty() {
                         // Segment reset: rebuild the fan from the fresh input.
-                        let k = n.clamp(1, self.opts.count_cap);
+                        let k = n.clamp(1, self.count_cap);
                         let lvc = self.level(self.cur);
                         self.fan = (0..k)
                             .map(|_| {
@@ -421,13 +420,22 @@ impl<'a> Lowering<'a> {
 /// # Errors
 ///
 /// [`PlanError::ScaleOverflow`] when the parameter set cannot fund the
-/// program under [`Exhaustion::SegmentReset`] — even a fresh top-level
-/// input would exceed the modulus (never errors under
-/// [`Exhaustion::Defer`]; the planner repairs or rejects instead).
+/// program — even a fresh top-level input would exceed the modulus.
 pub fn compile_trace(
     trace: &OpTrace,
     ctx: &CkksContext,
     opts: &CompileOptions,
+) -> Result<CompiledProgram, PlanError> {
+    lower(trace, ctx, opts.count_cap, Exhaustion::SegmentReset)
+}
+
+/// The lowering behind [`compile_trace`] and [`plan_trace`]. Never errors
+/// under [`Exhaustion::Defer`]: the planner repairs or rejects instead.
+fn lower(
+    trace: &OpTrace,
+    ctx: &CkksContext,
+    count_cap: u64,
+    exhaustion: Exhaustion,
 ) -> Result<CompiledProgram, PlanError> {
     let virt_max = trace
         .entries()
@@ -437,7 +445,7 @@ pub fn compile_trace(
         .unwrap_or(1)
         .max(1) as f64;
     let max_level = ctx.max_level();
-    let mut lowering = Lowering::new(ctx, opts);
+    let mut lowering = Lowering::new(ctx, count_cap, exhaustion);
     for &(op, params, count) in trace.entries() {
         let target = ((params.components as f64 / virt_max) * max_level as f64).ceil() as usize;
         let target = target.min(max_level);
@@ -446,8 +454,9 @@ pub fn compile_trace(
     Ok(lowering.finish())
 }
 
-/// End-to-end `.pos` planning: lower the trace (with `opts.count_cap` and
-/// an exhaustion policy derived from `opts.bootstrap`), run the pass
+/// End-to-end `.pos` planning: lower the trace (with `opts.count_cap`;
+/// with `opts.bootstrap`, exhausted values are left standing for bootstrap
+/// insertion instead of resetting the segment), run the pass
 /// pipeline, and surface lowering telemetry (`PlanStats::truncated`,
 /// `plan.truncated` scope) in the resulting [`Plan`].
 ///
@@ -461,15 +470,12 @@ pub fn plan_trace(
     ctx: &CkksContext,
     opts: &PlanOptions,
 ) -> Result<Plan, PlanError> {
-    let copts = CompileOptions {
-        count_cap: opts.count_cap,
-        exhaustion: if opts.bootstrap.is_some() {
-            Exhaustion::Defer
-        } else {
-            Exhaustion::SegmentReset
-        },
+    let exhaustion = if opts.bootstrap.is_some() {
+        Exhaustion::Defer
+    } else {
+        Exhaustion::SegmentReset
     };
-    let prog = compile_trace(trace, ctx, &copts)?;
+    let prog = lower(trace, ctx, opts.count_cap, exhaustion)?;
     if prog.truncated > 0 {
         tel::truncated().add(prog.truncated);
     }
@@ -537,10 +543,7 @@ mod tests {
         let capped = compile_trace(&trace, &ctx, &CompileOptions::default()).expect("fits");
         assert!(capped.truncated > 0);
         // ...raising it lowers every repetition.
-        let opts = CompileOptions {
-            count_cap: 32,
-            ..CompileOptions::default()
-        };
+        let opts = CompileOptions { count_cap: 32 };
         let full = compile_trace(&trace, &ctx, &opts).expect("fits");
         assert_eq!(full.truncated, 0);
         assert!(full.graph.validate().is_ok());
@@ -666,15 +669,41 @@ mod tests {
         );
     }
 
+    /// A program that walks the chain to level 0 and then squares: the
+    /// lowering `compile_trace` uses splits it into two segments; the one
+    /// `plan_trace` uses with bootstrap keys keeps one dataflow and counts
+    /// the exhaustion.
+    #[test]
+    fn an_exhausting_program_resets_or_defers_by_policy() {
+        let ctx = CkksContext::new(CkksParams::bootstrap_demo());
+        let trace = trace_of(&[
+            (BasicOp::Moddown, 24, 8),
+            (BasicOp::Moddown, 16, 8),
+            (BasicOp::Moddown, 8, 8),
+            (BasicOp::CMult, 1, 1),
+            (BasicOp::Rescale, 1, 1),
+            (BasicOp::HAdd, 1, 1),
+        ]);
+        let reset = compile_trace(&trace, &ctx, &CompileOptions::default()).expect("compiles");
+        assert!(
+            reset.segments >= 2,
+            "SegmentReset must split the exhausted chain, got {} segment(s)",
+            reset.segments
+        );
+        assert_eq!(reset.exhausted, 0);
+
+        let count_cap = CompileOptions::default().count_cap;
+        let defer = lower(&trace, &ctx, count_cap, Exhaustion::Defer).expect("compiles");
+        assert_eq!(defer.segments, 1, "Defer must keep one dataflow");
+        assert!(defer.exhausted >= 1, "exhaustion must be counted");
+    }
+
     #[test]
     fn defer_mode_keeps_one_dataflow_and_counts_exhaustion() {
         let ctx = CkksContext::new(overflowing_params());
         let trace = trace_of(&[(BasicOp::CMult, 30, 1)]);
-        let opts = CompileOptions {
-            exhaustion: Exhaustion::Defer,
-            ..CompileOptions::default()
-        };
-        let prog = compile_trace(&trace, &ctx, &opts).expect("defer never errors");
+        let count_cap = CompileOptions::default().count_cap;
+        let prog = lower(&trace, &ctx, count_cap, Exhaustion::Defer).expect("defer never errors");
         assert!(prog.exhausted >= 1);
         assert_eq!(prog.segments, 1);
         assert!(prog.graph.validate().is_ok());

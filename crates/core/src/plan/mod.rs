@@ -37,9 +37,7 @@ pub mod exec;
 pub mod graph;
 pub mod passes;
 
-pub use compile::{
-    compile_trace, plan_trace, CompileOptions, CompiledProgram, Exhaustion, SCALE_MARGIN_BITS,
-};
+pub use compile::{compile_trace, plan_trace, CompileOptions, CompiledProgram, SCALE_MARGIN_BITS};
 pub use exec::{execute, execute_with, ExecOutcome};
 pub use graph::{EvalGraph, GraphOp, Node, NodeId, ValueId, ValueInfo};
 pub use passes::{plan, BootstrapOptions, NoiseBudget, Plan, PlanOptions, PlanStats};

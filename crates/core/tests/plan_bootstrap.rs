@@ -1,5 +1,5 @@
 //! Planner phase 2 end-to-end: a `.pos`-shaped program that exhausts
-//! the modulus chain compiles under the Defer policy, gets a `Bootstrap`
+//! the modulus chain, planned with bootstrap keys, gets a `Bootstrap`
 //! node auto-inserted by the planning pipeline, and runs to a correct
 //! decryption on both the functional evaluator and the cycle-modelled
 //! machine — plus the typed rejection paths and the balanced-reduction
@@ -15,8 +15,8 @@ use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_core::decompose::{BasicOp, OpParams, OpTrace};
 use poseidon_core::plan::{
-    compile_trace, execute, execute_with, plan_trace, BootstrapOptions, CompileOptions, EvalGraph,
-    GraphOp, Plan, PlanError, PlanOptions,
+    execute, execute_with, plan_trace, BootstrapOptions, EvalGraph, GraphOp, Plan, PlanError,
+    PlanOptions,
 };
 use poseidon_core::PoseidonMachine;
 use rand::SeedableRng;
@@ -66,34 +66,6 @@ fn decrypt(ctx: &CkksContext, keys: &KeySet, ct: &Ciphertext) -> Vec<f64> {
         .iter()
         .map(|z| z.re)
         .collect()
-}
-
-/// Under the default `SegmentReset` policy the same program splits into
-/// two segments. Under `Defer` (what bootstrap planning uses) the
-/// dataflow stays whole and the exhaustion is *counted*.
-#[test]
-fn exhausting_program_split_segments_before_and_is_counted_now() {
-    let ctx = CkksContext::new(CkksParams::bootstrap_demo());
-    let trace = exhausting_trace();
-
-    let reset = compile_trace(&trace, &ctx, &CompileOptions::default()).expect("compiles");
-    assert!(
-        reset.segments >= 2,
-        "SegmentReset must split the exhausted chain, got {} segment(s)",
-        reset.segments
-    );
-
-    let defer = compile_trace(
-        &trace,
-        &ctx,
-        &CompileOptions {
-            exhaustion: poseidon_core::plan::Exhaustion::Defer,
-            ..CompileOptions::default()
-        },
-    )
-    .expect("compiles");
-    assert_eq!(defer.segments, 1, "Defer must keep one dataflow");
-    assert!(defer.exhausted >= 1, "exhaustion must be counted");
 }
 
 /// The acceptance-criteria path: the exhausted program plans with one

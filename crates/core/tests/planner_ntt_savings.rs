@@ -102,7 +102,6 @@ fn bsgs_matvec_counts() {
     let planned = plan_trace(&trace, &ctx, &opts).unwrap();
     let copts = CompileOptions {
         count_cap: opts.count_cap,
-        ..CompileOptions::default()
     };
     let steps = compile_trace(&trace, &ctx, &copts).unwrap().rotation_steps;
 

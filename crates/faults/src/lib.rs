@@ -23,8 +23,8 @@
 //! Hook sites (see [`FaultSite`]) map to the paper's hardware structures:
 //! RNS residue vectors (register files / scratchpad lines), NTT twiddle
 //! tables (BRAM), the eval-form key-switch key store (HBM-resident keys),
-//! `poseidon-par` scratch buffers (on-chip scratchpad), the wire format
-//! (the host↔accelerator link) and the serving sockets and workers.
+//! the wire format (the host↔accelerator link) and the serving sockets and
+//! workers.
 //!
 //! # Examples
 //!
@@ -58,9 +58,6 @@ pub enum FaultSite {
     /// The eval-form key-switch key store read path (`he-ckks`): models a
     /// corrupted HBM-resident key digit.
     KeyCache,
-    /// `poseidon-par` scratch-pool buffers at hand-out: models stale or
-    /// flipped scratchpad contents.
-    ParScratch,
     /// Serialized frames at wire decode entry (`poseidon-wire`): models
     /// corruption on the host↔accelerator link or in a network buffer —
     /// the decoder's checksum must catch every flip.
@@ -84,11 +81,10 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in hook order.
-    pub const ALL: [FaultSite; 9] = [
+    pub const ALL: [FaultSite; 8] = [
         FaultSite::RnsResidue,
         FaultSite::NttTwiddle,
         FaultSite::KeyCache,
-        FaultSite::ParScratch,
         FaultSite::WireFrame,
         FaultSite::SocketRead,
         FaultSite::SocketWrite,
@@ -102,7 +98,6 @@ impl FaultSite {
             FaultSite::RnsResidue => "rns_residue",
             FaultSite::NttTwiddle => "ntt_twiddle",
             FaultSite::KeyCache => "key_cache",
-            FaultSite::ParScratch => "par_scratch",
             FaultSite::WireFrame => "wire_frame",
             FaultSite::SocketRead => "socket_read",
             FaultSite::SocketWrite => "socket_write",
@@ -116,12 +111,11 @@ impl FaultSite {
             FaultSite::RnsResidue => 0,
             FaultSite::NttTwiddle => 1,
             FaultSite::KeyCache => 2,
-            FaultSite::ParScratch => 3,
-            FaultSite::WireFrame => 4,
-            FaultSite::SocketRead => 5,
-            FaultSite::SocketWrite => 6,
-            FaultSite::SocketStall => 7,
-            FaultSite::ShardWorker => 8,
+            FaultSite::WireFrame => 3,
+            FaultSite::SocketRead => 4,
+            FaultSite::SocketWrite => 5,
+            FaultSite::SocketStall => 6,
+            FaultSite::ShardWorker => 7,
         }
     }
 }
@@ -137,9 +131,6 @@ pub enum FaultKind {
     DoubleBitFlip,
     /// Force the word to a fixed value (stuck-at pattern).
     StuckAt(u64),
-    /// Zero a run of `len` words starting at the chosen index (clamped to
-    /// the buffer end).
-    ZeroRange(usize),
     /// Deliver only a seeded prefix of the buffer, then behave as a peer
     /// that vanished mid-frame. Chaos-only: fires through [`disrupt`],
     /// never through the corruption hooks.
@@ -243,8 +234,7 @@ struct Armed {
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static FIRED: AtomicU64 = AtomicU64::new(0);
-static SITE_HITS: [AtomicU64; 9] = [
-    AtomicU64::new(0),
+static SITE_HITS: [AtomicU64; 8] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -348,12 +338,6 @@ pub fn tamper(site: FaultSite, buf: &mut [u64]) -> bool {
         FaultKind::StuckAt(v) => {
             buf[idx] = v & ((1u64 << armed.plan.bit_width) - 1);
         }
-        FaultKind::ZeroRange(len) => {
-            let end = (idx + len.max(1)).min(buf.len());
-            for w in &mut buf[idx..end] {
-                *w = 0;
-            }
-        }
         // Control kinds were rejected above.
         FaultKind::Truncate | FaultKind::Stall(_) | FaultKind::Disconnect | FaultKind::Panic => {
             unreachable!("control kinds fire only through disrupt")
@@ -367,7 +351,7 @@ pub fn tamper(site: FaultSite, buf: &mut [u64]) -> bool {
 /// Byte-buffer variant of [`tamper`] for serialized frames: the same plan
 /// logic (site match, skip, persistence, seeded draws) applied to a byte
 /// slice — the chosen index is a byte, and flips land within that byte.
-/// [`FaultKind::StuckAt`]/[`ZeroRange`](FaultKind::ZeroRange) act on bytes.
+/// [`FaultKind::StuckAt`] acts on bytes.
 pub fn tamper_bytes(site: FaultSite, buf: &mut [u8]) -> bool {
     if !ACTIVE.load(Ordering::Relaxed) || buf.is_empty() {
         return false;
@@ -410,12 +394,6 @@ fn corrupt_byte(kind: FaultKind, buf: &mut [u8], idx: usize, draw: u64) {
         }
         FaultKind::StuckAt(v) => {
             buf[idx] = v as u8;
-        }
-        FaultKind::ZeroRange(len) => {
-            let end = (idx + len.max(1)).min(buf.len());
-            for b in &mut buf[idx..end] {
-                *b = 0;
-            }
         }
         FaultKind::Truncate | FaultKind::Stall(_) | FaultKind::Disconnect | FaultKind::Panic => {
             unreachable!("control kinds are handled by disrupt before corruption")
@@ -552,13 +530,13 @@ mod tests {
     fn persistent_fires_every_hit() {
         let _l = test_lock();
         arm(FaultPlan::persistent(
-            FaultSite::ParScratch,
+            FaultSite::RnsResidue,
             FaultKind::StuckAt(0xAB),
             7,
         ));
         let mut buf = vec![1u64; 16];
         for _ in 0..4 {
-            assert!(tamper(FaultSite::ParScratch, &mut buf));
+            assert!(tamper(FaultSite::RnsResidue, &mut buf));
         }
         assert_eq!(fired(), 4);
         disarm();
@@ -620,20 +598,6 @@ mod tests {
         assert!(tamper(FaultSite::RnsResidue, &mut buf));
         let word = *buf.iter().find(|&&w| w != 0).expect("bits flipped");
         assert_eq!(word.count_ones(), 2);
-        disarm();
-    }
-
-    #[test]
-    fn zero_range_clamps_to_buffer_end() {
-        let _l = test_lock();
-        arm(FaultPlan::transient(
-            FaultSite::ParScratch,
-            FaultKind::ZeroRange(1000),
-            5,
-        ));
-        let mut buf = vec![7u64; 8];
-        assert!(tamper(FaultSite::ParScratch, &mut buf));
-        assert!(buf.contains(&0));
         disarm();
     }
 

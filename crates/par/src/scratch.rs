@@ -41,20 +41,14 @@ pub fn take(len: usize) -> Vec<u64> {
         let idx = pool.iter().rposition(|b| b.capacity() >= len);
         idx.map(|i| pool.swap_remove(i))
     });
-    #[allow(unused_mut)]
-    let mut out = match reused {
+    match reused {
         Some(mut buf) => {
             buf.clear();
             buf.resize(len, 0);
             buf
         }
         None => vec![0u64; len],
-    };
-    // Injection point for the `ParScratch` fault site: stale or flipped
-    // scratchpad contents handed to a kernel. Runs after the zero-fill so
-    // the corruption is what the consumer actually reads.
-    poseidon_faults::tamper(poseidon_faults::FaultSite::ParScratch, &mut out);
-    out
+    }
 }
 
 /// Returns a buffer to the calling thread's pool (dropped if full).

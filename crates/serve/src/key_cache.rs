@@ -7,10 +7,9 @@
 //! tenants (compact, checksummed bytes) but bounds how many decoded
 //! [`Tenant`]s are alive at once: on a miss the frame is re-decoded —
 //! deterministically, so the rebuilt evaluation state is bit-identical —
-//! and the least-recently-used unpinned resident is dropped.
-//!
-//! Tenants registered from in-process key material have no frame to
-//! reload from; they are *pinned* and never evicted.
+//! and the least-recently-used resident is dropped. Every tenant has a
+//! frame (in-process registrations are encoded into one), so every slot
+//! is the same kind and any resident may be evicted.
 //!
 //! Decode-on-miss runs **outside** the cache lock (it is milliseconds of
 //! NTT work); a double-check on re-acquire keeps concurrent misses from
@@ -25,9 +24,7 @@ use crate::ServeError;
 struct Slot {
     resident: Option<Arc<Tenant>>,
     /// The registered keyset frame — retained for reload after eviction.
-    frame: Option<Arc<[u8]>>,
-    /// Pinned slots (in-process registrations) are never evicted.
-    pinned: bool,
+    frame: Arc<[u8]>,
     last_use: u64,
 }
 
@@ -37,7 +34,7 @@ struct Inner {
 }
 
 /// The tenant registry: every registered tenant has a slot; at most
-/// `capacity` unpinned slots hold decoded state at once.
+/// `capacity` slots hold decoded state at once.
 pub(crate) struct KeyCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -54,26 +51,9 @@ impl KeyCache {
         }
     }
 
-    /// Registers (or replaces) a tenant that cannot be reloaded from a
-    /// frame — always resident.
-    pub(crate) fn insert_pinned(&self, id: Arc<str>, tenant: Arc<Tenant>) {
-        let mut inner = self.inner.lock().expect("key cache poisoned");
-        inner.clock += 1;
-        let last_use = inner.clock;
-        inner.slots.insert(
-            id,
-            Slot {
-                resident: Some(tenant),
-                frame: None,
-                pinned: true,
-                last_use,
-            },
-        );
-    }
-
     /// Registers (or replaces) a tenant backed by its keyset frame; the
     /// decoded state is installed resident and is evictable.
-    pub(crate) fn insert_frame(&self, id: Arc<str>, frame: Arc<[u8]>, tenant: Arc<Tenant>) {
+    pub(crate) fn insert(&self, id: Arc<str>, frame: Arc<[u8]>, tenant: Arc<Tenant>) {
         let mut inner = self.inner.lock().expect("key cache poisoned");
         inner.clock += 1;
         let last_use = inner.clock;
@@ -81,8 +61,7 @@ impl KeyCache {
             id,
             Slot {
                 resident: Some(tenant),
-                frame: Some(frame),
-                pinned: false,
+                frame,
                 last_use,
             },
         );
@@ -110,16 +89,11 @@ impl KeyCache {
                 crate::tel::keycache_hit().add(1);
                 return Ok(Some(Arc::clone(tenant)));
             }
-            Arc::clone(
-                slot.frame
-                    .as_ref()
-                    .expect("non-resident slot must hold a frame"),
-            )
+            Arc::clone(&slot.frame)
         };
         // Miss: decode outside the lock.
         crate::tel::keycache_miss().add(1);
-        let (ctx, keys) = poseidon_wire::decode_keyset(&frame)?;
-        let rebuilt = Arc::new(Tenant::build(ctx, keys));
+        let rebuilt = Arc::new(Tenant::from_frame(&frame)?);
         let mut inner = self.inner.lock().expect("key cache poisoned");
         inner.clock += 1;
         let clock = inner.clock;
@@ -138,8 +112,8 @@ impl KeyCache {
         Ok(Some(rebuilt))
     }
 
-    /// Decoded tenants currently resident (pinned included) — test and
-    /// telemetry visibility.
+    /// Decoded tenants currently resident — test and telemetry
+    /// visibility.
     pub(crate) fn resident(&self) -> usize {
         self.inner
             .lock()
@@ -150,13 +124,13 @@ impl KeyCache {
             .count()
     }
 
-    /// Evicts least-recently-used unpinned residents down to capacity.
+    /// Evicts least-recently-used residents down to capacity.
     fn evict_excess(&self, inner: &mut Inner) {
         loop {
             let over = inner
                 .slots
                 .values()
-                .filter(|s| s.resident.is_some() && !s.pinned)
+                .filter(|s| s.resident.is_some())
                 .count();
             if over <= self.capacity {
                 return;
@@ -164,7 +138,7 @@ impl KeyCache {
             let victim = inner
                 .slots
                 .iter()
-                .filter(|(_, s)| s.resident.is_some() && !s.pinned)
+                .filter(|(_, s)| s.resident.is_some())
                 .min_by_key(|(_, s)| s.last_use)
                 .map(|(id, _)| Arc::clone(id))
                 .expect("over > capacity implies a victim exists");

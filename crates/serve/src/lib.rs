@@ -30,12 +30,14 @@
 //!   decomposition (`keyswitch.hoist`) is paid once per batch instead of
 //!   once per request — the software analogue of the paper's reuse of a
 //!   decomposed operand across automorphisms.
-//! - **Bounded key cache** — tenants registered from a wire frame keep
-//!   the encoded keyset as a cheap `Arc<[u8]>`; the decoded key
-//!   material is a bounded LRU resident (`key_cache_capacity`). An
-//!   evicted tenant's next request re-decodes from the retained frame
-//!   (outside the lock, double-checked install) bit-identically;
-//!   in-process registrations are pinned. Counters:
+//! - **One way in for keys, one bounded key cache** — every tenant is
+//!   registered from a public key-set frame: over TCP as a stream of
+//!   chunks ([`tcp::Client::register_tenant_chunked`]), in process by
+//!   [`EvalService::register_tenant`], which encodes one. The cache keeps
+//!   each tenant's frame as a cheap `Arc<[u8]>`; the decoded key material
+//!   is a bounded LRU resident (`key_cache_capacity`). An evicted
+//!   tenant's next request re-decodes from the retained frame (outside
+//!   the lock, double-checked install) bit-identically. Counters:
 //!   `serve.keycache.{hit,miss,evict}`.
 //! - **Per-tenant plan cache** — a [`Request::Program`] is parsed,
 //!   lowered and planned on its tenant's first submission of that exact
@@ -55,8 +57,8 @@
 //!   many requests in flight and replies return in completion order.
 //!   The [`tcp::Client`] is `&self`-shareable (submit from any thread,
 //!   a reader demuxes by id), payloads decode into pooled scratch rows,
-//!   and multi-megabyte keysets stream in chunks
-//!   ([`tcp::Client::register_tenant_chunked`]).
+//!   and multi-megabyte keysets stream in 1 MiB chunks, each stream bound
+//!   to the tenant its first chunk names.
 //! - **One request path** — a TCP request is parsed against one opcode
 //!   table into one [`Request`], and every submission — in-process
 //!   ([`EvalService::submit`]) or tagged from a connection — passes one

@@ -35,10 +35,10 @@ pub struct ServiceConfig {
     /// (affinity keeps its rotation coalescing intact); idle workers
     /// steal from the back of loaded shards. `0` is treated as `1`.
     pub shards: usize,
-    /// How many frame-registered tenants may hold decoded key material
-    /// at once; beyond this the least-recently-used tenant's keys are
-    /// dropped and re-decoded from its retained frame on next use.
-    /// In-process registrations are pinned and never counted.
+    /// How many tenants may hold decoded key material at once; beyond
+    /// this the least-recently-used tenant's keys are dropped and
+    /// re-decoded from its retained key-set frame on next use. In-process
+    /// registrations count like any other.
     pub key_cache_capacity: usize,
     /// How often the watchdog scans the dispatcher workers for deaths
     /// and stalls. `0` disables the watchdog entirely.
@@ -88,12 +88,13 @@ const PLAN_CACHE_ENTRIES: usize = 16;
 /// a plan larger than this on its own runs uncached.
 const PLAN_CACHE_BYTES: usize = 16 << 20;
 
-/// Per-tenant evaluation state, built once at registration (or rebuilt
-/// deterministically from the retained keyset frame after eviction).
+/// Per-tenant evaluation state, built from the tenant's key-set frame at
+/// registration and rebuilt from it, bit-identically, after eviction.
 pub(crate) struct Tenant {
     pub(crate) ctx: CkksContext,
     pub(crate) keys: KeySet,
-    pub(crate) eval: Evaluator,
+    /// The tenant's one evaluator: integrity-checked, and
+    /// [`CheckedEvaluator::inner`] where a request runs unchecked.
     pub(crate) checked: CheckedEvaluator,
     /// Programs this tenant ran, planned over its context. Kept here and
     /// nowhere wider, so re-registration and key-cache eviction, which
@@ -102,16 +103,16 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
-    pub(crate) fn build(ctx: CkksContext, keys: KeySet) -> Self {
-        let eval = Evaluator::new(&ctx);
+    /// Decodes a key-set frame into a tenant's evaluation state.
+    pub(crate) fn from_frame(frame: &[u8]) -> Result<Self, poseidon_wire::WireError> {
+        let (ctx, keys) = poseidon_wire::decode_keyset(frame)?;
         let checked = CheckedEvaluator::new(&ctx);
-        Self {
+        Ok(Self {
             ctx,
             keys,
-            eval,
             checked,
             plans: Mutex::new(PlanCache::default()),
-        }
+        })
     }
 
     fn plans(&self) -> std::sync::MutexGuard<'_, PlanCache> {
@@ -560,20 +561,27 @@ impl EvalService {
         })
     }
 
-    /// Registers (or replaces) a tenant from in-process key material.
-    /// Such tenants have no frame to reload from, so their decoded state
-    /// is pinned resident (never evicted by the key cache).
+    /// Registers (or replaces) a tenant from in-process key material: the
+    /// evaluation half of `keys` is encoded as a public key-set frame
+    /// ([`poseidon_wire::encode_keyset_public`]) and registered through
+    /// [`register_tenant_frame`](Self::register_tenant_frame), so the
+    /// tenant is held, evicted and reloaded like one provisioned over TCP.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` were not generated for `ctx`'s parameters, so that the
+    /// frame encoded from them does not decode.
     pub fn register_tenant(&self, id: impl Into<String>, ctx: CkksContext, keys: KeySet) {
-        let id: Arc<str> = Arc::from(id.into());
-        self.tenants
-            .insert_pinned(id, Arc::new(Tenant::build(ctx, keys)));
+        let frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
+        self.register_tenant_frame(id, &frame)
+            .expect("keys generated for ctx decode from their public frame");
     }
 
-    /// Registers a tenant from a serialized key-set frame (the TCP
-    /// provisioning path). The frame carries its own parameters; the
-    /// context is derived deterministically from them. The frame is
-    /// retained so the decoded keys can be evicted under memory pressure
-    /// and rebuilt bit-identically on next use.
+    /// Registers (or replaces) a tenant from a serialized key-set frame —
+    /// every registration's one path. The frame carries its own
+    /// parameters; the context is derived deterministically from them.
+    /// The frame is retained so the decoded keys can be evicted under
+    /// memory pressure and rebuilt bit-identically on next use.
     ///
     /// # Errors
     ///
@@ -583,10 +591,9 @@ impl EvalService {
         id: impl Into<String>,
         frame: &[u8],
     ) -> Result<(), ServeError> {
-        let (ctx, keys) = poseidon_wire::decode_keyset(frame)?;
+        let tenant = Tenant::from_frame(frame)?;
         let id: Arc<str> = Arc::from(id.into());
-        self.tenants
-            .insert_frame(id, Arc::from(frame), Arc::new(Tenant::build(ctx, keys)));
+        self.tenants.insert(id, Arc::from(frame), Arc::new(tenant));
         Ok(())
     }
 
@@ -605,8 +612,8 @@ impl EvalService {
             .map(|tenant| TenantContext { tenant })
     }
 
-    /// Decoded tenants currently resident in the key cache (pinned
-    /// registrations included) — observability for tests and operators.
+    /// Decoded tenants currently resident in the key cache —
+    /// observability for tests and operators.
     pub fn resident_tenants(&self) -> usize {
         self.tenants.resident()
     }
@@ -980,7 +987,8 @@ fn run_rotation_group(jobs: Vec<Job>) {
         };
         contain(|| {
             tenant
-                .eval
+                .checked
+                .inner()
                 .try_rotate_many(a, &steps, &tenant.keys)
                 .map_err(ServeError::Eval)
         })
@@ -1119,7 +1127,8 @@ mod tests {
 
     fn tenant() -> (Tenant, Ciphertext) {
         let (ctx, keys, a) = setup();
-        (Tenant::build(ctx, keys), a)
+        let frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
+        (Tenant::from_frame(&frame).expect("decodes"), a)
     }
 
     /// A weighted rotation fan, so every plan prepares `RotateSum` operands.
@@ -1206,7 +1215,11 @@ mod tests {
         let rescaled = format!("{}rescale L=3 x1\n", program(0));
         run_program(&tenant, &rescaled, &a).expect("program runs");
         assert_eq!(tenant.plans().entries.len(), 1);
-        let floor = tenant.eval.try_drop_to_level(&a, 0).expect("drops");
+        let floor = tenant
+            .checked
+            .inner()
+            .try_drop_to_level(&a, 0)
+            .expect("drops");
         run_program(&tenant, &rescaled, &floor).expect_err("no prime to rescale by");
         assert!(tenant.plans().entries.is_empty());
 

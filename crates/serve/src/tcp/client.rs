@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -90,6 +90,9 @@ impl PendingReply {
 /// coalesce.
 pub struct Client {
     shared: Arc<ClientShared>,
+    /// Held while one registration writes its chunks, so two key-set
+    /// streams on this connection never interleave.
+    provisioning: Mutex<()>,
     read_half: TcpStream,
     reader: Option<JoinHandle<()>>,
 }
@@ -130,6 +133,7 @@ impl Client {
             .spawn(move || reader_loop(&mut reader_stream, &reader_shared))?;
         Ok(Self {
             shared,
+            provisioning: Mutex::new(()),
             read_half,
             reader: Some(reader),
         })
@@ -234,38 +238,41 @@ impl Client {
         self.submit(tenant, op)?.wait()
     }
 
-    /// Registers a tenant from a key-set frame.
-    ///
-    /// # Errors
-    ///
-    /// The server's [`ServeError`], flattened to its message.
-    pub fn register_tenant(&self, tenant: &str, keyset_frame: &[u8]) -> Result<(), ServeError> {
-        self.request(
-            tenant,
-            Op::RegisterTenant {
-                keyset: keyset_frame,
-            },
-        )
-        .map(|_| ())
-    }
-
     /// Registers a tenant by streaming its key-set frame in
-    /// [`poseidon_wire::KEYSET_CHUNK_BYTES`] chunks — all chunks are
-    /// pipelined before the acks are collected, so provisioning takes
-    /// one round trip regardless of key-set size.
+    /// [`poseidon_wire::KEYSET_CHUNK_BYTES`] chunks (a smaller key set is
+    /// one chunk) — the one way keys reach a server. All chunks are
+    /// pipelined before the acks are collected, so provisioning takes one
+    /// round trip regardless of key-set size. Registrations from several
+    /// threads on one client write their chunks one stream at a time;
+    /// only the acks are awaited concurrently.
     ///
     /// # Errors
     ///
-    /// The server's [`ServeError`] for whichever chunk failed.
+    /// The server's [`ServeError`] for whichever chunk failed;
+    /// [`ServeError::Protocol`], with nothing sent, for an empty frame or
+    /// one larger than [`poseidon_wire::MAX_KEYSET_BYTES`].
     pub fn register_tenant_chunked(
         &self,
         tenant: &str,
         keyset_frame: &[u8],
     ) -> Result<(), ServeError> {
+        if keyset_frame.is_empty() || keyset_frame.len() > poseidon_wire::MAX_KEYSET_BYTES {
+            return Err(ServeError::Protocol(format!(
+                "key-set frame of {} bytes outside (0, {}]",
+                keyset_frame.len(),
+                poseidon_wire::MAX_KEYSET_BYTES
+            )));
+        }
         let chunks = poseidon_wire::chunk_keyset(keyset_frame, poseidon_wire::KEYSET_CHUNK_BYTES);
         let mut acks = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            acks.push(self.submit(tenant, Op::RegisterTenantChunk { chunk })?);
+        {
+            let _stream = self
+                .provisioning
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            for chunk in &chunks {
+                acks.push(self.submit(tenant, Op::RegisterTenantChunk { chunk })?);
+            }
         }
         for ack in acks {
             ack.wait()?;

@@ -1,7 +1,7 @@
 //! Multiplexed TCP front-end over the wire format, plus pipelining and
 //! self-healing clients.
 //!
-//! ## Protocol (v5)
+//! ## Protocol (v6)
 //!
 //! Both directions speak `u32` little-endian length-prefixed frames
 //! (length excludes the prefix itself; bounded by [`MAX_FRAME`]). Every
@@ -30,11 +30,15 @@
 //!
 //! Two-blob ops: `Add`/`Sub`/`Mul` (two ciphertexts), `AddPlain`/
 //! `MulPlain` (ciphertext, plaintext). One-blob ops: `Square`,
-//! `Rescale`, `Rotate`, `Conjugate` (ciphertext), `RegisterTenant`
-//! (key-set frame, normally [`poseidon_wire::encode_keyset_public`]),
-//! and `RegisterTenantChunk` (one [`poseidon_wire::chunk_keyset`] slice;
-//! chunks stream in order on one connection and the final chunk's reply
-//! acknowledges the registration). `Program` (new in v4) carries
+//! `Rescale`, `Rotate`, `Conjugate` (ciphertext), and
+//! `RegisterTenantChunk` (one [`poseidon_wire::chunk_keyset`] slice of a
+//! key-set frame, normally [`poseidon_wire::encode_keyset_public`]) —
+//! the one way keys reach the server. A key set under
+//! [`poseidon_wire::KEYSET_CHUNK_BYTES`] is one chunk. Chunks stream in
+//! order on one connection; chunk 0 binds the stream to its tenant, a
+//! chunk for another tenant before the stream completes drops the stream
+//! with a wire error (code 4), and the final chunk's reply acknowledges
+//! the registration. `Program` (new in v4) carries
 //! two blobs — raw utf-8 `.pos` program text, then one seed ciphertext
 //! frame — and executes the whole program server-side through the
 //! evaluation planner as a single admission-controlled unit.
@@ -64,13 +68,14 @@
 //!      7  Conjugate                        7  protocol error
 //!      8  AddPlain                         8  (retired; never reused)
 //!      9  MulPlain                         9  deadline exceeded
-//!     10  RegisterTenant
+//!     10  (retired; never reused)
 //!     11  RegisterTenantChunk
 //!     12  Program
 //! ```
 //!
 //! Any other opcode is refused with error code 7 and the connection is
-//! closed.
+//! closed. Opcode 10 (a whole key-set frame in one request) was retired
+//! in v6: a client sends the same frame as one chunk.
 //!
 //! ## Resilience
 //!
@@ -213,11 +218,6 @@ pub enum Op<'a> {
         /// Plaintext operand frame.
         pt: &'a [u8],
     },
-    /// Tenant provisioning from one whole key-set frame.
-    RegisterTenant {
-        /// The key-set frame.
-        keyset: &'a [u8],
-    },
     /// Tenant provisioning, one chunk of a streamed key-set.
     RegisterTenantChunk {
         /// One [`poseidon_wire::chunk_keyset`] chunk frame.
@@ -246,7 +246,6 @@ impl Op<'_> {
             Op::Conjugate { .. } => Opcode::Conjugate,
             Op::AddPlain { .. } => Opcode::AddPlain,
             Op::MulPlain { .. } => Opcode::MulPlain,
-            Op::RegisterTenant { .. } => Opcode::RegisterTenant,
             Op::RegisterTenantChunk { .. } => Opcode::RegisterTenantChunk,
             Op::Program { .. } => Opcode::Program,
         }
@@ -266,7 +265,6 @@ impl Op<'_> {
                 vec![a]
             }
             Op::AddPlain { a, pt } | Op::MulPlain { a, pt } => vec![a, pt],
-            Op::RegisterTenant { keyset } => vec![keyset],
             Op::RegisterTenantChunk { chunk } => vec![chunk],
             Op::Program { program, a } => vec![program, a],
         }
@@ -287,13 +285,13 @@ enum Opcode {
     Conjugate = 7,
     AddPlain = 8,
     MulPlain = 9,
-    RegisterTenant = 10,
+    // 10 is retired; never reuse it.
     RegisterTenantChunk = 11,
     Program = 12,
 }
 
 impl Opcode {
-    const ALL: [Opcode; 12] = [
+    const ALL: [Opcode; 11] = [
         Opcode::Add,
         Opcode::Sub,
         Opcode::Mul,
@@ -303,7 +301,6 @@ impl Opcode {
         Opcode::Conjugate,
         Opcode::AddPlain,
         Opcode::MulPlain,
-        Opcode::RegisterTenant,
         Opcode::RegisterTenantChunk,
         Opcode::Program,
     ];

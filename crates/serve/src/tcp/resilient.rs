@@ -254,23 +254,6 @@ impl ResilientClient {
         }
     }
 
-    /// Registers a tenant from a key-set frame, with the same retry
-    /// ladder (registration replaces the tenant, so it is naturally
-    /// idempotent).
-    ///
-    /// # Errors
-    ///
-    /// See [`request`](Self::request).
-    pub fn register_tenant(&self, tenant: &str, keyset_frame: &[u8]) -> Result<(), ServeError> {
-        self.request(
-            tenant,
-            Op::RegisterTenant {
-                keyset: keyset_frame,
-            },
-        )
-        .map(|_| ())
-    }
-
     /// Blocking convenience: expects a ciphertext reply.
     ///
     /// # Errors

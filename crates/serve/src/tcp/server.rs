@@ -2,7 +2,6 @@
 //! requests parsed against the opcode table and admitted into the
 //! [`EvalService`].
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -11,7 +10,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
-use poseidon_wire::{BufferPool, KeysetAssembler};
+use poseidon_wire::{BufferPool, KeysetAssembler, WireError};
 
 use super::{read_frame, write_frame, ErrorCode, FrameReader, Opcode, SocketConfig, FLAG_REPLAY};
 use crate::{EvalService, Request, ServeError, TenantContext};
@@ -93,6 +92,34 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<WriterMsg>, pool: Arc<B
     }
 }
 
+/// A connection's key-set stream: the chunks assembled so far and the
+/// tenant its chunk 0 named, which the finished key set registers under.
+#[derive(Default)]
+struct KeyStream {
+    tenant: String,
+    assembler: KeysetAssembler,
+}
+
+impl KeyStream {
+    /// Feeds one chunk sent for `tenant`; returns the finished key-set
+    /// frame with the stream's last chunk. A chunk for another tenant
+    /// before the stream completes drops the stream: nothing registers,
+    /// and the next chunk 0 starts afresh.
+    fn accept(&mut self, tenant: &str, chunk: &[u8]) -> Result<Option<Vec<u8>>, WireError> {
+        if self.assembler.received() == 0 {
+            tenant.clone_into(&mut self.tenant);
+        } else if self.tenant != tenant {
+            self.assembler.reset();
+            return Err(WireError::Malformed(format!(
+                "key-set chunk for tenant {tenant:?} inside the stream of tenant {:?}; \
+                 the stream is dropped",
+                self.tenant
+            )));
+        }
+        self.assembler.accept(chunk)
+    }
+}
+
 /// Whether the connection can keep parsing frames after this request.
 enum Flow {
     Continue,
@@ -106,7 +133,7 @@ enum Flow {
 fn process(
     service: &EvalService,
     pool: &Arc<BufferPool>,
-    assembler: &mut KeysetAssembler,
+    keys: &mut KeyStream,
     frame: &[u8],
     tx: &mpsc::Sender<WriterMsg>,
 ) -> Flow {
@@ -120,7 +147,7 @@ fn process(
             return Flow::Close;
         }
     };
-    match process_body(service, pool, assembler, id, &mut r, tx) {
+    match process_body(service, pool, keys, id, &mut r, tx) {
         Ok(()) => Flow::Continue,
         Err(e) => {
             let desync = matches!(e, ServeError::Protocol(_));
@@ -139,7 +166,7 @@ fn process(
 fn process_body(
     service: &EvalService,
     pool: &Arc<BufferPool>,
-    assembler: &mut KeysetAssembler,
+    keys: &mut KeyStream,
     id: u64,
     r: &mut FrameReader<'_>,
     tx: &mpsc::Sender<WriterMsg>,
@@ -158,16 +185,12 @@ fn process_body(
         .map_err(|_| ServeError::Protocol("tenant id is not utf-8".into()))?
         .to_string();
 
-    // Provisioning ops are answered inline from the reader thread; a
-    // chunk only registers once it completes its key set.
-    if let Opcode::RegisterTenant | Opcode::RegisterTenantChunk = opcode {
-        let blob = r.blob()?;
+    // Provisioning is answered inline from the reader thread; a chunk
+    // only registers once it completes its key set.
+    if opcode == Opcode::RegisterTenantChunk {
+        let chunk = r.blob()?;
         r.done()?;
-        let keyset = match opcode {
-            Opcode::RegisterTenant => Some(Cow::Borrowed(blob)),
-            _ => assembler.accept(blob)?.map(Cow::Owned),
-        };
-        if let Some(keyset) = keyset {
+        if let Some(keyset) = keys.accept(&tenant, chunk)? {
             service.register_tenant_frame(&tenant, &keyset)?;
         }
         let _ = tx.send(WriterMsg::Immediate {
@@ -230,9 +253,7 @@ fn process_body(
                 .to_string(),
             a: ct(r)?,
         },
-        Opcode::RegisterTenant | Opcode::RegisterTenantChunk => {
-            unreachable!("provisioning is answered above")
-        }
+        Opcode::RegisterTenantChunk => unreachable!("provisioning is answered above"),
     };
     r.done()?;
 
@@ -278,9 +299,9 @@ fn handle_connection(
     else {
         return;
     };
-    let mut assembler = KeysetAssembler::new();
+    let mut keys = KeyStream::default();
     while let Ok(Some(frame)) = read_frame(&mut stream) {
-        match process(&service, &pool, &mut assembler, &frame, &tx) {
+        match process(&service, &pool, &mut keys, &frame, &tx) {
             Flow::Continue => {}
             Flow::Close => break,
         }

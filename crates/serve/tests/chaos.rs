@@ -282,7 +282,7 @@ fn loopback_fixture() -> (
     let (addr, _accept) = tcp::listen(handle, "127.0.0.1:0").expect("bind loopback");
     let bootstrap = tcp::Client::connect(addr).expect("bootstrap connect");
     bootstrap
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register");
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.5)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
@@ -492,7 +492,7 @@ fn mid_frame_stall_trips_the_server_timeout_and_client_recovers() {
     .expect("bind loopback");
     let bootstrap = tcp::Client::connect(addr).expect("bootstrap");
     bootstrap
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register");
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.125, 0.0)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);

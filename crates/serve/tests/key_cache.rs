@@ -1,6 +1,7 @@
 //! Bounded key cache: resident decoded keysets stay under the
-//! configured cap, evicted tenants reload bit-identically from their
-//! retained frames, and in-process (pinned) tenants are never evicted.
+//! configured cap and evicted tenants reload bit-identically from their
+//! retained frames — in-process registrations included, which hold a
+//! frame like any other.
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
@@ -82,7 +83,7 @@ fn eviction_bounds_residents_and_reload_is_bit_identical() {
 }
 
 #[test]
-fn pinned_in_process_tenants_are_never_evicted() {
+fn an_in_process_tenant_counts_toward_the_cap_and_reloads_bit_identically() {
     let (ctx, keys, mut rng) = setup(0x91AE);
     let frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
 
@@ -90,17 +91,23 @@ fn pinned_in_process_tenants_are_never_evicted() {
         key_cache_capacity: 1,
         ..ServiceConfig::default()
     });
-    service.register_tenant("pinned", ctx.clone(), keys.clone());
+    service.register_tenant("local", ctx.clone(), keys.clone());
+    assert_eq!(service.resident_tenants(), 1);
     for i in 0..3 {
         service
             .register_tenant_frame(format!("f{i}"), &frame)
             .expect("register frame");
+        // The in-process tenant takes the one place like any other.
+        assert_eq!(service.resident_tenants(), 1, "after f{i}");
     }
-    // One pinned resident plus at most one unpinned.
-    assert_eq!(service.resident_tenants(), 2);
 
+    // "local" was evicted; serving it reloads its frame bit-identically.
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.25, 0.0)]);
-    service
-        .call("pinned", Request::Square { a: ct })
-        .expect("pinned tenant still serves after frame churn");
+    let want = Evaluator::new(&ctx).try_square(&ct, &keys).unwrap();
+    let got = service
+        .call("local", Request::Square { a: ct })
+        .expect("the in-process tenant serves after its reload");
+    assert_eq!(got.c0(), want.c0());
+    assert_eq!(got.c1(), want.c1());
+    assert_eq!(service.resident_tenants(), 1);
 }

@@ -276,7 +276,7 @@ fn program_submission_round_trips_over_tcp() {
     let client = tcp::Client::connect(addr).expect("connect");
     let keyset_frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
     client
-        .register_tenant("acme", &keyset_frame)
+        .register_tenant_chunked("acme", &keyset_frame)
         .expect("register");
 
     let a_frame = poseidon_wire::encode_ciphertext(&ctx, &a);

@@ -42,7 +42,7 @@ fn loopback_round_trip_decrypts_to_the_reference() {
     // Provision the tenant over the wire — eval keys only, no secret.
     let keyset_frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
     client
-        .register_tenant("acme", &keyset_frame)
+        .register_tenant_chunked("acme", &keyset_frame)
         .expect("register");
 
     let va = [Complex::new(0.5, 0.0), Complex::new(-0.25, 0.5)];
@@ -134,7 +134,7 @@ fn five_op_workload_serve_digest_is_pinned() {
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
     let client = tcp::Client::connect(addr).expect("connect");
     client
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register");
 
     let ops = [
@@ -207,10 +207,11 @@ fn server_reports_typed_errors_over_the_wire() {
     }
 
     // A forged key-set frame — a parameter block declaring N = 2^22 and
-    // no keys — is refused as a wire error (code 4) before a context is
-    // derived from it; the connection keeps serving (checked below).
+    // no keys, streamed as one chunk — is refused as a wire error (code 4)
+    // before a context is derived from it; the connection keeps serving
+    // (checked below).
     let forged = forged_keyset(1 << 22);
-    match client.request("forged", Op::RegisterTenant { keyset: &forged }) {
+    match client.register_tenant_chunked("forged", &forged) {
         Err(ServeError::Remote { code: 4, message }) => {
             assert!(
                 message.contains("truncated"),
@@ -223,7 +224,7 @@ fn server_reports_typed_errors_over_the_wire() {
     // Registered tenant, corrupt ciphertext frame → wire error (code 4).
     let keyset_frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
     client
-        .register_tenant("acme", &keyset_frame)
+        .register_tenant_chunked("acme", &keyset_frame)
         .expect("register");
     let mut corrupt = frame.clone();
     let last = corrupt.len() - 1;
@@ -346,7 +347,7 @@ fn protocol_garbage_gets_an_error_frame_not_a_dead_server() {
     let keys = KeySet::generate(&ctx, &mut rng);
     let client = tcp::Client::connect(addr).expect("reconnect");
     client
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register after garbage");
 }
 
@@ -362,8 +363,8 @@ cmult    L=7 x1
 rescale  L=6 x1
 ";
 
-/// Every `Op` over TCP, against a tenant registered whole and one
-/// registered in chunks, answers bit-identically to `EvalService::call`
+/// Every `Op` over TCP, against a tenant registered in the client's 1 MiB
+/// chunks and one registered in 64 KiB chunks, answers bit-identically to `EvalService::call`
 /// on the matching in-process `Request`: the opcode table, the request
 /// parser and the pooled decoders add transport, not arithmetic.
 #[test]
@@ -393,10 +394,9 @@ fn every_op_over_tcp_matches_the_in_process_call() {
         tcp::listen(std::sync::Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let client = tcp::Client::connect(addr).expect("connect");
     let keyset = poseidon_wire::encode_keyset_public(&ctx, &keys);
-    let whole = client
-        .request("whole", Op::RegisterTenant { keyset: &keyset })
-        .expect("register whole");
-    assert_eq!(whole, None, "registration acks carry no ciphertext");
+    client
+        .register_tenant_chunked("client", &keyset)
+        .expect("register in the client's 1 MiB chunks");
     let chunks = poseidon_wire::chunk_keyset(&keyset, 64 << 10);
     assert!(chunks.len() > 1, "the key set must span several chunks");
     let acks: Vec<_> = chunks
@@ -408,7 +408,11 @@ fn every_op_over_tcp_matches_the_in_process_call() {
         })
         .collect();
     for ack in acks {
-        assert_eq!(ack.wait().expect("chunk ack"), None);
+        assert_eq!(
+            ack.wait().expect("chunk ack"),
+            None,
+            "registration acks carry no ciphertext"
+        );
     }
 
     let cases = [
@@ -507,7 +511,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
     ];
     for (name, op, request) in cases {
         let want = digest_ciphertext(&service.call("local", request).expect("in-process call"));
-        for tenant in ["whole", "chunked"] {
+        for tenant in ["client", "chunked"] {
             let reply = client
                 .request(tenant, op)
                 .unwrap_or_else(|e| panic!("{name} for {tenant}: {e}"))
@@ -546,7 +550,9 @@ fn unknown_opcode_is_a_protocol_error_that_closes_the_connection() {
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
 
     for tenant in ["ghost", "acme"] {
-        for opcode in [0u8, 13, 200] {
+        // 10, the retired whole-frame registration, is refused like the
+        // numbers that were never assigned.
+        for opcode in [0u8, 10, 13, 200] {
             let mut raw = std::net::TcpStream::connect(addr).expect("connect");
             let id = 0x5157_u64 + u64::from(opcode);
             let mut body = id.to_le_bytes().to_vec();

@@ -104,7 +104,7 @@ fn pipelined_rotations_coalesce_and_match_local_eval() {
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
     let client = tcp::Client::connect(addr).expect("connect");
     client
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register");
 
     let ct = encrypt(
@@ -143,11 +143,11 @@ fn pipelined_rotations_coalesce_and_match_local_eval() {
     }
 }
 
-/// A key set streamed in chunks provisions a tenant that serves
-/// byte-identically to one registered from the whole frame — including
-/// with adversarially tiny chunk sizes driven through the raw Op.
+/// A key set provisions a tenant that serves byte-identically whatever
+/// its chunking: the client's 1 MiB chunks and adversarially tiny chunks
+/// driven through the raw op.
 #[test]
-fn chunked_registration_serves_identically_to_whole_frame() {
+fn chunked_registration_serves_identically_at_any_chunk_size() {
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4A);
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -158,7 +158,6 @@ fn chunked_registration_serves_identically_to_whole_frame() {
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
     let client = tcp::Client::connect(addr).expect("connect");
 
-    client.register_tenant("whole", &keyset).expect("whole");
     client
         .register_tenant_chunked("chunked", &keyset)
         .expect("chunked");
@@ -194,11 +193,106 @@ fn chunked_registration_serves_identically_to_whole_frame() {
             .expect("rotate")
             .expect("ciphertext reply")
     };
-    let whole = rotate("whole");
-    let chunked = rotate("chunked");
-    let streamed = rotate("streamed");
-    assert_eq!(whole, chunked, "chunked registration diverged");
-    assert_eq!(whole, streamed, "streamed registration diverged");
+    assert_eq!(
+        rotate("chunked"),
+        rotate("streamed"),
+        "streamed registration diverged"
+    );
+}
+
+/// A chunk stream belongs to the tenant its chunk 0 named. Chunks for `a`
+/// followed by a final chunk sent as `b` register neither tenant: the
+/// stray chunk drops the stream with a wire error (code 4), and the
+/// connection goes on to take a fresh stream.
+#[test]
+fn a_chunk_stream_is_bound_to_the_tenant_of_its_first_chunk() {
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB1D);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let keyset = poseidon_wire::encode_keyset_public(&ctx, &keys);
+
+    let service = EvalService::start(ServiceConfig::default());
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+
+    let chunks = poseidon_wire::chunk_keyset(&keyset, 64 << 10);
+    let (last, head) = chunks.split_last().expect("chunks");
+    assert!(!head.is_empty(), "the key set must span several chunks");
+    for chunk in head {
+        let ack = client
+            .request("a", Op::RegisterTenantChunk { chunk })
+            .expect("a's chunks are accepted");
+        assert_eq!(ack, None);
+    }
+    match client.request("b", Op::RegisterTenantChunk { chunk: last }) {
+        Err(ServeError::Remote { code: 4, message }) => {
+            assert!(message.contains("stream"), "{message}");
+        }
+        other => panic!("expected a wire error for b's chunk in a's stream, got {other:?}"),
+    }
+
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
+    let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
+    for tenant in ["a", "b"] {
+        match client.request(tenant, Op::Square { a: &frame }) {
+            Err(ServeError::Remote { code: 1, .. }) => {}
+            other => panic!("{tenant} must not be registered, got {other:?}"),
+        }
+    }
+    // The stream was dropped, not the connection: a fresh one registers.
+    client
+        .register_tenant_chunked("b", &keyset)
+        .expect("a fresh stream registers");
+    client
+        .request("b", Op::Square { a: &frame })
+        .expect("b serves")
+        .expect("ciphertext reply");
+}
+
+/// Two threads register multi-chunk key sets on one shared client at
+/// once. Each registration writes its chunks as one stream, so neither
+/// interleaves with the other and both tenants serve afterwards.
+#[test]
+fn concurrent_registrations_on_one_client_both_land() {
+    let ctx = CkksContext::new(CkksParams::small());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x2C1);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let keyset = poseidon_wire::encode_keyset_public(&ctx, &keys);
+    assert!(
+        keyset.len() > 2 * poseidon_wire::KEYSET_CHUNK_BYTES,
+        "each registration must stream at least three chunks"
+    );
+
+    let service = EvalService::start(ServiceConfig::default());
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for tenant in ["left", "right"] {
+            let (client, keyset, start) = (&client, &keyset, &start);
+            scope.spawn(move || {
+                start.wait();
+                client
+                    .register_tenant_chunked(tenant, keyset)
+                    .unwrap_or_else(|e| panic!("{tenant}: {e}"));
+            });
+        }
+    });
+
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.25, 0.5)]);
+    let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
+    let want = he_ckks::eval::Evaluator::new(&ctx)
+        .try_square(&ct, &keys)
+        .expect("local square");
+    for tenant in ["left", "right"] {
+        let reply = client
+            .request(tenant, Op::Square { a: &frame })
+            .unwrap_or_else(|e| panic!("{tenant}: {e}"))
+            .expect("ciphertext reply");
+        let got = poseidon_wire::decode_ciphertext(&ctx, &reply).expect("decode reply");
+        assert_eq!(got.c0(), want.c0(), "{tenant}");
+        assert_eq!(got.c1(), want.c1(), "{tenant}");
+    }
 }
 
 /// A slowloris connection — a valid length prefix, a sliver of payload,
@@ -230,7 +324,7 @@ fn slowloris_connection_is_reaped_without_blocking_others() {
     // Meanwhile a real client provisions and serves without delay.
     let client = tcp::Client::connect(addr).expect("connect");
     client
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register while the slow socket stalls");
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
@@ -323,7 +417,7 @@ fn an_overlong_tenant_id_is_refused_not_truncated() {
 
     let longest = "t".repeat(usize::from(u16::MAX));
     client
-        .register_tenant(&longest, &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked(&longest, &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("the longest id the protocol carries registers");
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
@@ -343,7 +437,8 @@ fn an_overlong_tenant_id_is_refused_not_truncated() {
 
 /// A request body past `MAX_FRAME` is refused before it is sent and fails
 /// alone. Sent, the server would drop the connection, failing every
-/// request pipelined behind it.
+/// request pipelined behind it. A key set outside the chunk stream's
+/// bounds is refused before any chunk is sent, too.
 #[test]
 fn an_oversize_request_fails_alone_in_a_pipeline() {
     let ctx = CkksContext::new(CkksParams::toy());
@@ -353,7 +448,7 @@ fn an_oversize_request_fails_alone_in_a_pipeline() {
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
     let client = tcp::Client::connect(addr).expect("connect");
     client
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register");
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
@@ -368,6 +463,13 @@ fn an_oversize_request_fails_alone_in_a_pipeline() {
     {
         Err(ServeError::Protocol(msg)) => assert!(msg.contains("MAX_FRAME"), "{msg}"),
         other => panic!("expected a local protocol refusal, got {other:?}"),
+    }
+    // A key set the chunk stream cannot carry is refused the same way.
+    for keyset in [Vec::new(), vec![0u8; poseidon_wire::MAX_KEYSET_BYTES + 1]] {
+        match client.register_tenant_chunked("acme", &keyset) {
+            Err(ServeError::Protocol(msg)) => assert!(msg.contains("key-set frame"), "{msg}"),
+            other => panic!("expected a local protocol refusal, got {other:?}"),
+        }
     }
     let after = client
         .submit("acme", Op::Square { a: &frame })
@@ -399,7 +501,7 @@ fn independent_resilient_clients_draw_disjoint_replay_ids() {
     // replay-flagged, so the cache stays empty until the rotations).
     let admin = tcp::Client::connect(addr).expect("connect");
     admin
-        .register_tenant("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
+        .register_tenant_chunked("acme", &poseidon_wire::encode_keyset_public(&ctx, &keys))
         .expect("register");
 
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(1.5, -0.5)]);

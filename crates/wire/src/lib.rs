@@ -25,7 +25,10 @@
 //! never ships raw primes: decoders verify the encoded parameters against
 //! the caller's context and reconstruct bases locally. [`decode_keyset`]
 //! is the exception — it bootstraps a fresh context from the frame itself
-//! (tenant provisioning).
+//! (tenant provisioning). Key-switch keys travel only inside key-set
+//! frames ([`encode_keyset_public`]), which reach a server as a stream of
+//! [`chunk_keyset`] chunks; frame kind 4, a standalone key-switch key, is
+//! retired and refused as [`WireError::UnknownKind`].
 //!
 //! **Every decode path returns a typed [`WireError`]** — malformed,
 //! truncated, checksum-mismatched, or version-skewed input must never
@@ -108,8 +111,6 @@ pub enum Kind {
     Plaintext,
     /// A two-component ciphertext at some level.
     Ciphertext,
-    /// One keyswitching key (relinearisation or Galois).
-    KeySwitchKey,
     /// A full key set (public + relin + Galois keys, secret optional).
     KeySet,
     /// One slice of a chunked [`Kind::KeySet`] frame (streamed
@@ -123,7 +124,7 @@ impl Kind {
             Kind::Params => 1,
             Kind::Plaintext => 2,
             Kind::Ciphertext => 3,
-            Kind::KeySwitchKey => 4,
+            // 4 is retired (a standalone key-switch key); never reuse it.
             Kind::KeySet => 5,
             Kind::KeySetChunk => 6,
         }
@@ -134,7 +135,6 @@ impl Kind {
             1 => Some(Kind::Params),
             2 => Some(Kind::Plaintext),
             3 => Some(Kind::Ciphertext),
-            4 => Some(Kind::KeySwitchKey),
             5 => Some(Kind::KeySet),
             6 => Some(Kind::KeySetChunk),
             _ => None,
@@ -148,7 +148,6 @@ impl fmt::Display for Kind {
             Kind::Params => "params",
             Kind::Plaintext => "plaintext",
             Kind::Ciphertext => "ciphertext",
-            Kind::KeySwitchKey => "keyswitch-key",
             Kind::KeySet => "keyset",
             Kind::KeySetChunk => "keyset-chunk",
         };
@@ -686,6 +685,9 @@ pub fn decode_ciphertext_pooled(
 // Keys
 // ---------------------------------------------------------------------------
 
+/// One key-switch key inside a key-set frame: its digit pairs over `Q ∪ P`.
+/// Rows travel in coefficient form and [`take_ksk`] forward-transforms
+/// them back, bit-identically.
 fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
     put_u64(out, key.pairs().len() as u64);
     for (b, a) in key.pairs() {
@@ -708,32 +710,6 @@ fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitchKey, WireE
         pairs.push((b.into_eval(), a.into_eval()));
     }
     Ok(KeySwitchKey::from_pairs(pairs))
-}
-
-/// Encodes one keyswitching key (digit pairs over `Q ∪ P`; rows travel in
-/// coefficient form and are forward-transformed on decode, bit-identically).
-pub fn encode_keyswitch_key(ctx: &CkksContext, key: &KeySwitchKey) -> Vec<u8> {
-    let full_rows = ctx.full_basis().len();
-    let mut payload = Vec::with_capacity(64 + 8 + key.pairs().len() * 2 * full_rows * ctx.n() * 8);
-    put_params(&mut payload, ctx.params());
-    put_ksk(&mut payload, key);
-    frame(Kind::KeySwitchKey, 0, payload)
-}
-
-/// Decodes one keyswitching key against `ctx`.
-///
-/// # Errors
-///
-/// [`WireError::ContextMismatch`] for foreign parameters; any other
-/// [`WireError`] on malformed input.
-pub fn decode_keyswitch_key(ctx: &CkksContext, bytes: &[u8]) -> Result<KeySwitchKey, WireError> {
-    decode_with(bytes, Kind::KeySwitchKey, |_flags, payload| {
-        let mut r = Reader::new(payload);
-        check_params(ctx, &mut r)?;
-        let key = take_ksk(ctx, &mut r)?;
-        r.finish()?;
-        Ok(key)
-    })
 }
 
 fn zigzag(v: i64) -> u64 {

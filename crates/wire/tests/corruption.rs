@@ -55,7 +55,7 @@ fn tiny_ciphertext_frame() -> (CkksContext, Vec<u8>) {
 /// Every public decoder, copying and pooled, labelled: whatever kind the
 /// bytes claim to be, each one must refuse a corrupt frame on its own with
 /// a typed error — none may panic.
-fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> [(&'static str, Result<(), WireError>); 8] {
+fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> [(&'static str, Result<(), WireError>); 7] {
     let pool = BufferPool::new(64);
     [
         ("params", poseidon_wire::decode_params(bytes).map(|_| ())),
@@ -74,10 +74,6 @@ fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> [(&'static str, Result<(), Wir
         (
             "pooled ciphertext",
             decode_ciphertext_pooled(ctx, bytes, &pool).map(|_| ()),
-        ),
-        (
-            "keyswitch key",
-            poseidon_wire::decode_keyswitch_key(ctx, bytes).map(|_| ()),
         ),
         ("keyset", poseidon_wire::decode_keyset(bytes).map(|_| ())),
         (
@@ -159,6 +155,12 @@ fn unknown_kind_and_kind_confusion_are_typed() {
     junk[10] = 0xEE;
     for (decoder, result) in decode_all(&ctx, &junk) {
         assert_eq!(result, Err(WireError::UnknownKind(0xEE)), "{decoder}");
+    }
+    // Kind 4 (the retired standalone key-switch key) is refused the same
+    // way: no decoder reads it, whatever payload follows.
+    junk[10] = 4;
+    for (decoder, result) in decode_all(&ctx, &junk) {
+        assert_eq!(result, Err(WireError::UnknownKind(4)), "{decoder}");
     }
     // The intact frame's header: its kind (3, a ciphertext) and an empty
     // flag byte.
