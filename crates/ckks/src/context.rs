@@ -1,6 +1,8 @@
 //! The CKKS context: validated parameters plus every precomputed object the
 //! scheme operations share (modulus chain, special basis, encoder tables).
 
+use std::sync::Arc;
+
 use he_math::prime::is_prime;
 use he_rns::RnsBasis;
 
@@ -14,6 +16,10 @@ use crate::params::CkksParams;
 /// special keyswitching primes — all distinct, all `≡ 1 mod 2N`), builds the
 /// RNS bases, and prepares the canonical-embedding encoder.
 ///
+/// The context is a shared handle: it is built once, and a clone is a
+/// reference-count bump, so every evaluator, key and bootstrapper built
+/// from it reads the one copy of its tables.
+///
 /// # Examples
 ///
 /// ```
@@ -24,6 +30,11 @@ use crate::params::CkksParams;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CkksContext {
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
     params: CkksParams,
     chain_basis: RnsBasis,
     special_basis: RnsBasis,
@@ -103,54 +114,56 @@ impl CkksContext {
         let full_basis = chain_basis.concat(&special_basis);
         let encoder = Encoder::new(n);
         Ok(Self {
-            params,
-            chain_basis,
-            special_basis,
-            full_basis,
-            encoder,
+            shared: Arc::new(Shared {
+                params,
+                chain_basis,
+                special_basis,
+                full_basis,
+                encoder,
+            }),
         })
     }
 
     /// The validated parameters.
     #[inline]
     pub fn params(&self) -> &CkksParams {
-        &self.params
+        &self.shared.params
     }
 
     /// Ring degree `N`.
     #[inline]
     pub fn n(&self) -> usize {
-        self.params.n
+        self.shared.params.n
     }
 
     /// The ciphertext modulus chain `q_0 … q_L`.
     #[inline]
     pub fn chain_basis(&self) -> &RnsBasis {
-        &self.chain_basis
+        &self.shared.chain_basis
     }
 
     /// The keyswitching special basis `P`.
     #[inline]
     pub fn special_basis(&self) -> &RnsBasis {
-        &self.special_basis
+        &self.shared.special_basis
     }
 
     /// The extended basis `Q ∪ P` keys live in.
     #[inline]
     pub fn full_basis(&self) -> &RnsBasis {
-        &self.full_basis
+        &self.shared.full_basis
     }
 
     /// The canonical-embedding encoder.
     #[inline]
     pub fn encoder(&self) -> &Encoder {
-        &self.encoder
+        &self.shared.encoder
     }
 
     /// The default encoding scale Δ.
     #[inline]
     pub fn default_scale(&self) -> f64 {
-        self.params.scale
+        self.shared.params.scale
     }
 
     /// Basis for a ciphertext at `level` (level L = full chain, level 0 =
@@ -160,13 +173,13 @@ impl CkksContext {
     ///
     /// Panics if `level` exceeds the chain.
     pub fn level_basis(&self, level: usize) -> RnsBasis {
-        self.chain_basis.prefix(level + 1)
+        self.shared.chain_basis.prefix(level + 1)
     }
 
     /// Maximum level (chain length − 1).
     #[inline]
     pub fn max_level(&self) -> usize {
-        self.params.chain_len - 1
+        self.shared.params.chain_len - 1
     }
 }
 
@@ -206,6 +219,30 @@ mod tests {
         let b1 = ctx.level_basis(1);
         assert_eq!(b1.primes(), &ctx.chain_basis().primes()[..2]);
         assert_eq!(ctx.max_level(), 3);
+    }
+
+    /// One context, shared: a clone and every holder built from it read the
+    /// same encoder and bases, not copies of them.
+    #[test]
+    fn a_clone_and_every_holder_share_the_tables() {
+        use rand::SeedableRng;
+
+        let ctx = CkksContext::new(CkksParams::toy());
+        let shares = |other: &CkksContext| {
+            std::ptr::eq(ctx.encoder(), other.encoder())
+                && std::ptr::eq(ctx.chain_basis(), other.chain_basis())
+                && std::ptr::eq(ctx.full_basis(), other.full_basis())
+        };
+        assert!(shares(&ctx.clone()));
+        assert!(shares(crate::eval::Evaluator::new(&ctx).context()));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        assert!(shares(
+            crate::keys::KeySet::generate(&ctx, &mut rng).context()
+        ));
+        assert!(
+            !shares(&CkksContext::new(CkksParams::toy())),
+            "a second build is its own copy"
+        );
     }
 
     #[test]

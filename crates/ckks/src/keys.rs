@@ -23,7 +23,6 @@ use crate::sampling;
 /// basis (full, level-truncated) and composed with automorphisms.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
-    ctx: CkksContext,
     coeffs: Vec<i64>,
 }
 
@@ -31,7 +30,6 @@ impl SecretKey {
     /// Samples a fresh ternary secret.
     pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, rng: &mut R) -> Self {
         Self {
-            ctx: ctx.clone(),
             coeffs: sampling::ternary_coeffs(ctx.n(), rng),
         }
     }
@@ -44,22 +42,13 @@ impl SecretKey {
     /// Panics if `coeffs` is not exactly `N` long.
     pub fn from_coeffs(ctx: &CkksContext, coeffs: Vec<i64>) -> Self {
         assert_eq!(coeffs.len(), ctx.n(), "secret must have N coefficients");
-        Self {
-            ctx: ctx.clone(),
-            coeffs,
-        }
+        Self { coeffs }
     }
 
     /// The signed ternary coefficients of `s`.
     #[inline]
     pub fn coeffs(&self) -> &[i64] {
         &self.coeffs
-    }
-
-    /// The context this secret belongs to.
-    #[inline]
-    pub fn context(&self) -> &CkksContext {
-        &self.ctx
     }
 
     /// Instantiates `s` in `basis`, coefficient form.
@@ -369,7 +358,6 @@ impl KeySet {
         rng: &mut R,
     ) -> Self {
         let secret = SecretKey {
-            ctx: ctx.clone(),
             coeffs: sampling::sparse_ternary_coeffs(ctx.n(), hamming, rng),
         };
         Self::from_secret(ctx, secret, rng)
@@ -418,9 +406,8 @@ impl KeySet {
         entries
     }
 
-    /// The context the key set was built for. A set decoded from a public
-    /// keyset frame carries an all-zero secret, so read the context here
-    /// rather than through [`secret`](Self::secret).
+    /// The context the key set was built for: a handle on the one copy
+    /// its builder (or the key-set decoder) shares.
     #[inline]
     pub fn context(&self) -> &CkksContext {
         &self.ctx
@@ -650,7 +637,6 @@ mod tests {
             galois: HashMap::new(),
             relin: KeySwitchKey { pairs: Vec::new() },
             secret: SecretKey {
-                ctx: ctx.clone(),
                 coeffs: vec![0; ctx.n()],
             },
             public: PublicKey {

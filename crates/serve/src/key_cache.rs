@@ -13,7 +13,8 @@
 //!
 //! Decode-on-miss runs **outside** the cache lock (it is milliseconds of
 //! NTT work); a double-check on re-acquire keeps concurrent misses from
-//! installing twice.
+//! installing twice, and keys decoded from a frame the slot no longer
+//! holds (the tenant was re-registered meanwhile) are never installed.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -95,21 +96,39 @@ impl KeyCache {
         crate::tel::keycache_miss().add(1);
         let rebuilt = Arc::new(Tenant::from_frame(&frame)?);
         let mut inner = self.inner.lock().expect("key cache poisoned");
+        Ok(Some(self.install(&mut inner, id, &frame, rebuilt)))
+    }
+
+    /// Makes `rebuilt`, decoded from `frame` outside the lock, `id`'s
+    /// resident, and returns the tenant the caller serves with.
+    fn install(
+        &self,
+        inner: &mut Inner,
+        id: &str,
+        frame: &Arc<[u8]>,
+        rebuilt: Arc<Tenant>,
+    ) -> Arc<Tenant> {
         inner.clock += 1;
         let clock = inner.clock;
-        let Some(slot) = inner.slots.get_mut(id) else {
-            // Deregistered while decoding — hand the caller the state
-            // it asked for; it simply will not be cached.
-            return Ok(Some(rebuilt));
+        let Some(slot) = inner
+            .slots
+            .get_mut(id)
+            .filter(|slot| Arc::ptr_eq(&slot.frame, frame))
+        else {
+            // Re-registered while decoding: the slot holds another frame,
+            // whose keys `rebuilt` are not. The caller looked the tenant
+            // up before the re-registration and is served the state it
+            // asked for; it is not cached.
+            return rebuilt;
         };
         slot.last_use = clock;
         if let Some(tenant) = &slot.resident {
             // A concurrent miss beat us to the install; use theirs.
-            return Ok(Some(Arc::clone(tenant)));
+            return Arc::clone(tenant);
         }
         slot.resident = Some(Arc::clone(&rebuilt));
-        self.evict_excess(&mut inner);
-        Ok(Some(rebuilt))
+        self.evict_excess(inner);
+        rebuilt
     }
 
     /// Decoded tenants currently resident — test and telemetry
@@ -147,5 +166,61 @@ impl KeyCache {
             }
             crate::tel::keycache_evict().add(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use he_ckks::context::CkksContext;
+    use he_ckks::keys::KeySet;
+    use he_ckks::params::CkksParams;
+    use rand::SeedableRng;
+
+    use super::*;
+
+    fn frame(ctx: &CkksContext, seed: u64) -> Arc<[u8]> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let keys = KeySet::generate(ctx, &mut rng);
+        Arc::from(poseidon_wire::encode_keyset_public(ctx, &keys))
+    }
+
+    fn tenant(frame: &[u8]) -> Arc<Tenant> {
+        Arc::new(Tenant::from_frame(frame).expect("decodes"))
+    }
+
+    /// A reload races a re-registration: tenant `a`'s old frame decodes
+    /// while `a` is re-registered and then evicted. The old keys must not
+    /// be installed over the new registration.
+    #[test]
+    fn a_reload_that_races_a_re_registration_keeps_the_new_keys() {
+        let ctx = CkksContext::new(CkksParams::toy());
+        let (old, new, other) = (frame(&ctx, 1), frame(&ctx, 2), frame(&ctx, 3));
+        let cache = KeyCache::new(1);
+        cache.insert("a".into(), Arc::clone(&old), tenant(&old));
+        cache.insert("b".into(), Arc::clone(&other), tenant(&other));
+        assert_eq!(cache.resident(), 1, "b evicted a");
+
+        // A miss on `a` decodes its old frame outside the lock …
+        let stale = tenant(&old);
+        // … while `a` is re-registered, then evicted.
+        cache.insert("a".into(), Arc::clone(&new), tenant(&new));
+        cache.insert("b".into(), Arc::clone(&other), tenant(&other));
+        let served = {
+            let mut inner = cache.inner.lock().expect("key cache poisoned");
+            cache.install(&mut inner, "a", &old, Arc::clone(&stale))
+        };
+        assert!(
+            Arc::ptr_eq(&served, &stale),
+            "the racing caller keeps its lookup"
+        );
+
+        let reloaded = cache.get("a").expect("decodes").expect("registered");
+        assert!(
+            !Arc::ptr_eq(&reloaded, &stale),
+            "the old keys were installed"
+        );
+        let want = tenant(&new);
+        assert_eq!(reloaded.keys.public().b(), want.keys.public().b());
+        assert_ne!(reloaded.keys.public().b(), stale.keys.public().b());
     }
 }

@@ -33,12 +33,15 @@
 //! - **One way in for keys, one bounded key cache** — every tenant is
 //!   registered from a public key-set frame: over TCP as a stream of
 //!   chunks ([`tcp::Client::register_tenant_chunked`]), in process by
-//!   [`EvalService::register_tenant`], which encodes one. The cache keeps
-//!   each tenant's frame as a cheap `Arc<[u8]>`; the decoded key material
-//!   is a bounded LRU resident (`key_cache_capacity`). An evicted
-//!   tenant's next request re-decodes from the retained frame (outside
-//!   the lock, double-checked install) bit-identically. Counters:
-//!   `serve.keycache.{hit,miss,evict}`.
+//!   [`EvalService::register_tenant`], which needs the keys alone and
+//!   encodes one under their own context. The cache keeps each tenant's
+//!   frame as a cheap `Arc<[u8]>`; the decoded key material is a bounded
+//!   LRU resident (`key_cache_capacity`). An evicted tenant's next request
+//!   re-decodes from the retained frame (outside the lock, installed only
+//!   while the slot still holds that frame) bit-identically; a reload that
+//!   fails to decode is a [`ServeError::Wire`]. A tenant's keys, its
+//!   evaluator and every frame decoded for it share one [`CkksContext`], a
+//!   reference-counted handle. Counters: `serve.keycache.{hit,miss,evict}`.
 //! - **Per-tenant plan cache** — a [`Request::Program`] is parsed,
 //!   lowered and planned on its tenant's first submission of that exact
 //!   text; the plan, with the plaintext operands its first execution
@@ -84,7 +87,7 @@ mod service;
 mod shard;
 pub mod tcp;
 
-pub use service::{EvalService, ServiceConfig, TenantContext, Ticket};
+pub use service::{EvalService, ServiceConfig, Ticket};
 
 /// One evaluation request against a tenant's key material. Ciphertexts
 /// are owned: the service executes asynchronously to the submitter.

@@ -3,7 +3,6 @@
 //! supervisor that restarts them.
 
 use std::collections::{HashMap, VecDeque};
-use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -12,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use he_ckks::cipher::Ciphertext;
 use he_ckks::context::CkksContext;
-use he_ckks::eval::Evaluator;
 use he_ckks::integrity::{digest_ciphertext, CheckedEvaluator};
 use he_ckks::keys::KeySet;
 use poseidon_core::plan::{GraphOp, Plan};
@@ -89,9 +87,10 @@ const PLAN_CACHE_ENTRIES: usize = 16;
 const PLAN_CACHE_BYTES: usize = 16 << 20;
 
 /// Per-tenant evaluation state, built from the tenant's key-set frame at
-/// registration and rebuilt from it, bit-identically, after eviction.
+/// registration and rebuilt from it, bit-identically, after eviction. Its
+/// context is the one the keys and the evaluator share
+/// (`keys.context()`).
 pub(crate) struct Tenant {
-    pub(crate) ctx: CkksContext,
     pub(crate) keys: KeySet,
     /// The tenant's one evaluator: integrity-checked, and
     /// [`CheckedEvaluator::inner`] where a request runs unchecked.
@@ -108,7 +107,6 @@ impl Tenant {
         let (ctx, keys) = poseidon_wire::decode_keyset(frame)?;
         let checked = CheckedEvaluator::new(&ctx);
         Ok(Self {
-            ctx,
             keys,
             checked,
             plans: Mutex::new(PlanCache::default()),
@@ -197,27 +195,6 @@ fn plan_bytes(plan: &Plan, ctx: &CkksContext) -> usize {
             (side + prepared) * limb
         })
         .sum()
-}
-
-/// A cheap handle on a tenant's [`CkksContext`] — an `Arc` clone, not a
-/// context copy. Dereferences to the context for decoding wire frames.
-#[derive(Clone)]
-pub struct TenantContext {
-    tenant: Arc<Tenant>,
-}
-
-impl Deref for TenantContext {
-    type Target = CkksContext;
-
-    fn deref(&self) -> &CkksContext {
-        &self.tenant.ctx
-    }
-}
-
-impl AsRef<CkksContext> for TenantContext {
-    fn as_ref(&self) -> &CkksContext {
-        &self.tenant.ctx
-    }
 }
 
 /// Handle to one submitted job: the receiving end of the channel its
@@ -563,18 +540,14 @@ impl EvalService {
 
     /// Registers (or replaces) a tenant from in-process key material: the
     /// evaluation half of `keys` is encoded as a public key-set frame
-    /// ([`poseidon_wire::encode_keyset_public`]) and registered through
+    /// ([`poseidon_wire::encode_keyset_public`]) under the keys' own
+    /// context and registered through
     /// [`register_tenant_frame`](Self::register_tenant_frame), so the
     /// tenant is held, evicted and reloaded like one provisioned over TCP.
-    ///
-    /// # Panics
-    ///
-    /// If `keys` were not generated for `ctx`'s parameters, so that the
-    /// frame encoded from them does not decode.
-    pub fn register_tenant(&self, id: impl Into<String>, ctx: CkksContext, keys: KeySet) {
-        let frame = poseidon_wire::encode_keyset_public(&ctx, &keys);
+    pub fn register_tenant(&self, id: impl Into<String>, keys: &KeySet) {
+        let frame = poseidon_wire::encode_keyset_public(keys.context(), keys);
         self.register_tenant_frame(id, &frame)
-            .expect("keys generated for ctx decode from their public frame");
+            .expect("a key set decodes from its own public frame");
     }
 
     /// Registers (or replaces) a tenant from a serialized key-set frame —
@@ -597,19 +570,17 @@ impl EvalService {
         Ok(())
     }
 
-    pub(crate) fn tenant(&self, id: &str) -> Result<Option<Arc<Tenant>>, ServeError> {
-        self.tenants.get(id)
-    }
-
-    /// The tenant's context, for decoding its wire frames — a cheap
-    /// shared handle: a lookup per request must not copy the prime chain
-    /// and its NTT tables.
-    pub fn tenant_context(&self, id: &str) -> Option<TenantContext> {
+    /// The registered tenant `id`, its keys reloaded from their frame if
+    /// they were evicted.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownTenant`] if `id` was never registered, and
+    /// [`ServeError::Wire`] if the reload fails to decode.
+    pub(crate) fn tenant(&self, id: &str) -> Result<Arc<Tenant>, ServeError> {
         self.tenants
-            .get(id)
-            .ok()
-            .flatten()
-            .map(|tenant| TenantContext { tenant })
+            .get(id)?
+            .ok_or_else(|| ServeError::UnknownTenant(id.into()))
     }
 
     /// Decoded tenants currently resident in the key cache —
@@ -677,11 +648,6 @@ impl EvalService {
     /// drive failover deterministically instead of sleeping.
     pub fn watchdog_scan(&self) {
         self.supervisor.scan();
-    }
-
-    fn lookup(&self, tenant_id: &str) -> Result<Arc<Tenant>, ServeError> {
-        self.tenant(tenant_id)?
-            .ok_or_else(|| ServeError::UnknownTenant(tenant_id.into()))
     }
 
     fn expired(deadline: Option<Instant>) -> bool {
@@ -761,7 +727,7 @@ impl EvalService {
         replay_id: Option<u64>,
         sink: Sink,
     ) -> Result<(), ServeError> {
-        let tenant = self.lookup(tenant_id)?;
+        let tenant = self.tenant(tenant_id)?;
         let tid: Arc<str> = Arc::from(tenant_id);
         // The pending-map lock is held from the replay checks through the
         // pending insert, so a racing duplicate sees either this
@@ -1026,8 +992,8 @@ fn run_one(tenant: &Tenant, request: &Request) -> Result<Ciphertext, he_ckks::er
     }
 }
 
-/// Executes one `.pos` program as a unit on a fresh evaluator over the
-/// tenant's context. Every graph input is seeded with `a`; the reply is the
+/// Executes one `.pos` program as a unit on a handle copy of the tenant's
+/// evaluator. Every graph input is seeded with `a`; the reply is the
 /// program's final output.
 ///
 /// The plan — parse → lower (`compile_trace`) → pass pipeline (`plan`) —
@@ -1062,14 +1028,14 @@ fn run_program(
             crate::tel::plan_miss().add(1);
             let trace = poseidon_sim::program::parse(text)
                 .map_err(|e| EvalError::InvalidParams(format!("program parse: {e}")))?;
-            let plan = plan_trace(&trace, &tenant.ctx, &PlanOptions::default())
+            let plan = plan_trace(&trace, tenant.keys.context(), &PlanOptions::default())
                 .map_err(|e| EvalError::InvalidParams(format!("program planning: {e}")))?;
             Arc::new(plan)
         }
     };
     crate::tel::program().add(plan.schedule.len() as u64);
     let inputs = vec![a.clone(); plan.graph.inputs().len()];
-    let mut eval = Evaluator::new(&tenant.ctx);
+    let mut eval = tenant.checked.inner().clone();
     let reply = execute(&plan, &mut eval, &inputs, &tenant.keys).and_then(|outcome| {
         outcome
             .outputs
@@ -1080,7 +1046,7 @@ fn run_program(
     if reply.is_err() {
         tenant.plans().remove(&plan);
     } else if !hit {
-        let bytes = plan_bytes(&plan, &tenant.ctx);
+        let bytes = plan_bytes(&plan, tenant.keys.context());
         tenant.plans().insert(text, plan, bytes);
     }
     reply
@@ -1169,7 +1135,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         let kept = |id: &str| {
-            let tenant = service.tenant(id).expect("decodes").expect("registered");
+            let tenant = service.tenant(id).expect("registered");
             let count = tenant.plans().entries.len();
             count
         };

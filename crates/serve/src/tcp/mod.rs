@@ -73,6 +73,10 @@
 //!     12  Program
 //! ```
 //!
+//! A request's frames and, for an evicted tenant, the reload of its keys
+//! from the retained key-set frame are both wire decodes: either failing
+//! answers code 4.
+//!
 //! Any other opcode is refused with error code 7 and the connection is
 //! closed. Opcode 10 (a whole key-set frame in one request) was retired
 //! in v6: a client sends the same frame as one chunk.

@@ -10,10 +10,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
+use he_ckks::context::CkksContext;
 use poseidon_wire::{BufferPool, KeysetAssembler, WireError};
 
 use super::{read_frame, write_frame, ErrorCode, FrameReader, Opcode, SocketConfig, FLAG_REPLAY};
-use crate::{EvalService, Request, ServeError, TenantContext};
+use crate::{EvalService, Request, ServeError};
 
 /// Residue rows retained by a listener's decode pool. At paper-scale
 /// parameters a row is ~32 KiB, so the cap bounds pool memory at a few
@@ -46,10 +47,10 @@ fn err_response(id: u64, e: &ServeError) -> Vec<u8> {
 /// its single writer thread.
 enum WriterMsg {
     /// Announces an in-flight request *before* it is submitted, carrying
-    /// the context its eventual result encodes under. Always enqueued
-    /// ahead of the matching `Done`, so the writer never sees an
-    /// unknown id.
-    Expect { id: u64, ctx: TenantContext },
+    /// a handle on the tenant's context, which its eventual result encodes
+    /// under. Always enqueued ahead of the matching `Done`, so the writer
+    /// never sees an unknown id.
+    Expect { id: u64, ctx: CkksContext },
     /// A dispatcher shard finished the job — out of order by design.
     Done {
         id: u64,
@@ -60,7 +61,7 @@ enum WriterMsg {
 }
 
 fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<WriterMsg>, pool: Arc<BufferPool>) {
-    let mut pending: HashMap<u64, TenantContext> = HashMap::new();
+    let mut pending: HashMap<u64, CkksContext> = HashMap::new();
     while let Ok(msg) = rx.recv() {
         let body = match msg {
             WriterMsg::Expect { id, ctx } => {
@@ -204,9 +205,9 @@ fn process_body(
     } else {
         0
     };
-    let ctx = service
-        .tenant_context(&tenant)
-        .ok_or_else(|| ServeError::UnknownTenant(tenant.clone()))?;
+    // An unknown tenant answers code 1; a key reload that fails to decode
+    // answers code 4, as it does in process.
+    let ctx = service.tenant(&tenant)?.keys.context().clone();
     let ct = |r: &mut FrameReader<'_>| -> Result<Ciphertext, ServeError> {
         Ok(poseidon_wire::decode_ciphertext_pooled(
             &ctx,

@@ -67,7 +67,7 @@ fn worker_panic_is_contained_and_watchdog_restarts_the_shard() {
         watchdog_interval_ms: 0, // manual scans: deterministic detection
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx.clone(), keys.clone());
+    service.register_tenant("acme", &keys);
     let expected = service
         .call("acme", Request::Rescale { a: ct.clone() })
         .expect("unfaulted baseline");
@@ -132,7 +132,7 @@ fn stalled_worker_fails_over_before_the_stall_ends() {
         stall_timeout_ms: 50,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     service.suspend();
     let stalled_job = service
@@ -208,7 +208,7 @@ fn dead_shard_backlog_drains_through_the_survivor() {
         watchdog_interval_ms: 0,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     let home = service.shard_of("acme");
     let expected = service
         .call("acme", Request::Rescale { a: ct.clone() })

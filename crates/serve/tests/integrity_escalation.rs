@@ -30,7 +30,7 @@ fn persistent_fault_escalates_per_request_and_service_survives() {
     let b = keys.public().encrypt(&pt, &mut rng);
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     // A persistent stuck-at corruption on RNS residues: duplicate
     // executions are corrupted differently, so the checked evaluator

@@ -91,7 +91,7 @@ fn an_in_process_tenant_counts_toward_the_cap_and_reloads_bit_identically() {
         key_cache_capacity: 1,
         ..ServiceConfig::default()
     });
-    service.register_tenant("local", ctx.clone(), keys.clone());
+    service.register_tenant("local", &keys);
     assert_eq!(service.resident_tenants(), 1);
     for i in 0..3 {
         service

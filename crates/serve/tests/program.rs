@@ -85,7 +85,7 @@ fn served_program_matches_local_planned_execution() {
     }
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx.clone(), keys.clone());
+    service.register_tenant("acme", &keys);
     let mut eval = he_ckks::eval::Evaluator::new(&ctx);
     for (name, text) in programs {
         let trace = poseidon_sim::program::parse(&text).expect("parse");
@@ -115,7 +115,7 @@ fn expired_program_deadline_rejected_before_any_op_runs() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     let past = Instant::now() - Duration::from_millis(5);
     let (tx, rx) = mpsc::channel();
@@ -182,7 +182,7 @@ fn repeated_program_requests_reply_identically() {
     let a = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.25)]);
     let want = local_reply(&ctx, &keys, &a);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     for request in 0..3 {
         assert_eq!(
             served_reply(&service, "acme", &a),
@@ -235,7 +235,7 @@ fn malformed_program_is_a_typed_error() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     let submit = || {
         service

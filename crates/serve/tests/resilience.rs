@@ -60,7 +60,7 @@ fn expired_deadline_rejected_at_admission() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     let past = Instant::now() - Duration::from_millis(5);
     let (tx, rx) = mpsc::channel();
@@ -94,7 +94,7 @@ fn deadline_elapsing_in_queue_is_typed_not_executed() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     service.suspend();
     let (tx, doomed) = mpsc::channel();
@@ -131,7 +131,7 @@ fn ticket_wait_timeout_bounds_the_wait() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     service.suspend();
     let ticket = service
@@ -157,7 +157,7 @@ fn replayed_resubmission_is_idempotent_and_bit_identical() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.25)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     let run = |id: u64| {
         let (tx, rx) = mpsc::channel();
@@ -204,7 +204,7 @@ fn unexecuted_outcomes_are_not_cached_for_replay() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     let past = Instant::now() - Duration::from_millis(5);
     let err = service
@@ -249,7 +249,7 @@ fn replay_cache_is_bounded() {
         replay_capacity: 4,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     for id in 0..10u64 {
         let (tx, rx) = mpsc::channel();
@@ -281,8 +281,8 @@ fn replay_eviction_is_tenant_fair() {
         replay_capacity: 4,
         ..ServiceConfig::default()
     });
-    service.register_tenant("quiet", ctx.clone(), keys.clone());
-    service.register_tenant("chatty", ctx, keys);
+    service.register_tenant("quiet", &keys);
+    service.register_tenant("chatty", &keys);
 
     let run = |tenant: &'static str, id: u64| {
         let (tx, rx) = mpsc::channel();
@@ -335,7 +335,7 @@ fn replay_cache_byte_budget_evicts_but_keeps_newest() {
         replay_capacity_bytes: 1,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     for id in 0..5u64 {
         let (tx, rx) = mpsc::channel();
@@ -374,7 +374,7 @@ fn racing_duplicate_replay_attaches_to_in_flight_execution() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.25, -0.75)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     // Freeze the dispatcher so the original is still queued when the
     // duplicate arrives.
@@ -429,7 +429,7 @@ fn watchdog_is_quiescent_on_a_healthy_service() {
         watchdog_interval_ms: 0,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     for _ in 0..3 {
         service
@@ -462,7 +462,7 @@ fn a_long_batch_of_short_jobs_is_not_a_stall() {
     };
     // Calibrate one job on this host, round trip included.
     let probe = EvalService::start(ServiceConfig::default());
-    probe.register_tenant("acme", ctx.clone(), keys.clone());
+    probe.register_tenant("acme", &keys);
     let mut job_ms = 1;
     for _ in 0..3 {
         let started = Instant::now();
@@ -482,7 +482,7 @@ fn a_long_batch_of_short_jobs_is_not_a_stall() {
         stall_timeout_ms,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     // Queue every job before the worker may take any: one batch.
     service.suspend();
     let tickets: Vec<_> = (0..jobs)
@@ -513,7 +513,7 @@ fn shutdown_races_cleanly_with_the_watchdog() {
         watchdog_interval_ms: 1,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     let svc = Arc::clone(&service);
     let pounder = std::thread::spawn(move || {
         for _ in 0..5 {

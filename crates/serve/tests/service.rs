@@ -51,7 +51,7 @@ fn served_ops_match_the_local_evaluator_bit_for_bit() {
     );
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx.clone(), keys.clone());
+    service.register_tenant("acme", &keys);
 
     let cases: Vec<(Request, he_ckks::cipher::Ciphertext)> = vec![
         (
@@ -110,7 +110,7 @@ fn coalesced_rotation_batch_matches_per_call_results() {
         .expect("local rotations");
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     // Freeze the dispatcher so all three requests land in one batch —
     // the coalescing path, not three singleton groups.
@@ -148,7 +148,7 @@ fn queue_full_rejects_with_capacity() {
         max_batch: 16,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     service.suspend();
     let t1 = service
@@ -180,7 +180,7 @@ fn unknown_tenant_and_missing_key_are_typed_errors() {
     let ct = encrypt(&ctx, &bare_keys, &mut rng, &[Complex::new(0.5, 0.0)]);
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, bare_keys);
+    service.register_tenant("acme", &bare_keys);
 
     let err = service
         .submit("nobody", Request::Rescale { a: ct.clone() })
@@ -215,7 +215,7 @@ fn level_exhaustion_is_a_per_request_error_not_a_crash() {
     let exhausted = eval.try_drop_to_level(&ct, 0).unwrap();
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     let err = service
         .call(
             "acme",
@@ -243,7 +243,7 @@ fn shutdown_drains_pending_jobs_with_a_typed_error() {
     let (ctx, keys, mut rng) = setup();
     let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.0)]);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     service.suspend();
     let ticket = service

@@ -107,7 +107,7 @@ fn sharded_matches_single_dispatcher_across_the_matrix() {
             });
             assert_eq!(service.shards(), shards);
             for tenant in tenants {
-                service.register_tenant(tenant, ctx.clone(), keys.clone());
+                service.register_tenant(tenant, &keys);
             }
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
@@ -146,7 +146,7 @@ fn concurrent_submission_respects_the_global_bound() {
         shards: 2,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
 
     service.suspend();
     let (tx, rx) = std::sync::mpsc::channel();
@@ -206,7 +206,7 @@ fn work_stealing_drains_a_hot_shard_without_corrupting_results() {
         max_batch: 1,
         ..ServiceConfig::default()
     });
-    service.register_tenant("acme", ctx.clone(), keys.clone());
+    service.register_tenant("acme", &keys);
 
     let cases: Vec<(Ciphertext, Ciphertext)> = (0..8)
         .map(|i| {

@@ -389,7 +389,7 @@ fn every_op_over_tcp_matches_the_in_process_call() {
     let pt_frame = poseidon_wire::encode_plaintext(&ctx, &pt);
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("local", ctx.clone(), keys.clone());
+    service.register_tenant("local", &keys);
     let (addr, _accept) =
         tcp::listen(std::sync::Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let client = tcp::Client::connect(addr).expect("connect");
@@ -546,7 +546,7 @@ fn unknown_opcode_is_a_protocol_error_that_closes_the_connection() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0C0DE);
     let keys = KeySet::generate(&ctx, &mut rng);
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
 
     for tenant in ["ghost", "acme"] {

@@ -1,6 +1,10 @@
 //! Multiplexed-protocol edges: out-of-order reply reassembly, pipelined
-//! submission against a real service, chunked key-set streaming, and
-//! dead-connection failure propagation.
+//! submission against a real service, chunked key-set streaming,
+//! dead-connection failure propagation, and a failed key reload.
+//!
+//! One test arms the fault injector on wire decode, so every test that
+//! runs a real service (and decodes frames) holds
+//! `poseidon_faults::test_lock()`.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -11,6 +15,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
+use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
 use poseidon_serve::tcp::{self, Op};
 use poseidon_serve::{EvalService, ServeError, ServiceConfig};
 use rand::SeedableRng;
@@ -94,6 +99,7 @@ fn out_of_order_replies_are_matched_by_request_id() {
 /// dispatcher, and bit-identical to the local hoisted path.
 #[test]
 fn pipelined_rotations_coalesce_and_match_local_eval() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x417);
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -148,6 +154,7 @@ fn pipelined_rotations_coalesce_and_match_local_eval() {
 /// driven through the raw op.
 #[test]
 fn chunked_registration_serves_identically_at_any_chunk_size() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4A);
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -206,6 +213,7 @@ fn chunked_registration_serves_identically_at_any_chunk_size() {
 /// connection goes on to take a fresh stream.
 #[test]
 fn a_chunk_stream_is_bound_to_the_tenant_of_its_first_chunk() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB1D);
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -254,6 +262,7 @@ fn a_chunk_stream_is_bound_to_the_tenant_of_its_first_chunk() {
 /// interleaves with the other and both tenants serve afterwards.
 #[test]
 fn concurrent_registrations_on_one_client_both_land() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x2C1);
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -301,6 +310,7 @@ fn concurrent_registrations_on_one_client_both_land() {
 /// served the whole time.
 #[test]
 fn slowloris_connection_is_reaped_without_blocking_others() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x510);
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -408,6 +418,7 @@ fn dead_connection_fails_pending_and_future_requests() {
 /// the registered 65 535-byte id that is its prefix.
 #[test]
 fn an_overlong_tenant_id_is_refused_not_truncated() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D);
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -441,6 +452,7 @@ fn an_overlong_tenant_id_is_refused_not_truncated() {
 /// bounds is refused before any chunk is sent, too.
 #[test]
 fn an_oversize_request_fails_alone_in_a_pipeline() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0F);
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -488,6 +500,7 @@ fn an_oversize_request_fails_alone_in_a_pipeline() {
 /// own.
 #[test]
 fn independent_resilient_clients_draw_disjoint_replay_ids() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xD15);
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -554,6 +567,7 @@ fn independent_resilient_clients_draw_disjoint_replay_ids() {
 /// observed, so the retry is certain, not timed.
 #[test]
 fn a_full_queue_is_remote_code_2_and_the_resilient_client_retries_it() {
+    let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF11);
     let keys = KeySet::generate(&ctx, &mut rng);
@@ -569,7 +583,7 @@ fn a_full_queue_is_remote_code_2_and_the_resilient_client_retries_it() {
         ..ServiceConfig::default()
     });
     let handle = Arc::clone(&service);
-    handle.register_tenant("acme", ctx.clone(), keys);
+    handle.register_tenant("acme", &keys);
     let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
 
     handle.suspend();
@@ -616,4 +630,57 @@ fn a_full_queue_is_remote_code_2_and_the_resilient_client_retries_it() {
     for t in tickets {
         t.wait().expect("queued job served after resume");
     }
+}
+
+/// A key reload that fails to decode answers code 4 (wire error), as the
+/// in-process path answers `ServeError::Wire`, not code 1 (unknown
+/// tenant); the tenant's next request reloads its keys and is served.
+#[test]
+fn a_failed_key_reload_is_remote_code_4_and_the_next_request_is_served() {
+    let _guard = poseidon_faults::test_lock();
+    let ctx = CkksContext::new(CkksParams::toy());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4E1);
+    let keys = KeySet::generate(&ctx, &mut rng);
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, -0.25)]);
+    let frame = poseidon_wire::encode_ciphertext(&ctx, &ct);
+    let expected = he_ckks::eval::Evaluator::new(&ctx)
+        .try_rescale(&ct)
+        .expect("local rescale");
+
+    let service = EvalService::start(ServiceConfig {
+        key_cache_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    service.register_tenant("first", &keys);
+    service.register_tenant("second", &keys);
+    assert_eq!(
+        service.resident_tenants(),
+        1,
+        "the second evicted the first"
+    );
+    let (addr, _accept) = tcp::listen(service, "127.0.0.1:0").expect("bind loopback");
+    let client = tcp::Client::connect(addr).expect("connect");
+
+    // The first wire decode after arming is the evicted tenant's reload.
+    poseidon_faults::arm(FaultPlan::transient(
+        FaultSite::WireFrame,
+        FaultKind::BitFlip,
+        0x4E1,
+    ));
+    let failed = client.request("first", Op::Rescale { a: &frame });
+    let fired = poseidon_faults::fired();
+    poseidon_faults::disarm();
+    assert_eq!(fired, 1, "the reload decode was hit");
+    match failed {
+        Err(ServeError::Remote { code: 4, .. }) => {}
+        other => panic!("expected Remote {{ code: 4 }}, got {other:?}"),
+    }
+
+    let reply = client
+        .request("first", Op::Rescale { a: &frame })
+        .expect("the next request reloads and is served")
+        .expect("ciphertext");
+    let got = poseidon_wire::decode_ciphertext(&ctx, &reply).expect("decode");
+    assert_eq!(got.c0(), expected.c0());
+    assert_eq!(got.c1(), expected.c1());
 }

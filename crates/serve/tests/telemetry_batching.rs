@@ -37,11 +37,9 @@ fn batched_rotations_hoist_once() {
         ctx.default_scale(),
     );
     let ct = keys.public().encrypt(&pt, &mut rng);
-    // Retained for the sharded sections below.
-    let (ct_ctx, ct_keys) = (ctx.clone(), keys.clone());
 
     let service = EvalService::start(ServiceConfig::default());
-    service.register_tenant("acme", ctx, keys);
+    service.register_tenant("acme", &keys);
     let steps = [1i64, 2, 3, 4];
 
     // Per-call baseline: wait for each rotation before submitting the
@@ -106,12 +104,11 @@ fn batched_rotations_hoist_once() {
     // Sharded affinity: with four dispatcher shards, one tenant's
     // rotations still land on a single shard and still coalesce into one
     // hoist — sharding must not break the coalescing window.
-    let (ctx, keys) = (ct_ctx.clone(), ct_keys.clone());
     let sharded = EvalService::start(ServiceConfig {
         shards: 4,
         ..ServiceConfig::default()
     });
-    sharded.register_tenant("acme", ctx, keys);
+    sharded.register_tenant("acme", &keys);
     let home = sharded.shard_of("acme");
     let before = Registry::global().snapshot();
     sharded.suspend();
@@ -184,7 +181,7 @@ fn batched_rotations_hoist_once() {
             queue_capacity: 64,
             ..ServiceConfig::default()
         });
-        stealing.register_tenant("acme", ct_ctx.clone(), ct_keys.clone());
+        stealing.register_tenant("acme", &keys);
         let before = Registry::global().snapshot();
         stealing.suspend();
         let tickets: Vec<_> = (0..32)

@@ -134,6 +134,13 @@ fn keyset_round_trip_with_secret_is_bit_exact_and_functional() {
     let (ctx2, keys2) = poseidon_wire::decode_keyset(&bytes).expect("valid frame");
     assert_eq!(ctx2.params(), ctx.params());
     assert_eq!(ctx2.chain_basis().primes(), ctx.chain_basis().primes());
+    // One context, shared: the decoded key set holds the very context the
+    // decoder returns, not a copy of it.
+    assert!(std::ptr::eq(keys2.context().encoder(), ctx2.encoder()));
+    assert!(std::ptr::eq(
+        keys2.context().chain_basis(),
+        ctx2.chain_basis()
+    ));
     assert_eq!(keys2.secret().coeffs(), keys.secret().coeffs());
     assert_eq!(keys2.relin().pairs(), keys.relin().pairs());
     assert_eq!(keys2.galois_entries().len(), keys.galois_entries().len());

@@ -156,7 +156,7 @@ fn facade_wire_and_serve_round_trip() {
     ));
 
     let service = poseidon::serve::EvalService::start(poseidon::serve::ServiceConfig::default());
-    service.register_tenant("acme", ctx.clone(), keys.clone());
+    service.register_tenant("acme", &keys);
     let served = service
         .call(
             "acme",
