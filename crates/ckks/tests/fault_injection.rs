@@ -327,3 +327,76 @@ fn key_row_upsets_past_52_bits_are_detected() {
         "persistent: detected/retried/escalated"
     );
 }
+
+/// A transform-input upset at or above bit 52, on a limb that takes the
+/// AVX-512 IFMA transform: a product's first transform, which takes an
+/// operand's chain limb into evaluation form, and every chain prime is
+/// below 2^50. `vpmadd52` multiplies the low 52 bits of each word, which such a
+/// flip leaves as they were; the vector transform's input guard sends the
+/// call to the scalar kernel instead, whose output the flip does move, so a
+/// transient upset is detected and retried (1/1/0) and a persistent one
+/// escalates (1/0/1), on a CPU with IFMA or without.
+#[test]
+fn transform_upsets_past_52_bits_are_detected() {
+    let _guard = poseidon_faults::test_lock();
+    poseidon_faults::disarm();
+    let (ctx, keys, mut rng) = setup();
+    let a = encrypt(&ctx, &keys, &mut rng, 0.75);
+    let b = encrypt(&ctx, &keys, &mut rng, -0.5);
+    let checked = CheckedEvaluator::new(&ctx);
+    let clean = checked.inner().try_mul(&a, &b, &keys).unwrap();
+    assert!(
+        ctx.chain_basis().primes().iter().all(|&q| q < 1 << 50),
+        "every chain limb takes the vector transform"
+    );
+    let plan = |make: fn(FaultSite, FaultKind, u64) -> FaultPlan, seed| {
+        make(FaultSite::NttTwiddle, FaultKind::BitFlip, seed).width(63)
+    };
+    // The first seed whose first flip lands at bit 52 or above, read from
+    // the injector itself on a blank row.
+    let flipped_bit = |seed| {
+        poseidon_faults::arm(plan(FaultPlan::transient, seed));
+        let mut row = vec![0u64; ctx.n()];
+        poseidon_faults::tamper(FaultSite::NttTwiddle, &mut row);
+        poseidon_faults::disarm();
+        row.iter().fold(0, |bits, w| bits | w).trailing_zeros()
+    };
+    let seed = (0..64)
+        .find(|&seed| flipped_bit(seed) >= 52)
+        .expect("a seed that flips bit 52 or above");
+    let deltas = |before: IntegrityStats| {
+        let after = integrity_stats();
+        [
+            after.detected - before.detected,
+            after.retried - before.retried,
+            after.escalated - before.escalated,
+        ]
+    };
+
+    let before = integrity_stats();
+    poseidon_faults::arm(plan(FaultPlan::transient, seed));
+    let got = checked.mul(&a, &b, &keys);
+    let fired = poseidon_faults::fired();
+    poseidon_faults::disarm();
+    assert_eq!(fired, 1, "the upset never fired");
+    assert_eq!(got, Ok(clean), "no recovery to the clean run");
+    assert_eq!(
+        deltas(before),
+        [1, 1, 0],
+        "transient: detected/retried/escalated"
+    );
+
+    let before = integrity_stats();
+    poseidon_faults::arm(plan(FaultPlan::persistent, seed));
+    let got = checked.mul(&a, &b, &keys);
+    poseidon_faults::disarm();
+    assert!(
+        matches!(got, Err(EvalError::IntegrityFault { .. })),
+        "persistent: expected IntegrityFault, got {got:?}"
+    );
+    assert_eq!(
+        deltas(before),
+        [1, 0, 1],
+        "persistent: detected/retried/escalated"
+    );
+}

@@ -173,10 +173,11 @@ impl<'a> Lowering<'a> {
         self.rot_cursor
     }
 
-    /// Encodes a fresh deterministic mask plaintext at `level`. Mask
-    /// magnitudes sit near 0.1 so value growth (8-term reductions,
-    /// squarings) never races the modulus even in deep programs — the
-    /// pressure rule tracks scale bits, not message magnitude.
+    /// Encodes a fresh deterministic mask plaintext at `level`, keeping its
+    /// slot values beside it in the graph. Mask magnitudes sit near 0.1 so
+    /// value growth (8-term reductions, squarings) never races the modulus
+    /// even in deep programs — the pressure rule tracks scale bits, not
+    /// message magnitude.
     fn plaintext_at(&mut self, level: usize) -> usize {
         let slots = 8.min(self.ctx.params().n / 2);
         let z: Vec<Complex> = (0..slots)
@@ -190,7 +191,7 @@ impl<'a> Lowering<'a> {
                 .encode_rns(&basis, &z, self.ctx.default_scale()),
             self.ctx.default_scale(),
         );
-        self.g.intern_plaintext(pt)
+        self.g.intern_encoded(pt, z)
     }
 
     /// Reduces the fan into `cur` with a balanced add tree (no-op when

@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
+use he_ckks::encoding::Complex;
 use he_ckks::integrity::digest_ciphertext;
 
 /// Identifier of an SSA value (a ciphertext produced once, consumed
@@ -175,6 +176,9 @@ pub struct EvalGraph {
     nodes: Vec<Node>,
     values: Vec<ValueInfo>,
     plaintexts: Vec<Plaintext>,
+    /// Beside each plaintext, the slot values it encodes, where its maker
+    /// kept them (the `.pos` lowering does).
+    plaintext_slots: Vec<Option<Vec<Complex>>>,
     inputs: Vec<ValueId>,
     outputs: Vec<ValueId>,
     /// Nominal bits removed by one rescale (≈ log2 of a scale prime);
@@ -207,6 +211,13 @@ impl EvalGraph {
     /// The plaintext side table.
     pub fn plaintexts(&self) -> &[Plaintext] {
         &self.plaintexts
+    }
+
+    /// The slot values plaintext `pt` encodes, sparse-packed (slot `j`
+    /// holds entry `j mod len`), if its maker kept them: what a slot-level
+    /// reading of the graph takes for the plaintext, with no decoding.
+    pub fn plaintext_slots(&self, pt: usize) -> Option<&[Complex]> {
+        self.plaintext_slots.get(pt)?.as_deref()
     }
 
     /// Graph input values, in executor binding order.
@@ -372,7 +383,17 @@ impl EvalGraph {
 
     /// Interns a plaintext in the side table.
     pub fn intern_plaintext(&mut self, pt: Plaintext) -> usize {
+        self.intern(pt, None)
+    }
+
+    /// Interns a plaintext with the slot values `z` it encodes.
+    pub(crate) fn intern_encoded(&mut self, pt: Plaintext, z: Vec<Complex>) -> usize {
+        self.intern(pt, Some(z))
+    }
+
+    fn intern(&mut self, pt: Plaintext, z: Option<Vec<Complex>>) -> usize {
         self.plaintexts.push(pt);
+        self.plaintext_slots.push(z);
         self.plaintexts.len() - 1
     }
 

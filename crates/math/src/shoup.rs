@@ -59,23 +59,6 @@ impl ShoupMul {
             r
         }
     }
-
-    /// Computes `a · w mod q` in `[0, 2q)` for **any** `a`, reduced or not.
-    ///
-    /// This is the multiply of Harvey's lazy butterfly: with
-    /// `w' = floor(w·2^64/q)` the quotient estimate
-    /// `floor(w'·a / 2^64)` undershoots `floor(w·a/q)` by at most one for
-    /// every `a < 2^64`, so the remainder lands in `[0, 2q)` with no
-    /// correction — the caller keeps values in redundant representation
-    /// and corrects once per stage group (or never, until the final
-    /// reduction pass). Requires `q < 2^63` (guaranteed by [`new`]).
-    ///
-    /// [`new`]: Self::new
-    #[inline(always)]
-    pub fn mul_lazy_unreduced(&self, a: u64) -> u64 {
-        let quot = ((self.w_shoup as u128 * a as u128) >> 64) as u64;
-        (self.w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(self.q))
-    }
 }
 
 /// Precomputes the Shoup quotient `floor(w · 2^64 / q)` for a reduced
@@ -92,6 +75,21 @@ pub fn shoup_quotient(w: u64, q: u64) -> u64 {
     (((w as u128) << 64) / q as u128) as u64
 }
 
+/// Computes `a · w mod q` in `[0, 2q)` for **any** `a`, reduced or not,
+/// from a raw `(w, quotient)` lane pair as produced by [`shoup_quotient`].
+///
+/// This is the multiply of Harvey's lazy butterfly: with
+/// `w' = floor(w·2^64/q)` the quotient estimate `floor(w'·a / 2^64)`
+/// undershoots `floor(w·a/q)` by at most one for every `a < 2^64`, so the
+/// remainder lands in `[0, 2q)` with no correction — the caller keeps
+/// values in redundant representation and corrects once per stage group
+/// (or never, until the final reduction pass). Requires `q < 2^63`.
+#[inline(always)]
+pub fn mul_shoup_lane_lazy(a: u64, w: u64, w_quot: u64, q: u64) -> u64 {
+    let quot = ((w_quot as u128 * a as u128) >> 64) as u64;
+    (w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(q))
+}
+
 /// Computes `a · w mod q` (fully reduced) from a raw `(w, quotient)` lane
 /// pair as produced by [`shoup_quotient`]. Valid for any `a < 2^64` and
 /// `q < 2^63`.
@@ -106,9 +104,7 @@ pub fn shoup_quotient(w: u64, q: u64) -> u64 {
 /// ```
 #[inline(always)]
 pub fn mul_shoup_lane(a: u64, w: u64, w_quot: u64, q: u64) -> u64 {
-    let quot = ((w_quot as u128 * a as u128) >> 64) as u64;
-    let r = (w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(q));
-    crate::modops::csub(r, q)
+    crate::modops::csub(mul_shoup_lane_lazy(a, w, w_quot, q), q)
 }
 
 #[cfg(test)]
@@ -144,9 +140,10 @@ mod tests {
         // Inputs up to 4q (the Harvey butterfly range) stay within [0, 2q)
         // and agree with the reference modulo q.
         let q = (1u64 << 61) - 1;
-        let m = ShoupMul::new(q - 3, q);
+        let w = q - 3;
+        let wq = shoup_quotient(w, q);
         for a in [0u64, 1, q - 1, q, q + 5, 2 * q - 1, 2 * q, 4 * q - 1] {
-            let r = m.mul_lazy_unreduced(a);
+            let r = mul_shoup_lane_lazy(a, w, wq, q);
             assert!(r < 2 * q, "a={a}");
             assert_eq!(r % q, mul_mod(a % q, q - 3, q), "a={a}");
         }

@@ -8,11 +8,14 @@
 //!
 //! * [`table::NttTable`] — per-(N, q) precomputed twiddle tables (ψ powers in
 //!   bit-reversed order, Shoup constants, N⁻¹).
-//! * [`kernel`] — the one production transform behind
+//! * [`kernel`] — the portable transform behind
 //!   [`NttTable::forward`]/[`NttTable::inverse`]: Harvey butterflies in
 //!   redundant `[0, 4q)` representation, fused into radix-8 stage groups
 //!   (the software form of the paper's k = 3 fused TAM), carried lazily
 //!   across group boundaries and reduced once per output.
+//! * [`ifma`] — the same schedule on AVX-512 IFMA registers, which the CPU
+//!   (`avx512f` + `avx512ifma`) and a prime below 2^50 select, bit-identical
+//!   to [`kernel`]; and [`ifma::detected`], the workspace's one CPU check.
 //! * [`negacyclic`] — the classic iterative radix-2 forward (Cooley–Tukey,
 //!   decimation-in-time) and inverse (Gentleman–Sande) transforms, kept
 //!   only as the bit-exact oracle tests reach through
@@ -49,10 +52,12 @@
 //! assert!(c.iter().enumerate().all(|(i, &v)| v == 0 || i == 2));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod access;
 pub mod fusion;
+#[allow(unsafe_code)]
+pub mod ifma;
 pub mod kernel;
 pub mod naive;
 pub mod negacyclic;

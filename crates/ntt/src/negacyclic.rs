@@ -7,26 +7,32 @@
 //! passes by folding ψ into the twiddle tables.
 
 use he_math::modops::{add_mod, sub_mod};
-use he_math::ShoupMul;
+use he_math::shoup::mul_shoup_lane;
+
+use crate::table::Twiddles;
+
+/// `a·w mod q`, fully reduced, for table entry `i`'s `w`.
+fn mul(t: &Twiddles, i: usize, a: u64, q: u64) -> u64 {
+    mul_shoup_lane(a, t.w[i], t.w64[i], q)
+}
 
 /// Forward negacyclic NTT over `a`, in place.
 ///
-/// `psi_rev[i]` must hold ψ^brv(i) as a Shoup multiplier; `a.len()` must be
-/// a power of two matching the table. Tests reach this through
+/// `psi_rev` must hold ψ^brv(i) at `i`; `a.len()` must be a power of two
+/// matching the table. Tests reach this through
 /// [`crate::NttTable::forward_oracle`], which enforces both.
-pub fn forward_in_place(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
+pub(crate) fn forward_in_place(a: &mut [u64], psi_rev: &Twiddles, q: u64) {
     let n = a.len();
-    debug_assert!(n.is_power_of_two() && psi_rev.len() == n);
+    debug_assert!(n.is_power_of_two() && psi_rev.w.len() == n);
     let mut t = n;
     let mut m = 1;
     while m < n {
         t /= 2;
         for i in 0..m {
             let j1 = 2 * i * t;
-            let w = &psi_rev[m + i];
             for j in j1..j1 + t {
                 let u = a[j];
-                let v = w.mul(a[j + t]);
+                let v = mul(psi_rev, m + i, a[j + t], q);
                 a[j] = add_mod(u, v, q);
                 a[j + t] = sub_mod(u, v, q);
             }
@@ -38,23 +44,22 @@ pub fn forward_in_place(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
 /// Inverse negacyclic NTT over `a`, in place, including the final `N⁻¹`
 /// scaling.
 ///
-/// `inv_psi_rev[i]` must hold ψ^{-brv(i)} as a Shoup multiplier. Tests
-/// reach this through [`crate::NttTable::inverse_oracle`].
-pub fn inverse_in_place(a: &mut [u64], inv_psi_rev: &[ShoupMul], n_inv: &ShoupMul, q: u64) {
+/// `inv_psi_rev` must hold ψ^{-brv(i)} at `i`. Tests reach this through
+/// [`crate::NttTable::inverse_oracle`].
+pub(crate) fn inverse_in_place(a: &mut [u64], inv_psi_rev: &Twiddles, n_inv: &Twiddles, q: u64) {
     let n = a.len();
-    debug_assert!(n.is_power_of_two() && inv_psi_rev.len() == n);
+    debug_assert!(n.is_power_of_two() && inv_psi_rev.w.len() == n);
     let mut t = 1;
     let mut m = n;
     while m > 1 {
         let h = m / 2;
         let mut j1 = 0;
         for i in 0..h {
-            let w = &inv_psi_rev[h + i];
             for j in j1..j1 + t {
                 let u = a[j];
                 let v = a[j + t];
                 a[j] = add_mod(u, v, q);
-                a[j + t] = w.mul(sub_mod(u, v, q));
+                a[j + t] = mul(inv_psi_rev, h + i, sub_mod(u, v, q), q);
             }
             j1 += 2 * t;
         }
@@ -62,7 +67,7 @@ pub fn inverse_in_place(a: &mut [u64], inv_psi_rev: &[ShoupMul], n_inv: &ShoupMu
         m = h;
     }
     for x in a.iter_mut() {
-        *x = n_inv.mul(*x);
+        *x = mul(n_inv, 0, *x, q);
     }
 }
 

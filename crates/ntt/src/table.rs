@@ -2,7 +2,10 @@
 
 use he_math::modops::{inv_mod_prime, pow_mod};
 use he_math::prime::root_of_unity;
-use he_math::{BarrettReducer, ShoupMul};
+use he_math::shoup::shoup_quotient;
+use he_math::BarrettReducer;
+
+use crate::ifma;
 
 /// Telemetry scopes for the transform hot paths (items = N).
 mod tel {
@@ -12,11 +15,40 @@ mod tel {
     }
 }
 
+/// One direction's twiddles as parallel arrays: the value, the scalar
+/// kernel's Shoup quotient and, when the vector kernel takes the table, its
+/// 52-bit quotient.
+#[derive(Debug, Clone)]
+pub(crate) struct Twiddles {
+    /// The twiddles, reduced.
+    pub(crate) w: Vec<u64>,
+    /// `⌊w·2^64/q⌋`.
+    pub(crate) w64: Vec<u64>,
+    /// `⌊w·2^52/q⌋`; empty unless [`ifma::selected`] holds for the table.
+    pub(crate) w52: Vec<u64>,
+}
+
+impl Twiddles {
+    fn new(w: Vec<u64>, q: u64, vector: bool) -> Self {
+        let w64 = w.iter().map(|&w| shoup_quotient(w, q)).collect();
+        let w52 = if vector {
+            w.iter()
+                .map(|&w| ((u128::from(w) << 52) / u128::from(q)) as u64)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self { w, w64, w52 }
+    }
+}
+
 /// Precomputed transform tables for one `(N, q)` pair.
 ///
 /// Holds the powers of the 2N-th primitive root ψ (and its inverse) in
-/// bit-reversed order together with their Shoup constants, plus `N⁻¹ mod q`
-/// for the inverse transform.
+/// bit-reversed order together with their Shoup quotients, plus `N⁻¹ mod q`
+/// for the inverse transform. Each direction costs 16 bytes per entry (the
+/// value and its 64-bit quotient), and 24 where the vector kernel takes the
+/// table (its 52-bit quotient too).
 ///
 /// # Examples
 ///
@@ -35,12 +67,12 @@ pub struct NttTable {
     n: usize,
     q: u64,
     log_n: u32,
-    /// ψ^brv(i) with Shoup constants, for the forward CT transform.
-    psi_rev: Vec<ShoupMul>,
-    /// ψ^{-brv(i)} with Shoup constants, for the inverse GS transform.
-    inv_psi_rev: Vec<ShoupMul>,
-    /// N⁻¹ mod q.
-    n_inv: ShoupMul,
+    /// ψ^brv(i), for the forward CT transform.
+    pub(crate) psi_rev: Twiddles,
+    /// ψ^{-brv(i)}, for the inverse GS transform.
+    pub(crate) inv_psi_rev: Twiddles,
+    /// N⁻¹ mod q, as a one-entry table.
+    pub(crate) n_inv: Twiddles,
     /// Shared Barrett reducer (the crate-level stand-in for the SBT core).
     reducer: BarrettReducer,
 }
@@ -68,21 +100,20 @@ impl NttTable {
         let log_n = n.trailing_zeros();
         let psi = root_of_unity(2 * n as u64, q);
         let psi_inv = inv_mod_prime(psi, q).expect("psi is a unit");
-        let mut psi_rev = Vec::with_capacity(n);
-        let mut inv_psi_rev = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let r = bit_reverse(i, log_n);
-            psi_rev.push(ShoupMul::new(pow_mod(psi, r, q), q));
-            inv_psi_rev.push(ShoupMul::new(pow_mod(psi_inv, r, q), q));
-        }
-        let n_inv = ShoupMul::new(inv_mod_prime(n as u64, q).expect("n is a unit"), q);
+        let powers = |root: u64| {
+            (0..n as u64)
+                .map(|i| pow_mod(root, bit_reverse(i, log_n), q))
+                .collect()
+        };
+        let vector = ifma::selected(n, q);
+        let n_inv = inv_mod_prime(n as u64, q).expect("n is a unit");
         Self {
             n,
             q,
             log_n,
-            psi_rev,
-            inv_psi_rev,
-            n_inv,
+            psi_rev: Twiddles::new(powers(psi), q, vector),
+            inv_psi_rev: Twiddles::new(powers(psi_inv), q, vector),
+            n_inv: Twiddles::new(vec![n_inv], q, vector),
             reducer: BarrettReducer::new(q),
         }
     }
@@ -122,12 +153,15 @@ impl NttTable {
     /// Raw ψ^brv(i) value at table index `i` (used by the fused kernels).
     #[inline]
     pub(crate) fn psi_rev_value(&self, i: usize) -> u64 {
-        self.psi_rev[i].operand()
+        self.psi_rev.w[i]
     }
 
     /// Forward negacyclic NTT, in place (coefficient → evaluation order).
     ///
     /// Output is in bit-reversed evaluation order, matched by [`inverse`].
+    /// Inputs below `4q` transform exactly; outputs are fully reduced. The
+    /// vector kernel runs where [`crate::ifma`] takes the call, the scalar
+    /// kernel otherwise, with the same bits.
     ///
     /// # Panics
     ///
@@ -141,10 +175,14 @@ impl NttTable {
         // twiddle BRAM word is modeled as corruption of the working vector
         // entering the butterfly network.
         poseidon_faults::tamper(poseidon_faults::FaultSite::NttTwiddle, a);
-        crate::kernel::forward_fused(a, &self.psi_rev, self.q);
+        if !ifma::forward(a, &self.psi_rev, self.q) {
+            crate::kernel::forward_fused(a, &self.psi_rev, self.q);
+        }
     }
 
     /// Inverse negacyclic NTT, in place (evaluation → coefficient order).
+    /// Inputs below `2q` transform exactly; outputs are fully reduced. The
+    /// kernel is chosen as for [`forward`](Self::forward).
     ///
     /// # Panics
     ///
@@ -153,6 +191,31 @@ impl NttTable {
         assert_eq!(a.len(), self.n, "input length must equal N");
         let _span = tel::inverse().span(self.n as u64);
         poseidon_faults::tamper(poseidon_faults::FaultSite::NttTwiddle, a);
+        if !ifma::inverse(a, &self.inv_psi_rev, &self.n_inv, self.q) {
+            crate::kernel::inverse_fused(a, &self.inv_psi_rev, &self.n_inv, self.q);
+        }
+    }
+
+    /// [`forward`](Self::forward) on the portable scalar kernel whatever
+    /// the CPU (no telemetry or fault hooks): the twin the vector kernel is
+    /// tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != N`.
+    pub fn forward_scalar(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal N");
+        crate::kernel::forward_fused(a, &self.psi_rev, self.q);
+    }
+
+    /// [`inverse`](Self::inverse) on the portable scalar kernel — see
+    /// [`forward_scalar`](Self::forward_scalar).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != N`.
+    pub fn inverse_scalar(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal N");
         crate::kernel::inverse_fused(a, &self.inv_psi_rev, &self.n_inv, self.q);
     }
 

@@ -1,13 +1,18 @@
-//! Production-vs-oracle equivalence for the NTT kernel.
+//! Production-vs-oracle equivalence for the NTT kernels.
 //!
-//! [`NttTable::forward`]/`inverse` (the fused radix-8 lazy kernel) must be
+//! [`NttTable::forward`]/`inverse` (the fused radix-8 lazy kernel, or its
+//! AVX-512 IFMA twin where the CPU and a prime below 2^50 select it) must be
 //! *bit-identical* — not merely congruent — to the radix-2 oracle
 //! ([`NttTable::forward_oracle`]/`inverse_oracle`) at every transform
 //! length: lazy reduction changes how values are carried between stages,
 //! never what leaves the kernel. The suite sweeps every log N in 1..=13
-//! plus 2^16 (the paper's N) over 30-, 61- and 62-bit primes, random and
-//! all-`(q−1)` inputs, checks `multiply` against the schoolbook product,
-//! and pins a deterministic transform digest.
+//! plus 2^16 (the paper's N) over 20- to 62-bit primes, random, all-`(q−1)`
+//! and lazy inputs up to the kernel's bound, against both the scalar kernel
+//! ([`NttTable::forward_scalar`]/`inverse_scalar`) and the oracle; sends
+//! words past the lazy bound, which must reach the scalar kernel; checks
+//! `multiply` against the schoolbook product; and pins a deterministic
+//! transform digest. On a CPU without IFMA the production and the scalar
+//! kernel are one.
 //!
 //! The debug-build counter tests reconcile the kernel with the analytic
 //! [`FusionAnalysis`] model of paper Table II: one fused radix-8 block
@@ -40,39 +45,106 @@ fn random_vector(n: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Forward, inverse and round trip of `input` through the production
-/// kernel, each compared bit-for-bit with the oracle.
+/// `forward` (or `inverse`) of `input` against the scalar kernel, and
+/// against the oracle on `input` reduced: the transform is linear, so a
+/// lazy input has its reduced residues' image.
+fn assert_direction(t: &NttTable, input: &[u64], forward: bool, what: &str) {
+    let (q, n) = (t.modulus(), t.n());
+    let mut got = input.to_vec();
+    let mut scalar = input.to_vec();
+    let mut oracle: Vec<u64> = input.iter().map(|&v| v % q).collect();
+    if forward {
+        t.forward(&mut got);
+        t.forward_scalar(&mut scalar);
+        t.forward_oracle(&mut oracle);
+    } else {
+        t.inverse(&mut got);
+        t.inverse_scalar(&mut scalar);
+        t.inverse_oracle(&mut oracle);
+    }
+    let dir = if forward { "forward" } else { "inverse" };
+    assert_eq!(
+        got, scalar,
+        "{dir} diverged from the scalar kernel: {what}, n={n}"
+    );
+    assert_eq!(got, oracle, "{dir} diverged from the oracle: {what}, n={n}");
+}
+
+/// Forward, inverse and round trip of the reduced `input` through the
+/// production kernel, each compared bit-for-bit with the scalar kernel
+/// and the oracle.
 fn assert_matches_oracle(t: &NttTable, input: &[u64], what: &str) {
-    let n = t.n();
-    let mut want = input.to_vec();
-    t.forward_oracle(&mut want);
+    assert_direction(t, input, true, what);
+    assert_direction(t, input, false, what);
     let mut got = input.to_vec();
     t.forward(&mut got);
-    assert_eq!(got, want, "forward diverged: {what}, n={n}");
     t.inverse(&mut got);
-    assert_eq!(got, input, "round trip failed: {what}, n={n}");
-
-    // The inverse on its own, fed the same (non-spectrum) vector.
-    let mut want = input.to_vec();
-    t.inverse_oracle(&mut want);
-    let mut got = input.to_vec();
-    t.inverse(&mut got);
-    assert_eq!(got, want, "inverse diverged: {what}, n={n}");
+    assert_eq!(got, input, "round trip failed: {what}, n={}", t.n());
 }
+
+/// Primes of 20–50 bits take the vector kernel on an IFMA host (for
+/// `N ≥ 16`); 51–62-bit primes the scalar kernel everywhere. 61- and
+/// 62-bit primes push the [0, 4q) redundant range right up against u64 (62
+/// bits is the widest `NttTable::new` accepts).
+const BITS: [u32; 9] = [20, 30, 40, 49, 50, 51, 55, 61, 62];
 
 #[test]
 fn production_kernel_is_bit_identical_to_the_oracle() {
     for log_n in LOG_NS {
         let n = 1usize << log_n;
-        // 61- and 62-bit primes push the [0, 4q) redundant range right up
-        // against u64 (62 bits is the widest `NttTable::new` accepts), and
-        // all-(q−1) inputs maximise every intermediate in it.
-        for bits in [30u32, 61, 62] {
+        for bits in BITS {
             let q = prime_for(n, bits);
             let t = NttTable::new(n, q);
-            let random = random_vector(n, q, 0x5eed ^ ((log_n as u64) << 8) ^ bits as u64);
-            assert_matches_oracle(&t, &random, &format!("random, {bits}-bit q"));
-            assert_matches_oracle(&t, &vec![q - 1; n], &format!("all q-1, {bits}-bit q"));
+            let seed = 0x5eed ^ ((log_n as u64) << 8) ^ bits as u64;
+            let what = |input: &str| format!("{input}, {bits}-bit q");
+            assert_matches_oracle(&t, &random_vector(n, q, seed), &what("random"));
+            // All-(q−1) inputs maximise every intermediate.
+            assert_matches_oracle(&t, &vec![q - 1; n], &what("all q-1"));
+            // The lazy contract's widest inputs: [0, 4q) forward, [0, 2q)
+            // inverse, and its last word.
+            for (forward, bound) in [(true, 4 * q), (false, 2 * q)] {
+                assert_direction(&t, &random_vector(n, bound, seed), forward, &what("lazy"));
+                assert_direction(&t, &vec![bound - 1; n], forward, &what("all bound-1"));
+            }
+        }
+    }
+}
+
+/// A word at or past the lazy bound — at the bound, past bit 52 (where
+/// `vpmadd52` would not see it) or far past it — sends the whole call to
+/// the scalar kernel, whose bits it then has. Outside its contract the
+/// scalar inverse can underflow, which a debug build reports as a panic;
+/// then the dispatching call must panic too.
+#[test]
+fn words_past_the_lazy_bound_reach_the_scalar_kernel() {
+    type Transform = fn(&NttTable, &mut [u64]);
+    let run = |t: &NttTable, f: Transform, mut a: Vec<u64>| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f(t, &mut a);
+            a
+        }))
+        .ok()
+    };
+    for log_n in [4u32, 5, 11, 13] {
+        let n = 1usize << log_n;
+        for bits in [31u32, 50] {
+            let q = prime_for(n, bits);
+            let t = NttTable::new(n, q);
+            let directions: [(Transform, Transform, u64); 2] = [
+                (NttTable::forward, NttTable::forward_scalar, 4 * q),
+                (NttTable::inverse, NttTable::inverse_scalar, 2 * q),
+            ];
+            for (dispatch, scalar, bound) in directions {
+                for past in [bound, bound + 1, (1 << 52) | 3, (1 << 60) + 7] {
+                    let mut input = random_vector(n, q, past ^ log_n as u64);
+                    input[n / 3] = past;
+                    assert_eq!(
+                        run(&t, dispatch, input.clone()),
+                        run(&t, scalar, input),
+                        "n={n}, {bits}-bit q, bound {bound:#x}, word {past:#x}"
+                    );
+                }
+            }
         }
     }
 }

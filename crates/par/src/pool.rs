@@ -11,9 +11,10 @@
 //! to leave. A helper that does not wake in time finds nothing to do; the
 //! caller never waits on a thread that has not started.
 //!
-//! This is one of the workspace's two `unsafe` files (the other is
-//! `he-rns`'s vector inner product): the body borrows the dispatcher's
-//! stack, and helpers are `'static` threads, so its lifetime is erased.
+//! This is one of the workspace's three `unsafe` files (the others are
+//! `he-rns`'s vector inner product and `he-ntt`'s vector transforms): the
+//! body borrows the dispatcher's stack, and helpers are `'static` threads,
+//! so its lifetime is erased.
 //!
 //! **Invariant.** The dispatcher neither returns nor unwinds before its job
 //! is withdrawn and its helper count is zero. [`Posting`]'s `Drop` is the

@@ -12,7 +12,7 @@
 //! kernel's groups and coefficient blocks; hoisted digits are gathered
 //! through the Galois permutation.
 //!
-//! The module is one of the workspace's two `unsafe` files.
+//! The module is one of the workspace's three `unsafe` files.
 //!
 //! **Invariant.** The vector kernel runs only after [`dot_pair`] has seen
 //! `avx512f` and `avx512ifma` on this CPU and has checked every row length
@@ -36,17 +36,7 @@ const MAX_DIGITS: usize = 1 << 12;
 /// Whether a call of [`dot_pair`] over `digits` digit rows modulo `q` runs
 /// the vector kernel on this CPU.
 pub(crate) fn selected(q: u64, digits: usize) -> bool {
-    q < 1 << 52 && digits <= MAX_DIGITS && detected()
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detected() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detected() -> bool {
-    false
+    q < 1 << 52 && digits <= MAX_DIGITS && he_ntt::ifma::detected()
 }
 
 /// `out_b[c] = Σ_j x_j[π(c)]·b_j[c] mod q` and `out_a` likewise, as

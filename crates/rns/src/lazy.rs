@@ -338,13 +338,6 @@ mod tests {
         p
     }
 
-    fn host_has_ifma() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        return is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma");
-        #[cfg(not(target_arch = "x86_64"))]
-        false
-    }
-
     /// The vector kernel, called directly, against the scalar kernel: it
     /// must run (on an IFMA host, for a prime below 2^52) and agree bit for
     /// bit, or decline; `dot_pair` must give the scalar kernel's bits either
@@ -373,7 +366,7 @@ mod tests {
         for bits in [31, 40, 45, 50, 51, 56, 60] {
             let q = he_math::prime::ntt_prime_chain(bits, 32, 1)[0];
             let dot = LazyDot::new(BarrettReducer::new(q));
-            let vector = bits < 52 && host_has_ifma();
+            let vector = bits < 52 && he_ntt::ifma::detected();
             for digits in [0, 1, 7, 8, 9, 17, 70] {
                 for n in [1, 5, 8, 13, 256, 263, 700] {
                     let rows = Rows::random(&mut rng, q, digits, n);
@@ -419,7 +412,7 @@ mod tests {
                 let at = format!("{what}, permuted: {}", perm.is_some());
                 assert_eq!(
                     kernels_agree(&dot, &rows, perm, &at),
-                    stays && host_has_ifma(),
+                    stays && he_ntt::ifma::detected(),
                     "{at}"
                 );
             }
@@ -469,7 +462,7 @@ mod tests {
     fn an_ifma_host_sums_on_the_vector_kernel() {
         // The selection hook: on a CPU with AVX-512 IFMA a call under a
         // prime below 2^52 must not silently stay scalar.
-        let ifma = host_has_ifma();
+        let ifma = he_ntt::ifma::detected();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x1F3A);
         for (bits, vector) in [(50, ifma), (51, ifma), (56, false)] {
             let q = he_math::prime::ntt_prime_chain(bits, 32, 1)[0];

@@ -664,6 +664,7 @@ impl EvalService {
     pub fn submit(&self, tenant_id: &str, request: Request) -> Result<Ticket, ServeError> {
         let (tx, rx) = mpsc::channel();
         self.admit(
+            self.tenant(tenant_id)?,
             tenant_id,
             request,
             None,
@@ -705,8 +706,35 @@ impl EvalService {
         replay: bool,
         sink: impl FnOnce(u64, Result<Ciphertext, ServeError>) + Send + 'static,
     ) -> Result<(), ServeError> {
+        self.submit_tagged_to(
+            self.tenant(tenant_id)?,
+            tenant_id,
+            request,
+            id,
+            deadline,
+            replay,
+            sink,
+        )
+    }
+
+    /// [`submit_tagged_opts`](Self::submit_tagged_opts) for a tenant the
+    /// caller has already looked up: the TCP front-end reads the tenant's
+    /// context to decode a request's operands, and hands the same tenant
+    /// on, so a request takes the key cache once.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn submit_tagged_to(
+        &self,
+        tenant: Arc<Tenant>,
+        tenant_id: &str,
+        request: Request,
+        id: u64,
+        deadline: Option<Instant>,
+        replay: bool,
+        sink: impl FnOnce(u64, Result<Ciphertext, ServeError>) + Send + 'static,
+    ) -> Result<(), ServeError> {
         let replay_id = replay.then_some(id);
         self.admit(
+            tenant,
             tenant_id,
             request,
             deadline,
@@ -715,19 +743,19 @@ impl EvalService {
         )
     }
 
-    /// The one admission path: tenant lookup, replay (attach to a pending
-    /// execution, or answer from the cache), the deadline check and the
-    /// queue submit. `replay_id` keys the idempotent-replay cache
-    /// when the request carries the replay flag.
+    /// The one admission path, for `tenant`, looked up once by the caller:
+    /// replay (attach to a pending execution, or answer from the cache),
+    /// the deadline check and the queue submit. `replay_id` keys the
+    /// idempotent-replay cache when the request carries the replay flag.
     fn admit(
         &self,
+        tenant: Arc<Tenant>,
         tenant_id: &str,
         request: Request,
         deadline: Option<Instant>,
         replay_id: Option<u64>,
         sink: Sink,
     ) -> Result<(), ServeError> {
-        let tenant = self.tenant(tenant_id)?;
         let tid: Arc<str> = Arc::from(tenant_id);
         // The pending-map lock is held from the replay checks through the
         // pending insert, so a racing duplicate sees either this

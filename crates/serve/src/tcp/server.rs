@@ -207,7 +207,8 @@ fn process_body(
     };
     // An unknown tenant answers code 1; a key reload that fails to decode
     // answers code 4, as it does in process.
-    let ctx = service.tenant(&tenant)?.keys.context().clone();
+    let looked_up = service.tenant(&tenant)?;
+    let ctx = looked_up.keys.context().clone();
     let ct = |r: &mut FrameReader<'_>| -> Result<Ciphertext, ServeError> {
         Ok(poseidon_wire::decode_ciphertext_pooled(
             &ctx,
@@ -263,13 +264,14 @@ fn process_body(
     // hit, inline below) — both after this send.
     let _ = tx.send(WriterMsg::Expect { id, ctx });
     let done_tx = tx.clone();
+    let sink = move |id, result| {
+        let _ = done_tx.send(WriterMsg::Done {
+            id,
+            result: Box::new(result),
+        });
+    };
     if let Err(e) =
-        service.submit_tagged_opts(&tenant, request, id, deadline, replay, move |id, result| {
-            let _ = done_tx.send(WriterMsg::Done {
-                id,
-                result: Box::new(result),
-            });
-        })
+        service.submit_tagged_to(looked_up, &tenant, request, id, deadline, replay, sink)
     {
         // The job never entered a queue; answer through the same path
         // so the writer clears its Expect entry.
