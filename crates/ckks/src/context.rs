@@ -1,9 +1,11 @@
 //! The CKKS context: validated parameters plus every precomputed object the
 //! scheme operations share (modulus chain, special basis, encoder tables).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use he_math::prime::is_prime;
+use he_rns::conv::GroupLift;
 use he_rns::RnsBasis;
 
 use crate::encoding::Encoder;
@@ -14,7 +16,8 @@ use crate::params::CkksParams;
 ///
 /// Construction generates the NTT prime chain (first prime, scale primes,
 /// special keyswitching primes — all distinct, all `≡ 1 mod 2N`), builds the
-/// RNS bases, and prepares the canonical-embedding encoder.
+/// RNS bases and the exact lift of every key-switch digit group, and
+/// prepares the canonical-embedding encoder.
 ///
 /// The context is a shared handle: it is built once, and a clone is a
 /// reference-count bump, so every evaluator, key and bootstrapper built
@@ -39,6 +42,8 @@ struct Shared {
     chain_basis: RnsBasis,
     special_basis: RnsBasis,
     full_basis: RnsBasis,
+    /// One exact lift per key-switch digit group of the full chain.
+    digit_lifts: Vec<GroupLift>,
     encoder: Encoder,
 }
 
@@ -81,7 +86,9 @@ impl CkksContext {
     /// ));
     /// ```
     pub fn try_new(params: CkksParams) -> Result<Self, EvalError> {
-        params.validate().map_err(EvalError::InvalidParams)?;
+        params
+            .validate()
+            .map_err(|e| EvalError::InvalidParams(e.to_string()))?;
         let n = params.n;
         let step = 2 * n as u64;
 
@@ -100,7 +107,9 @@ impl CkksContext {
             out
         };
 
-        // Special primes first (largest), then q0, then the scale chain.
+        // Special primes first (the largest NTT primes of their width, so a
+        // chain prime of the same width takes the next ones), then q0, then
+        // the scale chain.
         let special = gen(params.special_prime_bits, params.special_len, &mut taken);
         let mut chain = gen(params.first_prime_bits, 1, &mut taken);
         chain.extend(gen(
@@ -112,6 +121,11 @@ impl CkksContext {
         let chain_basis = RnsBasis::new(n, chain);
         let special_basis = RnsBasis::new(n, special);
         let full_basis = chain_basis.concat(&special_basis);
+        let digit_lifts = chain_basis
+            .primes()
+            .chunks(params.special_len)
+            .map(GroupLift::new)
+            .collect();
         let encoder = Encoder::new(n);
         Ok(Self {
             shared: Arc::new(Shared {
@@ -119,6 +133,7 @@ impl CkksContext {
                 chain_basis,
                 special_basis,
                 full_basis,
+                digit_lifts,
                 encoder,
             }),
         })
@@ -176,6 +191,31 @@ impl CkksContext {
         self.shared.chain_basis.prefix(level + 1)
     }
 
+    /// The chain limbs of key-switch digit `g` at `level`: α = `special_len`
+    /// consecutive primes, fewer in the last group where α does not divide
+    /// `level + 1`. `g` runs below `params().dnum(level + 1)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use he_ckks::prelude::*;
+    /// let ctx = CkksContext::new(CkksParams::small()); // α = 2
+    /// assert_eq!(ctx.digit_group(6, 0), 0..2);
+    /// assert_eq!(ctx.digit_group(6, 3), 6..7);
+    /// ```
+    #[inline]
+    pub fn digit_group(&self, level: usize, g: usize) -> Range<usize> {
+        let alpha = self.shared.params.special_len;
+        g * alpha..((g + 1) * alpha).min(level + 1)
+    }
+
+    /// The exact lift of key-switch digit group `g`'s residues (see
+    /// [`GroupLift`]); a level's partial last group uses a prefix of it.
+    #[inline]
+    pub fn digit_lift(&self, g: usize) -> &GroupLift {
+        &self.shared.digit_lifts[g]
+    }
+
     /// Maximum level (chain length − 1).
     #[inline]
     pub fn max_level(&self) -> usize {
@@ -211,6 +251,57 @@ mod tests {
             .unwrap();
         let min_special = ctx.special_basis().primes().iter().min().copied().unwrap();
         assert!(min_special > max_chain);
+    }
+
+    /// Every limb of the presets with α = 2 — chain and special, at
+    /// `N = 2^11` and at the `N = 2^13` the planned programs run — is a
+    /// prime the vector kernels take: the transforms below 2^50, the
+    /// key-switch inner product below 2^52 over `dnum` digits. On an IFMA
+    /// host both selectors must say so, so a preset edit that sends a limb
+    /// back to the scalar kernels fails here; elsewhere the bounds hold.
+    #[test]
+    fn every_limb_of_the_grouped_presets_takes_the_vector_kernels() {
+        let ifma = he_ntt::ifma::detected();
+        let wide = he_rns::LazyDot::new;
+        for params in [
+            CkksParams::small(),
+            CkksParams {
+                n: 1 << 13,
+                ..CkksParams::small()
+            },
+            CkksParams::bootstrap_demo(),
+        ] {
+            let ctx = CkksContext::new(params);
+            let dnum = ctx.params().dnum(ctx.chain_basis().len());
+            let basis = ctx.full_basis();
+            for (&q, &red) in basis.primes().iter().zip(basis.reducers()) {
+                let at = format!("N = {}, q = {q:#x}", ctx.n());
+                assert!(q < 1 << 50, "{at}: past the vector transforms' bound");
+                assert_eq!(he_ntt::ifma::selected(ctx.n(), q), ifma, "{at}");
+                assert_eq!(wide(red).vector_selected(dnum), ifma, "{at}");
+            }
+        }
+    }
+
+    /// The special primes cover every key-switch digit group: `P` exceeds
+    /// the product of each group's primes, on every preset.
+    #[test]
+    fn special_primes_cover_every_digit_group() {
+        for params in [
+            CkksParams::toy(),
+            CkksParams::small(),
+            CkksParams::paper_32bit(1 << 12, 4),
+            CkksParams::bootstrap_demo(),
+        ] {
+            let ctx = CkksContext::new(params);
+            let log2 = |primes: &[u64]| primes.iter().map(|&q| (q as f64).log2()).sum::<f64>();
+            let p_bits = log2(ctx.special_basis().primes());
+            let level = ctx.max_level();
+            for g in 0..ctx.params().dnum(level + 1) {
+                let group = &ctx.chain_basis().primes()[ctx.digit_group(level, g)];
+                assert!(log2(group) < p_bits, "{:?}: group {g}", ctx.params());
+            }
+        }
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! outputs are sums of terms: Keyswitch is one output of one term; Rotation,
 //! Conjugation and a fan are `R` outputs of one term; the weighted sum is one
 //! output of `R` terms. One function (`lift_limb`) lifts the digits, hoisted
-//! or not.
+//! or not: one per group of α = `special_len` chain primes, exactly.
 //!
 //! Every operation that can fail on caller input has one form, which
 //! returns [`EvalError`].
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use he_math::modops::{add_mod, reduce_i64};
@@ -75,7 +76,7 @@ pub struct HoistedDecomposition {
     /// Fingerprint of the `c_1` the digits were lifted from.
     source: u64,
     /// Eval-form digit lifts of `c_1` over `Q_l ∪ P`, limb-major: per
-    /// extended limb its `level + 1` rows, one per chain prime.
+    /// extended limb its `dnum` rows, one per digit group.
     rows: Vec<Vec<Vec<u64>>>,
     /// Number of rotations served, for reuse/saved-NTT accounting.
     uses: AtomicU64,
@@ -370,14 +371,15 @@ impl Evaluator {
 
     /// The evaluation-form products `(d̂_0, d̂_1, d̂_2)` relinearised as one
     /// output of the key-switch engine: only `d_2` is inverse-transformed
-    /// (its digits need coefficient form); `d̂_2`'s own residue is digit `i`
-    /// on limb `i`, and `[P]·d̂_0`, `[P]·d̂_1` join the chain-limb rows
-    /// before their inverse NTT, so Moddown returns `d + Moddown(y)` exactly
-    /// (`[P·d]_P = 0`).
+    /// (its digits need coefficient form); `d̂_2`'s own residue is the row of
+    /// limb `i`'s own digit group on limb `i`, and `[P]·d̂_0`, `[P]·d̂_1`
+    /// join the chain-limb rows before their inverse NTT, so Moddown returns
+    /// `d + Moddown(y)` exactly (`[P·d]_P = 0`).
     fn relinearise(&self, d: [RnsPoly; 3], keys: &KeySet, scale: f64) -> Ciphertext {
         let d2 = d[2].clone().into_coeff();
         let term = [Term::switch((1, keys.relin()))];
-        let source = Source::Lift(&d2, Some(&d));
+        let digits = Digits::new(&self.ctx, &d2);
+        let source = Source::Lift(&digits, Some(&d));
         let mut fan = self.switch_fan(d2.level_count() - 1, source, &[&term]);
         let (c0, c1) = fan.pop().expect("a fan of one");
         Ciphertext::new(c0, c1, scale)
@@ -386,14 +388,16 @@ impl Evaluator {
     /// The raw keyswitch primitive (paper Keyswitch): given `d` in the
     /// level basis, returns `(e_0, e_1)` with `e_0 + e_1·s ≈ d·s'`.
     ///
-    /// Per RNS digit (α = 1, one digit per chain prime): lift `[d]_{q_j}`
-    /// exactly to the extended basis `Q_l ∪ P` (a degenerate Modup, Eq. 3),
-    /// multiply by key pair `j`, accumulate, then Moddown (Eq. 2) divides
+    /// Per digit group of α chain primes: lift `[d]_{Q_g}` exactly to the
+    /// extended basis `Q_l ∪ P` (Modup, Eq. 3, by Garner's recombination),
+    /// multiply by key pair `g`, accumulate, then Moddown (Eq. 2) divides
     /// the `P` factor away: one output of one term through the key-switch
     /// engine.
     pub fn keyswitch(&self, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let term = [Term::switch((1, key))];
-        let mut fan = self.switch_fan(d.level_count() - 1, Source::Lift(d, None), &[&term]);
+        let digits = Digits::new(&self.ctx, d);
+        let source = Source::Lift(&digits, None);
+        let mut fan = self.switch_fan(d.level_count() - 1, source, &[&term]);
         fan.pop().expect("a fan of one")
     }
 
@@ -428,6 +432,7 @@ impl Evaluator {
         let started = std::time::Instant::now();
         let n = self.ctx.n();
         let (q_len, outs) = (level + 1, outputs.len());
+        let dnum = self.ctx.params().dnum(q_len);
         let q_basis = self.ctx.level_basis(level);
         let ext_basis = q_basis.concat(self.ctx.special_basis());
         let p_len = ext_basis.len() - q_len;
@@ -459,8 +464,8 @@ impl Evaluator {
             let dot = LazyDot::new(red);
             let inner =
                 |(rows, perm): &(EvalKeyRows<'_>, Option<Vec<usize>>), b: &mut _, a: &mut _| {
-                    let keys: Vec<_> = (0..q_len).map(|j| rows.pair(j, i)).collect();
-                    let _span = tel::digit().span((q_len * n) as u64);
+                    let keys: Vec<_> = (0..dnum).map(|g| rows.pair(g, i)).collect();
+                    let _span = tel::digit().span((dnum * n) as u64);
                     dot.dot_pair(digits, perm.as_deref(), &keys, b, a);
                 };
             let (mut out_b, mut out_a) = (vec![0; n], vec![0; n]);
@@ -516,8 +521,8 @@ impl Evaluator {
         // per digit (in a sum also the join and two weighted adds); an output
         // is two inverse NTTs and two Moddown passes; a sum transforms `c_0`.
         let ntt = ext_basis.tables()[0].weight();
-        let lifts = if hoisted { 0 } else { q_len * (n + ntt) };
-        let term = (3 * q_len + if summed { 4 } else { 0 }) * n;
+        let lifts = if hoisted { 0 } else { dnum * (n + ntt) };
+        let term = (3 * dnum + if summed { 4 } else { 0 }) * n;
         let output = 2 * ntt + 2 * (p_len + 2) * n;
         let total = switched * term + outs * output + if summed { ntt } else { 0 };
 
@@ -568,7 +573,7 @@ impl Evaluator {
                 (0..outs).map(finished).collect::<Vec<_>>()
             })
         });
-        tel::keyswitch().record_shared(switched, (q_len * n) as u64, started.elapsed());
+        tel::keyswitch().record_shared(switched, (dnum * n) as u64, started.elapsed());
         // Limb-major rows back into one polynomial pair per output.
         let poly = |rows| RnsPoly::from_residues(&q_basis, rows, Form::Coeff);
         let output = |r: usize| {
@@ -594,11 +599,13 @@ impl Evaluator {
         }
         let level = a.level();
         let ext_basis = self.ctx.level_basis(level).concat(self.ctx.special_basis());
-        let _span = tel::hoist().span(((level + 1) * ext_basis.len() * a.n()) as u64);
+        let digits = Digits::new(&self.ctx, a.c1());
+        let dnum = digits.groups.len();
+        let _span = tel::hoist().span((dnum * ext_basis.len() * a.n()) as u64);
         // A limb's rows are a lift and a forward NTT per digit.
-        let limb_weight = (level + 1) * (a.n() + ext_basis.tables()[0].weight());
+        let limb_weight = dnum * (a.n() + ext_basis.tables()[0].weight());
         let rows = poseidon_par::par_map(ext_basis.len(), limb_weight, |i| {
-            lift_limb(a.c1(), None, &ext_basis, i)
+            lift_limb(&digits, None, &ext_basis, i)
         });
         HoistedDecomposition {
             level,
@@ -643,11 +650,13 @@ impl Evaluator {
 
     /// Reuse accounting for `count` more rotations served by `h`: every
     /// application after the first rides on the hoisted digits and skips
-    /// (level+1) lifts of ext_len forward NTTs.
+    /// `dnum` lifts of ext_len forward NTTs.
     fn note_uses(&self, h: &HoistedDecomposition, count: usize) {
         let prior = h.uses.fetch_add(count as u64, Ordering::Relaxed);
         for _ in usize::from(prior == 0)..count {
-            let saved = (h.level + 1) * (self.ctx.special_basis().len() + h.level + 1);
+            let q_len = h.level + 1;
+            let ext_len = self.ctx.special_basis().len() + q_len;
+            let saved = self.ctx.params().dnum(q_len) * ext_len;
             tel::reuse().add(saved as u64);
             tel::saved_ntt().add(saved as u64);
         }
@@ -1012,11 +1021,12 @@ impl<'a> Term<'a> {
 /// and how the operand joins its outputs.
 #[derive(Clone, Copy)]
 enum Source<'a> {
-    /// `[d]_{q_j}` of this polynomial, lifted inside each limb's task by
+    /// The digit groups of `d`, lifted inside each limb's task by
     /// [`lift_limb`]. Bare (a key switch), no operand joins; for a product,
     /// the evaluation-form `(d̂_0, d̂_1, d̂_2)` with `d = d_2`: `d̂_2` gives
-    /// limb `i` its own digit, and `[P]·d̂_0`, `[P]·d̂_1` join before Moddown.
-    Lift(&'a RnsPoly, Option<&'a [RnsPoly; 3]>),
+    /// limb `i` the row of its own group, and `[P]·d̂_0`, `[P]·d̂_1` join
+    /// before Moddown.
+    Lift(&'a Digits<'a>, Option<&'a [RnsPoly; 3]>),
     /// Hoisted rows, read through each term's slot permutation; each output
     /// is one rotation, and `σ_g` of this `c_0` joins after Moddown.
     Rotations(&'a [Vec<Vec<u64>>], &'a RnsPoly),
@@ -1029,8 +1039,8 @@ impl Source<'_> {
     /// Runs `f` on every digit's evaluation-form row on extended limb `i`.
     fn with_digit_rows<R>(self, ext: &RnsBasis, i: usize, f: impl FnOnce(&[&[u64]]) -> R) -> R {
         match self {
-            Source::Lift(d, product) => {
-                let lifted = lift_limb(d, product.map(|d| &d[2]), ext, i);
+            Source::Lift(digits, product) => {
+                let lifted = lift_limb(digits, product.map(|d| &d[2]), ext, i);
                 let out = f(&lifted.iter().map(Vec::as_slice).collect::<Vec<_>>());
                 lifted.into_iter().for_each(poseidon_par::scratch::recycle);
                 out
@@ -1050,38 +1060,79 @@ fn fingerprint(p: &RnsPoly) -> u64 {
     p.all_residues().iter().fold(0, tap)
 }
 
-/// Every digit `[d]_{q_j}` of a coefficient-form `d` lifted exactly to
-/// extended limb `i` of `ext_basis` (a row of a degenerate Modup, Eq. 3) and
-/// forward-NTT'd, one scratch row each, in digit order: the one digit lifter,
-/// run inside an unhoisted key switch's limb tasks and by [`Evaluator::hoist`].
-/// Given `d`'s evaluation form `d_eval`, digit `i` on its own limb is that
-/// residue, copied: no lift and no transform. A residue already below the
-/// target prime is copied; only the rest is reduced.
-/// Rows of their own, not one `q·N` buffer per limb: the hoist measured
+/// A coefficient-form `d` at one level, split into its key-switch digits:
+/// per group of α chain primes its limbs and, for a group of two or more,
+/// the integers `x_g ∈ [0, Q_g)` its residues stand for, recombined once per
+/// call ([`he_rns::conv::GroupLift`]) so that each limb task only reduces
+/// them.
+struct Digits<'a> {
+    d: &'a RnsPoly,
+    groups: Vec<(Range<usize>, Option<Vec<u128>>)>,
+}
+
+impl<'a> Digits<'a> {
+    fn new(ctx: &CkksContext, d: &'a RnsPoly) -> Self {
+        let level = d.level_count() - 1;
+        let group = |g: usize| {
+            let limbs = ctx.digit_group(level, g);
+            let wide = (limbs.len() > 1).then(|| {
+                let rows: Vec<&[u64]> = limbs.clone().map(|j| d.residues(j)).collect();
+                let mut x = vec![0; d.n()];
+                ctx.digit_lift(g).combine(&rows, &mut x);
+                x
+            });
+            (limbs, wide)
+        };
+        let groups = (0..ctx.params().dnum(level + 1)).map(group).collect();
+        Self { d, groups }
+    }
+}
+
+/// Every digit of `d` lifted exactly to extended limb `i` of `ext_basis` (a
+/// row of Modup, Eq. 3) and forward-NTT'd, one scratch row each, in digit
+/// order: the one digit lifter, run inside an unhoisted key switch's limb
+/// tasks and by [`Evaluator::hoist`]. On a limb of its own group a digit is
+/// that limb's residue; given `d`'s evaluation form `d_eval` it is that
+/// residue, copied: no lift and no transform. On any other limb it is `x_g`
+/// reduced, or for a one-prime group the residue, copied where already below
+/// the target prime and reduced otherwise.
+/// Rows of their own, not one `dnum·N` buffer per limb: the hoist measured
 /// slower that way on the 2-core reference host (EXPERIMENTS.md §3).
 fn lift_limb(
-    d: &RnsPoly,
+    digits: &Digits<'_>,
     d_eval: Option<&RnsPoly>,
     ext_basis: &RnsBasis,
     i: usize,
 ) -> Vec<Vec<u64>> {
     let red = &ext_basis.reducers()[i];
     let p = red.modulus();
-    let lift = |(j, t): (usize, &Vec<u64>)| {
-        let mut row = poseidon_par::scratch::take(t.len());
-        if let Some(own) = d_eval.filter(|_| j == i) {
-            row.copy_from_slice(own.residues(i));
+    let lift = |(limbs, wide): &(Range<usize>, Option<Vec<u128>>)| {
+        let mut row = poseidon_par::scratch::take(digits.d.n());
+        let own = limbs.contains(&i);
+        if let Some(d_eval) = d_eval.filter(|_| own) {
+            row.copy_from_slice(d_eval.residues(i));
             return row;
         }
-        for (o, &v) in row.iter_mut().zip(t) {
-            *o = if v < p { v } else { red.reduce(u128::from(v)) };
+        match wide.as_ref().filter(|_| !own) {
+            Some(x) => {
+                for (o, &x) in row.iter_mut().zip(x) {
+                    *o = red.reduce(x);
+                }
+            }
+            None => {
+                // One residue row: the limb's own, or a one-prime group's.
+                let t = digits.d.residues(if own { i } else { limbs.start });
+                for (o, &v) in row.iter_mut().zip(t) {
+                    *o = if v < p { v } else { red.reduce(u128::from(v)) };
+                }
+            }
         }
         // `RnsResidue`, as `into_eval` fires it on a digit.
         poseidon_faults::tamper(poseidon_faults::FaultSite::RnsResidue, &mut row);
         ext_basis.tables()[i].forward(&mut row);
         row
     };
-    d.all_residues().iter().enumerate().map(lift).collect()
+    digits.groups.iter().map(lift).collect()
 }
 
 /// Both components of `ct` times the integer `k`, per limb in coefficient

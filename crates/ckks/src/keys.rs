@@ -1,11 +1,14 @@
 //! Key generation: secret, public, relinearisation, and Galois keys.
 //!
 //! Keyswitching keys use the hybrid RNS layout of the paper's Eq. 1–3 with
-//! one digit per chain prime: α = 1, `dnum = level + 1` (in
-//! `poseidon_core::decompose`, `OpParams::with_dnum(.., components)`). Digit
-//! `j` of a key for source secret `s'` under target secret `s` is
-//! `(b_j, a_j) ∈ R²_{PQ}`, `b_j = −a_j·s + e_j + P·s'` on component `j` (`P`
-//! the special primes' product). Using it is Modup → multiply → Moddown.
+//! α = `special_len` consecutive chain primes per digit, `dnum = ⌈(level +
+//! 1)/α⌉` ([`CkksParams::dnum`](crate::params::CkksParams::dnum)). Digit
+//! `g` of a key for source secret `s'` under target secret `s` is
+//! `(b_g, a_g) ∈ R²_{PQ}`, `b_g = −a_g·s + e_g + P·s'` on every component of
+//! group `g` and `−a_g·s + e_g` on every other (`P` the special primes'
+//! product). Using it is Modup → multiply → Moddown. (The recorder prices
+//! the paper's machine, which extends the whole polynomial at once:
+//! `OpParams::with_dnum(.., 1)` in `poseidon_core::decompose`.)
 
 use std::collections::HashMap;
 
@@ -131,18 +134,20 @@ impl PublicKey {
 }
 
 /// A keyswitching key for one source secret (s², or s∘τ_g), in the RNS
-/// digit-decomposed hybrid form (α = 1): one `(b_j, a_j)` pair per chain
-/// prime, where `b_j = −a_j·s + e_j` everywhere **except** on RNS component
-/// `j`, which additionally carries `P·s' mod q_j`.
+/// digit-decomposed hybrid form: one `(b_g, a_g)` pair per digit group of α
+/// chain primes, where `b_g = −a_g·s + e_g` everywhere **except** on the
+/// RNS components of group `g`, which additionally carry `P·s'`.
 ///
-/// At apply time each operand residue `[d]_{q_j}` is lifted *exactly* to
-/// the extended basis and multiplied against pair `j`; the sum decrypts to
-/// `P·d·s' + Σ_j [d]_{q_j}·e_j`, and Moddown divides the `P` away. The key
-/// structure is level-independent: the per-prime identity holds for any
-/// prefix of the chain.
+/// At apply time the operand's residues on group `g` are lifted *exactly*
+/// to the integer `x_g ∈ [0, Q_g)` they stand for, reduced onto the
+/// extended basis and multiplied against pair `g`. On a component of group
+/// `h` only `x_h ≡ d` meets the gadget, so the sum decrypts to
+/// `P·d·s' + Σ_g x_g·e_g`, and Moddown divides the `P` away. The key
+/// structure is level-independent: at a level whose last group is partial
+/// the same identity holds on the primes left (CRT uniqueness).
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
-    /// One `(b_j, a_j)` pair per chain prime, over `Q ∪ P`, in evaluation
+    /// One `(b_g, a_g)` pair per digit group, over `Q ∪ P`, in evaluation
     /// form only — as Poseidon keeps keys HBM-resident (§IV-C). The NTT is
     /// per-prime, so a level-`l` keyswitch reads a subset of these rows.
     pub(crate) pairs: Vec<(RnsPoly, RnsPoly)>,
@@ -159,30 +164,29 @@ impl KeySwitchKey {
         let full = ctx.full_basis();
         let s = sk.poly_in(full).into_eval();
         let chain = ctx.chain_basis();
+        let p_mod_q = ctx.special_basis().product_mod_other(chain);
         // This digit loop stays serial on purpose: each iteration draws
         // from the shared `rng`, and the draw order defines the key. The
         // heavy math inside (NTT/mul/add on RnsPoly) still dispatches
         // limb-parallel, and stays thread-count-invariant.
-        let pairs = (0..chain.len())
-            .map(|j| {
+        let pairs = (0..ctx.params().dnum(chain.len()))
+            .map(|g| {
                 let a = sampling::uniform_poly(full, Form::Coeff, rng).into_eval();
                 let mut e = RnsPoly::from_i64_coeffs(
                     full,
                     &sampling::gaussian_coeffs(ctx.n(), ctx.params().error_std, rng),
                 );
-                // Add P·s' on component j only, before the transform: the
-                // NTT is linear, so `NTT(e + P·s') − â·ŝ` is `b_j`.
-                let qj = chain.primes()[j];
-                let red = he_math::BarrettReducer::new(qj);
-                let p_mod_qj = ctx
-                    .special_basis()
-                    .primes()
-                    .iter()
-                    .fold(1u64, |acc, &p| red.mul(acc, p % qj));
-                let comp = &mut e.all_residues_mut()[j];
-                for (c, &sv) in comp.iter_mut().zip(source) {
-                    let sv_mod = he_math::modops::reduce_i64(sv, qj);
-                    *c = he_math::modops::add_mod(*c, red.mul(p_mod_qj, sv_mod), qj);
+                // Add P·s' on the components of group g only, before the
+                // transform: the NTT is linear, so `NTT(e + P·s') − â·ŝ` is
+                // `b_g`.
+                for j in ctx.digit_group(ctx.max_level(), g) {
+                    let qj = chain.primes()[j];
+                    let red = he_math::BarrettReducer::new(qj);
+                    let comp = &mut e.all_residues_mut()[j];
+                    for (c, &sv) in comp.iter_mut().zip(source) {
+                        let sv_mod = he_math::modops::reduce_i64(sv, qj);
+                        *c = he_math::modops::add_mod(*c, red.mul(p_mod_q[j], sv_mod), qj);
+                    }
                 }
                 (e.into_eval().sub(&a.mul(&s)), a)
             })
@@ -190,8 +194,8 @@ impl KeySwitchKey {
         Self::from_pairs(pairs)
     }
 
-    /// Builds a key from its digit pairs over `Q ∪ P` — also the
-    /// deserialization entry point for the wire format.
+    /// Builds a key from its digit pairs over `Q ∪ P`, one per digit group
+    /// — also the deserialization entry point for the wire format.
     ///
     /// # Panics
     ///
@@ -205,24 +209,24 @@ impl KeySwitchKey {
         Self { pairs }
     }
 
-    /// The per-digit key pairs `(b_j, a_j)` over `Q ∪ P`, in evaluation form.
+    /// The per-digit key pairs `(b_g, a_g)` over `Q ∪ P`, in evaluation form.
     pub fn pairs(&self) -> &[(RnsPoly, RnsPoly)] {
         &self.pairs
     }
 
-    /// Pair `j` restricted to level `l` plus the special primes, inverse-
+    /// Pair `g` restricted to level `l` plus the special primes, inverse-
     /// transformed to coefficient form for an executor (the Poseidon
     /// functional machine) that runs the keyswitch on its own NTT cores.
-    pub fn sliced(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
-        let (b, a) = self.slice(ctx, j, level);
+    pub fn sliced(&self, ctx: &CkksContext, g: usize, level: usize) -> (RnsPoly, RnsPoly) {
+        let (b, a) = self.slice(ctx, g, level);
         (b.into_coeff(), a.into_coeff())
     }
 
-    /// Pair `j` restricted to level `l` plus the special primes, in
+    /// Pair `g` restricted to level `l` plus the special primes, in
     /// evaluation form: a residue copy with **zero** NTT work.
-    pub fn eval_sliced(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
+    pub fn eval_sliced(&self, ctx: &CkksContext, g: usize, level: usize) -> (RnsPoly, RnsPoly) {
         #[allow(unused_mut)]
-        let (mut b, mut a) = self.slice(ctx, j, level);
+        let (mut b, mut a) = self.slice(ctx, g, level);
         // Injection point for the `KeyCache` fault site: a corrupted
         // HBM-resident key digit read from the key store. The tamper lands
         // on the sliced copy, never the store itself, so a retry re-reads
@@ -236,8 +240,8 @@ impl KeySwitchKey {
         (b, a)
     }
 
-    /// A copy of pair `j`'s rows on `Q_level ∪ P`, in evaluation form.
-    fn slice(&self, ctx: &CkksContext, j: usize, level: usize) -> (RnsPoly, RnsPoly) {
+    /// A copy of pair `g`'s rows on `Q_level ∪ P`, in evaluation form.
+    fn slice(&self, ctx: &CkksContext, g: usize, level: usize) -> (RnsPoly, RnsPoly) {
         let keep = level + 1;
         let chain_len = ctx.chain_basis().len();
         let basis = ctx.level_basis(level).concat(ctx.special_basis());
@@ -247,13 +251,13 @@ impl KeySwitchKey {
                 .collect();
             RnsPoly::from_residues(&basis, residues, Form::Eval)
         };
-        let (b, a) = &self.pairs[j];
+        let (b, a) = &self.pairs[g];
         (rows(b), rows(a))
     }
 
     /// The evaluation-form rows a level-`level` keyswitch reads, by
     /// reference into the store: nothing is copied and key memory does not
-    /// grow. Digits `0..=level`, extended limbs `Q_level ∪ P`.
+    /// grow. Digits `0..dnum(level + 1)`, extended limbs `Q_level ∪ P`.
     pub(crate) fn eval_rows(&self, ctx: &CkksContext, level: usize) -> EvalKeyRows<'_> {
         let keep = level + 1;
         let chain_len = ctx.chain_basis().len();
@@ -269,9 +273,9 @@ impl KeySwitchKey {
                 poseidon_faults::tamper_rows(poseidon_faults::FaultSite::KeyCache, &mut rows);
                 rows
             };
-            (0..keep)
-                .map(|j| {
-                    let (b, a) = self.slice(ctx, j, level);
+            (0..ctx.params().dnum(keep))
+                .map(|g| {
+                    let (b, a) = self.slice(ctx, g, level);
                     (copy(b), copy(a))
                 })
                 .collect()
@@ -307,15 +311,15 @@ pub(crate) struct EvalKeyRows<'k> {
 }
 
 impl EvalKeyRows<'_> {
-    /// Rows `(b_j, a_j)` of digit `j` on extended limb `i`.
+    /// Rows `(b_g, a_g)` of digit `g` on extended limb `i`.
     #[inline]
-    pub(crate) fn pair(&self, j: usize, i: usize) -> (&[u64], &[u64]) {
+    pub(crate) fn pair(&self, g: usize, i: usize) -> (&[u64], &[u64]) {
         if let Some(copies) = &self.tampered {
-            let (b, a) = &copies[j];
+            let (b, a) = &copies[g];
             return (&b[i], &a[i]);
         }
         let row = ext_row(i, self.keep, self.chain_len);
-        let (b, a) = &self.pairs[j];
+        let (b, a) = &self.pairs[g];
         (b.residues(row), a.residues(row))
     }
 }

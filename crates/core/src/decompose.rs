@@ -35,7 +35,8 @@ pub struct OpParams {
     pub special: usize,
     /// Keyswitching digit count. The paper's classic procedure (Eq. 1–3)
     /// extends the whole polynomial at once — `dnum = 1`; the software
-    /// library's per-prime decomposition corresponds to `dnum = components`.
+    /// library's decomposition, α = `special_len` chain primes per digit,
+    /// corresponds to `dnum = ⌈components/α⌉`.
     pub dnum: usize,
 }
 

@@ -166,14 +166,19 @@ impl PoseidonMachine {
         RnsPoly::from_residues(a.basis(), residues, Form::Eval)
     }
 
-    /// Exact single-prime lift of the digit `t = [d]_{q_j}` into the
-    /// extended basis `ext`, forward-transformed (hardware: the Modup
-    /// unit's reduction path — one SBT per element per target prime).
-    fn lift_digit(&mut self, t: &[u64], ext: &RnsBasis) -> RnsPoly {
+    /// Exact lift of key-switch digit `g` of `d` — the integer `x_g ∈ [0,
+    /// Q_g)` its group's residues stand for — into the extended basis `ext`,
+    /// forward-transformed (hardware: the Modup unit's reduction path — one
+    /// SBT per element per target prime).
+    fn lift_digit(&mut self, d: &RnsPoly, g: usize, ext: &RnsBasis) -> RnsPoly {
+        let limbs = self.ctx.digit_group(d.level_count() - 1, g);
+        let rows: Vec<&[u64]> = limbs.map(|j| d.residues(j)).collect();
+        let mut x = vec![0; d.n()];
+        self.ctx.digit_lift(g).combine(&rows, &mut x);
         let residues: Vec<Vec<u64>> = ext
             .primes()
             .iter()
-            .map(|&f| t.iter().map(|&v| v % f).collect())
+            .map(|&f| x.iter().map(|&v| (v % u128::from(f)) as u64).collect())
             .collect();
         self.ntt_poly(&RnsPoly::from_residues(ext, residues, Form::Coeff))
     }
@@ -215,17 +220,17 @@ impl PoseidonMachine {
         Ciphertext::new(self.add_poly(&t0, &k0), k1, a.scale())
     }
 
-    /// The keyswitch dataflow on machine cores: per digit, exact lift of
-    /// `[d]_{q_j}` into the extended basis, NTT, key product, MA
+    /// The keyswitch dataflow on machine cores: per digit group, exact lift
+    /// of `[d]_{Q_g}` into the extended basis, NTT, key product, MA
     /// accumulate; then Moddown through the MA/MM cascade (Fig. 4).
     pub fn keyswitch(&mut self, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let level = d.level_count() - 1;
         let ext = self.ctx.level_basis(level).concat(self.ctx.special_basis());
         let mut acc0: Option<RnsPoly> = None;
         let mut acc1: Option<RnsPoly> = None;
-        for j in 0..=level {
-            let lifted = self.lift_digit(d.residues(j), &ext);
-            let (kb, ka) = key.sliced(&self.ctx, j, level);
+        for g in 0..self.ctx.params().dnum(level + 1) {
+            let lifted = self.lift_digit(d, g, &ext);
+            let (kb, ka) = key.sliced(&self.ctx, g, level);
             let kb = self.ntt_poly(&kb);
             let ka = self.ntt_poly(&ka);
             let p0 = self.mul_poly(&lifted, &kb);
@@ -479,8 +484,8 @@ impl HomomorphicOps for PoseidonMachine {
         let level = a.level();
         let ext = self.ctx.level_basis(level).concat(self.ctx.special_basis());
         // Hoist: lift + forward-NTT each digit of c1 exactly once.
-        let digits: Vec<RnsPoly> = (0..=level)
-            .map(|j| self.lift_digit(a.c1().residues(j), &ext))
+        let digits: Vec<RnsPoly> = (0..self.ctx.params().dnum(level + 1))
+            .map(|g| self.lift_digit(a.c1(), g, &ext))
             .collect();
         let mut out = Vec::with_capacity(resolved.len());
         for switch in resolved {
@@ -492,9 +497,9 @@ impl HomomorphicOps for PoseidonMachine {
             let t0 = self.auto_poly(a.c0(), g);
             let mut acc0: Option<RnsPoly> = None;
             let mut acc1: Option<RnsPoly> = None;
-            for (j, digit) in digits.iter().enumerate() {
+            for (g, digit) in digits.iter().enumerate() {
                 let rotated = self.auto_eval_poly(digit, &perm);
-                let (kb, ka) = key.eval_sliced(&self.ctx, j, level);
+                let (kb, ka) = key.eval_sliced(&self.ctx, g, level);
                 let p0 = self.mul_poly(&rotated, &kb);
                 let p1 = self.mul_poly(&rotated, &ka);
                 acc0 = Some(match acc0 {

@@ -77,12 +77,13 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
 
 /// One planned execution of `programs/bsgs_matvec.pos` at `small()` — a
 /// `serve_program` request's evaluation — as counts, so that the next NTT
-/// step starts from a counted baseline. Both fans are rotation sums: 158
-/// forward transforms (80 + 63 to hoist them, 8 + 7 for `c_0`) and 38
-/// inverse (two sum rows on 10 and on 9 extended limbs), where the unfused
-/// layers ran 335 and 324. The plan's first execution — a tenant's first
-/// served request of the program — also prepares the eight plaintexts,
-/// 8·10 forward transforms more, and keeps them: 238. A sum is two dispatches
+/// step starts from a counted baseline. Both fans are rotation sums: 91
+/// forward transforms (to hoist them, `dnum·(q+k)` = 4·10 at q = 8 and 4·9
+/// at q = 7, with α = 2 and k = 2; then 8 + 7 for `c_0`) and 38 inverse
+/// (two sum rows on 10 and on 9 extended limbs), where the unfused layers
+/// ran 335 and 324 at one digit per prime. The plan's first execution — a
+/// tenant's first served request of the program — also prepares the eight
+/// plaintexts, 8·10 forward transforms more, and keeps them: 171. A sum is two dispatches
 /// whatever its size (46 dispatches an execution before the fusion, on the
 /// two-thread team pinned here).
 fn bsgs_matvec_counts() {
@@ -136,19 +137,20 @@ fn bsgs_matvec_counts() {
         };
         let (first, _) = counted();
         let (second, dispatches) = counted();
-        assert_eq!(first, (238, 38), "transforms of a plan's first execution");
-        assert_eq!(second, (158, 38), "transforms per execution after it");
+        assert_eq!(first, (171, 38), "transforms of a plan's first execution");
+        assert_eq!(second, (91, 38), "transforms per execution after it");
         assert!(dispatches <= 16, "{dispatches} dispatches per execution");
     });
 }
 
 /// One unplanned call of each key switch at `small()` (`q = 8` chain limbs
-/// at the top level, `k = 2` special ones), at the top level and one below,
-/// on the two-thread team pinned here, once its keys sit in the
-/// evaluation-form cache. A relinearisation lifts `q(q+k)` digit rows and
-/// inverse-transforms two rows per extended limb, in the engine's two
-/// dispatches; a rotation or a conjugation hoists the same `q(q+k)` rows in
-/// one dispatch more; a fan of 8 hoists once and inverse-transforms
+/// at the top level, `k = 2` special ones, α = 2 chain limbs per digit, so
+/// `dnum = ⌈q/2⌉` = 4 at both levels), at the top level and one below, on
+/// the two-thread team pinned here, once its keys sit in the
+/// evaluation-form cache. A relinearisation lifts `dnum·(q+k)` digit rows
+/// and inverse-transforms two rows per extended limb, in the engine's two
+/// dispatches; a rotation or a conjugation hoists the same `dnum·(q+k)` rows
+/// in one dispatch more; a fan of 8 hoists once and inverse-transforms
 /// `16(q+k)`, in as many dispatches as one rotation. Two 8-term weighted sums
 /// over one hoist (`try_rotate_sums`, its weights prepared beforehand) add one
 /// forward transform of `c_0` per chain limb to the hoist and
@@ -188,18 +190,18 @@ fn key_switch_counts() {
         // (call, forward, inverse, dispatches) at each level.
         let pinned = [
             [
-                ("keyswitch", 80, 20, 2),
-                ("try_rotate", 80, 20, 3),
-                ("try_conjugate", 80, 20, 3),
-                ("try_rotate_many", 80, 160, 3),
-                ("try_rotate_sums", 88, 40, 3),
+                ("keyswitch", 40, 20, 2),
+                ("try_rotate", 40, 20, 3),
+                ("try_conjugate", 40, 20, 3),
+                ("try_rotate_many", 40, 160, 3),
+                ("try_rotate_sums", 48, 40, 3),
             ],
             [
-                ("keyswitch", 63, 18, 2),
-                ("try_rotate", 63, 18, 3),
-                ("try_conjugate", 63, 18, 3),
-                ("try_rotate_many", 63, 144, 3),
-                ("try_rotate_sums", 70, 36, 3),
+                ("keyswitch", 36, 18, 2),
+                ("try_rotate", 36, 18, 3),
+                ("try_conjugate", 36, 18, 3),
+                ("try_rotate_many", 36, 144, 3),
+                ("try_rotate_sums", 43, 36, 3),
             ],
         ];
         for (ct, pinned) in [&top, &lower].into_iter().zip(pinned) {

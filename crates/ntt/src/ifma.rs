@@ -52,8 +52,9 @@ pub fn detected() -> bool {
 }
 
 /// Whether a length-`n` transform modulo `q` runs the vector kernel on
-/// this CPU (for operands inside the lazy bound).
-pub(crate) fn selected(n: usize, q: u64) -> bool {
+/// this CPU (for operands inside the lazy bound): the CPU has IFMA,
+/// `q < 2^50` and `n ≥ 16`.
+pub fn selected(n: usize, q: u64) -> bool {
     q < Q_LIMIT && n >= MIN_N && detected()
 }
 

@@ -139,22 +139,26 @@ pub mod op_counters {
 /// Harvey forward butterfly. Inputs in `[0, 4q)`, outputs in `[0, 4q)`:
 /// the upper input is folded to `[0, 2q)`, the twiddle product lands in
 /// `[0, 2q)` with no correction, and the add/sub pair stays below `4q`.
+/// Total on any word: outside the contract the sums wrap, so a corrupted
+/// word yields some wrong residue (which fault detection then sees), never
+/// a panic; inside it the wrapping ops compute the same words.
 #[inline(always)]
 fn fwd_bf(x: u64, y: u64, w: Tw, q: u64) -> (u64, u64) {
     let two_q = 2 * q;
     let x = csub(x, two_q);
     let t = w.mul_lazy(y, q);
-    (x + t, x + two_q - t)
+    (x.wrapping_add(t), x.wrapping_add(two_q).wrapping_sub(t))
 }
 
 /// Harvey inverse (Gentleman–Sande) butterfly. Inputs in `[0, 2q)`,
 /// outputs in `[0, 2q)`: the sum is folded once, the difference is offset
-/// by `2q` before the lazy twiddle product.
+/// by `2q` before the lazy twiddle product. Total on any word, as
+/// [`fwd_bf`] is.
 #[inline(always)]
 fn inv_bf(x: u64, y: u64, w: Tw, q: u64) -> (u64, u64) {
     let two_q = 2 * q;
-    let s = csub(x + y, two_q);
-    let d = x + two_q - y;
+    let s = csub(x.wrapping_add(y), two_q);
+    let d = x.wrapping_add(two_q).wrapping_sub(y);
     (s, w.mul_lazy(d, q))
 }
 

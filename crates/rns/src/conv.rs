@@ -195,6 +195,79 @@ pub fn lift_exact(a: &RnsPoly, target: &RnsBasis) -> Result<RnsPoly, LiftOverflo
     Ok(RnsPoly::from_residues(target, residues, Form::Coeff))
 }
 
+/// The exact lift of one key-switch digit group: for residues `r_k` modulo
+/// the primes `q_k` of a small basis, the integer `x ∈ [0, Π q_k)` they
+/// stand for, by Garner's mixed-radix recombination
+/// `x = Σ_k v_k·Π_{m<k} q_m` with `v_k = (r_k − x_{<k})·(Π_{m<k} q_m)⁻¹ mod
+/// q_k`, summed in `u128`. Reducing `x` modulo any other prime is a Modup
+/// of the group with no `e·Q` term and no rounding: exact for every residue,
+/// where [`lift_exact`] needs a small value.
+///
+/// # Examples
+///
+/// ```
+/// use he_rns::conv::GroupLift;
+/// let (q0, q1) = (97u64, 193u64);
+/// let x = 12_345u64;
+/// let mut out = [0u128; 1];
+/// GroupLift::new(&[q0, q1]).combine(&[&[x % q0], &[x % q1]], &mut out);
+/// assert_eq!(out[0], 12_345);
+/// ```
+#[derive(Debug, Clone)]
+pub struct GroupLift {
+    /// Per prime after the first: its reducer, `(Π_{m<k} q_m)⁻¹ mod q_k` on
+    /// the Shoup path, and the radix `Π_{m<k} q_m`.
+    steps: Vec<(BarrettReducer, ShoupMul, u128)>,
+}
+
+impl GroupLift {
+    /// Builds the recombination constants of `primes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `primes` is empty, two of them share a factor, or their
+    /// product reaches `2^128`.
+    pub fn new(primes: &[u64]) -> Self {
+        assert!(!primes.is_empty(), "a digit group has a prime");
+        let mut radix = u128::from(primes[0]);
+        let mut steps = Vec::with_capacity(primes.len() - 1);
+        for &q in &primes[1..] {
+            let red = BarrettReducer::new(q);
+            let inv = inv_mod_prime(red.reduce(radix), q).expect("coprime group primes");
+            steps.push((red, ShoupMul::new(inv, q), radix));
+            radix = radix
+                .checked_mul(u128::from(q))
+                .expect("a digit group below 2^128");
+        }
+        Self { steps }
+    }
+
+    /// `x` per coefficient from the residue rows of the group's first
+    /// `rows.len()` primes — a prefix, as a level's partial last group is —
+    /// into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or longer than the group.
+    pub fn combine(&self, rows: &[&[u64]], out: &mut [u128]) {
+        let (first, rest) = rows.split_first().expect("one row per group prime");
+        assert!(
+            rest.len() <= self.steps.len(),
+            "more rows than group primes"
+        );
+        for (x, &r) in out.iter_mut().zip(*first) {
+            *x = u128::from(r);
+        }
+        for (row, (red, inv, radix)) in rest.iter().zip(&self.steps) {
+            let q = red.modulus();
+            for (x, &r) in out.iter_mut().zip(*row) {
+                let v = inv.mul(sub_mod(r, red.reduce(*x), q));
+                *x += u128::from(v) * radix;
+            }
+        }
+    }
+}
+
 /// `Modup` (paper Eq. 3): extends `a` from basis `Q` to `Q ∪ P`.
 ///
 /// Returns the polynomial in the concatenated basis with the original
@@ -501,5 +574,28 @@ mod tests {
         let a = RnsPoly::from_i64_coeffs(&q, &coeffs);
         let r = rescale(&a);
         assert_eq!(r.to_centered_coeffs(), vec![5i64; 16]);
+    }
+
+    /// Garner's recombination returns the one integer below the group's
+    /// product that the residues stand for, for residues at the edges of
+    /// their ranges and for every prefix of the group, at 60-bit primes
+    /// whose product fills 120 bits.
+    #[test]
+    fn a_group_lift_is_the_crt_integer() {
+        let primes = he_math::prime::ntt_prime_chain(60, 32, 2);
+        let lift = GroupLift::new(&primes);
+        let product = u128::from(primes[0]) * u128::from(primes[1]);
+        let xs = [0, 1, u128::from(primes[0]) - 1, product / 3, product - 1];
+        let rows: Vec<Vec<u64>> = primes
+            .iter()
+            .map(|&q| xs.iter().map(|&x| (x % u128::from(q)) as u64).collect())
+            .collect();
+        let rows: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0u128; xs.len()];
+        lift.combine(&rows, &mut out);
+        assert_eq!(out, xs);
+        lift.combine(&rows[..1], &mut out);
+        let first: Vec<u128> = xs.iter().map(|&x| x % u128::from(primes[0])).collect();
+        assert_eq!(out, first, "a prefix lifts over its own primes");
     }
 }

@@ -112,6 +112,13 @@ impl LazyDot {
         self.dot_pair_on_ifma(xs, perm, keys, out_b, out_a);
     }
 
+    /// Whether [`dot_pair`](Self::dot_pair) over `digits` digit rows runs
+    /// the AVX-512 IFMA kernel on this CPU: the CPU has IFMA, the prime is
+    /// below 2^52 and `digits` is at most 4 096.
+    pub fn vector_selected(&self, digits: usize) -> bool {
+        crate::ifma::selected(self.red.modulus(), digits)
+    }
+
     /// [`dot_pair`](Self::dot_pair), returning whether the IFMA kernel
     /// produced the outputs.
     fn dot_pair_on_ifma(

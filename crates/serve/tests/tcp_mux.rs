@@ -265,7 +265,10 @@ fn concurrent_registrations_on_one_client_both_land() {
     let _guard = poseidon_faults::test_lock();
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x2C1);
-    let keys = KeySet::generate(&ctx, &mut rng);
+    let mut keys = KeySet::generate(&ctx, &mut rng);
+    // With two chain primes per digit the relinearisation key alone fits
+    // two chunks; one rotation key makes the set span three.
+    keys.add_rotation_key(1, &mut rng);
     let keyset = poseidon_wire::encode_keyset_public(&ctx, &keys);
     assert!(
         keyset.len() > 2 * poseidon_wire::KEYSET_CHUNK_BYTES,

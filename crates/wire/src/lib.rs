@@ -685,7 +685,8 @@ pub fn decode_ciphertext_pooled(
 // Keys
 // ---------------------------------------------------------------------------
 
-/// One key-switch key inside a key-set frame: its digit pairs over `Q ∪ P`.
+/// One key-switch key inside a key-set frame: its digit pairs over `Q ∪ P`,
+/// one per digit group of α = `special_len` chain primes.
 /// Rows travel in coefficient form and [`take_ksk`] forward-transforms
 /// them back, bit-identically.
 fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
@@ -698,10 +699,10 @@ fn put_ksk(out: &mut Vec<u8>, key: &KeySwitchKey) {
 
 fn take_ksk(ctx: &CkksContext, r: &mut Reader<'_>) -> Result<KeySwitchKey, WireError> {
     let count = to_usize(r.u64()?, "key pair count")?;
-    let chain_len = ctx.chain_basis().len();
-    if count != chain_len {
+    let dnum = ctx.params().dnum(ctx.chain_basis().len());
+    if count != dnum {
         return Err(WireError::Malformed(format!(
-            "keyswitch key has {count} digit pairs, chain needs {chain_len}"
+            "keyswitch key has {count} digit pairs, chain needs {dnum}"
         )));
     }
     let mut pairs = Vec::with_capacity(count);
@@ -766,7 +767,7 @@ fn keyset_min_payload(params: &CkksParams, with_secret: bool) -> Option<usize> {
     let public = poly_bytes(params.chain_len)?.checked_mul(2)?;
     let relin = poly_bytes(params.chain_len.checked_add(params.special_len)?)?
         .checked_mul(2)?
-        .checked_mul(params.chain_len)?
+        .checked_mul(params.dnum(params.chain_len))?
         .checked_add(8)?;
     secret
         .checked_add(public)?
