@@ -3,8 +3,8 @@
 //! The FPGA carries no ECC on its datapath BRAMs, so Poseidon-class
 //! accelerators must assume residues, twiddle tables, and key material can
 //! be silently corrupted in flight. Every check in the stack — the
-//! duplicated runs of [`CheckedEvaluator`], the machine model's MA-core
-//! retire check — reports what it saw to one policy, [`retry_once`]:
+//! duplicated runs of [`run_checked`], the machine model's MA-core retire
+//! check — reports what it saw to one policy, [`retry_once`]:
 //!
 //! 1. **detect** — an attempt reports a fault (duplicate digests disagree,
 //!    one run panicked on poisoned data, a retire invariant failed).
@@ -17,14 +17,17 @@
 //!    [`EvalError::IntegrityFault`] — never a panic — so services can
 //!    fail the request, quarantine the accelerator, and continue.
 //!
-//! [`CheckedEvaluator`] detects by dual modular redundancy: each operation
-//! runs twice and the two results are compared by FNV digest
+//! [`run_checked`] is the one duplicate-execution check: it runs any
+//! evaluator call twice and compares the two results by FNV digest
 //! ([`digest_ciphertext`], over [`he_rns::integrity::digest_poly`]).
 //! Persistent faults are caught because the deterministic injector
 //! (`poseidon-faults`) derives each corruption from its global hit
 //! counter, just as a real stuck-at bit corrupts different data each time
 //! different values stream past it: the two runs are corrupted
-//! *differently*, so their digests cannot agree.
+//! *differently*, so their digests cannot agree. [`CheckedEvaluator`] is
+//! only the shape the benchmark's checked-multiplication probe builds:
+//! an evaluator whose one method, `mul`, is `try_mul` under
+//! [`run_checked`].
 //!
 //! The policy's counters are process-global (mirroring
 //! `poseidon_par`'s `par.contained`) and live only in the telemetry
@@ -36,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use he_rns::integrity::{digest_poly, fnv1a_words};
 
-use crate::cipher::{Ciphertext, Plaintext};
+use crate::cipher::Ciphertext;
 use crate::context::CkksContext;
 use crate::error::EvalError;
 use crate::eval::Evaluator;
@@ -138,33 +141,74 @@ pub fn digest_ciphertext(ct: &Ciphertext) -> u64 {
     ])
 }
 
-/// An [`Evaluator`] wrapper that runs every operation twice, compares the
-/// results' digests, and answers a mismatch with [`retry_once`]. All
-/// methods return `Result`: deterministic operand errors (scale/level
-/// mismatch, missing keys) pass through unchanged; datapath corruption
-/// that survives the retry surfaces as [`EvalError::IntegrityFault`] —
-/// never a panic.
+/// Runs `f` under duplicate-execution checking: twice, each run under
+/// `catch_unwind`, the two results compared by [`digest_ciphertext`], and a
+/// mismatch answered by [`retry_once`]. Deterministic operand errors (scale
+/// or level mismatch, missing keys) come back from both runs alike and pass
+/// through unchanged; datapath corruption that survives the retry surfaces
+/// as [`EvalError::IntegrityFault`] naming `site` — never a panic.
+///
+/// # Errors
+///
+/// `f`'s own deterministic error, or [`EvalError::IntegrityFault`] on
+/// persistent corruption.
 ///
 /// # Examples
 ///
 /// ```
-/// use he_ckks::integrity::CheckedEvaluator;
+/// use he_ckks::integrity::run_checked;
 /// use he_ckks::prelude::*;
 /// use he_ckks::encoding::Complex;
 ///
 /// let ctx = CkksContext::new(CkksParams::toy());
 /// let mut rng = rand::thread_rng();
 /// let keys = KeySet::generate(&ctx, &mut rng);
-/// let eval = CheckedEvaluator::new(&ctx);
+/// let eval = Evaluator::new(&ctx);
 /// let z = vec![Complex::new(1.0, 0.0); 4];
 /// let pt = Plaintext::new(
 ///     ctx.encoder().encode_rns(ctx.chain_basis(), &z, ctx.default_scale()),
 ///     ctx.default_scale(),
 /// );
 /// let ct = keys.public().encrypt(&pt, &mut rng);
-/// let sum = eval.add(&ct, &ct).expect("no faults armed");
-/// # let _ = sum;
+/// let sum = run_checked("add", || eval.try_add(&ct, &ct)).expect("no faults armed");
+/// assert_eq!(sum, eval.try_add(&ct, &ct).unwrap());
 /// ```
+pub fn run_checked(
+    site: &'static str,
+    f: impl Fn() -> Result<Ciphertext, EvalError>,
+) -> Result<Ciphertext, EvalError> {
+    retry_once(site, || attempt(&f))
+}
+
+/// One duplicated, digest-compared attempt. `Ok(Some)` = pair agreed,
+/// `Ok(None)` = mismatch or contained panic (a fault was live),
+/// `Err` = deterministic operand error (identical in both runs —
+/// propagate, nothing to retry).
+fn attempt(
+    f: &impl Fn() -> Result<Ciphertext, EvalError>,
+) -> Result<Option<Ciphertext>, EvalError> {
+    let run = || catch_unwind(AssertUnwindSafe(f));
+    let (first, second) = (run(), run());
+    match (first, second) {
+        (Ok(Ok(a)), Ok(Ok(b))) => {
+            if digest_ciphertext(&a) == digest_ciphertext(&b) {
+                Ok(Some(a))
+            } else {
+                Ok(None)
+            }
+        }
+        // The same operand error from both runs is deterministic
+        // operand validation, not corruption.
+        (Ok(Err(ea)), Ok(Err(eb))) if ea == eb => Err(ea),
+        // Any panic, or divergent error/ok outcomes: poisoned data
+        // tripped an internal invariant in at least one run.
+        _ => Ok(None),
+    }
+}
+
+/// The checked multiplication in the shape the benchmark's probe
+/// (`ckks.checked_mul`) builds it: an [`Evaluator`] whose
+/// [`mul`](Self::mul) runs under [`run_checked`].
 #[derive(Debug, Clone)]
 pub struct CheckedEvaluator {
     inner: Evaluator,
@@ -178,143 +222,18 @@ impl CheckedEvaluator {
         }
     }
 
-    /// The wrapped (unchecked) evaluator.
-    pub fn inner(&self) -> &Evaluator {
-        &self.inner
-    }
-
-    /// One duplicated, digest-compared attempt. `Ok(Some)` = pair agreed,
-    /// `Ok(None)` = mismatch or contained panic (a fault was live),
-    /// `Err` = deterministic operand error (identical in both runs —
-    /// propagate, nothing to retry).
-    fn attempt(
-        &self,
-        f: &impl Fn() -> Result<Ciphertext, EvalError>,
-    ) -> Result<Option<Ciphertext>, EvalError> {
-        let run = || catch_unwind(AssertUnwindSafe(f));
-        let (first, second) = (run(), run());
-        match (first, second) {
-            (Ok(Ok(a)), Ok(Ok(b))) => {
-                if digest_ciphertext(&a) == digest_ciphertext(&b) {
-                    Ok(Some(a))
-                } else {
-                    Ok(None)
-                }
-            }
-            // The same operand error from both runs is deterministic
-            // operand validation, not corruption.
-            (Ok(Err(ea)), Ok(Err(eb))) if ea == eb => Err(ea),
-            // Any panic, or divergent error/ok outcomes: poisoned data
-            // tripped an internal invariant in at least one run.
-            _ => Ok(None),
-        }
-    }
-
-    /// [`retry_once`] over duplicated, digest-compared attempts of `f`.
-    fn checked(
-        &self,
-        site: &'static str,
-        f: impl Fn() -> Result<Ciphertext, EvalError>,
-    ) -> Result<Ciphertext, EvalError> {
-        retry_once(site, || self.attempt(&f))
-    }
-
-    /// Checked HAdd (ct+ct).
+    /// [`Evaluator::try_mul`] under [`run_checked`].
     ///
     /// # Errors
     ///
-    /// [`EvalError::ScaleMismatch`] on operand mismatch;
-    /// [`EvalError::IntegrityFault`] on persistent corruption.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        self.checked("add", || self.inner.try_add(a, b))
-    }
-
-    /// Checked subtraction.
-    ///
-    /// # Errors
-    ///
-    /// As [`add`](Self::add).
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        self.checked("sub", || self.inner.try_sub(a, b))
-    }
-
-    /// Checked ct+pt addition.
-    ///
-    /// # Errors
-    ///
-    /// As [`add`](Self::add).
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        self.checked("add_plain", || self.inner.try_add_plain(a, pt))
-    }
-
-    /// Checked PMult.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] if the plaintext sits below the
-    /// ciphertext's level; [`EvalError::IntegrityFault`] on persistent
-    /// corruption.
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        self.checked("mul_plain", || self.inner.try_mul_plain(a, pt))
-    }
-
-    /// Checked CMult with relinearisation (covers the keyswitch datapath:
-    /// digit lift, NTTs, key products, Moddown).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::IntegrityFault`] on persistent corruption.
+    /// As [`run_checked`].
     pub fn mul(
         &self,
         a: &Ciphertext,
         b: &Ciphertext,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        self.checked("mul", || self.inner.try_mul(a, b, keys))
-    }
-
-    /// Checked squaring.
-    ///
-    /// # Errors
-    ///
-    /// As [`mul`](Self::mul).
-    pub fn square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        self.checked("square", || self.inner.try_square(a, keys))
-    }
-
-    /// Checked rescale.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::RescaleAtLevelZero`] at level 0;
-    /// [`EvalError::IntegrityFault`] on persistent corruption.
-    pub fn rescale(&self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        self.checked("rescale", || self.inner.try_rescale(a))
-    }
-
-    /// Checked rotation (covers keyswitch + automorphism).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingRotationKey`] when no key exists;
-    /// [`EvalError::IntegrityFault`] on persistent corruption.
-    pub fn rotate(
-        &self,
-        a: &Ciphertext,
-        steps: i64,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        self.checked("rotate", || self.inner.try_rotate(a, steps, keys))
-    }
-
-    /// Checked conjugation.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingConjugationKey`] when no key exists;
-    /// [`EvalError::IntegrityFault`] on persistent corruption.
-    pub fn conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        self.checked("conjugate", || self.inner.try_conjugate(a, keys))
+        run_checked("mul", || self.inner.try_mul(a, b, keys))
     }
 }
 
@@ -334,11 +253,11 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn setup() -> (CkksContext, KeySet, CheckedEvaluator, rand::rngs::StdRng) {
+    fn setup() -> (CkksContext, KeySet, Evaluator, rand::rngs::StdRng) {
         let ctx = CkksContext::new(CkksParams::toy());
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA17);
         let keys = KeySet::generate(&ctx, &mut rng);
-        let eval = CheckedEvaluator::new(&ctx);
+        let eval = Evaluator::new(&ctx);
         (ctx, keys, eval, rng)
     }
 
@@ -349,7 +268,7 @@ mod tests {
         v: f64,
     ) -> Ciphertext {
         let z = vec![crate::encoding::Complex::new(v, 0.0)];
-        let pt = Plaintext::new(
+        let pt = crate::cipher::Plaintext::new(
             ctx.encoder()
                 .encode_rns(ctx.chain_basis(), &z, ctx.default_scale()),
             ctx.default_scale(),
@@ -363,19 +282,18 @@ mod tests {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
-        let plain = Evaluator::new(&ctx);
-        assert_eq!(eval.add(&a, &b).unwrap(), plain.try_add(&a, &b).unwrap());
-        assert_eq!(eval.sub(&a, &b).unwrap(), plain.try_sub(&a, &b).unwrap());
-        assert_eq!(
-            eval.mul(&a, &b, &keys).unwrap(),
-            plain.try_mul(&a, &b, &keys).unwrap()
-        );
-        assert_eq!(
-            eval.rescale(&eval.mul(&a, &b, &keys).unwrap()).unwrap(),
-            plain
-                .try_rescale(&plain.try_mul(&a, &b, &keys).unwrap())
-                .unwrap()
-        );
+        let before = integrity_stats();
+        let sum = run_checked("add", || eval.try_add(&a, &b)).unwrap();
+        assert_eq!(sum, eval.try_add(&a, &b).unwrap());
+        let diff = run_checked("sub", || eval.try_sub(&a, &b)).unwrap();
+        assert_eq!(diff, eval.try_sub(&a, &b).unwrap());
+        let prod = run_checked("mul", || eval.try_mul(&a, &b, &keys)).unwrap();
+        assert_eq!(prod, eval.try_mul(&a, &b, &keys).unwrap());
+        let down = run_checked("rescale", || eval.try_rescale(&prod)).unwrap();
+        assert_eq!(down, eval.try_rescale(&prod).unwrap());
+        let after = integrity_stats();
+        assert_eq!(after.checked - before.checked, 4);
+        assert_eq!(after.detected, before.detected, "false positive detection");
     }
 
     #[test]
@@ -386,18 +304,61 @@ mod tests {
         let before = integrity_stats();
         // Missing rotation key: deterministic, must not count as a
         // detection (both duplicate runs fail identically).
-        assert!(matches!(
-            eval.rotate(&a, 7, &keys),
+        assert_eq!(
+            run_checked("rotate", || eval.try_rotate(&a, 7, &keys)),
             Err(EvalError::MissingRotationKey { steps: 7 })
-        ));
-        let low = eval.inner().try_drop_to_level(&a, 0).unwrap();
-        assert!(matches!(
-            eval.rescale(&low),
+        );
+        let low = eval.try_drop_to_level(&a, 0).unwrap();
+        assert_eq!(
+            run_checked("rescale", || eval.try_rescale(&low)),
             Err(EvalError::RescaleAtLevelZero)
-        ));
+        );
         let after = integrity_stats();
         assert_eq!(after.detected, before.detected);
         assert_eq!(after.escalated, before.escalated);
+    }
+
+    /// The duplicate check itself: a pair whose digests disagree, or one run
+    /// that panics, is a fault; a transient one recovers to the clean
+    /// result, a persistent one escalates naming its site.
+    #[test]
+    fn disagreeing_or_panicking_runs_are_faults() {
+        let _counters = lock_counters();
+        let (ctx, keys, eval, mut rng) = setup();
+        let a = encrypt(&ctx, &keys, &mut rng, 1.5);
+        let b = encrypt(&ctx, &keys, &mut rng, -0.5);
+        let clean = eval.try_add(&a, &b).unwrap();
+        let other = eval.try_sub(&a, &b).unwrap();
+        assert_ne!(digest_ciphertext(&clean), digest_ciphertext(&other));
+        // Which runs see the fault, in order: the first of the pair
+        // (transient), or every first of a pair (persistent).
+        for (case, faulty, want) in [
+            (
+                "transient",
+                &[true, false, false, false][..],
+                Ok(clean.clone()),
+            ),
+            (
+                "persistent",
+                &[true, false, true, false][..],
+                Err(EvalError::IntegrityFault { site: "faulty" }),
+            ),
+        ] {
+            for panics in [false, true] {
+                let runs = std::cell::Cell::new(0);
+                let got = run_checked("faulty", || {
+                    let fault = faulty[runs.get()];
+                    runs.set(runs.get() + 1);
+                    match (fault, panics) {
+                        (true, true) => panic!("poisoned data"),
+                        (true, false) => eval.try_sub(&a, &b),
+                        (false, _) => eval.try_add(&a, &b),
+                    }
+                });
+                assert_eq!(got, want, "{case}, panics: {panics}");
+                assert_eq!(runs.get(), 4, "{case}: two pairs run");
+            }
+        }
     }
 
     #[test]

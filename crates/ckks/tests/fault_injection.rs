@@ -1,4 +1,4 @@
-//! End-to-end fault-injection campaigns against the checked evaluator:
+//! End-to-end fault-injection campaigns against `run_checked`:
 //! transient upsets must be absorbed by the detect-and-retry path and
 //! persistent datapath faults must escalate to a typed error — never a
 //! panic, never a silently wrong ciphertext.
@@ -8,7 +8,7 @@ use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
-use he_ckks::integrity::{integrity_stats, CheckedEvaluator, IntegrityStats};
+use he_ckks::integrity::{integrity_stats, run_checked, IntegrityStats};
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_faults::{FaultKind, FaultPlan, FaultSite};
@@ -39,8 +39,8 @@ fn transient_residue_fault_is_retried_and_recovers() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.25);
     let b = encrypt(&ctx, &keys, &mut rng, -0.5);
-    let checked = CheckedEvaluator::new(&ctx);
-    let clean = checked.inner().try_mul(&a, &b, &keys).unwrap();
+    let eval = Evaluator::new(&ctx);
+    let clean = eval.try_mul(&a, &b, &keys).unwrap();
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::transient(
@@ -48,7 +48,7 @@ fn transient_residue_fault_is_retried_and_recovers() {
         FaultKind::BitFlip,
         0x5EED,
     ));
-    let got = checked.mul(&a, &b, &keys).expect("transient must recover");
+    let got = run_checked("mul", || eval.try_mul(&a, &b, &keys)).expect("transient must recover");
     poseidon_faults::disarm();
     let after = integrity_stats();
 
@@ -66,7 +66,7 @@ fn persistent_residue_fault_escalates_to_typed_error() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 2.0);
     let b = encrypt(&ctx, &keys, &mut rng, 3.0);
-    let checked = CheckedEvaluator::new(&ctx);
+    let eval = Evaluator::new(&ctx);
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::persistent(
@@ -74,7 +74,7 @@ fn persistent_residue_fault_escalates_to_typed_error() {
         FaultKind::StuckAt(0),
         0xBAD,
     ));
-    let got = checked.mul(&a, &b, &keys);
+    let got = run_checked("mul", || eval.try_mul(&a, &b, &keys));
     poseidon_faults::disarm();
     let after = integrity_stats();
 
@@ -91,10 +91,10 @@ fn transient_key_cache_fault_on_rotation_recovers() {
     poseidon_faults::disarm();
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 0.75);
-    let checked = CheckedEvaluator::new(&ctx);
+    let eval = Evaluator::new(&ctx);
     // A clean pass for comparison; the armed plan then targets the stored
     // key rows the duplicated runs read.
-    let clean = checked.inner().try_rotate(&a, 1, &keys).unwrap();
+    let clean = eval.try_rotate(&a, 1, &keys).unwrap();
 
     let before = integrity_stats();
     poseidon_faults::arm(FaultPlan::transient(
@@ -102,9 +102,8 @@ fn transient_key_cache_fault_on_rotation_recovers() {
         FaultKind::DoubleBitFlip,
         0x1234,
     ));
-    let got = checked
-        .rotate(&a, 1, &keys)
-        .expect("transient must recover");
+    let got =
+        run_checked("rotate", || eval.try_rotate(&a, 1, &keys)).expect("transient must recover");
     poseidon_faults::disarm();
     let after = integrity_stats();
 
@@ -122,7 +121,7 @@ fn persistent_faults_never_panic_across_sites_and_ops() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let b = encrypt(&ctx, &keys, &mut rng, -1.0);
-    let checked = CheckedEvaluator::new(&ctx);
+    let eval = Evaluator::new(&ctx);
 
     for site in [
         FaultSite::RnsResidue,
@@ -135,8 +134,8 @@ fn persistent_faults_never_panic_across_sites_and_ops() {
             // either every duplicated run was corrupted identically-never
             // (escalation), or the site was not exercised by this op and
             // the clean result came back.
-            let mul = checked.mul(&a, &b, &keys);
-            let rot = checked.rotate(&a, 1, &keys);
+            let mul = run_checked("mul", || eval.try_mul(&a, &b, &keys));
+            let rot = run_checked("rotate", || eval.try_rotate(&a, 1, &keys));
             poseidon_faults::disarm();
             for res in [mul, rot] {
                 match res {
@@ -158,15 +157,17 @@ fn checked_ops_are_clean_passthrough_when_disarmed() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     let b = encrypt(&ctx, &keys, &mut rng, 0.25);
-    let checked = CheckedEvaluator::new(&ctx);
     let eval = Evaluator::new(&ctx);
 
     let before = integrity_stats();
-    assert_eq!(checked.add(&a, &b).unwrap(), eval.try_add(&a, &b).unwrap());
-    let prod = checked.mul(&a, &b, &keys).unwrap();
+    assert_eq!(
+        run_checked("add", || eval.try_add(&a, &b)).unwrap(),
+        eval.try_add(&a, &b).unwrap()
+    );
+    let prod = run_checked("mul", || eval.try_mul(&a, &b, &keys)).unwrap();
     assert_eq!(prod, eval.try_mul(&a, &b, &keys).unwrap());
     assert_eq!(
-        checked.rescale(&prod).unwrap(),
+        run_checked("rescale", || eval.try_rescale(&prod)).unwrap(),
         eval.try_rescale(&prod).unwrap()
     );
     let after = integrity_stats();
@@ -188,11 +189,15 @@ fn product_faults_on_the_engine_path_land_in_their_buckets() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.5);
     let b = encrypt(&ctx, &keys, &mut rng, -0.75);
-    let checked = CheckedEvaluator::new(&ctx);
+    let eval = Evaluator::new(&ctx);
     type CheckedOp<'a> = &'a dyn Fn() -> Result<Ciphertext, EvalError>;
     let ops: [(&str, CheckedOp); 2] = [
-        ("mul", &|| checked.mul(&a, &b, &keys)),
-        ("square", &|| checked.square(&a, &keys)),
+        ("mul", &|| {
+            run_checked("mul", || eval.try_mul(&a, &b, &keys))
+        }),
+        ("square", &|| {
+            run_checked("square", || eval.try_square(&a, &keys))
+        }),
     ];
     let deltas = |before: IntegrityStats| {
         let after = integrity_stats();
@@ -266,8 +271,8 @@ fn key_row_upsets_past_52_bits_are_detected() {
     poseidon_faults::disarm();
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 0.75);
-    let checked = CheckedEvaluator::new(&ctx);
-    let clean = checked.inner().try_rotate(&a, 1, &keys).unwrap();
+    let eval = Evaluator::new(&ctx);
+    let clean = eval.try_rotate(&a, 1, &keys).unwrap();
     // The key rows are read digit by digit, `b` then `a`, each limb by limb:
     // the second row read is `b_0` on limb 1, a 40-bit prime.
     let skip = 1;
@@ -302,7 +307,7 @@ fn key_row_upsets_past_52_bits_are_detected() {
 
     let before = integrity_stats();
     poseidon_faults::arm(plan(FaultPlan::transient, seed));
-    let got = checked.rotate(&a, 1, &keys);
+    let got = run_checked("rotate", || eval.try_rotate(&a, 1, &keys));
     let fired = poseidon_faults::fired();
     poseidon_faults::disarm();
     assert_eq!(fired, 1, "the upset never fired");
@@ -315,7 +320,7 @@ fn key_row_upsets_past_52_bits_are_detected() {
 
     let before = integrity_stats();
     poseidon_faults::arm(plan(FaultPlan::persistent, seed));
-    let got = checked.rotate(&a, 1, &keys);
+    let got = run_checked("rotate", || eval.try_rotate(&a, 1, &keys));
     poseidon_faults::disarm();
     assert!(
         matches!(got, Err(EvalError::IntegrityFault { .. })),
@@ -343,8 +348,8 @@ fn transform_upsets_past_52_bits_are_detected() {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 0.75);
     let b = encrypt(&ctx, &keys, &mut rng, -0.5);
-    let checked = CheckedEvaluator::new(&ctx);
-    let clean = checked.inner().try_mul(&a, &b, &keys).unwrap();
+    let eval = Evaluator::new(&ctx);
+    let clean = eval.try_mul(&a, &b, &keys).unwrap();
     assert!(
         ctx.chain_basis().primes().iter().all(|&q| q < 1 << 50),
         "every chain limb takes the vector transform"
@@ -375,7 +380,7 @@ fn transform_upsets_past_52_bits_are_detected() {
 
     let before = integrity_stats();
     poseidon_faults::arm(plan(FaultPlan::transient, seed));
-    let got = checked.mul(&a, &b, &keys);
+    let got = run_checked("mul", || eval.try_mul(&a, &b, &keys));
     let fired = poseidon_faults::fired();
     poseidon_faults::disarm();
     assert_eq!(fired, 1, "the upset never fired");
@@ -388,7 +393,7 @@ fn transform_upsets_past_52_bits_are_detected() {
 
     let before = integrity_stats();
     poseidon_faults::arm(plan(FaultPlan::persistent, seed));
-    let got = checked.mul(&a, &b, &keys);
+    let got = run_checked("mul", || eval.try_mul(&a, &b, &keys));
     poseidon_faults::disarm();
     assert!(
         matches!(got, Err(EvalError::IntegrityFault { .. })),

@@ -8,7 +8,7 @@
 //! 1. **Capture** — a [`Recorder`] over either backend records the SSA
 //!    dataflow of a real run ([`graph::EvalGraph`]), or [`compile_trace`]
 //!    lowers a `.pos` op trace into one.
-//! 2. **Optimize** — [`plan`] runs every pass: rescale sinking/fusion,
+//! 2. **Optimize** — [`plan`] runs every pass: rescale fusion,
 //!    cross-graph rotation hoisting into `rotate_many`, rotation-sum fusion,
 //!    dead-value elimination, and live-range-aware scheduling ([`passes`]);
 //!    with [`PlanOptions::bootstrap`] set it also runs the
@@ -22,7 +22,7 @@
 //!    [`execute_with`] supplies a `Bootstrapper` for plans that refresh.
 //!
 //! Bit-preserving rewrites (hoist + DVE + reorder) reproduce the unplanned
-//! outputs digest-identically on the evaluator; rescale placement,
+//! outputs digest-identically on the evaluator; rescale fusion,
 //! rotation-sum fusion and bootstrap insertion preserve decrypted values
 //! and are flagged via [`Plan::value_preserving`].
 //!

@@ -4,30 +4,26 @@
 //! Pass pipeline (in application order; every pass always runs, after
 //! bootstrap insertion when [`PlanOptions::bootstrap`] asks for it):
 //!
-//! 1. **Rescale sinking** — `rescale(rotate(x))` → `rotate(rescale(x))`,
-//!    CSE-ing the shared rescale across all rotations of `x`. Keyswitching
-//!    then runs at the lower level (fewer limbs per digit lift) and
-//!    exposes sibling rotations of one value to the hoisting pass.
-//! 2. **Rescale fusion** — `add(rescale(x), rescale(y))` →
+//! 1. **Rescale fusion** — `add(rescale(x), rescale(y))` →
 //!    `rescale(add(x, y))`, applied to fixpoint so sequential
 //!    accumulation chains collapse K rescales into one.
-//! 3. **Rotation hoisting** — all rotations of the same source value
+//! 2. **Rotation hoisting** — all rotations of the same source value
 //!    anywhere in the graph become one `RotateMany` node, paying the
 //!    keyswitch digit lift + forward NTTs once (Halevi-Shoup).
-//! 4. **Rotation-sum fusion** — the second hoist: a `RotateMany` whose
+//! 3. **Rotation-sum fusion** — the second hoist: a `RotateMany` whose
 //!    outputs only meet again in one `Add` tree, each bare or through one
 //!    `MulPlain`, becomes one `RotateSum` node — the whole layer
 //!    `Σ_r pt_r ⊙ rot_r(x)` as one key-switch pass, one inverse NTT and
 //!    Moddown for the sum instead of one per rotation.
-//! 5. **Dead-value elimination** — reverse reachability from the graph
+//! 4. **Dead-value elimination** — reverse reachability from the graph
 //!    outputs; unreached compute nodes are tombstoned.
-//! 6. **Scheduling** — Kahn's algorithm with a deterministic score that
+//! 5. **Scheduling** — Kahn's algorithm with a deterministic score that
 //!    prefers (a) nodes that release their operands (shrinking the live
 //!    set → scratch-pool reuse) and (b) nodes sharing an operand with the
 //!    previously scheduled node (keyswitch-key/digit cache affinity).
 //!
-//! Passes 3, 5 and 6 are bit-preserving; passes 1–2 change where rescales
-//! land and pass 4 rounds a sum once instead of once per term, which change
+//! Passes 2, 4 and 5 are bit-preserving; pass 1 changes where rescales
+//! land and pass 3 rounds a sum once instead of once per term, which change
 //! ciphertext bits but preserve decrypted values (same primes dropped, same
 //! final level/scale) — the plan records this in [`Plan::value_preserving`]
 //! so callers know whether digest pinning applies.
@@ -158,8 +154,6 @@ pub struct PlanStats {
     pub rescales_after: usize,
     /// Add-of-rescales rewrites applied.
     pub rescales_fused: usize,
-    /// Rotate-past-rescale sinks applied (rotations retargeted).
-    pub rescales_sunk: usize,
     /// Sizes of each hoisted rotation batch (≥ 2 each).
     pub hoist_batches: Vec<usize>,
     /// Sizes of the hoisted batches that were fused, with their plaintext
@@ -269,7 +263,6 @@ pub fn plan(mut graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError>
     if let Some(bs) = &opts.bootstrap {
         stats.bootstraps_inserted = insert_bootstraps(&mut graph, bs)?;
     }
-    stats.rescales_sunk = sink_rescales(&mut graph);
     loop {
         let fused = fuse_rescales(&mut graph);
         if fused == 0 {
@@ -281,11 +274,10 @@ pub fn plan(mut graph: EvalGraph, opts: &PlanOptions) -> Result<Plan, PlanError>
     stats.rotation_sums = fuse_rotation_sums(&mut graph);
     stats.dead_removed = eliminate_dead(&mut graph);
     debug_assert_eq!(graph.validate(), Ok(()));
-    // A refresh re-encrypts through the bootstrapping pipeline, a moved
+    // A refresh re-encrypts through the bootstrapping pipeline, a fused
     // rescale drops its prime elsewhere, and a fused sum rounds once
     // instead of once per rotation: decrypted values agree, bits do not.
     let value_preserving = stats.bootstraps_inserted == 0
-        && stats.rescales_sunk == 0
         && stats.rescales_fused == 0
         && stats.rotation_sums.is_empty();
 
@@ -516,74 +508,6 @@ fn fuse_rescales(g: &mut EvalGraph) -> usize {
         fused += 1;
     }
     fused
-}
-
-/// `rescale(rotate(x))` → `rotate(rescale(x))` with the rescale CSE-d
-/// across every rotation of `x` that qualifies. Returns the number of
-/// rotations retargeted.
-fn sink_rescales(g: &mut EvalGraph) -> usize {
-    let mut sunk = 0;
-    let value_count = g.values().len();
-    for raw in 0..value_count {
-        let x = ValueId(raw);
-        if g.value(x).dead || g.value(x).level == 0 {
-            continue;
-        }
-        // Rotations of x whose single output feeds exactly one Rescale and
-        // is not itself a graph output.
-        let mut movable: Vec<(NodeId, ValueId, NodeId, ValueId)> = Vec::new(); // (rot, rot_out, rescale, rescale_out)
-        for &c in &g.value(x).consumers.clone() {
-            let node = g.node(c);
-            if node.dead || !matches!(node.op, GraphOp::Rotate { .. }) {
-                continue;
-            }
-            let out = node.outputs[0];
-            let Some((rs, back)) = sole_rescale_producer_of_consumer(g, out) else {
-                continue;
-            };
-            debug_assert_eq!(back, out);
-            movable.push((c, out, rs, g.node(rs).outputs[0]));
-        }
-        if movable.len() < 2 {
-            // A single rotate+rescale pair gains nothing from sinking on
-            // its own; the win is the shared rescale + hoistable siblings.
-            continue;
-        }
-        // One shared rescale of x.
-        let rx = g.push(GraphOp::Rescale, vec![x]);
-
-        for (rot, rot_out, old_rs, final_out) in movable {
-            // Retarget the rotation to consume rescale(x) and produce the
-            // old post-rescale value directly.
-            g.unsubscribe(x, rot);
-            g.unsubscribe(rot_out, old_rs);
-            g.kill_node(old_rs);
-            g.kill_value(rot_out);
-            let steps = match g.node(rot).op {
-                GraphOp::Rotate { steps } => steps,
-                _ => unreachable!(),
-            };
-            g.kill_node(rot);
-            g.push_raw_node(GraphOp::Rotate { steps }, vec![rx], vec![final_out]);
-            sunk += 1;
-        }
-    }
-    sunk
-}
-
-/// For a value `v`: if its sole consumer is a live `Rescale` and `v` is
-/// not a graph output, return that rescale node (and echo `v`).
-fn sole_rescale_producer_of_consumer(g: &EvalGraph, v: ValueId) -> Option<(NodeId, ValueId)> {
-    let info = g.value(v);
-    if info.dead || g.is_output(v) || info.consumers.len() != 1 {
-        return None;
-    }
-    let c = info.consumers[0];
-    let node = g.node(c);
-    if node.dead || !matches!(node.op, GraphOp::Rescale) {
-        return None;
-    }
-    Some((c, v))
 }
 
 /// Groups all live rotations per source value into `RotateMany` nodes.
@@ -1114,32 +1038,6 @@ mod tests {
         let out = p.graph.outputs()[0];
         assert_eq!(p.graph.value(out).level, 2);
         assert!((p.graph.value(out).scale_bits - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sinking_shares_one_rescale_across_rotations() {
-        // rescale(rotate(x, s)) for 4 rotations → rotate(rescale(x)) ×4
-        // with ONE rescale.
-        let mut g = EvalGraph::new(40.0);
-        let x0 = g.input(3, 40.0);
-        let x = g.square(x0); // scale 80 → rescale meaningful
-        let mut acc = None;
-        for s in 1..=4i64 {
-            let r = g.rotate(x, s);
-            let rr = g.rescale(r);
-            acc = Some(match acc {
-                None => rr,
-                Some(a) => g.add(a, rr),
-            });
-        }
-        g.mark_output(acc.unwrap());
-        let p = plan(g, &PlanOptions::default()).unwrap();
-        assert_eq!(p.stats.rescales_sunk, 4);
-        assert_eq!(p.stats.rescales_after, 1);
-        // The four rotations now share one source → hoisted as a batch.
-        assert_eq!(p.stats.hoist_batches, vec![4]);
-        assert!(!p.value_preserving);
-        assert!(p.graph.validate().is_ok());
     }
 
     #[test]

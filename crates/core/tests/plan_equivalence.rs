@@ -166,8 +166,9 @@ fn rescale_placement_preserves_decrypted_values() {
     let mut rec = Recorder::new(&ctx, Evaluator::new(&ctx));
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     // square → 4 rotations each followed by a caller-placed rescale → sum:
-    // the sink pass shares one rescale, the hoist pass batches the
-    // rotations.
+    // rescale fusion moves the four rescales past the adds into one, the
+    // hoist pass batches the rotations, and the batch fuses into one
+    // rotation sum.
     let x = rec.try_square(&a, &keys).unwrap();
     let mut acc: Option<Ciphertext> = None;
     for s in 1..=4 {
@@ -185,9 +186,10 @@ fn rescale_placement_preserves_decrypted_values() {
     let unplanned = Plan::passthrough(graph.clone());
     let planned = plan(graph, &PlanOptions::default()).unwrap();
     assert!(!planned.value_preserving);
-    assert_eq!(planned.stats.rescales_sunk, 4);
+    assert_eq!(planned.stats.rescales_fused, 3);
     assert_eq!(planned.stats.rescales_after, 1);
     assert_eq!(planned.stats.hoist_batches, vec![4]);
+    assert_eq!(planned.stats.rotation_sums, vec![4]);
 
     let mut eval = Evaluator::new(&ctx);
     let base = execute(&unplanned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();

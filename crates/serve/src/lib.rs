@@ -49,12 +49,12 @@
 //!   16 MiB, least-recently-used evicted) and goes away with it. Only a
 //!   plan whose execution succeeded is kept; one whose execution fails is
 //!   dropped. Counters: `serve.plan.{hit,miss,evict}`.
-//! - **Integrity escalation** — non-rotation ops run under
-//!   [`CheckedEvaluator`] (dual execution + digest compare), so a
-//!   persistent datapath fault surfaces as a per-request
-//!   [`EvalError::IntegrityFault`] response, never a crashed server.
-//!   Worker panics are contained and returned as
-//!   [`ServeError::Internal`].
+//! - **Integrity escalation** — each tenant holds one [`Evaluator`]; every
+//!   single operation runs on it under [`run_checked`] (dual execution +
+//!   digest compare), so a persistent datapath fault surfaces as a
+//!   per-request [`EvalError::IntegrityFault`] response, never a crashed
+//!   server. Rotation groups and programs run once. Worker panics are
+//!   contained and returned as [`ServeError::Internal`].
 //! - **Multiplexed TCP front-end** — every [`tcp`] request carries a
 //!   client-chosen request id echoed in the reply, so one socket holds
 //!   many requests in flight and replies return in completion order.
@@ -71,7 +71,7 @@
 //! [`CkksContext`]: he_ckks::context::CkksContext
 //! [`Evaluator`]: he_ckks::eval::Evaluator
 //! [`Evaluator::try_rotate_many`]: he_ckks::eval::Evaluator::try_rotate_many
-//! [`CheckedEvaluator`]: he_ckks::integrity::CheckedEvaluator
+//! [`run_checked`]: he_ckks::integrity::run_checked
 //! [`EvalError::IntegrityFault`]: he_ckks::error::EvalError::IntegrityFault
 
 #![forbid(unsafe_code)]
@@ -154,7 +154,7 @@ pub enum Request {
     /// A whole `.pos` program, compiled through the evaluation planner
     /// and executed as **one** admission-controlled unit: the deadline,
     /// queue bound, and replay cache govern the entire program, and
-    /// the planner's rotation hoisting / rescale sinking apply across
+    /// the planner's rotation hoisting and rescale fusion apply across
     /// its full dataflow instead of per wire op.
     Program {
         /// Program text in the `.pos` trace format

@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 
 use he_ckks::cipher::Ciphertext;
 use he_ckks::context::CkksContext;
-use he_ckks::integrity::{digest_ciphertext, CheckedEvaluator};
+use he_ckks::error::EvalError;
+use he_ckks::eval::Evaluator;
+use he_ckks::integrity::run_checked;
 use he_ckks::keys::KeySet;
 use poseidon_core::plan::{GraphOp, Plan};
 
@@ -92,9 +94,9 @@ const PLAN_CACHE_BYTES: usize = 16 << 20;
 /// (`keys.context()`).
 pub(crate) struct Tenant {
     pub(crate) keys: KeySet,
-    /// The tenant's one evaluator: integrity-checked, and
-    /// [`CheckedEvaluator::inner`] where a request runs unchecked.
-    pub(crate) checked: CheckedEvaluator,
+    /// The tenant's one evaluator. A single operation runs on it under
+    /// [`run_checked`]; a rotation group and a program run on it once.
+    eval: Evaluator,
     /// Programs this tenant ran, planned over its context. Kept here and
     /// nowhere wider, so re-registration and key-cache eviction, which
     /// drop the tenant, drop its plans with it.
@@ -105,10 +107,9 @@ impl Tenant {
     /// Decodes a key-set frame into a tenant's evaluation state.
     pub(crate) fn from_frame(frame: &[u8]) -> Result<Self, poseidon_wire::WireError> {
         let (ctx, keys) = poseidon_wire::decode_keyset(frame)?;
-        let checked = CheckedEvaluator::new(&ctx);
         Ok(Self {
             keys,
-            checked,
+            eval: Evaluator::new(&ctx),
             plans: Mutex::new(PlanCache::default()),
         })
     }
@@ -230,23 +231,16 @@ impl Ticket {
     }
 }
 
-/// Bounded FIFO cache of completed results keyed `(tenant, request
-/// id)`: the server half of safe resubmission. Only *executed* outcomes
-/// are cached (success or a deterministic evaluation error) — admission
-/// rejections never ran, so retrying them must actually run.
-///
-/// Two bounds hold at once: a global entry count and a global
-/// *approximate byte* budget (each cached success clones full RNS
-/// polynomials, so entry count alone could pin hundreds of megabytes).
-/// Eviction is tenant-fair: the victim is the oldest entry of whichever
-/// tenant holds the most cached entries, so one chatty tenant shrinks
-/// its own window first and cannot FIFO-evict the other tenants'
-/// idempotency windows. With a single tenant this degenerates to plain
-/// FIFO.
-struct ReplayCache {
-    capacity: usize,
-    capacity_bytes: usize,
-    state: Mutex<ReplayState>,
+/// A replay-flagged request's key: `(tenant, request id)`.
+type ReplayKey = (Arc<str>, u64);
+
+/// One replay-flagged `(tenant, request id)`.
+enum ReplayEntry {
+    /// Queued or executing, with the sinks of the duplicates that arrived
+    /// meanwhile: the one execution answers them all.
+    Running(Vec<Sink>),
+    /// Executed: the outcome a later duplicate is answered from.
+    Done(Box<CachedOutcome>),
 }
 
 struct CachedOutcome {
@@ -266,46 +260,66 @@ fn outcome_cost(result: &Result<Ciphertext, ServeError>) -> usize {
     }
 }
 
+/// The idempotent-replay record: the server half of safe resubmission. One
+/// map under one lock holds every replay-flagged `(tenant, request id)`,
+/// running or done, so a duplicate sees the first submission's execution
+/// or its outcome, never neither. Only *executed* outcomes are kept
+/// (success or a deterministic evaluation error): an admission rejection
+/// never ran, so retrying it must actually run.
+///
+/// The bounds cover `Done` entries only. Two hold at once: an entry count
+/// and an *approximate byte* budget (each cached success clones full RNS
+/// polynomials, so the entry count alone could pin hundreds of megabytes);
+/// the newest entry always survives. Eviction is tenant-fair: the victim
+/// is the oldest entry of whichever tenant holds the most, so one chatty
+/// tenant shrinks its own window first and cannot FIFO-evict the other
+/// tenants' idempotency windows. With a single tenant this degenerates to
+/// plain FIFO.
+struct ReplayRecord {
+    capacity: usize,
+    capacity_bytes: usize,
+    state: Mutex<ReplayState>,
+}
+
 #[derive(Default)]
 struct ReplayState {
-    map: HashMap<(Arc<str>, u64), CachedOutcome>,
-    order: VecDeque<(Arc<str>, u64)>,
+    map: HashMap<ReplayKey, ReplayEntry>,
+    /// `Done` keys, oldest first.
+    order: VecDeque<ReplayKey>,
+    /// Summed cost of the `Done` entries.
     bytes: usize,
+    /// `Done` entries per tenant.
     per_tenant: HashMap<Arc<str>, usize>,
 }
 
 impl ReplayState {
-    fn remove_key(&mut self, key: &(Arc<str>, u64)) {
-        if let Some(old) = self.map.remove(key) {
-            self.bytes -= old.cost;
-            if let Some(count) = self.per_tenant.get_mut(&key.0) {
-                *count -= 1;
-                if *count == 0 {
-                    self.per_tenant.remove(&key.0);
-                }
-            }
-        }
-    }
-
-    /// Evicts one entry, tenant-fairly: the oldest entry belonging to a
-    /// tenant currently holding the most cached entries. The order scan
-    /// is linear, but the deque is bounded by the (small) global entry
-    /// cap. Scanning from the front means the victim is never the
-    /// just-inserted back entry while anything older ties it.
+    /// Evicts one `Done` entry, tenant-fairly: the oldest entry belonging
+    /// to a tenant currently holding the most. The order scan is linear,
+    /// but the deque is bounded by the (small) entry cap. Scanning from the
+    /// front means the victim is never the just-inserted back entry while
+    /// anything older ties it.
     fn evict_fair(&mut self) {
         let heaviest = self.per_tenant.values().copied().max().unwrap_or(0);
         let victim = self
             .order
             .iter()
             .position(|(t, _)| self.per_tenant.get(t).copied().unwrap_or(0) == heaviest);
-        if let Some(i) = victim {
-            let old = self.order.remove(i).expect("position within deque");
-            self.remove_key(&old);
+        let Some(key) = victim.and_then(|i| self.order.remove(i)) else {
+            return;
+        };
+        if let Some(ReplayEntry::Done(old)) = self.map.remove(&key) {
+            self.bytes -= old.cost;
+        }
+        if let Some(count) = self.per_tenant.get_mut(&key.0) {
+            *count -= 1;
+            if *count == 0 {
+                self.per_tenant.remove(&key.0);
+            }
         }
     }
 }
 
-impl ReplayCache {
+impl ReplayRecord {
     fn new(capacity: usize, capacity_bytes: usize) -> Self {
         Self {
             capacity,
@@ -314,80 +328,73 @@ impl ReplayCache {
         }
     }
 
-    fn get(&self, tenant: &Arc<str>, id: u64) -> Option<Result<Ciphertext, ServeError>> {
-        let state = self.state.lock().expect("replay cache poisoned");
-        state
-            .map
-            .get(&(Arc::clone(tenant), id))
-            .map(|o| o.result.clone())
+    fn state(&self) -> std::sync::MutexGuard<'_, ReplayState> {
+        self.state.lock().expect("replay record poisoned")
     }
 
-    fn put(&self, tenant: Arc<str>, id: u64, result: Result<Ciphertext, ServeError>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let cost = outcome_cost(&result);
-        let mut state = self.state.lock().expect("replay cache poisoned");
-        let key = (tenant, id);
-        match state
-            .map
-            .insert(key.clone(), CachedOutcome { result, cost })
-        {
+    /// Under the one lock: attaches `sink` to `key`'s running execution,
+    /// or answers it, once the lock is released, with `key`'s outcome —
+    /// `None` either way — or, once `admissible` passes, marks `key`
+    /// running and hands `sink` back to go with the job.
+    fn claim(
+        &self,
+        key: &ReplayKey,
+        sink: Sink,
+        admissible: impl FnOnce() -> Result<(), ServeError>,
+    ) -> Result<Option<Sink>, ServeError> {
+        let mut state = self.state();
+        match state.map.get_mut(key) {
+            Some(ReplayEntry::Running(waiters)) => {
+                waiters.push(sink);
+                crate::tel::replay_coalesced().add(1);
+            }
+            Some(ReplayEntry::Done(outcome)) => {
+                let result = outcome.result.clone();
+                drop(state);
+                crate::tel::replay_hit().add(1);
+                sink(result);
+            }
             None => {
-                state.order.push_back(key.clone());
-                state.bytes += cost;
-                *state.per_tenant.entry(Arc::clone(&key.0)).or_insert(0) += 1;
-            }
-            Some(old) => {
-                state.bytes = state.bytes - old.cost + cost;
+                admissible()?;
+                state
+                    .map
+                    .insert(key.clone(), ReplayEntry::Running(Vec::new()));
+                return Ok(Some(sink));
             }
         }
-        // The newest entry always survives (order.len() > 1): an
-        // oversized result must still be replayable at least until the
-        // next insert, or retrying it would re-execute.
-        while (state.order.len() > self.capacity
-            || (self.capacity_bytes > 0 && state.bytes > self.capacity_bytes))
-            && state.order.len() > 1
-        {
-            state.evict_fair();
+        Ok(None)
+    }
+
+    /// Ends `key`'s execution with `result` — kept as its outcome when it
+    /// executed and the entry bound is not 0, dropped otherwise — and
+    /// hands back the sinks that attached to it.
+    fn finish(&self, key: &ReplayKey, result: &Result<Ciphertext, ServeError>) -> Vec<Sink> {
+        let mut state = self.state();
+        let Some(ReplayEntry::Running(waiters)) = state.map.remove(key) else {
+            return Vec::new();
+        };
+        let executed = matches!(result, Ok(_) | Err(ServeError::Eval(_)));
+        if executed && self.capacity > 0 {
+            let cost = outcome_cost(result);
+            let outcome = Box::new(CachedOutcome {
+                result: result.clone(),
+                cost,
+            });
+            state.map.insert(key.clone(), ReplayEntry::Done(outcome));
+            state.order.push_back(key.clone());
+            state.bytes += cost;
+            *state.per_tenant.entry(Arc::clone(&key.0)).or_insert(0) += 1;
+            // The newest entry always survives (order.len() > 1): an
+            // oversized result must still be replayable at least until the
+            // next insert, or retrying it would re-execute.
+            while (state.order.len() > self.capacity
+                || (self.capacity_bytes > 0 && state.bytes > self.capacity_bytes))
+                && state.order.len() > 1
+            {
+                state.evict_fair();
+            }
         }
-    }
-
-    fn len(&self) -> usize {
-        self.state.lock().expect("replay cache poisoned").map.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.state.lock().expect("replay cache poisoned").bytes
-    }
-}
-
-/// In-flight replay-flagged executions and the sinks attached to each,
-/// keyed `(tenant, request id)`.
-type PendingSinks = HashMap<(Arc<str>, u64), Vec<Sink>>;
-
-/// Replay-flagged executions currently queued or executing, keyed
-/// `(tenant, request id)`. A duplicate replay submission that *races*
-/// the original — retried before the first execution completed —
-/// attaches its sink here instead of enqueueing a second execution;
-/// the primary's completion fans the one result out to every attached
-/// waiter. Completion writes the replay cache *before* clearing its
-/// entry here, so a submitter that misses this map and then reads the
-/// cache can never miss both.
-#[derive(Default)]
-struct ReplayPending {
-    map: Mutex<PendingSinks>,
-}
-
-impl ReplayPending {
-    /// Removes a finished or refused execution, handing back the sinks
-    /// that attached to it.
-    fn take(&self, key: &(Arc<str>, u64)) -> Vec<Sink> {
-        self.map
-            .lock()
-            .expect("replay pending poisoned")
-            .remove(key)
-            .unwrap_or_default()
+        waiters
     }
 }
 
@@ -483,8 +490,7 @@ pub struct EvalService {
     tenants: KeyCache,
     supervisor: Arc<Supervisor>,
     watchdog: Mutex<Option<JoinHandle<()>>>,
-    replay: Arc<ReplayCache>,
-    replay_pending: Arc<ReplayPending>,
+    replay: Arc<ReplayRecord>,
 }
 
 impl EvalService {
@@ -530,11 +536,10 @@ impl EvalService {
             tenants: KeyCache::new(config.key_cache_capacity),
             supervisor,
             watchdog: Mutex::new(watchdog),
-            replay: Arc::new(ReplayCache::new(
+            replay: Arc::new(ReplayRecord::new(
                 config.replay_capacity,
                 config.replay_capacity_bytes,
             )),
-            replay_pending: Arc::new(ReplayPending::default()),
         })
     }
 
@@ -600,15 +605,15 @@ impl EvalService {
     }
 
     /// Completed results currently retained by the idempotent-replay
-    /// cache (observability for tests and operators).
+    /// record (observability for tests and operators).
     pub fn replay_entries(&self) -> usize {
-        self.replay.len()
+        self.replay.state().order.len()
     }
 
     /// Approximate bytes currently pinned by the idempotent-replay
-    /// cache (observability for tests and operators).
+    /// record's completed results (observability for tests and operators).
     pub fn replay_bytes(&self) -> usize {
-        self.replay.bytes()
+        self.replay.state().bytes
     }
 
     /// Replay-flagged `(tenant, id)` executions currently queued or
@@ -616,11 +621,8 @@ impl EvalService {
     /// instead of running twice (observability for tests and
     /// operators).
     pub fn replay_in_flight(&self) -> usize {
-        self.replay_pending
-            .map
-            .lock()
-            .expect("replay pending poisoned")
-            .len()
+        let state = self.replay.state();
+        state.map.len() - state.order.len()
     }
 
     /// Heartbeat count for one dispatcher worker — ticks every time the
@@ -650,8 +652,13 @@ impl EvalService {
         self.supervisor.scan();
     }
 
-    fn expired(deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() >= d)
+    /// Rejects a request whose deadline has already passed.
+    fn admissible(deadline: Option<Instant>) -> Result<(), ServeError> {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            crate::tel::deadline().add(1);
+            return Err(ServeError::DeadlineExceeded);
+        }
+        Ok(())
     }
 
     /// Enqueues one request. Admission control is strict: a full queue
@@ -744,9 +751,9 @@ impl EvalService {
     }
 
     /// The one admission path, for `tenant`, looked up once by the caller:
-    /// replay (attach to a pending execution, or answer from the cache),
+    /// replay (attach to a pending execution, or answer from the record),
     /// the deadline check and the queue submit. `replay_id` keys the
-    /// idempotent-replay cache when the request carries the replay flag.
+    /// idempotent-replay record when the request carries the replay flag.
     fn admit(
         &self,
         tenant: Arc<Tenant>,
@@ -757,64 +764,29 @@ impl EvalService {
         sink: Sink,
     ) -> Result<(), ServeError> {
         let tid: Arc<str> = Arc::from(tenant_id);
-        // The pending-map lock is held from the replay checks through the
-        // pending insert, so a racing duplicate sees either this
-        // execution or its outcome.
-        let replay = match replay_id {
+        let (key, sink): (_, Sink) = match replay_id {
+            None => {
+                Self::admissible(deadline)?;
+                (None, sink)
+            }
             Some(id) => {
                 let key = (Arc::clone(&tid), id);
-                let mut pending = self
-                    .replay_pending
-                    .map
-                    .lock()
-                    .expect("replay pending poisoned");
-                if let Some(waiters) = pending.get_mut(&key) {
-                    // The same (tenant, id) is already queued or
-                    // executing: ride that execution instead of
-                    // enqueueing a second one.
-                    waiters.push(sink);
-                    crate::tel::replay_coalesced().add(1);
+                let Some(sink) = self
+                    .replay
+                    .claim(&key, sink, || Self::admissible(deadline))?
+                else {
                     return Ok(());
-                }
-                // Completion fills the cache before clearing its pending
-                // entry, so missing both maps means the id genuinely
-                // never executed.
-                if let Some(cached) = self.replay.get(&tid, id) {
-                    crate::tel::replay_hit().add(1);
-                    drop(pending);
-                    sink(cached);
-                    return Ok(());
-                }
-                Some((key, pending))
-            }
-            None => None,
-        };
-        if Self::expired(deadline) {
-            crate::tel::deadline().add(1);
-            return Err(ServeError::DeadlineExceeded);
-        }
-        let (key, sink): (_, Sink) = match replay {
-            Some((key, mut pending)) => {
-                pending.insert(key.clone(), Vec::new());
-                let cache = Arc::clone(&self.replay);
-                let waiting = Arc::clone(&self.replay_pending);
+                };
+                let record = Arc::clone(&self.replay);
                 let done = key.clone();
                 let sink = Box::new(move |result: Result<Ciphertext, ServeError>| {
-                    // Record only executed outcomes: an admission-style
-                    // error (queue full, shutdown, deadline) never ran,
-                    // so a retry must be allowed to actually run. Cache
-                    // first, *then* clear pending (see above).
-                    if matches!(result, Ok(_) | Err(ServeError::Eval(_))) {
-                        cache.put(Arc::clone(&done.0), done.1, result.clone());
-                    }
-                    for waiter in waiting.take(&done) {
+                    for waiter in record.finish(&done, &result) {
                         waiter(result.clone());
                     }
                     sink(result);
                 });
                 (Some(key), sink)
             }
-            None => (None, sink),
         };
         let submitted = self.queues.submit(Job {
             tenant_id: tid,
@@ -824,12 +796,13 @@ impl EvalService {
             reply: Reply::new(sink),
         });
         if let (Err(e), Some(key)) = (&submitted, &key) {
-            // The job never entered a queue (its reply was defused, so
-            // the completion wrapper will never run): clear the pending
-            // entry and answer any waiters that attached in the window
-            // with the same rejection.
-            for waiter in self.replay_pending.take(key) {
-                waiter(Err(e.clone()));
+            // The job never entered a queue (its reply was defused, so the
+            // completion wrapper will never run): end the execution with
+            // the rejection, which is not kept, and answer any waiters that
+            // attached in the window with it.
+            let refused = Err(e.clone());
+            for waiter in self.replay.finish(key, &refused) {
+                waiter(refused.clone());
             }
         }
         submitted
@@ -884,19 +857,6 @@ impl Drop for EvalService {
     }
 }
 
-/// Coalescing key for rotation jobs: tenant plus a cheap ciphertext
-/// digest (level/scale folded in). Digest ties are confirmed by exact
-/// residue comparison before jobs share a hoist. The tenant id is an
-/// `Arc` clone, so building a key allocates nothing per job.
-fn rotation_key(tenant_id: &Arc<str>, ct: &Ciphertext) -> (Arc<str>, u64, usize, u64) {
-    (
-        Arc::clone(tenant_id),
-        digest_ciphertext(ct),
-        ct.level(),
-        ct.scale().to_bits(),
-    )
-}
-
 /// Answers `job` with [`ServeError::DeadlineExceeded`] if its deadline
 /// has passed; returns the job back otherwise.
 fn reap_expired(job: Job) -> Option<Job> {
@@ -910,114 +870,114 @@ fn reap_expired(job: Job) -> Option<Job> {
     }
 }
 
-/// Runs one dequeued batch: rotation groups first, then single jobs.
-/// `start_job` runs before each group and each single job, restarting the
-/// watchdog's clock, so a stall is one job over the bound, not a long batch.
+/// Runs one dequeued batch, routing each job once: a `Rotate` with every
+/// rotation of the same tenant and ciphertext in the batch (its group), a
+/// `Program` through its tenant's plan, and any other request as one
+/// evaluator call under [`run_checked`]. Rotation groups run first, then
+/// the other jobs, each in arrival order. `start_job` runs before each group
+/// and each other job, restarting the watchdog's clock, so a stall is one
+/// job over the bound, not a long batch.
 pub(crate) fn execute_batch(batch: Vec<Job>, start_job: impl Fn()) {
     // Dequeue-time deadline check: a request that expired while queued
     // is answered without computing dead work.
-    let batch: Vec<Job> = batch.into_iter().filter_map(reap_expired).collect();
+    let (mut queue, others): (VecDeque<Job>, VecDeque<Job>) = batch
+        .into_iter()
+        .filter_map(reap_expired)
+        .partition(|job| matches!(job.request, Request::Rotate { .. }));
+    queue.extend(others);
 
-    // Rotation groups: representative ciphertext + member jobs.
-    type Key = (Arc<str>, u64, usize, u64);
-    let mut groups: Vec<(Key, Vec<Job>)> = Vec::new();
-    let mut singles: Vec<Job> = Vec::new();
-
-    for job in batch {
-        let Request::Rotate { ref a, .. } = job.request else {
-            singles.push(job);
-            continue;
-        };
-        let key = rotation_key(&job.tenant_id, a);
-        let slot = groups.iter_mut().find(|(k, jobs)| {
-            *k == key
-                && matches!(
-                    &jobs[0].request,
-                    // Digest collisions must not merge distinct operands.
-                    Request::Rotate { a: rep, .. } if rep.c0() == a.c0() && rep.c1() == a.c1()
-                )
-        });
-        match slot {
-            Some((_, jobs)) => jobs.push(job),
-            None => groups.push((key, vec![job])),
-        }
-    }
-
-    for (_, jobs) in groups {
-        // Pre-execution deadline check, per member: earlier groups may
-        // have consumed the remaining budget.
-        let jobs: Vec<Job> = jobs.into_iter().filter_map(reap_expired).collect();
-        if !jobs.is_empty() {
-            start_job();
-            run_rotation_group(jobs);
-        }
-    }
-    for job in singles {
+    while let Some(job) = queue.pop_front() {
+        // Pre-execution deadline check: earlier jobs may have consumed the
+        // remaining budget.
         let Some(job) = reap_expired(job) else {
             continue;
         };
+        let (tenant, eval, keys) = (&job.tenant, &job.tenant.eval, &job.tenant.keys);
+        let (site, op): (&'static str, &dyn Fn() -> Result<Ciphertext, EvalError>) =
+            match &job.request {
+                Request::Rotate { a, steps } => {
+                    let riders = take_riders(&mut queue, &job.tenant_id, a);
+                    let steps: Vec<i64> = std::iter::once(*steps)
+                        .chain(riders.iter().map(|(steps, _)| *steps))
+                        .collect();
+                    start_job();
+                    let results = run_rotation_group(tenant, a, &steps);
+                    let members = std::iter::once(job).chain(riders.into_iter().map(|(_, r)| r));
+                    for (member, result) in members.zip(results) {
+                        member.reply.send(result);
+                    }
+                    continue;
+                }
+                Request::Program { text, a } => {
+                    start_job();
+                    let result = contain(|| run_program(tenant, text, a).map_err(ServeError::Eval));
+                    job.reply.send(result);
+                    continue;
+                }
+                Request::Add { a, b } => ("add", &|| eval.try_add(a, b)),
+                Request::Sub { a, b } => ("sub", &|| eval.try_sub(a, b)),
+                Request::Mul { a, b } => ("mul", &|| eval.try_mul(a, b, keys)),
+                Request::Square { a } => ("square", &|| eval.try_square(a, keys)),
+                Request::Rescale { a } => ("rescale", &|| eval.try_rescale(a)),
+                Request::Conjugate { a } => ("conjugate", &|| eval.try_conjugate(a, keys)),
+                Request::AddPlain { a, pt } => ("add_plain", &|| eval.try_add_plain(a, pt)),
+                Request::MulPlain { a, pt } => ("mul_plain", &|| eval.try_mul_plain(a, pt)),
+            };
         start_job();
-        let result = contain(|| run_one(&job.tenant, &job.request).map_err(ServeError::Eval));
+        let result = contain(|| run_checked(site, op).map_err(ServeError::Eval));
         job.reply.send(result);
     }
 }
 
-/// Executes one same-ciphertext rotation group through a single hoisted
-/// `try_rotate_many` lift — k requests, one digit decomposition.
-fn run_rotation_group(jobs: Vec<Job>) {
-    let steps: Vec<i64> = jobs
-        .iter()
-        .map(|j| match &j.request {
-            Request::Rotate { steps, .. } => *steps,
-            _ => unreachable!("rotation group holds only Rotate jobs"),
-        })
-        .collect();
-    // Borrow the representative operand in place: a copy would be two
-    // full RNS polynomials per group.
-    let outcome = {
-        let tenant = &jobs[0].tenant;
-        let Request::Rotate { a, .. } = &jobs[0].request else {
-            unreachable!("rotation group holds only Rotate jobs");
-        };
-        contain(|| {
-            tenant
-                .checked
-                .inner()
-                .try_rotate_many(a, &steps, &tenant.keys)
-                .map_err(ServeError::Eval)
-        })
-    };
-    match outcome {
-        Ok(rotated) => {
-            for (job, ct) in jobs.into_iter().zip(rotated) {
-                job.reply.send(Ok(ct));
+/// Takes from `queue` the rest of a rotation group: every rotation of
+/// `tenant_id`'s ciphertext `a`, with its steps, answering any that expired
+/// meanwhile. The operand comparison is exact, so equal ciphertexts share
+/// one hoist and distinct ones never do.
+fn take_riders(queue: &mut VecDeque<Job>, tenant_id: &str, a: &Ciphertext) -> Vec<(i64, Job)> {
+    let mut riders = Vec::new();
+    for job in std::mem::take(queue) {
+        match job.request {
+            Request::Rotate { a: ref b, steps } if *job.tenant_id == *tenant_id && b == a => {
+                riders.extend(reap_expired(job).map(|rider| (steps, rider)));
             }
-        }
-        Err(e) => {
-            for job in jobs {
-                job.reply.send(Err(e.clone()));
-            }
+            _ => queue.push_back(job),
         }
     }
+    riders
 }
 
-/// Non-rotation ops run under the integrity-checked evaluator: a
-/// persistent datapath fault comes back as `EvalError::IntegrityFault`
-/// for this request only.
-fn run_one(tenant: &Tenant, request: &Request) -> Result<Ciphertext, he_ckks::error::EvalError> {
-    match request {
-        Request::Add { a, b } => tenant.checked.add(a, b),
-        Request::Sub { a, b } => tenant.checked.sub(a, b),
-        Request::Mul { a, b } => tenant.checked.mul(a, b, &tenant.keys),
-        Request::Square { a } => tenant.checked.square(a, &tenant.keys),
-        Request::Rescale { a } => tenant.checked.rescale(a),
-        // Fallback for a Rotate that reached the scalar path.
-        Request::Rotate { a, steps } => tenant.checked.rotate(a, *steps, &tenant.keys),
-        Request::Conjugate { a } => tenant.checked.conjugate(a, &tenant.keys),
-        Request::AddPlain { a, pt } => tenant.checked.add_plain(a, pt),
-        Request::MulPlain { a, pt } => tenant.checked.mul_plain(a, pt),
-        Request::Program { text, a } => run_program(tenant, text, a),
-    }
+/// Rotates `a` by each of one group's `steps` through a single hoisted
+/// `try_rotate_many` lift — k requests, one digit decomposition — and
+/// returns each member's result. Each member's key is looked up first, so
+/// a member without one is answered with its own `MissingRotationKey` and
+/// the others still share the hoist.
+fn run_rotation_group(
+    tenant: &Tenant,
+    a: &Ciphertext,
+    steps: &[i64],
+) -> Vec<Result<Ciphertext, ServeError>> {
+    let resolved: Vec<Result<i64, EvalError>> = steps
+        .iter()
+        .map(|&s| tenant.keys.rotation_switch(s).map(|_| s))
+        .collect();
+    let keyed: Vec<i64> = resolved.iter().flatten().copied().collect();
+    let mut fan = contain(|| {
+        tenant
+            .eval
+            .try_rotate_many(a, &keyed, &tenant.keys)
+            .map_err(ServeError::Eval)
+    })
+    .map(Vec::into_iter);
+    resolved
+        .into_iter()
+        .map(|member| match (member, &mut fan) {
+            (Err(e), _) => Err(ServeError::Eval(e)),
+            (Ok(_), Ok(rotated)) => rotated.next().ok_or_else(|| {
+                ServeError::Internal("rotation fan returned too few outputs".into())
+            }),
+            (Ok(_), Err(e)) => Err(e.clone()),
+        })
+        .collect()
 }
 
 /// Executes one `.pos` program as a unit on a handle copy of the tenant's
@@ -1037,12 +997,7 @@ fn run_one(tenant: &Tenant, request: &Request) -> Result<Ciphertext, he_ckks::er
 /// Serve-side planning runs without bootstrap insertion — tenants
 /// register evaluation keys, not bootstrap keys, so an exhausted
 /// program is a typed rejection rather than a silent truncation.
-fn run_program(
-    tenant: &Tenant,
-    text: &str,
-    a: &Ciphertext,
-) -> Result<Ciphertext, he_ckks::error::EvalError> {
-    use he_ckks::error::EvalError;
+fn run_program(tenant: &Tenant, text: &str, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
     use poseidon_core::plan::{execute, plan_trace, PlanOptions};
 
     let cached = tenant.plans().get(text);
@@ -1063,7 +1018,7 @@ fn run_program(
     };
     crate::tel::program().add(plan.schedule.len() as u64);
     let inputs = vec![a.clone(); plan.graph.inputs().len()];
-    let mut eval = tenant.checked.inner().clone();
+    let mut eval = tenant.eval.clone();
     let reply = execute(&plan, &mut eval, &inputs, &tenant.keys).and_then(|outcome| {
         outcome
             .outputs
@@ -1199,21 +1154,14 @@ mod tests {
         // Step 5 has no rotation key: the plan executes and fails.
         let unkeyed = "n=65536 special=2 dnum=1\nrotation L=3 x5\nhadd L=3 x5\n";
         let err = run_program(&tenant, unkeyed, &a).expect_err("no key for step 5");
-        assert!(
-            matches!(err, he_ckks::error::EvalError::MissingRotationKey { .. }),
-            "{err}"
-        );
+        assert!(matches!(err, EvalError::MissingRotationKey { .. }), "{err}");
         assert!(tenant.plans().entries.is_empty());
         // A kept plan whose execution fails is dropped: here the input sits
         // at level 0, below what the program consumes.
         let rescaled = format!("{}rescale L=3 x1\n", program(0));
         run_program(&tenant, &rescaled, &a).expect("program runs");
         assert_eq!(tenant.plans().entries.len(), 1);
-        let floor = tenant
-            .checked
-            .inner()
-            .try_drop_to_level(&a, 0)
-            .expect("drops");
+        let floor = tenant.eval.try_drop_to_level(&a, 0).expect("drops");
         run_program(&tenant, &rescaled, &floor).expect_err("no prime to rescale by");
         assert!(tenant.plans().entries.is_empty());
 

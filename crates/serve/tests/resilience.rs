@@ -417,6 +417,53 @@ fn racing_duplicate_replay_attaches_to_in_flight_execution() {
     service.shutdown();
 }
 
+/// A replay-flagged submission the queue refuses never ran: it leaves no
+/// running marker and no recorded outcome, so resubmitting the same id
+/// once there is room executes it.
+#[test]
+fn a_refused_replay_submission_leaves_no_record() {
+    let (ctx, keys, mut rng) = setup();
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.5, 0.5)]);
+    let service = EvalService::start(ServiceConfig {
+        queue_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    service.register_tenant("acme", &keys);
+
+    let submit = |id: u64| {
+        let (tx, rx) = mpsc::channel();
+        let sink = move |_, result| {
+            let _ = tx.send(result);
+        };
+        let request = Request::Rescale { a: ct.clone() };
+        service
+            .submit_tagged_opts("acme", request, id, None, true, sink)
+            .map(|()| rx)
+    };
+    service.suspend();
+    let queued = service
+        .submit("acme", Request::Rescale { a: ct.clone() })
+        .expect("fills the queue");
+    let refused = submit(5).expect_err("the queue is full");
+    assert_eq!(
+        refused,
+        ServeError::QueueFull {
+            depth: 1,
+            capacity: 1
+        }
+    );
+    assert_eq!(service.replay_in_flight(), 0, "no running marker left");
+    assert_eq!(service.replay_entries(), 0, "a refusal is not recorded");
+
+    service.resume();
+    queued.wait().expect("the queued job runs");
+    let rx = submit(5).expect("room again");
+    rx.recv().expect("sink fired").expect("executes this time");
+    assert_eq!(service.replay_entries(), 1);
+    assert_eq!(service.replay_in_flight(), 0);
+    service.shutdown();
+}
+
 /// On a healthy service the watchdog is a no-op: scans never bump an
 /// epoch, and worker pulses keep advancing.
 #[test]

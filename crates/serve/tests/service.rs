@@ -139,6 +139,45 @@ fn coalesced_rotation_batch_matches_per_call_results() {
     }
 }
 
+/// A rotation group whose members are not all keyed fails only the member
+/// without a key: the others still share one hoist, and each keyed reply is
+/// bit-identical to a local `try_rotate`.
+#[test]
+fn a_rotation_group_fails_only_its_unkeyed_member() {
+    let (ctx, keys, mut rng) = setup();
+    let eval = Evaluator::new(&ctx);
+    let ct = encrypt(&ctx, &keys, &mut rng, &[Complex::new(0.75, -0.25)]);
+    let service = EvalService::start(ServiceConfig::default());
+    service.register_tenant("acme", &keys);
+
+    // One batch, one ciphertext: steps 1 and 3 are keyed, step 7 is not,
+    // and it sits between them.
+    service.suspend();
+    let tickets: Vec<_> = [1i64, 7, 3]
+        .into_iter()
+        .map(|steps| {
+            let request = Request::Rotate {
+                a: ct.clone(),
+                steps,
+            };
+            service.submit("acme", request).expect("submit")
+        })
+        .collect();
+    assert_eq!(service.queue_depth(), 3);
+    service.resume();
+
+    let got: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    assert_eq!(
+        got[1],
+        Err(ServeError::Eval(EvalError::MissingRotationKey { steps: 7 }))
+    );
+    for (i, steps) in [(0, 1), (2, 3)] {
+        let want = eval.try_rotate(&ct, steps, &keys).expect("local rotation");
+        let err = got[i].as_ref().err();
+        assert!(got[i] == Ok(want), "step {steps}: {err:?}");
+    }
+}
+
 #[test]
 fn queue_full_rejects_with_capacity() {
     let (ctx, keys, mut rng) = setup();

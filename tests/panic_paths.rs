@@ -63,18 +63,17 @@ fn zero_matrix_apply_is_empty_operands_not_a_panic() {
 /// A plaintext encoded below the ciphertext's level (plaintext frames
 /// carry their own level, so a client can send one) is a typed
 /// `LevelMismatch` from every fallible ct·pt / ct±pt entry point — the
-/// evaluator, its `HomomorphicOps` face, and the checked evaluator the
-/// service runs requests under — not a basis-prefix assertion.
+/// evaluator, its `HomomorphicOps` face, and the duplicate-execution check
+/// the service runs requests under — not a basis-prefix assertion.
 #[test]
 fn lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
-    use poseidon::ckks::integrity::CheckedEvaluator;
+    use poseidon::ckks::integrity::run_checked;
     use poseidon::core::HomomorphicOps;
 
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rng();
     let keys = KeySet::generate(&ctx, &mut rng);
     let mut eval = Evaluator::new(&ctx);
-    let checked = CheckedEvaluator::new(&ctx);
     let ct = encrypt(&ctx, &keys, &mut rng);
     assert!(ct.level() > 0);
     let low = eval.encode_at_level(&[Complex::new(0.5, 0.0)], ctx.default_scale(), 0);
@@ -86,8 +85,10 @@ fn lower_level_plaintext_is_a_level_mismatch_not_a_panic() {
     assert_eq!(eval.try_add_plain(&ct, &low).unwrap_err(), want);
     assert_eq!(eval.try_sub_plain(&ct, &low).unwrap_err(), want);
     assert_eq!(eval.try_mul_plain(&ct, &low).unwrap_err(), want);
-    assert_eq!(checked.add_plain(&ct, &low).unwrap_err(), want);
-    assert_eq!(checked.mul_plain(&ct, &low).unwrap_err(), want);
+    let checked_add = run_checked("add_plain", || eval.try_add_plain(&ct, &low));
+    assert_eq!(checked_add.unwrap_err(), want);
+    let checked_mul = run_checked("mul_plain", || eval.try_mul_plain(&ct, &low));
+    assert_eq!(checked_mul.unwrap_err(), want);
     assert_eq!(
         HomomorphicOps::try_mul_plain(&mut eval, &ct, &low).unwrap_err(),
         want
